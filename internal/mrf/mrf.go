@@ -5,8 +5,10 @@
 package mrf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"tuffy/internal/mln"
 )
@@ -73,6 +75,10 @@ type MRF struct {
 	// Atoms maps atom id -> ground atom descriptor (index 0 unused). May be
 	// nil for synthetic MRFs.
 	Atoms []mln.GroundAtom
+
+	// search is the lazily built search index (index.go); it makes an MRF
+	// non-copyable after first use.
+	search searchIndex
 }
 
 // New returns an empty MRF over n atoms.
@@ -273,13 +279,13 @@ func (m *MRF) Components(includeIsolated bool) []*Component {
 	return comps
 }
 
+// sortComponents orders components by their smallest global atom id (local
+// atom 1), a key no two components share. IE-shaped networks have thousands
+// of components and RepairComponents re-sorts on every evidence update.
 func sortComponents(comps []*Component) {
-	// insertion sort by first global atom (components are usually few).
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j-1].GlobalAtom[1] > comps[j].GlobalAtom[1]; j-- {
-			comps[j-1], comps[j] = comps[j], comps[j-1]
-		}
-	}
+	slices.SortFunc(comps, func(a, b *Component) int {
+		return cmp.Compare(a.GlobalAtom[1], b.GlobalAtom[1])
+	})
 }
 
 // ProjectState copies the component's local state into the global state.

@@ -43,7 +43,9 @@ type ComponentResult struct {
 // ComponentAware runs WalkSAT independently on each connected component,
 // keeping the lowest-cost state per component — the behaviour Theorem 3.1
 // proves exponentially better than monolithic WalkSAT on multi-component
-// MRFs. Components are scheduled round-robin over a worker pool.
+// MRFs. Components are scheduled round-robin over a worker pool. The
+// components' local MRFs must be immutable from here on: their search
+// indexes are built once and shared (see RunComponent).
 //
 // A canceled context stops the search promptly and returns ErrCanceled with
 // a valid best-so-far result: components already searched keep their best
@@ -69,7 +71,7 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 	// state is still all-false).
 	baseline := make([]float64, len(comps))
 	for i, c := range comps {
-		baseline[i] = c.MRF.Cost(c.MRF.NewState())
+		baseline[i] = c.MRF.AllFalseCost()
 		res.PerComponent[i] = baseline[i]
 	}
 
@@ -93,12 +95,13 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			var sc Scratch // this worker's, for all of its components
 			for idx := range work {
 				if ctx.Err() != nil {
 					continue // drain the queue; baseline stands
 				}
 				comp := comps[idx]
-				r := RunComponent(ctx, comp, idx, int64(totalAtoms), opts.Base, opts.Memo)
+				r := RunComponent(ctx, comp, idx, int64(totalAtoms), opts.Base, opts.Memo, &sc)
 				if r.Best == nil {
 					continue // canceled before the first state was recorded
 				}
@@ -163,7 +166,15 @@ dispatch:
 // set, disables memo reads and writes (tracked queries run for real) but
 // leaves the derivation untouched. A nil Best reports a run canceled
 // before its first state was recorded.
-func RunComponent(ctx context.Context, comp *mrf.Component, idx int, totalAtoms int64, base Options, memo *ComponentMemo) *Result {
+//
+// comp.MRF must be immutable — an epoch's local network: the run searches
+// the occurrence index the MRF itself carries (built by the first run that
+// misses, shared by every later one, across epochs for components an
+// evidence update did not touch) and keys the memo by the fingerprint
+// cached beside it; a hit touches the fingerprint only. sc holds the run's
+// mutable state and is the caller's to reuse for its next component; it
+// must not be used by two goroutines at once.
+func RunComponent(ctx context.Context, comp *mrf.Component, idx int, totalAtoms int64, base Options, memo *ComponentMemo, sc *Scratch) *Result {
 	denom := totalAtoms
 	if memo != nil {
 		denom = pow2Ceil(denom)
@@ -177,24 +188,25 @@ func RunComponent(ctx context.Context, comp *mrf.Component, idx int, totalAtoms 
 		}
 	}
 	o.Tracker = nil // per-component costs are not global costs
-	var fp string
+	var key memoKey
 	if memo != nil {
 		// Content-hash seed: stable across epochs for untouched components
 		// (and shared by isomorphic ones), unlike the index-based stream,
 		// which shifts when earlier components appear or vanish.
-		fp = memo.Fingerprint(comp.MRF)
-		o.Seed = base.Seed + seedOffset(fp)
+		fp, seedOffset := comp.MRF.Fingerprint()
+		o.Seed = base.Seed + seedOffset
+		key = newMemoKey(fp, o)
 		if base.Tracker == nil {
-			if e, ok := memo.lookup(fp, o); ok {
+			if e, ok := memo.lookup(key); ok {
 				return &Result{Best: e.best, BestCost: e.bestCost, Flips: e.flips, HitFlips: -1}
 			}
 		}
 	} else {
 		o.Seed = base.Seed + int64(idx)*7919
 	}
-	r := WalkSAT(ctx, comp.MRF, o)
+	r := walkSAT(ctx, comp.MRF, comp.MRF.SharedPostings(), o, sc)
 	if r.Best != nil && memo != nil && base.Tracker == nil && ctx.Err() == nil {
-		memo.store(fp, o, r)
+		memo.store(key, r)
 	}
 	return r
 }

@@ -75,17 +75,20 @@ type gsPart struct {
 	err       error
 }
 
-// runClass executes fn(pi) for every partition index in class on up to
+// runClass executes fn(pi, sc) for every partition index in class on up to
 // workers goroutines, returning after all complete. fn must write only its
 // own partition's state (it may read shared frozen state), which is what
-// color classes guarantee. Shared by the MAP and MC-SAT partition sweeps.
-func runClass(class []int, workers int, fn func(pi int)) {
+// color classes guarantee; sc is the calling worker's search scratch,
+// reused for each partition the worker takes. Shared by the MAP and MC-SAT
+// partition sweeps.
+func runClass(class []int, workers int, fn func(pi int, sc *Scratch)) {
 	if workers > len(class) {
 		workers = len(class)
 	}
 	if workers <= 1 {
+		var sc Scratch
 		for _, pi := range class {
-			fn(pi)
+			fn(pi, &sc)
 		}
 		return
 	}
@@ -95,8 +98,9 @@ func runClass(class []int, workers int, fn func(pi int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc Scratch
 			for pi := range work {
-				fn(pi)
+				fn(pi, &sc)
 			}
 		}()
 	}
@@ -233,8 +237,10 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 
 	// runPart searches one partition under the frozen global assignment,
 	// writing results only into its own gsPart slots — safe to run
-	// concurrently with any other partition of the same color class.
-	runPart := func(round, pi int) {
+	// concurrently with any other partition of the same color class. The
+	// conditioned sub-MRF's clause set changes every visit, so its index is
+	// rebuilt into the worker's scratch rather than shared.
+	runPart := func(round, pi int, sc *Scratch) {
 		g := parts[pi]
 		if ctx.Err() != nil {
 			return // skip the clause load; g.best stays nil and merge skips
@@ -283,7 +289,7 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		o.InitState = g.initBuf
 		o.MaxTries = 1
 		o.Tracker = nil // per-partition costs are not global costs
-		r := WalkSAT(ctx, g.sub, o)
+		r := walkSAT(ctx, g.sub, sc.index(g.sub), o, sc)
 		g.best = r.Best // nil if canceled before the init state was recorded
 		g.flips = r.Flips
 	}
@@ -335,7 +341,7 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		for round := 0; round < opts.Rounds; round++ {
 			for _, class := range sched.Classes {
 				round := round
-				runClass(class, opts.Parallelism, func(pi int) { runPart(round, pi) })
+				runClass(class, opts.Parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
 				for _, pi := range class {
 					if err := parts[pi].err; err != nil {
 						return nil, err
@@ -378,7 +384,7 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 // results are bit-identical to the class-barrier schedule for every worker
 // count. A mergeFn error aborts the pipeline after in-flight runs drain
 // (runs not yet started are skipped).
-func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, workers int, runFn func(round, pi int), mergeFn func(pi int) error) error {
+func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, workers int, runFn func(round, pi int, sc *Scratch), mergeFn func(pi int) error) error {
 	p := len(sched.Order)
 	if workers > p {
 		workers = p
@@ -428,9 +434,10 @@ func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, worker
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc Scratch // this worker's, for every run it takes
 			for j := range work {
 				if !abort.Load() {
-					runFn(j/p, j%p)
+					runFn(j/p, j%p, &sc)
 				}
 				done <- j
 			}

@@ -102,9 +102,8 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 
 	// runPart projects partition pi's selected clauses under the frozen
 	// external state and draws a near-uniform satisfying assignment.
-	runPart := func(round, pi int) {
+	runPart := func(round, pi int, sc *Scratch) {
 		g := parts[pi]
-		p := pt.Parts[pi]
 		buf := append(g.buf[:0], g.internal...)
 		for _, c := range g.cut {
 			satisfiedOutside := false
@@ -133,9 +132,14 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		}
 		g.buf = buf[:0]
 		g.sub.Clauses = buf
-		rng := rand.New(rand.NewSource(opts.Seed + int64(round)*99991 + int64(pi)*6151))
-		localState := p.ExtractState(state)
-		g.next, g.ok = SampleSAT(ctx, g.sub, localState, opts, rng)
+		// The projected clause set is new every visit: index it into the
+		// worker's scratch. The sample is copied out because the worker
+		// reuses the scratch before this class merges.
+		rng := sc.seed(opts.Seed + int64(round)*99991 + int64(pi)*6151)
+		next := sampleSAT(ctx, g.sub, opts, rng, sc)
+		if g.ok = next != nil; g.ok {
+			g.next = append(g.next[:0], next...)
+		}
 	}
 
 	counts := make([]float64, m.NumAtoms+1)
@@ -169,7 +173,7 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 
 		for _, class := range coloring.Classes {
 			round := round
-			runClass(class, parallelism, func(pi int) { runPart(round, pi) })
+			runClass(class, parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
 			for _, pi := range class {
 				if g := parts[pi]; g.ok {
 					pt.Parts[pi].ProjectState(g.next, state)

@@ -55,21 +55,31 @@ func (o MCSATOptions) withDefaults() MCSATOptions {
 // ErrCanceled together with the marginals estimated from the samples
 // collected so far (all-zero if no post-burn-in sample completed).
 func MCSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions) ([]float64, error) {
+	var sc Scratch
+	return mcsat(ctx, m, opts, &sc)
+}
+
+// mcsat is one MC-SAT chain with all of its search state in sc: the
+// selected clause set differs every round, so each round re-indexes it into
+// the scratch's own buffers instead of allocating an index per sample.
+func mcsat(ctx context.Context, m *mrf.MRF, opts MCSATOptions, sc *Scratch) ([]float64, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Initial state: satisfy hard clauses via WalkSAT.
-	init := WalkSAT(ctx, m, Options{MaxFlips: opts.SampleSATFlips, MaxTries: 3, Seed: opts.Seed})
+	init := walkSAT(ctx, m, sc.index(m), Options{MaxFlips: opts.SampleSATFlips, MaxTries: 3, Seed: opts.Seed}, sc)
 	if ctx.Err() != nil {
 		return make([]float64, m.NumAtoms+1), Canceled(ctx)
 	}
 	if math.IsInf(init.BestCost, 1) && hasHard(m) {
 		return nil, fmt.Errorf("search: MC-SAT could not satisfy hard clauses")
 	}
-	state := append([]bool(nil), init.Best...)
+	state := init.Best
 
 	counts := make([]float64, m.NumAtoms+1)
 	total := 0
+	sub := mrf.New(m.NumAtoms)
+	var sel []mrf.Clause // the round's clause subset M, reused across rounds
 
 	for round := 0; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
 		// Select clause subset M. For a positive clause satisfied by the
@@ -78,7 +88,7 @@ func MCSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions) ([]float64, error
 		// current state, include its requirement to stay falsified with
 		// p = 1 - exp(-|w|); staying falsified means every literal's
 		// negation holds, so we add each negated literal as a unit clause.
-		var sel []mrf.Clause
+		sel = sel[:0]
 		for _, c := range m.Clauses {
 			w := c.Weight
 			sat := c.SatisfiedBy(state)
@@ -99,11 +109,9 @@ func MCSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions) ([]float64, error
 				}
 			}
 		}
-		sub := mrf.New(m.NumAtoms)
 		sub.Clauses = sel
-		next, ok := SampleSAT(ctx, sub, state, opts, rng)
-		if ok {
-			state = next
+		if next := sampleSAT(ctx, sub, opts, rng, sc); next != nil {
+			copy(state, next)
 		}
 		if round >= opts.BurnIn {
 			total++
@@ -148,12 +156,13 @@ func MCSATComponents(ctx context.Context, parent *mrf.MRF, comps []*mrf.Componen
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc Scratch // this worker's, for all of its chains
 			for idx := range work {
 				if ctx.Err() != nil {
 					continue // drain; cancellation is reported below
 				}
 				comp := comps[idx]
-				local, err := RunComponentMCSAT(ctx, comp, idx, opts)
+				local, err := RunComponentMCSAT(ctx, comp, idx, opts, &sc)
 				mu.Lock()
 				if err != nil && !errors.Is(err, ErrCanceled) && firstErr == nil {
 					firstErr = err
@@ -192,11 +201,13 @@ dispatch:
 // is the distribution contract: MCSATComponents and the remote worker's
 // marginal shard execution call exactly this function, so the sampled
 // chain for a component is identical wherever it runs. The returned
-// slice is the component-local 1-based marginal vector.
-func RunComponentMCSAT(ctx context.Context, comp *mrf.Component, idx int, opts MCSATOptions) ([]float64, error) {
+// slice is the component-local 1-based marginal vector. sc holds the chain's
+// search state and is the caller's to reuse for its next component, one
+// goroutine at a time.
+func RunComponentMCSAT(ctx context.Context, comp *mrf.Component, idx int, opts MCSATOptions, sc *Scratch) ([]float64, error) {
 	o := opts
 	o.Seed = opts.Seed + int64(idx)*6151
-	return MCSAT(ctx, comp.MRF, o)
+	return mcsat(ctx, comp.MRF, o, sc)
 }
 
 func hasHard(m *mrf.MRF) bool {
@@ -210,29 +221,38 @@ func hasHard(m *mrf.MRF) bool {
 
 // SampleSAT draws a near-uniform satisfying assignment of the clause set
 // (all clauses treated as mandatory) by mixing WalkSAT moves with simulated
-// annealing moves [Wei, Erenrich, Selman 2004]. It starts from init and
-// returns (state, true) when all clauses are satisfied within the flip
-// budget, or (init, false) otherwise — including when the context cancels
-// the walk early.
+// annealing moves [Wei, Erenrich, Selman 2004]. It returns (state, true)
+// when all clauses are satisfied within the flip budget, or (init, false)
+// otherwise — including when the context cancels the walk early. The walk
+// starts from a random assignment drawn from rng.
 func SampleSAT(ctx context.Context, m *mrf.MRF, init []bool, opts MCSATOptions, rng *rand.Rand) ([]bool, bool) {
-	opts = opts.withDefaults()
-	e := newEngine(m, 1)
-	start := make([]bool, m.NumAtoms+1)
-	for a := 1; a <= m.NumAtoms; a++ {
-		start[a] = rng.Intn(2) == 0
+	var sc Scratch
+	state := sampleSAT(ctx, m, opts, rng, &sc)
+	if state == nil {
+		return init, false
 	}
-	e.reset(start)
 	if m.NumAtoms == 0 {
 		return init, true
 	}
+	return state, true
+}
+
+// sampleSAT is SampleSAT with its state in sc, indexing m into the scratch's
+// own buffers. It returns the satisfying assignment — the scratch's state
+// array, valid until sc's next use — or nil when none was found.
+func sampleSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions, rng *rand.Rand, sc *Scratch) []bool {
+	opts = opts.withDefaults()
+	e := sc.engineFor(m, sc.index(m), 1)
+	e.reset(sc.randomStart(m.NumAtoms, rng))
+	if m.NumAtoms == 0 {
+		return e.state
+	}
 	for flip := int64(0); flip < opts.SampleSATFlips; flip++ {
 		if flip&ctxCheckMask == 0 && ctx.Err() != nil {
-			return init, false
+			return nil
 		}
 		if len(e.viol) == 0 {
-			out := make([]bool, len(e.state))
-			copy(out, e.state)
-			return out, true
+			return e.state
 		}
 		if rng.Float64() < opts.SAProb {
 			// Simulated annealing move on a random atom.
@@ -261,5 +281,5 @@ func SampleSAT(ctx context.Context, m *mrf.MRF, init []bool, opts MCSATOptions, 
 		}
 		e.flip(a)
 	}
-	return init, false
+	return nil
 }

@@ -1,14 +1,9 @@
 package search
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"tuffy/internal/mrf"
 )
 
 // ComponentMemo is the component-granular result cache of the epoch Engine:
@@ -23,13 +18,8 @@ import (
 type ComponentMemo struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]memoEntry
-	order   []string
-
-	// fps caches each immutable local MRF's fingerprint by pointer, so the
-	// linear hash is paid once per component per epoch (repairs share the
-	// untouched components' MRF pointers across epochs).
-	fps sync.Map // *mrf.MRF -> string
+	entries map[memoKey]memoEntry
+	order   []memoKey
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -54,7 +44,7 @@ func NewComponentMemo(max int) *ComponentMemo {
 	if max <= 0 {
 		max = 8192
 	}
-	return &ComponentMemo{max: max, entries: make(map[string]memoEntry)}
+	return &ComponentMemo{max: max, entries: make(map[memoKey]memoEntry)}
 }
 
 // Stats snapshots the memo's counters.
@@ -63,33 +53,6 @@ func (cm *ComponentMemo) Stats() MemoStats {
 	n := len(cm.entries)
 	cm.mu.Unlock()
 	return MemoStats{Hits: cm.hits.Load(), Misses: cm.misses.Load(), Entries: n}
-}
-
-// Fingerprint returns a content hash of the local MRF: atom count, fixed
-// cost, and every clause's weight and literals. Atom descriptors are
-// excluded on purpose — search outcomes depend only on the clause structure.
-func (cm *ComponentMemo) Fingerprint(m *mrf.MRF) string {
-	if v, ok := cm.fps.Load(m); ok {
-		return v.(string)
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	w(uint64(m.NumAtoms))
-	w(math.Float64bits(m.FixedCost))
-	for _, c := range m.Clauses {
-		w(math.Float64bits(c.Weight))
-		w(uint64(len(c.Lits)))
-		for _, l := range c.Lits {
-			w(uint64(uint32(l)))
-		}
-	}
-	fp := fmt.Sprintf("%016x", h.Sum64())
-	cm.fps.Store(m, fp)
-	return fp
 }
 
 // pow2Ceil rounds n up to the next power of two (minimum 1).
@@ -101,23 +64,34 @@ func pow2Ceil(n int64) int64 {
 	return p
 }
 
-// seedOffset derives a deterministic per-component seed offset from the
-// component's content fingerprint.
-func seedOffset(fp string) int64 {
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return int64(h.Sum32())
+// memoKey is everything a component's deterministic search depends on: the
+// network's content fingerprint (mrf.MRF.Fingerprint) and the effective
+// options. Floats are keyed by their bits, so the key distinguishes exactly
+// the values the search would.
+type memoKey struct {
+	fp         uint64
+	seed       int64
+	maxFlips   int64
+	maxTries   int
+	noisyP     uint64
+	hardWeight uint64
 }
 
-func memoKey(fp string, o Options) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%g|%g", fp, o.Seed, o.MaxFlips, o.MaxTries, o.NoisyP, o.HardWeight)
+func newMemoKey(fp uint64, o Options) memoKey {
+	return memoKey{
+		fp:         fp,
+		seed:       o.Seed,
+		maxFlips:   o.MaxFlips,
+		maxTries:   o.MaxTries,
+		noisyP:     math.Float64bits(o.NoisyP),
+		hardWeight: math.Float64bits(o.HardWeight),
+	}
 }
 
 // lookup returns the memoized outcome for a component under the effective
 // options, if present. The returned state is shared and must not be
 // mutated; ComponentAware only projects it into the global state.
-func (cm *ComponentMemo) lookup(fp string, o Options) (memoEntry, bool) {
-	k := memoKey(fp, o)
+func (cm *ComponentMemo) lookup(k memoKey) (memoEntry, bool) {
 	cm.mu.Lock()
 	e, ok := cm.entries[k]
 	cm.mu.Unlock()
@@ -130,8 +104,7 @@ func (cm *ComponentMemo) lookup(fp string, o Options) (memoEntry, bool) {
 }
 
 // store records a completed (never canceled) per-component search outcome.
-func (cm *ComponentMemo) store(fp string, o Options, r *Result) {
-	k := memoKey(fp, o)
+func (cm *ComponentMemo) store(k memoKey, r *Result) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	if _, dup := cm.entries[k]; dup {

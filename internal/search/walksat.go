@@ -96,14 +96,15 @@ func (r *Result) FlipRate() float64 {
 // engine is the indexed WalkSAT state: satisfied-literal counts per clause
 // and an O(1)-sample set of violated clauses, with incremental updates per
 // flip — the in-memory data structures whose absence makes the in-database
-// variant slow (Section 3.2).
+// variant slow (Section 3.2). The occurrence index is read-only and may be
+// shared with other searches of the same network; everything else is the
+// engine's own.
 type engine struct {
 	m          *mrf.MRF
+	post       *mrf.Postings // atom -> clauses, positive and negated
 	hardW      float64
 	state      []bool
 	satCount   []int32
-	posOccur   [][]int32 // atom -> clauses where it appears positively
-	negOccur   [][]int32
 	viol       []int32 // violated clause ids (positions tracked below)
 	violPos    []int32 // clause -> index in viol, -1 if absent
 	cost       float64 // guided cost (hard clauses at hardW)
@@ -112,29 +113,70 @@ type engine struct {
 	fixedExtra float64 // from MRF.FixedCost
 }
 
-func newEngine(m *mrf.MRF, hardW float64) *engine {
-	e := &engine{
-		m:          m,
-		hardW:      hardW,
-		state:      m.NewState(),
-		satCount:   make([]int32, len(m.Clauses)),
-		posOccur:   make([][]int32, m.NumAtoms+1),
-		negOccur:   make([][]int32, m.NumAtoms+1),
-		violPos:    make([]int32, len(m.Clauses)),
-		fixedExtra: m.FixedCost,
+// Scratch is the mutable half of a search: the engine's per-atom and
+// per-clause arrays, the random start-state buffer, the RNG, and a Postings
+// buffer for networks that have no shared index. Each worker goroutine of a
+// query declares one and reuses it run after run, so these are allocated
+// once per worker instead of once per component, partition visit or MC-SAT
+// sample; nothing in it outlives the query. Keep it with the goroutine
+// that flips on it: a scratch allocated by one worker and flipped later by
+// another puts two workers' hot arrays on neighbouring cache lines. The
+// zero value is ready.
+type Scratch struct {
+	e    engine
+	init []bool
+	rng  *rand.Rand
+	own  mrf.Postings
+}
+
+// seed returns the scratch RNG re-seeded; the stream is the one
+// rand.New(rand.NewSource(seed)) yields.
+func (sc *Scratch) seed(seed int64) *rand.Rand {
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sc.rng.Seed(seed)
 	}
-	for ci := range m.Clauses {
-		e.violPos[ci] = -1
-		for _, l := range m.Clauses[ci].Lits {
-			a := mrf.Atom(l)
-			if mrf.Pos(l) {
-				e.posOccur[a] = append(e.posOccur[a], int32(ci))
-			} else {
-				e.negOccur[a] = append(e.negOccur[a], int32(ci))
-			}
-		}
-	}
+	return sc.rng
+}
+
+// index builds m's occurrence index into the scratch's own buffer — for
+// networks whose clause set is per-call or not known to be immutable.
+func (sc *Scratch) index(m *mrf.MRF) *mrf.Postings {
+	sc.own.Build(m.NumAtoms, m.Clauses)
+	return &sc.own
+}
+
+// engineFor sizes the scratch arrays for m and returns the engine over them.
+// reset must run before any other use: the arrays hold the previous
+// search's values.
+func (sc *Scratch) engineFor(m *mrf.MRF, post *mrf.Postings, hardW float64) *engine {
+	e := &sc.e
+	e.m, e.post, e.hardW, e.fixedExtra = m, post, hardW, m.FixedCost
+	e.state = resize(e.state, m.NumAtoms+1)
+	e.satCount = resize(e.satCount, len(m.Clauses))
+	e.violPos = resize(e.violPos, len(m.Clauses))
 	return e
+}
+
+// randomStart draws a random assignment over atoms 1..n into the scratch's
+// start-state buffer: one rng.Intn(2) per atom, in atom order.
+func (sc *Scratch) randomStart(n int, rng *rand.Rand) []bool {
+	sc.init = resize(sc.init, n+1)
+	sc.init[0] = false
+	for i := 1; i <= n; i++ {
+		sc.init[i] = rng.Intn(2) == 0
+	}
+	return sc.init
+}
+
+// resize returns s with length n, reallocating only when it must grow;
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // weightOf returns the guided |weight| of a clause.
@@ -210,20 +252,11 @@ func (e *engine) reset(state []bool) {
 	}
 }
 
-// randomState fills a fresh random assignment.
-func randomState(n int, rng *rand.Rand) []bool {
-	s := make([]bool, n+1)
-	for i := 1; i <= n; i++ {
-		s[i] = rng.Intn(2) == 0
-	}
-	return s
-}
-
 // flip toggles an atom and updates all clause counters incrementally.
 func (e *engine) flip(a mrf.AtomID) {
 	toTrue := !e.state[a]
 	e.state[a] = toTrue
-	gain, lose := e.posOccur[a], e.negOccur[a]
+	gain, lose := e.post.Pos(a), e.post.Neg(a)
 	if !toTrue {
 		gain, lose = lose, gain
 	}
@@ -249,7 +282,7 @@ func (e *engine) flip(a mrf.AtomID) {
 // performing the flip.
 func (e *engine) deltaCost(a mrf.AtomID) float64 {
 	toTrue := !e.state[a]
-	gain, lose := e.posOccur[a], e.negOccur[a]
+	gain, lose := e.post.Pos(a), e.post.Neg(a)
 	if !toTrue {
 		gain, lose = lose, gain
 	}
@@ -290,21 +323,30 @@ func (e *engine) reportedCost() float64 {
 // early (polled every few hundred flips); the returned Result then holds the
 // best state found so far — callers that need the typed error wrap the stop
 // with Canceled(ctx) themselves.
+//
+// WalkSAT indexes m privately on every call, so m may change between calls;
+// searches over an epoch's immutable local networks go through RunComponent,
+// which shares one index per network.
 func WalkSAT(ctx context.Context, m *mrf.MRF, opts Options) *Result {
+	var sc Scratch
+	return walkSAT(ctx, m, sc.index(m), opts, &sc)
+}
+
+// walkSAT is WalkSAT over a given occurrence index of m (shared or built
+// into sc) with its mutable state in sc. The result owns its Best.
+func walkSAT(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts Options, sc *Scratch) *Result {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	e := newEngine(m, opts.HardWeight)
+	rng := sc.seed(opts.Seed)
+	e := sc.engineFor(m, post, opts.HardWeight)
 
 	res := &Result{HitFlips: -1, BestCost: math.Inf(1)}
 	start := time.Now()
 	var best []bool
 
 	for try := 0; try < opts.MaxTries && ctx.Err() == nil; try++ {
-		var init []bool
-		if try == 0 && opts.InitState != nil {
-			init = opts.InitState
-		} else {
-			init = randomState(m.NumAtoms, rng)
+		init := opts.InitState
+		if try != 0 || init == nil {
+			init = sc.randomStart(m.NumAtoms, rng)
 		}
 		e.reset(init)
 		res.Restarts = try

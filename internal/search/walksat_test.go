@@ -138,8 +138,7 @@ func TestEngineIncrementalCostProperty(t *testing.T) {
 			}
 			_ = m.AddClause(w, lits...)
 		}
-		e := newEngine(m, 1e7)
-		e.reset(randomState(n, rng))
+		e := testEngine(m, rng)
 		for step := 0; step < 50; step++ {
 			a := mrf.AtomID(1 + rng.Intn(n))
 			predicted := e.deltaCost(a)
@@ -155,11 +154,18 @@ func TestEngineIncrementalCostProperty(t *testing.T) {
 	}
 }
 
+// testEngine indexes m privately and installs a random start state.
+func testEngine(m *mrf.MRF, rng *rand.Rand) *engine {
+	sc := new(Scratch)
+	e := sc.engineFor(m, sc.index(m), 1e7)
+	e.reset(sc.randomStart(m.NumAtoms, rng))
+	return e
+}
+
 func TestEngineViolSetConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := datagen.Example1(6)
-	e := newEngine(m, 1e7)
-	e.reset(randomState(m.NumAtoms, rng))
+	e := testEngine(m, rng)
 	for step := 0; step < 200; step++ {
 		e.flip(mrf.AtomID(1 + rng.Intn(m.NumAtoms)))
 		want := 0

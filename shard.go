@@ -136,6 +136,7 @@ func (e *Engine) InferShard(ctx context.Context, req wire.ShardRequest) (wire.Sh
 	}
 
 	res := wire.ShardResult{Epoch: ep.gen, Marginal: req.Marginal}
+	var sc search.Scratch // search state shared by this request's components
 	if req.Marginal {
 		comps := ep.components()
 		if int(req.NumComps) != len(comps) {
@@ -150,7 +151,7 @@ func (e *Engine) InferShard(ctx context.Context, req wire.ShardRequest) (wire.Sh
 					Detail: fmt.Sprintf("component index %d out of range", idx),
 				}
 			}
-			local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo)
+			local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo, &sc)
 			if err != nil || ctx.Err() != nil {
 				return wire.ShardResult{}, shardCancel(ctx, err)
 			}
@@ -177,7 +178,7 @@ func (e *Engine) InferShard(ctx context.Context, req wire.ShardRequest) (wire.Sh
 				Detail: fmt.Sprintf("part index %d out of range", idx),
 			}
 		}
-		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, e.memo)
+		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, e.memo, &sc)
 		if r.Best == nil || ctx.Err() != nil {
 			return wire.ShardResult{}, shardCancel(ctx, nil)
 		}
@@ -276,10 +277,11 @@ func shardDeadlineMillis(ctx context.Context) uint32 {
 // engine (via run), groups 1..n on their replicas, with any failed remote
 // group re-run locally on the same pinned epoch. apply merges one
 // component's wire result under the caller's lock; run executes one
-// component locally and applies it directly. Returns the first
+// component locally, with its search state in the scratch of the group
+// loop calling it, and applies it directly. Returns the first
 // cancellation-style error (remote failures are not errors — they fall
 // back).
-func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.Replica, req wire.ShardRequest, run func(ctx context.Context, idx uint32) error, apply func(c wire.ShardComp) error) error {
+func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.Replica, req wire.ShardRequest, run func(ctx context.Context, idx uint32, sc *search.Scratch) error, apply func(c wire.ShardComp) error) error {
 	var mu sync.Mutex
 	var firstErr error
 	fail := func(err error) {
@@ -290,12 +292,13 @@ func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.R
 		mu.Unlock()
 	}
 	runLocal := func(indices []uint32) {
+		var sc search.Scratch
 		for _, idx := range indices {
 			if ctx.Err() != nil {
 				fail(search.Canceled(ctx))
 				return
 			}
-			if err := run(ctx, idx); err != nil {
+			if err := run(ctx, idx, &sc); err != nil {
 				fail(err)
 				return
 			}
@@ -420,7 +423,7 @@ func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (
 	for i, c := range comps {
 		// Unfinished components contribute their all-false baseline, exactly
 		// as in search.ComponentAware under cancellation.
-		perComp[i] = c.MRF.Cost(c.MRF.NewState())
+		perComp[i] = c.MRF.AllFalseCost()
 	}
 	var mu sync.Mutex
 	apply := func(c wire.ShardComp) error {
@@ -433,8 +436,8 @@ func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (
 		comp.ProjectState(c.State, global)
 		return nil
 	}
-	run := func(ctx context.Context, idx uint32) error {
-		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, eng.memo)
+	run := func(ctx context.Context, idx uint32, sc *search.Scratch) error {
+		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, eng.memo, sc)
 		if r.Best == nil {
 			return search.Canceled(ctx)
 		}
@@ -519,8 +522,8 @@ func (s *Server) shardMarginal(ctx context.Context, eng *Engine, opts InferOptio
 		}
 		return nil
 	}
-	run := func(ctx context.Context, idx uint32) error {
-		local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo)
+	run := func(ctx context.Context, idx uint32, sc *search.Scratch) error {
+		local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo, sc)
 		if err != nil {
 			return err
 		}
