@@ -140,8 +140,11 @@ func BenchmarkGroundingRC(b *testing.B) {
 	ds := datagen.RC(datagen.RCConfig{Papers: 200, Authors: 80, Clusters: 40, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{})
-		if err := sys.Ground(); err != nil {
+		eng, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Ground(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

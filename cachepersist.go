@@ -20,11 +20,10 @@ package tuffy
 // cache empty.
 
 import (
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/mln"
 )
 
@@ -32,9 +31,6 @@ const (
 	cacheMagic   = "TFYCACH1"
 	cacheVersion = 1
 	cacheFile    = "cache.tfy"
-
-	cacheKindMAP      = 1
-	cacheKindMarginal = 2
 )
 
 // CheckpointCache atomically persists the current result cache to
@@ -48,207 +44,55 @@ func (s *Server) CheckpointCache() error {
 		return err
 	}
 	eng := s.backends[0].eng
-	predIdx := make(map[*mln.Predicate]int32, len(eng.prog.Preds))
-	for i, p := range eng.prog.Preds {
-		predIdx[p] = int32(i)
-	}
-	w := &enc{}
-	w.b = append(w.b, cacheMagic...)
-	w.u32(cacheVersion)
-	w.u64(fingerprintProgram(eng.prog, eng.cfg))
-	nOff := len(w.b)
-	w.u32(0) // entry count, patched below
+	predIdx := mln.PredIndex(eng.prog)
+	// The entry count precedes the entries but is only known once the cache
+	// has been walked (it can grow meanwhile), so they are encoded apart.
+	var entries codec.Enc
 	n := uint32(0)
 	s.cache.ForEach(func(key string, v any) {
-		switch r := v.(type) {
-		case *MAPResult:
-			w.str(key)
-			w.u8(cacheKindMAP)
-			encodeMAPResult(w, predIdx, r)
-			n++
-		case *MarginalResult:
-			w.str(key)
-			w.u8(cacheKindMarginal)
-			encodeMarginalResult(w, predIdx, r)
-			n++
-		}
+		r := v.(result)
+		entries.Str(key)
+		entries.U8(r.tag())
+		r.encode(&entries, predIdx)
+		n++
 	})
-	w.b[nOff] = byte(n)
-	w.b[nOff+1] = byte(n >> 8)
-	w.b[nOff+2] = byte(n >> 16)
-	w.b[nOff+3] = byte(n >> 24)
-	w.u32(crc32.Checksum(w.b, snapCRCTable))
-
-	path := filepath.Join(s.cfg.DataDir, cacheFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, w.b, 0o644); err != nil {
-		return err
-	}
-	if err := fsyncFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(s.cfg.DataDir)
+	var w codec.Enc
+	w.Raw([]byte(cacheMagic))
+	w.U32(cacheVersion)
+	w.U64(fingerprintProgram(eng.prog, eng.cfg))
+	w.U32(n)
+	w.Raw(entries.Buf())
+	return writeSealed(s.cfg.DataDir, cacheFile, &w, nil)
 }
 
 // loadCache refills the cache from DataDir/cache.tfy. Any defect —
 // missing file, bad CRC, version or program mismatch, malformed entry —
-// abandons the load and starts empty; partial loads keep the entries
-// decoded before the defect (each was independently validated).
+// abandons the load; entries decoded before the defect are kept (each was
+// independently validated).
 func (s *Server) loadCache() {
-	buf, err := os.ReadFile(filepath.Join(s.cfg.DataDir, cacheFile))
-	if err != nil || len(buf) < len(cacheMagic)+4+8+4+4 {
+	raw, err := os.ReadFile(filepath.Join(s.cfg.DataDir, cacheFile))
+	if err != nil {
 		return
 	}
-	if string(buf[:len(cacheMagic)]) != cacheMagic {
-		return
-	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, snapCRCTable) != uint32(tail[0])|uint32(tail[1])<<8|uint32(tail[2])<<16|uint32(tail[3])<<24 {
+	d, err := openSealed(raw, cacheMagic)
+	if err != nil {
 		return
 	}
 	eng := s.backends[0].eng
-	d := &dec{b: body, off: len(cacheMagic)}
-	if d.u32() != cacheVersion {
+	if d.U32() != cacheVersion || d.U64() != fingerprintProgram(eng.prog, eng.cfg) {
 		return
 	}
-	if d.u64() != fingerprintProgram(eng.prog, eng.cfg) {
-		return
-	}
-	n := int(d.u32())
-	for i := 0; i < n; i++ {
-		key := d.str()
-		kind := d.u8()
-		if d.err != nil {
+	// An entry is at least a key length and a tag.
+	for i, n := 0, d.Count(5); i < n; i++ {
+		key := d.Str()
+		tag := int(d.U8())
+		if d.Err() != nil || tag >= len(queryKinds) || queryKinds[tag] == nil {
 			return
 		}
-		switch kind {
-		case cacheKindMAP:
-			r := decodeMAPResult(d, eng.prog)
-			if d.err != nil {
-				return
-			}
-			s.cache.Put(key, r)
-		case cacheKindMarginal:
-			r := decodeMarginalResult(d, eng.prog)
-			if d.err != nil {
-				return
-			}
-			s.cache.Put(key, r)
-		default:
+		r := queryKinds[tag].decode(d, eng.prog)
+		if d.Err() != nil {
 			return
 		}
+		s.cache.Put(key, r)
 	}
-}
-
-func encodeAtom(w *enc, predIdx map[*mln.Predicate]int32, a mln.GroundAtom) {
-	w.u32(uint32(predIdx[a.Pred]))
-	for _, arg := range a.Args {
-		w.u32(uint32(arg))
-	}
-}
-
-func decodeAtom(d *dec, prog *mln.Program) mln.GroundAtom {
-	pi := int(d.u32())
-	if d.err != nil || pi < 0 || pi >= len(prog.Preds) {
-		d.err = errShortBuffer
-		return mln.GroundAtom{}
-	}
-	pred := prog.Preds[pi]
-	args := make([]int32, pred.Arity())
-	for k := range args {
-		args[k] = int32(d.u32())
-	}
-	return mln.GroundAtom{Pred: pred, Args: args}
-}
-
-func encodeMAPResult(w *enc, predIdx map[*mln.Predicate]int32, r *MAPResult) {
-	w.u64(r.Epoch)
-	w.f64(r.Cost)
-	w.u64(uint64(r.Flips))
-	w.u64(uint64(r.GroundTime))
-	w.u64(uint64(r.SearchTime))
-	w.u32(uint32(r.Partitions))
-	w.u32(uint32(r.CutClauses))
-	w.u32(uint32(r.InDBComponents))
-	w.u32(uint32(len(r.TrueAtoms)))
-	for _, a := range r.TrueAtoms {
-		encodeAtom(w, predIdx, a)
-	}
-	w.u32(uint32(len(r.State)))
-	packed := make([]byte, (len(r.State)+7)/8)
-	for i, v := range r.State {
-		if v {
-			packed[i/8] |= 1 << (i % 8)
-		}
-	}
-	w.b = append(w.b, packed...)
-}
-
-func decodeMAPResult(d *dec, prog *mln.Program) *MAPResult {
-	r := &MAPResult{}
-	r.Epoch = d.u64()
-	r.Cost = d.f64()
-	r.Flips = int64(d.u64())
-	r.GroundTime = time.Duration(d.u64())
-	r.SearchTime = time.Duration(d.u64())
-	r.Partitions = int(d.u32())
-	r.CutClauses = int(d.u32())
-	r.InDBComponents = int(d.u32())
-	na := int(d.u32())
-	if d.err != nil || na < 0 || na > len(d.b) {
-		d.err = errShortBuffer
-		return nil
-	}
-	r.TrueAtoms = make([]mln.GroundAtom, 0, na)
-	for i := 0; i < na; i++ {
-		r.TrueAtoms = append(r.TrueAtoms, decodeAtom(d, prog))
-		if d.err != nil {
-			return nil
-		}
-	}
-	ns := int(d.u32())
-	if d.err != nil || ns < 0 || (ns+7)/8 > len(d.b)-d.off {
-		d.err = errShortBuffer
-		return nil
-	}
-	packed := d.take((ns + 7) / 8)
-	r.State = make([]bool, ns)
-	for i := range r.State {
-		r.State[i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return r
-}
-
-func encodeMarginalResult(w *enc, predIdx map[*mln.Predicate]int32, r *MarginalResult) {
-	w.u64(r.Epoch)
-	w.u32(uint32(len(r.Probs)))
-	for _, p := range r.Probs {
-		encodeAtom(w, predIdx, p.Atom)
-		w.f64(p.P)
-	}
-}
-
-func decodeMarginalResult(d *dec, prog *mln.Program) *MarginalResult {
-	r := &MarginalResult{}
-	r.Epoch = d.u64()
-	np := int(d.u32())
-	if d.err != nil || np < 0 || np > len(d.b) {
-		d.err = errShortBuffer
-		return nil
-	}
-	r.Probs = make([]AtomProb, 0, np)
-	for i := 0; i < np; i++ {
-		a := decodeAtom(d, prog)
-		p := d.f64()
-		if d.err != nil {
-			return nil
-		}
-		r.Probs = append(r.Probs, AtomProb{Atom: a, P: p})
-	}
-	return r
 }

@@ -324,48 +324,68 @@ func (h *handler) infer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode))
 		return
 	}
-	q := tuffy.Request{Options: opts, Priority: req.Priority}
-
-	switch strings.ToLower(req.Kind) {
-	case "", "map":
-		res, err := h.srv.InferMAP(r.Context(), q)
-		if err != nil && !errors.Is(err, tuffy.ErrCanceled) {
-			h.reject(w, err)
-			return
-		}
-		out := mapResponse{Canceled: err != nil}
-		if res != nil {
-			if math.IsInf(res.Cost, 0) {
-				out.Infeasible = true
-			} else {
-				cost := res.Cost
-				out.Cost = &cost
-			}
-			out.Flips = res.Flips
-			out.Partitions, out.CutClauses = res.Partitions, res.CutClauses
-			out.TrueAtoms = make([]string, 0, len(res.TrueAtoms))
-			for _, a := range res.TrueAtoms {
-				out.TrueAtoms = append(out.TrueAtoms, h.fmtEngine.FormatAtom(a))
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	case "marginal":
-		res, err := h.srv.InferMarginal(r.Context(), q)
-		if err != nil && !errors.Is(err, tuffy.ErrCanceled) {
-			h.reject(w, err)
-			return
-		}
-		out := marginalResponse{Canceled: err != nil}
-		if res != nil {
-			out.Probs = make([]probResponse, 0, len(res.Probs))
-			for _, ap := range res.Probs {
-				out.Probs = append(out.Probs, probResponse{Atom: h.fmtEngine.FormatAtom(ap.Atom), P: ap.P})
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
+	answer, ok := inferKinds[strings.ToLower(req.Kind)]
+	if !ok {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown kind %q", req.Kind))
+		return
 	}
+	out, err := answer(h, r.Context(), tuffy.Request{Options: opts, Priority: req.Priority})
+	if err != nil {
+		h.reject(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// inferKinds maps the JSON "kind" to the query it names: the server entry
+// point and the reply built from its typed result.
+var inferKinds = map[string]func(*handler, context.Context, tuffy.Request) (any, error){
+	"":         answerWith((*tuffy.Server).InferMAP, (*handler).mapReply),
+	"map":      answerWith((*tuffy.Server).InferMAP, (*handler).mapReply),
+	"marginal": answerWith((*tuffy.Server).InferMarginal, (*handler).marginalReply),
+}
+
+// answerWith is the one call into the server: run the query, pass admission
+// rejections up, and turn the result — complete, or best-so-far when the
+// query was canceled mid-run — into its reply.
+func answerWith[R any](run func(*tuffy.Server, context.Context, tuffy.Request) (*R, error), reply func(*handler, *R, bool) any) func(*handler, context.Context, tuffy.Request) (any, error) {
+	return func(h *handler, ctx context.Context, q tuffy.Request) (any, error) {
+		res, err := run(h.srv, ctx, q)
+		if err != nil && !errors.Is(err, tuffy.ErrCanceled) {
+			return nil, err
+		}
+		return reply(h, res, err != nil), nil
+	}
+}
+
+func (h *handler) mapReply(res *tuffy.MAPResult, canceled bool) any {
+	out := mapResponse{Canceled: canceled}
+	if res == nil {
+		return out
+	}
+	if math.IsInf(res.Cost, 0) {
+		out.Infeasible = true
+	} else {
+		out.Cost = &res.Cost
+	}
+	out.Flips = res.Flips
+	out.Partitions, out.CutClauses = res.Partitions, res.CutClauses
+	out.TrueAtoms = make([]string, 0, len(res.TrueAtoms))
+	for _, a := range res.TrueAtoms {
+		out.TrueAtoms = append(out.TrueAtoms, h.fmtEngine.FormatAtom(a))
+	}
+	return out
+}
+
+func (h *handler) marginalReply(res *tuffy.MarginalResult, canceled bool) any {
+	out := marginalResponse{Canceled: canceled}
+	if res != nil {
+		out.Probs = make([]probResponse, 0, len(res.Probs))
+		for _, ap := range res.Probs {
+			out.Probs = append(out.Probs, probResponse{Atom: h.fmtEngine.FormatAtom(ap.Atom), P: ap.P})
+		}
+	}
+	return out
 }
 
 // evidenceOp is one JSON evidence mutation: constants by name, truth

@@ -460,24 +460,3 @@ func TestGroundCancelThenRetry(t *testing.T) {
 		t.Fatalf("Ground after success must stay idempotent: %v", err)
 	}
 }
-
-// The deprecated System shim must keep delegating to the Engine.
-func TestSystemShimDelegates(t *testing.T) {
-	prog, _ := LoadProgramString(mln.Figure1Program)
-	ev, _ := LoadEvidenceString(prog, mln.Figure1Evidence)
-	sys := New(prog, ev, Config{MaxFlips: 20_000, Seed: 1})
-	res, err := sys.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Grounded == nil || sys.Tables == nil {
-		t.Fatal("shim did not mirror ground state")
-	}
-	eres, err := sys.Engine().InferMAP(context.Background(), InferOptions{MaxFlips: 20_000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != eres.Cost || !sameStates(res.State, eres.State) {
-		t.Fatalf("shim result diverges from engine: %v vs %v", res.Cost, eres.Cost)
-	}
-}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,23 +28,21 @@ func main() {
 
 	const flips = 400_000
 
+	// One grounded network serves both search modes.
+	ctx := context.Background()
+	eng, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Tuffy-p: no partitioning.
-	sysP := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{
-		Mode:     tuffy.InMemoryMonolithic,
-		MaxFlips: flips,
-		Seed:     7,
-	})
-	resP, err := sysP.InferMAP()
+	resP, err := eng.InferMAP(ctx, tuffy.InferOptions{Mode: tuffy.InMemoryMonolithic, MaxFlips: flips, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Tuffy: component-aware.
-	sysT := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{
-		MaxFlips: flips,
-		Seed:     7,
-	})
-	resT, err := sysT.InferMAP()
+	resT, err := eng.InferMAP(ctx, tuffy.InferOptions{MaxFlips: flips, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,8 +21,12 @@ func main() {
 	fmt.Printf("ER dataset: %d similarity pairs\n", ds.Ev.Total())
 
 	// Unbudgeted: the single dense component is searched whole.
-	whole := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{MaxFlips: 200_000, Seed: 3})
-	resW, err := whole.InferMAP()
+	ctx := context.Background()
+	whole, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	resW, err := whole.InferMAP(ctx, tuffy.InferOptions{MaxFlips: 200_000, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,13 +40,11 @@ func main() {
 	// the cut is large, so convergence degrades — the trade-off in the
 	// paper's Figure 6 (ER panel).
 	budget := ms.SearchBytes / 3
-	split := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{
-		MaxFlips:          200_000,
-		Seed:              3,
-		MemoryBudgetBytes: budget,
-		GaussSeidelRounds: 4,
-	})
-	resS, err := split.InferMAP()
+	split, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{MemoryBudgetBytes: budget})
+	if err != nil {
+		log.Fatal(err)
+	}
+	resS, err := split.InferMAP(ctx, tuffy.InferOptions{MaxFlips: 200_000, Seed: 3, GaussSeidelRounds: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -21,12 +22,13 @@ func main() {
 	fmt.Printf("IE dataset: %d evidence tuples\n", ds.Ev.Total())
 
 	run := func(threads int) (float64, time.Duration, int) {
-		sys := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{
-			MaxFlips:    300_000,
-			Seed:        5,
-			Parallelism: threads,
-		})
-		res, err := sys.InferMAP()
+		// A fresh engine per run: a shared one would answer the second run's
+		// components from the first run's memo and time nothing.
+		eng, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.InferMAP(context.Background(), tuffy.InferOptions{MaxFlips: 300_000, Seed: 5, Parallelism: threads})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,6 @@
 package mln
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "tuffy/internal/codec"
 
 // EncodeDelta frames one evidence delta as a compact positional record:
 // predicates by program index, constants as interned ids, three-valued
@@ -12,15 +9,16 @@ import (
 // exact program (the fingerprint handshake of both layers enforces that).
 // predIdx maps each predicate to its index in the program's Preds slice.
 func EncodeDelta(predIdx map[*Predicate]int32, d Delta) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(d.Ops)))
+	var e codec.Enc
+	e.U32(uint32(len(d.Ops)))
 	for _, op := range d.Ops {
-		b = binary.LittleEndian.AppendUint32(b, uint32(predIdx[op.Pred]))
-		b = append(b, byte(op.Truth))
+		e.U32(uint32(predIdx[op.Pred]))
+		e.U8(byte(op.Truth))
 		for _, a := range op.Args {
-			b = binary.LittleEndian.AppendUint32(b, uint32(a))
+			e.U32(uint32(a))
 		}
 	}
-	return b
+	return e.Buf()
 }
 
 // PredIndex builds the predicate-to-index map EncodeDelta keys on.
@@ -32,50 +30,28 @@ func PredIndex(prog *Program) map[*Predicate]int32 {
 	return idx
 }
 
-// DecodeDelta is EncodeDelta's inverse against the serving program.
+// DecodeDelta is EncodeDelta's inverse against the serving program. The
+// record comes off a disk or a socket: a predicate index outside the
+// program, a truth byte that is none of Unknown/True/False, a truncated
+// or over-long record all fail with an error matching codec.ErrMalformed.
 func DecodeDelta(prog *Program, payload []byte) (Delta, error) {
-	var d Delta
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v, true
-	}
-	n32, ok := u32()
-	if !ok {
-		return d, fmt.Errorf("delta record truncated: short buffer")
-	}
-	n := int(n32)
-	for i := 0; i < n; i++ {
-		pi32, ok := u32()
-		if !ok {
-			return d, fmt.Errorf("delta record truncated: short buffer")
-		}
-		pi := int(pi32)
+	var delta Delta
+	d := codec.NewDec(payload)
+	// An op is at least a predicate index and a truth byte.
+	for i, n := 0, d.Count(5); i < n && d.Err() == nil; i++ {
+		pi, truth := int(d.U32()), d.U8()
 		if pi < 0 || pi >= len(prog.Preds) {
-			return d, fmt.Errorf("delta op %d references predicate %d of %d", i, pi, len(prog.Preds))
+			d.Failf("delta op %d references predicate %d of %d", i, pi, len(prog.Preds))
+			break
 		}
-		pred := prog.Preds[pi]
-		if off >= len(payload) {
-			return d, fmt.Errorf("delta record truncated: short buffer")
+		if truth > byte(False) {
+			d.Failf("delta op %d has truth value %d", i, truth)
 		}
-		truth := Truth(payload[off])
-		off++
-		args := make([]int32, pred.Arity())
-		for j := range args {
-			a, ok := u32()
-			if !ok {
-				return d, fmt.Errorf("delta record truncated: short buffer")
-			}
-			args[j] = int32(a)
+		op := DeltaOp{Pred: prog.Preds[pi], Args: make([]int32, prog.Preds[pi].Arity()), Truth: Truth(truth)}
+		for j := range op.Args {
+			op.Args[j] = int32(d.U32())
 		}
-		d.Ops = append(d.Ops, DeltaOp{Pred: pred, Args: args, Truth: truth})
+		delta.Ops = append(delta.Ops, op)
 	}
-	if off != len(payload) {
-		return d, fmt.Errorf("delta record has %d trailing bytes", len(payload)-off)
-	}
-	return d, nil
+	return delta, d.Finish()
 }

@@ -153,7 +153,7 @@ func (p *Pool) Update(ctx context.Context, delta []byte) {
 			defer wg.Done()
 			r.opMu.Lock()
 			defer r.opMu.Unlock()
-			if _, err := r.Update(ctx, delta, deadlineMillis(ctx)); err != nil {
+			if _, err := r.Update(ctx, delta); err != nil {
 				r.fail(fmt.Errorf("remote: update fan-out: %w", err))
 			}
 		}(r)
@@ -197,7 +197,7 @@ func (p *Pool) probeOne(ctx context.Context, r *Replica) {
 	truncated := p.truncErr
 	p.mu.Unlock()
 	for _, delta := range entries {
-		if _, err := r.Update(ctx, delta, deadlineMillis(ctx)); err != nil {
+		if _, err := r.Update(ctx, delta); err != nil {
 			r.fail(fmt.Errorf("remote: catch-up replay: %w", err))
 			return
 		}
@@ -237,21 +237,4 @@ func (p *Pool) Close() {
 	for _, r := range p.replicas {
 		r.close()
 	}
-}
-
-// deadlineMillis converts a context deadline to the wire's millisecond
-// field (0 = none), clamped to at least 1ms when a deadline exists.
-func deadlineMillis(ctx context.Context) uint32 {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	ms := time.Until(dl).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	if ms > int64(^uint32(0)) {
-		return 0
-	}
-	return uint32(ms)
 }

@@ -196,8 +196,27 @@ func (r *Replica) fail(err error) {
 	}
 }
 
-// Infer runs one shard request on this worker.
+// deadlineMillis converts a context deadline to the wire's millisecond
+// field (0 = none), clamped to at least 1ms when a deadline exists.
+func deadlineMillis(ctx context.Context) uint32 {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0
+	}
+	ms := time.Until(dl).Milliseconds()
+	if ms < 1 {
+		ms = 1
+	}
+	if ms > int64(^uint32(0)) {
+		return 0
+	}
+	return uint32(ms)
+}
+
+// Infer runs one shard request on this worker, under what is left of the
+// query's deadline.
 func (r *Replica) Infer(ctx context.Context, req wire.ShardRequest) (wire.ShardResult, error) {
+	req.DeadlineMillis = deadlineMillis(ctx)
 	reply, err := r.call(ctx, wire.TypeInfer, req.Encode(), wire.TypeInferReply)
 	if err != nil {
 		return wire.ShardResult{}, err
@@ -213,8 +232,8 @@ func (r *Replica) Infer(ctx context.Context, req wire.ShardRequest) (wire.ShardR
 }
 
 // Update applies one encoded delta on this worker.
-func (r *Replica) Update(ctx context.Context, delta []byte, deadline uint32) (wire.UpdateAck, error) {
-	req := wire.UpdateRequest{DeadlineMillis: deadline, Delta: delta}
+func (r *Replica) Update(ctx context.Context, delta []byte) (wire.UpdateAck, error) {
+	req := wire.UpdateRequest{DeadlineMillis: deadlineMillis(ctx), Delta: delta}
 	reply, err := r.call(ctx, wire.TypeUpdate, req.Encode(), wire.TypeUpdateAck)
 	if err != nil {
 		return wire.UpdateAck{}, err

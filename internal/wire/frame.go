@@ -19,6 +19,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -94,8 +95,8 @@ func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	hdr[1] = byte(magic & 0xFF)
 	hdr[2] = typ
 	hdr[3] = 0 // flags, reserved
-	le32(hdr[4:8], uint32(len(payload)))
-	le32(hdr[8:12], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
 	return append(append(dst, hdr[:]...), payload...), nil
 }
 
@@ -128,7 +129,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, ErrBadMagic
 	}
 	typ = hdr[2]
-	n := de32(hdr[4:8])
+	n := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes declared", ErrFrameTooLarge, n)
 	}
@@ -136,19 +137,8 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
-	if crc32.Checksum(payload, castagnoli) != de32(hdr[8:12]) {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[8:12]) {
 		return 0, nil, ErrChecksum
 	}
 	return typ, payload, nil
-}
-
-func le32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func de32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

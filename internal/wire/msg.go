@@ -3,7 +3,28 @@ package wire
 import (
 	"errors"
 	"fmt"
+
+	"tuffy/internal/codec"
 )
+
+// finish closes a message decoder: any defect codec.Dec latched, or
+// trailing garbage, is this package's typed payload error.
+func finish(d *codec.Dec) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return nil
+}
+
+// fromOne drops the unused element 0 of a vector indexed by local atom id
+// (1-based): the wire carries the n real entries only, and decoders put the
+// gap back with codec's lead argument.
+func fromOne[T any](v []T) []T {
+	if len(v) == 0 {
+		return nil
+	}
+	return v[1:]
+}
 
 // Hello is the handshake message both sides exchange before any request:
 // the client sends its identity, the worker validates it against its own
@@ -30,26 +51,26 @@ type Hello struct {
 
 // Encode serializes the handshake.
 func (h Hello) Encode() []byte {
-	var e enc
-	e.u16(h.Version)
-	e.u64(h.ProgFP)
-	e.u64(h.EvFP)
-	e.u64(h.CfgFP)
-	e.u64(h.Epoch)
-	return e.b
+	var e codec.Enc
+	e.U16(h.Version)
+	e.U64(h.ProgFP)
+	e.U64(h.EvFP)
+	e.U64(h.CfgFP)
+	e.U64(h.Epoch)
+	return e.Buf()
 }
 
 // DecodeHello parses a handshake payload.
 func DecodeHello(payload []byte) (Hello, error) {
-	d := dec{b: payload}
+	d := codec.NewDec(payload)
 	h := Hello{
-		Version: d.u16(),
-		ProgFP:  d.u64(),
-		EvFP:    d.u64(),
-		CfgFP:   d.u64(),
-		Epoch:   d.u64(),
+		Version: d.U16(),
+		ProgFP:  d.U64(),
+		EvFP:    d.U64(),
+		CfgFP:   d.U64(),
+		Epoch:   d.U64(),
 	}
-	return h, d.finish()
+	return h, finish(d)
 }
 
 // Check validates a peer's handshake against this side's identity,
@@ -101,45 +122,41 @@ type ShardRequest struct {
 
 // Encode serializes the request.
 func (r ShardRequest) Encode() []byte {
-	var e enc
-	e.bool(r.Marginal)
-	e.u64(r.Epoch)
-	e.u32(r.NumAtoms)
-	e.u32(r.NumComps)
-	e.i64(r.Seed)
-	e.i64(r.MaxFlips)
-	e.u32(r.MaxTries)
-	e.u32(r.Samples)
-	e.u32(r.DeadlineMillis)
-	e.u32(uint32(len(r.Indices)))
+	var e codec.Enc
+	e.Bool(r.Marginal)
+	e.U64(r.Epoch)
+	e.U32(r.NumAtoms)
+	e.U32(r.NumComps)
+	e.I64(r.Seed)
+	e.I64(r.MaxFlips)
+	e.U32(r.MaxTries)
+	e.U32(r.Samples)
+	e.U32(r.DeadlineMillis)
+	e.U32(uint32(len(r.Indices)))
 	for _, idx := range r.Indices {
-		e.u32(idx)
+		e.U32(idx)
 	}
-	return e.b
+	return e.Buf()
 }
 
 // DecodeShardRequest parses a shard request.
 func DecodeShardRequest(payload []byte) (ShardRequest, error) {
-	d := dec{b: payload}
+	d := codec.NewDec(payload)
 	r := ShardRequest{
-		Marginal:       d.bool(),
-		Epoch:          d.u64(),
-		NumAtoms:       d.u32(),
-		NumComps:       d.u32(),
-		Seed:           d.i64(),
-		MaxFlips:       d.i64(),
-		MaxTries:       d.u32(),
-		Samples:        d.u32(),
-		DeadlineMillis: d.u32(),
+		Marginal:       d.Bool(),
+		Epoch:          d.U64(),
+		NumAtoms:       d.U32(),
+		NumComps:       d.U32(),
+		Seed:           d.I64(),
+		MaxFlips:       d.I64(),
+		MaxTries:       d.U32(),
+		Samples:        d.U32(),
+		DeadlineMillis: d.U32(),
 	}
-	n := int(d.u32())
-	if d.err == nil && d.off+4*n > len(d.b) {
-		d.fail("index list of %d entries overruns payload", n)
+	for i, n := 0, d.Count(4); i < n; i++ {
+		r.Indices = append(r.Indices, d.U32())
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Indices = append(r.Indices, d.u32())
-	}
-	return r, d.finish()
+	return r, finish(d)
 }
 
 // ShardComp is one component's finished outcome inside a ShardResult.
@@ -167,40 +184,40 @@ type ShardResult struct {
 
 // Encode serializes the result.
 func (r ShardResult) Encode() []byte {
-	var e enc
-	e.u64(r.Epoch)
-	e.bool(r.Marginal)
-	e.u32(uint32(len(r.Comps)))
+	var e codec.Enc
+	e.U64(r.Epoch)
+	e.Bool(r.Marginal)
+	e.U32(uint32(len(r.Comps)))
 	for _, c := range r.Comps {
-		e.u32(c.Index)
+		e.U32(c.Index)
 		if r.Marginal {
-			e.floats(c.Probs)
+			e.Floats(fromOne(c.Probs))
 		} else {
-			e.f64(c.Cost)
-			e.i64(c.Flips)
-			e.bits(c.State)
+			e.F64(c.Cost)
+			e.I64(c.Flips)
+			e.Bits(fromOne(c.State))
 		}
 	}
-	return e.b
+	return e.Buf()
 }
 
 // DecodeShardResult parses a shard result.
 func DecodeShardResult(payload []byte) (ShardResult, error) {
-	d := dec{b: payload}
-	r := ShardResult{Epoch: d.u64(), Marginal: d.bool()}
-	n := int(d.u32())
-	for i := 0; i < n && d.err == nil; i++ {
-		c := ShardComp{Index: d.u32()}
+	d := codec.NewDec(payload)
+	r := ShardResult{Epoch: d.U64(), Marginal: d.Bool()}
+	// Every component carries at least its index and one vector length.
+	for i, n := 0, d.Count(8); i < n && d.Err() == nil; i++ {
+		c := ShardComp{Index: d.U32()}
 		if r.Marginal {
-			c.Probs = d.floats()
+			c.Probs = d.Floats(1)
 		} else {
-			c.Cost = d.f64()
-			c.Flips = d.i64()
-			c.State = d.bits()
+			c.Cost = d.F64()
+			c.Flips = d.I64()
+			c.State = d.Bits(1)
 		}
 		r.Comps = append(r.Comps, c)
 	}
-	return r, d.finish()
+	return r, finish(d)
 }
 
 // UpdateRequest fans one evidence delta out to a worker. The delta is the
@@ -213,17 +230,17 @@ type UpdateRequest struct {
 
 // Encode serializes the request.
 func (r UpdateRequest) Encode() []byte {
-	var e enc
-	e.u32(r.DeadlineMillis)
-	e.bytes(r.Delta)
-	return e.b
+	var e codec.Enc
+	e.U32(r.DeadlineMillis)
+	e.Bytes(r.Delta)
+	return e.Buf()
 }
 
 // DecodeUpdateRequest parses an update request.
 func DecodeUpdateRequest(payload []byte) (UpdateRequest, error) {
-	d := dec{b: payload}
-	r := UpdateRequest{DeadlineMillis: d.u32(), Delta: d.bytes()}
-	return r, d.finish()
+	d := codec.NewDec(payload)
+	r := UpdateRequest{DeadlineMillis: d.U32(), Delta: d.Bytes()}
+	return r, finish(d)
 }
 
 // UpdateAck acknowledges an applied delta with the worker's resulting
@@ -236,18 +253,18 @@ type UpdateAck struct {
 
 // Encode serializes the ack.
 func (a UpdateAck) Encode() []byte {
-	var e enc
-	e.u64(a.Epoch)
-	e.bool(a.Identical)
-	e.u64(a.UpdatesApplied)
-	return e.b
+	var e codec.Enc
+	e.U64(a.Epoch)
+	e.Bool(a.Identical)
+	e.U64(a.UpdatesApplied)
+	return e.Buf()
 }
 
 // DecodeUpdateAck parses an update ack.
 func DecodeUpdateAck(payload []byte) (UpdateAck, error) {
-	d := dec{b: payload}
-	a := UpdateAck{Epoch: d.u64(), Identical: d.bool(), UpdatesApplied: d.u64()}
-	return a, d.finish()
+	d := codec.NewDec(payload)
+	a := UpdateAck{Epoch: d.U64(), Identical: d.Bool(), UpdatesApplied: d.U64()}
+	return a, finish(d)
 }
 
 // StatsReply answers a ping with the worker's live state — the fields the
@@ -261,24 +278,24 @@ type StatsReply struct {
 
 // Encode serializes the reply.
 func (s StatsReply) Encode() []byte {
-	var e enc
-	e.u64(s.Epoch)
-	e.u64(s.UpdatesApplied)
-	e.i64(s.InFlight)
-	e.i64(s.Served)
-	return e.b
+	var e codec.Enc
+	e.U64(s.Epoch)
+	e.U64(s.UpdatesApplied)
+	e.I64(s.InFlight)
+	e.I64(s.Served)
+	return e.Buf()
 }
 
 // DecodeStatsReply parses a ping response.
 func DecodeStatsReply(payload []byte) (StatsReply, error) {
-	d := dec{b: payload}
+	d := codec.NewDec(payload)
 	s := StatsReply{
-		Epoch:          d.u64(),
-		UpdatesApplied: d.u64(),
-		InFlight:       d.i64(),
-		Served:         d.i64(),
+		Epoch:          d.U64(),
+		UpdatesApplied: d.U64(),
+		InFlight:       d.I64(),
+		Served:         d.I64(),
 	}
-	return s, d.finish()
+	return s, finish(d)
 }
 
 // ---- typed cross-process errors ----
@@ -341,80 +358,65 @@ func (e *RemoteError) Error() string {
 // EncodeError serializes any error as a TypeError payload, preserving the
 // typed identity of the mismatch errors.
 func EncodeError(err error) []byte {
-	var e enc
+	var e codec.Enc
 	var em *EpochMismatchError
 	var pm *PlanMismatchError
 	switch {
 	case errors.As(err, &em):
-		e.u16(codeEpochMismatch)
-		e.str(err.Error())
-		e.u64(em.Have)
-		e.u64(em.Want)
+		e.U16(codeEpochMismatch)
+		e.Str(err.Error())
+		e.U64(em.Have)
+		e.U64(em.Want)
 	case errors.As(err, &pm):
-		e.u16(codePlanMismatch)
-		e.str(pm.Detail)
+		e.U16(codePlanMismatch)
+		e.Str(pm.Detail)
 	case errors.Is(err, ErrIdentityMismatch):
-		e.u16(codeIdentity)
-		e.str(err.Error())
+		e.U16(codeIdentity)
+		e.Str(err.Error())
 	case errors.Is(err, ErrVersionMismatch):
-		e.u16(codeVersion)
-		e.str(err.Error())
+		e.U16(codeVersion)
+		e.Str(err.Error())
 	case errors.Is(err, ErrBadPayload):
-		e.u16(codeBadRequest)
-		e.str(err.Error())
+		e.U16(codeBadRequest)
+		e.Str(err.Error())
 	case errors.Is(err, ErrRemoteCanceled):
-		e.u16(codeCanceled)
-		e.str(err.Error())
+		e.U16(codeCanceled)
+		e.Str(err.Error())
 	default:
-		e.u16(codeInternal)
-		e.str(err.Error())
+		e.U16(codeInternal)
+		e.Str(err.Error())
 	}
-	return e.b
+	return e.Buf()
 }
 
 // DecodeRemoteError parses a TypeError payload back into the typed error
 // it was encoded from. A payload that itself fails to decode reports
 // ErrBadPayload.
 func DecodeRemoteError(payload []byte) error {
-	d := dec{b: payload}
-	code := d.u16()
-	detail := d.str()
+	d := codec.NewDec(payload)
+	code := d.U16()
+	detail := d.Str()
+	var have, want uint64
+	if code == codeEpochMismatch {
+		have, want = d.U64(), d.U64()
+	}
+	if err := finish(d); err != nil {
+		return err
+	}
 	switch code {
 	case codeEpochMismatch:
-		have, want := d.u64(), d.u64()
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return &EpochMismatchError{Have: have, Want: want}
 	case codePlanMismatch:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return &PlanMismatchError{Detail: detail}
 	case codeCanceled:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return fmt.Errorf("%w: %s", ErrRemoteCanceled, detail)
 	case codeIdentity:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return fmt.Errorf("%w (remote): %s", ErrIdentityMismatch, detail)
 	case codeVersion:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return fmt.Errorf("%w (remote): %s", ErrVersionMismatch, detail)
 	case codeBadRequest:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return fmt.Errorf("%w (remote): %s", ErrBadPayload, detail)
 	default:
-		if err := d.finish(); err != nil {
-			return err
-		}
 		return &RemoteError{Code: code, Detail: detail}
 	}
 }

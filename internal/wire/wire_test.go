@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -67,7 +68,7 @@ func TestFrameErrors(t *testing.T) {
 	})
 	t.Run("oversized declared", func(t *testing.T) {
 		b := append([]byte(nil), frame...)
-		le32(b[4:8], MaxFrame+1)
+		binary.LittleEndian.PutUint32(b[4:8], MaxFrame+1)
 		if _, _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("got %v, want ErrFrameTooLarge", err)
 		}

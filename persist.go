@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
 	"tuffy/internal/grounding"
@@ -139,7 +140,7 @@ func (d *durability) commitDelta(delta mln.Delta) error {
 	if err := d.at("delta.append"); err != nil {
 		return err
 	}
-	lsn, err := d.log.Append(wal.TypeDelta, encodeDelta(d.predIdx, delta))
+	lsn, err := d.log.Append(wal.TypeDelta, mln.EncodeDelta(d.predIdx, delta))
 	if err != nil {
 		return err
 	}
@@ -274,7 +275,7 @@ func (e *Engine) openDurable() error {
 		if r.Type != wal.TypeDelta || r.LSN <= snap.walLSN {
 			continue
 		}
-		delta, err := decodeDelta(e.prog, r.Payload)
+		delta, err := mln.DecodeDelta(e.prog, r.Payload)
 		if err != nil {
 			return fail(fmt.Errorf("tuffy: decoding WAL delta at LSN %d: %w", r.LSN, err))
 		}
@@ -602,17 +603,17 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	}
 	raws, perStats := e.inc.ExportRaws()
 
-	var w enc
-	w.b = append(w.b, snapshotMagic...)
-	w.u32(snapshotVersion)
-	w.u64(d.progFP)
-	w.u64(d.baseEvFP)
-	w.u64(gen)
-	w.u64(e.updatesApplied.Load())
+	var w codec.Enc
+	w.Raw([]byte(snapshotMagic))
+	w.U32(snapshotVersion)
+	w.U64(d.progFP)
+	w.U64(d.baseEvFP)
+	w.U64(gen)
+	w.U64(e.updatesApplied.Load())
 	// Everything with an LSN at or below this is inside the snapshot;
 	// replay after a crash skips those frames.
-	w.u64(d.log.NextLSN() - 1)
-	w.u64(uint64(e.groundTime))
+	w.U64(d.log.NextLSN() - 1)
+	w.U64(uint64(e.groundTime))
 	var flags byte
 	if hadPart {
 		flags |= 1
@@ -620,36 +621,36 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	if hadComps {
 		flags |= 2
 	}
-	w.u8(flags)
+	w.U8(flags)
 
-	w.u32(uint32(len(e.prog.Preds)))
+	w.U32(uint32(len(e.prog.Preds)))
 	for _, pred := range e.prog.Preds {
-		w.u32(uint32(e.ev.Count(pred)))
+		w.U32(uint32(e.ev.Count(pred)))
 		e.ev.ForEach(pred, func(args []int32, t mln.Truth) {
 			for _, a := range args {
-				w.u32(uint32(a))
+				w.U32(uint32(a))
 			}
-			w.u8(byte(t))
+			w.U8(byte(t))
 		})
 	}
 
-	w.u32(uint32(len(atoms)))
+	w.U32(uint32(len(atoms)))
 	for _, a := range atoms {
-		w.u32(uint32(a.Pred))
+		w.U32(uint32(a.Pred))
 		for _, arg := range a.Args {
-			w.u32(uint32(arg))
+			w.U32(uint32(arg))
 		}
-		w.u8(byte(a.Truth))
+		w.U8(byte(a.Truth))
 	}
 
-	w.u32(uint32(len(raws)))
+	w.U32(uint32(len(raws)))
 	for _, rs := range raws {
-		w.u32(uint32(len(rs)))
+		w.U32(uint32(len(rs)))
 		for _, r := range rs {
-			w.f64(r.Weight)
-			w.u32(uint32(len(r.Lits)))
+			w.F64(r.Weight)
+			w.U32(uint32(len(r.Lits)))
 			for _, l := range r.Lits {
-				w.u64(l)
+				w.U64(l)
 			}
 		}
 	}
@@ -660,40 +661,25 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	// The assembled network. Weights and the fixed cost are stored as exact
 	// float bits, so the published warm epoch is the bit-identical network
 	// the assembler produced — not a recomputation of it.
-	w.u32(uint32(res.MRF.NumAtoms))
+	w.U32(uint32(res.MRF.NumAtoms))
 	for id := 1; id <= res.MRF.NumAtoms; id++ {
-		w.u64(uint64(res.TableAid[id]))
+		w.U64(uint64(res.TableAid[id]))
 	}
-	w.f64(res.MRF.FixedCost)
-	w.u32(uint32(len(res.MRF.Clauses)))
+	w.F64(res.MRF.FixedCost)
+	w.U32(uint32(len(res.MRF.Clauses)))
 	for _, c := range res.MRF.Clauses {
-		w.f64(c.Weight)
-		w.u32(uint32(len(c.Lits)))
+		w.F64(c.Weight)
+		w.U32(uint32(len(c.Lits)))
 		for _, l := range c.Lits {
-			w.u32(uint32(l))
+			w.U32(uint32(l))
 		}
 	}
 	writeStats(&w, res.Stats)
-	w.u32(crc32.Checksum(w.b, snapCRCTable))
 
-	path := filepath.Join(d.dir, snapshotFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, w.b, 0o644); err != nil {
+	if err := writeSealed(d.dir, snapshotFile, &w, func() error { return d.at("ckpt.rename") }); err != nil {
 		return err
 	}
-	if err := fsyncFile(tmp); err != nil {
-		return err
-	}
-	if err := d.at("ckpt.rename"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
-		return err
-	}
-	d.snapshotBytes.Store(int64(len(w.b)))
+	d.snapshotBytes.Store(int64(len(w.Buf())))
 	return nil
 }
 
@@ -709,164 +695,129 @@ func readSnapshot(path string, prog *mln.Program) (*engineSnap, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(snapshotMagic)+8 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("not a snapshot file")
+	r, err := openSealed(raw, snapshotMagic)
+	if err != nil {
+		return nil, err
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, snapCRCTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("snapshot checksum mismatch")
-	}
-	r := dec{b: body, off: len(snapshotMagic)}
-	if v := r.u32(); r.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d, want %d", v, snapshotVersion)
+	if v := r.U32(); v != snapshotVersion {
+		r.Failf("snapshot version %d, want %d", v, snapshotVersion)
 	}
 	s := &engineSnap{size: int64(len(raw))}
-	s.progFP = r.u64()
-	s.baseEvFP = r.u64()
-	s.gen = r.u64()
-	s.updates = r.u64()
-	s.walLSN = r.u64()
-	s.groundTime = time.Duration(r.u64())
-	flags := r.u8()
+	s.progFP = r.U64()
+	s.baseEvFP = r.U64()
+	s.gen = r.U64()
+	s.updates = r.U64()
+	s.walLSN = r.U64()
+	s.groundTime = time.Duration(r.U64())
+	flags := r.U8()
 	s.hadPart = flags&1 != 0
 	s.hadComps = flags&2 != 0
 
-	if n := int(r.u32()); r.err == nil && n != len(prog.Preds) {
-		return nil, fmt.Errorf("snapshot has %d predicates, program has %d", n, len(prog.Preds))
+	// Every count below is checked against the bytes left (Count) before
+	// anything is sized by it, and a violated invariant latches the
+	// decoder's error: reads after it return zeros and loops end, so the
+	// one check at the bottom reports the first defect.
+	if n := int(r.U32()); n != len(prog.Preds) {
+		r.Failf("snapshot has %d predicates, program has %d", n, len(prog.Preds))
 	}
 	s.evidence = make([][]evRow, len(prog.Preds))
 	for pi, pred := range prog.Preds {
-		rows := make([]evRow, r.u32())
+		rows := make([]evRow, r.Count(4*pred.Arity()+1))
 		for i := range rows {
-			args := make([]int32, pred.Arity())
-			for j := range args {
-				args[j] = int32(r.u32())
-			}
-			rows[i] = evRow{args: args, truth: mln.Truth(r.u8())}
+			rows[i].args = readArgs(r, pred)
+			rows[i].truth = mln.Truth(r.U8())
 		}
 		s.evidence[pi] = rows
 	}
 
-	s.atoms = make([]grounding.SnapAtom, r.u32())
+	s.atoms = make([]grounding.SnapAtom, r.Count(5))
 	for i := range s.atoms {
-		pi := int32(r.u32())
-		if r.err == nil && (pi < 0 || int(pi) >= len(prog.Preds)) {
-			return nil, fmt.Errorf("snapshot atom %d references predicate %d of %d", i, pi, len(prog.Preds))
-		}
-		if r.err != nil {
+		pi := int32(r.U32())
+		if pi < 0 || int(pi) >= len(prog.Preds) {
+			r.Failf("snapshot atom %d references predicate %d of %d", i, pi, len(prog.Preds))
 			break
 		}
-		args := make([]int32, prog.Preds[pi].Arity())
-		for j := range args {
-			args[j] = int32(r.u32())
-		}
-		s.atoms[i] = grounding.SnapAtom{Pred: pi, Args: args, Truth: int64(r.u8())}
+		s.atoms[i] = grounding.SnapAtom{Pred: pi, Args: readArgs(r, prog.Preds[pi]), Truth: int64(r.U8())}
 	}
 
-	if n := int(r.u32()); r.err == nil && n != len(prog.Clauses) {
-		return nil, fmt.Errorf("snapshot has %d clause raw sets, program has %d clauses", n, len(prog.Clauses))
+	if n := int(r.U32()); n != len(prog.Clauses) {
+		r.Failf("snapshot has %d clause raw sets, program has %d clauses", n, len(prog.Clauses))
 	}
 	s.raws = make([][]grounding.SnapRaw, len(prog.Clauses))
 	for i := range s.raws {
-		rs := make([]grounding.SnapRaw, r.u32())
+		rs := make([]grounding.SnapRaw, r.Count(12))
 		for j := range rs {
-			weight := r.f64()
-			lits := make([]uint64, r.u32())
-			for k := range lits {
-				lits[k] = r.u64()
-			}
-			rs[j] = grounding.SnapRaw{Weight: weight, Lits: lits}
-			if r.err != nil {
-				break
+			rs[j].Weight = r.F64()
+			rs[j].Lits = make([]uint64, r.Count(8))
+			for k := range rs[j].Lits {
+				rs[j].Lits[k] = r.U64()
 			}
 		}
 		s.raws[i] = rs
-		if r.err != nil {
-			break
-		}
 	}
 	s.perStats = make([]grounding.Stats, len(prog.Clauses))
 	for i := range s.perStats {
-		s.perStats[i] = readStats(&r)
+		s.perStats[i] = readStats(r)
 	}
 
-	s.numAtoms = int(r.u32())
-	if r.err == nil && (s.numAtoms < 0 || s.numAtoms > len(s.atoms)) {
-		return nil, fmt.Errorf("snapshot network has %d atoms, registry has %d", s.numAtoms, len(s.atoms))
+	s.numAtoms = int(r.U32())
+	if s.numAtoms < 0 || s.numAtoms > len(s.atoms) {
+		r.Failf("snapshot network has %d atoms, registry has %d", s.numAtoms, len(s.atoms))
+		s.numAtoms = 0
 	}
-	if r.err == nil {
-		s.tableAid = make([]int64, s.numAtoms+1)
-		for id := 1; id <= s.numAtoms; id++ {
-			s.tableAid[id] = int64(r.u64())
+	s.tableAid = make([]int64, s.numAtoms+1)
+	for id := 1; id <= s.numAtoms; id++ {
+		s.tableAid[id] = int64(r.U64())
+	}
+	s.fixedCost = r.F64()
+	s.clauses = make([]mrf.Clause, r.Count(12))
+	for i := range s.clauses {
+		s.clauses[i].Weight = r.F64()
+		s.clauses[i].Lits = make([]mrf.Lit, r.Count(4))
+		for k := range s.clauses[i].Lits {
+			l := mrf.Lit(r.U32())
+			if l == 0 || l > mrf.Lit(s.numAtoms) || -l > mrf.Lit(s.numAtoms) {
+				r.Failf("snapshot clause %d references atom %d of %d", i, l, s.numAtoms)
+			}
+			s.clauses[i].Lits[k] = l
 		}
 	}
-	s.fixedCost = r.f64()
-	nc := int(r.u32())
-	// Each clause takes at least 12 bytes (weight + literal count).
-	if r.err == nil && (nc < 0 || nc*12 > len(body)-r.off) {
-		return nil, fmt.Errorf("snapshot network claims %d clauses", nc)
-	}
-	if r.err == nil {
-		s.clauses = make([]mrf.Clause, nc)
-		for i := range s.clauses {
-			weight := r.f64()
-			lits := make([]mrf.Lit, r.u32())
-			for k := range lits {
-				l := mrf.Lit(r.u32())
-				if r.err == nil && (l == 0 || l > mrf.Lit(s.numAtoms) || -l > mrf.Lit(s.numAtoms)) {
-					return nil, fmt.Errorf("snapshot clause %d references atom %d of %d", i, l, s.numAtoms)
-				}
-				lits[k] = l
-			}
-			s.clauses[i] = mrf.Clause{Weight: weight, Lits: lits}
-			if r.err != nil {
-				break
-			}
-		}
-	}
-	s.resStats = readStats(&r)
-	if r.err != nil {
-		return nil, fmt.Errorf("snapshot truncated: %w", r.err)
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("snapshot has %d trailing bytes", len(body)-r.off)
+	s.resStats = readStats(r)
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func writeStats(w *enc, st grounding.Stats) {
-	w.u64(uint64(st.NumAtoms))
-	w.u64(uint64(st.NumUsedAtoms))
-	w.u64(uint64(st.NumGroundedRaw))
-	w.u64(uint64(st.NumClauses))
-	w.u64(uint64(st.FixedCostCount))
-	w.u64(uint64(st.JoinRowsVisited))
-	w.u64(uint64(st.PeakBytes))
-}
-
-func readStats(r *dec) grounding.Stats {
-	return grounding.Stats{
-		NumAtoms:        int(r.u64()),
-		NumUsedAtoms:    int(r.u64()),
-		NumGroundedRaw:  int(r.u64()),
-		NumClauses:      int(r.u64()),
-		FixedCostCount:  int(r.u64()),
-		JoinRowsVisited: int64(r.u64()),
-		PeakBytes:       int64(r.u64()),
+// readArgs reads one tuple of pred's arity.
+func readArgs(r *codec.Dec, pred *mln.Predicate) []int32 {
+	args := make([]int32, pred.Arity())
+	for j := range args {
+		args[j] = int32(r.U32())
 	}
+	return args
 }
 
-// ---- delta record encoding ----
-
-// encodeDelta frames one evidence delta as a TypeDelta payload. The format
-// (mln.EncodeDelta) is shared with the distributed tier's update fan-out.
-func encodeDelta(predIdx map[*mln.Predicate]int32, d mln.Delta) []byte {
-	return mln.EncodeDelta(predIdx, d)
+func writeStats(w *codec.Enc, st grounding.Stats) {
+	w.U64(uint64(st.NumAtoms))
+	w.U64(uint64(st.NumUsedAtoms))
+	w.U64(uint64(st.NumGroundedRaw))
+	w.U64(uint64(st.NumClauses))
+	w.U64(uint64(st.FixedCostCount))
+	w.U64(uint64(st.JoinRowsVisited))
+	w.U64(uint64(st.PeakBytes))
 }
 
-// decodeDelta is encodeDelta's inverse against the serving program.
-func decodeDelta(prog *mln.Program, payload []byte) (mln.Delta, error) {
-	return mln.DecodeDelta(prog, payload)
+func readStats(r *codec.Dec) grounding.Stats {
+	return grounding.Stats{
+		NumAtoms:        int(r.U64()),
+		NumUsedAtoms:    int(r.U64()),
+		NumGroundedRaw:  int(r.U64()),
+		NumClauses:      int(r.U64()),
+		FixedCostCount:  int(r.U64()),
+		JoinRowsVisited: int64(r.U64()),
+		PeakBytes:       int64(r.U64()),
+	}
 }
 
 // ---- fingerprints ----
@@ -973,85 +924,51 @@ func fingerprintEvidence(prog *mln.Program, ev *mln.Evidence) uint64 {
 	return h.Sum64()
 }
 
-// ---- binary helpers ----
+// ---- durable file helpers ----
 
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) str(s string)  { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// writeSealed durably replaces dir/name with the encoded body plus its
+// CRC-32C tail: tmp file + fsync + rename + directory fsync, so a crash
+// mid-write leaves the previous file intact. beforeRename (may be nil) is
+// the checkpoint path's fault-injection point.
+func writeSealed(dir, name string, w *codec.Enc, beforeRename func() error) error {
+	w.U32(crc32.Checksum(w.Buf(), snapCRCTable))
+	path := filepath.Join(dir, name)
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, w.Buf(), 0o644); err != nil {
+		return err
 	}
-}
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-var errShortBuffer = errors.New("short buffer")
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if err := fsyncFile(tmp); err != nil {
+		os.Remove(tmp)
+		return err
 	}
-	if len(d.b)-d.off < n {
-		d.err = errShortBuffer
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b)-d.off {
-		if d.err == nil {
-			d.err = errShortBuffer
+	if beforeRename != nil {
+		if err := beforeRename(); err != nil {
+			return err
 		}
-		return ""
 	}
-	return string(d.take(n))
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }
 
-func (d *dec) bool() bool { return d.u8() != 0 }
+// openSealed validates a writeSealed file's magic and CRC-32C tail and
+// returns a decoder over the body, positioned after the magic.
+func openSealed(raw []byte, magic string) (*codec.Dec, error) {
+	if len(raw) < len(magic)+4 || string(raw[:len(magic)]) != magic {
+		return nil, fmt.Errorf("bad magic (want %s)", magic)
+	}
+	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
+	if crc32.Checksum(body, snapCRCTable) != binary.LittleEndian.Uint32(tail) {
+		return nil, fmt.Errorf("checksum mismatch")
+	}
+	d := codec.NewDec(body)
+	d.Raw(len(magic))
+	return d, nil
+}
 
 func fsyncFile(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)

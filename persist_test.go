@@ -16,10 +16,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/datagen"
 	"tuffy/internal/mln"
+	"tuffy/internal/wal"
+	"tuffy/internal/wire"
 )
 
 // openDurableIE opens (cold or warm) a durable engine over the small IE
@@ -362,5 +366,41 @@ func TestCorruptCacheFileIgnored(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.CacheHits != 0 || m.CacheMisses != 1 {
 		t.Fatalf("corrupt cache file: %d hits / %d misses, want a plain miss", m.CacheHits, m.CacheMisses)
+	}
+}
+
+// A delta record whose truth byte is none of Unknown/True/False must fail
+// the open as a corrupt record (and a worker must refuse the same bytes as
+// a bad payload): applying it would store an evidence value the grounder
+// does not know.
+func TestMalformedDeltaRecordRejected(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	eng := figure1Engine(t, EngineConfig{DataDir: dir})
+	if err := eng.Ground(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rec := mln.EncodeDelta(mln.PredIndex(eng.prog), figure1Delta(t, eng.prog))
+	rec[8] = 3 // the first op's truth byte, after the op count and predicate index
+
+	if _, err := eng.ApplyDelta(ctx, rec); !errors.Is(err, wire.ErrBadPayload) {
+		t.Fatalf("ApplyDelta: err = %v, want wire.ErrBadPayload", err)
+	}
+	if eng.Generation() != 0 {
+		t.Fatal("a refused delta moved the epoch")
+	}
+
+	// The same bytes as a committed WAL record, then a crash.
+	lsn, err := eng.dur.log.Append(wal.TypeDelta, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.dur.log.SyncTo(lsn); err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := LoadProgramString(mln.Figure1Program)
+	ev, _ := LoadEvidenceString(prog, mln.Figure1Evidence)
+	if _, err := Open(prog, ev, EngineConfig{DataDir: dir}); !errors.Is(err, codec.ErrMalformed) || !strings.Contains(err.Error(), "decoding WAL delta") {
+		t.Fatalf("reopen over a malformed delta record: err = %v, want a corrupt-record error", err)
 	}
 }

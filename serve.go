@@ -20,7 +20,6 @@ import (
 
 	"tuffy/internal/mln"
 	"tuffy/internal/remote"
-	"tuffy/internal/search"
 	"tuffy/internal/server"
 )
 
@@ -301,38 +300,18 @@ func (s *Server) pick() *backend {
 // defaulted budgets are clamped down to the caps (the same clamp-to-budget
 // discipline internal/search applies to the hybrid fallback's flip
 // budget).
-func (s *Server) admit(req Request, marginal bool) (InferOptions, error) {
-	explicit := req.Options
-	o := explicit.withDefaults()
-	// The flip cap concerns MAP only: marginal inference never consumes a
-	// flip budget (MC-SAT uses Samples), so a stray MaxFlips on a marginal
-	// request must not reject it.
-	if cap := s.cfg.MaxFlipsPerQuery; !marginal && cap > 0 && o.MaxFlips > cap {
-		if explicit.MaxFlips != 0 {
-			s.counters.RejectedBudget.Add(1)
-			return o, &server.BudgetError{Resource: "flips", Requested: o.MaxFlips, Limit: cap}
-		}
-		o.MaxFlips = search.ClampFlips(o.MaxFlips, cap)
-	}
-	if cap := s.cfg.MaxSamplesPerQuery; marginal && cap > 0 && o.Samples > cap {
-		if explicit.Samples != 0 {
-			s.counters.RejectedBudget.Add(1)
-			return o, &server.BudgetError{Resource: "samples", Requested: int64(o.Samples), Limit: int64(cap)}
-		}
-		o.Samples = cap
+func (s *Server) admit(k *queryKind, req Request) (InferOptions, error) {
+	o := req.Options.withDefaults()
+	if err := k.capBudget(s.cfg, req.Options, &o); err != nil {
+		s.counters.RejectedBudget.Add(1)
+		return o, err
 	}
 	if cap := s.cfg.MaxBytesPerQuery; cap > 0 {
 		// Estimate against the largest replica, so admission does not
 		// depend on which backend the query later lands on.
 		var est int64
 		for _, b := range s.backends {
-			m := b.memInMemory
-			if !marginal && o.Mode == InDatabase {
-				m = b.memInDB
-			}
-			if m > est {
-				est = m
-			}
+			est = max(est, k.memBytes(b, o))
 		}
 		if est > cap {
 			s.counters.RejectedBudget.Add(1)
@@ -340,17 +319,6 @@ func (s *Server) admit(req Request, marginal bool) (InferOptions, error) {
 		}
 	}
 	return o, nil
-}
-
-// cacheKey canonicalizes the options that determine a query's answer.
-// Parallelism is deliberately excluded: results are bit-identical for
-// every worker count, so queries differing only in Parallelism share one
-// entry. Trackers are per-call observers and never part of the key.
-func cacheKey(marginal bool, o InferOptions) string {
-	if marginal {
-		return fmt.Sprintf("marg|%d|%d|%d", o.Mode, o.Seed, o.Samples)
-	}
-	return fmt.Sprintf("map|%d|%d|%d|%d|%d", o.Mode, o.Seed, o.MaxFlips, o.MaxTries, o.GaussSeidelRounds)
 }
 
 // epochKey tags a canonical cache key with the epoch that answers it.
@@ -392,39 +360,56 @@ func (s *Server) runShared(ctx context.Context, req Request, key string, exec fu
 // ErrServerClosed); a query canceled mid-run returns its best-so-far
 // result with ErrCanceled, exactly like the Engine, and is not cached.
 func (s *Server) InferMAP(ctx context.Context, req Request) (*MAPResult, error) {
-	opts, err := s.admit(req, false)
+	r, err := s.infer(ctx, mapKind, req)
+	res, _ := r.(*MAPResult)
+	return res, err
+}
+
+// InferMarginal is the marginal-inference counterpart of InferMAP, with
+// the same admission, caching and rejection semantics.
+func (s *Server) InferMarginal(ctx context.Context, req Request) (*MarginalResult, error) {
+	r, err := s.infer(ctx, marginalKind, req)
+	res, _ := r.(*MarginalResult)
+	return res, err
+}
+
+// infer is the one query path: admit, look the answer up, schedule (or be
+// absorbed into an identical query's run), execute, fill the cache.
+func (s *Server) infer(ctx context.Context, k *queryKind, req Request) (result, error) {
+	opts, err := s.admit(k, req)
 	if err != nil {
 		return nil, err
 	}
-	base := cacheKey(false, opts)
+	base := k.key(opts)
 	gen := s.generation()
-	// A query carrying a Tracker needs a real run for the tracker to
-	// observe; it skips the lookup but still fills the cache.
-	if opts.Tracker == nil {
-		if v, ok := s.cache.Get(epochKey(gen, base)); ok {
-			return copyMAPResult(v.(*MAPResult)), nil
-		}
-	} else {
-		s.counters.CacheMisses.Add(1)
-	}
+	current := epochKey(gen, base)
 	// Tracker-free queries are batchable: the key ties the canonical
 	// options to the admission epoch, so only queries whose answers are
 	// interchangeable ever share one run.
 	var key string
-	if opts.Tracker == nil && !s.cfg.DisableBatching {
-		key = epochKey(gen, base)
+	if opts.Tracker != nil {
+		// A Tracker needs a real run to observe; the query skips the lookup
+		// (and batching) but still fills the cache.
+		s.counters.CacheMisses.Add(1)
+	} else {
+		if v, ok := s.cache.Get(current); ok {
+			return v.(result).clone(), nil
+		}
+		if !s.cfg.DisableBatching {
+			key = current
+		}
 	}
-	var res *MAPResult
+	var res result
 	var runErr error
 	var absorbed bool
 	if err := s.runShared(ctx, req, key, func(ctx context.Context, eng *Engine) (any, bool) {
-		res, runErr = s.inferMAPOn(ctx, eng, opts)
+		res, runErr = s.inferOn(ctx, k, eng, opts)
 		// Publish for queued same-key queries only a complete answer that
 		// is still current — an evidence update mid-run means followers
 		// must recompute on the new epoch.
-		return res, runErr == nil && res != nil && res.Epoch == gen && s.generation() == gen
+		return res, runErr == nil && res != nil && res.epoch() == gen && s.generation() == gen
 	}, func(v any) {
-		res, runErr, absorbed = copyMAPResult(v.(*MAPResult)), nil, true
+		res, runErr, absorbed = v.(result).clone(), nil, true
 	}); err != nil {
 		return nil, err
 	}
@@ -433,46 +418,8 @@ func (s *Server) InferMAP(ctx context.Context, req Request) (*MAPResult, error) 
 	// reference, so no defensive copy. An absorbed answer is already a
 	// private copy of a result the leader cached.
 	if !absorbed && runErr == nil && res != nil && s.cache.Enabled() {
-		s.cache.Put(epochKey(res.Epoch, base), res)
-		res = copyMAPResult(res)
-	}
-	return res, runErr
-}
-
-// InferMarginal is the marginal-inference counterpart of InferMAP, with
-// the same admission, caching and rejection semantics.
-func (s *Server) InferMarginal(ctx context.Context, req Request) (*MarginalResult, error) {
-	opts, err := s.admit(req, true)
-	if err != nil {
-		return nil, err
-	}
-	base := cacheKey(true, opts)
-	gen := s.generation()
-	if opts.Tracker == nil {
-		if v, ok := s.cache.Get(epochKey(gen, base)); ok {
-			return copyMarginalResult(v.(*MarginalResult)), nil
-		}
-	} else {
-		s.counters.CacheMisses.Add(1)
-	}
-	var key string
-	if opts.Tracker == nil && !s.cfg.DisableBatching {
-		key = epochKey(gen, base)
-	}
-	var res *MarginalResult
-	var runErr error
-	var absorbed bool
-	if err := s.runShared(ctx, req, key, func(ctx context.Context, eng *Engine) (any, bool) {
-		res, runErr = s.inferMarginalOn(ctx, eng, opts)
-		return res, runErr == nil && res != nil && res.Epoch == gen && s.generation() == gen
-	}, func(v any) {
-		res, runErr, absorbed = copyMarginalResult(v.(*MarginalResult)), nil, true
-	}); err != nil {
-		return nil, err
-	}
-	if !absorbed && runErr == nil && res != nil && s.cache.Enabled() {
-		s.cache.Put(epochKey(res.Epoch, base), res)
-		res = copyMarginalResult(res)
+		s.cache.Put(epochKey(res.epoch(), base), res)
+		res = res.clone()
 	}
 	return res, runErr
 }
@@ -526,21 +473,4 @@ func (s *Server) UpdateEvidence(ctx context.Context, delta mln.Delta) (*UpdateRe
 	s.counters.CacheInvalidated.Add(int64(inv))
 	s.counters.CacheRetained.Add(int64(ret))
 	return first, nil
-}
-
-// copyMAPResult copies a cached result so callers may mutate their answer
-// without corrupting the cache. The copy is bit-identical; the per-atom
-// descriptors stay shared (they are read-only engine state).
-func copyMAPResult(r *MAPResult) *MAPResult {
-	cp := *r
-	cp.TrueAtoms = append([]mln.GroundAtom(nil), r.TrueAtoms...)
-	cp.State = append([]bool(nil), r.State...)
-	return &cp
-}
-
-// copyMarginalResult is copyMAPResult for marginal answers.
-func copyMarginalResult(r *MarginalResult) *MarginalResult {
-	cp := *r
-	cp.Probs = append([]AtomProb(nil), r.Probs...)
-	return &cp
 }

@@ -2,9 +2,10 @@ package tuffy
 
 // Tests of the serving layer: N concurrent clients through tuffy.Serve
 // must get answers bit-identical to direct Engine calls (cache on and
-// off), budgets reject or clamp at admission, the queue rejects and
-// expires with typed errors, and the cache canonicalizes options. The
-// CI race job runs this package with -race.
+// off), the queue rejects and expires with typed errors, and the cache
+// canonicalizes options. What holds per kind of inference — admission
+// caps, cache hits, batching, sharding — is in kinds_test.go. The CI race
+// job runs this package with -race.
 
 import (
 	"context"
@@ -13,9 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"tuffy/internal/search"
-	"tuffy/internal/server"
 )
 
 // serveWorkload is a mixed MAP/marginal query set with distinct answers.
@@ -139,81 +137,6 @@ func TestServerBitIdenticalToDirectEngine(t *testing.T) {
 	}
 }
 
-// Explicit budgets beyond the caps must reject with a typed BudgetError;
-// defaulted budgets are clamped to the cap and still answer exactly like a
-// direct engine call with the clamped budget.
-func TestServerBudgetEnforcement(t *testing.T) {
-	ctx := context.Background()
-	eng := figure1Engine(t, EngineConfig{})
-	if err := eng.Ground(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(ServerConfig{
-		MaxFlipsPerQuery:   10_000,
-		MaxSamplesPerQuery: 50,
-		CacheEntries:       -1,
-	}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Explicit over-ask: typed rejection carrying the numbers.
-	_, err = srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 50_000, Seed: 1}})
-	var be *server.BudgetError
-	if !errors.As(err, &be) || !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want *server.BudgetError matching ErrBudgetExceeded", err)
-	}
-	if be.Resource != "flips" || be.Requested != 50_000 || be.Limit != 10_000 {
-		t.Fatalf("budget error fields: %+v", be)
-	}
-	if _, err := srv.InferMarginal(ctx, Request{Options: InferOptions{Samples: 500, Seed: 1}}); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("marginal over-ask: %v, want ErrBudgetExceeded", err)
-	}
-	// A marginal query never consumes a flip budget: a stray MaxFlips
-	// beyond the cap must not reject it.
-	if _, err := srv.InferMarginal(ctx, Request{Options: InferOptions{MaxFlips: 50_000, Samples: 20, Seed: 1}}); err != nil {
-		t.Fatalf("marginal with stray MaxFlips: %v, want success", err)
-	}
-
-	// Defaulted budget: clamped to the cap, bit-identical to a direct
-	// call with the same clamped budget.
-	res, err := srv.InferMAP(ctx, Request{Options: InferOptions{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.InferMAP(ctx, InferOptions{Seed: 2, MaxFlips: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapKey(res) != mapKey(want) {
-		t.Fatal("clamped default budget diverges from direct clamped call")
-	}
-	if srv.Metrics().RejectedBudget != 2 {
-		t.Fatalf("RejectedBudget = %d, want 2", srv.Metrics().RejectedBudget)
-	}
-}
-
-// A memory cap below the grounded network's per-query estimate must
-// reject at admission, before any search work happens.
-func TestServerMemoryCap(t *testing.T) {
-	ctx := context.Background()
-	eng := figure1Engine(t, EngineConfig{})
-	if err := eng.Ground(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(ServerConfig{MaxBytesPerQuery: 1}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	_, err = srv.InferMAP(ctx, Request{Options: InferOptions{Seed: 1}})
-	var be *server.BudgetError
-	if !errors.As(err, &be) || be.Resource != "memory" {
-		t.Fatalf("err = %v, want memory BudgetError", err)
-	}
-}
-
 // Serve must refuse engines that are not grounded yet (admission needs
 // the clause counts, and grounding inside the server would be a hidden
 // expensive phase).
@@ -241,18 +164,6 @@ func TestServerQueueRejectionAndExpiry(t *testing.T) {
 	}
 	defer srv.Close()
 
-	waitGauge := func(get func(ServerMetrics) int64, n int64, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if get(srv.Metrics()) == n {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("%s never reached %d", what, n)
-	}
-
 	// Occupy the only slot with an effectively unbounded query.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
@@ -261,7 +172,7 @@ func TestServerQueueRejectionAndExpiry(t *testing.T) {
 		_, err := srv.InferMAP(runCtx, Request{Options: InferOptions{MaxFlips: 1 << 40, Seed: 1}})
 		running <- err
 	}()
-	waitGauge(func(m ServerMetrics) int64 { return m.InFlight }, 1, "in-flight")
+	waitMetric(t, srv, "in-flight", func(m ServerMetrics) int64 { return m.InFlight }, 1)
 
 	// Fill the single queue slot with a query that will expire there.
 	qCtx, cancelQ := context.WithCancel(ctx)
@@ -271,7 +182,7 @@ func TestServerQueueRejectionAndExpiry(t *testing.T) {
 		_, err := srv.InferMAP(qCtx, Request{Options: InferOptions{MaxFlips: 10, Seed: 2}})
 		queued <- err
 	}()
-	waitGauge(func(m ServerMetrics) int64 { return m.Queued }, 1, "queued")
+	waitMetric(t, srv, "queued", func(m ServerMetrics) int64 { return m.Queued }, 1)
 
 	// Third query: queue full, typed rejection.
 	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 10, Seed: 3}}); !errors.Is(err, ErrQueueFull) {
@@ -409,106 +320,4 @@ func TestServerDoesNotCacheCanceledRuns(t *testing.T) {
 	if hits := srv.Metrics().CacheHits; hits != 0 {
 		t.Fatalf("CacheHits = %d; a canceled run must not be cached", hits)
 	}
-}
-
-// Queued identical queries must be batched into the leader's single
-// search pass, each answer bit-identical to a direct Engine call, while a
-// Tracker or DisableBatching forces every query to run itself.
-func TestServerBatchesIdenticalQueries(t *testing.T) {
-	ctx := context.Background()
-	// Unsatisfiable workload: searches spin to their flip budget, so the
-	// blocker reliably holds the only slot while followers queue. Memo off
-	// so no cross-query sharing short-circuits the runs.
-	eng := contradictionEngine(t, EngineConfig{MemoEntries: -1})
-	if err := eng.Ground(ctx); err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Options: InferOptions{MaxFlips: 400, Seed: 6}}
-	want, err := eng.InferMAP(ctx, req.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const followers = 5
-	run := func(t *testing.T, cfg ServerConfig, reqOf func(int) Request) ServerMetrics {
-		srv, err := Serve(cfg, eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		blockerDone := make(chan error, 1)
-		go func() {
-			_, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 300_000, Seed: 1}})
-			blockerDone <- err
-		}()
-		// Wait for the blocker to occupy the slot, then stack the
-		// followers in the queue behind it.
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.Metrics().InFlight == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		var wg sync.WaitGroup
-		errCh := make(chan error, followers)
-		for i := 0; i < followers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := srv.InferMAP(ctx, reqOf(i))
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if mapKey(res) != mapKey(want) {
-					errCh <- fmt.Errorf("follower %d: answer diverges from direct engine call", i)
-				}
-			}(i)
-		}
-		for srv.Metrics().Queued < followers && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if q := srv.Metrics().Queued; q != followers {
-			t.Fatalf("staging failed: %d queued, want %d", q, followers)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			t.Fatal(err)
-		}
-		if err := <-blockerDone; err != nil {
-			t.Fatal(err)
-		}
-		return srv.Metrics()
-	}
-
-	// Cache off isolates batching: the only ways a follower completes are
-	// its own run or absorbing the leader's.
-	base := ServerConfig{MaxInFlight: 1, MaxQueue: 64, CacheEntries: -1}
-
-	t.Run("batched", func(t *testing.T) {
-		m := run(t, base, func(int) Request { return req })
-		if m.Batched != followers-1 {
-			t.Fatalf("Batched = %d, want %d (one leader run, rest absorbed)", m.Batched, followers-1)
-		}
-		if m.Completed != 2 { // blocker + leader
-			t.Fatalf("Completed = %d, want 2", m.Completed)
-		}
-	})
-	t.Run("disabled", func(t *testing.T) {
-		cfg := base
-		cfg.DisableBatching = true
-		m := run(t, cfg, func(int) Request { return req })
-		if m.Batched != 0 || m.Completed != int64(followers)+1 {
-			t.Fatalf("batched/completed = %d/%d, want 0/%d", m.Batched, m.Completed, followers+1)
-		}
-	})
-	t.Run("tracker-never-batched", func(t *testing.T) {
-		m := run(t, base, func(i int) Request {
-			r := req
-			r.Options.Tracker = search.NewTracker()
-			return r
-		})
-		if m.Batched != 0 || m.Completed != int64(followers)+1 {
-			t.Fatalf("batched/completed = %d/%d, want 0/%d", m.Batched, m.Completed, followers+1)
-		}
-	})
 }

@@ -9,17 +9,18 @@ package tuffy
 // Worker side: Engine implements remote.Backend — Identity (the
 // fingerprint handshake), InferShard (run a group of components on a
 // named epoch), ApplyDelta (the update fan-out target). Per-component
-// execution goes through search.RunComponent / search.RunComponentMCSAT,
-// the same functions the local engine's own component loops call, so a
-// component's answer is a pure function of its content and the canonical
-// query options — identical in every process.
+// execution goes through the query kind's runner (kind.go), i.e.
+// search.RunComponent / search.RunComponentMCSAT, the same functions the
+// local engine's own component loops call, so a component's answer is a
+// pure function of its content and the canonical query options —
+// identical in every process.
 //
-// Coordinator side: Server.shardMAP / shardMarginal decide whether a
-// query decomposes (Auto mode, no cut clauses, no oversized parts, more
-// than one component, at least one worker at the query's pinned epoch),
-// LPT-balance the components over the local engine plus the eligible
-// workers, dispatch the remote groups, and merge in canonical component
-// order. Any remote failure — dead worker, timeout, epoch moved under the
+// Coordinator side: Server.shard decides whether a query decomposes (Auto
+// mode, no tracker, the kind's component list exists and has more than
+// one entry, at least one worker at the query's pinned epoch),
+// LPT-balances the components over the local engine plus the eligible
+// workers, dispatches the remote groups, and merges through the kind's
+// merger. Any remote failure — dead worker, timeout, epoch moved under the
 // worker — re-runs that group on the coordinator's own pinned epoch, so a
 // worker dying mid-query degrades latency, never answers, and a
 // mixed-epoch merge is impossible by construction.
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"tuffy/internal/mln"
-	"tuffy/internal/mrf"
 	"tuffy/internal/remote"
 	"tuffy/internal/search"
 	"tuffy/internal/wire"
@@ -70,49 +70,6 @@ func (e *Engine) Identity() wire.Hello {
 	}
 }
 
-// shardBaseOptions derives the defaulted WalkSAT base options of a MAP
-// shard. One function serves the coordinator's local groups and the
-// worker's InferShard, so both sides run components under literally the
-// same derivation.
-func shardBaseOptions(req wire.ShardRequest) search.Options {
-	return search.DefaultedOptions(search.Options{
-		MaxFlips: req.MaxFlips,
-		MaxTries: int(req.MaxTries),
-		Seed:     req.Seed,
-	})
-}
-
-// shardMCSATOptions is shardBaseOptions for marginal shards.
-func shardMCSATOptions(req wire.ShardRequest) search.MCSATOptions {
-	return search.MCSATOptions{
-		Samples: int(req.Samples),
-		BurnIn:  int(req.Samples) / 10,
-		Seed:    req.Seed,
-	}
-}
-
-// mapShardComps returns the canonical component list of a MAP shard on
-// this epoch (the partition parts as components) and their atom total —
-// valid only when the partitioning has no cut clauses and no oversized
-// parts, the same precondition under which InferMAP's Auto path runs
-// plain component-aware search and the coordinator shards at all.
-func (e *Engine) mapShardComps(ep *epoch) ([]*mrf.Component, int64, bool) {
-	pt := ep.partitioning(e.partitionBeta())
-	if pt.NumCut() > 0 {
-		return nil, 0, false
-	}
-	comps := make([]*mrf.Component, len(pt.Parts))
-	var total int64
-	for i, p := range pt.Parts {
-		if e.cfg.MemoryBudgetBytes > 0 && p.Bytes() > e.cfg.MemoryBudgetBytes {
-			return nil, 0, false
-		}
-		comps[i] = &mrf.Component{MRF: p.Local, GlobalAtom: p.GlobalAtom}
-		total += int64(p.Local.NumAtoms)
-	}
-	return comps, total, true
-}
-
 // InferShard runs one group of components on the requested epoch — the
 // worker half of the sharder (remote.Backend). The epoch is validated
 // first (a worker that saw an evidence update the query pre-dates answers
@@ -128,76 +85,39 @@ func (e *Engine) InferShard(ctx context.Context, req wire.ShardRequest) (wire.Sh
 	if ep.gen != req.Epoch {
 		return wire.ShardResult{}, &wire.EpochMismatchError{Have: ep.gen, Want: req.Epoch}
 	}
-	m := ep.res.MRF
-	if int(req.NumAtoms) != m.NumAtoms {
-		return wire.ShardResult{}, &wire.PlanMismatchError{
-			Detail: fmt.Sprintf("network has %d atoms, plan expects %d", m.NumAtoms, req.NumAtoms),
-		}
+	mismatch := func(format string, args ...any) (wire.ShardResult, error) {
+		return wire.ShardResult{}, &wire.PlanMismatchError{Detail: fmt.Sprintf(format, args...)}
 	}
-
-	res := wire.ShardResult{Epoch: ep.gen, Marginal: req.Marginal}
-	var sc search.Scratch // search state shared by this request's components
-	if req.Marginal {
-		comps := ep.components()
-		if int(req.NumComps) != len(comps) {
-			return wire.ShardResult{}, &wire.PlanMismatchError{
-				Detail: fmt.Sprintf("epoch has %d components, plan expects %d", len(comps), req.NumComps),
-			}
-		}
-		mo := shardMCSATOptions(req)
-		for _, idx := range req.Indices {
-			if int(idx) >= len(comps) {
-				return wire.ShardResult{}, &wire.PlanMismatchError{
-					Detail: fmt.Sprintf("component index %d out of range", idx),
-				}
-			}
-			local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo, &sc)
-			if err != nil || ctx.Err() != nil {
-				return wire.ShardResult{}, shardCancel(ctx, err)
-			}
-			res.Comps = append(res.Comps, wire.ShardComp{Index: idx, Probs: local})
-		}
-		return res, nil
+	if m := ep.res.MRF; int(req.NumAtoms) != m.NumAtoms {
+		return mismatch("network has %d atoms, plan expects %d", m.NumAtoms, req.NumAtoms)
 	}
-
-	comps, totalAtoms, ok := e.mapShardComps(ep)
+	k := shardKind(req.Marginal)
+	comps, ok := k.comps(e, ep)
 	if !ok {
-		return wire.ShardResult{}, &wire.PlanMismatchError{
-			Detail: "epoch partitioning has cut clauses or oversized parts; not shardable",
-		}
+		return mismatch("epoch partitioning has cut clauses or oversized parts; not shardable")
 	}
 	if int(req.NumComps) != len(comps) {
-		return wire.ShardResult{}, &wire.PlanMismatchError{
-			Detail: fmt.Sprintf("epoch has %d parts, plan expects %d", len(comps), req.NumComps),
-		}
+		return mismatch("epoch has %d components, plan expects %d", len(comps), req.NumComps)
 	}
-	base := shardBaseOptions(req)
+	run := k.runner(e, comps, req)
+	res := wire.ShardResult{Epoch: ep.gen, Marginal: req.Marginal}
+	var sc search.Scratch // search state shared by this request's components
 	for _, idx := range req.Indices {
 		if int(idx) >= len(comps) {
-			return wire.ShardResult{}, &wire.PlanMismatchError{
-				Detail: fmt.Sprintf("part index %d out of range", idx),
-			}
+			return mismatch("component index %d out of range", idx)
 		}
-		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, e.memo, &sc)
-		if r.Best == nil || ctx.Err() != nil {
-			return wire.ShardResult{}, shardCancel(ctx, nil)
+		c, err := run(ctx, idx, &sc)
+		if ctx.Err() != nil {
+			// Typed, so the coordinator tells "gave up under its deadline"
+			// from "broke"; a component finished meanwhile is dropped with it.
+			return wire.ShardResult{}, fmt.Errorf("%w: %v", wire.ErrRemoteCanceled, context.Cause(ctx))
 		}
-		res.Comps = append(res.Comps, wire.ShardComp{
-			Index: idx, Cost: r.BestCost, Flips: r.Flips, State: r.Best,
-		})
+		if err != nil {
+			return wire.ShardResult{}, err
+		}
+		res.Comps = append(res.Comps, c)
 	}
 	return res, nil
-}
-
-// shardCancel maps a canceled shard run to the wire's typed cancel error.
-func shardCancel(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return fmt.Errorf("%w: %v", wire.ErrRemoteCanceled, context.Cause(ctx))
-	}
-	if err != nil {
-		return err
-	}
-	return wire.ErrRemoteCanceled
 }
 
 // ApplyDelta decodes and applies one fanned-out evidence delta
@@ -256,50 +176,37 @@ func lptGroups(weights []int64, executors int) [][]uint32 {
 	return groups
 }
 
-// shardDeadlineMillis converts the query context's remaining deadline to
-// the wire's millisecond field (0 = none).
-func shardDeadlineMillis(ctx context.Context) uint32 {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	ms := time.Until(dl).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	if ms > int64(^uint32(0)) {
-		return 0
-	}
-	return uint32(ms)
-}
-
 // dispatchShards runs the grouped component indices: group 0 on the local
 // engine (via run), groups 1..n on their replicas, with any failed remote
-// group re-run locally on the same pinned epoch. apply merges one
-// component's wire result under the caller's lock; run executes one
+// group re-run locally on the same pinned epoch. run executes one
 // component locally, with its search state in the scratch of the group
-// loop calling it, and applies it directly. Returns the first
-// cancellation-style error (remote failures are not errors — they fall
-// back).
-func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.Replica, req wire.ShardRequest, run func(ctx context.Context, idx uint32, sc *search.Scratch) error, apply func(c wire.ShardComp) error) error {
+// loop calling it; apply merges one component's outcome, local or remote,
+// and is never called concurrently. Returns the first cancellation-style
+// or merge error (remote failures are not errors — they fall back).
+func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.Replica, req wire.ShardRequest, run componentRun, apply func(c wire.ShardComp) error) error {
 	var mu sync.Mutex
 	var firstErr error
-	fail := func(err error) {
+	// merge applies a group's outcomes, or records why there are none.
+	merge := func(err error, comps ...wire.ShardComp) {
 		mu.Lock()
-		if firstErr == nil && err != nil {
+		defer mu.Unlock()
+		for i := 0; i < len(comps) && err == nil; i++ {
+			err = apply(comps[i])
+		}
+		if firstErr == nil {
 			firstErr = err
 		}
-		mu.Unlock()
 	}
 	runLocal := func(indices []uint32) {
 		var sc search.Scratch
 		for _, idx := range indices {
 			if ctx.Err() != nil {
-				fail(search.Canceled(ctx))
+				merge(search.Canceled(ctx))
 				return
 			}
-			if err := run(ctx, idx, &sc); err != nil {
-				fail(err)
+			c, err := run(ctx, idx, &sc)
+			merge(err, c)
+			if err != nil {
 				return
 			}
 		}
@@ -329,21 +236,10 @@ func dispatchShards(ctx context.Context, groups [][]uint32, replicas []*remote.R
 				runLocal(indices)
 				return
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, c := range res.Comps {
-				if err := apply(c); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-			}
+			merge(nil, res.Comps...)
 		}(g, indices)
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	return firstErr
 }
 
@@ -368,16 +264,16 @@ func checkShardResult(req wire.ShardRequest, res wire.ShardResult) error {
 	return nil
 }
 
-// shardMAP answers one MAP query by sharding its components across the
-// worker pool, merged bit-identically to Engine.InferMAP. handled=false
-// means the query does not decompose here (wrong mode, tracker, cut
-// clauses, oversized parts, single component, or no eligible workers)
-// and the caller should run it locally as usual.
-func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (res *MAPResult, handled bool, err error) {
+// shard answers one query by sharding its components across the worker
+// pool, merged bit-identically to the kind's local run. handled=false
+// means the query does not decompose here (wrong mode, tracker, no
+// component list, a single component, or no eligible workers) and the
+// caller should run it locally as usual.
+func (s *Server) shard(ctx context.Context, k *queryKind, eng *Engine, opts InferOptions) (res result, handled bool, err error) {
 	if s.pool == nil || opts.Mode != Auto || opts.Tracker != nil {
 		return nil, false, nil
 	}
-	// The same canonicalization Engine.InferMAP applies: shard requests must
+	// The same canonicalization the local run applies: shard requests must
 	// carry the effective values, not the zero-means-default form.
 	opts = opts.withDefaults()
 	ep, release, err := eng.acquire(ctx)
@@ -385,7 +281,7 @@ func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (
 		return nil, true, err
 	}
 	defer release()
-	comps, totalAtoms, ok := eng.mapShardComps(ep)
+	comps, ok := k.comps(eng, ep)
 	if !ok || len(comps) < 2 {
 		return nil, false, nil
 	}
@@ -394,17 +290,10 @@ func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (
 		return nil, false, nil
 	}
 
-	m := ep.res.MRF
-	req := wire.ShardRequest{
-		Epoch:          ep.gen,
-		NumAtoms:       uint32(m.NumAtoms),
-		NumComps:       uint32(len(comps)),
-		Seed:           opts.Seed,
-		MaxFlips:       opts.MaxFlips,
-		MaxTries:       uint32(opts.MaxTries),
-		DeadlineMillis: shardDeadlineMillis(ctx),
-	}
-	base := shardBaseOptions(req)
+	req := k.request(opts)
+	req.Epoch = ep.gen
+	req.NumAtoms = uint32(ep.res.MRF.NumAtoms)
+	req.NumComps = uint32(len(comps))
 
 	weights := make([]int64, len(comps))
 	for i, c := range comps {
@@ -413,155 +302,20 @@ func (s *Server) shardMAP(ctx context.Context, eng *Engine, opts InferOptions) (
 	groups := lptGroups(weights, len(replicas)+1)
 
 	searchStart := time.Now()
-	res = &MAPResult{
-		GroundTime: eng.GroundTime(),
-		Epoch:      ep.gen,
-		Partitions: len(comps),
-	}
-	global := m.NewState()
-	perComp := make([]float64, len(comps))
-	for i, c := range comps {
-		// Unfinished components contribute their all-false baseline, exactly
-		// as in search.ComponentAware under cancellation.
-		perComp[i] = c.MRF.AllFalseCost()
-	}
-	var mu sync.Mutex
-	apply := func(c wire.ShardComp) error {
-		comp := comps[c.Index]
-		if len(c.State) != comp.Size()+1 {
-			return fmt.Errorf("tuffy: shard state for component %d has %d atoms, want %d", c.Index, len(c.State)-1, comp.Size())
-		}
-		perComp[c.Index] = c.Cost
-		res.Flips += c.Flips
-		comp.ProjectState(c.State, global)
-		return nil
-	}
-	run := func(ctx context.Context, idx uint32, sc *search.Scratch) error {
-		r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, eng.memo, sc)
-		if r.Best == nil {
-			return search.Canceled(ctx)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return apply(wire.ShardComp{Index: idx, Cost: r.BestCost, Flips: r.Flips, State: r.Best})
-	}
-	runErr := dispatchShards(ctx, groups, replicas, req, run, func(c wire.ShardComp) error {
-		// dispatchShards already holds no lock here for remote groups; take
-		// the same one the local path uses.
-		mu.Lock()
-		defer mu.Unlock()
-		return apply(c)
-	})
-
-	res.State = global
-	res.Cost = m.FixedCost
-	for _, c := range perComp {
-		res.Cost += c
-	}
-	res.SearchTime = time.Since(searchStart)
-	res.TrueAtoms = trueAtoms(m, res.State)
+	apply, finish := k.merger(eng, ep, comps)
+	runErr := dispatchShards(ctx, groups, replicas, req, k.runner(eng, comps, req), apply)
 	if runErr == nil && ctx.Err() != nil {
 		runErr = search.Canceled(ctx)
 	}
-	return res, true, runErr
+	return finish(time.Since(searchStart)), true, runErr
 }
 
-// shardMarginal is shardMAP for marginal queries: the components are the
-// epoch's connected-component factorization, each sampled with its own
-// deterministic MC-SAT chain, merged exactly as search.MCSATComponents
-// merges them.
-func (s *Server) shardMarginal(ctx context.Context, eng *Engine, opts InferOptions) (res *MarginalResult, handled bool, err error) {
-	if s.pool == nil || opts.Mode != Auto {
-		return nil, false, nil
-	}
-	opts = opts.withDefaults()
-	ep, release, err := eng.acquire(ctx)
-	if err != nil {
-		return nil, true, err
-	}
-	defer release()
-	if beta := eng.partitionBeta(); beta > 0 && ep.partitioning(beta).NumCut() > 0 {
-		return nil, false, nil // the Gauss-Seidel MC-SAT path; not component-shardable
-	}
-	comps := ep.components()
-	if len(comps) < 2 {
-		return nil, false, nil
-	}
-	replicas := s.pool.Candidates(ep.gen)
-	if len(replicas) == 0 {
-		return nil, false, nil
-	}
-
-	m := ep.res.MRF
-	req := wire.ShardRequest{
-		Marginal:       true,
-		Epoch:          ep.gen,
-		NumAtoms:       uint32(m.NumAtoms),
-		NumComps:       uint32(len(comps)),
-		Seed:           opts.Seed,
-		Samples:        uint32(opts.Samples),
-		DeadlineMillis: shardDeadlineMillis(ctx),
-	}
-	mo := shardMCSATOptions(req)
-
-	weights := make([]int64, len(comps))
-	for i, c := range comps {
-		weights[i] = int64(c.Size()) + int64(len(c.MRF.Clauses))
-	}
-	groups := lptGroups(weights, len(replicas)+1)
-
-	probs := make([]float64, m.NumAtoms+1)
-	var mu sync.Mutex
-	apply := func(c wire.ShardComp) error {
-		comp := comps[c.Index]
-		if len(c.Probs) != comp.Size()+1 {
-			return fmt.Errorf("tuffy: shard marginals for component %d have %d atoms, want %d", c.Index, len(c.Probs)-1, comp.Size())
-		}
-		for i := 1; i <= comp.MRF.NumAtoms; i++ {
-			probs[comp.GlobalAtom[i]] = c.Probs[i]
-		}
-		return nil
-	}
-	run := func(ctx context.Context, idx uint32, sc *search.Scratch) error {
-		local, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo, sc)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return apply(wire.ShardComp{Index: idx, Probs: local})
-	}
-	runErr := dispatchShards(ctx, groups, replicas, req, run, func(c wire.ShardComp) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return apply(c)
-	})
-
-	res = &MarginalResult{Epoch: ep.gen}
-	for a := 1; a <= m.NumAtoms; a++ {
-		res.Probs = append(res.Probs, AtomProb{Atom: m.Atoms[a], P: probs[a]})
-	}
-	if runErr == nil && ctx.Err() != nil {
-		runErr = search.Canceled(ctx)
-	}
-	return res, true, runErr
-}
-
-// inferMAPOn executes one admitted MAP query on the given backend,
-// sharding across workers when the query decomposes and workers are
-// available, and running locally otherwise. Both paths produce
-// bit-identical answers.
-func (s *Server) inferMAPOn(ctx context.Context, eng *Engine, opts InferOptions) (*MAPResult, error) {
-	if res, handled, err := s.shardMAP(ctx, eng, opts); handled {
+// inferOn executes one admitted query on the given backend, sharding
+// across workers when the query decomposes and workers are available, and
+// running locally otherwise. Both paths produce bit-identical answers.
+func (s *Server) inferOn(ctx context.Context, k *queryKind, eng *Engine, opts InferOptions) (result, error) {
+	if res, handled, err := s.shard(ctx, k, eng, opts); handled {
 		return res, err
 	}
-	return eng.InferMAP(ctx, opts)
-}
-
-// inferMarginalOn is inferMAPOn for marginal queries.
-func (s *Server) inferMarginalOn(ctx context.Context, eng *Engine, opts InferOptions) (*MarginalResult, error) {
-	if res, handled, err := s.shardMarginal(ctx, eng, opts); handled {
-		return res, err
-	}
-	return eng.InferMarginal(ctx, opts)
+	return k.local(ctx, eng, opts)
 }

@@ -1,12 +1,12 @@
 package tuffy
 
 // Tests of the distributed inference tier end to end: a coordinator
-// Server sharding queries over real TCP workers must answer bit-
-// identically to a direct single-engine call at every worker count,
-// reject workers grounded from a different program or evidence, survive
-// a worker killed mid-query with zero failed queries, and fan evidence
-// updates out so restarted workers catch up from the journal. The CI
-// race job runs this package with -race.
+// Server over real TCP workers must reject workers grounded from a
+// different program or evidence, fan evidence updates out so restarted
+// workers catch up from the journal, and keep its persisted cache across
+// a restart. Bit-identity at every worker count, and a worker killed
+// while queries flow, are checked per kind in kinds_test.go. The CI race
+// job runs this package with -race.
 
 import (
 	"context"
@@ -85,63 +85,6 @@ func waitForWorkers(t *testing.T, srv *Server, healthy int, epoch uint64) {
 	}
 }
 
-// Sharded serving must be bit-identical to a direct engine call at every
-// worker count — the distribution contract of the component sharder.
-func TestShardedServingBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	ctx := context.Background()
-	ds := rcSmall()
-	mapQs := []InferOptions{
-		{MaxFlips: 20_000, Seed: 7},
-		{MaxFlips: 20_000, Seed: 8},
-		{MaxFlips: 5_000, Seed: 9, MaxTries: 2},
-	}
-	margQ := InferOptions{Samples: 60, Seed: 9}
-
-	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-	wantMAP := make([]*MAPResult, len(mapQs))
-	for i, q := range mapQs {
-		r, err := ref.InferMAP(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Partitions < 2 {
-			t.Fatalf("RC workload should decompose, got %d partitions", r.Partitions)
-		}
-		wantMAP[i] = r
-	}
-	wantMarg, err := ref.InferMarginal(ctx, margQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(map[int]string{1: "w1", 2: "w2", 4: "w4"}[workers], func(t *testing.T) {
-			var addrs []string
-			for w := 0; w < workers; w++ {
-				addr, stop := startEngineWorker(t, ds.Prog, ds.Ev.Clone())
-				defer stop()
-				addrs = append(addrs, addr)
-			}
-			eng := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-			srv := distServer(t, eng, addrs...)
-			waitForWorkers(t, srv, workers, 0)
-
-			for i, q := range mapQs {
-				got, err := srv.InferMAP(ctx, Request{Options: q})
-				if err != nil {
-					t.Fatalf("query %d: %v", i, err)
-				}
-				requireSameMAP(t, "sharded MAP", got, wantMAP[i])
-			}
-			gotMarg, err := srv.InferMarginal(ctx, Request{Options: margQ})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameMarginal(t, "sharded marginal", gotMarg, wantMarg)
-		})
-	}
-}
-
 // A worker grounded from different evidence must be rejected by the
 // handshake and never enter membership; queries still answer locally,
 // bit-identical.
@@ -179,43 +122,6 @@ func TestShardRejectsWorkerWithForeignEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameMAP(t, "local fallback", got, want)
-}
-
-// Killing a worker mid-run must fail zero queries: in-flight shards fall
-// back to the coordinator's pinned epoch, later queries stop sharding to
-// the dead worker, and every answer stays bit-identical.
-func TestShardKilledWorkerFailsNoQueries(t *testing.T) {
-	ctx := context.Background()
-	ds := rcSmall()
-	q := InferOptions{MaxFlips: 20_000, Seed: 7}
-
-	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-	want, err := ref.InferMAP(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a1, stop1 := startEngineWorker(t, ds.Prog, ds.Ev.Clone())
-	defer stop1()
-	a2, stop2 := startEngineWorker(t, ds.Prog, ds.Ev.Clone())
-	defer stop2()
-	eng := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-	srv := distServer(t, eng, a1, a2)
-	waitForWorkers(t, srv, 2, 0)
-
-	const queries = 12
-	killAt := 3
-	for i := 0; i < queries; i++ {
-		if i == killAt {
-			// Kill one worker while queries keep flowing.
-			go stop2()
-		}
-		got, err := srv.InferMAP(ctx, Request{Options: q})
-		if err != nil {
-			t.Fatalf("query %d failed after worker kill: %v", i, err)
-		}
-		requireSameMAP(t, "query during kill", got, want)
-	}
 }
 
 // Evidence updates fan out to live workers, and a worker that was down

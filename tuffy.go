@@ -681,15 +681,7 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 		// Hybrid fallback (Section 3.2): components whose search footprint
 		// exceeds the memory budget are searched inside the RDBMS
 		// (Tuffy-mm); the rest run in memory.
-		var inMem []*mrf.Component
-		var oversized []*partition.Part
-		for _, p := range pt.Parts {
-			if e.cfg.MemoryBudgetBytes > 0 && p.Bytes() > e.cfg.MemoryBudgetBytes {
-				oversized = append(oversized, p)
-				continue
-			}
-			inMem = append(inMem, &mrf.Component{MRF: p.Local, GlobalAtom: p.GlobalAtom})
-		}
+		inMem, oversized := e.splitParts(pt)
 		r, err := search.ComponentAware(ctx, m, inMem, search.ComponentOptions{
 			Base:        base,
 			Parallelism: opts.Parallelism,
@@ -740,6 +732,21 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 	}
 }
 
+// splitParts turns a cut-free partitioning's parts into the components
+// in-memory search runs over, setting aside the parts whose search
+// footprint exceeds the memory budget. The component list is canonical:
+// the sharder's coordinator and workers index into it (see kind.go).
+func (e *Engine) splitParts(pt *partition.Partitioning) (inMem []*mrf.Component, oversized []*partition.Part) {
+	for _, p := range pt.Parts {
+		if e.cfg.MemoryBudgetBytes > 0 && p.Bytes() > e.cfg.MemoryBudgetBytes {
+			oversized = append(oversized, p)
+			continue
+		}
+		inMem = append(inMem, &mrf.Component{MRF: p.Local, GlobalAtom: p.GlobalAtom})
+	}
+	return inMem, oversized
+}
+
 // trueAtoms maps the best state back to ground atoms inferred true.
 func trueAtoms(m *mrf.MRF, state []bool) []mln.GroundAtom {
 	if state == nil {
@@ -782,11 +789,7 @@ func (e *Engine) InferMarginal(ctx context.Context, opts InferOptions) (*Margina
 	}
 	defer release()
 	m := ep.res.MRF
-	mo := search.MCSATOptions{
-		Samples: opts.Samples,
-		BurnIn:  opts.Samples / 10,
-		Seed:    opts.Seed,
-	}
+	mo := mcsatOptions(opts.Samples, opts.Seed)
 	// The distribution factorizes over connected components, so sample
 	// each independently (and in parallel) — the marginal-inference
 	// counterpart of component-aware MAP search. With a memory budget that
@@ -806,13 +809,24 @@ func (e *Engine) InferMarginal(ctx context.Context, opts InferOptions) (*Margina
 	if err != nil && !errors.Is(err, ErrCanceled) {
 		return nil, err
 	}
-	out := &MarginalResult{Epoch: ep.gen}
+	return newMarginalResult(m, probs, ep.gen), err
+}
+
+// mcsatOptions derives MC-SAT's options from a query's canonical ones.
+func mcsatOptions(samples int, seed int64) search.MCSATOptions {
+	return search.MCSATOptions{Samples: samples, BurnIn: samples / 10, Seed: seed}
+}
+
+// newMarginalResult pairs a probability vector (indexed by MRF atom id; nil
+// when sampling was canceled before it produced one) with its atoms.
+func newMarginalResult(m *mrf.MRF, probs []float64, gen uint64) *MarginalResult {
+	out := &MarginalResult{Epoch: gen}
 	if probs != nil {
 		for a := 1; a <= m.NumAtoms; a++ {
 			out.Probs = append(out.Probs, AtomProb{Atom: m.Atoms[a], P: probs[a]})
 		}
 	}
-	return out, err
+	return out
 }
 
 // FormatAtom renders a ground atom with the engine's symbol table.

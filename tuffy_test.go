@@ -4,33 +4,29 @@ package tuffy
 // to inferred atoms, across grounders, search modes, and inference kinds.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"tuffy/internal/datagen"
 	"tuffy/internal/mln"
+	"tuffy/internal/search"
 )
 
-func figure1System(t *testing.T, cfg Config) *System {
+// mustInferMAP runs one MAP query (grounding on demand).
+func mustInferMAP(t *testing.T, eng *Engine, opts InferOptions) *MAPResult {
 	t.Helper()
-	prog, err := LoadProgramString(mln.Figure1Program)
+	res, err := eng.InferMAP(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := LoadEvidenceString(prog, mln.Figure1Evidence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(prog, ev, cfg)
+	return res
 }
 
 func TestInferMAPFigure1(t *testing.T) {
-	sys := figure1System(t, Config{MaxFlips: 50_000, Seed: 1})
-	res, err := sys.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := figure1Engine(t, EngineConfig{})
+	res := mustInferMAP(t, eng, InferOptions{MaxFlips: 50_000, Seed: 1})
 	if math.IsInf(res.Cost, 1) {
 		t.Fatal("hard clauses unsatisfied")
 	}
@@ -40,7 +36,7 @@ func TestInferMAPFigure1(t *testing.T) {
 	// P1 and P3 should adopt P2's DB label through F2/F3.
 	found := map[string]bool{}
 	for _, a := range res.TrueAtoms {
-		found[sys.FormatAtom(a)] = true
+		found[eng.FormatAtom(a)] = true
 	}
 	if !found["cat(P1, DB)"] || !found["cat(P3, DB)"] {
 		t.Fatalf("expected cat(P1,DB) and cat(P3,DB) in %v", found)
@@ -50,12 +46,11 @@ func TestInferMAPFigure1(t *testing.T) {
 func TestInferMAPModesAgreeOnCost(t *testing.T) {
 	want := -1.0
 	for _, mode := range []SearchMode{Auto, InMemoryMonolithic, InDatabase} {
-		cfg := Config{MaxFlips: 30_000, Seed: 2, Mode: mode}
+		opts := InferOptions{MaxFlips: 30_000, Seed: 2, Mode: mode}
 		if mode == InDatabase {
-			cfg.MaxFlips = 200 // table scans per flip: keep small
+			opts.MaxFlips = 200 // table scans per flip: keep small
 		}
-		sys := figure1System(t, cfg)
-		res, err := sys.InferMAP()
+		res, err := figure1Engine(t, EngineConfig{}).InferMAP(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -68,27 +63,24 @@ func TestInferMAPModesAgreeOnCost(t *testing.T) {
 }
 
 func TestGroundersAgreeThroughAPI(t *testing.T) {
-	sysB := figure1System(t, Config{Grounder: BottomUp})
-	sysT := figure1System(t, Config{Grounder: TopDown})
-	if err := sysB.Ground(); err != nil {
+	engB := figure1Engine(t, EngineConfig{Grounder: BottomUp})
+	engT := figure1Engine(t, EngineConfig{Grounder: TopDown})
+	if err := engB.Ground(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysT.Ground(); err != nil {
+	if err := engT.Ground(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sb, _ := sysB.Stats()
-	st, _ := sysT.Stats()
+	sb, _ := engB.Stats()
+	st, _ := engT.Stats()
 	if sb.NumClauses != st.NumClauses || sb.NumUsedAtoms != st.NumUsedAtoms {
 		t.Fatalf("grounders disagree: %+v vs %+v", sb, st)
 	}
 }
 
 func TestInferMAPWithClosure(t *testing.T) {
-	sys := figure1System(t, Config{MaxFlips: 50_000, Seed: 3, UseClosure: true})
-	res, err := sys.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := figure1Engine(t, EngineConfig{UseClosure: true})
+	res := mustInferMAP(t, eng, InferOptions{MaxFlips: 50_000, Seed: 3})
 	if res.Cost != 0 {
 		t.Fatalf("closure changed the optimum: %v", res.Cost)
 	}
@@ -96,11 +88,7 @@ func TestInferMAPWithClosure(t *testing.T) {
 
 func TestInferMAPPartitionedRC(t *testing.T) {
 	ds := datagen.RC(datagen.RCConfig{Papers: 120, Authors: 50, Clusters: 24, Seed: 4})
-	sys := New(ds.Prog, ds.Ev, Config{MaxFlips: 100_000, Seed: 4})
-	res, err := sys.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustInferMAP(t, mustOpen(t, ds.Prog, ds.Ev, EngineConfig{}), InferOptions{MaxFlips: 100_000, Seed: 4})
 	if res.Partitions < 2 {
 		t.Fatalf("RC should partition into components, got %d", res.Partitions)
 	}
@@ -111,24 +99,15 @@ func TestInferMAPPartitionedRC(t *testing.T) {
 
 func TestInferMAPMemoryBudgetForcesSplit(t *testing.T) {
 	ds := datagen.ER(datagen.ERConfig{Records: 24, Groups: 6, Seed: 5})
-	whole := New(ds.Prog, ds.Ev, Config{MaxFlips: 50_000, Seed: 5})
-	resW, err := whole.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := InferOptions{MaxFlips: 50_000, Seed: 5}
+	whole := mustOpen(t, ds.Prog, ds.Ev, EngineConfig{})
+	resW := mustInferMAP(t, whole, opts)
 	if resW.Partitions != 1 {
 		t.Fatalf("ER should be one component, got %d", resW.Partitions)
 	}
 	ms, _ := whole.MRFStats()
-	split := New(ds.Prog, ds.Ev, Config{
-		MaxFlips:          50_000,
-		Seed:              5,
-		MemoryBudgetBytes: ms.SearchBytes / 8,
-	})
-	resS, err := split.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	split := mustOpen(t, ds.Prog, ds.Ev, EngineConfig{MemoryBudgetBytes: ms.SearchBytes / 8})
+	resS := mustInferMAP(t, split, opts)
 	if resS.Partitions < 2 {
 		t.Fatalf("budget did not split: %d partitions", resS.Partitions)
 	}
@@ -150,15 +129,10 @@ p(thing)
 		t.Fatal(err)
 	}
 	ev := mln.NewEvidence(prog)
-	sys := New(prog, ev, Config{
-		MaxFlips:          1000,
-		Seed:              9,
+	eng := mustOpen(t, prog, ev, EngineConfig{
 		MemoryBudgetBytes: 41, // below one single-atom component's footprint
 	})
-	res, err := sys.InferMAP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustInferMAP(t, eng, InferOptions{MaxFlips: 1000, Seed: 9})
 	if res.InDBComponents == 0 {
 		t.Fatal("expected in-database fallback components")
 	}
@@ -171,17 +145,17 @@ p(thing)
 }
 
 func TestInferMarginalFigure1(t *testing.T) {
-	sys := figure1System(t, Config{Seed: 6})
-	res, err := sys.InferMarginal(300)
+	eng := figure1Engine(t, EngineConfig{})
+	res, err := eng.InferMarginal(context.Background(), InferOptions{Seed: 6, Samples: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Probs) == 0 {
 		t.Fatal("no marginals")
 	}
-	cat := sys.Prog.MustPredicate("cat")
-	net, _ := sys.Prog.Syms.Lookup("Networking")
-	db, _ := sys.Prog.Syms.Lookup("DB")
+	cat := eng.Prog().MustPredicate("cat")
+	net, _ := eng.Prog().Syms.Lookup("Networking")
+	db, _ := eng.Prog().Syms.Lookup("DB")
 	var pNet, pDB float64
 	nNet, nDB := 0, 0
 	for _, ap := range res.Probs {
@@ -211,11 +185,11 @@ func TestInferMarginalFigure1(t *testing.T) {
 }
 
 func TestStatsBeforeGroundFails(t *testing.T) {
-	sys := figure1System(t, Config{})
-	if _, err := sys.Stats(); err == nil {
+	eng := figure1Engine(t, EngineConfig{})
+	if _, err := eng.Stats(); err == nil {
 		t.Fatal("Stats before Ground should fail")
 	}
-	if _, err := sys.MRFStats(); err == nil {
+	if _, err := eng.MRFStats(); err == nil {
 		t.Fatal("MRFStats before Ground should fail")
 	}
 }
@@ -233,12 +207,8 @@ func TestLoadProgramErrors(t *testing.T) {
 func TestParallelismMatchesSequential(t *testing.T) {
 	ds := datagen.IE(datagen.IEConfig{Chains: 150, Seed: 7})
 	run := func(par int) float64 {
-		sys := New(ds.Prog, ds.Ev, Config{MaxFlips: 60_000, Seed: 7, Parallelism: par})
-		res, err := sys.InferMAP()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cost
+		eng := mustOpen(t, ds.Prog, ds.Ev, EngineConfig{})
+		return mustInferMAP(t, eng, InferOptions{MaxFlips: 60_000, Seed: 7, Parallelism: par}).Cost
 	}
 	// Per-component seeds are fixed, so the only difference is the
 	// float summation order across workers.
@@ -247,12 +217,10 @@ func TestParallelismMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTrackerThroughConfig(t *testing.T) {
-	prog, _ := LoadProgramString(mln.Figure1Program)
-	ev, _ := LoadEvidenceString(prog, mln.Figure1Evidence)
-	// Import cycle note: search.Tracker is re-exported via the Config field.
-	sys := New(prog, ev, Config{MaxFlips: 10_000, Seed: 8})
-	if _, err := sys.InferMAP(); err != nil {
-		t.Fatal(err)
+func TestTrackerThroughOptions(t *testing.T) {
+	tr := search.NewTracker()
+	mustInferMAP(t, figure1Engine(t, EngineConfig{}), InferOptions{MaxFlips: 10_000, Seed: 8, Tracker: tr})
+	if len(tr.Points()) == 0 {
+		t.Fatal("tracker observed no best-cost samples")
 	}
 }
