@@ -5,10 +5,6 @@ package tuffy_test
 // also uses, so `go test -bench=.` regenerates every experiment. Drivers
 // print their table once (on the first iteration) so bench output doubles
 // as the experiment report.
-//
-// This file is an external test package: internal/bench imports the root
-// package for the serve experiment, so importing bench from inside
-// package tuffy's own tests would cycle.
 
 import (
 	"context"
@@ -39,7 +35,6 @@ func runDriver(b *testing.B, name string, once *sync.Once, fn func(context.Conte
 var (
 	onceT1, onceT2, onceT3, onceT4, onceT5, onceT6, onceT7              sync.Once
 	onceF3, onceF4, onceF5, onceF6, onceF8, onceThm, onceAblat, onceERp sync.Once
-	onceGPar, oncePPar, onceFBatch, onceServe                           sync.Once
 )
 
 func BenchmarkTable1_DatasetStats(b *testing.B) {
@@ -100,22 +95,6 @@ func BenchmarkSection43_ERPlusScalability(b *testing.B) {
 
 func BenchmarkAblation_ActiveClosure(b *testing.B) {
 	runDriver(b, "closure", &onceAblat, bench.ClosureAblation)
-}
-
-func BenchmarkGroundingParallelism(b *testing.B) {
-	runDriver(b, "groundpar", &onceGPar, bench.GroundParallel)
-}
-
-func BenchmarkPartitionParallelism(b *testing.B) {
-	runDriver(b, "partpar", &oncePPar, bench.PartParallel)
-}
-
-func BenchmarkFlipBatch_SideTableSearch(b *testing.B) {
-	runDriver(b, "flipbatch", &onceFBatch, bench.FlipBatch)
-}
-
-func BenchmarkServe_AdmissionScheduler(b *testing.B) {
-	runDriver(b, "serve", &onceServe, bench.Serve)
 }
 
 // Micro-benchmarks of the core hot paths, for profiling regressions.

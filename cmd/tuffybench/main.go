@@ -1,6 +1,7 @@
 // Command tuffybench regenerates the tables and figures of the Tuffy paper
-// (VLDB 2011) on the synthetic workloads generated by internal/datagen,
-// and runs the regression experiments documented in docs/BENCHMARKS.md.
+// (VLDB 2011) on the synthetic workloads generated by internal/datagen.
+// docs/BENCHMARKS.md maps each experiment to the part of the paper it
+// reproduces; wall-clock regressions are judged by benchmark/, not here.
 //
 // Usage:
 //
@@ -8,40 +9,53 @@
 //	tuffybench -exp all             # everything
 //	tuffybench -exp figure6 -full   # paper-closer scale (slower)
 //
-// Experiments: table1 table2 table3 table4 table5 table6 table7 figure3
-// figure4 figure5 figure6 figure8 theorem31 erplus closure groundpar
-// partpar flipbatch serve incground recovery searchthru dist all.
-//
-// With -json DIR, each experiment additionally writes its rendered table
-// and timing to DIR/BENCH_<name>.json — the machine-readable artifact the
-// CI bench-smoke job uploads. An experiment whose enforced invariant
-// regresses (e.g. flipbatch's >=5x read reduction, serve's cache-hit
-// bit-identity) exits non-zero, failing the job.
+// `tuffybench -h` lists the experiments.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"tuffy/internal/bench"
 )
 
+// drivers is the one list of experiments: the -exp help text, the "unknown
+// experiment" message and the run loop all read it.
+var drivers = []struct {
+	name string
+	run  func(context.Context, bench.Scale) (*bench.Table, error)
+}{
+	{"table1", bench.Table1},
+	{"table2", bench.Table2},
+	{"table3", bench.Table3},
+	{"table4", bench.Table4},
+	{"table5", bench.Table5},
+	{"table6", bench.Table6},
+	{"table7", bench.Table7},
+	{"figure3", bench.Figure3},
+	{"figure4", bench.Figure4},
+	{"figure5", bench.Figure5},
+	{"figure6", bench.Figure6},
+	{"figure8", bench.Figure8},
+	{"theorem31", bench.Theorem31},
+	{"erplus", bench.ERPlus},
+	{"closure", bench.ClosureAblation},
+}
+
 func main() {
-	// A re-exec'd dist-experiment worker subprocess serves the wire
-	// protocol and exits; it must not parse flags or run experiments.
-	if bench.MaybeDistWorker() {
-		return
+	names := make([]string, len(drivers))
+	for i, d := range drivers {
+		names[i] = d.name
 	}
-	exp := flag.String("exp", "all", "experiment to run (table1..table7, figure3..figure8, theorem31, all)")
+	known := strings.Join(names, " ") + " all"
+
+	exp := flag.String("exp", "all", "experiment to run: "+known)
 	full := flag.Bool("full", false, "run at larger, paper-closer scale")
-	jsonDir := flag.String("json", "", "also write BENCH_<exp>.json files into this directory")
 	flag.Parse()
 
 	// SIGINT cancels the running experiment's searches gracefully.
@@ -51,36 +65,6 @@ func main() {
 	scale := bench.DefaultScale()
 	if *full {
 		scale = bench.FullScale()
-	}
-
-	type driver struct {
-		name string
-		run  func(context.Context, bench.Scale) (*bench.Table, error)
-	}
-	drivers := []driver{
-		{"table1", bench.Table1},
-		{"table2", bench.Table2},
-		{"table3", bench.Table3},
-		{"table4", bench.Table4},
-		{"table5", bench.Table5},
-		{"table6", bench.Table6},
-		{"table7", bench.Table7},
-		{"figure3", bench.Figure3},
-		{"figure4", bench.Figure4},
-		{"figure5", bench.Figure5},
-		{"figure6", bench.Figure6},
-		{"figure8", bench.Figure8},
-		{"theorem31", bench.Theorem31},
-		{"erplus", bench.ERPlus},
-		{"closure", bench.ClosureAblation},
-		{"groundpar", bench.GroundParallel},
-		{"partpar", bench.PartParallel},
-		{"flipbatch", bench.FlipBatch},
-		{"serve", bench.Serve},
-		{"incground", bench.IncGround},
-		{"recovery", bench.Recovery},
-		{"searchthru", bench.SearchThru},
-		{"dist", bench.Dist},
 	}
 
 	want := strings.ToLower(*exp)
@@ -96,49 +80,11 @@ func main() {
 			os.Exit(1)
 		}
 		t.Render(os.Stdout)
-		elapsed := time.Since(start)
-		fmt.Printf("(%s finished in %v)\n", d.name, elapsed.Round(time.Millisecond))
-		if *jsonDir != "" {
-			if err := writeJSON(*jsonDir, d.name, t, elapsed); err != nil {
-				fmt.Fprintf(os.Stderr, "tuffybench: %s: %v\n", d.name, err)
-				os.Exit(1)
-			}
-		}
+		fmt.Printf("(%s finished in %v)\n", d.name, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "tuffybench: unknown experiment %q\n", *exp)
+		fmt.Fprintf(os.Stderr, "tuffybench: unknown experiment %q (want one of: %s)\n", *exp, known)
 		os.Exit(2)
 	}
-}
-
-// benchJSON is the machine-readable experiment record for CI artifacts.
-// "passed" is trivially true here: a driver whose enforced invariant fails
-// returns an error and the process exits non-zero before writing anything,
-// so the field documents what a present file means.
-type benchJSON struct {
-	Experiment string     `json:"experiment"`
-	Title      string     `json:"title"`
-	Header     []string   `json:"header"`
-	Rows       [][]string `json:"rows"`
-	ElapsedMs  int64      `json:"elapsedMs"`
-	Passed     bool       `json:"passed"`
-}
-
-func writeJSON(dir, name string, t *bench.Table, elapsed time.Duration) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(benchJSON{
-		Experiment: name,
-		Title:      t.Title,
-		Header:     t.Header,
-		Rows:       t.Rows,
-		ElapsedMs:  elapsed.Milliseconds(),
-		Passed:     true,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), append(b, '\n'), 0o644)
 }

@@ -176,7 +176,7 @@ func main() {
 	}, engines...)
 	fatalIf(err)
 
-	h := &handler{srv: srv, fmtEngine: engines[0], maxInFlight: *inflight}
+	h := &handler{srv: srv, fmtEngine: engines[0]}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /infer", h.infer)
 	mux.HandleFunc("POST /evidence", h.evidence)
@@ -239,7 +239,8 @@ func main() {
 			}
 		}
 	}()
-	log.Printf("tuffyd serving on %s (inflight=%d queue=%d lanes=%d)", *addr, *inflight, *queue, *lanes)
+	eff := srv.Config()
+	log.Printf("tuffyd serving on %s (inflight=%d queue=%d lanes=%d)", *addr, eff.MaxInFlight, eff.MaxQueue, eff.Priorities)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatalIf(err)
 	}
@@ -292,9 +293,6 @@ type handler struct {
 	// fmtEngine renders atoms with the program's symbol table (all
 	// replicas share one program).
 	fmtEngine *tuffy.Engine
-	// maxInFlight mirrors the server's execution-slot count for the
-	// Retry-After estimate on 429s.
-	maxInFlight int
 }
 
 func (h *handler) infer(w http.ResponseWriter, r *http.Request) {
@@ -526,7 +524,9 @@ func (h *handler) reject(w http.ResponseWriter, err error) {
 
 func (h *handler) retryAfterSeconds() int64 {
 	m := h.srv.Metrics()
-	return retryAfterHint(m.AvgLatency(), m.Queued+m.InFlight, h.maxInFlight)
+	// The slot count is the server's, not the -inflight flag's: Serve
+	// replaces a non-positive value with its default.
+	return retryAfterHint(m.AvgLatency(), m.Queued+m.InFlight, h.srv.Config().MaxInFlight)
 }
 
 // retryAfterHint estimates the wait for the whole queue ahead of a retry
@@ -535,11 +535,15 @@ func (h *handler) retryAfterSeconds() int64 {
 // only — cache hits and batch-absorbed queries are excluded from
 // Metrics.AvgLatency precisely so this estimate doesn't collapse toward
 // zero under a hit- or batch-heavy mix. Before any query completes the
-// average defaults to one second; the result is clamped to [1s, 60s] so
-// clients always get a sane, bounded hint.
+// average defaults to one second and a slot count below one counts as one;
+// the result is clamped to [1s, 60s] so clients always get a sane, bounded
+// hint.
 func retryAfterHint(avg time.Duration, waiting int64, maxInFlight int) int64 {
 	if avg <= 0 {
 		avg = time.Second
+	}
+	if maxInFlight < 1 {
+		maxInFlight = 1
 	}
 	est := avg * time.Duration(waiting+1) / time.Duration(maxInFlight)
 	secs := int64((est + time.Second - 1) / time.Second)

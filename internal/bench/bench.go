@@ -2,7 +2,7 @@
 // and figure of the Tuffy paper's evaluation (Section 4 and appendices).
 // Each driver is used both by cmd/tuffybench (human-readable output) and by
 // the root bench_test.go (go test -bench). docs/BENCHMARKS.md maps each
-// experiment to what it measures and the invariants it enforces.
+// experiment to the table or figure it reproduces.
 package bench
 
 import (

@@ -65,7 +65,6 @@ func TestAllDriversAtTinyScale(t *testing.T) {
 		{"theorem31", 5, Theorem31},
 		{"erplus", 3, ERPlus},
 		{"closure", 4, ClosureAblation},
-		{"flipbatch", 3, FlipBatch},
 	}
 	for _, d := range drivers {
 		d := d

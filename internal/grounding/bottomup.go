@@ -22,15 +22,11 @@ type Options struct {
 	// Workers is the number of concurrent grounding workers for the
 	// bottom-up strategy; values below 2 ground sequentially. The grounding
 	// result is identical for every worker count: task outputs are merged
-	// in clause-ID-then-range order before MRF atom renumbering.
+	// in clause-ID-then-range order before MRF atom renumbering. A clause
+	// whose estimated cost exceeds a fair share of the total is partitioned
+	// into Workers hash ranges of a join variable and the ranges ground
+	// concurrently.
 	Workers int
-	// ClauseLevelOnly disables intra-clause hash-range parallelism (the
-	// lesion): the worker pool schedules whole clauses only, so the
-	// parallel speedup caps at the most expensive clause's query. With it
-	// unset, a clause whose estimated cost exceeds a fair share of the
-	// total is partitioned into Workers hash ranges of a join variable and
-	// the ranges ground concurrently.
-	ClauseLevelOnly bool
 }
 
 // rawClause is a ground clause before MRF atom renumbering: parallel slices
@@ -90,9 +86,6 @@ func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClaus
 	}
 
 	workers := opts.Workers
-	if opts.ClauseLevelOnly && workers > len(run) {
-		workers = len(run)
-	}
 	if workers <= 1 || len(run) == 0 {
 		perErr := make([]error, len(clauses))
 		for _, i := range run {
@@ -117,10 +110,7 @@ func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClaus
 		}
 		comps[i] = comp
 	}
-	splits := map[int]int{}
-	if !opts.ClauseLevelOnly {
-		splits = planSplits(ts, comps, run, workers)
-	}
+	splits := planSplits(ts, comps, run, workers)
 
 	type task struct{ clause, rng int } // rng < 0: whole clause
 	var tasks []task

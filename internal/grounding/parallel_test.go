@@ -136,10 +136,10 @@ func TestGroundBottomUpParallelWithClosure(t *testing.T) {
 
 // TestGroundBottomUpLesionBitIdentity grounds IE and RC (plus ER, the
 // single-dominant-clause workload the hash-range planner exists for) at 1,
-// 2, 4 and 8 workers, with the intra-clause planner on and with the
-// clause-level lesion, and requires every combination to produce the same
-// result bit for bit — split decisions and range merges must be invisible
-// in the output.
+// 2, 4 and 8 workers against the sequential path, which never splits a
+// clause, and requires every worker count to produce the same result bit
+// for bit — split decisions and range merges must be invisible in the
+// output.
 func TestGroundBottomUpLesionBitIdentity(t *testing.T) {
 	for _, ds := range []*datagen.Dataset{
 		datagen.IE(datagen.IEConfig{Chains: 150, Seed: 21}),
@@ -156,14 +156,11 @@ func TestGroundBottomUpLesionBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			for _, lesion := range []bool{false, true} {
-				par, err := GroundBottomUp(context.Background(), ts,
-					Options{Workers: workers, ClauseLevelOnly: lesion})
-				if err != nil {
-					t.Fatalf("%s (%d workers, lesion=%v): %v", ds.Name, workers, lesion, err)
-				}
-				assertIdentical(t, fmt.Sprintf("%s/%dw/lesion=%v", ds.Name, workers, lesion), seq, par)
+			par, err := GroundBottomUp(context.Background(), ts, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s (%d workers): %v", ds.Name, workers, err)
 			}
+			assertIdentical(t, fmt.Sprintf("%s/%dw", ds.Name, workers), seq, par)
 		}
 	}
 }

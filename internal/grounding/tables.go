@@ -9,10 +9,9 @@
 // The bottom-up grounder parallelizes with Options.Workers: clauses ground
 // concurrently, and a clause whose optimizer-estimated cost dominates the
 // workload is further split into hash ranges of a join variable so one
-// heavy clause cannot serialize the phase (Options.ClauseLevelOnly is the
-// lesion that turns the splitting off). Every schedule merges task outputs
-// in clause-then-range order and canonicalizes once per clause, so the MRF
-// is bit-identical across worker counts and split decisions. The
+// heavy clause cannot serialize the phase. Every schedule merges task
+// outputs in clause-then-range order and canonicalizes once per clause, so
+// the MRF is bit-identical across worker counts and split decisions. The
 // Incremental wrapper reuses the same machinery to re-ground only the
 // clauses an evidence delta touches.
 package grounding

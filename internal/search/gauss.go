@@ -46,7 +46,8 @@ type GaussSeidelOptions struct {
 	// its cut neighbours' merges allow and dispatches ready partitions
 	// largest-first, so one oversized partition no longer serializes its
 	// whole class. Both schedules produce bit-identical results; the
-	// barrier is kept as the lesion baseline for benchmarks.
+	// barrier is kept as the plainly sequential reference schedule for
+	// tests (TestGaussSeidelBalancedMatchesBarrier).
 	ClassBarrier bool
 }
 

@@ -60,7 +60,7 @@ func TestGaussSeidelParallelDeterminism(t *testing.T) {
 // TestGaussSeidelBalancedMatchesBarrier pins the balanced pipelined
 // schedule to the legacy class-barrier schedule: identical best state,
 // cost, flip count, and tracker trajectory at every worker count. The
-// barrier path is the lesion baseline — only wall-clock may differ.
+// barrier path is the reference schedule — only wall-clock may differ.
 func TestGaussSeidelBalancedMatchesBarrier(t *testing.T) {
 	m := datagen.Example2(6)
 	pt := partition.Algorithm3(m, 50)

@@ -452,8 +452,8 @@ func TestSideWalkSATReadsFractionOfScan(t *testing.T) {
 	if rSide.BestCost != rScan.BestCost || rSide.Flips != rScan.Flips {
 		t.Fatalf("variants diverge: %v/%d vs %v/%d", rSide.BestCost, rSide.Flips, rScan.BestCost, rScan.Flips)
 	}
-	if sideReads*4 >= scanReads {
-		t.Fatalf("side flip loop read %d pages vs scan %d — expected <1/4", sideReads, scanReads)
+	if sideReads*5 > scanReads {
+		t.Fatalf("side flip loop read %d pages vs scan %d — expected at most 1/5", sideReads, scanReads)
 	}
 }
 

@@ -304,10 +304,9 @@ func testCache(t *testing.T, row kindRow) {
 }
 
 // Queued identical queries are absorbed into one run, each answer
-// bit-identical to a direct call — unless batching is disabled, the
-// queries carry Trackers, or an evidence update lands between their
-// admission and the run: then nothing may be published to them and each
-// recomputes on the new epoch.
+// bit-identical to a direct call — unless the queries carry Trackers or
+// an evidence update lands between their admission and the run: then
+// nothing may be published to them and each recomputes on the new epoch.
 func testBatching(t *testing.T, row kindRow) {
 	ctx := context.Background()
 	const followers = 4
@@ -336,10 +335,6 @@ func testBatching(t *testing.T, row kindRow) {
 	t.Run("absorbed", func(t *testing.T) {
 		got, m := stageFollowers(t, row, updatableContradiction(t, "e(A)"), ServerConfig{}, followers, same, nil)
 		check(t, got, m, direct("e(A)"), 0, followers-1)
-	})
-	t.Run("disabled", func(t *testing.T) {
-		got, m := stageFollowers(t, row, updatableContradiction(t, "e(A)"), ServerConfig{DisableBatching: true}, followers, same, nil)
-		check(t, got, m, direct("e(A)"), 0, 0)
 	})
 	t.Run("tracker-never-batched", func(t *testing.T) {
 		tracked := func(int) Request {

@@ -109,6 +109,13 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameMarginal(t, "warm marginal", gotMarg, wantMarg)
+	// This is what makes a clean reopen cheaper than the cold Ground it
+	// replaces, on any host: opening and answering both query kinds built
+	// no predicate table and no grounder.
+	if warm.tables != nil || warm.inc != nil || warm.dur.pending == nil {
+		t.Fatalf("clean reopen rebuilt grounding state before the first update (tables %v, grounder %v, pending %v)",
+			warm.tables != nil, warm.inc != nil, warm.dur.pending != nil)
+	}
 
 	// The clean reopen deferred the table and grounder rebuild; the first
 	// update pays for it. The materialized state must compose exactly: the
@@ -116,6 +123,9 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	// applied the same two deltas.
 	u2 := datagen.RandomDelta(ds, "hint", 8, 43)
 	warmUR := mustUpdate(t, warm, u2)
+	if warm.tables == nil || warm.inc == nil || warm.dur.pending != nil {
+		t.Fatal("first update on a warm engine did not materialize the pending grounding state")
+	}
 	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
 	mustUpdate(t, ref, datagen.RandomDelta(ds, "hint", 8, 42))
 	refUR := mustUpdate(t, ref, u2)

@@ -7,8 +7,8 @@ package tuffy
 // InferOptions, and metrics. Server.UpdateEvidence propagates live
 // evidence deltas to every backend and sweeps the cache entries the new
 // epoch superseded. It is the heavy-traffic front door: cmd/tuffyd exposes
-// it over HTTP (including POST /evidence), and `tuffybench -exp serve`
-// measures it under concurrent clients.
+// it over HTTP (including POST /evidence), and benchmark/'s rc-serve
+// workload measures it under concurrent clients.
 
 import (
 	"context"
@@ -72,18 +72,6 @@ type ServerConfig struct {
 	// admission; it covers queue wait plus execution, through the same
 	// context plumbing every search loop already honors. 0 = none.
 	MaxQueryTime time.Duration
-
-	// DisableBatching turns off batch absorption of compatible queued
-	// queries. By default, when a query finishes and queued queries would
-	// produce the bit-identical answer — same canonical options, admitted
-	// on the same epoch, and carrying no Tracker — those queued queries are
-	// completed with a copy of the finished run's result instead of each
-	// consuming an execution slot (they count in Metrics.Batched). A query
-	// with a Tracker always gets its own run, and an evidence update
-	// between a follower's admission and the leader's finish disqualifies
-	// absorption, so batching never changes an answer — only the number of
-	// search passes behind a burst of identical queries.
-	DisableBatching bool
 
 	// CacheEntries bounds the result cache (0 = default 4096, negative =
 	// caching disabled). Keys carry the epoch that produced the answer, so
@@ -248,6 +236,10 @@ func (s *Server) Workers() []WorkerStatus {
 	return s.pool.Status()
 }
 
+// Config returns the configuration the server runs with: the one passed to
+// Serve with every defaulted field filled in.
+func (s *Server) Config() ServerConfig { return s.cfg }
+
 // generation is the epoch the server currently serves. Backends move
 // through epochs in lockstep (UpdateEvidence applies each delta to all of
 // them under one lock), so the first backend is representative.
@@ -385,19 +377,17 @@ func (s *Server) infer(ctx context.Context, k *queryKind, req Request) (result, 
 	current := epochKey(gen, base)
 	// Tracker-free queries are batchable: the key ties the canonical
 	// options to the admission epoch, so only queries whose answers are
-	// interchangeable ever share one run.
-	var key string
+	// interchangeable ever share one run. When one finishes, queued queries
+	// with the same key complete with a copy of its result instead of each
+	// consuming an execution slot (they count in Metrics.Batched).
+	key := current
 	if opts.Tracker != nil {
 		// A Tracker needs a real run to observe; the query skips the lookup
-		// (and batching) but still fills the cache.
+		// (and, with an empty key, batching) but still fills the cache.
 		s.counters.CacheMisses.Add(1)
-	} else {
-		if v, ok := s.cache.Get(current); ok {
-			return v.(result).clone(), nil
-		}
-		if !s.cfg.DisableBatching {
-			key = current
-		}
+		key = ""
+	} else if v, ok := s.cache.Get(current); ok {
+		return v.(result).clone(), nil
 	}
 	var res result
 	var runErr error

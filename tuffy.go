@@ -125,12 +125,6 @@ type EngineConfig struct {
 	// worker count; see grounding.Options.Workers.
 	GroundWorkers int
 
-	// GroundClauseLevelOnly restricts the parallel grounder to whole-clause
-	// tasks (the lesion for the hash-range planner): speedup then caps at
-	// the heaviest clause's query. Off by default; see
-	// grounding.Options.ClauseLevelOnly.
-	GroundClauseLevelOnly bool
-
 	// MemoEntries bounds the component-granular result memo shared by every
 	// MAP query (0 = default 8192, negative = disabled). The memo keys
 	// per-component search outcomes by the component's content, so entries
@@ -493,9 +487,8 @@ func (e *Engine) ground(ctx context.Context) error {
 	}
 	e.tables = ts
 	opts := grounding.Options{
-		UseClosure:      e.cfg.UseClosure,
-		Workers:         e.cfg.GroundWorkers,
-		ClauseLevelOnly: e.cfg.GroundClauseLevelOnly,
+		UseClosure: e.cfg.UseClosure,
+		Workers:    e.cfg.GroundWorkers,
 	}
 	var res *grounding.Result
 	switch e.cfg.Grounder {
