@@ -1,7 +1,9 @@
 package grounding
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"tuffy/internal/mln"
 	"tuffy/internal/mrf"
@@ -18,7 +20,7 @@ import (
 // maintains exactly that function under raw-level diffs: per-clause-key
 // contribution counts, per-atom occurrence counts, and the two sorted
 // orders, so one update costs O(diff) bookkeeping plus an O(output) array
-// rebuild — no maps on the hot path — while staying bit-identical to a
+// rebuild that touches no map — while staying bit-identical to a
 // fresh finish() over the same raws.
 //
 // Weight exactness: all raws of one first-order clause carry the same
@@ -53,8 +55,13 @@ type incAssembler struct {
 	atomsDirty bool
 
 	entries map[string]*accEntry
-	keys    []string // sorted entry keys
-	live    bool     // sorted orders maintained eagerly (post-build)
+	order   []*accEntry // entries sorted by key
+	live    bool        // sorted orders maintained eagerly (post-build)
+
+	// canonLits scratch, reused across raws.
+	litBuf  []uint64
+	descBuf []string
+	keyBuf  []byte
 
 	// Epoch-shared caches, replaced (never mutated) when the atom set
 	// changes so previously returned Results stay frozen.
@@ -84,11 +91,11 @@ func (a *incAssembler) desc(aid int64) string {
 }
 
 // build ingests every cached raw grounding, then establishes the sorted
-// orders. Used once at NewIncremental; later diffs go through apply.
-func (a *incAssembler) build(perClause [][]rawClause) {
-	for i, raws := range perClause {
-		for _, r := range raws {
-			a.addRaw(i, r, nil)
+// orders. Used once, by ensureAssembler; later diffs go through apply.
+func (a *incAssembler) build(perClause []RawSet) {
+	for i, s := range perClause {
+		for j := 0; j < s.n(); j++ {
+			a.addRaw(i, s.weight, s.raw(j), nil)
 		}
 	}
 	a.atomKeys = make([]string, 0, len(a.atomCount))
@@ -104,105 +111,105 @@ func (a *incAssembler) build(perClause [][]rawClause) {
 	for i, k := range a.atomKeys {
 		a.atomAids[i] = byDesc[k]
 	}
-	a.keys = make([]string, 0, len(a.entries))
-	for k := range a.entries {
-		a.keys = append(a.keys, k)
-	}
-	sort.Strings(a.keys)
+	a.order = make([]*accEntry, 0, len(a.entries))
 	for _, e := range a.entries {
 		a.recalc(e)
+		a.order = append(a.order, e)
 	}
+	slices.SortFunc(a.order, func(x, y *accEntry) int { return strings.Compare(x.key, y.key) })
 	a.atomsDirty = true
 	a.live = true
 }
 
 // apply folds one clause's raw-level diff into the maintained state.
-func (a *incAssembler) apply(clauseIdx int, added, removed []rawClause) {
-	dirty := make(map[string]*accEntry)
-	for _, r := range removed {
-		a.removeRaw(clauseIdx, r, dirty)
+func (a *incAssembler) apply(clauseIdx int, added, removed RawSet) {
+	dirty := make(map[*accEntry]struct{})
+	for j := 0; j < removed.n(); j++ {
+		a.removeRaw(clauseIdx, removed.weight, removed.raw(j), dirty)
 	}
-	for _, r := range added {
-		a.addRaw(clauseIdx, r, dirty)
+	for j := 0; j < added.n(); j++ {
+		a.addRaw(clauseIdx, added.weight, added.raw(j), dirty)
 	}
-	for _, e := range dirty {
+	for e := range dirty {
 		a.recalc(e)
 	}
 }
 
 // canonLits sorts one raw's literals into descriptor order and
-// deduplicates, mirroring sortLits+dedupLits. ok=false means tautology.
-func (a *incAssembler) canonLits(r rawClause) (aids []int64, pos []bool, key string, ok bool) {
-	n := len(r.aids)
-	litKeys := make([]string, n)
-	aids = append([]int64(nil), r.aids...)
-	pos = append([]bool(nil), r.pos...)
-	for i := range aids {
-		s := byte(0)
-		if pos[i] {
-			s = 1
-		}
-		litKeys[i] = a.desc(aids[i]) + string([]byte{s})
+// deduplicates, mirroring sortLits+dedupLits, and renders the clause key
+// (each literal's atom descriptor followed by its sign byte). Both results
+// alias scratch buffers valid until the next call; ok=false means tautology.
+func (a *incAssembler) canonLits(raw []uint64) (lits []uint64, key []byte, ok bool) {
+	lits = append(a.litBuf[:0], raw...)
+	descs := a.descBuf[:0]
+	for _, v := range lits {
+		descs = append(descs, a.desc(int64(v>>1)))
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && litKeys[j] < litKeys[j-1]; j-- {
-			litKeys[j], litKeys[j-1] = litKeys[j-1], litKeys[j]
-			aids[j], aids[j-1] = aids[j-1], aids[j]
-			pos[j], pos[j-1] = pos[j-1], pos[j]
+	a.litBuf, a.descBuf = lits, descs
+	// Descriptors of distinct atoms are never prefixes of one another, so
+	// (descriptor, sign) order is the order of the concatenated literal keys.
+	less := func(i, j int) bool {
+		if descs[i] != descs[j] {
+			return descs[i] < descs[j]
+		}
+		return lits[i]&1 < lits[j]&1
+	}
+	for i := 1; i < len(lits); i++ {
+		for j := i; j > 0 && less(j, j-1); j-- {
+			descs[j], descs[j-1] = descs[j-1], descs[j]
+			lits[j], lits[j-1] = lits[j-1], lits[j]
 		}
 	}
+	key = a.keyBuf[:0]
 	w := 0
-	for i := 0; i < n; i++ {
-		if w > 0 && aids[i] == aids[w-1] {
-			if pos[i] == pos[w-1] {
+	for i, v := range lits {
+		if w > 0 && v>>1 == lits[w-1]>>1 {
+			if v == lits[w-1] {
 				continue // duplicate literal
 			}
-			return nil, nil, "", false // x v !x: tautology
+			return nil, nil, false // x v !x: tautology
 		}
-		aids[w], pos[w], litKeys[w] = aids[i], pos[i], litKeys[i]
+		lits[w] = v
 		w++
+		key = append(append(key, descs[i]...), byte(v&1))
 	}
-	aids, pos, litKeys = aids[:w], pos[:w], litKeys[:w]
-	total := 0
-	for _, k := range litKeys {
-		total += len(k)
-	}
-	b := make([]byte, 0, total)
-	for _, k := range litKeys {
-		b = append(b, k...)
-	}
-	return aids, pos, string(b), true
+	a.keyBuf = key
+	return lits[:w], key, true
 }
 
-func (a *incAssembler) addRaw(clauseIdx int, r rawClause, dirty map[string]*accEntry) {
+func (a *incAssembler) addRaw(clauseIdx int, weight float64, raw []uint64, dirty map[*accEntry]struct{}) {
 	a.raw++
-	a.wPer[clauseIdx] = r.weight
-	if len(r.aids) == 0 {
-		if r.weight > 0 {
+	a.wPer[clauseIdx] = weight
+	if len(raw) == 0 {
+		if weight > 0 {
 			a.fixedCounts[clauseIdx]++
 			a.fixedN++
 		}
 		return
 	}
-	for _, aid := range r.aids {
+	for _, v := range raw {
+		aid := int64(v >> 1)
 		a.atomCount[aid]++
 		if a.atomCount[aid] == 1 && a.live {
 			a.insertAtom(aid)
 		}
 	}
-	aids, pos, key, ok := a.canonLits(r)
+	lits, key, ok := a.canonLits(raw)
 	if !ok {
 		return
 	}
-	e := a.entries[key]
+	e := a.entries[string(key)]
 	if e == nil {
-		e = &accEntry{key: key, aids: aids, pos: pos, counts: make([]int32, len(a.wPer))}
-		a.entries[key] = e
+		e = &accEntry{key: string(key), aids: make([]int64, len(lits)), pos: make([]bool, len(lits)), counts: make([]int32, len(a.wPer))}
+		for i, v := range lits {
+			e.aids[i], e.pos[i] = int64(v>>1), v&1 == 1
+		}
+		a.entries[e.key] = e
 		if a.live {
-			i := sort.SearchStrings(a.keys, key)
-			a.keys = append(a.keys, "")
-			copy(a.keys[i+1:], a.keys[i:])
-			a.keys[i] = key
+			i := a.search(e.key)
+			a.order = append(a.order, nil)
+			copy(a.order[i+1:], a.order[i:])
+			a.order[i] = e
 			if !a.atomsDirty {
 				e.lits = a.translate(e)
 			}
@@ -211,42 +218,47 @@ func (a *incAssembler) addRaw(clauseIdx int, r rawClause, dirty map[string]*accE
 	e.counts[clauseIdx]++
 	e.total++
 	if dirty != nil {
-		dirty[key] = e
+		dirty[e] = struct{}{}
 	}
 }
 
-func (a *incAssembler) removeRaw(clauseIdx int, r rawClause, dirty map[string]*accEntry) {
+func (a *incAssembler) removeRaw(clauseIdx int, weight float64, raw []uint64, dirty map[*accEntry]struct{}) {
 	a.raw--
-	if len(r.aids) == 0 {
-		if r.weight > 0 {
+	if len(raw) == 0 {
+		if weight > 0 {
 			a.fixedCounts[clauseIdx]--
 			a.fixedN--
 		}
 		return
 	}
-	for _, aid := range r.aids {
+	for _, v := range raw {
+		aid := int64(v >> 1)
 		a.atomCount[aid]--
 		if a.atomCount[aid] == 0 {
 			delete(a.atomCount, aid)
 			a.removeAtom(aid)
 		}
 	}
-	aids, _, key, ok := a.canonLits(r)
-	_ = aids
+	_, key, ok := a.canonLits(raw)
 	if !ok {
 		return
 	}
-	e := a.entries[key]
+	e := a.entries[string(key)]
 	e.counts[clauseIdx]--
 	e.total--
 	if e.total == 0 {
-		delete(a.entries, key)
-		delete(dirty, key)
-		i := sort.SearchStrings(a.keys, key)
-		a.keys = append(a.keys[:i], a.keys[i+1:]...)
+		delete(a.entries, e.key)
+		delete(dirty, e)
+		i := a.search(e.key)
+		a.order = append(a.order[:i], a.order[i+1:]...)
 		return
 	}
-	dirty[key] = e
+	dirty[e] = struct{}{}
+}
+
+// search returns the position of key in the sorted entry order.
+func (a *incAssembler) search(key string) int {
+	return sort.Search(len(a.order), func(i int) bool { return a.order[i].key >= key })
 }
 
 func (a *incAssembler) insertAtom(aid int64) {
@@ -312,7 +324,7 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 			atoms[id] = a.ts.Atom(aid)
 		}
 		a.aidToID, a.tableAid, a.atoms = aidToID, tableAid, atoms
-		for _, e := range a.entries {
+		for _, e := range a.order {
 			e.lits = a.translate(e)
 		}
 		a.atomsDirty = false
@@ -326,9 +338,8 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 		}
 	}
 	m.FixedCost = fixed
-	clauses := make([]mrf.Clause, 0, len(a.keys))
-	for _, k := range a.keys {
-		e := a.entries[k]
+	clauses := make([]mrf.Clause, 0, len(a.order))
+	for _, e := range a.order {
 		if e.weight == 0 {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,77 @@ type rawClause struct {
 	pos    []bool
 }
 
+// RawSet is one first-order clause's canonical raw groundings in the flat,
+// pointer-free form the incremental grounder retains between updates (and
+// the snapshot stores): raw j's literals are lits[off[j]:off[j+1]], each
+// encoded aid<<1|positive. All raws of one clause carry the clause's weight.
+// Two allocations per clause instead of two per raw, and nothing in them for
+// the garbage collector to scan.
+type RawSet struct {
+	weight float64
+	off    []uint32
+	lits   []uint64
+}
+
+func (s RawSet) n() int { return max(len(s.off)-1, 0) }
+
+func (s RawSet) raw(j int) []uint64 { return s.lits[s.off[j]:s.off[j+1]] }
+
+// appendRaw adds one raw grounding (diff sets are built this way; cached
+// sets are sized exactly by flattenRaws).
+func (s *RawSet) appendRaw(lits []uint64) {
+	if len(s.off) == 0 {
+		s.off = append(s.off, 0)
+	}
+	s.lits = append(s.lits, lits...)
+	s.off = append(s.off, uint32(len(s.lits)))
+}
+
+// flattenRaws packs one clause's canonical raw groundings into a RawSet,
+// preserving their order.
+func flattenRaws(raws []rawClause) RawSet {
+	if len(raws) == 0 {
+		return RawSet{}
+	}
+	total := 0
+	for i := range raws {
+		total += len(raws[i].aids)
+	}
+	s := RawSet{weight: raws[0].weight, off: make([]uint32, len(raws)+1), lits: make([]uint64, 0, total)}
+	for i, r := range raws {
+		for k, aid := range r.aids {
+			v := uint64(aid) << 1
+			if r.pos[k] {
+				v |= 1
+			}
+			s.lits = append(s.lits, v)
+		}
+		s.off[i+1] = uint32(len(s.lits))
+	}
+	return s
+}
+
+// expandRaws is flattenRaws' inverse, for the one consumer that still folds
+// whole raw lists: assembleResult under the active closure, which has no
+// incremental form.
+func expandRaws(sets []RawSet) [][]rawClause {
+	out := make([][]rawClause, len(sets))
+	for i, s := range sets {
+		aids := make([]int64, len(s.lits))
+		pos := make([]bool, len(s.lits))
+		for k, v := range s.lits {
+			aids[k], pos[k] = int64(v>>1), v&1 == 1
+		}
+		raws := make([]rawClause, s.n())
+		for j := range raws {
+			lo, hi := s.off[j], s.off[j+1]
+			raws[j] = rawClause{weight: s.weight, aids: aids[lo:hi:hi], pos: pos[lo:hi:hi]}
+		}
+		out[i] = raws
+	}
+	return out
+}
+
 // GroundBottomUp grounds the program by compiling one SQL query per clause
 // and executing it on the RDBMS (the paper's Section 3.1). The join order
 // and algorithms are chosen by the engine's optimizer, subject to the
@@ -58,7 +130,7 @@ func GroundBottomUp(ctx context.Context, ts *TableSet, opts Options) (*Result, e
 	if err := groundSelectedSQL(ctx, ts, opts, perClause, perStats, nil); err != nil {
 		return nil, err
 	}
-	return assembleResult(ts, perClause, perStats, opts, true), nil
+	return assembleResult(ts, perClause, perStats, opts), nil
 }
 
 // groundSelectedSQL compiles and executes the grounding query of every
@@ -252,10 +324,10 @@ func planSplits(ts *TableSet, comps []*Compiled, run []int, workers int) map[int
 
 // assembleResult merges per-clause raw groundings in clause-ID order, applies
 // the optional active closure, and folds everything through the clause
-// accumulator. With release set, each per-clause slice is dropped as it is
-// merged so the merge does not hold two copies of the ground clauses; the
-// incremental grounder passes release=false to keep its cache.
-func assembleResult(ts *TableSet, perClause [][]rawClause, perStats []Stats, opts Options, release bool) *Result {
+// accumulator. Each per-clause slice is dropped as it is merged so the merge
+// does not hold two copies of the ground clauses; the incremental grounder
+// keeps its own flat copy (flattenRaws).
+func assembleResult(ts *TableSet, perClause [][]rawClause, perStats []Stats, opts Options) *Result {
 	total := 0
 	for i := range perClause {
 		total += len(perClause[i])
@@ -264,9 +336,7 @@ func assembleResult(ts *TableSet, perClause [][]rawClause, perStats []Stats, opt
 	stats := Stats{}
 	for i := range perClause {
 		raws = append(raws, perClause[i]...)
-		if release {
-			perClause[i] = nil
-		}
+		perClause[i] = nil
 		stats.JoinRowsVisited += perStats[i].JoinRowsVisited
 		if perStats[i].PeakBytes > stats.PeakBytes {
 			stats.PeakBytes = perStats[i].PeakBytes
@@ -651,13 +721,7 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 		g = groupState{}
 	}
 
-	uKey := func(r []int64) string {
-		var kb strings.Builder
-		for i := 0; i < nU; i++ {
-			fmt.Fprintf(&kb, "%d,", r[2*i])
-		}
-		return kb.String()
-	}
+	var keyBuf []byte
 
 	for _, row := range rows.Data {
 		for i := range intRow {
@@ -683,11 +747,13 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 			out = append(out, rawClause{weight: c.Weight, aids: aids, pos: pos})
 			continue
 		}
-		key := uKey(intRow)
-		witnessed[key] = true
-		if !g.valid || g.key != key {
+		// One string per group, not per row: the comparison and the map
+		// lookup on string(keyBuf) do not allocate.
+		keyBuf = appendUKey(keyBuf[:0], intRow, nU)
+		if !g.valid || g.key != string(keyBuf) {
 			flush()
-			g = groupState{key: key, valid: true, aids: aids, pos: pos}
+			g = groupState{key: string(keyBuf), valid: true, aids: aids, pos: pos}
+			witnessed[g.key] = true
 		}
 		for j := range comp.ELits {
 			eaid := intRow[eBase+2*j]
@@ -712,6 +778,16 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 		out = append(out, extra...)
 	}
 	return out, nil
+}
+
+// appendUKey renders the group key of one joined row: the aids of its nU
+// universal literals.
+func appendUKey(buf []byte, row []int64, nU int) []byte {
+	for i := 0; i < nU; i++ {
+		buf = strconv.AppendInt(buf, row[2*i], 10)
+		buf = append(buf, ',')
+	}
+	return buf
 }
 
 // existentialFallback grounds the universal part alone to catch bindings
@@ -752,6 +828,7 @@ func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *claus
 	width := pcBase + uComp.pcWidth()
 	intRow := make([]int64, width)
 	var out []rawClause
+	var keyBuf []byte
 	for _, row := range uRows.Data {
 		for i := range intRow {
 			intRow[i] = row[i].I
@@ -759,11 +836,8 @@ func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *claus
 		if evalPostClosed(ts, uComp, intRow, pcBase) {
 			continue
 		}
-		var kb strings.Builder
-		for i := 0; i < nU; i++ {
-			fmt.Fprintf(&kb, "%d,", intRow[2*i])
-		}
-		if witnessed[kb.String()] {
+		keyBuf = appendUKey(keyBuf[:0], intRow, nU)
+		if witnessed[string(keyBuf)] {
 			continue
 		}
 		var aids []int64

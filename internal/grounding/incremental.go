@@ -2,8 +2,9 @@ package grounding
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"strings"
+	"time"
 
 	"tuffy/internal/db/tuple"
 	"tuffy/internal/mln"
@@ -42,40 +43,59 @@ type Incremental struct {
 	TS   *TableSet
 	Opts Options
 
-	perClause [][]rawClause
+	perClause []RawSet
 	perStats  []Stats
 	provs     []map[*mln.Predicate]bool
 
 	// asm maintains the canonical assembled Result under raw-level diffs,
-	// making Reground O(diff + output) instead of O(total raws). The active
-	// closure is a whole-MRF transform with no incremental form, so with
-	// UseClosure the assembler stays nil and Reground re-folds from scratch.
+	// making Reground O(diff + output) instead of O(total raws). Only an
+	// update reads it, so it is built from perClause by the first Reground
+	// (ensureAssembler): an engine that only answers queries holds the
+	// network and the flat raws, nothing else. The active closure is a
+	// whole-MRF transform with no incremental form, so with UseClosure the
+	// assembler stays nil and Reground re-folds from scratch.
 	asm *incAssembler
+}
+
+func newIncremental(ts *TableSet, opts Options, perClause []RawSet, perStats []Stats) *Incremental {
+	inc := &Incremental{
+		TS:        ts,
+		Opts:      opts,
+		perClause: perClause,
+		perStats:  perStats,
+		provs:     make([]map[*mln.Predicate]bool, len(ts.Prog.Clauses)),
+	}
+	for i, c := range ts.Prog.Clauses {
+		inc.provs[i] = ClausePreds(c)
+	}
+	return inc
+}
+
+// ensureAssembler builds the incremental assembler over the cached raws if
+// this grounder can use one and has none yet, and reports how long that took.
+func (inc *Incremental) ensureAssembler() time.Duration {
+	if inc.asm != nil || inc.Opts.UseClosure {
+		return 0
+	}
+	start := time.Now()
+	inc.asm = newIncAssembler(inc.TS, len(inc.perClause))
+	inc.asm.build(inc.perClause)
+	return time.Since(start)
 }
 
 // NewIncremental performs a full bottom-up grounding and retains the
 // per-clause raw groundings for later selective re-grounds.
 func NewIncremental(ctx context.Context, ts *TableSet, opts Options) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
-	inc := &Incremental{
-		TS:        ts,
-		Opts:      opts,
-		perClause: make([][]rawClause, n),
-		perStats:  make([]Stats, n),
-		provs:     make([]map[*mln.Predicate]bool, n),
-	}
-	for i, c := range ts.Prog.Clauses {
-		inc.provs[i] = ClausePreds(c)
-	}
-	if err := groundSelectedSQL(ctx, ts, opts, inc.perClause, inc.perStats, nil); err != nil {
+	inc := newIncremental(ts, opts, make([]RawSet, n), make([]Stats, n))
+	raws := make([][]rawClause, n)
+	if err := groundSelectedSQL(ctx, ts, opts, raws, inc.perStats, nil); err != nil {
 		return nil, nil, err
 	}
-	if opts.UseClosure {
-		return inc, assembleResult(ts, inc.perClause, inc.perStats, opts, false), nil
+	for i := range raws {
+		inc.perClause[i] = flattenRaws(raws[i])
 	}
-	inc.asm = newIncAssembler(ts, n)
-	inc.asm.build(inc.perClause)
-	return inc, inc.asm.result(inc.perStats), nil
+	return inc, assembleResult(ts, raws, inc.perStats, opts), nil
 }
 
 // RegroundInfo reports what a selective re-ground actually did.
@@ -88,6 +108,9 @@ type RegroundInfo struct {
 	TouchedAids    int   // distinct table atoms in changed raw groundings
 	TouchedAtoms   int   // those that appear in the new MRF
 	FixedCostDelta bool  // evidence-decided cost changed
+	// AssemblerBuild is the one-off cost of building the incremental
+	// assembler; zero on every Reground after the first.
+	AssemblerBuild time.Duration
 }
 
 // Reground re-runs the grounding queries of every clause whose provenance
@@ -122,40 +145,42 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 	// stable across ApplyDelta: the registry is append-only and re-inserted
 	// closed tuples reuse their original aid).
 	touchedAids := make(map[int64]struct{})
-	newClause := make([][]rawClause, n)
+	newClause := make([]RawSet, n)
 	newStats := make([]Stats, n)
 	copy(newClause, inc.perClause)
 	copy(newStats, inc.perStats)
 	type clauseDiff struct {
 		idx            int
-		added, removed []rawClause
+		added, removed RawSet
 	}
 	var diffs []clauseDiff
 	for i := range sel {
 		if !sel[i] {
 			continue
 		}
-		added, removed, fixed := diffRaws(inc.perClause[i], tmpClause[i], touchedAids)
-		info.RawsAdded += len(added)
-		info.RawsRemoved += len(removed)
+		newClause[i] = flattenRaws(tmpClause[i])
+		tmpClause[i] = nil
+		added, removed, fixed := diffRaws(inc.perClause[i], newClause[i], touchedAids)
+		info.RawsAdded += added.n()
+		info.RawsRemoved += removed.n()
 		info.FixedCostDelta = info.FixedCostDelta || fixed
 		info.RerunJoinRows += tmpStats[i].JoinRowsVisited
-		if len(added) > 0 || len(removed) > 0 {
+		if added.n() > 0 || removed.n() > 0 {
 			diffs = append(diffs, clauseDiff{idx: i, added: added, removed: removed})
 		}
-		newClause[i] = tmpClause[i]
 		newStats[i] = tmpStats[i]
 	}
 	info.TouchedAids = len(touchedAids)
 
 	var res *Result
-	if inc.asm != nil {
+	if inc.Opts.UseClosure {
+		res = assembleResult(inc.TS, expandRaws(newClause), newStats, inc.Opts)
+	} else {
+		info.AssemblerBuild = inc.ensureAssembler()
 		for _, d := range diffs {
 			inc.asm.apply(d.idx, d.added, d.removed)
 		}
 		res = inc.asm.result(newStats)
-	} else {
-		res = assembleResult(inc.TS, newClause, newStats, inc.Opts, false)
 	}
 	touchedNew := make([]bool, res.MRF.NumAtoms+1)
 	for aid := range touchedAids {
@@ -169,63 +194,55 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 	return res, touchedNew, info, nil
 }
 
-// rawAidKey identifies a raw grounding within one TableSet's aid space.
-func rawAidKey(r rawClause) string {
-	var b strings.Builder
-	b.Grow(len(r.aids) * 9)
-	for i, aid := range r.aids {
-		v := uint64(aid)
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-		b.WriteByte(byte(v >> 32))
-		b.WriteByte(byte(v >> 40))
-		b.WriteByte(byte(v >> 48))
-		b.WriteByte(byte(v >> 56))
-		if r.pos[i] {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
-	}
-	return b.String()
-}
-
 // diffRaws multiset-diffs one clause's old and new raw groundings, adding the
 // atoms of every differing raw to touched. It returns the raws present only
 // on each side and whether an evidence-decided (empty) grounding changed.
-func diffRaws(old, cur []rawClause, touched map[int64]struct{}) (added, removed []rawClause, fixedDelta bool) {
-	counts := make(map[string]int, len(old))
-	for _, r := range old {
-		counts[rawAidKey(r)]++
+// Raws are compared within one TableSet's aid space, literal for literal.
+func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSet, fixedDelta bool) {
+	added.weight, removed.weight = cur.weight, old.weight
+	var buf []byte
+	key := func(raw []uint64) []byte {
+		buf = buf[:0]
+		for _, v := range raw {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		return buf
 	}
-	mark := func(r rawClause) {
-		for _, aid := range r.aids {
-			touched[aid] = struct{}{}
+	// left[slot[k]] counts the old copies of raw k not yet paired off; the
+	// lookups on string(buf) do not allocate.
+	slot := make(map[string]int32, old.n())
+	var left []int32
+	for j := 0; j < old.n(); j++ {
+		k := key(old.raw(j))
+		if i, ok := slot[string(k)]; ok {
+			left[i]++
+		} else {
+			slot[string(k)] = int32(len(left))
+			left = append(left, 1)
 		}
 	}
-	for _, r := range cur {
-		k := rawAidKey(r)
-		if counts[k] > 0 {
-			counts[k]--
-			continue
-		}
-		added = append(added, r)
-		if len(r.aids) == 0 {
+	unpaired := func(raw []uint64, into *RawSet) {
+		into.appendRaw(raw)
+		if len(raw) == 0 {
 			fixedDelta = true
 		}
-		mark(r)
+		for _, v := range raw {
+			touched[int64(v>>1)] = struct{}{}
+		}
 	}
-	for _, r := range old {
-		k := rawAidKey(r)
-		if counts[k] > 0 {
-			counts[k]--
-			removed = append(removed, r)
-			if len(r.aids) == 0 {
-				fixedDelta = true
-			}
-			mark(r)
+	for j := 0; j < cur.n(); j++ {
+		raw := cur.raw(j)
+		if i, ok := slot[string(key(raw))]; ok && left[i] > 0 {
+			left[i]--
+		} else {
+			unpaired(raw, &added)
+		}
+	}
+	for j := 0; j < old.n(); j++ {
+		raw := old.raw(j)
+		if i := slot[string(key(raw))]; left[i] > 0 {
+			left[i]--
+			unpaired(raw, &removed)
 		}
 	}
 	return added, removed, fixedDelta

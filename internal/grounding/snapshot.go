@@ -2,7 +2,10 @@ package grounding
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/db"
 	"tuffy/internal/db/tuple"
 	"tuffy/internal/mln"
@@ -47,35 +50,49 @@ func (ts *TableSet) ExportAtoms() ([]SnapAtom, error) {
 	return out, nil
 }
 
-// SnapRaw is one cached raw grounding: the clause weight and its literals
-// encoded as aid<<1|positive.
-type SnapRaw struct {
-	Weight float64
-	Lits   []uint64
+// Raws returns the cached per-clause raw groundings and their grounding
+// stats, in first-order-clause order. Both are shared with the grounder:
+// callers read them (under the engine's update lock), never modify them.
+func (inc *Incremental) Raws() ([]RawSet, []Stats) { return inc.perClause, inc.perStats }
+
+// Encode writes the set in the snapshot's raw encoding: the raw count, then
+// per raw the clause weight, the literal count and the literals.
+func (s RawSet) Encode(w *codec.Enc) {
+	w.U32(uint32(s.n()))
+	for j := 0; j < s.n(); j++ {
+		raw := s.raw(j)
+		w.F64(s.weight)
+		w.U32(uint32(len(raw)))
+		for _, v := range raw {
+			w.U64(v)
+		}
+	}
 }
 
-// ExportRaws dumps the cached per-clause raw groundings and their
-// grounding stats, in first-order-clause order.
-func (inc *Incremental) ExportRaws() ([][]SnapRaw, []Stats) {
-	out := make([][]SnapRaw, len(inc.perClause))
-	for i, raws := range inc.perClause {
-		rs := make([]SnapRaw, len(raws))
-		for j, r := range raws {
-			lits := make([]uint64, len(r.aids))
-			for k, aid := range r.aids {
-				v := uint64(aid) << 1
-				if r.pos[k] {
-					v |= 1
-				}
-				lits[k] = v
-			}
-			rs[j] = SnapRaw{Weight: r.weight, Lits: lits}
-		}
-		out[i] = rs
+// DecodeRawSet reads what Encode wrote. Every count is checked against the
+// bytes left before anything is sized by it, and a set whose raws disagree
+// on weight is malformed: one weight per first-order clause is what the
+// assembler's exact weight sums rest on.
+func DecodeRawSet(r *codec.Dec) RawSet {
+	n := r.Count(12)
+	if n == 0 {
+		return RawSet{}
 	}
-	stats := make([]Stats, len(inc.perStats))
-	copy(stats, inc.perStats)
-	return out, stats
+	s := RawSet{off: make([]uint32, n+1)}
+	for j := 0; j < n; j++ {
+		w := r.F64()
+		if j == 0 {
+			s.weight = w
+		} else if math.Float64bits(w) != math.Float64bits(s.weight) {
+			r.Failf("raw %d has weight %v, the clause's other raws %v", j, w, s.weight)
+		}
+		for k := r.Count(8); k > 0; k-- {
+			s.lits = append(s.lits, r.U64())
+		}
+		s.off[j+1] = uint32(len(s.lits))
+	}
+	s.lits = slices.Clone(s.lits) // exact size: append's slack would stay resident
+	return s
 }
 
 // RestoreTables rebuilds a TableSet from a snapshot registry: the
@@ -141,46 +158,29 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 
 // RestoreIncremental rebuilds the incremental grounder from snapshot raws
 // without re-running any grounding SQL: the cached per-clause raws are
-// decoded against ts's (restored, identical) aid space and folded through
-// the incremental assembler. The returned Result is the assembled network
-// — bit-identical, by canonicalization, to the snapshotted one — which
-// callers may use to cross-check the snapshot's own MRF.
-func RestoreIncremental(ts *TableSet, opts Options, raws [][]SnapRaw, stats []Stats) (*Incremental, *Result, error) {
+// checked against ts's (restored, identical) aid space and folded through
+// the incremental assembler — eagerly, unlike NewIncremental, because both
+// callers (WAL replay and the first update after a clean warm open) apply a
+// delta next. The returned Result is the assembled network — bit-identical,
+// by canonicalization, to the snapshotted one — which callers may use to
+// cross-check the snapshot's own MRF.
+func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
 	if len(raws) != n || len(stats) != n {
 		return nil, nil, fmt.Errorf("grounding: snapshot has %d clause raw sets for %d clauses", len(raws), n)
 	}
-	inc := &Incremental{
-		TS:        ts,
-		Opts:      opts,
-		perClause: make([][]rawClause, n),
-		perStats:  stats,
-		provs:     make([]map[*mln.Predicate]bool, n),
-	}
-	for i, c := range ts.Prog.Clauses {
-		inc.provs[i] = ClausePreds(c)
-	}
-	maxAid := int64(len(ts.atoms) - 1)
-	for i, rs := range raws {
-		dec := make([]rawClause, len(rs))
-		for j, r := range rs {
-			rc := rawClause{weight: r.Weight, aids: make([]int64, len(r.Lits)), pos: make([]bool, len(r.Lits))}
-			for k, v := range r.Lits {
-				aid := int64(v >> 1)
-				if aid < 1 || aid > maxAid {
-					return nil, nil, fmt.Errorf("grounding: snapshot raw references aid %d of %d", aid, maxAid)
-				}
-				rc.aids[k] = aid
-				rc.pos[k] = v&1 == 1
+	maxAid := uint64(len(ts.atoms) - 1)
+	for _, s := range raws {
+		for _, v := range s.lits {
+			if aid := v >> 1; aid < 1 || aid > maxAid {
+				return nil, nil, fmt.Errorf("grounding: snapshot raw references aid %d of %d", aid, maxAid)
 			}
-			dec[j] = rc
 		}
-		inc.perClause[i] = dec
 	}
+	inc := newIncremental(ts, opts, raws, stats)
 	if opts.UseClosure {
-		return inc, assembleResult(ts, inc.perClause, inc.perStats, opts, false), nil
+		return inc, assembleResult(ts, expandRaws(raws), stats, opts), nil
 	}
-	inc.asm = newIncAssembler(ts, n)
-	inc.asm.build(inc.perClause)
-	return inc, inc.asm.result(inc.perStats), nil
+	inc.ensureAssembler()
+	return inc, inc.asm.result(stats), nil
 }

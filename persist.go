@@ -113,7 +113,7 @@ type durability struct {
 // update asks for them.
 type pendingRestore struct {
 	atoms    []grounding.SnapAtom
-	raws     [][]grounding.SnapRaw
+	raws     []grounding.RawSet
 	perStats []grounding.Stats
 }
 
@@ -552,7 +552,7 @@ type engineSnap struct {
 	hadPart, hadComps    bool
 	evidence             [][]evRow
 	atoms                []grounding.SnapAtom
-	raws                 [][]grounding.SnapRaw
+	raws                 []grounding.RawSet
 	perStats             []grounding.Stats
 
 	// The assembled network, serialized so a clean reopen can publish a
@@ -601,7 +601,7 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	if err != nil {
 		return err
 	}
-	raws, perStats := e.inc.ExportRaws()
+	raws, perStats := e.inc.Raws()
 
 	var w codec.Enc
 	w.Raw([]byte(snapshotMagic))
@@ -645,14 +645,7 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 
 	w.U32(uint32(len(raws)))
 	for _, rs := range raws {
-		w.U32(uint32(len(rs)))
-		for _, r := range rs {
-			w.F64(r.Weight)
-			w.U32(uint32(len(r.Lits)))
-			for _, l := range r.Lits {
-				w.U64(l)
-			}
-		}
+		rs.Encode(&w)
 	}
 	for _, st := range perStats {
 		writeStats(&w, st)
@@ -695,6 +688,11 @@ func readSnapshot(path string, prog *mln.Program) (*engineSnap, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(raw, prog)
+}
+
+// decodeSnapshot decodes the bytes of a snapshot file.
+func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 	r, err := openSealed(raw, snapshotMagic)
 	if err != nil {
 		return nil, err
@@ -743,17 +741,9 @@ func readSnapshot(path string, prog *mln.Program) (*engineSnap, error) {
 	if n := int(r.U32()); n != len(prog.Clauses) {
 		r.Failf("snapshot has %d clause raw sets, program has %d clauses", n, len(prog.Clauses))
 	}
-	s.raws = make([][]grounding.SnapRaw, len(prog.Clauses))
+	s.raws = make([]grounding.RawSet, len(prog.Clauses))
 	for i := range s.raws {
-		rs := make([]grounding.SnapRaw, r.Count(12))
-		for j := range rs {
-			rs[j].Weight = r.F64()
-			rs[j].Lits = make([]uint64, r.Count(8))
-			for k := range rs[j].Lits {
-				rs[j].Lits[k] = r.U64()
-			}
-		}
-		s.raws[i] = rs
+		s.raws[i] = grounding.DecodeRawSet(r)
 	}
 	s.perStats = make([]grounding.Stats, len(prog.Clauses))
 	for i := range s.perStats {

@@ -11,11 +11,15 @@ package tuffy
 // answers are bit-identical to a never-crashed one's.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -413,4 +417,148 @@ func TestMalformedDeltaRecordRejected(t *testing.T) {
 	if _, err := Open(prog, ev, EngineConfig{DataDir: dir}); !errors.Is(err, codec.ErrMalformed) || !strings.Contains(err.Error(), "decoding WAL delta") {
 		t.Fatalf("reopen over a malformed delta record: err = %v, want a corrupt-record error", err)
 	}
+}
+
+// The first update of an engine builds what queries never needed — after a
+// clean warm open the tables and grounder, and in every case the
+// incremental assembler — and says so: Materialized is positive, inside
+// UpdateTime, and zero from the second update on.
+func TestUpdateMaterializedOnce(t *testing.T) {
+	ds := ieSmall()
+	dir := t.TempDir()
+	check := func(t *testing.T, eng *Engine) {
+		t.Helper()
+		first := mustUpdate(t, eng, datagen.RandomDelta(ds, "hint", 6, 21))
+		if first.Materialized <= 0 || first.Materialized > first.UpdateTime {
+			t.Fatalf("first update: Materialized %v, UpdateTime %v", first.Materialized, first.UpdateTime)
+		}
+		if second := mustUpdate(t, eng, first.Inverse); second.Materialized != 0 {
+			t.Fatalf("second update: Materialized %v", second.Materialized)
+		}
+	}
+	t.Run("cold", func(t *testing.T) {
+		eng := openDurableIE(t, ds, dir, EngineConfig{})
+		defer eng.Close()
+		if err := eng.Ground(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check(t, eng)
+	})
+	t.Run("warm", func(t *testing.T) {
+		eng := openDurableIE(t, ds, dir, EngineConfig{})
+		defer eng.Close()
+		if st := eng.DurabilityStats(); !st.WarmStart || st.ReplayedDeltas != 0 {
+			t.Fatalf("not a clean warm open: %+v", st)
+		}
+		check(t, eng)
+	})
+}
+
+// sealSnapshot frames a snapshot body as writeSealed does, in memory.
+func sealSnapshot(body []byte) []byte {
+	var w codec.Enc
+	w.Raw([]byte(snapshotMagic))
+	w.Raw(body)
+	w.U32(crc32.Checksum(w.Buf(), snapCRCTable))
+	return w.Buf()
+}
+
+// A snapshot whose raws are defective past the checksum — one clause with
+// two raw weights, or a raw claiming more literals than the file holds —
+// fails the open with codec.ErrMalformed, without sizing anything by the
+// claimed count.
+func TestSnapshotRawDefectsFailTyped(t *testing.T) {
+	dir := t.TempDir()
+	eng := figure1Engine(t, EngineConfig{DataDir: dir})
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sets, _ := eng.inc.Raws()
+	path := filepath.Join(dir, snapshotFile)
+	good := mustRead(t, path)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Locate the first clause with two raws by its own encoding.
+	at, firstLen := -1, 0
+	for _, s := range sets {
+		var w codec.Enc
+		s.Encode(&w)
+		if enc := w.Buf(); binary.LittleEndian.Uint32(enc) >= 2 {
+			at = bytes.Index(good, enc)
+			firstLen = int(binary.LittleEndian.Uint32(enc[12:]))
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no clause with two raws in the Figure-1 snapshot")
+	}
+	tamper := func(off int, with ...byte) []byte {
+		body := append([]byte(nil), good[len(snapshotMagic):len(good)-4]...)
+		copy(body[at-len(snapshotMagic)+off:], with)
+		return sealSnapshot(body)
+	}
+	secondWeight := 4 + 12 + 8*firstLen
+	cases := []struct {
+		name, want string
+		raw        []byte
+	}{
+		{"two weights in one clause", "has weight", tamper(secondWeight, good[at+secondWeight]^1)},
+		{"raw longer than the file", "overruns", tamper(4+8, 0xFF, 0xFF, 0xFF, 0x7F)},
+	}
+	for _, tc := range cases {
+		raw := tc.raw
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeSnapshot(raw, eng.prog)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, codec.ErrMalformed) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode: err = %v, want codec.ErrMalformed about %q", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("decoding a %d-byte snapshot allocated %d bytes", len(raw), grew)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prog, _ := LoadProgramString(mln.Figure1Program)
+			ev, _ := LoadEvidenceString(prog, mln.Figure1Evidence)
+			if _, err := Open(prog, ev, EngineConfig{DataDir: dir}); !errors.Is(err, codec.ErrMalformed) {
+				t.Fatalf("Open: err = %v, want codec.ErrMalformed", err)
+			}
+		})
+	}
+}
+
+// FuzzReadSnapshot: arbitrary bytes behind the right magic and a VALID
+// checksum either fail typed or decode to a snapshot whose network can be
+// rebuilt — never a panic, never an allocation the input's size does not
+// bound.
+func FuzzReadSnapshot(f *testing.F) {
+	prog, err := LoadProgramString(mln.Figure1Program)
+	if err != nil {
+		f.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join(formatDir, snapshotFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := golden[len(snapshotMagic) : len(golden)-4]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(body[:53]) // the fixed header, nothing after it
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		snap, err := decodeSnapshot(sealSnapshot(body), prog)
+		if err != nil {
+			if !errors.Is(err, codec.ErrMalformed) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		_, _ = snap.buildResult(prog) // may refuse, must not panic
+	})
 }

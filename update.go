@@ -49,8 +49,14 @@ type UpdateResult struct {
 	// canonicalization, a bit-identical grounded network).
 	Inverse mln.Delta
 
-	// UpdateTime is the wall-clock cost of the whole update.
+	// UpdateTime is the wall-clock cost of the whole update, Materialized
+	// included.
 	UpdateTime time.Duration
+	// Materialized is the part of UpdateTime spent building update state
+	// the engine defers until an update asks for it: the predicate tables and
+	// grounder after a clean warm open, and the incremental assembler. Only
+	// an engine's first update pays it; it is zero on every later one.
+	Materialized time.Duration
 }
 
 // rebind translates a delta's predicates onto this engine's program by name,
@@ -130,6 +136,8 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 	if old == nil {
 		return nil, fmt.Errorf("tuffy: UpdateEvidence before Ground")
 	}
+	start := time.Now()
+	var materialized time.Duration
 	if e.inc == nil && e.dur != nil && e.dur.pending != nil {
 		// Fast-path warm start: the serving epoch was published straight
 		// from the snapshot; the first update pays for the table and
@@ -138,6 +146,7 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		if err := e.materializePending(); err != nil {
 			return nil, err
 		}
+		materialized = time.Since(start)
 	}
 	if e.inc == nil {
 		return nil, fmt.Errorf("tuffy: UpdateEvidence requires the BottomUp grounder")
@@ -152,7 +161,6 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 
 	e.updating.Store(true)
 	defer e.updating.Store(false)
-	start := time.Now()
 
 	undo, err := e.tables.ApplyDelta(d)
 	if err != nil {
@@ -210,6 +218,7 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		RawsRemoved:  info.RawsRemoved,
 		TouchedAtoms: info.TouchedAtoms,
 		Inverse:      undo.Inverse(),
+		Materialized: materialized + info.AssemblerBuild,
 	}
 	if info.RawsAdded == 0 && info.RawsRemoved == 0 {
 		// The delta did not change any clause's groundings (e.g. flipping
