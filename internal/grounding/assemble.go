@@ -81,6 +81,28 @@ func newIncAssembler(ts *TableSet, nClauses int) *incAssembler {
 	}
 }
 
+// atomDescKey renders the aid-independent descriptor of one ground atom
+// (predicate id then argument constants, big-endian) as a string whose byte
+// order is cmpAtoms' order. Only the assembler still keys by it.
+func atomDescKey(ts *TableSet, aid int64) string {
+	var b strings.Builder
+	a := ts.Atom(aid)
+	b.Grow(4 + 4*len(a.Args))
+	v := uint32(a.Pred.ID)
+	b.WriteByte(byte(v >> 24))
+	b.WriteByte(byte(v >> 16))
+	b.WriteByte(byte(v >> 8))
+	b.WriteByte(byte(v))
+	for _, c := range a.Args {
+		u := uint32(c)
+		b.WriteByte(byte(u >> 24))
+		b.WriteByte(byte(u >> 16))
+		b.WriteByte(byte(u >> 8))
+		b.WriteByte(byte(u))
+	}
+	return b.String()
+}
+
 func (a *incAssembler) desc(aid int64) string {
 	if d, ok := a.descOf[aid]; ok {
 		return d
@@ -353,11 +375,8 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 		NumClauses:     len(clauses),
 		FixedCostCount: a.fixedN,
 	}
-	for i := range perStats {
-		stats.JoinRowsVisited += perStats[i].JoinRowsVisited
-		if perStats[i].PeakBytes > stats.PeakBytes {
-			stats.PeakBytes = perStats[i].PeakBytes
-		}
+	for _, st := range perStats {
+		stats.absorb(st)
 	}
 	return &Result{MRF: m, TableAid: a.tableAid, AtomID: a.aidToID, Stats: stats}
 }

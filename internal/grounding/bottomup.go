@@ -21,189 +21,139 @@ type Options struct {
 	// the closure are pinned false and their clauses dropped.
 	UseClosure bool
 	// Workers is the number of concurrent grounding workers for the
-	// bottom-up strategy; values below 2 ground sequentially. The grounding
-	// result is identical for every worker count: task outputs are merged
-	// in clause-ID-then-range order before MRF atom renumbering. A clause
-	// whose estimated cost exceeds a fair share of the total is partitioned
-	// into Workers hash ranges of a join variable and the ranges ground
-	// concurrently.
+	// bottom-up strategy; values below 2 run the same schedule on one. The
+	// grounding result is identical for every worker count: each task sorts
+	// its raws into the canonical order and a clause's tasks merge in it. A
+	// clause whose estimated cost exceeds a fair share of the total is
+	// partitioned into Workers hash ranges of a join variable and the ranges
+	// ground concurrently.
 	Workers int
 }
 
-// rawClause is a ground clause before MRF atom renumbering: parallel slices
-// of table aids and literal signs.
-type rawClause struct {
-	weight float64
-	aids   []int64
-	pos    []bool
-}
-
-// RawSet is one first-order clause's canonical raw groundings in the flat,
-// pointer-free form the incremental grounder retains between updates (and
-// the snapshot stores): raw j's literals are lits[off[j]:off[j+1]], each
-// encoded aid<<1|positive. All raws of one clause carry the clause's weight.
-// Two allocations per clause instead of two per raw, and nothing in them for
-// the garbage collector to scan.
+// RawSet is one first-order clause's raw groundings — ground clauses before
+// MRF atom renumbering — in the one form they ever have: raw j's literals are
+// lits[off[j]:off[j+1]], each encoded aid<<1|positive, and every raw carries
+// the clause's weight. The grounding queries append their rows straight into
+// it, the fold and the closure read it, the incremental grounder retains it
+// between updates and the snapshot stores it. Two allocations per clause,
+// and nothing in them for the garbage collector to scan.
+//
+// While a set is being built, the literals past the last offset are the
+// open raw: appended one by one, then closed by endRaw or discarded by
+// dropOpen.
 type RawSet struct {
 	weight float64
 	off    []uint32
 	lits   []uint64
 }
 
+func rawLit(aid int64, positive bool) uint64 {
+	v := uint64(aid) << 1
+	if positive {
+		v |= 1
+	}
+	return v
+}
+
 func (s RawSet) n() int { return max(len(s.off)-1, 0) }
 
 func (s RawSet) raw(j int) []uint64 { return s.lits[s.off[j]:s.off[j+1]] }
 
-// appendRaw adds one raw grounding (diff sets are built this way; cached
-// sets are sized exactly by flattenRaws).
-func (s *RawSet) appendRaw(lits []uint64) {
+// endRaw closes the open raw (an empty one is a grounding evidence decided).
+func (s *RawSet) endRaw() {
 	if len(s.off) == 0 {
 		s.off = append(s.off, 0)
 	}
-	s.lits = append(s.lits, lits...)
 	s.off = append(s.off, uint32(len(s.lits)))
 }
 
-// flattenRaws packs one clause's canonical raw groundings into a RawSet,
-// preserving their order.
-func flattenRaws(raws []rawClause) RawSet {
-	if len(raws) == 0 {
-		return RawSet{}
+// dropOpen discards the open raw's literals.
+func (s *RawSet) dropOpen() {
+	if len(s.off) == 0 {
+		s.lits = s.lits[:0]
+	} else {
+		s.lits = s.lits[:s.off[len(s.off)-1]]
 	}
-	total := 0
-	for i := range raws {
-		total += len(raws[i].aids)
-	}
-	s := RawSet{weight: raws[0].weight, off: make([]uint32, len(raws)+1), lits: make([]uint64, 0, total)}
-	for i, r := range raws {
-		for k, aid := range r.aids {
-			v := uint64(aid) << 1
-			if r.pos[k] {
-				v |= 1
-			}
-			s.lits = append(s.lits, v)
-		}
-		s.off[i+1] = uint32(len(s.lits))
-	}
-	return s
 }
 
-// expandRaws is flattenRaws' inverse, for the one consumer that still folds
-// whole raw lists: assembleResult under the active closure, which has no
-// incremental form.
-func expandRaws(sets []RawSet) [][]rawClause {
-	out := make([][]rawClause, len(sets))
-	for i, s := range sets {
-		aids := make([]int64, len(s.lits))
-		pos := make([]bool, len(s.lits))
-		for k, v := range s.lits {
-			aids[k], pos[k] = int64(v>>1), v&1 == 1
-		}
-		raws := make([]rawClause, s.n())
-		for j := range raws {
-			lo, hi := s.off[j], s.off[j+1]
-			raws[j] = rawClause{weight: s.weight, aids: aids[lo:hi:hi], pos: pos[lo:hi:hi]}
-		}
-		out[i] = raws
-	}
-	return out
+// appendRaw adds one whole raw grounding.
+func (s *RawSet) appendRaw(lits []uint64) {
+	s.lits = append(s.lits, lits...)
+	s.endRaw()
 }
 
 // GroundBottomUp grounds the program by compiling one SQL query per clause
 // and executing it on the RDBMS (the paper's Section 3.1). The join order
 // and algorithms are chosen by the engine's optimizer, subject to the
-// engine's plan.Options (which the Table 6 lesion study manipulates).
-//
-// With Options.Workers > 1 the per-clause grounding queries compile and
-// execute concurrently on a worker pool; each worker accumulates its
-// clauses' raw groundings privately and the results are merged in clause-ID
-// order, so the MRF is bit-identical to the sequential path regardless of
-// worker count or scheduling.
-//
-// Cancellation: workers poll the context before each clause; a canceled
-// context aborts the grounding with the context's cause (there is no
-// partial grounding result).
+// engine's plan.Options (which the Table 6 lesion study manipulates). It is
+// NewIncremental with the grounder dropped; see groundSelectedSQL for the
+// schedule and its determinism and cancellation contract.
 func GroundBottomUp(ctx context.Context, ts *TableSet, opts Options) (*Result, error) {
-	clauses := ts.Prog.Clauses
-	perClause := make([][]rawClause, len(clauses))
-	perStats := make([]Stats, len(clauses))
-	if err := groundSelectedSQL(ctx, ts, opts, perClause, perStats, nil); err != nil {
-		return nil, err
-	}
-	return assembleResult(ts, perClause, perStats, opts), nil
+	_, res, err := NewIncremental(ctx, ts, opts)
+	return res, err
 }
 
 // groundSelectedSQL compiles and executes the grounding query of every
 // selected clause (sel[i] reports whether clause i runs; nil selects all),
-// writing raw groundings and stats into perClause/perStats by clause ID.
-// Unselected slots are left untouched, which is how the incremental grounder
-// reuses cached raws.
+// writing canonical raw groundings and stats into perClause/perStats by
+// clause ID. Unselected slots are left untouched, which is how the
+// incremental grounder reuses cached raws.
 //
-// With more than one worker the scheduler runs clause×range tasks: each
-// clause whose estimated query cost exceeds a fair share of the total is
-// partitioned into Workers hash ranges of a join variable (see planSplits),
-// so a single dominant clause no longer serializes the phase. Task
+// There is one schedule for every worker count: compile, pick splits, run
+// clause×range tasks on max(Workers, 1) goroutines. Each clause whose
+// estimated query cost exceeds a fair share of the total is partitioned into
+// Workers hash ranges of a join variable (see planSplits; never below two
+// workers), so a single dominant clause no longer serializes the phase. Task
 // scheduling never changes the output: each (clause, range) slot is written
-// by exactly one goroutine, each task canonicalizes its own output, and the
-// per-clause results are stably key-merged in range order (mergeCanon) —
-// making the result bit-identical to the sequential path for every worker
-// count and split decision.
-func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClause [][]rawClause, perStats []Stats, sel []bool) error {
+// by exactly one goroutine, each task puts its own output into canonical
+// order (canonSet), and a split clause's ranges are merged in that order
+// (mergeCanon) — the canonical order of the unsplit query's multiset, so
+// the result is bit-identical for every worker count and split decision.
+//
+// Cancellation: workers poll the context before each task; a canceled
+// context aborts the grounding with the context's cause (there is no partial
+// grounding result).
+func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClause []RawSet, perStats []Stats, sel []bool) error {
 	clauses := ts.Prog.Clauses
-	run := make([]int, 0, len(clauses))
-	for i := range clauses {
-		if sel == nil || sel[i] {
-			run = append(run, i)
-		}
-	}
-
-	workers := opts.Workers
-	if workers <= 1 || len(run) == 0 {
-		perErr := make([]error, len(clauses))
-		for _, i := range run {
-			if err := context.Cause(ctx); ctx.Err() != nil {
-				return err
-			}
-			perClause[i], perErr[i] = groundClauseSQL(ts, clauses[i], &perStats[i])
-			if perErr[i] != nil {
-				return fmt.Errorf("grounding clause %d (%s): %w", clauses[i].ID, clauses[i].Source, perErr[i])
-			}
-		}
-		return nil
-	}
+	workers := max(opts.Workers, 1)
 
 	// Compile every selected clause once, up front: the scheduler costs the
 	// compiled queries to pick splits, and range tasks share a compilation.
+	var run []int
 	comps := make([]*Compiled, len(clauses))
-	for _, i := range run {
-		comp, err := CompileClauseSQL(ts, clauses[i])
+	for i, c := range clauses {
+		if sel != nil && !sel[i] {
+			continue
+		}
+		comp, err := CompileClauseSQL(ts, c)
 		if err != nil {
-			return fmt.Errorf("grounding clause %d (%s): %w", clauses[i].ID, clauses[i].Source, err)
+			return fmt.Errorf("grounding clause %d (%s): %w", c.ID, c.Source, err)
 		}
 		comps[i] = comp
+		run = append(run, i)
 	}
 	splits := planSplits(ts, comps, run, workers)
 
-	type task struct{ clause, rng int } // rng < 0: whole clause
+	// One task per clause, or per hash range of a split clause; its output
+	// slot is written by whichever worker takes it.
+	type task struct {
+		clause int
+		rng    *clauseRange // nil: whole clause
+		raws   RawSet
+		stats  Stats
+		err    error
+	}
 	var tasks []task
-	partRaws := make([][][]rawClause, len(clauses))
-	partKeys := make([][][]string, len(clauses))
-	partErr := make([][]error, len(clauses))
-	partStats := make([][]Stats, len(clauses))
 	for _, i := range run {
-		w := 1
-		if splits[i] > 1 {
-			w = splits[i]
-			for r := 0; r < w; r++ {
-				tasks = append(tasks, task{i, r})
-			}
-		} else {
-			tasks = append(tasks, task{i, -1})
+		if splits[i] < 2 {
+			tasks = append(tasks, task{clause: i})
+			continue
 		}
-		partRaws[i] = make([][]rawClause, w)
-		partKeys[i] = make([][]string, w)
-		partErr[i] = make([]error, w)
-		partStats[i] = make([]Stats, w)
+		for r := 0; r < splits[i]; r++ {
+			tasks = append(tasks, task{clause: i, rng: &clauseRange{
+				v: comps[i].SplitVars[0], mod: uint32(splits[i]), rem: uint32(r),
+			}})
+		}
 	}
 
 	var next atomic.Int64
@@ -218,27 +168,16 @@ func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClaus
 				if n >= len(tasks) || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				t := tasks[n]
-				i, slot := t.clause, t.rng
-				var rng *clauseRange
-				if slot < 0 {
-					slot = 0
-				} else {
-					rng = &clauseRange{
-						v:   comps[i].SplitVars[0],
-						mod: uint32(splits[i]),
-						rem: uint32(t.rng),
-					}
-				}
-				raws, err := groundCompiled(ts, clauses[i], comps[i], rng, &partStats[i][slot])
+				t := &tasks[n]
+				raws, err := groundCompiled(ts, clauses[t.clause], comps[t.clause], t.rng, &t.stats)
 				if err != nil {
-					partErr[i][slot] = err
-					failed.Store(true) // fail fast, like the sequential path
-					continue
+					t.err = err
+					failed.Store(true) // fail fast
+					return
 				}
-				// Canonicalize inside the task: key building dominates the
-				// cost of large clauses, and per-range canon parallelizes it.
-				partRaws[i][slot], partKeys[i][slot] = canonRawsKeys(ts, raws)
+				// Canonical order inside the task: sorting dominates the cost
+				// of large clauses, and per-range sorts run in parallel.
+				t.raws = canonSet(ts, raws)
 			}
 		}()
 	}
@@ -248,29 +187,24 @@ func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClaus
 	}
 	// Report the first error in clause-then-range order so failures are
 	// deterministic across worker counts and schedules.
-	for _, i := range run {
-		for _, err := range partErr[i] {
-			if err != nil {
-				return fmt.Errorf("grounding clause %d (%s): %w", clauses[i].ID, clauses[i].Source, err)
-			}
+	for _, t := range tasks {
+		if t.err != nil {
+			c := clauses[t.clause]
+			return fmt.Errorf("grounding clause %d (%s): %w", c.ID, c.Source, t.err)
 		}
 	}
-	// Stably merge each clause's canonical range outputs by key (ties to the
-	// earlier range): the result is exactly canonRaws of the unsplit query's
-	// multiset, so everything downstream is bit-identical to it.
-	for _, i := range run {
-		if len(partRaws[i]) == 1 {
-			perClause[i] = partRaws[i][0]
-		} else {
-			perClause[i] = mergeCanon(partRaws[i], partKeys[i])
-		}
+	// Tasks are in clause-then-range order: each clause's are adjacent.
+	for lo := 0; lo < len(tasks); {
+		i := tasks[lo].clause
+		hi := lo
+		var parts []RawSet
 		perStats[i] = Stats{}
-		for _, st := range partStats[i] {
-			perStats[i].JoinRowsVisited += st.JoinRowsVisited
-			if st.PeakBytes > perStats[i].PeakBytes {
-				perStats[i].PeakBytes = st.PeakBytes
-			}
+		for ; hi < len(tasks) && tasks[hi].clause == i; hi++ {
+			parts = append(parts, tasks[hi].raws)
+			perStats[i].absorb(tasks[hi].stats)
 		}
+		perClause[i] = mergeCanon(ts, parts)
+		lo = hi
 	}
 	return nil
 }
@@ -292,6 +226,9 @@ func groundSelectedSQL(ctx context.Context, ts *TableSet, opts Options, perClaus
 // the rest of the clause list, and splitting them only multiplies
 // physical reads.
 func planSplits(ts *TableSet, comps []*Compiled, run []int, workers int) map[int]int {
+	if workers < 2 {
+		return nil // nothing to fan out to: no estimate is worth asking for
+	}
 	splits := make(map[int]int)
 	costs := make(map[int]float64, len(run))
 	rows := make(map[int]float64, len(run))
@@ -322,32 +259,27 @@ func planSplits(ts *TableSet, comps []*Compiled, run []int, workers int) map[int
 	return splits
 }
 
-// assembleResult merges per-clause raw groundings in clause-ID order, applies
-// the optional active closure, and folds everything through the clause
-// accumulator. Each per-clause slice is dropped as it is merged so the merge
-// does not hold two copies of the ground clauses; the incremental grounder
-// keeps its own flat copy (flattenRaws).
-func assembleResult(ts *TableSet, perClause [][]rawClause, perStats []Stats, opts Options) *Result {
-	total := 0
-	for i := range perClause {
-		total += len(perClause[i])
-	}
-	raws := make([]rawClause, 0, total)
+// assembleResult folds the per-clause raw groundings, in clause-ID order and
+// after the optional active closure, through the clause accumulator. It only
+// reads the sets: the incremental grounder retains the very same ones.
+func assembleResult(ts *TableSet, perClause []RawSet, perStats []Stats, opts Options) *Result {
 	stats := Stats{}
-	for i := range perClause {
-		raws = append(raws, perClause[i]...)
-		perClause[i] = nil
-		stats.JoinRowsVisited += perStats[i].JoinRowsVisited
-		if perStats[i].PeakBytes > stats.PeakBytes {
-			stats.PeakBytes = perStats[i].PeakBytes
-		}
+	for _, st := range perStats {
+		stats.absorb(st)
 	}
 	if opts.UseClosure {
-		raws = activeClosure(raws)
+		perClause = activeClosure(perClause)
 	}
+	return foldRaws(ts, perClause, stats)
+}
+
+// foldRaws accumulates every raw of sets into the canonical Result.
+func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 	ca := newClauseAccumulator(ts)
-	for _, r := range raws {
-		ca.add(r.weight, r.aids, r.pos)
+	for _, s := range sets {
+		for j := 0; j < s.n(); j++ {
+			ca.add(s.weight, s.raw(j))
+		}
 	}
 	return ca.finish(stats)
 }
@@ -656,39 +588,22 @@ func rangeRestrictions(comp *Compiled, rng *clauseRange) ([]plan.HashRange, erro
 	return out, nil
 }
 
-// groundClauseSQL compiles, executes and folds one clause's groundings.
-func groundClauseSQL(ts *TableSet, c *mln.Clause, stats *Stats) ([]rawClause, error) {
-	comp, err := CompileClauseSQL(ts, c)
-	if err != nil {
-		return nil, err
-	}
-	out, err := groundCompiled(ts, c, comp, nil, stats)
-	if err != nil {
-		return nil, err
-	}
-	// Canonical order (see canon.go): makes the folded groundings — and
-	// therefore the MRF built from them — independent of aid numbering and
-	// SQL row order, which is what lets an incremental re-ground reproduce a
-	// fresh Ground bit for bit.
-	return canonRaws(ts, out), nil
-}
-
 // groundCompiled executes a compiled clause query — optionally restricted to
-// one hash range of its split variable — and folds the rows into raw ground
-// clauses. The output is NOT canonicalized: range outputs of one clause must
-// be concatenated in range order first and canonicalized together, so the
-// result matches an unsplit run bit for bit.
-func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRange, stats *Stats) ([]rawClause, error) {
+// one hash range of its split variable — and appends each surviving row's
+// literals straight into a RawSet. The output is in row order, not canonical
+// order: canonSet sorts it.
+func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRange, stats *Stats) (RawSet, error) {
+	out := RawSet{weight: c.Weight}
 	if comp.Skip {
-		return nil, nil
+		return out, nil
 	}
 	restr, err := rangeRestrictions(comp, rng)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	rows, err := ts.DB.QueryRanged(comp.SQL, restr)
 	if err != nil {
-		return nil, fmt.Errorf("executing %q: %w", comp.SQL, err)
+		return out, fmt.Errorf("executing %q: %w", comp.SQL, err)
 	}
 	stats.JoinRowsVisited += int64(len(rows.Data))
 	width := 2*len(comp.ULits) + comp.pcWidth() + 2*len(comp.ELits)
@@ -699,29 +614,24 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 	nU := len(comp.ULits)
 	pcBase := 2 * nU
 	eBase := pcBase + comp.pcWidth()
-
-	// Convert rows to int64 slices once.
 	intRow := make([]int64, width)
-	var out []rawClause
 
-	type groupState struct {
-		key       string
-		satisfied bool
-		aids      []int64
-		pos       []bool
-		valid     bool
-	}
-	var g groupState
+	// With existential literals the rows arrive grouped by universal binding
+	// (ORDER BY): a group is the open raw, its witnesses accumulate across
+	// rows, and one evidence-true witness satisfies — drops — the whole group.
+	var group, keyBuf []byte // universal aids of the open group, of this row
+	open, satisfied := false, false
 	witnessed := make(map[string]bool)
-
-	flush := func() {
-		if g.valid && !g.satisfied {
-			out = append(out, rawClause{weight: c.Weight, aids: g.aids, pos: g.pos})
+	closeGroup := func() {
+		if !open {
+			return
 		}
-		g = groupState{}
+		if satisfied {
+			out.dropOpen()
+		} else {
+			out.endRaw()
+		}
 	}
-
-	var keyBuf []byte
 
 	for _, row := range rows.Data {
 		for i := range intRow {
@@ -730,54 +640,50 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 		if evalPostClosed(ts, comp, intRow, pcBase) {
 			continue
 		}
-		var aids []int64
-		var pos []bool
-		for i, lit := range comp.ULits {
-			aid := intRow[2*i]
-			truth := intRow[2*i+1]
-			if truth != TruthUnknown {
-				// The satisfied combinations were pruned by SQL; what is
-				// left is a literal that evidence makes false — drop it.
-				continue
-			}
-			aids = append(aids, aid)
-			pos = append(pos, !lit.Negated)
-		}
 		if len(comp.ELits) == 0 {
-			out = append(out, rawClause{weight: c.Weight, aids: aids, pos: pos})
+			appendULits(&out, comp, intRow)
+			out.endRaw()
 			continue
 		}
-		// One string per group, not per row: the comparison and the map
-		// lookup on string(keyBuf) do not allocate.
+		// One string per group, not per row: comparing string(keyBuf) does
+		// not allocate.
 		keyBuf = appendUKey(keyBuf[:0], intRow, nU)
-		if !g.valid || g.key != string(keyBuf) {
-			flush()
-			g = groupState{key: string(keyBuf), valid: true, aids: aids, pos: pos}
-			witnessed[g.key] = true
+		if !open || string(group) != string(keyBuf) {
+			closeGroup()
+			group = append(group[:0], keyBuf...)
+			open, satisfied = true, false
+			witnessed[string(group)] = true
+			appendULits(&out, comp, intRow)
 		}
 		for j := range comp.ELits {
-			eaid := intRow[eBase+2*j]
-			etruth := intRow[eBase+2*j+1]
-			switch etruth {
+			switch intRow[eBase+2*j+1] {
 			case TruthTrue:
-				g.satisfied = true // evidence-true witness satisfies the clause
+				satisfied = true // evidence-true witness satisfies the clause
 			case TruthFalse:
 				// false witness contributes nothing
 			default:
-				g.aids = append(g.aids, eaid)
-				g.pos = append(g.pos, true)
+				out.lits = append(out.lits, rawLit(intRow[eBase+2*j], true))
 			}
 		}
 	}
 	if len(comp.ELits) > 0 {
-		flush()
-		extra, err := existentialFallback(ts, c, comp, rng, witnessed, stats)
-		if err != nil {
-			return nil, err
+		closeGroup()
+		if err := existentialFallback(ts, c, comp, rng, witnessed, stats, &out); err != nil {
+			return out, err
 		}
-		out = append(out, extra...)
 	}
 	return out, nil
+}
+
+// appendULits appends one row's universal literals to the open raw. The
+// combinations evidence satisfies were pruned by SQL; a literal whose truth
+// is known here is one evidence makes false — it drops.
+func appendULits(out *RawSet, comp *Compiled, row []int64) {
+	for i, lit := range comp.ULits {
+		if row[2*i+1] == TruthUnknown {
+			out.lits = append(out.lits, rawLit(row[2*i], !lit.Negated))
+		}
+	}
 }
 
 // appendUKey renders the group key of one joined row: the aids of its nU
@@ -792,14 +698,14 @@ func appendUKey(buf []byte, row []int64, nU int) []byte {
 
 // existentialFallback grounds the universal part alone to catch bindings
 // with no existential witness at all (inner joins drop them), for which the
-// clause reduces to its universal literals. Under a hash-range split the
-// fallback query carries the same restriction, re-derived from its own
-// recompilation (aliases renumber), so each binding surfaces in exactly one
-// range — and its witnesses, which share the split variable's value, are
-// grounded by the same range's main query.
-func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRange, witnessed map[string]bool, stats *Stats) ([]rawClause, error) {
+// clause reduces to its universal literals; they are appended to out. Under
+// a hash-range split the fallback query carries the same restriction,
+// re-derived from its own recompilation (aliases renumber), so each binding
+// surfaces in exactly one range — and its witnesses, which share the split
+// variable's value, are grounded by the same range's main query.
+func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRange, witnessed map[string]bool, stats *Stats, out *RawSet) error {
 	if len(comp.ULits) == 0 {
-		return nil, nil
+		return nil
 	}
 	uClause := &mln.Clause{Weight: c.Weight, Source: c.Source + " [existential fallback]"}
 	uClause.Lits = append(uClause.Lits, comp.ULits...)
@@ -808,26 +714,24 @@ func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *claus
 	}
 	uComp, err := CompileClauseSQL(ts, uClause)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if uComp.Skip {
-		return nil, nil
+		return nil
 	}
 	restr, err := rangeRestrictions(uComp, rng)
 	if err != nil {
-		return nil, fmt.Errorf("existential fallback: %w", err)
+		return fmt.Errorf("existential fallback: %w", err)
 	}
 	uRows, err := ts.DB.QueryRanged(uComp.SQL, restr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stats.JoinRowsVisited += int64(len(uRows.Data))
 
 	nU := len(uComp.ULits)
 	pcBase := 2 * nU
-	width := pcBase + uComp.pcWidth()
-	intRow := make([]int64, width)
-	var out []rawClause
+	intRow := make([]int64, pcBase+uComp.pcWidth())
 	var keyBuf []byte
 	for _, row := range uRows.Data {
 		for i := range intRow {
@@ -840,18 +744,10 @@ func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *claus
 		if witnessed[string(keyBuf)] {
 			continue
 		}
-		var aids []int64
-		var pos []bool
-		for i, lit := range uComp.ULits {
-			if intRow[2*i+1] != TruthUnknown {
-				continue
-			}
-			aids = append(aids, intRow[2*i])
-			pos = append(pos, !lit.Negated)
-		}
-		out = append(out, rawClause{weight: c.Weight, aids: aids, pos: pos})
+		appendULits(out, uComp, intRow)
+		out.endRaw()
 	}
-	return out, nil
+	return nil
 }
 
 // validateExistSafety rejects existential clauses whose universally
@@ -890,64 +786,53 @@ func validateExistSafety(c *mln.Clause) error {
 	return nil
 }
 
-// activeClosure implements the lazy-inference closure of Appendix A.3:
-// assume unknown atoms false; a positive-weight clause is active when every
-// one of its negated literals is on an active atom; activating a clause
-// activates all its atoms; iterate to fixpoint. Hard and negative-weight
-// clauses are always active (the all-false default does not cover their
-// cost structure) and seed the active set.
-func activeClosure(raws []rawClause) []rawClause {
-	active := make(map[int64]bool)
-	kept := make([]bool, len(raws))
-	for i, r := range raws {
-		if len(r.aids) == 0 {
-			kept[i] = true
-			continue
+// activeClosure implements the lazy-inference closure of Appendix A.3 over
+// all clauses' raws at once: assume unknown atoms false; a positive-weight
+// clause is active when every one of its negated literals is on an active
+// atom; activating a clause activates all its atoms; iterate to fixpoint.
+// Hard and negative-weight clauses are always active (the all-false default
+// does not cover their cost structure) and seed the active set, as do
+// evidence-decided (empty) raws. It returns the active raws as new sets, in
+// order; the fixpoint depends on the raws as a set, not on their order.
+func activeClosure(sets []RawSet) []RawSet {
+	active := make(map[uint64]bool)
+	activate := func(raw []uint64) {
+		for _, v := range raw {
+			active[v>>1] = true
 		}
-		seed := r.weight < 0 || math.IsInf(r.weight, 1)
-		if !seed {
-			seed = true
-			for _, p := range r.pos {
-				if !p {
-					seed = false
-					break
-				}
+	}
+	// A raw is ready when no negated literal of it sits on an inactive atom.
+	ready := func(raw []uint64) bool {
+		for _, v := range raw {
+			if v&1 == 0 && !active[v>>1] {
+				return false
 			}
 		}
-		if seed {
-			kept[i] = true
-			for _, a := range r.aids {
-				active[a] = true
-			}
-		}
+		return true
+	}
+	kept := make([][]bool, len(sets))
+	for i, s := range sets {
+		kept[i] = make([]bool, s.n())
 	}
 	for changed := true; changed; {
 		changed = false
-		for i, r := range raws {
-			if kept[i] {
-				continue
-			}
-			ok := true
-			for j, p := range r.pos {
-				if !p && !active[r.aids[j]] {
-					ok = false
-					break
+		for i, s := range sets {
+			always := s.weight < 0 || math.IsInf(s.weight, 1)
+			for j, k := range kept[i] {
+				if raw := s.raw(j); !k && (always || ready(raw)) {
+					kept[i][j], changed = true, true
+					activate(raw)
 				}
-			}
-			if !ok {
-				continue
-			}
-			kept[i] = true
-			changed = true
-			for _, a := range r.aids {
-				active[a] = true
 			}
 		}
 	}
-	out := raws[:0]
-	for i, r := range raws {
-		if kept[i] {
-			out = append(out, r)
+	out := make([]RawSet, len(sets))
+	for i, s := range sets {
+		out[i].weight = s.weight
+		for j, k := range kept[i] {
+			if k {
+				out[i].appendRaw(s.raw(j))
+			}
 		}
 	}
 	return out

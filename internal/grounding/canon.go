@@ -1,160 +1,123 @@
 package grounding
 
 import (
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
+
+	"tuffy/internal/mln"
 )
 
-// Canonicalization of raw groundings.
+// The canonical order of raw groundings.
 //
 // Table aids are assigned in insertion order, so two TableSets encoding the
-// same logical evidence — one built fresh, one patched by ApplyDelta — number
-// the same ground atoms differently, and the SQL engine may also return join
-// rows in different heap orders. The MRF, however, must be a pure function of
-// the logical content: the epoch-based Engine promises that an incremental
-// update is bit-identical to a full re-Ground on the merged evidence.
+// same logical evidence — one built fresh, one patched by ApplyDelta, one
+// restored from a snapshot — number the same ground atoms differently, and
+// the SQL engine returns join rows in whatever order its plan, its heap and
+// its hash-range split produce. One comparator over ts.Atom(aid) takes all of
+// that out: literals order by (predicate id, argument constants, sign), each
+// compared as uint32, and raws order literal by literal, a proper prefix
+// first. Three things are sorted by it, and each has exactly one reader:
 //
-// canonRaws establishes that by sorting each clause's raw groundings (and the
-// literals inside each grounding) by aid-independent atom descriptors
-// (predicate id, argument constants, sign). Downstream, the accumulator
-// assigns dense MRF atom ids in first-use order over this canonical sequence,
-// so every id, clause, weight and Atoms[] entry depends only on the logical
-// ground clauses — not on aid numbering or row order.
+//   - Literals inside a raw (canonSet). diffRaws needs this: it pairs a
+//     clause's old and new raws literal for literal, and an existential
+//     clause's witnesses arrive in row order.
+//   - Raws inside a set (canonSet, mergeCanon). The snapshot bytes need this:
+//     a RawSet is encoded as it stands, and a hash-range split must retain
+//     the set the unsplit query would. Equal raws are identical values, so the
+//     sort needs no stability and a merge's ties no rule.
+//   - Atoms (clauseAccumulator.finish; incAssembler keeps the same order by
+//     atomDescKey, whose byte order is this comparator's). The assembled MRF
+//     needs only this: finish numbers atoms in this order and sorts clauses
+//     by their renumbered literals, and since a set's raws share one weight
+//     and sets fold in clause order, every float sum is the same for any raw
+//     or literal order. The MRF is a pure function of the multiset of raws —
+//     which is what makes an incremental update bit-identical to a fresh
+//     Ground of the merged evidence, and lets the top-down grounder skip
+//     sorting altogether.
 
-// atomDescKey renders the aid-independent descriptor of one ground atom
-// (predicate id then argument constants). Descriptors of distinct atoms
-// never collide, and two descriptors with different predicates differ
-// within their first four bytes, so lexicographic order is well-defined
-// across arities.
-func atomDescKey(ts *TableSet, aid int64) string {
-	var b strings.Builder
-	a := ts.Atom(aid)
-	b.Grow(4 + 4*len(a.Args))
-	v := uint32(a.Pred.ID)
-	b.WriteByte(byte(v >> 24))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v))
-	for _, c := range a.Args {
-		u := uint32(c)
-		b.WriteByte(byte(u >> 24))
-		b.WriteByte(byte(u >> 16))
-		b.WriteByte(byte(u >> 8))
-		b.WriteByte(byte(u))
+// cmpAtoms orders ground atoms by predicate id, then argument constants.
+// Atoms of one predicate have one arity, so no descriptor is a proper prefix
+// of another.
+func cmpAtoms(a, b mln.GroundAtom) int {
+	if c := cmp.Compare(uint32(a.Pred.ID), uint32(b.Pred.ID)); c != 0 {
+		return c
 	}
-	return b.String()
-}
-
-// litDescKey renders an aid-independent descriptor for one literal:
-// predicate id, argument constants, and sign, as a byte string that sorts
-// consistently across TableSets.
-func litDescKey(b *strings.Builder, ts *TableSet, aid int64, positive bool) {
-	a := ts.Atom(aid)
-	v := uint32(a.Pred.ID)
-	b.WriteByte(byte(v >> 24))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v))
-	for _, c := range a.Args {
-		u := uint32(c)
-		b.WriteByte(byte(u >> 24))
-		b.WriteByte(byte(u >> 16))
-		b.WriteByte(byte(u >> 8))
-		b.WriteByte(byte(u))
-	}
-	if positive {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
-	}
-}
-
-// sortRawLits orders the literals of one raw grounding by descriptor key.
-// Clauses are short, so insertion sort over freshly built keys is fine.
-func sortRawLits(ts *TableSet, r *rawClause) {
-	if len(r.aids) < 2 {
-		return
-	}
-	keys := make([]string, len(r.aids))
-	for i, aid := range r.aids {
-		var b strings.Builder
-		litDescKey(&b, ts, aid, r.pos[i])
-		keys[i] = b.String()
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-			r.aids[j], r.aids[j-1] = r.aids[j-1], r.aids[j]
-			r.pos[j], r.pos[j-1] = r.pos[j-1], r.pos[j]
+	for i, x := range a.Args {
+		if c := cmp.Compare(uint32(x), uint32(b.Args[i])); c != 0 {
+			return c
 		}
 	}
+	return 0
 }
 
-// canonRaws puts one clause's raw groundings into canonical order: literals
-// within each grounding sorted by descriptor, groundings sorted by their
-// concatenated descriptors. The sort is stable, so duplicate groundings
-// (which the accumulator later merges by summing weights) keep a
-// deterministic relative order.
-func canonRaws(ts *TableSet, raws []rawClause) []rawClause {
-	out, _ := canonRawsKeys(ts, raws)
+// cmpLits orders two literals (aid<<1|positive) by atom, negative first.
+func cmpLits(ts *TableSet, x, y uint64) int {
+	if x>>1 != y>>1 {
+		if c := cmpAtoms(ts.atoms[x>>1], ts.atoms[y>>1]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(x&1, y&1)
+}
+
+// cmpRaws orders two raws literal by literal, the shorter first.
+func cmpRaws(ts *TableSet, a, b []uint64) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := cmpLits(ts, a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// canonSet puts one task's raws into canonical order: literals sorted in
+// place (raws are short, so by insertion), then the raws gathered in sorted
+// order into a set of exactly their size — it is the one that is retained.
+func canonSet(ts *TableSet, s RawSet) RawSet {
+	n := s.n()
+	if n == 0 {
+		return RawSet{weight: s.weight}
+	}
+	idx := make([]int32, n)
+	for j := range idx {
+		idx[j] = int32(j)
+		raw := s.raw(j)
+		for i := 1; i < len(raw); i++ {
+			for k := i; k > 0 && cmpLits(ts, raw[k], raw[k-1]) < 0; k-- {
+				raw[k], raw[k-1] = raw[k-1], raw[k]
+			}
+		}
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return cmpRaws(ts, s.raw(int(a)), s.raw(int(b))) })
+	out := RawSet{weight: s.weight, off: make([]uint32, 1, n+1), lits: make([]uint64, 0, len(s.lits))}
+	for _, j := range idx {
+		out.appendRaw(s.raw(int(j)))
+	}
 	return out
 }
 
-// canonRawsKeys is canonRaws returning the per-grounding sort keys alongside,
-// so partitioned grounding can canonicalize each hash range in parallel and
-// then stably merge the sorted ranges by key (mergeCanon) instead of paying
-// one serial key-building pass over the whole clause.
-func canonRawsKeys(ts *TableSet, raws []rawClause) ([]rawClause, []string) {
-	if len(raws) == 0 {
-		return raws, nil
+// mergeCanon merges one clause's canonical hash-range outputs into the
+// canonical order of their union — what canonSet returns on the unsplit
+// query's rows — again at exactly its size.
+func mergeCanon(ts *TableSet, parts []RawSet) RawSet {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	keys := make([]string, len(raws))
-	for i := range raws {
-		sortRawLits(ts, &raws[i])
-		var b strings.Builder
-		b.Grow(len(raws[i].aids) * 10)
-		for j, aid := range raws[i].aids {
-			litDescKey(&b, ts, aid, raws[i].pos[j])
-		}
-		keys[i] = b.String()
-	}
-	idx := make([]int, len(raws))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]rawClause, len(raws))
-	outKeys := make([]string, len(raws))
-	for i, j := range idx {
-		out[i] = raws[j]
-		outKeys[i] = keys[j]
-	}
-	return out, outKeys
-}
-
-// mergeCanon stably merges per-range canonical groundings by key, ties going
-// to the earlier range. A stable sort of a concatenation equals the stable
-// merge of its stably-sorted parts, so the result is bit-for-bit what
-// canonRaws would return on the ranges' concatenation — without rebuilding a
-// single key.
-func mergeCanon(parts [][]rawClause, keys [][]string) []rawClause {
-	total := 0
+	raws, lits := 0, 0
 	for _, p := range parts {
-		total += len(p)
+		raws += p.n()
+		lits += len(p.lits)
 	}
-	out := make([]rawClause, 0, total)
+	out := RawSet{weight: parts[0].weight, off: make([]uint32, 1, raws+1), lits: make([]uint64, 0, lits)}
 	heads := make([]int, len(parts))
-	for len(out) < total {
+	for out.n() < raws {
 		best := -1
-		for r := range parts {
-			if heads[r] >= len(parts[r]) {
-				continue
-			}
-			if best < 0 || keys[r][heads[r]] < keys[best][heads[best]] {
+		for r, p := range parts {
+			if heads[r] < p.n() && (best < 0 || cmpRaws(ts, p.raw(heads[r]), parts[best].raw(heads[best])) < 0) {
 				best = r
 			}
 		}
-		out = append(out, parts[best][heads[best]])
+		out.appendRaw(parts[best].raw(heads[best]))
 		heads[best]++
 	}
 	return out

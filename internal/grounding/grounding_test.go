@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -408,25 +409,38 @@ func TestActiveClosure(t *testing.T) {
 	// Clauses: (a) [violated under all-false: active seed]
 	//          (!a v b) [negated lit on a: active once a activates]
 	//          (!c v d) [c never activated: dropped]
-	raws := []rawClause{
-		{weight: 1, aids: []int64{1}, pos: []bool{true}},
-		{weight: 1, aids: []int64{1, 2}, pos: []bool{false, true}},
-		{weight: 1, aids: []int64{3, 4}, pos: []bool{false, true}},
+	//          () [decided by evidence: always kept, it is fixed cost]
+	// listed so that each activation needs another pass over the raws.
+	sets := []RawSet{
+		mkSet(1, []uint64{neg(3), pos(4)}, []uint64{neg(2), pos(5)}, []uint64{neg(1), pos(2)}),
+		mkSet(2, nil, []uint64{pos(1)}),
 	}
-	got := activeClosure(raws)
-	if len(got) != 2 {
-		t.Fatalf("closure kept %d clauses, want 2", len(got))
+	got := activeClosure(sets)
+	want := []RawSet{
+		mkSet(1, []uint64{neg(2), pos(5)}, []uint64{neg(1), pos(2)}),
+		mkSet(2, nil, []uint64{pos(1)}),
+	}
+	if !slices.EqualFunc(got, want, sameSet) {
+		t.Fatalf("closure kept %+v, want %+v", got, want)
+	}
+	if sets[0].n() != 3 {
+		t.Fatal("closure modified its input")
 	}
 }
 
 func TestActiveClosureKeepsNegativeAndHard(t *testing.T) {
-	raws := []rawClause{
-		{weight: -1, aids: []int64{7, 8}, pos: []bool{false, false}},
-		{weight: math.Inf(1), aids: []int64{9}, pos: []bool{false}},
+	sets := []RawSet{
+		mkSet(-1, []uint64{neg(7), neg(8)}),
+		mkSet(math.Inf(1), []uint64{neg(9)}),
+		mkSet(1, []uint64{neg(7), pos(10)}, []uint64{neg(11), pos(10)}),
 	}
-	got := activeClosure(raws)
-	if len(got) != 2 {
-		t.Fatalf("closure dropped negative/hard clauses: %d", len(got))
+	got := activeClosure(sets)
+	if got[0].n() != 1 || got[1].n() != 1 {
+		t.Fatalf("closure dropped negative/hard clauses: %+v", got)
+	}
+	// ... and they seed the active set: atom 7 is active, atom 11 is not.
+	if want := mkSet(1, []uint64{neg(7), pos(10)}); !sameSet(got[2], want) {
+		t.Fatalf("closure kept %+v of the soft clause, want %+v", got[2], want)
 	}
 }
 

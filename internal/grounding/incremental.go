@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"tuffy/internal/db/tuple"
@@ -16,13 +17,17 @@ import (
 // Bottom-up grounding computes each first-order clause's groundings with one
 // SQL query, which gives exact per-clause provenance: the only predicates
 // that can change a clause's groundings are the ones appearing in its
-// literals. Incremental caches every clause's canonical raw groundings; when
-// evidence changes, only clauses whose provenance intersects the changed
-// predicates re-run their SQL, the rest reuse the cache, and the merged
-// sequence re-folds through the accumulator. Because each clause's raws are
-// in canonical (aid-independent) order, the assembled Result is bit-identical
-// to a full GroundBottomUp on the patched tables — and, by canon.go's
-// argument, to a fresh Ground over the merged evidence.
+// literals. Incremental retains every clause's raw groundings as that query
+// left them (one RawSet, in canonical order); when evidence changes, only
+// clauses whose provenance intersects the changed predicates re-run their
+// SQL and are diffed, raw for raw, against what was retained — which needs
+// the literals of a raw in canonical order and nothing else. The assembled
+// network does not depend on the order of raws or of literals at all
+// (canon.go: finish and the assembler sort atoms and clauses themselves), so
+// folding the diff into the assembler is bit-identical to a full
+// GroundBottomUp on the patched tables and to a fresh Ground over the merged
+// evidence. The order of raws inside a set is kept canonical for the
+// snapshot, which stores the retained sets byte for byte.
 
 // ClausePreds returns the grounding provenance of a first-order clause: the
 // set of predicates its (non-builtin) literals read.
@@ -88,14 +93,10 @@ func (inc *Incremental) ensureAssembler() time.Duration {
 func NewIncremental(ctx context.Context, ts *TableSet, opts Options) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
 	inc := newIncremental(ts, opts, make([]RawSet, n), make([]Stats, n))
-	raws := make([][]rawClause, n)
-	if err := groundSelectedSQL(ctx, ts, opts, raws, inc.perStats, nil); err != nil {
+	if err := groundSelectedSQL(ctx, ts, opts, inc.perClause, inc.perStats, nil); err != nil {
 		return nil, nil, err
 	}
-	for i := range raws {
-		inc.perClause[i] = flattenRaws(raws[i])
-	}
-	return inc, assembleResult(ts, raws, inc.perStats, opts), nil
+	return inc, assembleResult(ts, inc.perClause, inc.perStats, opts), nil
 }
 
 // RegroundInfo reports what a selective re-ground actually did.
@@ -118,10 +119,13 @@ type RegroundInfo struct {
 // re-assembled Result plus the raw-level diff against the previous ground.
 //
 // touchedNew flags the new-MRF atom ids that occur in any added or removed
-// raw grounding; atoms outside the flag set provably keep their connected
-// component's local structure (see canon.go), which is what the component and
-// partition repair layers rely on. On error (including cancellation) the
-// cache is left on the previous ground, so the delta is retryable.
+// raw grounding. A ground clause none of whose atoms is flagged, or lacks a
+// counterpart in the other epoch (the active closure admits and drops
+// clauses only together with such an atom), is the same clause with the same
+// weight in both epochs — which is what mrf.ComputePatchTouched and the
+// component and partition repair layers rely on. On error (including
+// cancellation) the cache is left on the previous ground, so the delta is
+// retryable.
 func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate]bool) (*Result, []bool, RegroundInfo, error) {
 	n := len(inc.TS.Prog.Clauses)
 	info := RegroundInfo{ClausesTotal: n}
@@ -135,9 +139,10 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 			}
 		}
 	}
-	tmpClause := make([][]rawClause, n)
-	tmpStats := make([]Stats, n)
-	if err := groundSelectedSQL(ctx, inc.TS, inc.Opts, tmpClause, tmpStats, sel); err != nil {
+	// Re-run clauses overwrite their slots in a copy of the cache; the rest
+	// of the copy shares the retained sets.
+	newClause, newStats := slices.Clone(inc.perClause), slices.Clone(inc.perStats)
+	if err := groundSelectedSQL(ctx, inc.TS, inc.Opts, newClause, newStats, sel); err != nil {
 		return nil, nil, info, err
 	}
 
@@ -145,10 +150,6 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 	// stable across ApplyDelta: the registry is append-only and re-inserted
 	// closed tuples reuse their original aid).
 	touchedAids := make(map[int64]struct{})
-	newClause := make([]RawSet, n)
-	newStats := make([]Stats, n)
-	copy(newClause, inc.perClause)
-	copy(newStats, inc.perStats)
 	type clauseDiff struct {
 		idx            int
 		added, removed RawSet
@@ -158,23 +159,20 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 		if !sel[i] {
 			continue
 		}
-		newClause[i] = flattenRaws(tmpClause[i])
-		tmpClause[i] = nil
 		added, removed, fixed := diffRaws(inc.perClause[i], newClause[i], touchedAids)
 		info.RawsAdded += added.n()
 		info.RawsRemoved += removed.n()
 		info.FixedCostDelta = info.FixedCostDelta || fixed
-		info.RerunJoinRows += tmpStats[i].JoinRowsVisited
+		info.RerunJoinRows += newStats[i].JoinRowsVisited
 		if added.n() > 0 || removed.n() > 0 {
 			diffs = append(diffs, clauseDiff{idx: i, added: added, removed: removed})
 		}
-		newStats[i] = tmpStats[i]
 	}
 	info.TouchedAids = len(touchedAids)
 
 	var res *Result
 	if inc.Opts.UseClosure {
-		res = assembleResult(inc.TS, expandRaws(newClause), newStats, inc.Opts)
+		res = assembleResult(inc.TS, newClause, newStats, inc.Opts)
 	} else {
 		info.AssemblerBuild = inc.ensureAssembler()
 		for _, d := range diffs {

@@ -3,6 +3,7 @@ package grounding
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -280,6 +281,72 @@ func TestPatchApplyReconstructs(t *testing.T) {
 	}
 	if p.Identical() {
 		t.Fatal("a real delta produced an identical patch")
+	}
+}
+
+// TestPatchTouchedMatchesFull: the patch restricted to touched atoms is the
+// full patch, map for map — also under the active closure, where an update
+// admits (first delta) and drops (its inverse) clauses none of whose raws
+// changed: the chain program's rule groundings past the first link.
+func TestPatchTouchedMatchesFull(t *testing.T) {
+	const chainProg = `
+*seed(person)
+*friend(person, person)
+smokes(person)
+1 seed(x) => smokes(x)
+1.5 smokes(x), friend(x, y) => smokes(y)
+`
+	// check applies delta and returns the new Result, the (full) patch that
+	// leads to it and the delta that undoes it.
+	check := func(t *testing.T, inc *Incremental, res0 *Result, delta mln.Delta) (*Result, *mrf.Patch, mln.Delta) {
+		t.Helper()
+		undo, err := inc.TS.ApplyDelta(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res1, touched, _, err := inc.Reground(context.Background(), delta.Preds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldToNew, newToOld := AtomMaps(res0, res1)
+		full := mrf.ComputePatch(res0.MRF, res1.MRF, oldToNew, newToOld)
+		if got := mrf.ComputePatchTouched(res0.MRF, res1.MRF, oldToNew, newToOld, touched); !reflect.DeepEqual(got, full) {
+			t.Fatalf("touched patch +%d -%d ~%d, full patch +%d -%d ~%d", len(got.Added), len(got.RemovedOld),
+				len(got.Reweighted), len(full.Added), len(full.RemovedOld), len(full.Reweighted))
+		}
+		return res1, full, undo.Inverse()
+	}
+	t.Run("chain", func(t *testing.T) {
+		ts := setup(t, chainProg, "friend(A, B)\nfriend(B, C)\nfriend(C, D)\nseed(D)\n")
+		inc, res0, err := NewIncremental(context.Background(), ts, Options{UseClosure: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var on mln.Delta
+		on.Upsert(ts.Prog.MustPredicate("seed"), []int32{ts.Prog.Constant("person", "A")}, mln.True)
+		res1, p, off := check(t, inc, res0, on)
+		if len(p.Added) != 4 || len(p.RemovedOld) != 0 {
+			t.Fatalf("seeding A: +%d -%d clauses, want +4 -0", len(p.Added), len(p.RemovedOld))
+		}
+		if _, p, _ = check(t, inc, res1, off); len(p.Added) != 0 || len(p.RemovedOld) != 4 {
+			t.Fatalf("unseeding A: +%d -%d clauses, want +0 -4", len(p.Added), len(p.RemovedOld))
+		}
+	})
+	for _, tc := range smallDatasets() {
+		for _, closure := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/closure=%v", tc.ds.Name, closure), func(t *testing.T) {
+				ts := buildTS(t, tc.ds.Prog, tc.ds.Ev.Clone())
+				inc, res, err := NewIncremental(context.Background(), ts, Options{UseClosure: closure})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := int64(0); round < 3; round++ {
+					var inverse mln.Delta
+					res, _, inverse = check(t, inc, res, datagen.RandomDelta(tc.ds, tc.pred, 6, 99+round))
+					res, _, _ = check(t, inc, res, inverse)
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // order reproduces the identical aid space, and the cached per-clause raw
 // groundings (which reference aids) remain valid. Physical row order in
 // the rebuilt predicate tables may differ from the original build, but
-// canon.go's canonicalization makes every later Reground independent of
+// canon.go's order makes what every later Reground retains independent of
 // row and join order, so the engine stays bit-identical to a never-crashed
 // instance.
 
@@ -161,9 +161,9 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 // checked against ts's (restored, identical) aid space and folded through
 // the incremental assembler — eagerly, unlike NewIncremental, because both
 // callers (WAL replay and the first update after a clean warm open) apply a
-// delta next. The returned Result is the assembled network — bit-identical,
-// by canonicalization, to the snapshotted one — which callers may use to
-// cross-check the snapshot's own MRF.
+// delta next. The returned Result is the assembled network — a function of
+// the raws alone, so bit-identical to the snapshotted one — which callers may
+// use to cross-check the snapshot's own MRF.
 func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
 	if len(raws) != n || len(stats) != n {
@@ -179,7 +179,7 @@ func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats
 	}
 	inc := newIncremental(ts, opts, raws, stats)
 	if opts.UseClosure {
-		return inc, assembleResult(ts, expandRaws(raws), stats, opts), nil
+		return inc, assembleResult(ts, raws, stats, opts), nil
 	}
 	inc.ensureAssembler()
 	return inc, inc.asm.result(stats), nil

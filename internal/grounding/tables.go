@@ -9,15 +9,17 @@
 // The bottom-up grounder parallelizes with Options.Workers: clauses ground
 // concurrently, and a clause whose optimizer-estimated cost dominates the
 // workload is further split into hash ranges of a join variable so one
-// heavy clause cannot serialize the phase. Every schedule merges task
-// outputs in clause-then-range order and canonicalizes once per clause, so
-// the MRF is bit-identical across worker counts and split decisions. The
+// heavy clause cannot serialize the phase. Every task sorts its own output
+// into the canonical order (canon.go) and a split clause's ranges merge in
+// it, so what is retained and the MRF folded from it are bit-identical
+// across worker counts and split decisions. The
 // Incremental wrapper reuses the same machinery to re-ground only the
 // clauses an evidence delta touches.
 package grounding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -296,6 +298,13 @@ type Stats struct {
 	PeakBytes       int64 // peak transient memory the grounder held (account)
 }
 
+// absorb folds one task's or one clause's effort into s: join rows add up,
+// the peak is the largest single buffer.
+func (s *Stats) absorb(o Stats) {
+	s.JoinRowsVisited += o.JoinRowsVisited
+	s.PeakBytes = max(s.PeakBytes, o.PeakBytes)
+}
+
 // clauseAccumulator dedups ground clauses by canonical literal set, summing
 // weights of duplicates (standard MLN semantics), and assigns dense MRF atom
 // ids on first use.
@@ -329,23 +338,23 @@ func (ca *clauseAccumulator) mrfAtom(aid int64) mrf.AtomID {
 	return id
 }
 
-// add registers a ground clause given as (aid, positive) literal pairs.
-// Empty lits means the clause is already decided by evidence: a positive
-// weight contributes |w| of fixed cost, a negative weight contributes
-// nothing. Duplicate clauses have their weights summed.
-func (ca *clauseAccumulator) add(weight float64, aids []int64, pos []bool) {
+// add registers one raw grounding (literals aid<<1|positive). An empty raw
+// is a clause already decided by evidence: a positive weight contributes |w|
+// of fixed cost, a negative weight contributes nothing. Duplicate clauses
+// have their weights summed.
+func (ca *clauseAccumulator) add(weight float64, raw []uint64) {
 	ca.raw++
-	if len(aids) == 0 {
+	if len(raw) == 0 {
 		if weight > 0 {
 			ca.fixed += weight
 			ca.fixedN++
 		}
 		return
 	}
-	lits := make([]mrf.Lit, len(aids))
-	for i, aid := range aids {
-		l := ca.mrfAtom(aid)
-		if !pos[i] {
+	lits := make([]mrf.Lit, len(raw))
+	for i, v := range raw {
+		l := ca.mrfAtom(int64(v >> 1))
+		if v&1 == 0 {
 			l = -l
 		}
 		lits[i] = l
@@ -409,26 +418,23 @@ func litsKey(lits []mrf.Lit) string {
 	return b.String()
 }
 
-// finish builds the Result in descriptor-canonical form: atom ids are
-// assigned by sorting atoms on their aid-independent descriptors (predicate
-// id, argument constants — see canon.go) and clauses are sorted by their
-// renumbered literal sequences. The output is therefore a pure function of
-// the logical ground clauses, independent of aid numbering, raw order and
-// accumulation order — which is what lets the incremental assembler
-// (assemble.go) maintain the same Result under small raw diffs and stay
-// bit-identical to a full re-ground. Clauses whose summed weight cancelled
-// to zero are dropped.
+// finish builds the Result in canonical form: atom ids are assigned by
+// sorting atoms on their aid-independent descriptors (cmpAtoms — see
+// canon.go) and clauses are sorted by their renumbered literal sequences. The
+// output is therefore a pure function of the logical ground clauses,
+// independent of aid numbering, raw order and accumulation order — which is
+// what lets the incremental assembler (assemble.go) maintain the same Result
+// under small raw diffs and stay bit-identical to a full re-ground. Clauses
+// whose summed weight cancelled to zero are dropped.
 func (ca *clauseAccumulator) finish(stats Stats) *Result {
 	n := len(ca.tableAid) - 1
-	descs := make([]string, n+1)
-	for i := 1; i <= n; i++ {
-		descs[i] = atomDescKey(ca.ts, ca.tableAid[i])
-	}
 	order := make([]mrf.AtomID, n)
 	for i := range order {
 		order[i] = mrf.AtomID(i + 1)
 	}
-	sort.Slice(order, func(x, y int) bool { return descs[order[x]] < descs[order[y]] })
+	slices.SortFunc(order, func(x, y mrf.AtomID) int {
+		return cmpAtoms(ca.ts.Atom(ca.tableAid[x]), ca.ts.Atom(ca.tableAid[y]))
+	})
 	remap := make([]mrf.AtomID, n+1)
 	tableAid := make([]int64, n+1)
 	atomID := make(map[int64]mrf.AtomID, n)

@@ -58,13 +58,14 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 	}
 
 	stats := Stats{PeakBytes: atomBytes}
-	var raws []rawClause
+	sets := make([]RawSet, len(ts.Prog.Clauses))
 
-	for _, clause := range ts.Prog.Clauses {
+	for ci, clause := range ts.Prog.Clauses {
 		if err := context.Cause(ctx); ctx.Err() != nil {
 			return nil, err
 		}
-		segStart := len(raws)
+		raws := &sets[ci]
+		raws.weight = clause.Weight
 		if err := validateExistSafety(clause); err != nil {
 			return nil, fmt.Errorf("grounding clause %d: %w", clause.ID, err)
 		}
@@ -115,9 +116,8 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 						return nil // satisfied by evidence
 					}
 				}
-				// Universal literal ids, dropping evidence-decided ones.
-				var aids []int64
-				var pos []bool
+				// Universal literals, dropping evidence-decided ones, then the
+				// existential witnesses, all appended to the open raw.
 				for _, l := range uLits {
 					args, _ := litArgs(l, bind)
 					aid, ok := ts.AidOf(l.Pred, args)
@@ -126,16 +126,13 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 						// row: the atom is false, the negated literal true,
 						// clause satisfied. (Unreached for rows enumerated
 						// from tables; defensive.)
+						raws.dropOpen()
 						return nil
 					}
-					truth := ts.TruthOf(aid)
-					if truth != TruthUnknown {
-						continue
+					if ts.TruthOf(aid) == TruthUnknown {
+						raws.lits = append(raws.lits, rawLit(aid, !l.Negated))
 					}
-					aids = append(aids, aid)
-					pos = append(pos, !l.Negated)
 				}
-				// Existential literals: collect witnesses.
 				satisfied := false
 				for _, el := range eLits {
 					for _, r := range mem[el.Pred] {
@@ -148,18 +145,15 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 							satisfied = true
 						case TruthFalse:
 						default:
-							aids = append(aids, r.aid)
-							pos = append(pos, true)
+							raws.lits = append(raws.lits, rawLit(r.aid, true))
 						}
 					}
 					if satisfied {
-						break
+						raws.dropOpen()
+						return nil
 					}
 				}
-				if satisfied {
-					return nil
-				}
-				raws = append(raws, rawClause{weight: clause.Weight, aids: aids, pos: pos})
+				raws.endRaw()
 				return nil
 			}
 			l := uLits[depth]
@@ -202,29 +196,23 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 		if err := rec(0); err != nil {
 			return nil, err
 		}
-		// Same per-clause canonical order as the bottom-up grounder (see
-		// canon.go), keeping the two strategies' MRFs bit-identical.
-		canon := canonRaws(ts, raws[segStart:])
-		copy(raws[segStart:], canon)
 	}
 
+	// No canonical order here: nothing retains these raws, and the fold's
+	// output does not depend on theirs (canon.go) — the baseline is not
+	// charged for the bottom-up grounder's snapshot determinism.
 	if opts.UseClosure {
-		raws = activeClosure(raws)
+		sets = activeClosure(sets)
 	}
 	// Alchemy-style grounder also keeps the raw clause expansion in memory.
 	var clauseBytes int64
-	for _, r := range raws {
-		clauseBytes += int64(48 + 16*len(r.aids))
+	for _, s := range sets {
+		clauseBytes += int64(48*s.n() + 16*len(s.lits))
 	}
 	if atomBytes+clauseBytes*3 > stats.PeakBytes {
 		stats.PeakBytes = atomBytes + clauseBytes*3
 	}
-
-	ca := newClauseAccumulator(ts)
-	for _, r := range raws {
-		ca.add(r.weight, r.aids, r.pos)
-	}
-	return ca.finish(stats), nil
+	return foldRaws(ts, sets, stats), nil
 }
 
 // EstimateTopDownPeak computes the peak-memory account GroundTopDown would

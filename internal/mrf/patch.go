@@ -97,12 +97,16 @@ func ComputePatch(old, cur *MRF, oldToNew, newToOld []AtomID) *Patch {
 }
 
 // ComputePatchTouched is ComputePatch restricted to clauses incident to a
-// touched atom (new ids; an old atom with no new counterpart counts as
-// touched). A ground clause's weight can only change through a changed raw
-// grounding, and a changed raw's atom set equals its clause's atom set and
-// is entirely flagged in touchedNew — so clauses with no touched literal
-// provably survive with identical weight and need no key comparison. The
-// resulting Patch is identical to ComputePatch's; only the work is smaller.
+// touched atom: one flagged in touchedNew (new ids), or — on either side —
+// one with no counterpart in the other epoch. A ground clause can only
+// appear, vanish or change weight through a raw grounding that changed, or,
+// under the active closure, through one the closure admitted or dropped. A
+// changed raw's atoms are all flagged. An admitted raw has a negated literal
+// on an atom that was not active, hence not in the old network; a dropped one
+// has one that no longer is, hence not in the new. Clauses with no touched
+// atom therefore survive with identical weight and need no key comparison:
+// the resulting Patch is identical to ComputePatch's; only the work is
+// smaller.
 func ComputePatchTouched(old, cur *MRF, oldToNew, newToOld []AtomID, touchedNew []bool) *Patch {
 	return computePatch(old, cur, oldToNew, newToOld, touchedNew)
 }
@@ -120,24 +124,22 @@ func computePatch(old, cur *MRF, oldToNew, newToOld []AtomID, touchedNew []bool)
 
 		FixedCostChanged: old.FixedCost != cur.FixedCost,
 	}
-	curTouched := func(c *Clause) bool {
+	// touched applies the one condition to either side: toOther translates
+	// the clause's atom ids to the other epoch's, toNew (nil for a new
+	// clause) to the new epoch's.
+	touched := func(c *Clause, toOther, toNew []AtomID) bool {
 		if touchedNew == nil {
 			return true
 		}
 		for _, l := range c.Lits {
-			if touchedNew[Atom(l)] {
+			a := Atom(l)
+			if toOther[a] == 0 {
 				return true
 			}
-		}
-		return false
-	}
-	oldTouched := func(c *Clause) bool {
-		if touchedNew == nil {
-			return true
-		}
-		for _, l := range c.Lits {
-			n := oldToNew[Atom(l)]
-			if n == 0 || touchedNew[n] {
+			if toNew != nil {
+				a = toNew[a]
+			}
+			if touchedNew[a] {
 				return true
 			}
 		}
@@ -146,7 +148,7 @@ func computePatch(old, cur *MRF, oldToNew, newToOld []AtomID, touchedNew []bool)
 	newByKey := make(map[string]int)
 	var newSel []int
 	for i := range cur.Clauses {
-		if !curTouched(&cur.Clauses[i]) {
+		if !touched(&cur.Clauses[i], newToOld, nil) {
 			continue
 		}
 		k, _ := litSetKey(cur.Clauses[i].Lits, nil)
@@ -155,7 +157,7 @@ func computePatch(old, cur *MRF, oldToNew, newToOld []AtomID, touchedNew []bool)
 	}
 	matched := make(map[int]bool, len(newByKey))
 	for i := range old.Clauses {
-		if !oldTouched(&old.Clauses[i]) {
+		if !touched(&old.Clauses[i], oldToNew, oldToNew) {
 			continue
 		}
 		k, ok := litSetKey(old.Clauses[i].Lits, oldToNew)

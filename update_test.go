@@ -18,7 +18,9 @@ import (
 	"tuffy/internal/datagen"
 	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
+	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
+	"tuffy/internal/mrf"
 )
 
 func rcSmall() *datagen.Dataset {
@@ -75,27 +77,109 @@ func requireSameMarginal(t *testing.T, tag string, got, want *MarginalResult) {
 	}
 }
 
-// Randomized insert+retract deltas over the IE and RC datasets: after
-// UpdateEvidence, MAP and marginal answers must be bit-identical to a
-// fresh engine grounded from scratch on the merged evidence — across a
-// chain of updates, and again after applying an update's Inverse.
+// chainDataset is the program on which the active closure admits and drops
+// clauses whose own raws an update never changes: seeding the head of the
+// friend chain A→B→C→D activates one rule grounding after another.
+func chainDataset(t *testing.T, seeds ...string) *datagen.Dataset {
+	t.Helper()
+	prog, err := mln.ParseProgramString(`
+*seed(person)
+*friend(person, person)
+smokes(person)
+1 seed(x) => smokes(x)
+1.5 smokes(x), friend(x, y) => smokes(y)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evSrc := "friend(A, B)\nfriend(B, C)\nfriend(C, D)\n"
+	for _, s := range seeds {
+		evSrc += "seed(" + s + ")\n"
+	}
+	ev, err := mln.ParseEvidenceString(prog, evSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &datagen.Dataset{Name: "chain", Prog: prog, Ev: ev}
+}
+
+// seedDelta asserts (or, with on false, retracts) seed(person) on a chain
+// dataset.
+func seedDelta(ds *datagen.Dataset, person string, on bool) mln.Delta {
+	var d mln.Delta
+	args := []int32{ds.Prog.Constant("person", person)}
+	if on {
+		d.Upsert(ds.Prog.MustPredicate("seed"), args, mln.True)
+	} else {
+		d.Remove(ds.Prog.MustPredicate("seed"), args)
+	}
+	return d
+}
+
+// Randomized insert+retract deltas over the IE and RC datasets, and the
+// closure's activation and deactivation chains: after UpdateEvidence, MAP and
+// marginal answers must be bit-identical to a fresh engine grounded from
+// scratch on the merged evidence — across a chain of updates, and again after
+// applying an update's Inverse — with and without the active closure and a
+// memory budget, and the clause counts UpdateEvidence reports (from
+// ComputePatchTouched) must be those of the full ComputePatch.
 func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
-	cases := []struct {
-		name string
-		ds   *datagen.Dataset
-		pred string
-		n    int
-	}{
-		{"RC/refers", rcSmall(), "refers", 8},
-		{"RC/cat", rcSmall(), "cat", 6},
-		{"IE/hint", ieSmall(), "hint", 10},
+	type testCase struct {
+		name  string
+		ds    *datagen.Dataset
+		cfg   EngineConfig
+		delta func(round int) mln.Delta // an empty delta skips the round
+		added []int                     // expected ClausesAdded per round, if pinned
+	}
+	random := func(name string, ds *datagen.Dataset, pred string, n int, cfg EngineConfig) testCase {
+		return testCase{name: name, ds: ds, cfg: cfg, delta: func(round int) mln.Delta {
+			return datagen.RandomDelta(ds, pred, n, int64(100*round+99))
+		}}
+	}
+	closure := EngineConfig{UseClosure: true}
+	budgeted := EngineConfig{UseClosure: true, MemoryBudgetBytes: 200}
+	cases := []testCase{
+		random("RC/refers", rcSmall(), "refers", 8, EngineConfig{}),
+		random("RC/cat", rcSmall(), "cat", 6, EngineConfig{}),
+		random("IE/hint", ieSmall(), "hint", 10, EngineConfig{}),
+		random("RC/refers/closure", rcSmall(), "refers", 8, closure),
+		random("IE/hint/closure", ieSmall(), "hint", 10, closure),
+		random("RC/refers/closure+budget", rcSmall(), "refers", 8, budgeted),
+	}
+	for _, cfg := range []EngineConfig{closure, budgeted} {
+		suffix := ""
+		if cfg.MemoryBudgetBytes > 0 {
+			suffix = "+budget"
+		}
+		// Seeding A admits seed(A)'s own clause and the three rule groundings
+		// down the chain; the last round's Inverse then drops them again.
+		up := chainDataset(t, "D")
+		cases = append(cases, testCase{name: "chain/activate" + suffix, ds: up, cfg: cfg, added: []int{4},
+			delta: func(round int) mln.Delta {
+				if round > 0 {
+					return mln.Delta{}
+				}
+				return seedDelta(up, "A", true)
+			}})
+		// Retracting seed(A) drops those four; seeding B re-admits three.
+		down := chainDataset(t, "A", "D")
+		cases = append(cases, testCase{name: "chain/deactivate" + suffix, ds: down, cfg: cfg, added: []int{0, 3},
+			delta: func(round int) mln.Delta {
+				switch round {
+				case 0:
+					return seedDelta(down, "A", false)
+				case 1:
+					return seedDelta(down, "B", true)
+				}
+				return mln.Delta{}
+			}})
 	}
 	mapQ := InferOptions{MaxFlips: 20_000, Seed: 7}
 	margQ := InferOptions{Samples: 60, Seed: 9}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			eng := groundedEngine(t, tc.ds.Prog, tc.ds.Ev.Clone(), EngineConfig{})
+			eng := groundedEngine(t, tc.ds.Prog, tc.ds.Ev.Clone(), tc.cfg)
 			// Materialize the derived structures so the updates exercise the
 			// repair paths (not just lazy recompute on the new epoch).
 			if _, err := eng.InferMAP(ctx, mapQ); err != nil {
@@ -104,21 +188,40 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 			if _, err := eng.InferMarginal(ctx, margQ); err != nil {
 				t.Fatal(err)
 			}
+			// update applies one delta and holds the reported clause counts
+			// against the unrestricted patch between the two epochs.
+			update := func(tag string, delta mln.Delta) *UpdateResult {
+				t.Helper()
+				before := eng.cur.Load().res
+				ur, err := eng.UpdateEvidence(ctx, delta)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				after := eng.cur.Load().res
+				oldToNew, newToOld := grounding.AtomMaps(before, after)
+				full := mrf.ComputePatch(before.MRF, after.MRF, oldToNew, newToOld)
+				if ur.ClausesAdded != len(full.Added) || ur.ClausesRemoved != len(full.RemovedOld) ||
+					ur.ClausesReweighted != len(full.Reweighted) {
+					t.Fatalf("%s: update reports +%d -%d ~%d clauses, the full patch has +%d -%d ~%d", tag,
+						ur.ClausesAdded, ur.ClausesRemoved, ur.ClausesReweighted,
+						len(full.Added), len(full.RemovedOld), len(full.Reweighted))
+				}
+				return ur
+			}
 
 			merged := tc.ds.Ev.Clone()
 			var lastInverse mln.Delta
 			for round := 0; round < 3; round++ {
-				delta := datagen.RandomDelta(tc.ds, tc.pred, tc.n, int64(100*round+99))
 				// RandomDelta derives ops from the original dataset; rounds
 				// after the first may retract tuples round 0 already removed.
 				// Filter to ops valid against the current merged evidence.
-				delta = filterValid(merged, delta)
+				delta := filterValid(merged, tc.delta(round))
 				if delta.Len() == 0 {
 					continue
 				}
-				ur, err := eng.UpdateEvidence(ctx, delta)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
+				ur := update(fmt.Sprintf("round %d", round), delta)
+				if round < len(tc.added) && ur.ClausesAdded != tc.added[round] {
+					t.Fatalf("round %d: %d clauses added, want %d", round, ur.ClausesAdded, tc.added[round])
 				}
 				lastInverse = ur.Inverse
 				if _, err := merged.Apply(delta); err != nil {
@@ -128,7 +231,7 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 					t.Fatalf("round %d: no clause grounding was reused (%d/%d rerun)", round, ur.ClausesRerun, ur.ClausesTotal)
 				}
 
-				fresh := groundedEngine(t, tc.ds.Prog, merged.Clone(), EngineConfig{})
+				fresh := groundedEngine(t, tc.ds.Prog, merged.Clone(), tc.cfg)
 				gotM, err := eng.InferMAP(ctx, mapQ)
 				if err != nil {
 					t.Fatal(err)
@@ -155,10 +258,8 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 				if _, err := merged.Apply(lastInverse); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := eng.UpdateEvidence(ctx, lastInverse); err != nil {
-					t.Fatal(err)
-				}
-				fresh := groundedEngine(t, tc.ds.Prog, merged.Clone(), EngineConfig{})
+				update("inverse", lastInverse)
+				fresh := groundedEngine(t, tc.ds.Prog, merged.Clone(), tc.cfg)
 				gotM, err := eng.InferMAP(ctx, mapQ)
 				if err != nil {
 					t.Fatal(err)
