@@ -541,78 +541,88 @@ type Rows struct {
 	Data   []tuple.Row
 }
 
-// Query parses, plans and executes a SELECT, materializing the result.
-func (db *DB) Query(sql string) (*Rows, error) {
+func parseSelect(sql, caller string) (*plan.SelectStmt, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	sel, ok := stmt.(*plan.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("db: Query expects SELECT")
+		return nil, fmt.Errorf("db: %s expects SELECT", caller)
+	}
+	return sel, nil
+}
+
+// Query parses, plans and executes a SELECT, materializing the result.
+func (db *DB) Query(sql string) (*Rows, error) {
+	sel, err := parseSelect(sql, "Query")
+	if err != nil {
+		return nil, err
 	}
 	return db.runSelect(sel)
+}
+
+// QueryEach parses, plans and executes a SELECT, calling fn on each output
+// row in order; the row is only valid until fn returns, so a caller that
+// keeps one must Clone it. An error from fn stops the query and is returned.
+// ranges attach hash-range scan restrictions to the named range variables
+// (there is no SQL syntax for them): running the same SQL once per residue
+// 0..Mod-1 yields disjoint results whose union is exactly the unrestricted
+// query — the partitioned-grounding contract.
+func (db *DB) QueryEach(sql string, ranges []plan.HashRange, fn func(tuple.Row) error) error {
+	sel, err := parseSelect(sql, "QueryEach")
+	if err != nil {
+		return err
+	}
+	sel.Ranges = append(sel.Ranges, ranges...)
+	_, err = db.selectEach(sel, fn)
+	return err
+}
+
+// selectEach runs a parsed SELECT, streaming its rows into fn, and returns
+// the output schema.
+func (db *DB) selectEach(sel *plan.SelectStmt, fn func(tuple.Row) error) (tuple.Schema, error) {
+	it, err := plan.NewPlanner(db, db.PlanOptions()).Plan(sel)
+	if err != nil {
+		return tuple.Schema{}, err
+	}
+	if err := it.Open(); err != nil {
+		return tuple.Schema{}, err
+	}
+	defer it.Close()
+	for {
+		row, ok, err := it.Next()
+		if err != nil || !ok {
+			return it.Schema(), err
+		}
+		if err := fn(row); err != nil {
+			return it.Schema(), err
+		}
+	}
 }
 
 func (db *DB) runSelect(sel *plan.SelectStmt) (*Rows, error) {
-	p := plan.NewPlanner(db, db.PlanOptions())
-	it, err := p.Plan(sel)
+	res := &Rows{}
+	sch, err := db.selectEach(sel, func(row tuple.Row) error {
+		res.Data = append(res.Data, row.Clone())
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := exec.Collect(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Schema: it.Schema(), Data: rows}, nil
-}
-
-// QueryRanged parses, plans and executes a SELECT with hash-range scan
-// restrictions attached to the named range variables (there is no SQL
-// syntax for them). Running the same SQL once per residue 0..Mod-1 yields
-// disjoint results whose union is exactly the unrestricted query — the
-// partitioned-grounding contract.
-func (db *DB) QueryRanged(sql string, ranges []plan.HashRange) (*Rows, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*plan.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("db: QueryRanged expects SELECT")
-	}
-	sel.Ranges = append(sel.Ranges, ranges...)
-	return db.runSelect(sel)
+	res.Schema = sch
+	return res, nil
 }
 
 // EstimateQuery runs the optimizer on a SELECT without executing it and
 // returns its Explain: join order, access paths and root cost estimates.
 func (db *DB) EstimateQuery(sql string) (*plan.Explain, error) {
-	stmt, err := sqlparse.Parse(sql)
+	sel, err := parseSelect(sql, "EstimateQuery")
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(*plan.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("db: EstimateQuery expects SELECT")
 	}
 	p := plan.NewPlanner(db, db.PlanOptions())
 	return p.EstimateSelect(sel)
-}
-
-// QueryIter plans a SELECT and returns the iterator without materializing;
-// the caller Opens/Closes it.
-func (db *DB) QueryIter(sql string) (exec.Iterator, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*plan.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("db: QueryIter expects SELECT")
-	}
-	p := plan.NewPlanner(db, db.PlanOptions())
-	return p.Plan(sel)
 }
 
 // Exec runs a DDL/DML statement and returns the number of affected rows.
@@ -632,11 +642,11 @@ func (db *DB) Exec(sql string) (int64, error) {
 	case *plan.DeleteStmt:
 		return db.execDelete(s)
 	case *plan.SelectStmt:
-		rows, err := db.runSelect(s)
-		if err != nil {
+		var n int64
+		if _, err := db.selectEach(s, func(tuple.Row) error { n++; return nil }); err != nil {
 			return 0, err
 		}
-		return int64(len(rows.Data)), nil
+		return n, nil
 	default:
 		return 0, fmt.Errorf("db: unsupported statement %T", stmt)
 	}

@@ -1,7 +1,10 @@
 package db
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"tuffy/internal/db/plan"
@@ -519,10 +522,22 @@ func TestUpdateManyMaintainsDistinctStatsWithoutIndex(t *testing.T) {
 	}
 }
 
-// QueryRanged must split a query into disjoint parts whose union equals the
-// unrestricted result (the intra-clause parallel grounder's contract), on
-// real heap storage — including the index-equipped path.
-func TestQueryRangedPartition(t *testing.T) {
+// queryEach collects QueryEach's rows, cloning each as the contract asks.
+func queryEach(t *testing.T, d *DB, sql string, ranges []plan.HashRange) []tuple.Row {
+	t.Helper()
+	var out []tuple.Row
+	if err := d.QueryEach(sql, ranges, func(r tuple.Row) error {
+		out = append(out, r.Clone())
+		return nil
+	}); err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return out
+}
+
+// rangedTables holds t(k, v) with a hash index on k and u(k, w) without one.
+func rangedTables(t *testing.T) *DB {
+	t.Helper()
 	d := Open(Config{})
 	tab, err := d.CreateTable("t", tuple.NewSchema(tuple.Col("k", tuple.TInt), tuple.Col("v", tuple.TInt)))
 	if err != nil {
@@ -538,28 +553,73 @@ func TestQueryRangedPartition(t *testing.T) {
 	if _, err := tab.BuildHashIndex([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	const sql = "SELECT k, v FROM t ORDER BY v"
-	full := mustQuery(t, d, sql)
-	const mod = 4
-	seen := make(map[int64]int)
-	total := 0
-	for rem := uint32(0); rem < mod; rem++ {
-		part, err := d.QueryRanged(sql, []plan.HashRange{{Table: "t", Col: "k", Mod: mod, Rem: rem}})
-		if err != nil {
-			t.Fatal(err)
+	mustExec(t, d, "CREATE TABLE u (k BIGINT, w BIGINT)")
+	for i := 0; i < 60; i++ {
+		mustExec(t, d, fmt.Sprintf("INSERT INTO u VALUES (%d, %d)", i%17, 1000+i))
+	}
+	return d
+}
+
+// A ranged QueryEach must split a query into disjoint parts whose union is
+// the unrestricted result as a multiset (the intra-clause parallel
+// grounder's contract), on real heap storage — including the index-equipped
+// path and a join that restricts both of its scans.
+func TestQueryRangedPartition(t *testing.T) {
+	d := rangedTables(t)
+	for _, q := range []struct {
+		sql    string
+		ranges func(mod, rem uint32) []plan.HashRange
+	}{
+		{"SELECT k, v FROM t ORDER BY v", func(mod, rem uint32) []plan.HashRange {
+			return []plan.HashRange{{Table: "t", Col: "k", Mod: mod, Rem: rem}}
+		}},
+		{"SELECT t.k, t.v, u.w FROM t, u WHERE t.k = u.k", func(mod, rem uint32) []plan.HashRange {
+			return []plan.HashRange{{Table: "t", Col: "k", Mod: mod, Rem: rem}, {Table: "u", Col: "k", Mod: mod, Rem: rem}}
+		}},
+	} {
+		full := queryEach(t, d, q.sql, nil)
+		const mod = 4
+		var union []tuple.Row
+		for rem := uint32(0); rem < mod; rem++ {
+			union = append(union, queryEach(t, d, q.sql, q.ranges(mod, rem))...)
 		}
-		for _, r := range part.Data {
-			seen[r[1].I]++
-			total++
+		if got, want := sortedKeys(union), sortedKeys(full); !slices.Equal(got, want) {
+			t.Fatalf("%s: ranges produced %d rows, full query %d, or different ones", q.sql, len(union), len(full))
 		}
 	}
-	if total != len(full.Data) {
-		t.Fatalf("ranges produced %d rows, full query %d", total, len(full.Data))
+}
+
+// sortedKeys renders rows as sorted strings: the multiset of a result.
+func sortedKeys(rows []tuple.Row) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = fmt.Sprint(r)
 	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("v=%d appeared in %d ranges", v, n)
+	slices.Sort(keys)
+	return keys
+}
+
+// QueryEach streams exactly Query's rows in Query's order, and an error from
+// the callback stops the query and comes back unchanged.
+func TestQueryEachMatchesQuery(t *testing.T) {
+	d := rangedTables(t)
+	for _, sql := range []string{
+		"SELECT k, v FROM t",
+		"SELECT k, v FROM t WHERE k = 3",
+		"SELECT t.v, u.w FROM t, u WHERE t.k = u.k AND u.w <> 1001",
+		"SELECT DISTINCT k FROM t ORDER BY k",
+		"SELECT k, COUNT(*) FROM u GROUP BY k",
+	} {
+		want := mustQuery(t, d, sql).Data
+		if got := queryEach(t, d, sql, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: QueryEach\n%v\nQuery\n%v", sql, got, want)
 		}
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err := d.QueryEach("SELECT k FROM t", nil, func(tuple.Row) error { calls++; return stop })
+	if err != stop || calls != 1 {
+		t.Fatalf("callback error: got %v after %d calls", err, calls)
 	}
 }
 

@@ -99,7 +99,7 @@ type SelectStmt struct {
 	OrderBy  []Operand
 	Limit    int64 // -1 = no limit
 	// Ranges restricts FROM items to hash ranges of a column. There is no
-	// SQL syntax for it; callers partitioning a query (db.QueryRanged)
+	// SQL syntax for it; callers partitioning a query (db.QueryEach)
 	// attach restrictions out of band.
 	Ranges []HashRange
 }

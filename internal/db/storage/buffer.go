@@ -46,6 +46,9 @@ type BufferPool struct {
 	frames   map[PageID]*frame
 	lru      *list.List // *frame point-read frames, front = most recent
 	scanLRU  *list.List // *frame scan-fetched frames, evicted before lru
+	// unpinned is signalled (with mu as its lock) whenever a frame's last
+	// Unpin drops its pin count to zero; FlushAll waits on it.
+	unpinned sync.Cond
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -88,13 +91,15 @@ func NewBufferPool(disk Disk, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame),
 		lru:      list.New(),
 		scanLRU:  list.New(),
 	}
+	bp.unpinned.L = &bp.mu
+	return bp
 }
 
 // ScanCursor declares one sequential scan to the pool: pages fetched
@@ -306,6 +311,9 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 	if f.pins > 0 {
 		f.pins--
+		if f.pins == 0 {
+			bp.unpinned.Broadcast() // FlushAll may be waiting for this frame
+		}
 	}
 }
 
@@ -314,33 +322,46 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 // evictor writes a pre-mutation snapshot outside the lock, and letting it
 // land before flushing the newer bytes keeps the two writes from reaching
 // the disk in the wrong order (stale bytes persisting under a frame marked
-// clean).
+// clean). A dirty frame that is pinned is waited on too, until its last pin
+// goes: its pinner may be writing the bytes, and only an unpinned frame's
+// image is consistent (no pin can be taken while FlushAll holds the lock).
+// The caller must therefore hold no pin itself.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for {
 		var wb chan struct{}
+		pinned := false
 		for _, f := range bp.frames {
 			if f.wb != nil {
 				wb = f.wb
 				break
 			}
-			if f.dirty {
-				if err := bp.disk.WritePage(f.id, f.data); err != nil {
-					return err
-				}
-				f.dirty = false
+			if !f.dirty {
+				continue
 			}
-		}
-		if wb == nil {
-			return nil
+			if f.pins > 0 {
+				pinned = true
+				continue
+			}
+			if err := bp.disk.WritePage(f.id, f.data); err != nil {
+				return err
+			}
+			f.dirty = false
 		}
 		// Wait without the lock, then restart: the frame map may have
 		// changed (and pages flushed before the wait stay clean, so the
 		// rescan only revisits what still needs work).
-		bp.mu.Unlock()
-		<-wb
-		bp.mu.Lock()
+		switch {
+		case wb != nil:
+			bp.mu.Unlock()
+			<-wb
+			bp.mu.Lock()
+		case pinned:
+			bp.unpinned.Wait()
+		default:
+			return nil
+		}
 	}
 }
 

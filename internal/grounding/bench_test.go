@@ -79,6 +79,21 @@ func BenchmarkGroundCold(b *testing.B) {
 	}
 }
 
+// BenchmarkFold is the cold fold alone: a grounded Incremental's retained
+// raw sets into the canonical Result.
+func BenchmarkFold(b *testing.B) {
+	for _, bd := range benchDatasets {
+		b.Run(bd.name, func(b *testing.B) {
+			ts := benchTables(b, bd.gen())
+			inc, _ := benchGround(b, ts)
+			b.ReportAllocs()
+			for b.Loop() {
+				benchSink = foldRaws(ts, inc.perClause, Stats{})
+			}
+		})
+	}
+}
+
 // applyAndReground is one evidence update as the engine runs it.
 func applyAndReground(b *testing.B, inc *Incremental, delta mln.Delta) mln.Delta {
 	b.Helper()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"tuffy/internal/db/plan"
+	"tuffy/internal/db/tuple"
 	"tuffy/internal/mln"
 )
 
@@ -260,7 +261,7 @@ func planSplits(ts *TableSet, comps []*Compiled, run []int, workers int) map[int
 }
 
 // assembleResult folds the per-clause raw groundings, in clause-ID order and
-// after the optional active closure, through the clause accumulator. It only
+// after the optional active closure, through foldRaws. It only
 // reads the sets: the incremental grounder retains the very same ones.
 func assembleResult(ts *TableSet, perClause []RawSet, perStats []Stats, opts Options) *Result {
 	stats := Stats{}
@@ -271,17 +272,6 @@ func assembleResult(ts *TableSet, perClause []RawSet, perStats []Stats, opts Opt
 		perClause = activeClosure(perClause)
 	}
 	return foldRaws(ts, perClause, stats)
-}
-
-// foldRaws accumulates every raw of sets into the canonical Result.
-func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
-	ca := newClauseAccumulator(ts)
-	for _, s := range sets {
-		for j := 0; j < s.n(); j++ {
-			ca.add(s.weight, s.raw(j))
-		}
-	}
-	return ca.finish(stats)
 }
 
 // ColRef names one alias.column of a compiled grounding query.
@@ -588,7 +578,7 @@ func rangeRestrictions(comp *Compiled, rng *clauseRange) ([]plan.HashRange, erro
 	return out, nil
 }
 
-// groundCompiled executes a compiled clause query — optionally restricted to
+// groundCompiled streams a compiled clause query — optionally restricted to
 // one hash range of its split variable — and appends each surviving row's
 // literals straight into a RawSet. The output is in row order, not canonical
 // order: canonSet sorts it.
@@ -601,20 +591,12 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 	if err != nil {
 		return out, err
 	}
-	rows, err := ts.DB.QueryRanged(comp.SQL, restr)
-	if err != nil {
-		return out, fmt.Errorf("executing %q: %w", comp.SQL, err)
-	}
-	stats.JoinRowsVisited += int64(len(rows.Data))
-	width := 2*len(comp.ULits) + comp.pcWidth() + 2*len(comp.ELits)
-	if peak := int64(len(rows.Data)) * int64(8*width); peak > stats.PeakBytes {
-		stats.PeakBytes = peak
-	}
-
 	nU := len(comp.ULits)
 	pcBase := 2 * nU
 	eBase := pcBase + comp.pcWidth()
+	width := eBase + 2*len(comp.ELits)
 	intRow := make([]int64, width)
+	var rows int64
 
 	// With existential literals the rows arrive grouped by universal binding
 	// (ORDER BY): a group is the open raw, its witnesses accumulate across
@@ -633,17 +615,18 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 		}
 	}
 
-	for _, row := range rows.Data {
+	err = ts.DB.QueryEach(comp.SQL, restr, func(row tuple.Row) error {
+		rows++
 		for i := range intRow {
 			intRow[i] = row[i].I
 		}
 		if evalPostClosed(ts, comp, intRow, pcBase) {
-			continue
+			return nil
 		}
 		if len(comp.ELits) == 0 {
 			appendULits(&out, comp, intRow)
 			out.endRaw()
-			continue
+			return nil
 		}
 		// One string per group, not per row: comparing string(keyBuf) does
 		// not allocate.
@@ -665,7 +648,13 @@ func groundCompiled(ts *TableSet, c *mln.Clause, comp *Compiled, rng *clauseRang
 				out.lits = append(out.lits, rawLit(intRow[eBase+2*j], true))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return out, fmt.Errorf("executing %q: %w", comp.SQL, err)
 	}
+	stats.JoinRowsVisited += rows
+	stats.PeakBytes = max(stats.PeakBytes, rows*int64(8*width))
 	if len(comp.ELits) > 0 {
 		closeGroup()
 		if err := existentialFallback(ts, c, comp, rng, witnessed, stats, &out); err != nil {
@@ -723,31 +712,25 @@ func existentialFallback(ts *TableSet, c *mln.Clause, comp *Compiled, rng *claus
 	if err != nil {
 		return fmt.Errorf("existential fallback: %w", err)
 	}
-	uRows, err := ts.DB.QueryRanged(uComp.SQL, restr)
-	if err != nil {
-		return err
-	}
-	stats.JoinRowsVisited += int64(len(uRows.Data))
-
 	nU := len(uComp.ULits)
 	pcBase := 2 * nU
 	intRow := make([]int64, pcBase+uComp.pcWidth())
 	var keyBuf []byte
-	for _, row := range uRows.Data {
+	return ts.DB.QueryEach(uComp.SQL, restr, func(row tuple.Row) error {
+		stats.JoinRowsVisited++
 		for i := range intRow {
 			intRow[i] = row[i].I
 		}
 		if evalPostClosed(ts, uComp, intRow, pcBase) {
-			continue
+			return nil
 		}
 		keyBuf = appendUKey(keyBuf[:0], intRow, nU)
-		if witnessed[string(keyBuf)] {
-			continue
+		if !witnessed[string(keyBuf)] {
+			appendULits(out, uComp, intRow)
+			out.endRaw()
 		}
-		appendULits(out, uComp, intRow)
-		out.endRaw()
-	}
-	return nil
+		return nil
+	})
 }
 
 // validateExistSafety rejects existential clauses whose universally

@@ -25,15 +25,16 @@ import (
 //     a RawSet is encoded as it stands, and a hash-range split must retain
 //     the set the unsplit query would. Equal raws are identical values, so the
 //     sort needs no stability and a merge's ties no rule.
-//   - Atoms (clauseAccumulator.finish; incAssembler keeps the same order by
-//     atomDescKey, whose byte order is this comparator's). The assembled MRF
-//     needs only this: finish numbers atoms in this order and sorts clauses
-//     by their renumbered literals, and since a set's raws share one weight
-//     and sets fold in clause order, every float sum is the same for any raw
-//     or literal order. The MRF is a pure function of the multiset of raws —
+//   - Atoms (foldRaws; incAssembler keeps the same order by atomDescKey,
+//     whose byte order is this comparator's). The assembled MRF needs only
+//     this: the fold numbers atoms in this order and merges clauses by their
+//     renumbered literals, and since a set's raws share one weight and equal
+//     clauses meet in set order, every float sum is the same for any raw or
+//     literal order. The MRF is a pure function of the multiset of raws —
 //     which is what makes an incremental update bit-identical to a fresh
 //     Ground of the merged evidence, and lets the top-down grounder skip
-//     sorting altogether.
+//     sorting altogether. Sorted sets make the fold cheaper, not different:
+//     each one is a ready-made run for its merge.
 
 // cmpAtoms orders ground atoms by predicate id, then argument constants.
 // Atoms of one predicate have one arity, so no descriptor is a proper prefix

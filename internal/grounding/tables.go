@@ -18,9 +18,9 @@
 package grounding
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"tuffy/internal/db"
@@ -295,7 +295,11 @@ type Stats struct {
 	NumClauses      int   // final ground clauses
 	FixedCostCount  int   // clauses fully decided by evidence
 	JoinRowsVisited int64 // tuples the grounding queries touched (effort proxy)
-	PeakBytes       int64 // peak transient memory the grounder held (account)
+	// PeakBytes is an account, not a measurement: rows × columns × 8 bytes of
+	// the largest grounding query output (the top-down lesion charges its
+	// in-memory tables and raws instead). The bottom-up grounder streams
+	// those rows and never holds them.
+	PeakBytes int64
 }
 
 // absorb folds one task's or one clause's effort into s: join rows add up,
@@ -305,92 +309,155 @@ func (s *Stats) absorb(o Stats) {
 	s.PeakBytes = max(s.PeakBytes, o.PeakBytes)
 }
 
-// clauseAccumulator dedups ground clauses by canonical literal set, summing
-// weights of duplicates (standard MLN semantics), and assigns dense MRF atom
-// ids on first use.
-type clauseAccumulator struct {
-	ts       *TableSet
-	atomID   map[int64]mrf.AtomID
-	tableAid []int64
-	clauses  map[string]*mrf.Clause
-	order    []string
-	fixed    float64
-	fixedN   int
-	raw      int
-}
+// litSpan is one translated clause: arena[lo:hi] in foldRaws.
+type litSpan struct{ lo, hi uint32 }
 
-func newClauseAccumulator(ts *TableSet) *clauseAccumulator {
-	return &clauseAccumulator{
-		ts:       ts,
-		atomID:   make(map[int64]mrf.AtomID),
-		tableAid: []int64{0},
-		clauses:  make(map[string]*mrf.Clause),
-	}
-}
-
-func (ca *clauseAccumulator) mrfAtom(aid int64) mrf.AtomID {
-	if id, ok := ca.atomID[aid]; ok {
-		return id
-	}
-	id := mrf.AtomID(len(ca.tableAid))
-	ca.atomID[aid] = id
-	ca.tableAid = append(ca.tableAid, aid)
-	return id
-}
-
-// add registers one raw grounding (literals aid<<1|positive). An empty raw
-// is a clause already decided by evidence: a positive weight contributes |w|
-// of fixed cost, a negative weight contributes nothing. Duplicate clauses
-// have their weights summed.
-func (ca *clauseAccumulator) add(weight float64, raw []uint64) {
-	ca.raw++
-	if len(raw) == 0 {
-		if weight > 0 {
-			ca.fixed += weight
-			ca.fixedN++
+// foldRaws folds every raw of sets into the canonical Result (canon.go).
+// Atoms are numbered up front, in cmpAtoms order, over every atom of a
+// non-empty raw. Each raw is translated into one literal arena, sorted and
+// deduplicated (x v !x is a tautology and drops). An empty raw is a clause
+// evidence already decided: a positive weight adds to the fixed cost, a
+// negative one nothing.
+//
+// Canonical sets translate into clause order unless a raw held a duplicate
+// literal, so each set's clauses are checked and, only when out of order
+// (the top-down lesion never sorts), stably sorted. A k-way merge across the
+// sets then emits every ground clause once, in final order; equal clauses
+// meet in (set, raw) order, which is the order their weights have always
+// been summed in. Clauses whose weights cancel to zero drop, and the rest
+// are copied into one arena of exactly their size.
+func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
+	id := make([]mrf.AtomID, len(ts.atoms)) // by aid; 1 marks "used" until numbered
+	var aids []int64
+	nlits, fixed := 0, 0.0
+	stats.NumGroundedRaw, stats.FixedCostCount = 0, 0
+	for _, s := range sets {
+		stats.NumGroundedRaw += s.n()
+		nlits += len(s.lits)
+		for _, v := range s.lits {
+			if id[v>>1] == 0 {
+				id[v>>1] = 1
+				aids = append(aids, int64(v>>1))
+			}
 		}
-		return
 	}
-	lits := make([]mrf.Lit, len(raw))
-	for i, v := range raw {
-		l := ca.mrfAtom(int64(v >> 1))
-		if v&1 == 0 {
-			l = -l
+	slices.SortFunc(aids, func(x, y int64) int { return cmpAtoms(ts.atoms[x], ts.atoms[y]) })
+	for k, aid := range aids {
+		id[aid] = mrf.AtomID(k + 1)
+	}
+
+	// One run of translated clauses per set that has any, in set order.
+	type run struct {
+		spans  []litSpan
+		weight float64
+	}
+	arena := make([]mrf.Lit, 0, nlits)
+	seq := func(sp litSpan) []mrf.Lit { return arena[sp.lo:sp.hi] }
+	cmpSpans := func(a, b litSpan) int { return slices.CompareFunc(seq(a), seq(b), cmpLit) }
+	var runs []run
+	for _, s := range sets {
+		r := run{weight: s.weight, spans: make([]litSpan, 0, s.n())}
+		for j := 0; j < s.n(); j++ {
+			if len(s.raw(j)) == 0 {
+				if s.weight > 0 {
+					fixed += s.weight
+					stats.FixedCostCount++
+				}
+				continue
+			}
+			lo := len(arena)
+			for _, v := range s.raw(j) {
+				l := id[v>>1]
+				if v&1 == 0 {
+					l = -l
+				}
+				arena = append(arena, l)
+			}
+			lits := dedupLits(sortLits(arena[lo:]))
+			arena = arena[:lo+len(lits)]
+			if len(lits) > 0 {
+				r.spans = append(r.spans, litSpan{uint32(lo), uint32(len(arena))})
+			}
 		}
-		lits[i] = l
+		if len(r.spans) > 0 {
+			if !slices.IsSortedFunc(r.spans, cmpSpans) {
+				slices.SortStableFunc(r.spans, cmpSpans)
+			}
+			runs = append(runs, r)
+		}
 	}
-	sortLits(lits)
-	// Drop duplicate literals; a clause with both l and !l is a tautology.
-	lits = dedupLits(lits)
-	if lits == nil {
-		return // tautology: satisfied in every world
+
+	type summed struct {
+		span   litSpan
+		weight float64
 	}
-	key := litsKey(lits)
-	if c, ok := ca.clauses[key]; ok {
-		c.Weight += weight
-		return
+	merged := make([]summed, 0, stats.NumGroundedRaw)
+	heads := make([]int, len(runs))
+	for {
+		best := -1
+		for i, r := range runs {
+			if heads[i] < len(r.spans) && (best < 0 || cmpSpans(r.spans[heads[i]], runs[best].spans[heads[best]]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sp := runs[best].spans[heads[best]]
+		heads[best]++
+		if n := len(merged); n > 0 && slices.Equal(seq(merged[n-1].span), seq(sp)) {
+			merged[n-1].weight += runs[best].weight
+		} else {
+			merged = append(merged, summed{sp, runs[best].weight})
+		}
 	}
-	ca.clauses[key] = &mrf.Clause{Weight: weight, Lits: lits}
-	ca.order = append(ca.order, key)
+
+	merged = slices.DeleteFunc(merged, func(c summed) bool { return c.weight == 0 })
+	keptLits := 0
+	for _, c := range merged {
+		keptLits += int(c.span.hi - c.span.lo)
+	}
+	m := mrf.New(len(aids))
+	m.FixedCost = fixed
+	m.Clauses = make([]mrf.Clause, len(merged))
+	out := make([]mrf.Lit, 0, keptLits)
+	for i, c := range merged {
+		lo := len(out)
+		out = append(out, seq(c.span)...)
+		m.Clauses[i] = mrf.Clause{Weight: c.weight, Lits: out[lo:len(out):len(out)]}
+	}
+	m.Atoms = make([]mln.GroundAtom, len(aids)+1)
+	tableAid := make([]int64, len(aids)+1)
+	atomID := make(map[int64]mrf.AtomID, len(aids))
+	for k, aid := range aids {
+		m.Atoms[k+1], tableAid[k+1], atomID[aid] = ts.atoms[aid], aid, mrf.AtomID(k+1)
+	}
+	stats.NumAtoms = ts.NumAtoms()
+	stats.NumUsedAtoms = len(aids)
+	stats.NumClauses = len(merged)
+	return &Result{MRF: m, TableAid: tableAid, AtomID: atomID, Stats: stats}
 }
 
-func sortLits(lits []mrf.Lit) {
+// cmpLit orders MRF literals by atom id, the negative one first.
+func cmpLit(a, b mrf.Lit) int {
+	if c := cmp.Compare(mrf.Atom(a), mrf.Atom(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// sortLits sorts a short literal slice in place (insertion sort) by cmpLit.
+func sortLits(lits []mrf.Lit) []mrf.Lit {
 	for i := 1; i < len(lits); i++ {
-		for j := i; j > 0 && litLess(lits[j], lits[j-1]); j-- {
+		for j := i; j > 0 && cmpLit(lits[j], lits[j-1]) < 0; j-- {
 			lits[j], lits[j-1] = lits[j-1], lits[j]
 		}
 	}
+	return lits
 }
 
-func litLess(a, b mrf.Lit) bool {
-	aa, ab := mrf.Atom(a), mrf.Atom(b)
-	if aa != ab {
-		return aa < ab
-	}
-	return a < b
-}
-
-// dedupLits removes duplicates; returns nil for tautologies (l and !l).
+// dedupLits removes duplicates from sorted literals in place; returns nil
+// for tautologies (l and !l).
 func dedupLits(lits []mrf.Lit) []mrf.Lit {
 	out := lits[:0]
 	for i, l := range lits {
@@ -403,90 +470,4 @@ func dedupLits(lits []mrf.Lit) []mrf.Lit {
 		out = append(out, l)
 	}
 	return out
-}
-
-func litsKey(lits []mrf.Lit) string {
-	var b strings.Builder
-	b.Grow(len(lits) * 5)
-	for _, l := range lits {
-		v := uint32(l)
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-	}
-	return b.String()
-}
-
-// finish builds the Result in canonical form: atom ids are assigned by
-// sorting atoms on their aid-independent descriptors (cmpAtoms — see
-// canon.go) and clauses are sorted by their renumbered literal sequences. The
-// output is therefore a pure function of the logical ground clauses,
-// independent of aid numbering, raw order and accumulation order — which is
-// what lets the incremental assembler (assemble.go) maintain the same Result
-// under small raw diffs and stay bit-identical to a full re-ground. Clauses
-// whose summed weight cancelled to zero are dropped.
-func (ca *clauseAccumulator) finish(stats Stats) *Result {
-	n := len(ca.tableAid) - 1
-	order := make([]mrf.AtomID, n)
-	for i := range order {
-		order[i] = mrf.AtomID(i + 1)
-	}
-	slices.SortFunc(order, func(x, y mrf.AtomID) int {
-		return cmpAtoms(ca.ts.Atom(ca.tableAid[x]), ca.ts.Atom(ca.tableAid[y]))
-	})
-	remap := make([]mrf.AtomID, n+1)
-	tableAid := make([]int64, n+1)
-	atomID := make(map[int64]mrf.AtomID, n)
-	for idx, old := range order {
-		id := mrf.AtomID(idx + 1)
-		remap[old] = id
-		tableAid[id] = ca.tableAid[old]
-		atomID[ca.tableAid[old]] = id
-	}
-
-	m := mrf.New(n)
-	m.FixedCost = ca.fixed
-	m.Atoms = make([]mln.GroundAtom, n+1)
-	for i := 1; i <= n; i++ {
-		m.Atoms[i] = ca.ts.Atom(tableAid[i])
-	}
-	clauses := make([]mrf.Clause, 0, len(ca.order))
-	for _, key := range ca.order {
-		c := ca.clauses[key]
-		if c.Weight == 0 {
-			continue
-		}
-		lits := make([]mrf.Lit, len(c.Lits))
-		for j, l := range c.Lits {
-			id := remap[mrf.Atom(l)]
-			if !mrf.Pos(l) {
-				id = -id
-			}
-			lits[j] = id
-		}
-		sortLits(lits)
-		clauses = append(clauses, mrf.Clause{Weight: c.Weight, Lits: lits})
-	}
-	sort.Slice(clauses, func(x, y int) bool { return litsLess(clauses[x].Lits, clauses[y].Lits) })
-	m.Clauses = clauses
-	stats.NumAtoms = ca.ts.NumAtoms()
-	stats.NumUsedAtoms = n
-	stats.NumGroundedRaw = ca.raw
-	stats.NumClauses = len(m.Clauses)
-	stats.FixedCostCount = ca.fixedN
-	return &Result{MRF: m, TableAid: tableAid, AtomID: atomID, Stats: stats}
-}
-
-// litsLess orders two canonical literal sequences element-wise by
-// (atom id, sign), shorter-prefix first. Because canonical atom ids are
-// themselves descriptor-sorted, this order — and with it the whole clause
-// list — is independent of aid numbering.
-func litsLess(a, b []mrf.Lit) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return litLess(a[i], b[i])
-		}
-	}
-	return len(a) < len(b)
 }

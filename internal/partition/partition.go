@@ -8,6 +8,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tuffy/internal/mrf"
@@ -73,19 +74,23 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return math.Abs(m.Clauses[order[a]].Weight) > math.Abs(m.Clauses[order[b]].Weight)
-	})
+	// Without a bound every clause merges, and the connected components are
+	// the same in any order: only a bounded run needs the weight order.
+	if beta > 0 {
+		sort.SliceStable(order, func(a, b int) bool {
+			return math.Abs(m.Clauses[order[a]].Weight) > math.Abs(m.Clauses[order[b]].Weight)
+		})
+	}
 
+	var roots []int32 // distinct roots the current clause touches, reused
 	for _, ci := range order {
 		c := &m.Clauses[ci]
 		// Compute the size of the union of all roots touched by the clause.
-		roots := make(map[int32]struct{}, len(c.Lits))
+		roots = roots[:0]
 		var total int64
 		for _, l := range c.Lits {
-			r := uf.Find(mrf.Atom(l))
-			if _, seen := roots[r]; !seen {
-				roots[r] = struct{}{}
+			if r := uf.Find(mrf.Atom(l)); !slices.Contains(roots, r) {
+				roots = append(roots, r)
 				total += size[r]
 			}
 		}
@@ -97,21 +102,13 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 			// Single-root clause already over budget: the clause stays
 			// internal (a partition can't be split below one component of
 			// forced merges); still account its literals.
-			for r := range roots {
-				size[r] += int64(len(c.Lits))
-			}
+			size[roots[0]] += int64(len(c.Lits))
 			continue
 		}
-		var first int32 = -1
-		for r := range roots {
-			if first < 0 {
-				first = r
-				continue
-			}
-			uf.Union(first, r)
+		for _, r := range roots[1:] {
+			uf.Union(roots[0], r)
 		}
-		root := uf.Find(mrf.Atom(c.Lits[0]))
-		size[root] = total
+		size[uf.Find(roots[0])] = total
 	}
 
 	// Build partitions from union-find roots.
@@ -142,31 +139,49 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 		pt.Parts = append(pt.Parts, p)
 	}
 	// Assign clauses: internal when all atoms share a partition, else cut.
-	for _, c := range m.Clauses {
+	// A first pass sizes each part's clause list and literal arena exactly.
+	partOfClause := func(c mrf.Clause) int32 {
 		pi := partOf[mrf.Atom(c.Lits[0])]
-		internal := true
 		for _, l := range c.Lits[1:] {
 			if partOf[mrf.Atom(l)] != pi {
-				internal = false
-				break
+				return -1
 			}
 		}
-		if !internal {
+		return pi
+	}
+	nClauses := make([]int, len(pt.Parts))
+	arenas := make([][]mrf.Lit, len(pt.Parts))
+	for _, c := range m.Clauses {
+		if pi := partOfClause(c); pi >= 0 {
+			nClauses[pi]++
+			pt.Parts[pi].SizeUnits += len(c.Lits)
+		}
+	}
+	for pi, p := range pt.Parts {
+		if nClauses[pi] > 0 {
+			p.Local.Clauses = make([]mrf.Clause, 0, nClauses[pi])
+			arenas[pi] = make([]mrf.Lit, 0, p.SizeUnits-p.Local.NumAtoms)
+		}
+	}
+	for _, c := range m.Clauses {
+		pi := partOfClause(c)
+		if pi < 0 {
 			pt.Cut = append(pt.Cut, c)
 			pt.CutWeight += math.Abs(c.Weight)
 			continue
 		}
-		p := pt.Parts[pi]
-		lits := make([]mrf.Lit, len(c.Lits))
-		for i, l := range c.Lits {
+		lits := arenas[pi]
+		lo := len(lits)
+		for _, l := range c.Lits {
 			ll := localID[mrf.Atom(l)]
 			if !mrf.Pos(l) {
 				ll = -ll
 			}
-			lits[i] = ll
+			lits = append(lits, ll)
 		}
-		p.Local.Clauses = append(p.Local.Clauses, mrf.Clause{Weight: c.Weight, Lits: lits})
-		p.SizeUnits += len(c.Lits)
+		arenas[pi] = lits
+		p := pt.Parts[pi]
+		p.Local.Clauses = append(p.Local.Clauses, mrf.Clause{Weight: c.Weight, Lits: lits[lo:len(lits):len(lits)]})
 	}
 	return pt
 }
