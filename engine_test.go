@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
 	"tuffy/internal/mln"
+	"tuffy/internal/mrf"
 )
 
 func figure1Engine(t *testing.T, cfg EngineConfig) *Engine {
@@ -458,5 +460,57 @@ func TestGroundCancelThenRetry(t *testing.T) {
 	}
 	if err := eng2.Ground(context.Background()); err != nil {
 		t.Fatalf("Ground after success must stay idempotent: %v", err)
+	}
+}
+
+// Predicate names need not be SQL identifiers: a name with '-', one that
+// would lex as a trailing number, and two names differing only in case each
+// ground and answer exactly as a twin program whose predicates carry plain
+// ASCII names.
+func TestPredicateNamesNeedNotBeIdentifiers(t *testing.T) {
+	const prog = `*P(person, person)
+*Q(person, person)
+smokes(person)
+cancer(person)
+1.5 smokes(x), P(x, y) => smokes(y)
+1 smokes(x), Q(x, y) => cancer(y)
+2 smokes(x) => cancer(x)
+`
+	const ev = "P(Anna, Bob)\nP(Bob, Carl)\nQ(Carl, Dan)\nsmokes(Anna)\n"
+	run := func(p, q string) (mrf.Stats, float64) {
+		t.Helper()
+		r := strings.NewReplacer("P(", p+"(", "Q(", q+"(")
+		pr, err := LoadProgramString(r.Replace(prog))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p, q, err)
+		}
+		e, err := LoadEvidenceString(pr, r.Replace(ev))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p, q, err)
+		}
+		eng := mustOpen(t, pr, e, EngineConfig{})
+		res, err := eng.InferMAP(context.Background(), InferOptions{MaxFlips: 20_000, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p, q, err)
+		}
+		st, err := eng.MRFStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, res.Cost
+	}
+	for _, tc := range []struct{ p, q, twinP, twinQ string }{
+		{"is-friend", "knows", "isfriend", "knows"},
+		{"f-1", "knows", "fone", "knows"},
+		{"Friend", "friend", "pal", "friend"},
+	} {
+		st, cost := run(tc.p, tc.q)
+		twinSt, twinCost := run(tc.twinP, tc.twinQ)
+		if st != twinSt || cost != twinCost {
+			t.Fatalf("%s/%s: stats %+v cost %v; ASCII twin %+v cost %v", tc.p, tc.q, st, cost, twinSt, twinCost)
+		}
+		if st.NumClauses == 0 {
+			t.Fatalf("%s/%s: empty network", tc.p, tc.q)
+		}
 	}
 }

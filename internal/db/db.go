@@ -3,7 +3,8 @@
 // clause tables, executes the grounding SQL produced by the bottom-up
 // grounder, and hosts the in-database search variant (Tuffy-mm). It wires
 // together the storage, index, exec, plan and sqlparse packages and exposes
-// Exec/Query plus a direct bulk-load path.
+// Query/QueryEach for the grounding SELECTs, Exec for UPDATE and DELETE, and
+// a direct create/bulk-load path (CreateTable, InsertMany).
 package db
 
 import (
@@ -47,7 +48,9 @@ type DB struct {
 	// minting new ids, so repeated create/drop cycles (per-query helper
 	// tables) hold storage at its high-water mark.
 	freeFiles []int32
-	planOpts  plan.Options
+	// planOpts is fixed at Open (the lesion knobs), so queries read it
+	// without taking mu.
+	planOpts plan.Options
 }
 
 // Open creates an engine.
@@ -74,19 +77,8 @@ func (db *DB) Disk() storage.Disk { return db.disk }
 // Pool exposes the buffer pool (for hit/miss stats in experiments).
 func (db *DB) Pool() *storage.BufferPool { return db.pool }
 
-// SetPlanOptions swaps the optimizer knobs (lesion study).
-func (db *DB) SetPlanOptions(o plan.Options) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.planOpts = o
-}
-
-// PlanOptions returns the current optimizer knobs.
-func (db *DB) PlanOptions() plan.Options {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.planOpts
-}
+// PlanOptions returns the optimizer knobs the engine was opened with.
+func (db *DB) PlanOptions() plan.Options { return db.planOpts }
 
 // Table is one base table: heap storage, schema, statistics and optional
 // secondary indexes.
@@ -96,12 +88,11 @@ type Table struct {
 	sch  tuple.Schema
 	heap *storage.HeapFile
 
-	// mu guards the statistics and index maps below so the planner can read
+	// mu guards the statistics and index map below so the planner can read
 	// them while another table loads concurrently.
 	mu       sync.RWMutex
-	distinct []map[string]struct{} // per-column distinct tracking
-	hashIdx  map[string]*index.HashIndex
-	btreeIdx map[string]*index.BTree
+	distinct []map[string]struct{}    // per-column distinct tracking
+	hashIdx  map[int]*index.HashIndex // single-column hash indexes by column
 }
 
 // CreateTable creates a table; it fails if the name exists.
@@ -125,8 +116,7 @@ func (db *DB) CreateTable(name string, sch tuple.Schema) (*Table, error) {
 		sch:      sch,
 		heap:     storage.NewHeapFile(db.pool, file),
 		distinct: make([]map[string]struct{}, sch.Arity()),
-		hashIdx:  make(map[string]*index.HashIndex),
-		btreeIdx: make(map[string]*index.BTree),
+		hashIdx:  make(map[int]*index.HashIndex),
 	}
 	for i := range t.distinct {
 		t.distinct[i] = make(map[string]struct{})
@@ -214,7 +204,7 @@ func (t *Table) Blocks() int64 { return int64(t.heap.NumPages()) }
 func (t *Table) HasEqIndex(col int) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.hashIdx[colsKey([]int{col})]
+	_, ok := t.hashIdx[col]
 	return ok
 }
 
@@ -223,7 +213,7 @@ func (t *Table) HasEqIndex(col int) bool {
 // order matches a filtered sequential scan.
 func (t *Table) NewIndexScan(col int, val tuple.Value) exec.Iterator {
 	t.mu.RLock()
-	idx, ok := t.hashIdx[colsKey([]int{col})]
+	idx, ok := t.hashIdx[col]
 	t.mu.RUnlock()
 	if !ok {
 		// The index was dropped between planning and execution; degrade to
@@ -238,7 +228,7 @@ func (t *Table) NewIndexScan(col int, val tuple.Value) exec.Iterator {
 // the rows whose column hashes into residue rem modulo mod, with the
 // restriction applied inside the heap-file scan callback.
 func (t *Table) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
-	return exec.NewRangeScan(t.heap, t.sch, col, mod, rem)
+	return &exec.SeqScan{Heap: t.heap, Sch: t.sch, Col: col, Mod: mod, Rem: rem}
 }
 
 // Heap exposes the underlying heap file (used by the in-database search).
@@ -265,11 +255,8 @@ func (t *Table) noteRowLocked(row tuple.Row, rid storage.RecordID) {
 	for i := range t.sch.Cols {
 		t.distinct[i][tuple.EncodeKey(row, []int{i})] = struct{}{}
 	}
-	for cols, idx := range t.hashIdx {
-		idx.Insert(tuple.EncodeKey(row, parseColsKey(cols)), rid)
-	}
-	for cols, idx := range t.btreeIdx {
-		idx.Insert(tuple.EncodeKey(row, parseColsKey(cols)), rid)
+	for col, idx := range t.hashIdx {
+		idx.Insert(tuple.EncodeKey(row, []int{col}), rid)
 	}
 }
 
@@ -300,79 +287,40 @@ func (t *Table) InsertMany(rows []tuple.Row) error {
 	return err
 }
 
-// colsKey canonicalizes an index column list.
-func colsKey(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
-}
-
-func parseColsKey(s string) []int {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		fmt.Sscan(p, &out[i])
-	}
-	return out
-}
-
-// BuildHashIndex builds (or rebuilds) a hash index on the column positions.
-func (t *Table) BuildHashIndex(cols []int) (*index.HashIndex, error) {
+// BuildHashIndex builds (or rebuilds) a hash index on the column position.
+func (t *Table) BuildHashIndex(col int) (*index.HashIndex, error) {
 	idx := index.NewHashIndex()
 	err := t.heap.Scan(func(rid storage.RecordID, rec []byte) error {
 		row, err := tuple.Decode(t.sch, rec)
 		if err != nil {
 			return err
 		}
-		idx.Insert(tuple.EncodeKey(row, cols), rid)
+		idx.Insert(tuple.EncodeKey(row, []int{col}), rid)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
-	t.hashIdx[colsKey(cols)] = idx
+	t.hashIdx[col] = idx
 	t.mu.Unlock()
 	return idx, nil
 }
 
-// BuildBTreeIndex builds (or rebuilds) a B-tree index on the column
-// positions.
-func (t *Table) BuildBTreeIndex(cols []int) (*index.BTree, error) {
-	idx := index.NewBTree()
-	err := t.heap.Scan(func(rid storage.RecordID, rec []byte) error {
-		row, err := tuple.Decode(t.sch, rec)
-		if err != nil {
-			return err
-		}
-		idx.Insert(tuple.EncodeKey(row, cols), rid)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	t.btreeIdx[colsKey(cols)] = idx
-	t.mu.Unlock()
-	return idx, nil
-}
-
-// DropHashIndex deregisters the hash index on the column positions,
+// DropHashIndex deregisters the hash index on the column position,
 // releasing its O(rows) in-memory footprint for future lookups. Holders of
 // the index pointer (e.g. a search mid-flight) are unaffected.
-func (t *Table) DropHashIndex(cols []int) {
+func (t *Table) DropHashIndex(col int) {
 	t.mu.Lock()
-	delete(t.hashIdx, colsKey(cols))
+	delete(t.hashIdx, col)
 	t.mu.Unlock()
 }
 
-// HashIndexOn returns the hash index on cols if built.
-func (t *Table) HashIndexOn(cols []int) (*index.HashIndex, bool) {
+// HashIndexOn returns the hash index on the column position if built.
+func (t *Table) HashIndexOn(col int) (*index.HashIndex, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, ok := t.hashIdx[colsKey(cols)]
+	idx, ok := t.hashIdx[col]
 	return idx, ok
 }
 
@@ -383,14 +331,6 @@ func (t *Table) Get(rid storage.RecordID) (tuple.Row, error) {
 		return nil, err
 	}
 	return tuple.Decode(t.sch, rec)
-}
-
-// UpdateAt overwrites the row at rid. The encoded size must match (true for
-// fixed-width schemas, which all engine-internal tables use). Secondary
-// indexes are kept consistent: the old row's keys are dropped and the new
-// row's keys inserted.
-func (t *Table) UpdateAt(rid storage.RecordID, row tuple.Row) error {
-	return t.UpdateMany([]storage.RecordID{rid}, []tuple.Row{row})
 }
 
 // UpdateMany overwrites the rows at rids in one batched pass (rids and rows
@@ -455,11 +395,6 @@ func (t *Table) ReviveMany(rids []storage.RecordID, rows []tuple.Row) error {
 	return err
 }
 
-// DeleteAt removes the row at rid, dropping its secondary-index entries.
-func (t *Table) DeleteAt(rid storage.RecordID) error {
-	return t.DeleteMany([]storage.RecordID{rid})
-}
-
 // DeleteMany removes the rows at rids in one batched pass (each page pinned
 // once per run of consecutive same-page rids), dropping their secondary-
 // index entries. Column-distinct statistics are upper-bound estimates and
@@ -482,7 +417,7 @@ func (t *Table) DeleteMany(rids []storage.RecordID) error {
 func (t *Table) reindexRows(old [][]byte, rids []storage.RecordID, rows []tuple.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	hasIdx := len(t.hashIdx) > 0 || len(t.btreeIdx) > 0
+	hasIdx := len(t.hashIdx) > 0
 	for i := range old {
 		if hasIdx {
 			oldRow, err := tuple.Decode(t.sch, old[i])
@@ -501,7 +436,7 @@ func (t *Table) reindexRows(old [][]byte, rids []storage.RecordID, rows []tuple.
 func (t *Table) deindexRecs(old [][]byte, rids []storage.RecordID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.hashIdx) == 0 && len(t.btreeIdx) == 0 {
+	if len(t.hashIdx) == 0 {
 		return nil
 	}
 	for i := range old {
@@ -516,11 +451,8 @@ func (t *Table) deindexRecs(old [][]byte, rids []storage.RecordID) error {
 
 // dropRowLocked removes a stored row's entries from all secondary indexes.
 func (t *Table) dropRowLocked(row tuple.Row, rid storage.RecordID) {
-	for cols, idx := range t.hashIdx {
-		idx.Delete(tuple.EncodeKey(row, parseColsKey(cols)), rid)
-	}
-	for cols, idx := range t.btreeIdx {
-		idx.Remove(tuple.EncodeKey(row, parseColsKey(cols)), rid)
+	for col, idx := range t.hashIdx {
+		idx.Delete(tuple.EncodeKey(row, []int{col}), rid)
 	}
 }
 
@@ -559,7 +491,15 @@ func (db *DB) Query(sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.runSelect(sel)
+	res := &Rows{}
+	res.Schema, err = db.selectEach(sel, func(row tuple.Row) error {
+		res.Data = append(res.Data, row.Clone())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // QueryEach parses, plans and executes a SELECT, calling fn on each output
@@ -601,19 +541,6 @@ func (db *DB) selectEach(sel *plan.SelectStmt, fn func(tuple.Row) error) (tuple.
 	}
 }
 
-func (db *DB) runSelect(sel *plan.SelectStmt) (*Rows, error) {
-	res := &Rows{}
-	sch, err := db.selectEach(sel, func(row tuple.Row) error {
-		res.Data = append(res.Data, row.Clone())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Schema = sch
-	return res, nil
-}
-
 // EstimateQuery runs the optimizer on a SELECT without executing it and
 // returns its Explain: join order, access paths and root cost estimates.
 func (db *DB) EstimateQuery(sql string) (*plan.Explain, error) {
@@ -625,83 +552,20 @@ func (db *DB) EstimateQuery(sql string) (*plan.Explain, error) {
 	return p.EstimateSelect(sel)
 }
 
-// Exec runs a DDL/DML statement and returns the number of affected rows.
+// Exec runs an UPDATE or DELETE and returns the number of affected rows.
 func (db *DB) Exec(sql string) (int64, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return 0, err
 	}
 	switch s := stmt.(type) {
-	case *plan.CreateTableStmt:
-		_, err := db.CreateTable(s.Table, s.Sch)
-		return 0, err
-	case *plan.InsertStmt:
-		return db.execInsert(s)
 	case *plan.UpdateStmt:
 		return db.execUpdate(s)
 	case *plan.DeleteStmt:
 		return db.execDelete(s)
-	case *plan.SelectStmt:
-		var n int64
-		if _, err := db.selectEach(s, func(tuple.Row) error { n++; return nil }); err != nil {
-			return 0, err
-		}
-		return n, nil
 	default:
-		return 0, fmt.Errorf("db: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("db: Exec expects UPDATE or DELETE; use Query for SELECT")
 	}
-}
-
-func (db *DB) execInsert(s *plan.InsertStmt) (int64, error) {
-	t, ok := db.Table(s.Table)
-	if !ok {
-		return 0, fmt.Errorf("db: no table %q", s.Table)
-	}
-	if s.Select != nil {
-		res, err := db.runSelect(s.Select)
-		if err != nil {
-			return 0, err
-		}
-		if res.Schema.Arity() != t.sch.Arity() {
-			return 0, fmt.Errorf("db: INSERT SELECT arity %d != table arity %d", res.Schema.Arity(), t.sch.Arity())
-		}
-		for _, row := range res.Data {
-			coerced, err := coerceRow(t.sch, row)
-			if err != nil {
-				return 0, err
-			}
-			if err := t.Insert(coerced); err != nil {
-				return 0, err
-			}
-		}
-		return int64(len(res.Data)), nil
-	}
-	var n int64
-	for _, row := range s.Rows {
-		coerced, err := coerceRow(t.sch, row)
-		if err != nil {
-			return 0, err
-		}
-		if err := t.Insert(coerced); err != nil {
-			return 0, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// coerceRow checks kinds against the schema (no implicit conversions beyond
-// identical kinds).
-func coerceRow(sch tuple.Schema, row tuple.Row) (tuple.Row, error) {
-	if len(row) != sch.Arity() {
-		return nil, fmt.Errorf("db: row arity %d != %d", len(row), sch.Arity())
-	}
-	for i, c := range sch.Cols {
-		if row[i].Kind != c.Type {
-			return nil, fmt.Errorf("db: column %s expects %v, got %v", c.Name, c.Type, row[i].Kind)
-		}
-	}
-	return row, nil
 }
 
 // wherePred compiles conjunctive conditions against a single table schema.

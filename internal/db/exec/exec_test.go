@@ -30,13 +30,60 @@ func intRows(vals ...[]int64) []tuple.Row {
 	return rows
 }
 
+// Values streams a fixed in-memory row set and rewinds on Open: the input
+// every operator test reads from.
+type Values struct {
+	Sch  tuple.Schema
+	Rows []tuple.Row
+	idx  int
+}
+
+func NewValues(sch tuple.Schema, rows []tuple.Row) *Values {
+	return &Values{Sch: sch, Rows: rows}
+}
+
+func (v *Values) Open() error { v.idx = 0; return nil }
+
+func (v *Values) Next() (tuple.Row, bool, error) {
+	if v.idx >= len(v.Rows) {
+		return nil, false, nil
+	}
+	r := v.Rows[v.idx]
+	v.idx++
+	return r, true, nil
+}
+
+func (v *Values) Close() error { return nil }
+
+func (v *Values) Schema() tuple.Schema { return v.Sch }
+
+// Collect drains it and returns all rows (cloned). It Opens and Closes the
+// iterator.
+func Collect(it Iterator) ([]tuple.Row, error) {
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []tuple.Row
+	for {
+		row, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, row.Clone())
+	}
+}
+
 func TestSeqScanRoundTrip(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := storage.NewBufferPool(disk, 16)
 	heap := storage.NewHeapFile(pool, 1)
-	sch := tuple.NewSchema(tuple.Col("id", tuple.TInt), tuple.Col("name", tuple.TString))
+	sch := tuple.NewSchema(tuple.Col("id", tuple.TInt), tuple.Col("lits", tuple.TIntList))
 	for i := 0; i < 1000; i++ {
-		rec, err := tuple.Encode(sch, tuple.Row{tuple.I64(int64(i)), tuple.Str(fmt.Sprintf("n%d", i))})
+		rec, err := tuple.Encode(sch, tuple.Row{tuple.I64(int64(i)), tuple.IntList([]int64{int64(i), -1})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +98,7 @@ func TestSeqScanRoundTrip(t *testing.T) {
 	if len(rows) != 1000 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	if rows[7][0].I != 7 || rows[7][1].S != "n7" {
+	if rows[7][0].I != 7 || fmt.Sprint(rows[7][1].List) != "[7 -1]" {
 		t.Fatalf("row 7 = %v", rows[7])
 	}
 }
@@ -59,7 +106,7 @@ func TestSeqScanRoundTrip(t *testing.T) {
 func TestFilterAndProject(t *testing.T) {
 	sch := intSchema("a", "b")
 	vals := NewValues(sch, intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
-	f := NewFilter(vals, Cmp{Op: CmpGt, L: ColRef{Idx: 0}, R: Const{tuple.I64(1)}})
+	f := NewFilter(vals, Cmp{Op: CmpNe, L: ColRef{Idx: 0}, R: Const{tuple.I64(1)}})
 	p, err := NewProject(f, []Expr{ColRef{Idx: 1, Name: "b"}}, []string{"b"})
 	if err != nil {
 		t.Fatal(err)
@@ -77,20 +124,20 @@ func TestFilterAndProject(t *testing.T) {
 }
 
 func TestExprBooleans(t *testing.T) {
-	row := tuple.Row{tuple.I64(5), tuple.Str("x")}
+	row := tuple.Row{tuple.I64(5), tuple.IntList([]int64{1, 2})}
+	list := func(xs ...int64) Const { return Const{tuple.IntList(xs)} }
 	cases := []struct {
 		e    Expr
 		want bool
 	}{
 		{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}, true},
 		{Cmp{CmpNe, ColRef{Idx: 0}, Const{tuple.I64(5)}}, false},
-		{Cmp{CmpLt, ColRef{Idx: 0}, Const{tuple.I64(6)}}, true},
-		{Cmp{CmpGe, ColRef{Idx: 0}, Const{tuple.I64(6)}}, false},
-		{Cmp{CmpEq, ColRef{Idx: 1}, Const{tuple.Str("x")}}, true},
-		{And{[]Expr{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}, Cmp{CmpEq, ColRef{Idx: 1}, Const{tuple.Str("x")}}}}, true},
-		{And{[]Expr{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}, Cmp{CmpEq, ColRef{Idx: 1}, Const{tuple.Str("y")}}}}, false},
-		{Or{[]Expr{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(4)}}, Cmp{CmpEq, ColRef{Idx: 1}, Const{tuple.Str("x")}}}}, true},
-		{Not{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}}, false},
+		{Cmp{CmpNe, ColRef{Idx: 0}, Const{tuple.I64(6)}}, true},
+		{Cmp{CmpEq, ColRef{Idx: 1}, list(1, 2)}, true},
+		{Cmp{CmpEq, ColRef{Idx: 1}, list(1)}, false},
+		{And{[]Expr{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}, Cmp{CmpEq, ColRef{Idx: 1}, list(1, 2)}}}, true},
+		{And{[]Expr{Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.I64(5)}}, Cmp{CmpNe, ColRef{Idx: 1}, list(1, 2)}}}, false},
+		{And{}, true},
 	}
 	for i, c := range cases {
 		got, err := EvalPred(c.e, row)
@@ -105,9 +152,9 @@ func TestExprBooleans(t *testing.T) {
 
 func TestExprTypeMismatch(t *testing.T) {
 	row := tuple.Row{tuple.I64(5)}
-	_, err := Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.Str("5")}}.Eval(row)
+	_, err := Cmp{CmpEq, ColRef{Idx: 0}, Const{tuple.IntList([]int64{5})}}.Eval(row)
 	if err == nil {
-		t.Fatal("comparing int with string should fail")
+		t.Fatal("comparing int with list should fail")
 	}
 }
 
@@ -235,83 +282,6 @@ func TestSortStableAndOrdered(t *testing.T) {
 	// stability: (1,2) before (1,4)
 	if rows[0][1].I != 2 || rows[1][1].I != 4 {
 		t.Fatalf("sort not stable: %v", rows)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	vals := NewValues(intSchema("a"), intRows([]int64{1}, []int64{2}, []int64{1}, []int64{3}, []int64{2}))
-	rows, err := Collect(NewDistinct(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("distinct = %v", rows)
-	}
-}
-
-func TestLimit(t *testing.T) {
-	vals := NewValues(intSchema("a"), intRows([]int64{1}, []int64{2}, []int64{3}))
-	rows, err := Collect(NewLimit(vals, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("limit = %v", rows)
-	}
-}
-
-func TestHashAggregate(t *testing.T) {
-	vals := NewValues(intSchema("g", "x"), intRows(
-		[]int64{1, 10}, []int64{2, 5}, []int64{1, 20}, []int64{2, 7}, []int64{1, 30}))
-	agg := NewHashAggregate(vals, []int{0}, []AggSpec{
-		{Func: AggCount, Name: "cnt"},
-		{Func: AggSum, Arg: ColRef{Idx: 1}, Name: "total"},
-		{Func: AggMin, Arg: ColRef{Idx: 1}, Name: "lo"},
-		{Func: AggMax, Arg: ColRef{Idx: 1}, Name: "hi"},
-		{Func: AggArray, Arg: ColRef{Idx: 1}, Name: "all"},
-	})
-	rows, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("groups = %v", rows)
-	}
-	// Groups come out key-sorted.
-	g1 := rows[0]
-	if g1[0].I != 1 || g1[1].I != 3 || g1[2].I != 60 || g1[3].I != 10 || g1[4].I != 30 {
-		t.Fatalf("group 1 = %v", g1)
-	}
-	if fmt.Sprint(g1[5].List) != "[10 20 30]" {
-		t.Fatalf("array_agg = %v", g1[5].List)
-	}
-	g2 := rows[1]
-	if g2[0].I != 2 || g2[1].I != 2 || g2[2].I != 12 {
-		t.Fatalf("group 2 = %v", g2)
-	}
-}
-
-func TestHashAggregateNoGroups(t *testing.T) {
-	vals := NewValues(intSchema("x"), intRows([]int64{1}, []int64{2}, []int64{3}))
-	agg := NewHashAggregate(vals, nil, []AggSpec{{Func: AggCount, Name: "n"}})
-	rows, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][0].I != 3 {
-		t.Fatalf("count(*) = %v", rows)
-	}
-}
-
-func TestHashAggregateEmptyInput(t *testing.T) {
-	vals := NewValues(intSchema("g", "x"), nil)
-	agg := NewHashAggregate(vals, []int{0}, []AggSpec{{Func: AggCount}})
-	rows, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("rows = %v", rows)
 	}
 }
 

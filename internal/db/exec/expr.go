@@ -1,8 +1,9 @@
 // Package exec implements the Volcano-style executor of the relational
-// engine: scans, filters, projections, three join algorithms (nested-loop,
-// hash, sort-merge), sorting, duplicate elimination, grouped aggregation and
-// limits. Operators consume and produce tuple.Row values via the Iterator
-// interface; expressions evaluate over rows.
+// engine: scans (sequential, hash-range restricted, record-id), filters,
+// projections, three join algorithms (nested-loop, hash, sort-merge) and
+// sorting. Operators consume and produce tuple.Row values via the Iterator
+// interface; expressions (column references, constants, = and <>
+// comparisons and conjunctions) evaluate over rows.
 package exec
 
 import (
@@ -48,34 +49,20 @@ func (c Const) Eval(tuple.Row) (tuple.Value, error) { return c.Val, nil }
 
 func (c Const) String() string { return c.Val.String() }
 
-// CmpOp enumerates comparison operators.
+// CmpOp enumerates comparison operators: the grounding SQL compares only
+// for equality and inequality.
 type CmpOp int
 
 const (
 	CmpEq CmpOp = iota
 	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
 )
 
 func (op CmpOp) String() string {
-	switch op {
-	case CmpEq:
-		return "="
-	case CmpNe:
+	if op == CmpNe {
 		return "<>"
-	case CmpLt:
-		return "<"
-	case CmpLe:
-		return "<="
-	case CmpGt:
-		return ">"
-	case CmpGe:
-		return ">="
 	}
-	return "?"
+	return "="
 }
 
 // Cmp compares two sub-expressions.
@@ -97,23 +84,7 @@ func (c Cmp) Eval(row tuple.Row) (tuple.Value, error) {
 	if l.Kind != r.Kind {
 		return tuple.Value{}, fmt.Errorf("exec: comparing %v with %v", l.Kind, r.Kind)
 	}
-	cv := l.Compare(r)
-	var ok bool
-	switch c.Op {
-	case CmpEq:
-		ok = cv == 0
-	case CmpNe:
-		ok = cv != 0
-	case CmpLt:
-		ok = cv < 0
-	case CmpLe:
-		ok = cv <= 0
-	case CmpGt:
-		ok = cv > 0
-	case CmpGe:
-		ok = cv >= 0
-	}
-	return boolVal(ok), nil
+	return boolVal(l.Equal(r) == (c.Op == CmpEq)), nil
 }
 
 func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
@@ -147,52 +118,6 @@ func (a And) String() string {
 	}
 	return s
 }
-
-// Or is an n-ary disjunction.
-type Or struct {
-	Kids []Expr
-}
-
-// Eval implements Expr.
-func (o Or) Eval(row tuple.Row) (tuple.Value, error) {
-	for _, k := range o.Kids {
-		v, err := k.Eval(row)
-		if err != nil {
-			return tuple.Value{}, err
-		}
-		if truthy(v) {
-			return boolVal(true), nil
-		}
-	}
-	return boolVal(false), nil
-}
-
-func (o Or) String() string {
-	s := ""
-	for i, k := range o.Kids {
-		if i > 0 {
-			s += " OR "
-		}
-		s += k.String()
-	}
-	return s
-}
-
-// Not negates a boolean sub-expression.
-type Not struct {
-	Kid Expr
-}
-
-// Eval implements Expr.
-func (n Not) Eval(row tuple.Row) (tuple.Value, error) {
-	v, err := n.Kid.Eval(row)
-	if err != nil {
-		return tuple.Value{}, err
-	}
-	return boolVal(!truthy(v)), nil
-}
-
-func (n Not) String() string { return "NOT " + n.Kid.String() }
 
 func boolVal(b bool) tuple.Value {
 	if b {

@@ -20,30 +20,16 @@ type Iterator interface {
 	Schema() tuple.Schema
 }
 
-// Collect drains it and returns all rows (cloned). It Opens and Closes the
-// iterator.
-func Collect(it Iterator) ([]tuple.Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []tuple.Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row.Clone())
-	}
-}
-
-// SeqScan reads every live record of a heap file.
+// SeqScan reads every live record of a heap file. With Mod > 0 it keeps
+// only the rows whose column Col hashes into residue Rem modulo Mod (a
+// hash-range restriction, see HashValue), tested inside the storage scan
+// callback before a row is kept, so a partitioned scan's transient
+// footprint is 1/Mod of the table rather than all of it.
 type SeqScan struct {
-	Heap *storage.HeapFile
-	Sch  tuple.Schema
+	Heap     *storage.HeapFile
+	Sch      tuple.Schema
+	Col      int
+	Mod, Rem uint32
 
 	rows    []tuple.Row
 	nextIdx int
@@ -61,10 +47,16 @@ func (s *SeqScan) Open() error {
 	s.rows = s.rows[:0]
 	s.nextIdx = 0
 	s.opened = true
+	if s.Mod > 0 && (s.Col < 0 || s.Col >= s.Sch.Arity()) {
+		return fmt.Errorf("exec: SeqScan hash range on column %d of %d", s.Col, s.Sch.Arity())
+	}
 	return s.Heap.Scan(func(_ storage.RecordID, rec []byte) error {
 		row, err := tuple.Decode(s.Sch, rec)
 		if err != nil {
 			return err
+		}
+		if s.Mod > 0 && uint32(HashValue(row[s.Col])%uint64(s.Mod)) != s.Rem {
+			return nil
 		}
 		s.rows = append(s.rows, row)
 		return nil
@@ -93,37 +85,6 @@ func (s *SeqScan) Close() error {
 
 // Schema implements Iterator.
 func (s *SeqScan) Schema() tuple.Schema { return s.Sch }
-
-// Values streams a fixed in-memory row set (VALUES lists, tests).
-type Values struct {
-	Sch  tuple.Schema
-	Rows []tuple.Row
-	idx  int
-}
-
-// NewValues builds a Values iterator.
-func NewValues(sch tuple.Schema, rows []tuple.Row) *Values {
-	return &Values{Sch: sch, Rows: rows}
-}
-
-// Open implements Iterator.
-func (v *Values) Open() error { v.idx = 0; return nil }
-
-// Next implements Iterator.
-func (v *Values) Next() (tuple.Row, bool, error) {
-	if v.idx >= len(v.Rows) {
-		return nil, false, nil
-	}
-	r := v.Rows[v.idx]
-	v.idx++
-	return r, true, nil
-}
-
-// Close implements Iterator.
-func (v *Values) Close() error { return nil }
-
-// Schema implements Iterator.
-func (v *Values) Schema() tuple.Schema { return v.Sch }
 
 // Filter passes through rows satisfying Pred.
 type Filter struct {
@@ -287,84 +248,3 @@ func (s *Sort) Close() error {
 
 // Schema implements Iterator.
 func (s *Sort) Schema() tuple.Schema { return s.Child.Schema() }
-
-// Distinct removes duplicate rows (hash-based, full-row key).
-type Distinct struct {
-	Child Iterator
-	seen  map[string]struct{}
-	cols  []int
-}
-
-// NewDistinct builds a duplicate-eliminating iterator.
-func NewDistinct(child Iterator) *Distinct { return &Distinct{Child: child} }
-
-// Open implements Iterator.
-func (d *Distinct) Open() error {
-	if err := d.Child.Open(); err != nil {
-		return err
-	}
-	d.seen = make(map[string]struct{})
-	n := d.Child.Schema().Arity()
-	d.cols = make([]int, n)
-	for i := range d.cols {
-		d.cols[i] = i
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (d *Distinct) Next() (tuple.Row, bool, error) {
-	for {
-		row, ok, err := d.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := tuple.EncodeKey(row, d.cols)
-		if _, dup := d.seen[k]; dup {
-			continue
-		}
-		d.seen[k] = struct{}{}
-		return row, true, nil
-	}
-}
-
-// Close implements Iterator.
-func (d *Distinct) Close() error {
-	d.seen = nil
-	return d.Child.Close()
-}
-
-// Schema implements Iterator.
-func (d *Distinct) Schema() tuple.Schema { return d.Child.Schema() }
-
-// Limit stops after N rows.
-type Limit struct {
-	Child Iterator
-	N     int64
-	seen  int64
-}
-
-// NewLimit caps the child's output at n rows.
-func NewLimit(child Iterator, n int64) *Limit { return &Limit{Child: child, N: n} }
-
-// Open implements Iterator.
-func (l *Limit) Open() error { l.seen = 0; return l.Child.Open() }
-
-// Next implements Iterator.
-func (l *Limit) Next() (tuple.Row, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	row, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
-// Close implements Iterator.
-func (l *Limit) Close() error { return l.Child.Close() }
-
-// Schema implements Iterator.
-func (l *Limit) Schema() tuple.Schema { return l.Child.Schema() }

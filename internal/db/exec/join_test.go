@@ -35,15 +35,15 @@ func stringKeyedHashJoin(left, right []tuple.Row, lk, rk []int, residual Expr) (
 }
 
 // randomJoinTable draws n rows of nkeys key columns from a domain of size
-// dom (small, so keys repeat heavily) plus one payload column; with str set
-// the last key column is a string.
-func randomJoinTable(rng *rand.Rand, n, nkeys, dom int, str bool, payload int64) (tuple.Schema, []tuple.Row) {
+// dom (small, so keys repeat heavily) plus one payload column; with list set
+// the last key column is an integer list.
+func randomJoinTable(rng *rand.Rand, n, nkeys, dom int, list bool, payload int64) (tuple.Schema, []tuple.Row) {
 	cols := make([]tuple.Column, nkeys+1)
 	for k := 0; k < nkeys; k++ {
 		cols[k] = tuple.Col(fmt.Sprintf("k%d", k), tuple.TInt)
 	}
-	if str {
-		cols[nkeys-1].Type = tuple.TString
+	if list {
+		cols[nkeys-1].Type = tuple.TIntList
 	}
 	cols[nkeys] = tuple.Col("v", tuple.TInt)
 	rows := make([]tuple.Row, n)
@@ -52,8 +52,8 @@ func randomJoinTable(rng *rand.Rand, n, nkeys, dom int, str bool, payload int64)
 		for k := 0; k < nkeys; k++ {
 			row[k] = tuple.I64(int64(rng.Intn(dom)) - 1)
 		}
-		if str {
-			row[nkeys-1] = tuple.Str([]string{"", "a", "a\x00", "ab", "b"}[rng.Intn(min(dom, 5))])
+		if list {
+			row[nkeys-1] = tuple.IntList([][]int64{nil, {1}, {1, 0}, {1, 2}, {2}}[rng.Intn(min(dom, 5))])
 		}
 		row[nkeys] = tuple.I64(payload + int64(i))
 		rows[i] = row
@@ -75,7 +75,7 @@ func sameMultiset(a, b []tuple.Row) bool {
 }
 
 // TestHashJoinDifferential: on random tables with one to three key columns,
-// heavy key duplication and a string key, the hash, nested-loop and merge
+// heavy key duplication and an integer-list key, the hash, nested-loop and merge
 // joins return the same row multiset, and the hash join returns exactly the
 // string-keyed reference's row order. The left input is projected, so its
 // rows are reused buffers, as a plan's inner operators hand them out.
@@ -83,10 +83,10 @@ func TestHashJoinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 60; trial++ {
 		nkeys := 1 + trial%3
-		str := trial%4 == 3
+		list := trial%4 == 3
 		dom := 1 + rng.Intn(4)
-		lsch, lrows := randomJoinTable(rng, rng.Intn(40), nkeys, dom, str, 0)
-		rsch, rrows := randomJoinTable(rng, rng.Intn(40), nkeys, dom, str, 1000)
+		lsch, lrows := randomJoinTable(rng, rng.Intn(40), nkeys, dom, list, 0)
+		rsch, rrows := randomJoinTable(rng, rng.Intn(40), nkeys, dom, list, 1000)
 		keys := make([]int, nkeys)
 		var on []Expr
 		for k := range keys {

@@ -9,29 +9,20 @@ import (
 )
 
 // HashValue hashes one column value for hash-range partitioning. The
-// function is a fixed finalizer (splitmix64 for ints, FNV-1a folded through
-// it for strings), so a (mod, rem) partition of a table is stable across
-// processes and runs — which is what lets partitioned query results merge
-// deterministically.
+// function is a fixed finalizer (splitmix64 for ints, FNV-1a over the
+// elements folded through it for lists), so a (mod, rem) partition of a
+// table is stable across processes and runs — which is what lets
+// partitioned query results merge deterministically.
 func HashValue(v tuple.Value) uint64 {
-	switch v.Kind {
-	case tuple.TInt:
+	if v.Kind == tuple.TInt {
 		return mix64(uint64(v.I))
-	case tuple.TString:
-		var h uint64 = 14695981039346656037
-		for i := 0; i < len(v.S); i++ {
-			h ^= uint64(v.S[i])
-			h *= 1099511628211
-		}
-		return mix64(h)
-	default:
-		var h uint64 = 14695981039346656037
-		for _, x := range v.List {
-			h ^= mix64(uint64(x))
-			h *= 1099511628211
-		}
-		return mix64(h)
 	}
+	var h uint64 = 14695981039346656037
+	for _, x := range v.List {
+		h ^= mix64(uint64(x))
+		h *= 1099511628211
+	}
+	return mix64(h)
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -42,8 +33,9 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HashInRange is the predicate form of a hash-range restriction, for
-// iterators that cannot push the restriction into their storage scan.
+// HashInRange is the predicate form of a hash-range restriction, for the
+// restrictions a SeqScan cannot absorb (an index access path, or a second
+// range on the same range variable).
 type HashInRange struct {
 	Idx      int // column position
 	Mod, Rem uint32
@@ -65,70 +57,6 @@ func (h HashInRange) Eval(row tuple.Row) (tuple.Value, error) {
 func (h HashInRange) String() string {
 	return fmt.Sprintf("hash(col%d) %% %d = %d", h.Idx, h.Mod, h.Rem)
 }
-
-// RangeScan reads the live records of a heap file whose column hashes into
-// residue Rem modulo Mod. The restriction is applied inside the storage
-// scan callback, before rows are materialized, so a partitioned scan's
-// transient footprint is 1/Mod of the table rather than all of it.
-type RangeScan struct {
-	Heap     *storage.HeapFile
-	Sch      tuple.Schema
-	Col      int
-	Mod, Rem uint32
-
-	rows    []tuple.Row
-	nextIdx int
-	opened  bool
-}
-
-// NewRangeScan constructs a hash-range-restricted sequential scan.
-func NewRangeScan(heap *storage.HeapFile, sch tuple.Schema, col int, mod, rem uint32) *RangeScan {
-	return &RangeScan{Heap: heap, Sch: sch, Col: col, Mod: mod, Rem: rem}
-}
-
-// Open implements Iterator.
-func (s *RangeScan) Open() error {
-	s.rows = s.rows[:0]
-	s.nextIdx = 0
-	s.opened = true
-	if s.Mod == 0 || s.Col < 0 || s.Col >= s.Sch.Arity() {
-		return fmt.Errorf("exec: RangeScan col %d mod %d invalid", s.Col, s.Mod)
-	}
-	return s.Heap.Scan(func(_ storage.RecordID, rec []byte) error {
-		row, err := tuple.Decode(s.Sch, rec)
-		if err != nil {
-			return err
-		}
-		if uint32(HashValue(row[s.Col])%uint64(s.Mod)) != s.Rem {
-			return nil
-		}
-		s.rows = append(s.rows, row)
-		return nil
-	})
-}
-
-// Next implements Iterator.
-func (s *RangeScan) Next() (tuple.Row, bool, error) {
-	if !s.opened {
-		return nil, false, fmt.Errorf("exec: RangeScan.Next before Open")
-	}
-	if s.nextIdx >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.nextIdx]
-	s.nextIdx++
-	return row, true, nil
-}
-
-// Close implements Iterator.
-func (s *RangeScan) Close() error {
-	s.rows = nil
-	s.opened = false
-	return nil
-}
-
-// Schema implements Iterator.
-func (s *RangeScan) Schema() tuple.Schema { return s.Sch }
 
 // RIDScan fetches an explicit record-id set from a heap file — the
 // executor side of an index point-lookup. Open sorts the ids into heap

@@ -1,6 +1,6 @@
-// Package index provides the two secondary-index structures the optimizer
-// can choose between: an equality hash index and an ordered B-tree index.
-// Both map encoded key bytes (tuple.EncodeKey) to heap-file record ids.
+// Package index provides the secondary index the optimizer can choose over
+// a sequential scan: an in-memory equality hash index on one column,
+// mapping encoded key bytes (tuple.EncodeKey) to heap-file record ids.
 package index
 
 import (
@@ -10,7 +10,6 @@ import (
 // HashIndex is an in-memory equality index: key bytes -> record ids.
 type HashIndex struct {
 	buckets map[string][]storage.RecordID
-	entries int
 }
 
 // NewHashIndex returns an empty hash index.
@@ -21,7 +20,6 @@ func NewHashIndex() *HashIndex {
 // Insert adds one key -> rid mapping. Duplicate keys accumulate.
 func (h *HashIndex) Insert(key string, rid storage.RecordID) {
 	h.buckets[key] = append(h.buckets[key], rid)
-	h.entries++
 }
 
 // Lookup returns all record ids with the key.
@@ -36,7 +34,6 @@ func (h *HashIndex) Delete(key string, rid storage.RecordID) {
 		if id == rid {
 			ids[i] = ids[len(ids)-1]
 			ids = ids[:len(ids)-1]
-			h.entries--
 			if len(ids) == 0 {
 				delete(h.buckets, key)
 			} else {
@@ -46,10 +43,3 @@ func (h *HashIndex) Delete(key string, rid storage.RecordID) {
 		}
 	}
 }
-
-// Len returns the number of (key, rid) entries.
-func (h *HashIndex) Len() int { return h.entries }
-
-// DistinctKeys returns the number of distinct keys (used by the optimizer's
-// cardinality estimates).
-func (h *HashIndex) DistinctKeys() int { return len(h.buckets) }

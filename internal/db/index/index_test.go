@@ -2,8 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -25,145 +23,56 @@ func TestHashIndexBasic(t *testing.T) {
 	if got := h.Lookup("zzz"); got != nil {
 		t.Fatalf("Lookup(zzz) = %v", got)
 	}
-	if h.Len() != 3 || h.DistinctKeys() != 2 {
-		t.Fatalf("Len=%d Distinct=%d", h.Len(), h.DistinctKeys())
-	}
 	h.Delete("a", rid(1))
 	if got := h.Lookup("a"); len(got) != 1 || got[0] != rid(2) {
 		t.Fatalf("after delete Lookup(a) = %v", got)
 	}
 	h.Delete("a", rid(2))
-	if h.DistinctKeys() != 1 {
+	if _, ok := h.buckets["a"]; ok {
 		t.Fatalf("empty bucket not removed")
 	}
 	h.Delete("never", rid(9)) // no-op
-}
-
-func TestBTreeInsertLookup(t *testing.T) {
-	bt := NewBTree()
-	const n = 10000
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, i := range perm {
-		bt.Insert(fmt.Sprintf("key%06d", i), rid(i))
-	}
-	if bt.Len() != n {
-		t.Fatalf("Len = %d", bt.Len())
-	}
-	for i := 0; i < n; i += 97 {
-		got := bt.Lookup(fmt.Sprintf("key%06d", i))
-		if len(got) != 1 || got[0] != rid(i) {
-			t.Fatalf("Lookup(%d) = %v", i, got)
-		}
-	}
-	if bt.Lookup("missing") != nil {
-		t.Fatal("lookup of missing key returned ids")
-	}
-	if bt.Height() < 2 {
-		t.Fatalf("10k keys should split the root; height = %d", bt.Height())
+	if got := h.Lookup("b"); len(got) != 1 || got[0] != rid(3) {
+		t.Fatalf("Lookup(b) = %v", got)
 	}
 }
 
-func TestBTreeDuplicateKeys(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 10; i++ {
-		bt.Insert("same", rid(i))
-	}
-	got := bt.Lookup("same")
-	if len(got) != 10 {
-		t.Fatalf("Lookup(same) returned %d rids", len(got))
-	}
-	if bt.DistinctKeys() != 1 {
-		t.Fatalf("DistinctKeys = %d", bt.DistinctKeys())
-	}
-}
-
-func TestBTreeAscendSorted(t *testing.T) {
-	bt := NewBTree()
-	r := rand.New(rand.NewSource(2))
-	keys := make([]string, 0, 2000)
-	for i := 0; i < 2000; i++ {
-		k := fmt.Sprintf("%08x", r.Uint32())
-		keys = append(keys, k)
-		bt.Insert(k, rid(i))
-	}
-	sort.Strings(keys)
-	// dedupe
-	uniq := keys[:0]
-	for i, k := range keys {
-		if i == 0 || keys[i-1] != k {
-			uniq = append(uniq, k)
-		}
-	}
-	var got []string
-	bt.Ascend(func(key string, _ []storage.RecordID) bool {
-		got = append(got, key)
-		return true
-	})
-	if len(got) != len(uniq) {
-		t.Fatalf("Ascend visited %d keys, want %d", len(got), len(uniq))
-	}
-	for i := range got {
-		if got[i] != uniq[i] {
-			t.Fatalf("Ascend out of order at %d: %q vs %q", i, got[i], uniq[i])
-		}
-	}
-}
-
-func TestBTreeAscendRange(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 100; i++ {
-		bt.Insert(fmt.Sprintf("k%03d", i), rid(i))
-	}
-	var got []string
-	bt.AscendRange("k010", "k020", func(key string, _ []storage.RecordID) bool {
-		got = append(got, key)
-		return true
-	})
-	if len(got) != 10 || got[0] != "k010" || got[9] != "k019" {
-		t.Fatalf("range = %v", got)
-	}
-	// Open-ended range.
-	n := 0
-	bt.AscendRange("k090", "", func(string, []storage.RecordID) bool { n++; return true })
-	if n != 10 {
-		t.Fatalf("open range visited %d", n)
-	}
-}
-
-func TestBTreeAscendEarlyStop(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 500; i++ {
-		bt.Insert(fmt.Sprintf("k%04d", i), rid(i))
-	}
-	n := 0
-	bt.Ascend(func(string, []storage.RecordID) bool {
-		n++
-		return n < 7
-	})
-	if n != 7 {
-		t.Fatalf("visited %d, want 7", n)
-	}
-}
-
-func TestBTreeMatchesMapProperty(t *testing.T) {
-	f := func(keys []uint16) bool {
-		bt := NewBTree()
-		want := map[string]int{}
-		for i, k := range keys {
-			key := fmt.Sprintf("%05d", k)
-			bt.Insert(key, rid(i))
-			want[key]++
-		}
-		for key, count := range want {
-			if len(bt.Lookup(key)) != count {
-				return false
+// Under random inserts and deletes (duplicate keys, absent pairs) the index
+// answers every lookup with exactly the rids a plain map of sets holds.
+func TestHashIndexMatchesMapProperty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		h := NewHashIndex()
+		want := map[string]map[storage.RecordID]bool{}
+		for i, op := range ops {
+			key := fmt.Sprintf("%02d", op%16)
+			r := rid(int(op>>4) % 8)
+			if want[key] == nil {
+				want[key] = map[storage.RecordID]bool{}
+			}
+			if i%3 == 2 {
+				h.Delete(key, r)
+				delete(want[key], r)
+				continue
+			}
+			if !want[key][r] {
+				h.Insert(key, r)
+				want[key][r] = true
 			}
 		}
-		distinct := 0
-		bt.Ascend(func(string, []storage.RecordID) bool { distinct++; return true })
-		return distinct == len(want)
+		for key, rids := range want {
+			got := h.Lookup(key)
+			if len(got) != len(rids) {
+				return false
+			}
+			for _, r := range got {
+				if !rids[r] {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,23 +54,9 @@ type Cond struct {
 
 func (c Cond) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
 
-// ProjKind enumerates projection item kinds.
-type ProjKind int
-
-const (
-	ProjCol ProjKind = iota
-	ProjConst
-	ProjAgg
-	ProjStar
-)
-
-// ProjItem is one item of a SELECT list.
+// ProjItem is one item of a SELECT list: a column, optionally renamed.
 type ProjItem struct {
-	Kind  ProjKind
-	Col   Operand      // for ProjCol
-	Val   tuple.Value  // for ProjConst
-	Agg   exec.AggFunc // for ProjAgg
-	Arg   *Operand     // aggregate argument; nil for COUNT(*)
+	Col   Operand
 	Alias string
 }
 
@@ -88,27 +74,17 @@ func (f FromItem) Name() string {
 	return f.Table
 }
 
-// SelectStmt is the supported SELECT shape: conjunctive filters over a join
-// of base tables with optional grouping, ordering and limit.
+// SelectStmt is the supported SELECT shape: column projections over a
+// conjunctive join of base tables, optionally ordered.
 type SelectStmt struct {
-	Distinct bool
-	Proj     []ProjItem
-	From     []FromItem
-	Where    []Cond
-	GroupBy  []Operand
-	OrderBy  []Operand
-	Limit    int64 // -1 = no limit
+	Proj    []ProjItem
+	From    []FromItem
+	Where   []Cond
+	OrderBy []Operand
 	// Ranges restricts FROM items to hash ranges of a column. There is no
 	// SQL syntax for it; callers partitioning a query (db.QueryEach)
 	// attach restrictions out of band.
 	Ranges []HashRange
-}
-
-// InsertStmt inserts literal rows or a SELECT result.
-type InsertStmt struct {
-	Table  string
-	Rows   []tuple.Row // literal form
-	Select *SelectStmt // SELECT form (exactly one of Rows/Select set)
 }
 
 // UpdateStmt sets one column to a constant on rows matching conjunctive
@@ -126,17 +102,9 @@ type DeleteStmt struct {
 	Where []Cond
 }
 
-// CreateTableStmt declares a new table.
-type CreateTableStmt struct {
-	Table string
-	Sch   tuple.Schema
-}
-
 // Statement is a parsed SQL statement (one of the concrete types above).
 type Statement interface{ stmt() }
 
-func (*SelectStmt) stmt()      {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*CreateTableStmt) stmt() {}
+func (*SelectStmt) stmt() {}
+func (*UpdateStmt) stmt() {}
+func (*DeleteStmt) stmt() {}

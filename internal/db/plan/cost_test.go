@@ -35,7 +35,7 @@ func (t *idxTable) NewIndexScan(col int, val tuple.Value) exec.Iterator {
 			matched = append(matched, r)
 		}
 	}
-	return exec.NewValues(t.sch, matched)
+	return &rowsIter{sch: t.sch, rows: matched}
 }
 func (t *idxTable) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
 	var matched []tuple.Row
@@ -44,16 +44,15 @@ func (t *idxTable) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
 			matched = append(matched, r)
 		}
 	}
-	return exec.NewValues(t.sch, matched)
+	return &rowsIter{sch: t.sch, rows: matched}
 }
 
-// eqStmt is SELECT * FROM t WHERE k = 5.
+// eqStmt is SELECT k, v FROM t WHERE k = 5.
 func eqStmt() *SelectStmt {
 	return &SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
+		Proj:  proj("k", "v"),
 		From:  []FromItem{{Table: "t"}},
 		Where: []Cond{{Op: exec.CmpEq, L: ColOp("", "k"), R: ValOp(tuple.I64(5))}},
-		Limit: -1,
 	}
 }
 
@@ -93,7 +92,7 @@ func TestAccessPathFlipsAtCostThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := exec.Collect(it)
+		rows, err := collect(it)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,13 +137,12 @@ func (c catalogOf) TableMeta(name string) (TableMeta, bool) {
 // threeWayStmt joins a to b on k and a to c on j, projecting a.k.
 func threeWayStmt() *SelectStmt {
 	return &SelectStmt{
-		Proj: []ProjItem{{Kind: ProjCol, Col: ColOp("a", "k")}},
+		Proj: []ProjItem{{Col: ColOp("a", "k")}},
 		From: []FromItem{{Table: "a"}, {Table: "b"}, {Table: "c"}},
 		Where: []Cond{
 			{Op: exec.CmpEq, L: ColOp("a", "k"), R: ColOp("b", "k")},
 			{Op: exec.CmpEq, L: ColOp("a", "j"), R: ColOp("c", "j")},
 		},
-		Limit: -1,
 	}
 }
 
@@ -212,9 +210,8 @@ func TestHashRangePartitionIsDisjointUnion(t *testing.T) {
 	}
 	cat := catalogOf{"t": tab}
 	base := &SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
-		From:  []FromItem{{Table: "t"}},
-		Limit: -1,
+		Proj: proj("k", "v"),
+		From: []FromItem{{Table: "t"}},
 	}
 	full := collectSorted(t, cat, base)
 	const mod = 4
@@ -257,9 +254,8 @@ func TestHashRangeValidation(t *testing.T) {
 		{{Table: "small", Col: "k", Mod: 2, Rem: 2}},
 	} {
 		stmt := &SelectStmt{
-			Proj:   []ProjItem{{Kind: ProjStar}},
+			Proj:   proj("k", "v"),
 			From:   []FromItem{{Table: "small"}},
-			Limit:  -1,
 			Ranges: ranges,
 		}
 		if _, err := NewPlanner(cat, Options{}).Plan(stmt); err == nil {
@@ -274,7 +270,7 @@ func collectSorted(t *testing.T, cat Catalog, stmt *SelectStmt) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(it)
+	rows, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,29 +268,9 @@ func (p *Planner) PlanExplain(stmt *SelectStmt) (exec.Iterator, *Explain, error)
 		cur = exec.NewFilter(cur, pred)
 	}
 
-	// Grouping / aggregation.
-	hasAgg := false
-	for _, it := range stmt.Proj {
-		if it.Kind == ProjAgg {
-			hasAgg = true
-		}
-	}
-	if hasAgg || len(stmt.GroupBy) > 0 {
-		it, sch, err := p.buildAggregate(cur, curSch, stmt)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur, curSch = it, sch
-	} else {
-		it, sch, err := p.buildProject(cur, curSch, stmt.Proj)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur, curSch = it, sch
-	}
-
-	if stmt.Distinct {
-		cur = exec.NewDistinct(cur)
+	cur, curSch, err = p.buildProject(cur, curSch, stmt.Proj)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(stmt.OrderBy) > 0 {
 		var cols []int
@@ -305,9 +285,6 @@ func (p *Planner) PlanExplain(stmt *SelectStmt) (exec.Iterator, *Explain, error)
 			cols = append(cols, idx)
 		}
 		cur = exec.NewSort(cur, cols)
-	}
-	if stmt.Limit >= 0 {
-		cur = exec.NewLimit(cur, stmt.Limit)
 	}
 	return cur, ex, nil
 }
@@ -514,14 +491,15 @@ type renameIter struct {
 func (r *renameIter) Schema() tuple.Schema { return r.sch }
 
 // estimateFiltered estimates a relation's cardinality after its pushed-down
-// filters, using 1/distinct selectivity for equality with a constant and 1/3
-// for other comparisons.
+// filters, using 1/distinct selectivity for equality with a constant (1/3
+// for other equalities) and 0.9 for inequality.
 func (p *Planner) estimateFiltered(r *relation) float64 {
 	card := float64(r.meta.RowCount())
 	base := r.meta.Schema()
 	for _, c := range r.filters {
-		sel := 1.0 / 3.0
+		sel := 0.9
 		if c.Op == exec.CmpEq {
+			sel = 1.0 / 3.0
 			var colOp *Operand
 			switch {
 			case c.L.IsCol && !c.R.IsCol:
@@ -536,8 +514,6 @@ func (p *Planner) estimateFiltered(r *relation) float64 {
 					}
 				}
 			}
-		} else if c.Op == exec.CmpNe {
-			sel = 0.9
 		}
 		card *= sel
 	}
@@ -710,127 +686,21 @@ func (p *Planner) physicalJoin(left, right exec.Iterator, eqL, eqR []int, residu
 	return exec.NewHashJoin(left, right, eqL, eqR, residual)
 }
 
-// buildProject compiles the SELECT list (no aggregates).
+// buildProject compiles the SELECT list.
 func (p *Planner) buildProject(cur exec.Iterator, sch tuple.Schema, items []ProjItem) (exec.Iterator, tuple.Schema, error) {
-	var exprs []exec.Expr
-	var names []string
-	for _, it := range items {
-		switch it.Kind {
-		case ProjStar:
-			for i, c := range sch.Cols {
-				exprs = append(exprs, exec.ColRef{Idx: i, Name: c.Name})
-				names = append(names, c.Name)
-			}
-		case ProjCol:
-			e, ok := resolveOperand(it.Col, sch)
-			if !ok {
-				return nil, tuple.Schema{}, fmt.Errorf("plan: unknown column %s", it.Col)
-			}
-			name := it.Alias
-			if name == "" {
-				name = it.Col.Col
-			}
-			exprs = append(exprs, e)
-			names = append(names, name)
-		case ProjConst:
-			name := it.Alias
-			if name == "" {
-				name = it.Val.String()
-			}
-			exprs = append(exprs, exec.Const{Val: it.Val})
-			names = append(names, name)
-		default:
-			return nil, tuple.Schema{}, fmt.Errorf("plan: aggregate outside GROUP BY path")
+	exprs := make([]exec.Expr, len(items))
+	names := make([]string, len(items))
+	for i, it := range items {
+		e, ok := resolveOperand(it.Col, sch)
+		if !ok {
+			return nil, tuple.Schema{}, fmt.Errorf("plan: unknown column %s", it.Col)
+		}
+		exprs[i], names[i] = e, it.Alias
+		if names[i] == "" {
+			names[i] = it.Col.Col
 		}
 	}
 	proj, err := exec.NewProject(cur, exprs, names)
-	if err != nil {
-		return nil, tuple.Schema{}, err
-	}
-	return proj, proj.Schema(), nil
-}
-
-// buildAggregate compiles GROUP BY + aggregate SELECT lists.
-func (p *Planner) buildAggregate(cur exec.Iterator, sch tuple.Schema, stmt *SelectStmt) (exec.Iterator, tuple.Schema, error) {
-	var groupCols []int
-	for _, g := range stmt.GroupBy {
-		e, ok := resolveOperand(g, sch)
-		if !ok {
-			return nil, tuple.Schema{}, fmt.Errorf("plan: unknown GROUP BY column %s", g)
-		}
-		idx, isCol := colIndex(e)
-		if !isCol {
-			return nil, tuple.Schema{}, fmt.Errorf("plan: GROUP BY must reference columns")
-		}
-		groupCols = append(groupCols, idx)
-	}
-	var aggs []exec.AggSpec
-	// Map projection items to the aggregate output layout.
-	type outItem struct {
-		fromGroup int // >=0: group column position
-		fromAgg   int // >=0: aggregate position
-		name      string
-	}
-	var layout []outItem
-	for _, it := range stmt.Proj {
-		switch it.Kind {
-		case ProjCol:
-			e, ok := resolveOperand(it.Col, sch)
-			if !ok {
-				return nil, tuple.Schema{}, fmt.Errorf("plan: unknown column %s", it.Col)
-			}
-			idx, _ := colIndex(e)
-			pos := -1
-			for gi, g := range groupCols {
-				if g == idx {
-					pos = gi
-				}
-			}
-			if pos < 0 {
-				return nil, tuple.Schema{}, fmt.Errorf("plan: column %s not in GROUP BY", it.Col)
-			}
-			name := it.Alias
-			if name == "" {
-				name = it.Col.Col
-			}
-			layout = append(layout, outItem{fromGroup: pos, fromAgg: -1, name: name})
-		case ProjAgg:
-			var arg exec.Expr
-			if it.Arg != nil {
-				e, ok := resolveOperand(*it.Arg, sch)
-				if !ok {
-					return nil, tuple.Schema{}, fmt.Errorf("plan: unknown column %s", *it.Arg)
-				}
-				arg = e
-			}
-			name := it.Alias
-			if name == "" {
-				name = it.Agg.String()
-			}
-			aggs = append(aggs, exec.AggSpec{Func: it.Agg, Arg: arg, Name: name})
-			layout = append(layout, outItem{fromGroup: -1, fromAgg: len(aggs) - 1, name: name})
-		case ProjConst:
-			return nil, tuple.Schema{}, fmt.Errorf("plan: constants in aggregate SELECT unsupported")
-		case ProjStar:
-			return nil, tuple.Schema{}, fmt.Errorf("plan: SELECT * with GROUP BY unsupported")
-		}
-	}
-	agg := exec.NewHashAggregate(cur, groupCols, aggs)
-	aggSch := agg.Schema()
-	// Reorder aggregate output to the projection order.
-	var exprs []exec.Expr
-	var names []string
-	for _, li := range layout {
-		var idx int
-		if li.fromGroup >= 0 {
-			idx = li.fromGroup
-		} else {
-			idx = len(groupCols) + li.fromAgg
-		}
-		exprs = append(exprs, exec.ColRef{Idx: idx, Name: aggSch.Cols[idx].Name})
-		names = append(names, li.name)
-	}
-	proj, err := exec.NewProject(agg, exprs, names)
 	if err != nil {
 		return nil, tuple.Schema{}, err
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tuffy/internal/db/exec"
@@ -23,7 +24,55 @@ func (m *memTable) DistinctCount(col int) int64 {
 	}
 	return int64(len(m.rows))
 }
-func (m *memTable) NewScan() exec.Iterator { return exec.NewValues(m.sch, m.rows) }
+func (m *memTable) NewScan() exec.Iterator { return &rowsIter{sch: m.sch, rows: m.rows} }
+
+// rowsIter streams a fixed row set and rewinds on Open.
+type rowsIter struct {
+	sch  tuple.Schema
+	rows []tuple.Row
+	i    int
+}
+
+func (r *rowsIter) Open() error          { r.i = 0; return nil }
+func (r *rowsIter) Close() error         { return nil }
+func (r *rowsIter) Schema() tuple.Schema { return r.sch }
+func (r *rowsIter) Next() (tuple.Row, bool, error) {
+	if r.i >= len(r.rows) {
+		return nil, false, nil
+	}
+	r.i++
+	return r.rows[r.i-1], true, nil
+}
+
+// collect drains it, cloning each row.
+func collect(it exec.Iterator) ([]tuple.Row, error) {
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []tuple.Row
+	for {
+		row, ok, err := it.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, row.Clone())
+	}
+}
+
+// proj lists qualified "alias.col" (or bare "col") references as a SELECT
+// list.
+func proj(refs ...string) []ProjItem {
+	items := make([]ProjItem, len(refs))
+	for i, r := range refs {
+		if j := strings.IndexByte(r, '.'); j >= 0 {
+			items[i].Col = ColOp(r[:j], r[j+1:])
+		} else {
+			items[i].Col = ColOp("", r)
+		}
+	}
+	return items
+}
 
 type memCatalog map[string]*memTable
 
@@ -67,7 +116,7 @@ func runStmt(t *testing.T, opts Options, stmt *SelectStmt) []tuple.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(it)
+	rows, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +126,14 @@ func runStmt(t *testing.T, opts Options, stmt *SelectStmt) []tuple.Row {
 func selectJoin() *SelectStmt {
 	return &SelectStmt{
 		Proj: []ProjItem{
-			{Kind: ProjCol, Col: ColOp("small", "v")},
-			{Kind: ProjCol, Col: ColOp("big", "w")},
+			{Col: ColOp("small", "v")},
+			{Col: ColOp("big", "w")},
 		},
 		From: []FromItem{{Table: "big"}, {Table: "small"}},
 		Where: []Cond{
 			{Op: exec.CmpEq, L: ColOp("small", "k"), R: ColOp("big", "k")},
 		},
 		OrderBy: []Operand{ColOp("", "w")},
-		Limit:   -1,
 	}
 }
 
@@ -129,13 +177,12 @@ func TestPlanJoinOrderPicksSmallFirst(t *testing.T) {
 
 func TestPlanPushdownFilter(t *testing.T) {
 	stmt := &SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjCol, Col: ColOp("", "w")}},
+		Proj:  []ProjItem{{Col: ColOp("", "w")}},
 		From:  []FromItem{{Table: "big"}},
-		Where: []Cond{{Op: exec.CmpGt, L: ColOp("", "w"), R: ValOp(tuple.I64(103))}},
-		Limit: -1,
+		Where: []Cond{{Op: exec.CmpNe, L: ColOp("", "w"), R: ValOp(tuple.I64(103))}},
 	}
 	rows := runStmt(t, Options{}, stmt)
-	if len(rows) != 2 {
+	if len(rows) != 5 {
 		t.Fatalf("rows = %v", rows)
 	}
 }
@@ -143,17 +190,15 @@ func TestPlanPushdownFilter(t *testing.T) {
 func TestPlanUnknownTableAndColumn(t *testing.T) {
 	p := NewPlanner(testCatalog(), Options{})
 	_, err := p.Plan(&SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
-		From:  []FromItem{{Table: "absent"}},
-		Limit: -1,
+		Proj: proj("k"),
+		From: []FromItem{{Table: "absent"}},
 	})
 	if err == nil {
 		t.Fatal("unknown table accepted")
 	}
 	_, err = p.Plan(&SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjCol, Col: ColOp("", "nocol")}},
-		From:  []FromItem{{Table: "small"}},
-		Limit: -1,
+		Proj: []ProjItem{{Col: ColOp("", "nocol")}},
+		From: []FromItem{{Table: "small"}},
 	})
 	if err == nil {
 		t.Fatal("unknown column accepted")
@@ -164,12 +209,11 @@ func TestPlanAmbiguousColumn(t *testing.T) {
 	p := NewPlanner(testCatalog(), Options{})
 	// "k" exists in both tables: unqualified use in WHERE must error.
 	_, err := p.Plan(&SelectStmt{
-		Proj: []ProjItem{{Kind: ProjStar}},
+		Proj: proj("small.v"),
 		From: []FromItem{{Table: "small"}, {Table: "big"}},
 		Where: []Cond{
 			{Op: exec.CmpEq, L: ColOp("", "k"), R: ValOp(tuple.I64(1))},
 		},
-		Limit: -1,
 	})
 	if err == nil {
 		t.Fatal("ambiguous column accepted")
@@ -179,9 +223,8 @@ func TestPlanAmbiguousColumn(t *testing.T) {
 func TestPlanDuplicateAlias(t *testing.T) {
 	p := NewPlanner(testCatalog(), Options{})
 	_, err := p.Plan(&SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
-		From:  []FromItem{{Table: "small"}, {Table: "small"}},
-		Limit: -1,
+		Proj: proj("small.k"),
+		From: []FromItem{{Table: "small"}, {Table: "small"}},
 	})
 	if err == nil {
 		t.Fatal("duplicate range variable accepted")
@@ -190,51 +233,12 @@ func TestPlanDuplicateAlias(t *testing.T) {
 
 func TestPlanCrossProductWhenNoCondition(t *testing.T) {
 	stmt := &SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
-		From:  []FromItem{{Table: "small"}, {Table: "big"}},
-		Limit: -1,
+		Proj: proj("small.k", "small.v", "big.k", "big.w"),
+		From: []FromItem{{Table: "small"}, {Table: "big"}},
 	}
 	rows := runStmt(t, Options{}, stmt)
 	if len(rows) != 12 {
 		t.Fatalf("cross product = %d rows, want 12", len(rows))
-	}
-}
-
-func TestPlanGroupByAggregate(t *testing.T) {
-	stmt := &SelectStmt{
-		Proj: []ProjItem{
-			{Kind: ProjCol, Col: ColOp("", "k")},
-			{Kind: ProjAgg, Agg: exec.AggCount, Alias: "n"},
-			{Kind: ProjAgg, Agg: exec.AggMax, Arg: &Operand{IsCol: true, Col: "w"}, Alias: "hi"},
-		},
-		From:    []FromItem{{Table: "big"}},
-		GroupBy: []Operand{ColOp("", "k")},
-		OrderBy: []Operand{ColOp("", "k")},
-		Limit:   -1,
-	}
-	rows := runStmt(t, Options{}, stmt)
-	if len(rows) != 5 {
-		t.Fatalf("groups = %v", rows)
-	}
-	if rows[0][1].I != 2 || rows[0][2].I != 101 {
-		t.Fatalf("k=1 group = %v", rows[0])
-	}
-}
-
-func TestPlanAggregateRequiresGrouping(t *testing.T) {
-	p := NewPlanner(testCatalog(), Options{})
-	// Selecting a non-grouped column alongside an aggregate must error.
-	_, err := p.Plan(&SelectStmt{
-		Proj: []ProjItem{
-			{Kind: ProjCol, Col: ColOp("", "w")},
-			{Kind: ProjAgg, Agg: exec.AggCount},
-		},
-		From:    []FromItem{{Table: "big"}},
-		GroupBy: []Operand{ColOp("", "k")},
-		Limit:   -1,
-	})
-	if err == nil {
-		t.Fatal("non-grouped column accepted")
 	}
 }
 
@@ -243,35 +247,33 @@ func TestPlanSelfJoinQualifiedColumns(t *testing.T) {
 	p := NewPlanner(cat, Options{})
 	it, err := p.Plan(&SelectStmt{
 		Proj: []ProjItem{
-			{Kind: ProjCol, Col: ColOp("a", "k")},
-			{Kind: ProjCol, Col: ColOp("b", "w")},
+			{Col: ColOp("a", "k")},
+			{Col: ColOp("b", "w")},
 		},
 		From: []FromItem{{Table: "big", Alias: "a"}, {Table: "big", Alias: "b"}},
 		Where: []Cond{
 			{Op: exec.CmpEq, L: ColOp("a", "k"), R: ColOp("b", "k")},
-			{Op: exec.CmpLt, L: ColOp("a", "w"), R: ColOp("b", "w")},
+			{Op: exec.CmpNe, L: ColOp("a", "w"), R: ColOp("b", "w")},
 		},
-		Limit: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Collect(it)
+	rows, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k=1 pair (100,101) with w strictly increasing -> exactly 1 row.
-	if len(rows) != 1 || rows[0][1].I != 101 {
+	// Only k=1 has two rows: (100,101) and (101,100) differ in w.
+	if len(rows) != 2 || rows[0][1].I != 101 || rows[1][1].I != 100 {
 		t.Fatalf("rows = %v", rows)
 	}
 }
 
 func TestPlanConstantCondition(t *testing.T) {
 	stmt := &SelectStmt{
-		Proj:  []ProjItem{{Kind: ProjStar}},
+		Proj:  proj("k", "v"),
 		From:  []FromItem{{Table: "small"}},
 		Where: []Cond{{Op: exec.CmpEq, L: ValOp(tuple.I64(1)), R: ValOp(tuple.I64(2))}},
-		Limit: -1,
 	}
 	rows := runStmt(t, Options{}, stmt)
 	if len(rows) != 0 {
@@ -279,17 +281,18 @@ func TestPlanConstantCondition(t *testing.T) {
 	}
 }
 
+// A literal operand in the SELECT list projects a constant column (the AST
+// allows it; the SQL dialect never writes one).
 func TestPlanProjConstant(t *testing.T) {
 	stmt := &SelectStmt{
 		Proj: []ProjItem{
-			{Kind: ProjConst, Val: tuple.I64(7), Alias: "seven"},
-			{Kind: ProjCol, Col: ColOp("", "k")},
+			{Col: ValOp(tuple.I64(7)), Alias: "seven"},
+			{Col: ColOp("", "k")},
 		},
-		From:  []FromItem{{Table: "small"}},
-		Limit: -1,
+		From: []FromItem{{Table: "small"}},
 	}
 	rows := runStmt(t, Options{}, stmt)
-	if len(rows) != 2 || rows[0][0].I != 7 {
+	if len(rows) != 2 || rows[0][0].I != 7 || rows[1][0].I != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
 }

@@ -1,14 +1,21 @@
-// Package sqlparse parses the SQL subset the engine speaks — the dialect
-// Tuffy's grounding compiler emits (Appendix B.1 of the paper): CREATE
-// TABLE, INSERT (VALUES and SELECT forms), UPDATE, DELETE, and conjunctive
-// SELECT-FROM-WHERE with GROUP BY / ARRAY_AGG, ORDER BY and LIMIT.
+// Package sqlparse parses the SQL the engine's one client emits — the
+// grounding compiler of Appendix B.1 of the paper, incremental evidence
+// updates and the clause store:
+//
+//	SELECT col [AS alias], … FROM table [[AS] alias], …
+//	    [WHERE operand op operand AND …] [ORDER BY col, …]
+//	UPDATE table SET col = number [WHERE …]
+//	DELETE FROM table [WHERE …]
+//
+// An operand is a column reference (alias.col or col) or an integer
+// literal, and op is = or <>. Identifiers are ASCII. Anything else fails
+// with an "sql:" error.
 package sqlparse
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"tuffy/internal/db/exec"
 	"tuffy/internal/db/plan"
@@ -21,8 +28,7 @@ const (
 	tEOF tokKind = iota
 	tIdent
 	tNumber
-	tString
-	tPunct // single punctuation, text holds it (incl. multi-char ops)
+	tPunct // punctuation or operator, text holds it
 )
 
 type token struct {
@@ -39,70 +45,23 @@ func lex(src string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '-' && i+1 < len(src) && src[i+1] == '-':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
 		case isLetter(c):
 			start := i
-			for i < len(src) && (isLetter(src[i]) || isDigit(src[i]) || src[i] == '_') {
+			for i < len(src) && (isLetter(src[i]) || isDigit(src[i])) {
 				i++
 			}
 			toks = append(toks, token{tIdent, src[start:i], start})
 		case isDigit(c) || (c == '-' && i+1 < len(src) && isDigit(src[i+1])):
 			start := i
-			if c == '-' {
-				i++
-			}
-			for i < len(src) && (isDigit(src[i]) || src[i] == '.') {
+			i++
+			for i < len(src) && isDigit(src[i]) {
 				i++
 			}
 			toks = append(toks, token{tNumber, src[start:i], start})
-		case c == '\'':
-			start := i
-			i++
-			var b strings.Builder
-			for {
-				if i >= len(src) {
-					return nil, fmt.Errorf("sql: unterminated string at %d", start)
-				}
-				if src[i] == '\'' {
-					if i+1 < len(src) && src[i+1] == '\'' { // escaped quote
-						b.WriteByte('\'')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				b.WriteByte(src[i])
-				i++
-			}
-			toks = append(toks, token{tString, b.String(), start})
-		case c == '<':
-			if i+1 < len(src) && (src[i+1] == '>' || src[i+1] == '=') {
-				toks = append(toks, token{tPunct, src[i : i+2], i})
-				i += 2
-			} else {
-				toks = append(toks, token{tPunct, "<", i})
-				i++
-			}
-		case c == '>':
-			if i+1 < len(src) && src[i+1] == '=' {
-				toks = append(toks, token{tPunct, ">=", i})
-				i += 2
-			} else {
-				toks = append(toks, token{tPunct, ">", i})
-				i++
-			}
-		case c == '!':
-			if i+1 < len(src) && src[i+1] == '=' {
-				toks = append(toks, token{tPunct, "!=", i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("sql: stray '!' at %d", i)
-			}
-		case strings.ContainsRune("(),.*=;", rune(c)):
+		case c == '<' && i+1 < len(src) && src[i+1] == '>':
+			toks = append(toks, token{tPunct, "<>", i})
+			i += 2
+		case c == ',' || c == '.' || c == '=':
 			toks = append(toks, token{tPunct, string(c), i})
 			i++
 		default:
@@ -114,23 +73,20 @@ func lex(src string) ([]token, error) {
 }
 
 func isLetter(c byte) bool {
-	return unicode.IsLetter(rune(c)) || c == '_'
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// Parse parses one SQL statement (a trailing semicolon is allowed).
+// Parse parses one SQL statement.
 func Parse(src string) (plan.Statement, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
-	}
-	if p.cur().kind == tPunct && p.cur().text == ";" {
-		p.next()
 	}
 	if p.cur().kind != tEOF {
 		return nil, fmt.Errorf("sql: trailing tokens at %d: %q", p.cur().pos, p.cur().text)
@@ -141,7 +97,6 @@ func Parse(src string) (plan.Statement, error) {
 type parser struct {
 	toks []token
 	i    int
-	src  string
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -167,8 +122,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) expectPunct(s string) error {
-	if p.cur().kind == tPunct && p.cur().text == s {
-		p.next()
+	if p.acceptPunct(s) {
 		return nil
 	}
 	return fmt.Errorf("sql: expected %q at %d, got %q", s, p.cur().pos, p.cur().text)
@@ -193,109 +147,13 @@ func (p *parser) parseStatement() (plan.Statement, error) {
 	switch {
 	case p.isKeyword("SELECT"):
 		return p.parseSelect()
-	case p.isKeyword("CREATE"):
-		return p.parseCreateTable()
-	case p.isKeyword("INSERT"):
-		return p.parseInsert()
 	case p.isKeyword("UPDATE"):
 		return p.parseUpdate()
 	case p.isKeyword("DELETE"):
 		return p.parseDelete()
 	default:
-		return nil, fmt.Errorf("sql: expected statement, got %q", p.cur().text)
+		return nil, fmt.Errorf("sql: expected SELECT, UPDATE or DELETE, got %q", p.cur().text)
 	}
-}
-
-func (p *parser) parseCreateTable() (plan.Statement, error) {
-	p.next() // CREATE
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	var cols []tuple.Column
-	for {
-		cn, err := p.expectIdent("column name")
-		if err != nil {
-			return nil, err
-		}
-		tn, err := p.expectIdent("column type")
-		if err != nil {
-			return nil, err
-		}
-		var t tuple.Type
-		switch strings.ToUpper(tn) {
-		case "BIGINT", "INT", "INTEGER":
-			t = tuple.TInt
-		case "TEXT", "VARCHAR":
-			t = tuple.TString
-		default:
-			return nil, fmt.Errorf("sql: unsupported type %q", tn)
-		}
-		cols = append(cols, tuple.Column{Name: cn, Type: t})
-		if p.acceptPunct(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return &plan.CreateTableStmt{Table: name, Sch: tuple.Schema{Cols: cols}}, nil
-}
-
-func (p *parser) parseInsert() (plan.Statement, error) {
-	p.next() // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	if p.isKeyword("VALUES") {
-		p.next()
-		var rows []tuple.Row
-		for {
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			var row tuple.Row
-			for {
-				v, err := p.parseLiteral()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-				if p.acceptPunct(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			if p.acceptPunct(",") {
-				continue
-			}
-			break
-		}
-		return &plan.InsertStmt{Table: name, Rows: rows}, nil
-	}
-	if p.isKeyword("SELECT") {
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &plan.InsertStmt{Table: name, Select: sel.(*plan.SelectStmt)}, nil
-	}
-	return nil, fmt.Errorf("sql: INSERT expects VALUES or SELECT at %d", p.cur().pos)
 }
 
 func (p *parser) parseUpdate() (plan.Statement, error) {
@@ -314,7 +172,7 @@ func (p *parser) parseUpdate() (plan.Statement, error) {
 	if err := p.expectPunct("="); err != nil {
 		return nil, err
 	}
-	val, err := p.parseLiteral()
+	val, err := p.parseNumber()
 	if err != nil {
 		return nil, err
 	}
@@ -343,18 +201,20 @@ func (p *parser) parseDelete() (plan.Statement, error) {
 
 func (p *parser) parseSelect() (plan.Statement, error) {
 	p.next() // SELECT
-	stmt := &plan.SelectStmt{Limit: -1}
-	stmt.Distinct = p.acceptKeyword("DISTINCT")
+	stmt := &plan.SelectStmt{}
 	for {
-		item, err := p.parseProjItem()
+		col, err := p.parseColumnRef()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Proj = append(stmt.Proj, item)
-		if p.acceptPunct(",") {
-			continue
+		item := plan.ProjItem{Col: col}
+		if item.Alias, err = p.parseAlias("FROM"); err != nil {
+			return nil, err
 		}
-		break
+		stmt.Proj = append(stmt.Proj, item)
+		if !p.acceptPunct(",") {
+			break
+		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -365,42 +225,19 @@ func (p *parser) parseSelect() (plan.Statement, error) {
 			return nil, err
 		}
 		fi := plan.FromItem{Table: tn}
-		if p.cur().kind == tIdent && !p.anyKeyword("WHERE", "GROUP", "ORDER", "LIMIT", "AS") {
-			fi.Alias = p.next().text
-		} else if p.acceptKeyword("AS") {
-			a, err := p.expectIdent("alias")
-			if err != nil {
-				return nil, err
-			}
-			fi.Alias = a
+		if fi.Alias, err = p.parseAlias("WHERE", "ORDER"); err != nil {
+			return nil, err
 		}
 		stmt.From = append(stmt.From, fi)
-		if p.acceptPunct(",") {
-			continue
+		if !p.acceptPunct(",") {
+			break
 		}
-		break
 	}
 	where, err := p.parseOptionalWhere()
 	if err != nil {
 		return nil, err
 	}
 	stmt.Where = where
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			op, err := p.parseColumnRef()
-			if err != nil {
-				return nil, err
-			}
-			stmt.GroupBy = append(stmt.GroupBy, op)
-			if p.acceptPunct(",") {
-				continue
-			}
-			break
-		}
-	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
@@ -411,98 +248,29 @@ func (p *parser) parseSelect() (plan.Statement, error) {
 				return nil, err
 			}
 			stmt.OrderBy = append(stmt.OrderBy, op)
-			if p.acceptPunct(",") {
-				continue
+			if !p.acceptPunct(",") {
+				break
 			}
-			break
 		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		if p.cur().kind != tNumber {
-			return nil, fmt.Errorf("sql: LIMIT expects a number at %d", p.cur().pos)
-		}
-		n, err := strconv.ParseInt(p.next().text, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		stmt.Limit = n
 	}
 	return stmt, nil
 }
 
-func (p *parser) anyKeyword(kws ...string) bool {
-	for _, kw := range kws {
-		if p.isKeyword(kw) {
-			return true
-		}
-	}
-	return false
-}
-
-var aggFuncs = map[string]exec.AggFunc{
-	"COUNT":     exec.AggCount,
-	"SUM":       exec.AggSum,
-	"MIN":       exec.AggMin,
-	"MAX":       exec.AggMax,
-	"ARRAY_AGG": exec.AggArray,
-}
-
-func (p *parser) parseProjItem() (plan.ProjItem, error) {
-	var item plan.ProjItem
-	switch {
-	case p.cur().kind == tPunct && p.cur().text == "*":
-		p.next()
-		item.Kind = plan.ProjStar
-		return item, nil
-	case p.cur().kind == tNumber || p.cur().kind == tString:
-		v, err := p.parseLiteral()
-		if err != nil {
-			return item, err
-		}
-		item.Kind = plan.ProjConst
-		item.Val = v
-	case p.cur().kind == tIdent:
-		name := p.cur().text
-		if fn, ok := aggFuncs[strings.ToUpper(name)]; ok && p.toks[p.i+1].kind == tPunct && p.toks[p.i+1].text == "(" {
-			p.next() // fn
-			p.next() // (
-			item.Kind = plan.ProjAgg
-			item.Agg = fn
-			if p.acceptPunct("*") {
-				if fn != exec.AggCount {
-					return item, fmt.Errorf("sql: %s(*) unsupported", name)
-				}
-			} else {
-				op, err := p.parseColumnRef()
-				if err != nil {
-					return item, err
-				}
-				item.Arg = &op
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return item, err
-			}
-		} else {
-			op, err := p.parseColumnRef()
-			if err != nil {
-				return item, err
-			}
-			item.Kind = plan.ProjCol
-			item.Col = op
-		}
-	default:
-		return item, fmt.Errorf("sql: bad SELECT item at %d: %q", p.cur().pos, p.cur().text)
-	}
+// parseAlias reads an optional "AS name" or bare name; a bare identifier
+// that is one of the clause keywords that may follow is not an alias.
+func (p *parser) parseAlias(follow ...string) (string, error) {
 	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent("alias")
-		if err != nil {
-			return item, err
-		}
-		item.Alias = a
-	} else if p.cur().kind == tIdent && !p.anyKeyword("FROM", "WHERE", "GROUP", "ORDER", "LIMIT") {
-		item.Alias = p.next().text
+		return p.expectIdent("alias")
 	}
-	return item, nil
+	if p.cur().kind != tIdent {
+		return "", nil
+	}
+	for _, kw := range follow {
+		if p.isKeyword(kw) {
+			return "", nil
+		}
+	}
+	return p.next().text, nil
 }
 
 func (p *parser) parseColumnRef() (plan.Operand, error) {
@@ -521,39 +289,23 @@ func (p *parser) parseColumnRef() (plan.Operand, error) {
 }
 
 func (p *parser) parseOperand() (plan.Operand, error) {
-	switch p.cur().kind {
-	case tNumber, tString:
-		v, err := p.parseLiteral()
-		if err != nil {
-			return plan.Operand{}, err
-		}
-		return plan.ValOp(v), nil
-	case tIdent:
-		return p.parseColumnRef()
-	default:
-		return plan.Operand{}, fmt.Errorf("sql: bad operand at %d: %q", p.cur().pos, p.cur().text)
+	if p.cur().kind == tNumber {
+		v, err := p.parseNumber()
+		return plan.ValOp(v), err
 	}
+	return p.parseColumnRef()
 }
 
-func (p *parser) parseLiteral() (tuple.Value, error) {
+func (p *parser) parseNumber() (tuple.Value, error) {
 	t := p.next()
-	switch t.kind {
-	case tNumber:
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return tuple.Value{}, fmt.Errorf("sql: bad number %q", t.text)
-		}
-		return tuple.I64(n), nil
-	case tString:
-		return tuple.Str(t.text), nil
-	default:
-		return tuple.Value{}, fmt.Errorf("sql: expected literal at %d, got %q", t.pos, t.text)
+	if t.kind != tNumber {
+		return tuple.Value{}, fmt.Errorf("sql: expected number at %d, got %q", t.pos, t.text)
 	}
-}
-
-var cmpOps = map[string]exec.CmpOp{
-	"=": exec.CmpEq, "<>": exec.CmpNe, "!=": exec.CmpNe,
-	"<": exec.CmpLt, "<=": exec.CmpLe, ">": exec.CmpGt, ">=": exec.CmpGe,
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		return tuple.Value{}, fmt.Errorf("sql: bad number %q", t.text)
+	}
+	return tuple.I64(n), nil
 }
 
 func (p *parser) parseOptionalWhere() ([]plan.Cond, error) {
@@ -566,23 +318,23 @@ func (p *parser) parseOptionalWhere() ([]plan.Cond, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().kind != tPunct {
-			return nil, fmt.Errorf("sql: expected comparison at %d, got %q", p.cur().pos, p.cur().text)
+		var op exec.CmpOp
+		switch {
+		case p.acceptPunct("="):
+			op = exec.CmpEq
+		case p.acceptPunct("<>"):
+			op = exec.CmpNe
+		default:
+			return nil, fmt.Errorf("sql: expected = or <> at %d, got %q", p.cur().pos, p.cur().text)
 		}
-		op, ok := cmpOps[p.cur().text]
-		if !ok {
-			return nil, fmt.Errorf("sql: unsupported operator %q", p.cur().text)
-		}
-		p.next()
 		r, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
 		conds = append(conds, plan.Cond{Op: op, L: l, R: r})
-		if p.acceptKeyword("AND") {
-			continue
+		if !p.acceptKeyword("AND") {
+			break
 		}
-		break
 	}
 	return conds, nil
 }

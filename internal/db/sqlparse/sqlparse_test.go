@@ -1,11 +1,11 @@
 package sqlparse
 
 import (
+	"strings"
 	"testing"
 
 	"tuffy/internal/db/exec"
 	"tuffy/internal/db/plan"
-	"tuffy/internal/db/tuple"
 )
 
 func parseSelect(t *testing.T, sql string) *plan.SelectStmt {
@@ -21,72 +21,45 @@ func parseSelect(t *testing.T, sql string) *plan.SelectStmt {
 	return sel
 }
 
+// rejected asserts that sql is outside the dialect: Parse fails with an
+// "sql:" error.
+func rejected(t *testing.T, sqls ...string) {
+	t.Helper()
+	for _, sql := range sqls {
+		if stmt, err := Parse(sql); err == nil || !strings.HasPrefix(err.Error(), "sql:") {
+			t.Errorf("Parse(%q) = %v, %v; want an sql: error", sql, stmt, err)
+		}
+	}
+}
+
+// Tables are created through db.CreateTable, never through SQL.
 func TestParseCreateTable(t *testing.T) {
-	stmt, err := Parse("CREATE TABLE r_cat (aid BIGINT, a0 BIGINT, truth BIGINT)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := stmt.(*plan.CreateTableStmt)
-	if ct.Table != "r_cat" || ct.Sch.Arity() != 3 {
-		t.Fatalf("%+v", ct)
-	}
-	if ct.Sch.Cols[0].Type != tuple.TInt {
-		t.Fatal("column type wrong")
-	}
+	rejected(t, "CREATE TABLE r_cat (aid BIGINT, a0 BIGINT, truth BIGINT)")
 }
 
+// No column type is spelled in SQL, so no type list parses either.
 func TestParseCreateTableTypes(t *testing.T) {
-	stmt, err := Parse("CREATE TABLE t (a INTEGER, b TEXT, c VARCHAR)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := stmt.(*plan.CreateTableStmt)
-	if ct.Sch.Cols[1].Type != tuple.TString || ct.Sch.Cols[2].Type != tuple.TString {
-		t.Fatal("string types wrong")
-	}
-	if _, err := Parse("CREATE TABLE t (a BLOB)"); err == nil {
-		t.Fatal("unknown type accepted")
-	}
+	rejected(t, "CREATE TABLE t (a INTEGER, b TEXT, c VARCHAR)", "CREATE TABLE t (a BLOB)")
 }
 
+// Rows are loaded through Table.InsertMany, never through SQL.
 func TestParseInsertValues(t *testing.T) {
-	stmt, err := Parse("INSERT INTO t VALUES (1, 'x'), (2, 'it''s')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := stmt.(*plan.InsertStmt)
-	if len(ins.Rows) != 2 {
-		t.Fatalf("rows = %d", len(ins.Rows))
-	}
-	if ins.Rows[1][1].S != "it's" {
-		t.Fatalf("escaped quote = %q", ins.Rows[1][1].S)
-	}
-	if ins.Rows[0][0].I != 1 {
-		t.Fatalf("int literal = %v", ins.Rows[0][0])
-	}
+	rejected(t, "INSERT INTO t VALUES (1, 2)", "INSERT INTO t VALUES (1, 'x'), (2, 'it''s')")
 }
 
 func TestParseInsertSelect(t *testing.T) {
-	stmt, err := Parse("INSERT INTO dst SELECT a, b FROM src WHERE a > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := stmt.(*plan.InsertStmt)
-	if ins.Select == nil || len(ins.Select.Proj) != 2 {
-		t.Fatalf("%+v", ins)
-	}
+	rejected(t, "INSERT INTO dst SELECT a, b FROM src WHERE a = 0")
 }
 
+// The grounding query shape: qualified and aliased projections, aliased
+// FROM items with and without AS, = and <> conditions, ORDER BY.
 func TestParseSelectFull(t *testing.T) {
 	sel := parseSelect(t, `
-		SELECT DISTINCT t1.aid AS a, t2.truth
-		FROM r_cat t1, r_refers AS t2
-		WHERE t1.a0 = t2.a0 AND t1.truth <> 1 AND t2.aid >= 10
-		ORDER BY a LIMIT 5`)
-	if !sel.Distinct {
-		t.Fatal("DISTINCT lost")
-	}
-	if len(sel.Proj) != 2 || sel.Proj[0].Alias != "a" {
+		SELECT t1.aid AS a, t2.truth
+		FROM r1 t1, r2 AS t2
+		WHERE t1.a0 = t2.a0 AND t1.truth <> 1 AND t2.aid = 10
+		ORDER BY a, t2.truth`)
+	if len(sel.Proj) != 2 || sel.Proj[0].Alias != "a" || sel.Proj[1].Col.String() != "t2.truth" {
 		t.Fatalf("proj = %+v", sel.Proj)
 	}
 	if len(sel.From) != 2 || sel.From[0].Alias != "t1" || sel.From[1].Alias != "t2" {
@@ -95,51 +68,32 @@ func TestParseSelectFull(t *testing.T) {
 	if len(sel.Where) != 3 {
 		t.Fatalf("where = %+v", sel.Where)
 	}
-	if sel.Where[0].Op != exec.CmpEq || sel.Where[1].Op != exec.CmpNe || sel.Where[2].Op != exec.CmpGe {
+	if sel.Where[0].Op != exec.CmpEq || sel.Where[1].Op != exec.CmpNe || sel.Where[2].Op != exec.CmpEq {
 		t.Fatalf("ops = %+v", sel.Where)
 	}
-	if sel.Limit != 5 {
-		t.Fatalf("limit = %d", sel.Limit)
+	if sel.Where[2].R.IsCol || sel.Where[2].R.Val.I != 10 {
+		t.Fatalf("literal = %+v", sel.Where[2].R)
 	}
-	if len(sel.OrderBy) != 1 || sel.OrderBy[0].Col != "a" {
+	if len(sel.OrderBy) != 2 || sel.OrderBy[0].Col != "a" || sel.OrderBy[1].Table != "t2" {
 		t.Fatalf("order = %+v", sel.OrderBy)
 	}
+	// LIMIT is not a clause (DISTINCT would read as a column named
+	// DISTINCT, which the planner then rejects).
+	rejected(t, "SELECT a FROM t LIMIT 5", "SELECT a FROM t ORDER BY a LIMIT 1")
 }
 
+// Every projection names its columns.
 func TestParseSelectStar(t *testing.T) {
-	sel := parseSelect(t, "SELECT * FROM t")
-	if len(sel.Proj) != 1 || sel.Proj[0].Kind != plan.ProjStar {
-		t.Fatalf("proj = %+v", sel.Proj)
-	}
+	rejected(t, "SELECT * FROM t", "SELECT a, * FROM t")
 }
 
+// Aggregation and grouping are the caller's: neither parses.
 func TestParseAggregates(t *testing.T) {
-	sel := parseSelect(t, `
-		SELECT g, COUNT(*) AS n, SUM(v), MIN(v), MAX(v), ARRAY_AGG(v) vs
-		FROM t GROUP BY g`)
-	if len(sel.GroupBy) != 1 {
-		t.Fatalf("group by = %+v", sel.GroupBy)
-	}
-	wantAgg := []exec.AggFunc{exec.AggCount, exec.AggSum, exec.AggMin, exec.AggMax, exec.AggArray}
-	ai := 0
-	for _, p := range sel.Proj {
-		if p.Kind != plan.ProjAgg {
-			continue
-		}
-		if p.Agg != wantAgg[ai] {
-			t.Fatalf("agg %d = %v, want %v", ai, p.Agg, wantAgg[ai])
-		}
-		ai++
-	}
-	if ai != 5 {
-		t.Fatalf("found %d aggregates", ai)
-	}
-	if sel.Proj[5].Alias != "vs" {
-		t.Fatal("bare alias lost")
-	}
-	if _, err := Parse("SELECT SUM(*) FROM t"); err == nil {
-		t.Fatal("SUM(*) accepted")
-	}
+	rejected(t,
+		"SELECT COUNT(*) FROM t",
+		"SELECT g, SUM(v) FROM t GROUP BY g",
+		"SELECT g, ARRAY_AGG(v) vs FROM t GROUP BY g",
+		"SELECT g FROM t GROUP BY g")
 }
 
 func TestParseUpdateDelete(t *testing.T) {
@@ -163,23 +117,25 @@ func TestParseUpdateDelete(t *testing.T) {
 	if _, err := Parse("DELETE FROM atoms"); err != nil {
 		t.Fatal(err)
 	}
+	rejected(t, "UPDATE atoms SET truth = other", "UPDATE atoms SET truth = 'x'")
 }
 
+// Negative literals lex as numbers; comments are not part of the dialect.
 func TestParseNegativeNumbersAndComments(t *testing.T) {
-	sel := parseSelect(t, "SELECT a FROM t WHERE a = -5 -- trailing comment")
+	sel := parseSelect(t, "SELECT a FROM t WHERE a = -5")
 	if sel.Where[0].R.Val.I != -5 {
 		t.Fatalf("negative literal = %+v", sel.Where[0].R)
 	}
+	rejected(t, "SELECT a FROM t WHERE a = -5 -- trailing comment")
 }
 
+// One statement per call, with no terminator.
 func TestParseTrailingSemicolon(t *testing.T) {
-	if _, err := Parse("SELECT a FROM t;"); err != nil {
-		t.Fatal(err)
-	}
+	rejected(t, "SELECT a FROM t;")
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
+	rejected(t,
 		"",
 		"SELEC a FROM t",
 		"SELECT FROM t",
@@ -188,38 +144,36 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE",
 		"SELECT a FROM t WHERE a ~ 1",
 		"SELECT a FROM t WHERE a = ",
-		"SELECT a FROM t LIMIT x",
-		"SELECT a FROM t GROUP BY",
-		"INSERT INTO t",
-		"INSERT INTO t VALUES 1",
-		"INSERT INTO t VALUES (1",
+		"SELECT a FROM t WHERE a < 1",
+		"SELECT a FROM t WHERE a <= 1",
+		"SELECT a FROM t WHERE a > 1",
+		"SELECT a FROM t WHERE a >= 1",
+		"SELECT a FROM t WHERE a != 1",
+		"SELECT a FROM t WHERE a = 'x'",
+		"SELECT a FROM t WHERE a = 1.5",
+		"SELECT a FROM t WHERE a = 99999999999999999999",
+		"SELECT a FROM t ORDER a",
+		"SELECT 1 FROM t",
+		"SELECT a FROM r_smökes",
+		"SELECT a FROM is-friend",
 		"UPDATE t SET",
 		"UPDATE t SET a",
 		"UPDATE t SET a = ",
 		"DELETE t",
-		"CREATE TABLE t",
-		"CREATE TABLE t (",
 		"SELECT a FROM t extra garbage ~",
 		"SELECT 'unterminated FROM t",
 		"SELECT a! FROM t",
-	}
-	for _, sql := range cases {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("no error for %q", sql)
-		}
-	}
+	)
 }
 
 func TestParseKeywordCaseInsensitive(t *testing.T) {
-	sel := parseSelect(t, "select a from t where a = 1 order by a limit 1")
-	if len(sel.Where) != 1 || sel.Limit != 1 {
+	sel := parseSelect(t, "select a from t where a = 1 order by a")
+	if len(sel.Where) != 1 || len(sel.OrderBy) != 1 {
 		t.Fatalf("%+v", sel)
 	}
 }
 
 func TestParseQualifiedStarNotSupported(t *testing.T) {
 	// t.* is not in the grammar; document via error.
-	if _, err := Parse("SELECT t.* FROM t"); err == nil {
-		t.Fatal("qualified star accepted")
-	}
+	rejected(t, "SELECT t.* FROM t")
 }

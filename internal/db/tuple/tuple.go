@@ -1,6 +1,7 @@
 // Package tuple defines the typed rows stored by the relational engine:
-// schemas, values, byte-level encoding for page storage, and order-preserving
-// key encoding used by indexes and sort-merge joins.
+// schemas, values (64-bit integers and integer lists), byte-level encoding
+// for page storage, and order-preserving key encoding used by indexes and
+// sort-merge joins.
 package tuple
 
 import (
@@ -9,14 +10,12 @@ import (
 	"strings"
 )
 
-// Type enumerates column types. The engine stores 64-bit integers and
-// strings; integer lists exist only in flight (ARRAY_AGG results) and are
-// encoded like strings when materialized.
+// Type enumerates column types: every column the engine's one client
+// creates is a BIGINT or an integer list (a clause's literals).
 type Type int8
 
 const (
 	TInt Type = iota
-	TString
 	TIntList
 )
 
@@ -24,8 +23,6 @@ func (t Type) String() string {
 	switch t {
 	case TInt:
 		return "BIGINT"
-	case TString:
-		return "TEXT"
 	case TIntList:
 		return "BIGINT[]"
 	default:
@@ -84,15 +81,11 @@ func (s Schema) String() string {
 type Value struct {
 	Kind Type
 	I    int64
-	S    string
 	List []int64
 }
 
 // I64 makes an integer value.
 func I64(v int64) Value { return Value{Kind: TInt, I: v} }
-
-// Str makes a string value.
-func Str(s string) Value { return Value{Kind: TString, S: s} }
 
 // IntList makes an integer-list value.
 func IntList(v []int64) Value { return Value{Kind: TIntList, List: v} }
@@ -105,8 +98,6 @@ func (v Value) Equal(o Value) bool {
 	switch v.Kind {
 	case TInt:
 		return v.I == o.I
-	case TString:
-		return v.S == o.S
 	case TIntList:
 		if len(v.List) != len(o.List) {
 			return false
@@ -132,8 +123,6 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
-	case TString:
-		return strings.Compare(v.S, o.S)
 	case TIntList:
 		n := len(v.List)
 		if len(o.List) < n {
@@ -162,8 +151,6 @@ func (v Value) String() string {
 	switch v.Kind {
 	case TInt:
 		return fmt.Sprintf("%d", v.I)
-	case TString:
-		return v.S
 	case TIntList:
 		parts := make([]string, len(v.List))
 		for i, x := range v.List {
@@ -205,8 +192,6 @@ func Encode(sch Schema, r Row) ([]byte, error) {
 		switch c.Type {
 		case TInt:
 			size += 8
-		case TString:
-			size += 4 + len(r[i].S)
 		case TIntList:
 			size += 4 + 8*len(r[i].List)
 		}
@@ -218,11 +203,6 @@ func Encode(sch Schema, r Row) ([]byte, error) {
 		case TInt:
 			binary.LittleEndian.PutUint64(buf[off:], uint64(r[i].I))
 			off += 8
-		case TString:
-			binary.LittleEndian.PutUint32(buf[off:], uint32(len(r[i].S)))
-			off += 4
-			copy(buf[off:], r[i].S)
-			off += len(r[i].S)
 		case TIntList:
 			binary.LittleEndian.PutUint32(buf[off:], uint32(len(r[i].List)))
 			off += 4
@@ -247,17 +227,6 @@ func Decode(sch Schema, buf []byte) (Row, error) {
 			}
 			r[i] = I64(int64(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
-		case TString:
-			if off+4 > len(buf) {
-				return nil, fmt.Errorf("tuple: truncated string len at col %d", i)
-			}
-			n := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if off+n > len(buf) {
-				return nil, fmt.Errorf("tuple: truncated string at col %d", i)
-			}
-			r[i] = Str(string(buf[off : off+n]))
-			off += n
 		case TIntList:
 			if off+4 > len(buf) {
 				return nil, fmt.Errorf("tuple: truncated list len at col %d", i)
@@ -283,8 +252,7 @@ func Decode(sch Schema, buf []byte) (Row, error) {
 
 // EncodeKey builds an order-preserving byte key from a subset of row columns,
 // for use in indexes and hash tables. Integer keys sort correctly as bytes
-// (big-endian with flipped sign bit); strings are terminated with 0x00 0x01
-// escaping so that prefixes order correctly.
+// (big-endian with flipped sign bit).
 func EncodeKey(r Row, cols []int) string {
 	var b strings.Builder
 	for _, ci := range cols {
@@ -294,18 +262,6 @@ func EncodeKey(r Row, cols []int) string {
 			var tmp [8]byte
 			binary.BigEndian.PutUint64(tmp[:], uint64(v.I)^(1<<63))
 			b.Write(tmp[:])
-		case TString:
-			for i := 0; i < len(v.S); i++ {
-				c := v.S[i]
-				if c == 0x00 {
-					b.WriteByte(0x00)
-					b.WriteByte(0xFF)
-				} else {
-					b.WriteByte(c)
-				}
-			}
-			b.WriteByte(0x00)
-			b.WriteByte(0x01)
 		case TIntList:
 			for _, x := range v.List {
 				var tmp [8]byte
@@ -315,21 +271,4 @@ func EncodeKey(r Row, cols []int) string {
 		}
 	}
 	return b.String()
-}
-
-// RowSize returns the number of bytes Encode would produce, used for page
-// space accounting without allocating.
-func RowSize(sch Schema, r Row) int {
-	size := 0
-	for i, c := range sch.Cols {
-		switch c.Type {
-		case TInt:
-			size += 8
-		case TString:
-			size += 4 + len(r[i].S)
-		case TIntList:
-			size += 4 + 8*len(r[i].List)
-		}
-	}
-	return size
 }

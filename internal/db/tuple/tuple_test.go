@@ -10,20 +10,20 @@ import (
 func testSchema() Schema {
 	return NewSchema(
 		Col("id", TInt),
-		Col("name", TString),
+		Col("n", TInt),
 		Col("tags", TIntList),
 	)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	sch := testSchema()
-	row := Row{I64(42), Str("hello, world"), IntList([]int64{1, -5, 9})}
+	row := Row{I64(42), I64(-7), IntList([]int64{1, -5, 9})}
 	buf, err := Encode(sch, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != RowSize(sch, row) {
-		t.Fatalf("RowSize = %d, encoded = %d", RowSize(sch, row), len(buf))
+	if want := 8 + 8 + 4 + 3*8; len(buf) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(buf), want)
 	}
 	got, err := Decode(sch, buf)
 	if err != nil {
@@ -38,7 +38,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsMismatches(t *testing.T) {
 	sch := NewSchema(Col("a", TInt))
-	if _, err := Encode(sch, Row{Str("x")}); err == nil {
+	if _, err := Encode(sch, Row{IntList([]int64{1})}); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
 	if _, err := Encode(sch, Row{I64(1), I64(2)}); err == nil {
@@ -48,9 +48,9 @@ func TestEncodeRejectsMismatches(t *testing.T) {
 
 func TestDecodeRejectsCorruptBuffers(t *testing.T) {
 	sch := testSchema()
-	row := Row{I64(1), Str("abc"), IntList([]int64{7})}
+	row := Row{I64(1), I64(2), IntList([]int64{7})}
 	buf, _ := Encode(sch, row)
-	for _, cut := range []int{1, 8, 11, len(buf) - 1} {
+	for _, cut := range []int{1, 8, 15, 19, len(buf) - 1} {
 		if _, err := Decode(sch, buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
@@ -61,9 +61,9 @@ func TestDecodeRejectsCorruptBuffers(t *testing.T) {
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	sch := NewSchema(Col("i", TInt), Col("s", TString))
-	f := func(i int64, s string) bool {
-		row := Row{I64(i), Str(s)}
+	sch := NewSchema(Col("i", TInt), Col("l", TIntList))
+	f := func(i int64, l []int64) bool {
+		row := Row{I64(i), IntList(l)}
 		buf, err := Encode(sch, row)
 		if err != nil {
 			return false
@@ -72,7 +72,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got[0].I == i && got[1].S == s
+		return got[0].I == i && got[1].Equal(row[1])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -87,8 +87,6 @@ func TestValueCompare(t *testing.T) {
 		{I64(1), I64(2), -1},
 		{I64(2), I64(2), 0},
 		{I64(3), I64(2), 1},
-		{Str("a"), Str("b"), -1},
-		{Str("b"), Str("b"), 0},
 		{IntList([]int64{1, 2}), IntList([]int64{1, 3}), -1},
 		{IntList([]int64{1}), IntList([]int64{1, 0}), -1},
 		{IntList([]int64{2}), IntList([]int64{1, 9}), 1},
@@ -101,8 +99,8 @@ func TestValueCompare(t *testing.T) {
 }
 
 func TestValueEqualAcrossKinds(t *testing.T) {
-	if I64(1).Equal(Str("1")) {
-		t.Fatal("int equals string")
+	if I64(1).Equal(IntList([]int64{1})) {
+		t.Fatal("int equals one-element list")
 	}
 	if !IntList([]int64{1, 2}).Equal(IntList([]int64{1, 2})) {
 		t.Fatal("equal lists unequal")
@@ -141,23 +139,9 @@ func TestEncodeKeyOrderPreservingProperty(t *testing.T) {
 	}
 }
 
-func TestEncodeKeyStringEscaping(t *testing.T) {
-	// A string containing 0x00 must not collide with or misorder against
-	// its prefix.
-	a := EncodeKey(Row{Str("ab")}, []int{0})
-	b := EncodeKey(Row{Str("ab\x00c")}, []int{0})
-	c := EncodeKey(Row{Str("abc")}, []int{0})
-	if a == b || b == c {
-		t.Fatal("escape collision")
-	}
-	if !(a < b && b < c) {
-		t.Fatalf("ordering broken: %q %q %q", a, b, c)
-	}
-}
-
 func TestEncodeKeyMultiColumn(t *testing.T) {
-	r1 := Row{I64(1), Str("b")}
-	r2 := Row{I64(1), Str("a")}
+	r1 := Row{I64(1), I64(-1)}
+	r2 := Row{I64(1), I64(-2)}
 	k1 := EncodeKey(r1, []int{0, 1})
 	k2 := EncodeKey(r2, []int{0, 1})
 	if k1 <= k2 {
@@ -174,7 +158,7 @@ func TestSchemaHelpers(t *testing.T) {
 	if sch.Arity() != 3 {
 		t.Fatalf("arity = %d", sch.Arity())
 	}
-	if sch.ColIndex("NAME") != 1 {
+	if sch.ColIndex("N") != 1 {
 		t.Fatal("ColIndex should be case-insensitive")
 	}
 	if sch.ColIndex("missing") != -1 {

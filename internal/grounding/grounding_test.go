@@ -474,7 +474,9 @@ func TestCompileClauseSQLShape(t *testing.T) {
 	if !strings.HasPrefix(sqlUp, "SELECT") {
 		t.Fatalf("sql = %s", comp.SQL)
 	}
-	if !strings.Contains(comp.SQL, "r_smokes") || !strings.Contains(comp.SQL, "r_friend") {
+	smokes, _ := ts.Prog.Predicate("smokes")
+	friend, _ := ts.Prog.Predicate("friend")
+	if !strings.Contains(comp.SQL, TableName(smokes)+" ") || !strings.Contains(comp.SQL, TableName(friend)+" ") {
 		t.Fatalf("missing tables: %s", comp.SQL)
 	}
 	if !strings.Contains(sqlUp, "WHERE") {

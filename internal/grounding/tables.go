@@ -21,7 +21,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"tuffy/internal/db"
 	"tuffy/internal/db/tuple"
@@ -36,8 +36,11 @@ const (
 	TruthFalse   int64 = 2
 )
 
-// TableName returns the relation name for a predicate, e.g. r_cat.
-func TableName(p *mln.Predicate) string { return "r_" + strings.ToLower(p.Name) }
+// TableName returns the relation name for a predicate: "r" and its ID, e.g.
+// r3. The ID is unique per program and always lexes as one SQL identifier,
+// which the predicate's own name (is-friend, f-1, Friend beside friend)
+// need not.
+func TableName(p *mln.Predicate) string { return "r" + strconv.Itoa(p.ID) }
 
 // TableSet is the relational encoding of an MLN instance: one table
 // R_P(aid, a0..ak-1, truth) per predicate (Section 3.1), plus the atom
@@ -138,7 +141,7 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 			continue
 		}
 		for argIdx := range cols {
-			if _, err := t.BuildHashIndex([]int{argIdx + 1}); err != nil {
+			if _, err := t.BuildHashIndex(argIdx + 1); err != nil {
 				return fail(err)
 			}
 		}

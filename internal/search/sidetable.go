@@ -100,7 +100,7 @@ func newSideTables(d *db.DB, clauseTable string, numAtoms int, state []bool, har
 	s := &sideTables{hardW: hardW, clauses: t}
 
 	// cid -> rid point-lookup index on the (read-only) clause table.
-	cidx, err := t.BuildHashIndex([]int{0})
+	cidx, err := t.BuildHashIndex(0)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func newSideTables(d *db.DB, clauseTable string, numAtoms int, state []bool, har
 	if err := s.atomTab.InsertMany(atomRows); err != nil {
 		return fail(err)
 	}
-	if s.atomIdx, err = s.atomTab.BuildHashIndex([]int{0}); err != nil {
+	if s.atomIdx, err = s.atomTab.BuildHashIndex(0); err != nil {
 		return fail(err)
 	}
 
@@ -181,7 +181,7 @@ func newSideTables(d *db.DB, clauseTable string, numAtoms int, state []bool, har
 	if err := s.viol.InsertMany(violRows); err != nil {
 		return fail(err)
 	}
-	if s.violIdx, err = s.viol.BuildHashIndex([]int{0}); err != nil {
+	if s.violIdx, err = s.viol.BuildHashIndex(0); err != nil {
 		return fail(err)
 	}
 	return s, nil
@@ -199,7 +199,7 @@ func (s *sideTables) drop(d *db.DB) {
 		_ = d.DropTable(s.viol.Name())
 	}
 	if s.clauseIdx != nil {
-		s.clauses.DropHashIndex([]int{0})
+		s.clauses.DropHashIndex(0)
 	}
 }
 

@@ -560,7 +560,7 @@ func TestSideWalkSATCleansUpHelperState(t *testing.T) {
 		}
 	}
 	tab, _ := d.Table("clauses")
-	if _, ok := tab.HashIndexOn([]int{0}); ok {
+	if _, ok := tab.HashIndexOn(0); ok {
 		t.Fatal("cid point index left registered after search")
 	}
 }
@@ -582,7 +582,7 @@ func TestSideWalkSATSetupFailureLeavesNoOrphans(t *testing.T) {
 				t.Fatalf("%s: orphaned helper table %q after failed setup", when, name)
 			}
 		}
-		if _, ok := tab.HashIndexOn([]int{0}); ok {
+		if _, ok := tab.HashIndexOn(0); ok {
 			t.Fatalf("%s: cid point index left registered after failed setup", when)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -561,4 +562,89 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		_, _ = snap.buildResult(prog) // may refuse, must not panic
 	})
+}
+
+// In-database search (Tuffy-mm) on a durable engine: its per-query side
+// tables are created and dropped over page files, the one path on which
+// the engine truncates a FileDisk file. Repeated queries leave the catalog
+// and the live page count flat, and a closed and reopened engine answers
+// bit-identically.
+func TestDurableInDatabaseSearch(t *testing.T) {
+	ds := rcSmall()
+	dir := t.TempDir()
+	// A budget short of the optimum keeps the answer's cost nonzero, so the
+	// bit-identity checks compare a state search actually chose.
+	opts := InferOptions{Mode: InDatabase, MaxFlips: 150, Seed: 9}
+	footprint := func(eng *Engine) (tables int, pages int32, bytes int64) {
+		d := eng.DB()
+		for _, name := range d.TableNames() {
+			tab, _ := d.Table(name)
+			pages += d.Disk().NumPages(tab.Heap().FileID())
+		}
+		segs, err := os.ReadDir(filepath.Join(dir, pagesDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range segs {
+			info, err := s.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += info.Size()
+		}
+		return len(d.TableNames()), pages, bytes
+	}
+	eng, err := Open(ds.Prog, ds.Ev.Clone(), EngineConfig{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *MAPResult
+	var tables0 int
+	var pages0 int32
+	var bytes1 int64
+	for i := 0; i < 3; i++ {
+		res, err := eng.InferMAP(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables, pages, bytes := footprint(eng)
+		switch i {
+		case 0:
+			if !(res.Cost > 0) || math.IsInf(res.Cost, 0) {
+				t.Fatalf("cost %v: the instance must leave a finite nonzero cost", res.Cost)
+			}
+			first, tables0, pages0 = res, tables, pages
+			continue
+		case 1:
+			// A dropped file id can come back to a side table of another
+			// size once; from then on the segments stay at their high-water
+			// mark.
+			bytes1 = bytes
+		default:
+			if bytes != bytes1 {
+				t.Fatalf("query %d: page files grew from %d to %d bytes", i, bytes1, bytes)
+			}
+		}
+		if res.Cost != first.Cost || res.Flips != first.Flips || !sameStates(res.State, first.State) {
+			t.Fatalf("query %d: cost %v flips %d differs from the first query's %v / %d", i, res.Cost, res.Flips, first.Cost, first.Flips)
+		}
+		if tables != tables0 || pages != pages0 {
+			t.Fatalf("query %d: %d tables, %d live pages; after the first query %d, %d", i, tables, pages, tables0, pages0)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Open(ds.Prog, ds.Ev.Clone(), EngineConfig{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	res, err := warm.InferMAP(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.Cost) != math.Float64bits(first.Cost) || res.Flips != first.Flips || !sameStates(res.State, first.State) {
+		t.Fatalf("reopened: cost %v flips %d; before Close %v / %d", res.Cost, res.Flips, first.Cost, first.Flips)
+	}
 }

@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"tuffy/internal/db"
-	"tuffy/internal/db/plan"
 	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
 	"tuffy/internal/mrf"
@@ -394,10 +393,6 @@ func LoadEvidence(prog *mln.Program, r io.Reader) (*mln.Evidence, error) {
 func LoadEvidenceString(prog *mln.Program, s string) (*mln.Evidence, error) {
 	return mln.ParseEvidenceString(prog, s)
 }
-
-// SetPlanOptions adjusts the embedded engine's optimizer knobs (the Table 6
-// lesion study). Call it before Ground.
-func (e *Engine) SetPlanOptions(o plan.Options) { e.db.SetPlanOptions(o) }
 
 // DB exposes the embedded relational engine (for experiments and stats).
 func (e *Engine) DB() *db.DB { return e.db }
