@@ -23,8 +23,9 @@ type PageID struct {
 
 func (p PageID) String() string { return fmt.Sprintf("%d:%d", p.File, p.Num) }
 
-// Disk is the persistence interface. Implementations must be safe for
-// concurrent use.
+// Disk is the page store under the buffer pool: MemDisk keeps pages in
+// memory, FileDisk spills them to scratch segment files. Neither is
+// durable. Implementations must be safe for concurrent use.
 type Disk interface {
 	// ReadPage copies the page into buf (len PageSize).
 	ReadPage(id PageID, buf []byte) error

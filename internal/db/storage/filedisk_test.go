@@ -21,6 +21,7 @@ func TestFileDiskRoundTripAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	var ids []PageID
 	for i := 0; i < 3; i++ {
 		id, err := d.AllocatePage(7)
@@ -32,31 +33,19 @@ func TestFileDiskRoundTripAndReopen(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.NumPages(7); got != 3 {
-		t.Fatalf("NumPages after reopen = %d, want 3", got)
+	if got := d.NumPages(7); got != 3 {
+		t.Fatalf("NumPages = %d, want 3", got)
 	}
 	buf := make([]byte, PageSize)
 	for i, id := range ids {
-		if err := d2.ReadPage(id, buf); err != nil {
+		if err := d.ReadPage(id, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, page(byte('a'+i))) {
-			t.Fatalf("page %v corrupt after reopen", id)
+			t.Fatalf("page %v corrupt", id)
 		}
 	}
-	if err := d2.ReadPage(PageID{File: 7, Num: 3}, buf); err == nil {
+	if err := d.ReadPage(PageID{File: 7, Num: 3}, buf); err == nil {
 		t.Fatal("read past live pages succeeded")
 	}
 }
@@ -67,14 +56,12 @@ func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	for i := 0; i < 4; i++ {
 		id, _ := d.AllocatePage(1)
 		if err := d.WritePage(id, page(0xff)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	sizeAt := func() int64 {
 		st, err := os.Stat(filepath.Join(dir, "seg_1"))
@@ -84,29 +71,18 @@ func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
 		return st.Size()
 	}
 	high := sizeAt()
-	d.TruncateFile(1) // persists live=0 immediately
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the truncated file must come back empty (free list honored),
-	// not resurrected at its physical size.
-	d2, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.NumPages(1); got != 0 {
-		t.Fatalf("NumPages after truncate+reopen = %d, want 0", got)
+	d.TruncateFile(1)
+	if got := d.NumPages(1); got != 0 {
+		t.Fatalf("NumPages after truncate = %d, want 0", got)
 	}
 	// Allocation reuses the freed capacity (file stays at high-water mark)
 	// and hands out zeroed pages despite the stale 0xff bytes.
-	id, err := d2.AllocatePage(1)
+	id, err := d.AllocatePage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := d2.ReadPage(id, buf); err != nil {
+	if err := d.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, make([]byte, PageSize)) {
@@ -117,49 +93,66 @@ func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
 	}
 }
 
-func TestFileDiskEnsureAndReset(t *testing.T) {
+// A page store is scratch space: opening one over a directory another
+// process left segments and a meta file in starts empty, and allocation
+// starts again at page 0.
+func TestOpenFileDiskStartsEmpty(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenFileDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if err := d.Ensure(3, 5); err != nil {
+	for i := 0; i < 3; i++ {
+		id, err := d.AllocatePage(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WritePage(id, page(0xee)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+	if err := os.WriteFile(filepath.Join(dir, "meta"), []byte("TFYDISK1 stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.NumPages(3); got != 5 {
-		t.Fatalf("NumPages after Ensure = %d, want 5", got)
-	}
-	id := PageID{File: 3, Num: 4}
-	if err := d.WritePage(id, page(9)); err != nil {
+
+	d2, err := OpenFileDisk(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got := d2.NumPages(4); got != 0 {
+		t.Fatalf("NumPages on a reopened store = %d, want 0", got)
+	}
+	for _, name := range []string{"seg_4", "meta"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("stale %s survived the open (stat error %v)", name, err)
+		}
+	}
+	id, err := d2.AllocatePage(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != (PageID{File: 4, Num: 0}) {
+		t.Fatalf("first allocation = %v, want 4:0", id)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(id, buf); err != nil {
+	if err := d2.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf[0] != 9 {
-		t.Fatal("ensured page did not round-trip")
-	}
-	if err := d.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.NumPages(3); got != 0 {
-		t.Fatalf("NumPages after Reset = %d, want 0", got)
-	}
-	if err := d.ReadPage(id, buf); err == nil {
-		t.Fatal("read after Reset succeeded")
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Fatal("first page of a reopened store not zeroed")
 	}
 }
 
 // A buffer pool + heap file running over FileDisk must behave exactly like
 // the MemDisk stack.
 func TestFileDiskUnderBufferPool(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenFileDisk(dir)
+	d, err := OpenFileDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	bp := NewBufferPool(d, 2) // tiny pool forces eviction write-backs
 	h := NewHeapFile(bp, 1)
 	var rids []RecordID
@@ -173,24 +166,16 @@ func TestFileDiskUnderBufferPool(t *testing.T) {
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
+	if w := d.Stats().Writes; w == 0 {
+		t.Fatal("no page reached the file store")
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	bp2 := NewBufferPool(d2, 8)
+	// A second pool over the same store sees only what was written back.
+	bp2 := NewBufferPool(d, 8)
 	h2 := NewHeapFile(bp2, 1)
 	got := 0
 	if err := h2.Scan(func(rid RecordID, rec []byte) error {
 		if len(rec) != 1000 || rec[0] != byte(got) {
-			t.Fatalf("record %d corrupt after reopen", got)
+			t.Fatalf("record %d corrupt after write-back", got)
 		}
 		got++
 		return nil
@@ -198,6 +183,6 @@ func TestFileDiskUnderBufferPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != len(rids) {
-		t.Fatalf("scanned %d records after reopen, want %d", got, len(rids))
+		t.Fatalf("scanned %d records after write-back, want %d", got, len(rids))
 	}
 }

@@ -1,37 +1,33 @@
 // Package wal implements the durability tier's append-only write-ahead
 // log: CRC32C-framed, LSN-stamped records with group-commit fsync
-// batching, redo-on-open that detects and truncates a torn tail, and
-// checkpoint-based truncation. Two record kinds flow through it — full
-// page images logged by LoggedDisk before buffer-pool write-back
-// (WAL-before-data), and engine-level evidence deltas that let a warm
-// start replay to the latest epoch.
+// batching, a scan on open that detects and truncates a torn tail, and
+// checkpoint-based truncation. The engine logs one record kind through
+// it, the evidence delta, so a warm start replays the deltas committed
+// after its snapshot and lands on the latest epoch.
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
 )
 
-// Record types.
-const (
-	// TypePage frames a full page image: file int32, num int32, PageSize
-	// bytes (appended by LoggedDisk before every write-back).
-	TypePage byte = 1
-	// TypeDelta frames an engine-level evidence delta (payload owned by
-	// the engine's persistence layer).
-	TypeDelta byte = 2
-)
+// TypeDelta frames an engine-level evidence delta (payload owned by the
+// engine's persistence layer). It is the only record type written; type 1
+// (a page image) appears only in logs written by older versions, and
+// readers skip any frame that is not a delta.
+const TypeDelta byte = 2
 
 const (
 	logMagic   = "TFYWAL01"
 	headerSize = len(logMagic) + 8 + 4 // magic, startLSN, crc
 	frameHdr   = 4 + 4 + 8 + 1         // crc, payload len, lsn, type
 	// maxPayload bounds a frame so a corrupt length field cannot make the
-	// scanner allocate wild amounts (largest real payload is a page image).
+	// scanner allocate wild amounts; it is far above any real delta.
 	maxPayload = 1 << 24
 )
 
@@ -122,7 +118,14 @@ func parseHeader(raw []byte) (startLSN uint64, ok bool) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[headerSize-4:]) {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint64(raw[len(logMagic):]), true
+	// LSNs start at 1 and count up one per record, so a start of 0 or one
+	// near the top of the range is no position a log reached; taking it
+	// would wrap the nextLSN-1 arithmetic SyncTo relies on.
+	lsn := binary.LittleEndian.Uint64(raw[len(logMagic):])
+	if lsn == 0 || lsn > math.MaxInt64 {
+		return 0, false
+	}
+	return lsn, true
 }
 
 // scanFrames walks frames from off, returning the intact records and the

@@ -1,29 +1,21 @@
 package tuffy
 
 // This file is the Engine's durability layer, active when
-// EngineConfig.DataDir is set. It composes the two durable tiers:
+// EngineConfig.DataDir is set. It has one durable tier, a logical one:
+// after the first Ground, and at every checkpoint, the engine persists a
+// snapshot of the grounded state (merged evidence, the atom registry in aid
+// order, the per-clause raw groundings and stats) plus fingerprints of the
+// program and the base evidence it was built from. Every committed
+// UpdateEvidence appends a TypeDelta WAL record and fsyncs it before the
+// new epoch is published, so reopening the DataDir restores the snapshot
+// and replays the deltas committed after it — landing, bit-identically, on
+// the exact epoch a never-crashed engine would serve.
 //
-//   - Physical: the embedded database runs over a page-aligned FileDisk
-//     wrapped in a wal.LoggedDisk, so every buffer-pool write-back logs the
-//     page image before the data write (WAL-before-data). That tier's crash
-//     story — redo of torn data pages — is internal/wal's.
-//
-//   - Logical: after the first Ground, and at every checkpoint, the engine
-//     persists a snapshot of the grounded state (merged evidence, the atom
-//     registry in aid order, the per-clause raw groundings and stats) plus
-//     fingerprints of the program and the base evidence it was built from.
-//     Every committed UpdateEvidence appends a TypeDelta WAL record and
-//     fsyncs it before the new epoch is published, so reopening the DataDir
-//     restores the snapshot and replays the deltas committed after it —
-//     landing, bit-identically, on the exact epoch a never-crashed engine
-//     would serve.
-//
-// Engine recovery rebuilds the predicate tables logically from the snapshot
-// registry (RestoreTables re-stages atoms in aid order, reproducing the
-// identical aid space), so it resets the page store rather than redoing page
-// images; the page WAL tier still runs underneath for write-back durability
-// within a process lifetime and is exercised end-to-end by the storage
-// crash matrix.
+// The embedded database runs over a FileDisk in DataDir/pages, which is
+// scratch space that lets tables spill beyond the buffer pool, not state:
+// it opens empty, and recovery rebuilds the predicate tables logically
+// from the snapshot registry (RestoreTables re-stages atoms in aid order,
+// reproducing the identical aid space).
 //
 // Commit ordering for one UpdateEvidence: apply the delta to the evidence
 // and predicate tables, append + fsync the TypeDelta record (the commit
@@ -61,6 +53,11 @@ const (
 	snapshotFile    = "snapshot.tfy"
 	walFile         = "wal.log"
 	pagesDir        = "pages"
+
+	// checkpointEvery is the automatic checkpoint cadence: after this many
+	// committed evidence updates the grounded state is re-snapshotted and
+	// the WAL truncated, which bounds recovery replay.
+	checkpointEvery = 16
 )
 
 // errFrozen is returned by every durable operation after an injected fault
@@ -81,7 +78,7 @@ type durability struct {
 	baseEvFP uint64
 	predIdx  map[*mln.Predicate]int32
 
-	every int  // checkpoint cadence in committed updates (<0: explicit only)
+	every int  // checkpoint cadence in committed updates (checkpointEvery)
 	since int  // committed updates since the last checkpoint
 	dirty bool // committed state the snapshot does not cover yet
 
@@ -191,7 +188,7 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 	}
 }
 
-// openDurable wires the durable tiers under a fresh Engine and, when the
+// openDurable wires the durable tier under a fresh Engine and, when the
 // DataDir holds a matching snapshot, restores it and replays the WAL so the
 // Engine comes up serving-ready at the exact pre-crash epoch.
 func (e *Engine) openDurable() error {
@@ -215,25 +212,19 @@ func (e *Engine) openDurable() error {
 		e.dur = nil
 		return err
 	}
-	// Table contents are rebuilt logically below (snapshot registry) or by
-	// the next Ground; either way the page store restarts blank, and the
-	// page-image records in the log are superseded.
-	if err := fdisk.Reset(); err != nil {
-		return fail(err)
-	}
 
 	d := &durability{
 		dir:      dir,
 		fdisk:    fdisk,
 		log:      log,
-		every:    e.cfg.CheckpointEveryUpdates,
+		every:    checkpointEvery,
 		progFP:   fingerprintProgram(e.prog, e.cfg),
 		baseEvFP: fingerprintEvidence(e.prog, e.ev),
 		predIdx:  mln.PredIndex(e.prog),
 	}
 	dcfg := e.cfg.DB
 	if dcfg.Disk == nil {
-		dcfg.Disk = wal.WrapDisk(fdisk, log)
+		dcfg.Disk = fdisk
 	}
 	e.db = db.Open(dcfg)
 	e.dur = d
@@ -312,7 +303,7 @@ func (e *Engine) openDurable() error {
 		ts.Drop()
 		return fail(fmt.Errorf("tuffy: restoring grounded network: %w", err))
 	}
-	if err := checkRebuiltResult(snap, res); err != nil {
+	if err := checkRebuilt(res, snap.numAtoms, len(snap.clauses), snap.fixedCost); err != nil {
 		ts.Drop()
 		return fail(err)
 	}
@@ -355,18 +346,19 @@ func (e *Engine) publishRecovered(snap *engineSnap, res *grounding.Result) {
 	e.dur.snapshotBytes.Store(snap.size)
 }
 
-// checkRebuiltResult cross-checks a logically rebuilt network against the
-// snapshot's serialized one. Both are produced by the same deterministic
-// assembler, so any disagreement means the snapshot (or the restore) is
-// wrong — refusing the open beats serving answers that a later
-// materialization would silently contradict.
-func checkRebuiltResult(snap *engineSnap, res *grounding.Result) error {
-	if res.MRF.NumAtoms != snap.numAtoms ||
-		len(res.MRF.Clauses) != len(snap.clauses) ||
-		math.Float64bits(res.MRF.FixedCost) != math.Float64bits(snap.fixedCost) {
+// checkRebuilt cross-checks a logically rebuilt network against the
+// snapshot's serialized one by atom count, clause count and FixedCost bits.
+// Both are produced by the same deterministic assembler, so any
+// disagreement means the snapshot (or the restore) is wrong — refusing
+// beats serving answers that a later materialization would silently
+// contradict.
+func checkRebuilt(res *grounding.Result, numAtoms, numClauses int, fixedCost float64) error {
+	if res.MRF.NumAtoms != numAtoms ||
+		len(res.MRF.Clauses) != numClauses ||
+		math.Float64bits(res.MRF.FixedCost) != math.Float64bits(fixedCost) {
 		return fmt.Errorf("tuffy: rebuilt network disagrees with snapshot (%d atoms / %d clauses / cost %g, snapshot %d / %d / %g)",
 			res.MRF.NumAtoms, len(res.MRF.Clauses), res.MRF.FixedCost,
-			snap.numAtoms, len(snap.clauses), snap.fixedCost)
+			numAtoms, numClauses, fixedCost)
 	}
 	return nil
 }
@@ -391,13 +383,10 @@ func (e *Engine) materializePending() error {
 	}
 	// The serving epoch was published from the snapshot's serialized
 	// network; the rebuild must agree with it before updates build on top.
-	ep := e.cur.Load()
-	if ep == nil ||
-		res.MRF.NumAtoms != ep.res.MRF.NumAtoms ||
-		len(res.MRF.Clauses) != len(ep.res.MRF.Clauses) ||
-		math.Float64bits(res.MRF.FixedCost) != math.Float64bits(ep.res.MRF.FixedCost) {
+	m := e.cur.Load().res.MRF
+	if err := checkRebuilt(res, m.NumAtoms, len(m.Clauses), m.FixedCost); err != nil {
 		ts.Drop()
-		return fmt.Errorf("tuffy: materialized network disagrees with the serving snapshot")
+		return err
 	}
 	e.tables, e.inc = ts, inc
 	d.pending = nil
@@ -413,11 +402,10 @@ func (noCancel) Done() <-chan struct{}       { return nil }
 func (noCancel) Err() error                  { return nil }
 func (noCancel) Value(any) any               { return nil }
 
-// Checkpoint forces a durable checkpoint: flush the buffer pool, sync the
-// page store, write a fresh snapshot of the grounded state and truncate the
-// WAL. It returns an error for an engine without a DataDir. Checkpoints
-// also run automatically after Ground, every CheckpointEveryUpdates
-// committed updates, and on Close.
+// Checkpoint forces a durable checkpoint: write a fresh snapshot of the
+// grounded state and truncate the WAL. It returns an error for an engine
+// without a DataDir. Checkpoints also run automatically after Ground, every
+// checkpointEvery committed updates, and on Close.
 func (e *Engine) Checkpoint() error {
 	e.groundMu.Lock()
 	defer e.groundMu.Unlock()
@@ -457,23 +445,14 @@ func (e *Engine) checkpointWith(gen uint64, hadPart, hadComps bool, res *groundi
 		// the current state.
 		return nil
 	}
-	if err := d.at("ckpt.flush"); err != nil {
-		return err
-	}
-	// Page images reach the log before the data pages (WAL-before-data in
-	// LoggedDisk), the log is synced before the data files, and only then
-	// is the snapshot atomically swapped in and the log truncated. A crash
-	// between any two steps recovers from the previous snapshot.
-	if err := e.db.Pool().FlushAll(); err != nil {
+	// The log is synced, then the snapshot atomically swapped in, and only
+	// then the log truncated. A crash between any two steps recovers from
+	// the previous snapshot plus the log. The first fault point comes
+	// before the sync: a frozen layer must not write a buffered frame.
+	if err := d.at("ckpt.snapshot"); err != nil {
 		return err
 	}
 	if err := d.log.Sync(); err != nil {
-		return err
-	}
-	if err := d.fdisk.Sync(); err != nil {
-		return err
-	}
-	if err := d.at("ckpt.snapshot"); err != nil {
 		return err
 	}
 	if err := e.writeSnapshot(gen, hadPart, hadComps, res); err != nil {
@@ -508,7 +487,7 @@ func (e *Engine) noteCommitted() {
 	d := e.dur
 	d.dirty = true
 	d.since++
-	if d.every > 0 && d.since >= d.every {
+	if d.since >= d.every {
 		if err := e.checkpointLocked(); err != nil {
 			d.ckptFailures.Add(1)
 			d.lastCkptErr = err

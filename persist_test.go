@@ -26,6 +26,7 @@ import (
 
 	"tuffy/internal/codec"
 	"tuffy/internal/datagen"
+	"tuffy/internal/db/storage"
 	"tuffy/internal/mln"
 	"tuffy/internal/wal"
 	"tuffy/internal/wire"
@@ -158,7 +159,6 @@ func TestEngineCrashMatrix(t *testing.T) {
 	}{
 		{"delta.append", false},
 		{"delta.sync", false},
-		{"ckpt.flush", true},
 		{"ckpt.snapshot", true},
 		{"ckpt.rename", true},
 		{"ckpt.reset", true},
@@ -166,7 +166,8 @@ func TestEngineCrashMatrix(t *testing.T) {
 	for _, tc := range points {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
-			eng := openDurableIE(t, ds, dir, EngineConfig{CheckpointEveryUpdates: 1})
+			eng := openDurableIE(t, ds, dir, EngineConfig{})
+			eng.dur.every = 1
 			if err := eng.Ground(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -217,9 +218,9 @@ func TestEngineCrashMatrix(t *testing.T) {
 
 // A torn WAL tail — the frame a crash cut short — must be truncated away,
 // recovering the state just before the torn update. After the abandoned
-// U2, the last synced frame in the log is deterministically U2's delta
-// record (the commit precedes the re-ground, whose page images stay
-// buffered), so corrupting the file's last byte tears exactly U2.
+// U2, the last frame in the log is U2's delta record (delta records are
+// the only frames the engine writes), so corrupting the file's last byte
+// tears exactly U2.
 func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 	ds := ieSmall()
 	dir := t.TempDir()
@@ -236,6 +237,9 @@ func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 	buf, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if types := walRecordTypes(t, buf); len(types) != 2 || types[0] != wal.TypeDelta || types[1] != wal.TypeDelta {
+		t.Fatalf("WAL after two updates holds record types %v, want two deltas", types)
 	}
 	buf[len(buf)-1] ^= 0xFF
 	if err := os.WriteFile(walPath, buf, 0o644); err != nil {
@@ -255,6 +259,96 @@ func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 		t.Fatalf("recovered generation %d, want %d", warm.Generation(), preGen)
 	}
 	requireSameMAP(t, "post-torn-tail MAP", mustMAP(t, warm, 7), preMAP)
+}
+
+// walRecordTypes reads a copy of a log image and returns its record types.
+func walRecordTypes(t *testing.T, img []byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	types := make([]byte, len(recs))
+	for i, r := range recs {
+		types[i] = r.Type
+	}
+	return types
+}
+
+// A DataDir written by an engine that still logged page images (type-1
+// frames ahead of the deltas) and kept a persistent page store (seg_* files
+// under a meta file) must still warm-start: the page frame is skipped, the
+// stale page files are discarded, and the delta after them replays onto
+// exactly the epoch a never-crashed engine reaches.
+func TestParentLayoutDataDirWarmStarts(t *testing.T) {
+	ds := ieSmall()
+	dir := t.TempDir()
+	eng := openDurableIE(t, ds, dir, EngineConfig{})
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if b := eng.DurabilityStats().WALAppendedBytes; b != 0 {
+		t.Fatalf("Ground appended %d WAL bytes, want 0", b)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	delta := datagen.RandomDelta(ds, "hint", 6, 31)
+	l, recs, err := wal.Open(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("closed engine left %d WAL records", len(recs))
+	}
+	page := make([]byte, 8+storage.PageSize) // file int32, num int32, image
+	binary.LittleEndian.PutUint32(page, 1)
+	for i := 8; i < len(page); i++ {
+		page[i] = 0xAB
+	}
+	if _, err := l.Append(1, page); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.TypeDelta, mln.EncodeDelta(mln.PredIndex(ds.Prog), delta)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The page store as that engine left it: one segment of garbage pages,
+	// and a meta file (magic, count, (file, live) pairs, CRC32C) claiming
+	// them live.
+	pages := filepath.Join(dir, pagesDir)
+	if err := os.WriteFile(filepath.Join(pages, "seg_1"), bytes.Repeat([]byte{0xCD}, 4*storage.PageSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta := []byte("TFYDISK1")
+	meta = binary.LittleEndian.AppendUint32(meta, 1)
+	meta = binary.LittleEndian.AppendUint32(meta, 1)
+	meta = binary.LittleEndian.AppendUint32(meta, 4)
+	meta = binary.LittleEndian.AppendUint32(meta, crc32.Checksum(meta, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(pages, "meta"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := openDurableIE(t, ds, dir, EngineConfig{})
+	defer warm.Close()
+	st := warm.DurabilityStats()
+	if !st.WarmStart || st.ReplayedDeltas != 1 {
+		t.Fatalf("warm start %v, %d deltas replayed; want a warm start replaying 1 delta", st.WarmStart, st.ReplayedDeltas)
+	}
+	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
+	refUR := mustUpdate(t, ref, delta)
+	if warm.Generation() != refUR.Epoch {
+		t.Fatalf("recovered generation %d, want %d", warm.Generation(), refUR.Epoch)
+	}
+	requireSameMAP(t, "parent-layout MAP", mustMAP(t, warm, 7), mustMAP(t, ref, 7))
 }
 
 // A DataDir belongs to one program + base evidence: reopening it with a

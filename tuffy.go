@@ -135,30 +135,20 @@ type EngineConfig struct {
 	// optimizer lesion knobs, disk latency injection).
 	DB db.Config
 
-	// DataDir enables durable storage: the embedded database runs over
-	// page files in DataDir/pages behind a CRC-framed write-ahead log, the
-	// grounded state is snapshotted after Ground and at checkpoints, and
-	// every committed UpdateEvidence is fsynced to the WAL before its epoch
-	// is published. Reopening the same DataDir (with the same program, base
-	// evidence and config) warm-starts the engine serving-ready at the
-	// exact pre-crash epoch, bit-identical to a never-crashed instance.
-	// Empty (the default) keeps everything in memory. See persist.go.
+	// DataDir enables durable storage: the grounded state is snapshotted
+	// after Ground and at checkpoints, and every committed UpdateEvidence is
+	// fsynced to a CRC-framed write-ahead log before its epoch is published;
+	// the embedded database spills to scratch page files in DataDir/pages.
+	// Reopening the same DataDir (with the same program, base evidence and
+	// config) warm-starts the engine serving-ready at the exact pre-crash
+	// epoch, bit-identical to a never-crashed instance. Empty (the default)
+	// keeps everything in memory. See persist.go.
 	DataDir string
-
-	// CheckpointEveryUpdates is the automatic checkpoint cadence when
-	// DataDir is set: after this many committed evidence updates the
-	// grounded state is re-snapshotted and the WAL truncated (0 = default
-	// 16, negative = only explicit Checkpoint calls and Close). Checkpoints
-	// bound recovery replay; between them the WAL carries the deltas.
-	CheckpointEveryUpdates int
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.GroundWorkers == 0 {
 		c.GroundWorkers = 1
-	}
-	if c.CheckpointEveryUpdates == 0 {
-		c.CheckpointEveryUpdates = 16
 	}
 	return c
 }
