@@ -470,6 +470,9 @@ func (h *handler) evidence(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, err)
 		return
 	}
+	// componentsReused carries the same count as partsReused — the
+	// decomposition's parts are the components — and stays for the clients
+	// that read it.
 	writeJSON(w, http.StatusOK, evidenceResponse{
 		Epoch:             ur.Epoch,
 		Identical:         ur.Identical,
@@ -481,7 +484,7 @@ func (h *handler) evidence(w http.ResponseWriter, r *http.Request) {
 		ClausesAdded:      ur.ClausesAdded,
 		ClausesRemoved:    ur.ClausesRemoved,
 		ClausesReweighted: ur.ClausesReweighted,
-		ComponentsReused:  ur.ComponentsReused,
+		ComponentsReused:  ur.PartsReused,
 		PartsReused:       ur.PartsReused,
 		UpdateMillis:      ur.UpdateTime.Milliseconds(),
 	})

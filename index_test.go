@@ -72,18 +72,14 @@ func TestConcurrentColdQueriesShareOneIndex(t *testing.T) {
 	}
 }
 
-// localMRFs returns the current epoch's local networks: partition parts
-// (MAP) and components (marginals), whichever the epoch has materialized.
+// localMRFs returns the local networks of the current epoch's
+// decomposition (none before a query has built it).
 func localMRFs(e *Engine) map[*mrf.MRF]struct{} {
-	part, comps := e.cur.Load().builtDerived()
 	out := map[*mrf.MRF]struct{}{}
-	if part != nil {
+	if part := e.cur.Load().decomposed(); part != nil {
 		for _, p := range part.Parts {
 			out[p.Local] = struct{}{}
 		}
-	}
-	for _, c := range comps {
-		out[c.MRF] = struct{}{}
 	}
 	return out
 }

@@ -369,39 +369,6 @@ func TestPatchIdenticalOnNoOp(t *testing.T) {
 	}
 }
 
-func TestRepairComponentsMatchesFresh(t *testing.T) {
-	ds := datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})
-	delta := datagen.RandomDelta(ds, "refers", 8, 99)
-	ts := buildTS(t, ds.Prog, ds.Ev)
-	inc, res0, err := NewIncremental(context.Background(), ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldComps := res0.MRF.Components(false)
-	res1, touched, _ := regroundOnce(t, inc, delta)
-	_, newToOld := AtomMaps(res0, res1)
-
-	got, reused := mrf.RepairComponents(oldComps, res1.MRF, newToOld, touched, false)
-	want := res1.MRF.Components(false)
-	if len(got) != len(want) {
-		t.Fatalf("component count %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i].GlobalAtom, want[i].GlobalAtom) {
-			t.Fatalf("component %d atom map differs", i)
-		}
-		if !reflect.DeepEqual(got[i].MRF, want[i].MRF) {
-			t.Fatalf("component %d local MRF differs", i)
-		}
-	}
-	if reused == 0 {
-		t.Fatal("a small delta on a many-component dataset must reuse components")
-	}
-	if reused == len(got) {
-		t.Fatal("a non-empty delta must rebuild at least one component")
-	}
-}
-
 func TestPartitionRepairMatchesAlgorithm3(t *testing.T) {
 	ds := datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})
 	delta := datagen.RandomDelta(ds, "refers", 8, 99)

@@ -280,8 +280,7 @@ func (m *MRF) Components(includeIsolated bool) []*Component {
 }
 
 // sortComponents orders components by their smallest global atom id (local
-// atom 1), a key no two components share. IE-shaped networks have thousands
-// of components and RepairComponents re-sorts on every evidence update.
+// atom 1), a key no two components share.
 func sortComponents(comps []*Component) {
 	slices.SortFunc(comps, func(a, b *Component) int {
 		return cmp.Compare(a.GlobalAtom[1], b.GlobalAtom[1])

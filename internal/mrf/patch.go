@@ -11,7 +11,7 @@ import (
 // queries, so "patching the MRF in place" is copy-on-write — a Patch holds
 // the add / remove / reweight of ground clauses plus the atom renumbering
 // between two grounds, and applying it to the old network reproduces the new
-// one without re-folding the raw groundings. The repair layer uses the same
+// one without re-folding the raw groundings. partition.Repair uses the same
 // atom translations to rebuild only the connected components an update
 // actually touched.
 
@@ -237,145 +237,4 @@ func sortPatchLits(lits []Lit) {
 			lits[j], lits[j-1] = lits[j-1], lits[j]
 		}
 	}
-}
-
-// Liveness reports which atoms occur in at least one ground clause. Atoms
-// can hold an id without being live: the accumulator assigns ids while
-// folding raw groundings that later turn out to be tautologies or to cancel
-// to weight zero.
-func Liveness(m *MRF) []bool {
-	live := make([]bool, m.NumAtoms+1)
-	for _, c := range m.Clauses {
-		for _, l := range c.Lits {
-			live[Atom(l)] = true
-		}
-	}
-	return live
-}
-
-// RepairComponents rebuilds the connected-component list of cur after an
-// incremental re-ground, reusing the local sub-MRF of every component the
-// update did not touch. touchedNew flags new atom ids in any changed raw
-// grounding (grounding.Reground computes it); a component with no touched
-// atom whose atom set maps monotonically onto exactly one old component's
-// atom set is provably bit-identical to what Components would build, so its
-// (immutable) local MRF is shared and only the GlobalAtom translation is
-// reallocated. Everything else is rebuilt from cur. The returned list is in
-// Components' canonical order; reused counts the shared components.
-func RepairComponents(oldComps []*Component, cur *MRF, newToOld []AtomID, touchedNew []bool, includeIsolated bool) (comps []*Component, reused int) {
-	// Old atom id -> index of its old component.
-	oldCompOf := make(map[AtomID]int)
-	for ci, c := range oldComps {
-		for i := 1; i <= c.MRF.NumAtoms; i++ {
-			oldCompOf[c.GlobalAtom[i]] = ci
-		}
-	}
-
-	uf := NewUnionFind(cur.NumAtoms)
-	inClause := make([]bool, cur.NumAtoms+1)
-	for _, c := range cur.Clauses {
-		first := Atom(c.Lits[0])
-		inClause[first] = true
-		for _, l := range c.Lits[1:] {
-			uf.Union(first, Atom(l))
-			inClause[Atom(l)] = true
-		}
-	}
-	groups := make(map[int32][]AtomID)
-	for a := AtomID(1); a <= AtomID(cur.NumAtoms); a++ {
-		if !inClause[a] && !includeIsolated {
-			continue
-		}
-		root := uf.Find(a)
-		groups[root] = append(groups[root], a)
-	}
-
-	rebuildRoots := make(map[int32]bool)
-	for root, atoms := range groups {
-		comp, ok := reuseComponent(oldComps, oldCompOf, atoms, newToOld, touchedNew)
-		if !ok {
-			rebuildRoots[root] = true
-			continue
-		}
-		reused++
-		comps = append(comps, comp)
-	}
-	if len(rebuildRoots) > 0 {
-		comps = append(comps, buildComponents(cur, uf, groups, rebuildRoots)...)
-	}
-	sortComponents(comps)
-	return comps, reused
-}
-
-// reuseComponent checks whether the new component over atoms (ascending) is
-// an untouched, order-preserving image of exactly one old component and, if
-// so, returns it with the local MRF shared and GlobalAtom remapped.
-func reuseComponent(oldComps []*Component, oldCompOf map[AtomID]int, atoms []AtomID, newToOld []AtomID, touchedNew []bool) (*Component, bool) {
-	first := newToOld[atoms[0]]
-	if touchedNew[atoms[0]] || first == 0 {
-		return nil, false
-	}
-	oci, ok := oldCompOf[first]
-	if !ok {
-		return nil, false
-	}
-	old := oldComps[oci]
-	if old.MRF.NumAtoms != len(atoms) {
-		return nil, false
-	}
-	prev := AtomID(0)
-	for _, a := range atoms {
-		o := newToOld[a]
-		if touchedNew[a] || o == 0 || o <= prev || oldCompOf[o] != oci {
-			return nil, false
-		}
-		prev = o
-	}
-	// Monotone bijection onto the old component's atom set: local ids are
-	// ranks by ascending global id on both sides, so the local MRF (clauses,
-	// weights, atom descriptors) is unchanged and can be shared.
-	ga := make([]AtomID, len(atoms)+1)
-	copy(ga[1:], atoms)
-	return &Component{MRF: old.MRF, GlobalAtom: ga}, true
-}
-
-// buildComponents constructs fresh components for the selected union-find
-// roots, exactly as Components does.
-func buildComponents(m *MRF, uf *UnionFind, groups map[int32][]AtomID, roots map[int32]bool) []*Component {
-	compOf := make(map[int32]*Component, len(roots))
-	localID := make([]AtomID, m.NumAtoms+1)
-	var comps []*Component
-	for root := range roots {
-		atoms := groups[root]
-		comp := &Component{MRF: New(len(atoms)), GlobalAtom: make([]AtomID, len(atoms)+1)}
-		if m.Atoms != nil {
-			comp.MRF.Atoms = make([]mln.GroundAtom, len(atoms)+1)
-		}
-		for i, a := range atoms {
-			localID[a] = AtomID(i + 1)
-			comp.GlobalAtom[i+1] = a
-			if m.Atoms != nil {
-				comp.MRF.Atoms[i+1] = m.Atoms[a]
-			}
-		}
-		compOf[root] = comp
-		comps = append(comps, comp)
-	}
-	for _, c := range m.Clauses {
-		root := uf.Find(Atom(c.Lits[0]))
-		comp, ok := compOf[root]
-		if !ok {
-			continue
-		}
-		lits := make([]Lit, len(c.Lits))
-		for i, l := range c.Lits {
-			ll := localID[Atom(l)]
-			if !Pos(l) {
-				ll = -ll
-			}
-			lits[i] = ll
-		}
-		comp.MRF.Clauses = append(comp.MRF.Clauses, Clause{Weight: c.Weight, Lits: lits})
-	}
-	return comps
 }

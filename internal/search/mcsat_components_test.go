@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tuffy/internal/datagen"
 	"tuffy/internal/mrf"
 )
 
@@ -78,4 +79,25 @@ func TestMCSATComponentsParallelDeterministicPerComponent(t *testing.T) {
 			t.Fatalf("atom %d: %v != %v across parallelism", i, a[i], b[i])
 		}
 	}
+}
+
+// BenchmarkMCSATComponents is one cache-miss marginal query over the
+// rc-serve workload's decomposition (~200 components): component-factorized
+// MC-SAT at the workload's 10 samples (burn-in 1, as the engine derives
+// it), one worker, over the partitioning's parts as the engine samples them.
+func BenchmarkMCSATComponents(b *testing.B) {
+	ctx := context.Background()
+	m, comps := rcComponents(b, datagen.RCConfig{Papers: 1200, Authors: 500, Categories: 8, Clusters: 200, Seed: 1})
+	opts := MCSATOptions{Samples: 10, BurnIn: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = int64(i + 1)
+		probs, err := MCSATComponents(ctx, m, comps, opts, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = probs
+	}
+	b.ReportMetric(float64(len(comps)), "components/op")
 }

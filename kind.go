@@ -125,12 +125,12 @@ var mapKind = &queryKind{
 		}
 		return r, err
 	},
-	// The partition parts are the components — when nothing is cut and
-	// nothing is oversized, the precondition under which InferMAP's Auto
-	// path is plain component-aware search.
+	// The decomposition's components — when nothing is cut and nothing is
+	// oversized, the precondition under which InferMAP's Auto path is plain
+	// component-aware search.
 	comps: func(e *Engine, ep *epoch) ([]*mrf.Component, bool) {
-		pt := ep.partitioning(e.partitionBeta())
-		inMem, oversized := e.splitParts(pt)
+		pt, comps := ep.decomposition(e.partitionBeta())
+		inMem, oversized := e.splitParts(pt, comps)
 		return inMem, pt.NumCut() == 0 && len(oversized) == 0
 	},
 	request: func(o InferOptions) wire.ShardRequest {
@@ -243,13 +243,12 @@ var marginalKind = &queryKind{
 		}
 		return r, err
 	},
-	// The connected components the distribution factorizes over — unless a
-	// memory budget cut them, which is the Gauss-Seidel MC-SAT path.
+	// The decomposition's components, which the distribution factorizes
+	// over — unless a memory budget cut clauses, which is the Gauss-Seidel
+	// MC-SAT path.
 	comps: func(e *Engine, ep *epoch) ([]*mrf.Component, bool) {
-		if beta := e.partitionBeta(); beta > 0 && ep.partitioning(beta).NumCut() > 0 {
-			return nil, false
-		}
-		return ep.components(), true
+		pt, comps := ep.decomposition(e.partitionBeta())
+		return comps, pt.NumCut() == 0
 	},
 	request: func(o InferOptions) wire.ShardRequest {
 		return wire.ShardRequest{Marginal: true, Seed: o.Seed, Samples: uint32(o.Samples)}

@@ -394,8 +394,8 @@ func testSharded(ctx context.Context, t *testing.T, row kindRow) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(ref.cur.Load().components()); n < 2 {
-		t.Fatalf("RC workload should decompose, got %d components", n)
+	if _, comps := ref.cur.Load().decomposition(ref.partitionBeta()); len(comps) < 2 {
+		t.Fatalf("RC workload should decompose, got %d components", len(comps))
 	}
 	for workers := 0; workers <= 2; workers++ {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {

@@ -26,6 +26,7 @@ package tuffy
 // leaves the DataDir at exactly the pre- or post-operation epoch.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -311,7 +312,7 @@ func (e *Engine) openDurable() error {
 	e.publishRecovered(snap, res)
 
 	for i, delta := range replays {
-		if _, err := e.applyUpdate(noCancel{}, delta, false); err != nil {
+		if _, err := e.applyUpdate(context.Background(), delta, false); err != nil {
 			return fail(fmt.Errorf("tuffy: replaying WAL delta %d of %d: %w", i+1, len(replays), err))
 		}
 		d.replayed++
@@ -330,14 +331,11 @@ func (e *Engine) openDurable() error {
 func (e *Engine) publishRecovered(snap *engineSnap, res *grounding.Result) {
 	ep := &epoch{gen: snap.gen, res: res, db: e.db}
 	ep.refs.Store(1)
-	// Re-derive what the snapshotted epoch had materialized; both are
-	// deterministic pure functions of the MRF, so the warm epoch serves
-	// them bit-identically without first-query latency.
-	if snap.hadPart {
-		ep.partitioning(e.partitionBeta())
-	}
-	if snap.hadComps {
-		ep.components()
+	// Re-derive the decomposition if the snapshotted epoch had built it: a
+	// deterministic pure function of the MRF, so the warm epoch serves it
+	// bit-identically without first-query latency.
+	if snap.decomposed {
+		ep.decomposition(e.partitionBeta())
 	}
 	e.cur.Store(ep)
 	e.groundTime = snap.groundTime
@@ -393,15 +391,6 @@ func (e *Engine) materializePending() error {
 	return nil
 }
 
-// noCancel is the context for recovery replay: the deltas being re-applied
-// were already committed, so replay must not be interruptible.
-type noCancel struct{}
-
-func (noCancel) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (noCancel) Done() <-chan struct{}       { return nil }
-func (noCancel) Err() error                  { return nil }
-func (noCancel) Value(any) any               { return nil }
-
 // Checkpoint forces a durable checkpoint: write a fresh snapshot of the
 // grounded state and truncate the WAL. It returns an error for an engine
 // without a DataDir. Checkpoints also run automatically after Ground, every
@@ -423,20 +412,19 @@ func (e *Engine) Checkpoint() error {
 // the un-truncated WAL still reproduce the current epoch.
 func (e *Engine) checkpointLocked() error {
 	gen := uint64(0)
-	var hadPart, hadComps bool
+	var decomposed bool
 	var res *grounding.Result
 	if ep := e.cur.Load(); ep != nil {
 		gen, res = ep.gen, ep.res
-		p, c := ep.builtDerived()
-		hadPart, hadComps = p != nil, c != nil
+		decomposed = ep.decomposed() != nil
 	}
-	return e.checkpointWith(gen, hadPart, hadComps, res)
+	return e.checkpointWith(gen, decomposed, res)
 }
 
 // checkpointWith is checkpointLocked with the network to persist supplied
 // by the caller — Ground checkpoints before publishing its epoch, so the
 // result cannot come from e.cur there.
-func (e *Engine) checkpointWith(gen uint64, hadPart, hadComps bool, res *grounding.Result) error {
+func (e *Engine) checkpointWith(gen uint64, decomposed bool, res *grounding.Result) error {
 	d := e.dur
 	if e.inc == nil || e.tables == nil || res == nil {
 		// Nothing restorable to persist: not grounded yet, the top-down
@@ -455,7 +443,7 @@ func (e *Engine) checkpointWith(gen uint64, hadPart, hadComps bool, res *groundi
 	if err := d.log.Sync(); err != nil {
 		return err
 	}
-	if err := e.writeSnapshot(gen, hadPart, hadComps, res); err != nil {
+	if err := e.writeSnapshot(gen, decomposed, res); err != nil {
 		return err
 	}
 	if err := d.at("ckpt.reset"); err != nil {
@@ -528,7 +516,7 @@ type engineSnap struct {
 	progFP, baseEvFP     uint64
 	gen, updates, walLSN uint64
 	groundTime           time.Duration
-	hadPart, hadComps    bool
+	decomposed           bool
 	evidence             [][]evRow
 	atoms                []grounding.SnapAtom
 	raws                 []grounding.RawSet
@@ -574,7 +562,7 @@ type evRow struct {
 // writeSnapshot serializes the grounded state and swaps it in atomically
 // (tmp + fsync + rename + dir fsync), so a crash mid-write leaves the
 // previous snapshot intact.
-func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *grounding.Result) error {
+func (e *Engine) writeSnapshot(gen uint64, decomposed bool, res *grounding.Result) error {
 	d := e.dur
 	atoms, err := e.tables.ExportAtoms()
 	if err != nil {
@@ -594,11 +582,8 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	w.U64(d.log.NextLSN() - 1)
 	w.U64(uint64(e.groundTime))
 	var flags byte
-	if hadPart {
+	if decomposed {
 		flags |= 1
-	}
-	if hadComps {
-		flags |= 2
 	}
 	w.U8(flags)
 
@@ -686,9 +671,10 @@ func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 	s.updates = r.U64()
 	s.walLSN = r.U64()
 	s.groundTime = time.Duration(r.U64())
-	flags := r.U8()
-	s.hadPart = flags&1 != 0
-	s.hadComps = flags&2 != 0
+	// Bit 1: the epoch had built its decomposition. Bit 2 is what a
+	// snapshot from before the one-decomposition design set for its second
+	// component list; it also means "pre-build the decomposition".
+	s.decomposed = r.U8()&3 != 0
 
 	// Every count below is checked against the bytes left (Count) before
 	// anything is sized by it, and a violated invariant latches the

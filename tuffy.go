@@ -24,13 +24,13 @@
 // epoch snapshots. Ground publishes epoch 0; UpdateEvidence applies an
 // mln.Delta (insertions, truth flips, retractions over the existing
 // constants), re-runs only the clause grounding queries whose predicates
-// the delta touched, repairs the partitioning and component list for the
-// touched connected components only, and publishes the result as the next
-// epoch with an RCU-style pointer swap. Queries in flight finish
-// bit-identically on the epoch they started on; new queries see the new
-// epoch. A failed or canceled update rolls the evidence and predicate
-// tables back and keeps serving the previous epoch, so the same delta can
-// simply be retried. See UpdateEvidence for a worked example.
+// the delta touched, repairs the decomposition for the touched connected
+// components only, and publishes the result as the next epoch with an
+// RCU-style pointer swap. Queries in flight finish bit-identically on the
+// epoch they started on; new queries see the new epoch. A failed or
+// canceled update rolls the evidence and predicate tables back and keeps
+// serving the previous epoch, so the same delta can simply be retried. See
+// UpdateEvidence for a worked example.
 //
 // Concurrent serving: after Ground, any number of goroutines may call
 // InferMAP / InferMarginal concurrently with distinct InferOptions; each
@@ -208,25 +208,24 @@ func (o InferOptions) withDefaults() InferOptions {
 }
 
 // epoch is one immutable snapshot of the grounded state: the grounding
-// result plus every structure derived from it (partitioning, component
-// list, the in-database clause table), each computed lazily at most once
-// per epoch — or spliced in pre-repaired by UpdateEvidence. Queries pin an
-// epoch with a reference count for their whole run, so an epoch swap never
-// changes what an in-flight query sees; when the last query on a retired
-// epoch finishes, its clause table is dropped and its pages return to the
-// embedded engine's free lists.
+// result plus every structure derived from it (the decomposition, the
+// in-database clause table), each computed lazily at most once per epoch —
+// or spliced in pre-repaired by UpdateEvidence. Queries pin an epoch with a
+// reference count for their whole run, so an epoch swap never changes what
+// an in-flight query sees; when the last query on a retired epoch finishes,
+// its clause table is dropped and its pages return to the embedded engine's
+// free lists.
 type epoch struct {
 	gen uint64
 	res *grounding.Result
 	db  *db.DB
 
-	// mu guards the lazily-derived structures. UpdateEvidence pre-seeds
-	// them on the next epoch when this epoch has already computed its own
-	// (repair is cheaper than recompute); otherwise the first query to need
-	// one computes it, exactly as before.
+	// mu guards the decomposition. UpdateEvidence pre-seeds it on the next
+	// epoch when this epoch has already computed its own (repair is cheaper
+	// than recompute); otherwise the first query to need it computes it.
 	mu    sync.Mutex
 	part  *partition.Partitioning
-	comps []*mrf.Component // Components(true); marginal factorization
+	comps []*mrf.Component // part.Parts viewed as components, index for index
 
 	clauseOnce  sync.Once
 	clauseErr   error
@@ -250,36 +249,40 @@ func (ep *epoch) release() {
 	}
 }
 
-// partitioning lazily computes (once per epoch) the Algorithm 3
-// partitioning every Auto-mode query on this epoch shares. Algorithm 3 is
-// deterministic and the searches never mutate the Partitioning, so sharing
-// preserves bit-identical results.
-func (ep *epoch) partitioning(beta int) *partition.Partitioning {
+// decomposition lazily computes (once per epoch) the one decomposition
+// every Auto-mode query on this epoch shares: the Algorithm 3
+// partitioning and its parts viewed as components. With no cut clause the
+// parts are the connected components (Section 3.3), which MAP search and
+// marginal sampling both factorize over. Algorithm 3 is deterministic and
+// the searches never mutate the parts, so sharing preserves bit-identical
+// results.
+func (ep *epoch) decomposition(beta int) (*partition.Partitioning, []*mrf.Component) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.part == nil {
-		ep.part = partition.Algorithm3(ep.res.MRF, beta)
+		ep.setPartitioning(partition.Algorithm3(ep.res.MRF, beta))
 	}
-	return ep.part
-}
-
-// components lazily computes (once per epoch) the connected components
-// marginal inference factorizes over.
-func (ep *epoch) components() []*mrf.Component {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.comps == nil {
-		ep.comps = ep.res.MRF.Components(true)
-	}
-	return ep.comps
-}
-
-// builtDerived returns the derived structures this epoch has materialized
-// so far (nil for the ones it has not).
-func (ep *epoch) builtDerived() (*partition.Partitioning, []*mrf.Component) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	return ep.part, ep.comps
+}
+
+// setPartitioning installs pt with its component view (ep.mu held, or ep
+// not yet published).
+func (ep *epoch) setPartitioning(pt *partition.Partitioning) {
+	views := make([]mrf.Component, len(pt.Parts))
+	ep.comps = make([]*mrf.Component, len(pt.Parts))
+	for i, p := range pt.Parts {
+		views[i] = mrf.Component{MRF: p.Local, GlobalAtom: p.GlobalAtom}
+		ep.comps[i] = &views[i]
+	}
+	ep.part = pt
+}
+
+// decomposed returns the epoch's partitioning, nil while no query has
+// needed it.
+func (ep *epoch) decomposed() *partition.Partitioning {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.part
 }
 
 // ensureClauseTable stores the epoch's MRF into its read-only clause table
@@ -508,7 +511,7 @@ func (e *Engine) ground(ctx context.Context) error {
 		// and retryable, and a crash mid-checkpoint reopens cold. The epoch
 		// is not published yet, so the freshly assembled network is handed
 		// to the checkpoint directly.
-		if err := e.checkpointWith(0, false, false, res); err != nil {
+		if err := e.checkpointWith(0, false, res); err != nil {
 			ts.Drop()
 			e.tables = nil
 			e.inc = nil
@@ -639,7 +642,7 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 		return finish(err)
 
 	default: // Auto: partitioned
-		pt := ep.partitioning(e.partitionBeta())
+		pt, comps := ep.decomposition(e.partitionBeta())
 		res.Partitions = len(pt.Parts)
 		res.CutClauses = pt.NumCut()
 		if pt.NumCut() > 0 {
@@ -659,7 +662,7 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 		// Hybrid fallback (Section 3.2): components whose search footprint
 		// exceeds the memory budget are searched inside the RDBMS
 		// (Tuffy-mm); the rest run in memory.
-		inMem, oversized := e.splitParts(pt)
+		inMem, oversized := e.splitParts(pt, comps)
 		r, err := search.ComponentAware(ctx, m, inMem, search.ComponentOptions{
 			Base:        base,
 			Parallelism: opts.Parallelism,
@@ -710,17 +713,21 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 	}
 }
 
-// splitParts turns a cut-free partitioning's parts into the components
-// in-memory search runs over, setting aside the parts whose search
-// footprint exceeds the memory budget. The component list is canonical:
-// the sharder's coordinator and workers index into it (see kind.go).
-func (e *Engine) splitParts(pt *partition.Partitioning) (inMem []*mrf.Component, oversized []*partition.Part) {
-	for _, p := range pt.Parts {
-		if e.cfg.MemoryBudgetBytes > 0 && p.Bytes() > e.cfg.MemoryBudgetBytes {
+// splitParts sets aside, from a cut-free decomposition's components, the
+// parts whose search footprint exceeds the memory budget; the rest are the
+// components in-memory search runs over — without a budget, the epoch's
+// own list. The list is canonical: the sharder's coordinator and workers
+// index into it (see kind.go).
+func (e *Engine) splitParts(pt *partition.Partitioning, comps []*mrf.Component) (inMem []*mrf.Component, oversized []*partition.Part) {
+	if e.cfg.MemoryBudgetBytes <= 0 {
+		return comps, nil
+	}
+	for i, p := range pt.Parts {
+		if p.Bytes() > e.cfg.MemoryBudgetBytes {
 			oversized = append(oversized, p)
 			continue
 		}
-		inMem = append(inMem, &mrf.Component{MRF: p.Local, GlobalAtom: p.GlobalAtom})
+		inMem = append(inMem, comps[i])
 	}
 	return inMem, oversized
 }
@@ -755,9 +762,11 @@ type AtomProb struct {
 }
 
 // InferMarginal runs one marginal-inference query with MC-SAT (Appendix
-// A.5), using opts.Samples sampling rounds. Like InferMAP it is safe for
-// concurrent use over one grounded Engine, and a canceled context returns
-// the marginals estimated so far together with an error matching
+// A.5), using opts.Samples sampling rounds. In Auto mode it samples the
+// epoch's one decomposition — the parts InferMAP searches — component by
+// component; the other modes sample the whole network. Like InferMAP it is
+// safe for concurrent use over one grounded Engine, and a canceled context
+// returns the marginals estimated so far together with an error matching
 // ErrCanceled.
 func (e *Engine) InferMarginal(ctx context.Context, opts InferOptions) (*MarginalResult, error) {
 	opts = opts.withDefaults()
@@ -768,18 +777,19 @@ func (e *Engine) InferMarginal(ctx context.Context, opts InferOptions) (*Margina
 	defer release()
 	m := ep.res.MRF
 	mo := mcsatOptions(opts.Samples, opts.Seed)
-	// The distribution factorizes over connected components, so sample
-	// each independently (and in parallel) — the marginal-inference
-	// counterpart of component-aware MAP search. With a memory budget that
-	// splits components, the partitioned Gauss-Seidel MC-SAT path samples
-	// partitions color class by color class instead. Partitioning is only
-	// consulted when a budget is set: with beta=0 Algorithm 3 yields the
-	// connected components (never a cut), so the component path below is
-	// the same factorization without duplicating the MRF's clauses.
+	// The distribution factorizes over connected components, so Auto mode
+	// samples each independently (and in parallel) over the decomposition
+	// MAP searches — the marginal-inference counterpart of component-aware
+	// MAP search. With a memory budget that cuts clauses, the partitioned
+	// Gauss-Seidel MC-SAT path samples partitions color class by color
+	// class instead. The other modes sample the whole network and never
+	// build the decomposition.
 	var probs []float64
-	if e.partitionBeta() > 0 && opts.Mode == Auto && ep.partitioning(e.partitionBeta()).NumCut() > 0 {
-		probs, err = search.GaussMCSAT(ctx, ep.partitioning(e.partitionBeta()), mo, opts.Parallelism)
-	} else if comps := ep.components(); len(comps) > 1 && opts.Mode == Auto {
+	if opts.Mode != Auto {
+		probs, err = search.MCSAT(ctx, m, mo)
+	} else if pt, comps := ep.decomposition(e.partitionBeta()); pt.NumCut() > 0 {
+		probs, err = search.GaussMCSAT(ctx, pt, mo, opts.Parallelism)
+	} else if len(comps) > 1 {
 		probs, err = search.MCSATComponents(ctx, m, comps, mo, opts.Parallelism)
 	} else {
 		probs, err = search.MCSAT(ctx, m, mo)

@@ -39,10 +39,11 @@ type UpdateResult struct {
 	ClausesRemoved    int
 	ClausesReweighted int
 
-	// ComponentsReused / PartsReused count derived structures carried over
-	// from the previous epoch (0 when that epoch had not materialized them).
-	ComponentsReused int
-	PartsReused      int
+	// PartsReused counts the decomposition's parts carried over from the
+	// previous epoch with their local networks shared (0 when that epoch had
+	// not built its decomposition). Without a cut the parts are the
+	// connected components MAP search and marginal sampling both run over.
+	PartsReused int
 
 	// Inverse is the evidence delta that undoes this update; applying it via
 	// a later UpdateEvidence restores the previous logical state (and, by
@@ -84,12 +85,11 @@ func (e *Engine) rebind(delta mln.Delta) (mln.Delta, error) {
 // UpdateEvidence applies an evidence delta to the live engine and publishes
 // the re-grounded network as the next epoch. Only the clause grounding
 // queries whose provenance intersects the delta's predicates are re-run;
-// the partitioning and component list are repaired for the touched
-// connected components and reused everywhere else. Queries already in
-// flight finish bit-identically on the epoch they started on; queries
-// admitted after UpdateEvidence returns see the new epoch. The published
-// network is bit-identical to a full Ground of a fresh engine over the
-// merged evidence.
+// the decomposition is repaired for the touched connected components and
+// reused everywhere else. Queries already in flight finish bit-identically
+// on the epoch they started on; queries admitted after UpdateEvidence
+// returns see the new epoch. The published network is bit-identical to a
+// full Ground of a fresh engine over the merged evidence.
 //
 // Worked example:
 //
@@ -242,16 +242,14 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 
 	ne := &epoch{gen: old.gen + 1, res: res, db: e.db}
 	ne.refs.Store(1)
-	// Repair (not recompute) whatever derived state the old epoch had
-	// already paid for: untouched components keep their exact local MRFs
-	// (shared pointers — which is also what keeps their memo fingerprints
-	// cached), untouched parts keep their exact tilings.
-	oldPart, oldComps := old.builtDerived()
-	if oldComps != nil {
-		ne.comps, ur.ComponentsReused = mrf.RepairComponents(oldComps, res.MRF, newToOld, touchedNew, true)
-	}
-	if oldPart != nil {
-		ne.part, ur.PartsReused = partition.Repair(oldPart, res.MRF, newToOld, touchedNew, e.partitionBeta())
+	// Repair (not recompute) the decomposition if the old epoch had already
+	// paid for it: untouched parts keep their exact local MRFs (shared
+	// pointers — which is also what keeps their search indexes and memo
+	// fingerprints cached).
+	if oldPart := old.decomposed(); oldPart != nil {
+		pt, reused := partition.Repair(oldPart, res.MRF, newToOld, touchedNew, e.partitionBeta())
+		ne.setPartitioning(pt)
+		ur.PartsReused = reused
 	}
 
 	e.cur.Store(ne)

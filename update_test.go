@@ -351,7 +351,8 @@ func TestMemoSurvivesUpdateForUntouchedComponents(t *testing.T) {
 			if _, err := eng.InferMAP(ctx, q); err != nil {
 				t.Fatal(err)
 			}
-			parts := len(eng.cur.Load().partitioning(eng.partitionBeta()).Parts)
+			pt, _ := eng.cur.Load().decomposition(eng.partitionBeta())
+			parts := len(pt.Parts)
 			rows := tc.ds.Ev.Count(tc.ds.Prog.MustPredicate(tc.pred))
 			delta := datagen.RandomDelta(tc.ds, tc.pred, max(1, rows/100), 99)
 			ur, err := eng.UpdateEvidence(ctx, delta)
