@@ -6,8 +6,8 @@ package tuffy
 // set from cache immediately.
 //
 // Why reloading is sound: every entry is epoch-keyed ("e<gen>|..."), and the
-// cache is only written after the engines' own updates are durable, so a
-// persisted entry's epoch is at most the epoch the engines recover to.
+// cache is only written after the engine's own updates are durable, so a
+// persisted entry's epoch is at most the epoch the engine recovers to.
 // Engine epochs are monotone and never reused; a reloaded entry therefore
 // either carries the recovered epoch — in which case its answer is, by the
 // engine's bit-identical replay guarantee, exactly what a fresh run would
@@ -43,7 +43,7 @@ func (s *Server) CheckpointCache() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
-	eng := s.backends[0].eng
+	eng := s.eng
 	predIdx := mln.PredIndex(eng.prog)
 	// The entry count precedes the entries but is only known once the cache
 	// has been walked (it can grow meanwhile), so they are encoded apart.
@@ -78,7 +78,7 @@ func (s *Server) loadCache() {
 	if err != nil {
 		return
 	}
-	eng := s.backends[0].eng
+	eng := s.eng
 	if d.U32() != cacheVersion || d.U64() != fingerprintProgram(eng.prog, eng.cfg) {
 		return
 	}

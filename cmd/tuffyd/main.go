@@ -6,19 +6,8 @@
 //
 //	tuffyd -i prog.mln -e evidence.db -addr :7090
 //
-// Distributed mode splits one query's independent components across
-// worker processes. Start workers with -worker (they speak the binary
-// wire protocol, not HTTP) and point the coordinator at them:
-//
-//	tuffyd -i prog.mln -e evidence.db -worker :7191
-//	tuffyd -i prog.mln -e evidence.db -worker :7192
-//	tuffyd -i prog.mln -e evidence.db -addr :7090 -workers localhost:7191,localhost:7192
-//
-// Workers must be grounded from the same program and evidence — the
-// handshake enforces it by fingerprint. Answers are bit-identical to a
-// single-process run at every worker count; a dead worker degrades
-// capacity (its shards run locally), never an answer, and /healthz stays
-// 200 as long as anything — worker or local engine — can serve.
+// The daemon serves one engine; a query's independent components run in
+// parallel inside it (the JSON "parallelism" field).
 //
 // Endpoints:
 //
@@ -43,8 +32,8 @@
 // frees up. SIGINT or SIGTERM stops admission, drains in-flight queries,
 // checkpoints durable state (with -data) and exits.
 //
-// With -data DIR, each replica keeps a write-ahead log and grounded-state
-// snapshot under DIR/replicaN and the result cache is persisted in DIR;
+// With -data DIR, the engine keeps a write-ahead log and grounded-state
+// snapshot under DIR/replica0 and the result cache is persisted in DIR;
 // after a crash or restart the daemon warm-starts: it restores the
 // grounded network and replays logged evidence deltas instead of
 // re-grounding, then serves bit-identical answers.
@@ -56,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -69,9 +59,13 @@ import (
 
 	"tuffy"
 	"tuffy/internal/mln"
-	"tuffy/internal/remote"
 	"tuffy/internal/search"
 )
+
+// engineDir is the engine's durable directory under -data. The name
+// predates the single-engine daemon and stays, so existing data
+// directories keep warm-starting.
+const engineDir = "replica0"
 
 func main() {
 	var (
@@ -80,7 +74,6 @@ func main() {
 		addr       = flag.String("addr", ":7090", "HTTP listen address")
 		threads    = flag.Int("threads", 1, "grounding workers")
 		budget     = flag.Int64("memory", 0, "engine memory budget in bytes for MRF partitioning")
-		replicas   = flag.Int("replicas", 1, "engine replicas to ground and load-balance across")
 		inflight   = flag.Int("inflight", 4, "max concurrently executing queries")
 		queue      = flag.Int("queue", 64, "admission queue bound (waiting queries)")
 		lanes      = flag.Int("lanes", 3, "priority lanes (0 = most urgent)")
@@ -89,22 +82,12 @@ func main() {
 		maxBytes   = flag.Int64("maxbytes", 0, "per-query memory estimate cap in bytes (0 = none)")
 		queryTime  = flag.Duration("querytimeout", 0, "per-query wall-clock deadline incl. queue wait (0 = none)")
 		cacheSize  = flag.Int("cache", 0, "result cache entries (0 = default 4096, negative = off)")
-		dataDir    = flag.String("data", "", "durable data directory: WAL + snapshots per replica, persisted result cache; warm-starts on restart (empty = in-memory only)")
-		workerAddr = flag.String("worker", "", "run as a distributed worker: serve the wire protocol on this TCP address instead of HTTP")
-		workers    = flag.String("workers", "", "comma-separated worker addresses to shard decomposable queries across")
+		dataDir    = flag.String("data", "", "durable data directory: WAL + snapshot, persisted result cache; warm-starts on restart (empty = in-memory only)")
 	)
 	flag.Parse()
 	if *progPath == "" || *evPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *workerAddr != "" && *workers != "" {
-		fatalIf(errors.New("-worker and -workers are mutually exclusive: a process is either a worker or a coordinator"))
-	}
-	if *workerAddr != "" {
-		// A worker hosts exactly one engine: shards of one query are its
-		// unit of work, so there is nothing to load-balance locally.
-		*replicas = 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -116,50 +99,20 @@ func main() {
 	fatalIf(err)
 
 	cfg := tuffy.EngineConfig{GroundWorkers: *threads, MemoryBudgetBytes: *budget}
-	engines := make([]*tuffy.Engine, *replicas)
-	for i := range engines {
-		if *dataDir != "" {
-			// Each replica owns its own WAL and snapshot; they replay the
-			// same deltas, so all recover to the same epoch.
-			cfg.DataDir = filepath.Join(*dataDir, fmt.Sprintf("replica%d", i))
-		}
-		eng, err := tuffy.Open(prog, ev, cfg)
-		fatalIf(err)
-		engines[i] = eng
-		if ds := eng.DurabilityStats(); ds.WarmStart {
-			// Ground below is a no-op on a warm-started engine: recovery
-			// already published the pre-crash epoch.
-			log.Printf("replica %d warm-started in %v (epoch %d, %d deltas replayed)",
-				i, ds.RecoveryTime.Round(time.Millisecond), eng.Generation(), ds.ReplayedDeltas)
-			continue
-		}
+	if *dataDir != "" {
+		cfg.DataDir = filepath.Join(*dataDir, engineDir)
+	}
+	eng, err := tuffy.Open(prog, ev, cfg)
+	fatalIf(err)
+	if ds := eng.DurabilityStats(); ds.WarmStart {
+		// Recovery already published the pre-crash epoch; there is nothing
+		// to ground.
+		log.Printf("warm-started in %v (epoch %d, %d deltas replayed)",
+			ds.RecoveryTime.Round(time.Millisecond), eng.Generation(), ds.ReplayedDeltas)
+	} else {
 		start := time.Now()
-		fatalIf(engines[i].Ground(ctx))
-		log.Printf("replica %d grounded in %v", i, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *workerAddr != "" {
-		// Worker mode: serve the framed wire protocol until SIGINT/SIGTERM.
-		// The accept loop closes the listener and live sessions on the
-		// signal; in-flight shards return promptly via context cancellation.
-		ln, err := net.Listen("tcp", *workerAddr)
-		fatalIf(err)
-		log.Printf("tuffyd worker serving on %s (epoch %d)", ln.Addr(), engines[0].Generation())
-		fatalIf(remote.NewWorker(engines[0]).Serve(ctx, ln))
-		if err := engines[0].Close(); err != nil {
-			log.Printf("closing engine: %v", err)
-		}
-		log.Print("worker stopped; bye")
-		return
-	}
-
-	var workerList []string
-	if *workers != "" {
-		for _, a := range strings.Split(*workers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				workerList = append(workerList, a)
-			}
-		}
+		fatalIf(eng.Ground(ctx))
+		log.Printf("grounded in %v", time.Since(start).Round(time.Millisecond))
 	}
 
 	srv, err := tuffy.Serve(tuffy.ServerConfig{
@@ -172,39 +125,10 @@ func main() {
 		MaxQueryTime:       *queryTime,
 		CacheEntries:       *cacheSize,
 		DataDir:            *dataDir,
-		Workers:            workerList,
-	}, engines...)
+	}, eng)
 	fatalIf(err)
 
-	h := &handler{srv: srv, fmtEngine: engines[0]}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /infer", h.infer)
-	mux.HandleFunc("POST /evidence", h.evidence)
-	mux.HandleFunc("GET /metrics", h.metrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		ds := engines[0].DurabilityStats()
-		ws, healthy := workerRows(srv)
-		// Local engines can always serve (worker outages only shrink
-		// capacity), so unhealthy workers never flip /healthz to 503; it
-		// would take having no backend at all, which Serve rejects upfront.
-		ok := len(engines) > 0 || healthy > 0
-		status := http.StatusOK
-		if !ok {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]any{
-			"ok":             ok,
-			"epoch":          srv.Metrics().Epoch,
-			"regrounding":    srv.Updating(),
-			"durable":        ds.Enabled,
-			"warmStart":      ds.WarmStart,
-			"recoveryMillis": ds.RecoveryTime.Milliseconds(),
-			"checkpoints":    ds.Checkpoints,
-			"workersHealthy": healthy,
-			"workersTotal":   len(ws),
-			"workers":        ws,
-		})
-	})
+	h := &handler{srv: srv, eng: eng}
 
 	// Request contexts derive from the signal context: SIGINT cancels every
 	// in-flight query, which returns promptly with its best-so-far answer
@@ -212,7 +136,7 @@ func main() {
 	// is bounded and clients still get their 200 + "canceled": true.
 	hs := &http.Server{
 		Addr:        *addr,
-		Handler:     mux,
+		Handler:     h.mux(),
 		BaseContext: func(net.Listener) context.Context { return ctx },
 		// Connection-level protection in front of the admission layer:
 		// slow or idle clients must not hold descriptors while the
@@ -233,10 +157,8 @@ func main() {
 		if err := srv.Close(); err != nil {
 			log.Printf("persisting result cache: %v", err)
 		}
-		for i, eng := range engines {
-			if err := eng.Close(); err != nil {
-				log.Printf("closing replica %d: %v", i, err)
-			}
+		if err := eng.Close(); err != nil {
+			log.Printf("closing engine: %v", err)
 		}
 	}()
 	eff := srv.Config()
@@ -290,17 +212,26 @@ type marginalResponse struct {
 
 type handler struct {
 	srv *tuffy.Server
-	// fmtEngine renders atoms with the program's symbol table (all
-	// replicas share one program).
-	fmtEngine *tuffy.Engine
+	// eng is the served engine: it renders atoms with the program's symbol
+	// table and reports memo and durability state.
+	eng *tuffy.Engine
+}
+
+// mux routes the daemon's endpoints to h.
+func (h *handler) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /infer", h.infer)
+	mux.HandleFunc("POST /evidence", h.evidence)
+	mux.HandleFunc("GET /metrics", h.metrics)
+	mux.HandleFunc("GET /healthz", h.healthz)
+	return mux
 }
 
 func (h *handler) infer(w http.ResponseWriter, r *http.Request) {
 	var req inferRequest
 	// A query body is a handful of scalars; 1 MB bounds decoder memory
 	// before any admission logic runs.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	opts := tuffy.InferOptions{
@@ -370,7 +301,7 @@ func (h *handler) mapReply(res *tuffy.MAPResult, canceled bool) any {
 	out.Partitions, out.CutClauses = res.Partitions, res.CutClauses
 	out.TrueAtoms = make([]string, 0, len(res.TrueAtoms))
 	for _, a := range res.TrueAtoms {
-		out.TrueAtoms = append(out.TrueAtoms, h.fmtEngine.FormatAtom(a))
+		out.TrueAtoms = append(out.TrueAtoms, h.eng.FormatAtom(a))
 	}
 	return out
 }
@@ -380,7 +311,7 @@ func (h *handler) marginalReply(res *tuffy.MarginalResult, canceled bool) any {
 	if res != nil {
 		out.Probs = make([]probResponse, 0, len(res.Probs))
 		for _, ap := range res.Probs {
-			out.Probs = append(out.Probs, probResponse{Atom: h.fmtEngine.FormatAtom(ap.Atom), P: ap.P})
+			out.Probs = append(out.Probs, probResponse{Atom: h.eng.FormatAtom(ap.Atom), P: ap.P})
 		}
 	}
 	return out
@@ -414,21 +345,20 @@ type evidenceResponse struct {
 	UpdateMillis      int64  `json:"updateMillis"`
 }
 
-// evidence applies one evidence delta to every replica and publishes the
+// evidence applies one evidence delta to the engine and publishes the
 // next epoch. Constants are resolved by name without interning: a name the
 // program has never seen is a 400, not a new constant (new constants would
 // change the grounding universe, which is a full re-ground, not an update).
 func (h *handler) evidence(w http.ResponseWriter, r *http.Request) {
 	var req evidenceRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, 8<<20, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("empty delta: no ops"))
 		return
 	}
-	prog := h.fmtEngine.Prog()
+	prog := h.eng.Prog()
 	var d mln.Delta
 	for i, op := range req.Ops {
 		pred, ok := prog.Predicate(op.Pred)
@@ -491,27 +421,26 @@ func (h *handler) evidence(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
-	ws, healthy := workerRows(h.srv)
 	writeJSON(w, http.StatusOK, struct {
 		tuffy.ServerMetrics
-		Memo           search.MemoStats      `json:"memo"`
-		Durability     tuffy.DurabilityStats `json:"durability"`
-		WorkersHealthy int                   `json:"workersHealthy"`
-		WorkersTotal   int                   `json:"workersTotal"`
-		Workers        []tuffy.WorkerStatus  `json:"workers,omitempty"`
-	}{h.srv.Metrics(), h.fmtEngine.MemoStats(), h.fmtEngine.DurabilityStats(), healthy, len(ws), ws})
+		Memo       search.MemoStats      `json:"memo"`
+		Durability tuffy.DurabilityStats `json:"durability"`
+	}{h.srv.Metrics(), h.eng.MemoStats(), h.eng.DurabilityStats()})
 }
 
-// workerRows snapshots the remote worker pool for /healthz and /metrics.
-func workerRows(srv *tuffy.Server) ([]tuffy.WorkerStatus, int) {
-	ws := srv.Workers()
-	healthy := 0
-	for _, w := range ws {
-		if w.Healthy {
-			healthy++
-		}
-	}
-	return ws, healthy
+// healthz answers 200 once serving; the engine it serves exists from
+// start-up on, so the daemon is healthy whenever it answers at all.
+func (h *handler) healthz(w http.ResponseWriter, _ *http.Request) {
+	ds := h.eng.DurabilityStats()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"ok":             true,
+		"epoch":          h.srv.Metrics().Epoch,
+		"regrounding":    h.srv.Updating(),
+		"durable":        ds.Enabled,
+		"warmStart":      ds.WarmStart,
+		"recoveryMillis": ds.RecoveryTime.Milliseconds(),
+		"checkpoints":    ds.Checkpoints,
+	})
 }
 
 // reject writes an admission error; a 429 (queue full) additionally
@@ -573,6 +502,21 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// decodeBody reads a body of at most limit bytes holding exactly one JSON
+// value into v, answering 400 and returning false when it does not.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
 }
 
 // writeJSON marshals before touching the response, so an encoding failure

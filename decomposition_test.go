@@ -79,12 +79,17 @@ func requireSampledAreParts(t *testing.T, tag string, e *Engine, ep *epoch) {
 	if pt == nil {
 		t.Fatalf("%s: no decomposition built", tag)
 	}
-	for _, k := range []*queryKind{marginalKind, mapKind} {
-		comps, ok := k.comps(e, ep)
-		if !ok || len(comps) != len(pt.Parts) {
-			t.Fatalf("%s: %d components (ok %v) over %d parts", tag, len(comps), ok, len(pt.Parts))
+	shared, comps := ep.decomposition(e.partitionBeta())
+	if shared != pt || pt.NumCut() != 0 {
+		t.Fatalf("%s: decomposition is not the epoch's cut-free partitioning", tag)
+	}
+	// Marginal sampling runs over comps, MAP search over splitParts' list.
+	inMem, oversized := e.splitParts(pt, comps)
+	for _, list := range [][]*mrf.Component{comps, inMem} {
+		if len(list) != len(pt.Parts) || len(oversized) != 0 {
+			t.Fatalf("%s: %d components (%d oversized) over %d parts", tag, len(list), len(oversized), len(pt.Parts))
 		}
-		for i, c := range comps {
+		for i, c := range list {
 			if c.MRF != pt.Parts[i].Local {
 				t.Fatalf("%s: component %d is not part %d's local network", tag, i, i)
 			}

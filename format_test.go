@@ -5,8 +5,7 @@ package tuffy
 // run proves the snapshot, the result-cache file and a whole data directory
 // (snapshot + WAL delta + cache) are still produced and understood byte
 // for byte: a DataDir from an older build opens on this one and vice versa.
-// internal/wire and internal/mln pin their frames and the WAL delta record
-// the same way.
+// internal/mln pins the WAL delta record the same way.
 
 import (
 	"bytes"

@@ -1,7 +1,7 @@
 // Package codec is the one binary encoding every persisted or transmitted
 // structure of the module is written in: the engine snapshot and the WAL's
-// evidence-delta records (persist.go, internal/mln), the result-cache file
-// (cachepersist.go) and every internal/wire message. Values are flat
+// evidence-delta records (persist.go, internal/mln) and the result-cache
+// file (cachepersist.go). Values are flat
 // little-endian field sequences — no reflection, no self-description — so a
 // format is exactly the order of the calls that write it, and the golden
 // files under the callers' testdata pin those orders byte for byte.
@@ -9,7 +9,7 @@
 // Enc appends; Dec reads straight through and latches its first failure, so
 // a decoder checks one error at the end instead of one per field. Every
 // length read from the input is validated against the bytes that remain
-// BEFORE anything is allocated (Count, Bytes, Bits, Floats): hostile input
+// BEFORE anything is allocated (Count, Str, Bits): hostile input
 // can make a decoder fail, never make it allocate more than a small
 // multiple of the input's size.
 package codec
@@ -34,27 +34,12 @@ func (e *Enc) Buf() []byte { return e.b }
 func (e *Enc) Raw(p []byte) { e.b = append(e.b, p...) }
 
 func (e *Enc) U8(v byte)     { e.b = append(e.b, v) }
-func (e *Enc) U16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *Enc) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *Enc) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *Enc) I64(v int64)   { e.U64(uint64(v)) }
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// Bytes writes a length-prefixed byte string.
-func (e *Enc) Bytes(v []byte) {
-	e.U32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-
-// Str writes a length-prefixed string (the same bytes as Bytes).
+// Str writes a length-prefixed string.
 func (e *Enc) Str(v string) {
 	e.U32(uint32(len(v)))
 	e.b = append(e.b, v...)
@@ -72,14 +57,6 @@ func (e *Enc) Bits(v []bool) {
 			e.b = append(e.b, cur)
 			cur = 0
 		}
-	}
-}
-
-// Floats writes len(v) and then each value's IEEE-754 bits.
-func (e *Enc) Floats(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, f := range v {
-		e.F64(f)
 	}
 }
 
@@ -134,13 +111,6 @@ func (d *Dec) U8() byte {
 	return 0
 }
 
-func (d *Dec) U16() uint16 {
-	if v := d.Raw(2); v != nil {
-		return binary.LittleEndian.Uint16(v)
-	}
-	return 0
-}
-
 func (d *Dec) U32() uint32 {
 	if v := d.Raw(4); v != nil {
 		return binary.LittleEndian.Uint32(v)
@@ -157,7 +127,6 @@ func (d *Dec) U64() uint64 {
 
 func (d *Dec) I64() int64   { return int64(d.U64()) }
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-func (d *Dec) Bool() bool   { return d.U8() != 0 }
 
 // Count reads an element count and fails unless that many elements of at
 // least minBytes each can still follow, so the caller may allocate count
@@ -172,15 +141,6 @@ func (d *Dec) Count(minBytes int) int {
 		return 0
 	}
 	return n
-}
-
-// Bytes reads a length-prefixed byte string into a fresh slice.
-func (d *Dec) Bytes() []byte {
-	v := d.Raw(d.Count(1))
-	if d.err != nil {
-		return nil
-	}
-	return append(make([]byte, 0, len(v)), v...)
 }
 
 // Str reads a length-prefixed string.
@@ -201,19 +161,6 @@ func (d *Dec) Bits(lead int) []bool {
 	out := make([]bool, lead+n)
 	for i := 0; i < n; i++ {
 		out[lead+i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return out
-}
-
-// Floats reads a float64 vector, with lead zero elements in front (see Bits).
-func (d *Dec) Floats(lead int) []float64 {
-	n := d.Count(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, lead+n)
-	for i := 0; i < n; i++ {
-		out[lead+i] = d.F64()
 	}
 	return out
 }

@@ -4,9 +4,9 @@ import "tuffy/internal/codec"
 
 // EncodeDelta frames one evidence delta as a compact positional record:
 // predicates by program index, constants as interned ids, three-valued
-// truth — the format the durability WAL logs and the distributed tier
-// fans out to workers. It is valid only between readers that share the
-// exact program (the fingerprint handshake of both layers enforces that).
+// truth — the format the durability WAL logs. It is valid only between
+// readers that share the exact program (the snapshot's program
+// fingerprint enforces that).
 // predIdx maps each predicate to its index in the program's Preds slice.
 func EncodeDelta(predIdx map[*Predicate]int32, d Delta) []byte {
 	var e codec.Enc

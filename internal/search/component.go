@@ -52,9 +52,9 @@ type ComponentResult struct {
 // state, unstarted components stay at the all-false baseline.
 func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component, opts ComponentOptions) (*ComponentResult, error) {
 	opts.Base = opts.Base.withDefaults()
-	if opts.Parallelism < 1 {
-		opts.Parallelism = 1
-	}
+	// More workers than components would only idle: the cap bounds the
+	// goroutines one query can start, whatever Parallelism it asks for.
+	opts.Parallelism = min(max(opts.Parallelism, 1), max(len(comps), 1))
 	totalAtoms := 0
 	for _, c := range comps {
 		totalAtoms += c.Size()
@@ -152,14 +152,13 @@ dispatch:
 // seed (content-hash offset with a memo, index-based without) — then
 // consults the memo and runs WalkSAT on a miss.
 //
-// This derivation is the contract of bit-identical distribution: the
+// This derivation is the contract of bit-identical parallelism: the
 // outcome is a pure function of (component content, idx, totalAtoms,
 // defaulted base options, memo-enabledness), with no dependence on
-// parallelism, scheduling, or which process runs it. ComponentAware's
-// worker loop and the remote worker's shard execution both call exactly
-// this function, so sharding components across processes cannot change
-// any answer. base must already be defaulted (Options.withDefaults);
-// totalAtoms is the component-atom total of the parent decomposition.
+// parallelism or scheduling, so however ComponentAware's workers divide
+// the components, no answer changes. base must already be defaulted
+// (Options.withDefaults); totalAtoms is the component-atom total of the
+// parent decomposition.
 //
 // A memo hit returns the stored outcome without a run; the returned Best
 // is shared with the memo and must not be mutated. A base.Tracker, when
@@ -210,12 +209,6 @@ func RunComponent(ctx context.Context, comp *mrf.Component, idx int, totalAtoms 
 	}
 	return r
 }
-
-// DefaultedOptions exposes Options.withDefaults for callers outside the
-// package that must reproduce the exact effective options of a query —
-// the remote worker derives per-shard options from the same canonical
-// form the coordinator used.
-func DefaultedOptions(o Options) Options { return o.withDefaults() }
 
 // Monolithic runs plain WalkSAT on the whole MRF (the Tuffy-p / Alchemy
 // behaviour) and returns a ComponentResult for uniform comparison. On

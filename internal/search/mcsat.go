@@ -144,9 +144,8 @@ func mcsat(ctx context.Context, m *mrf.MRF, opts MCSATOptions, sc *Scratch) ([]f
 // A canceled context returns ErrCanceled with the marginals of the
 // components that finished sampling (unfinished components report zeros).
 func MCSATComponents(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component, opts MCSATOptions, parallelism int) ([]float64, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	// Capped at the component count, as in ComponentAware.
+	parallelism = min(max(parallelism, 1), max(len(comps), 1))
 	probs := make([]float64, parent.NumAtoms+1)
 	var mu sync.Mutex
 	var firstErr error
@@ -197,10 +196,9 @@ dispatch:
 
 // RunComponentMCSAT samples one component of a component-factorized
 // marginal query, deriving the component's chain seed from the parent
-// seed and the component's canonical index. Like search.RunComponent it
-// is the distribution contract: MCSATComponents and the remote worker's
-// marginal shard execution call exactly this function, so the sampled
-// chain for a component is identical wherever it runs. The returned
+// seed and the component's canonical index. Like RunComponent it is the
+// parallelism contract: the sampled chain for a component is identical
+// whichever of MCSATComponents' workers runs it. The returned
 // slice is the component-local 1-based marginal vector. sc holds the chain's
 // search state and is the caller's to reuse for its next component, one
 // goroutine at a time.

@@ -5,10 +5,9 @@ package tuffy
 // differ only in the kernel (WalkSAT, Section 3.3; MC-SAT, Appendix A.5),
 // in what a component's outcome is (a state and a cost; a probability
 // vector) and in how outcomes merge. Everything that differs lives in this
-// file, as the two values of queryKind; the serving path (serve.go), the
-// sharder on both sides of the wire (shard.go), cache persistence
-// (cachepersist.go) are each written once against the descriptor and never
-// ask which kind they are handling.
+// file, as the two values of queryKind; the serving path (serve.go) and
+// cache persistence (cachepersist.go) are each written once against the
+// descriptor and never ask which kind they are handling.
 
 import (
 	"context"
@@ -17,10 +16,7 @@ import (
 
 	"tuffy/internal/codec"
 	"tuffy/internal/mln"
-	"tuffy/internal/mrf"
-	"tuffy/internal/search"
 	"tuffy/internal/server"
-	"tuffy/internal/wire"
 )
 
 // result is what the serving path needs of an answer, whatever its kind:
@@ -33,11 +29,7 @@ type result interface {
 	encode(w *codec.Enc, predIdx map[*mln.Predicate]int32)
 }
 
-// componentRun executes one component of a sharded query, with the search
-// state of the group loop calling it.
-type componentRun func(ctx context.Context, idx uint32, sc *search.Scratch) (wire.ShardComp, error)
-
-// queryKind is one kind of inference as the serving tiers see it.
+// queryKind is one kind of inference as the serving layer sees it.
 type queryKind struct {
 	// key canonicalizes the options that determine this kind's answer.
 	// Parallelism is deliberately absent: results are bit-identical for
@@ -49,26 +41,11 @@ type queryKind struct {
 	// for the other's budget): an explicit over-ask is refused, a defaulted
 	// budget is clamped in o.
 	capBudget func(cfg ServerConfig, explicit InferOptions, o *InferOptions) *server.BudgetError
-	// memBytes estimates one query's search memory on a backend.
-	memBytes func(b *backend, o InferOptions) int64
+	// memBytes estimates one query's search memory on the served engine.
+	memBytes func(s *Server, o InferOptions) int64
 
-	// local runs the whole query on one engine.
-	local func(ctx context.Context, e *Engine, o InferOptions) (result, error)
-	// comps returns the canonical list of independent components an epoch
-	// shards this kind over, ok=false when the epoch does not decompose
-	// (local would not take its plain per-component path either).
-	comps func(e *Engine, ep *epoch) (comps []*mrf.Component, ok bool)
-	// request is the kind's part of a shard request: the canonical options.
-	request func(o InferOptions) wire.ShardRequest
-	// runner derives the per-component options from a shard request — one
-	// derivation for the coordinator's local groups and the worker's
-	// InferShard — and returns the kernel call.
-	runner func(e *Engine, comps []*mrf.Component, req wire.ShardRequest) componentRun
-	// merger starts one query's merge: apply folds in one component's
-	// outcome (never concurrently), finish returns the answer. A component
-	// that was never applied keeps its all-false / zero baseline, exactly
-	// as in the local component loops under cancellation.
-	merger func(e *Engine, ep *epoch, comps []*mrf.Component) (apply func(wire.ShardComp) error, finish func(searchTime time.Duration) result)
+	// run answers the whole query on the engine.
+	run func(ctx context.Context, e *Engine, o InferOptions) (result, error)
 
 	// decode reads one cache.tfy entry body written by result.encode.
 	decode func(d *codec.Dec, prog *mln.Program) result
@@ -81,14 +58,6 @@ const (
 )
 
 var queryKinds = [...]*queryKind{cacheTagMAP: mapKind, cacheTagMarginal: marginalKind}
-
-// shardKind maps the wire's kind flag to its descriptor.
-func shardKind(marginal bool) *queryKind {
-	if marginal {
-		return marginalKind
-	}
-	return mapKind
-}
 
 // capBudget enforces one per-query cap (0 = none) on a defaulted ask.
 func capBudget(resource string, limit, ask int64, explicit bool) (int64, *server.BudgetError) {
@@ -112,70 +81,18 @@ var mapKind = &queryKind{
 		o.MaxFlips = flips
 		return err
 	},
-	memBytes: func(b *backend, o InferOptions) int64 {
+	memBytes: func(s *Server, o InferOptions) int64 {
 		if o.Mode == InDatabase {
-			return b.memInDB
+			return s.memInDB
 		}
-		return b.memInMemory
+		return s.memInMemory
 	},
-	local: func(ctx context.Context, e *Engine, o InferOptions) (result, error) {
+	run: func(ctx context.Context, e *Engine, o InferOptions) (result, error) {
 		r, err := e.InferMAP(ctx, o)
 		if r == nil {
 			return nil, err
 		}
 		return r, err
-	},
-	// The decomposition's components — when nothing is cut and nothing is
-	// oversized, the precondition under which InferMAP's Auto path is plain
-	// component-aware search.
-	comps: func(e *Engine, ep *epoch) ([]*mrf.Component, bool) {
-		pt, comps := ep.decomposition(e.partitionBeta())
-		inMem, oversized := e.splitParts(pt, comps)
-		return inMem, pt.NumCut() == 0 && len(oversized) == 0
-	},
-	request: func(o InferOptions) wire.ShardRequest {
-		return wire.ShardRequest{Seed: o.Seed, MaxFlips: o.MaxFlips, MaxTries: uint32(o.MaxTries)}
-	},
-	runner: func(e *Engine, comps []*mrf.Component, req wire.ShardRequest) componentRun {
-		base := search.DefaultedOptions(search.Options{MaxFlips: req.MaxFlips, MaxTries: int(req.MaxTries), Seed: req.Seed})
-		var totalAtoms int64
-		for _, c := range comps {
-			totalAtoms += int64(c.MRF.NumAtoms)
-		}
-		return func(ctx context.Context, idx uint32, sc *search.Scratch) (wire.ShardComp, error) {
-			r := search.RunComponent(ctx, comps[idx], int(idx), totalAtoms, base, e.memo, sc)
-			if r.Best == nil {
-				return wire.ShardComp{}, search.Canceled(ctx)
-			}
-			return wire.ShardComp{Index: idx, Cost: r.BestCost, Flips: r.Flips, State: r.Best}, nil
-		}
-	},
-	merger: func(e *Engine, ep *epoch, comps []*mrf.Component) (func(wire.ShardComp) error, func(time.Duration) result) {
-		m := ep.res.MRF
-		res := &MAPResult{GroundTime: e.GroundTime(), Epoch: ep.gen, Partitions: len(comps), State: m.NewState()}
-		perComp := make([]float64, len(comps))
-		for i, c := range comps {
-			perComp[i] = c.MRF.AllFalseCost()
-		}
-		apply := func(c wire.ShardComp) error {
-			comp := comps[c.Index]
-			if len(c.State) != comp.Size()+1 {
-				return fmt.Errorf("tuffy: shard state for component %d has %d atoms, want %d", c.Index, len(c.State)-1, comp.Size())
-			}
-			perComp[c.Index] = c.Cost
-			res.Flips += c.Flips
-			comp.ProjectState(c.State, res.State)
-			return nil
-		}
-		return apply, func(searchTime time.Duration) result {
-			res.Cost = m.FixedCost
-			for _, c := range perComp {
-				res.Cost += c
-			}
-			res.SearchTime = searchTime
-			res.TrueAtoms = trueAtoms(m, res.State)
-			return res
-		}
 	},
 	decode: func(d *codec.Dec, prog *mln.Program) result {
 		r := &MAPResult{
@@ -235,45 +152,13 @@ var marginalKind = &queryKind{
 		o.Samples = int(samples)
 		return err
 	},
-	memBytes: func(b *backend, _ InferOptions) int64 { return b.memInMemory },
-	local: func(ctx context.Context, e *Engine, o InferOptions) (result, error) {
+	memBytes: func(s *Server, _ InferOptions) int64 { return s.memInMemory },
+	run: func(ctx context.Context, e *Engine, o InferOptions) (result, error) {
 		r, err := e.InferMarginal(ctx, o)
 		if r == nil {
 			return nil, err
 		}
 		return r, err
-	},
-	// The decomposition's components, which the distribution factorizes
-	// over — unless a memory budget cut clauses, which is the Gauss-Seidel
-	// MC-SAT path.
-	comps: func(e *Engine, ep *epoch) ([]*mrf.Component, bool) {
-		pt, comps := ep.decomposition(e.partitionBeta())
-		return comps, pt.NumCut() == 0
-	},
-	request: func(o InferOptions) wire.ShardRequest {
-		return wire.ShardRequest{Marginal: true, Seed: o.Seed, Samples: uint32(o.Samples)}
-	},
-	runner: func(_ *Engine, comps []*mrf.Component, req wire.ShardRequest) componentRun {
-		mo := mcsatOptions(int(req.Samples), req.Seed)
-		return func(ctx context.Context, idx uint32, sc *search.Scratch) (wire.ShardComp, error) {
-			probs, err := search.RunComponentMCSAT(ctx, comps[idx], int(idx), mo, sc)
-			return wire.ShardComp{Index: idx, Probs: probs}, err
-		}
-	},
-	merger: func(_ *Engine, ep *epoch, comps []*mrf.Component) (func(wire.ShardComp) error, func(time.Duration) result) {
-		m := ep.res.MRF
-		probs := make([]float64, m.NumAtoms+1)
-		apply := func(c wire.ShardComp) error {
-			comp := comps[c.Index]
-			if len(c.Probs) != comp.Size()+1 {
-				return fmt.Errorf("tuffy: shard marginals for component %d have %d atoms, want %d", c.Index, len(c.Probs)-1, comp.Size())
-			}
-			for i := 1; i <= comp.MRF.NumAtoms; i++ {
-				probs[comp.GlobalAtom[i]] = c.Probs[i]
-			}
-			return nil
-		}
-		return apply, func(time.Duration) result { return newMarginalResult(m, probs, ep.gen) }
 	},
 	decode: func(d *codec.Dec, prog *mln.Program) result {
 		r := &MarginalResult{Epoch: d.U64()}

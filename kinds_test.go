@@ -1,10 +1,9 @@
 package tuffy
 
 // One table-driven test of the serving path over both kinds of inference.
-// The path is written once (serve.go's infer, shard.go's shard), so every
-// behaviour is checked once per kind from the same staging: admission,
-// cache, batching, publication under an evidence update, and sharding
-// across 0/1/2 workers with one killed while queries flow.
+// The path is written once (serve.go's infer), so every behaviour is
+// checked once per kind from the same staging: admission, cache, batching
+// and publication under an evidence update.
 
 import (
 	"context"
@@ -19,7 +18,6 @@ import (
 	"tuffy/internal/mln"
 	"tuffy/internal/search"
 	"tuffy/internal/server"
-	"tuffy/internal/wire"
 )
 
 // answer is a served or direct result reduced to what bit-identity means
@@ -62,8 +60,6 @@ type kindRow struct {
 	over, stray, unset, clamped InferOptions
 	resource                    string
 	requested, limit            int64
-
-	sharded []InferOptions // queries for the worker-fleet runs
 }
 
 var kindRows = []kindRow{{
@@ -80,7 +76,6 @@ var kindRows = []kindRow{{
 	unset:    InferOptions{Seed: 2},
 	clamped:  InferOptions{Seed: 2, MaxFlips: 10_000},
 	resource: "flips", requested: 50_000, limit: 10_000,
-	sharded: []InferOptions{{MaxFlips: 20_000, Seed: 7}, {MaxFlips: 20_000, Seed: 8}, {MaxFlips: 5_000, Seed: 9, MaxTries: 2}},
 }, {
 	name: "marginal",
 	serve: func(ctx context.Context, s *Server, r Request) (answer, error) {
@@ -95,7 +90,6 @@ var kindRows = []kindRow{{
 	unset:    InferOptions{Seed: 2},
 	clamped:  InferOptions{Seed: 2, Samples: 50},
 	resource: "samples", requested: 500, limit: 50,
-	sharded: []InferOptions{{Samples: 60, Seed: 9}},
 }}
 
 // updatableContradiction is contradictionEngine plus one closed evidence
@@ -185,13 +179,11 @@ func stageFollowers(t *testing.T, row kindRow, eng *Engine, cfg ServerConfig, fo
 }
 
 func TestServingPathBothKinds(t *testing.T) {
-	ctx := context.Background()
 	for _, row := range kindRows {
 		t.Run(row.name, func(t *testing.T) {
 			t.Run("admission", func(t *testing.T) { testAdmission(t, row) })
 			t.Run("cache", func(t *testing.T) { testCache(t, row) })
 			t.Run("batching", func(t *testing.T) { testBatching(t, row) })
-			t.Run("sharded", func(t *testing.T) { testSharded(ctx, t, row) })
 		})
 	}
 }
@@ -359,76 +351,4 @@ func testBatching(t *testing.T, row kindRow) {
 		// from scratch on the merged evidence, none of them shared.
 		check(t, got, m, direct("e(A)\ne(B)"), 1, 0)
 	})
-}
-
-// shardsServed asks a worker how many shard requests it has answered.
-func shardsServed(ctx context.Context, t *testing.T, addr string, coordinator *Engine) int64 {
-	t.Helper()
-	c, err := wire.Dial(ctx, addr, coordinator.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	reply, err := c.Roundtrip(ctx, wire.TypePing, nil, wire.TypePong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := wire.DecodeStatsReply(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.Served
-}
-
-// Sharded serving is bit-identical to a direct engine call with no worker,
-// one, and two — and stays so, failing no query, when one of the two is
-// killed while queries keep flowing: in-flight shards fall back to the
-// coordinator's pinned epoch and later queries stop sharding to it.
-func testSharded(ctx context.Context, t *testing.T, row kindRow) {
-	ds := rcSmall()
-	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-	want := make([]answer, len(row.sharded))
-	for i, q := range row.sharded {
-		var err error
-		if want[i], err = row.direct(ctx, ref, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, comps := ref.cur.Load().decomposition(ref.partitionBeta()); len(comps) < 2 {
-		t.Fatalf("RC workload should decompose, got %d components", len(comps))
-	}
-	for workers := 0; workers <= 2; workers++ {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			var addrs []string
-			var stops []func()
-			for w := 0; w < workers; w++ {
-				addr, stop := startEngineWorker(t, ds.Prog, ds.Ev.Clone())
-				defer stop()
-				addrs, stops = append(addrs, addr), append(stops, stop)
-			}
-			eng := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-			srv := distServer(t, eng, addrs...)
-			waitForWorkers(t, srv, workers, 0)
-			const rounds, killAt = 4, 1
-			for round := 0; round < rounds; round++ {
-				if workers == 2 && round == killAt {
-					go stops[1]()
-				}
-				for i, q := range row.sharded {
-					got, err := row.serve(ctx, srv, Request{Options: q})
-					if err != nil {
-						t.Fatalf("round %d query %d: %v", round, i, err)
-					}
-					if got != want[i] {
-						t.Fatalf("round %d query %d: sharded answer diverges from the direct engine call", round, i)
-					}
-				}
-			}
-			// The answers above must not be bit-identical merely because
-			// nothing was sharded: the surviving worker ran its share.
-			if workers > 0 && shardsServed(ctx, t, addrs[0], eng) == 0 {
-				t.Fatal("a healthy worker at the query's epoch served no shard")
-			}
-		})
-	}
 }

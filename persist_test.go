@@ -29,7 +29,6 @@ import (
 	"tuffy/internal/db/storage"
 	"tuffy/internal/mln"
 	"tuffy/internal/wal"
-	"tuffy/internal/wire"
 )
 
 // openDurableIE opens (cold or warm) a durable engine over the small IE
@@ -479,9 +478,8 @@ func TestCorruptCacheFileIgnored(t *testing.T) {
 }
 
 // A delta record whose truth byte is none of Unknown/True/False must fail
-// the open as a corrupt record (and a worker must refuse the same bytes as
-// a bad payload): applying it would store an evidence value the grounder
-// does not know.
+// to decode, and fail the open as a corrupt record when the WAL holds it:
+// applying it would store an evidence value the grounder does not know.
 func TestMalformedDeltaRecordRejected(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -492,11 +490,8 @@ func TestMalformedDeltaRecordRejected(t *testing.T) {
 	rec := mln.EncodeDelta(mln.PredIndex(eng.prog), figure1Delta(t, eng.prog))
 	rec[8] = 3 // the first op's truth byte, after the op count and predicate index
 
-	if _, err := eng.ApplyDelta(ctx, rec); !errors.Is(err, wire.ErrBadPayload) {
-		t.Fatalf("ApplyDelta: err = %v, want wire.ErrBadPayload", err)
-	}
-	if eng.Generation() != 0 {
-		t.Fatal("a refused delta moved the epoch")
+	if _, err := mln.DecodeDelta(eng.prog, rec); !errors.Is(err, codec.ErrMalformed) || !strings.Contains(err.Error(), "truth value 3") {
+		t.Fatalf("DecodeDelta: err = %v, want a malformed truth value", err)
 	}
 
 	// The same bytes as a committed WAL record, then a crash.

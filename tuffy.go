@@ -331,12 +331,6 @@ type Engine struct {
 	// dur is the durable-storage layer (nil without EngineConfig.DataDir);
 	// its mutable state is guarded by groundMu. See persist.go.
 	dur *durability
-
-	// idProgFP/idEvFP/idCfgFP are the identity fingerprints the distributed
-	// tier's handshake exchanges, captured at Open over the base evidence
-	// (updates mutate e.ev in place, so they cannot be derived later). See
-	// shard.go.
-	idProgFP, idEvFP, idCfgFP uint64
 }
 
 // Open creates an Engine over a parsed program and its evidence. Call
@@ -356,11 +350,6 @@ func Open(prog *mln.Program, ev *mln.Evidence, cfg EngineConfig) (*Engine, error
 	if cfg.MemoEntries >= 0 {
 		e.memo = search.NewComponentMemo(cfg.MemoEntries)
 	}
-	e.idProgFP = fingerprintProgram(prog, cfg)
-	if ev != nil {
-		e.idEvFP = fingerprintEvidence(prog, ev)
-	}
-	e.idCfgFP = fingerprintShardConfig(cfg)
 	if cfg.DataDir == "" {
 		e.db = db.Open(cfg.DB)
 		return e, nil
@@ -716,8 +705,7 @@ func (e *Engine) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, e
 // splitParts sets aside, from a cut-free decomposition's components, the
 // parts whose search footprint exceeds the memory budget; the rest are the
 // components in-memory search runs over — without a budget, the epoch's
-// own list. The list is canonical: the sharder's coordinator and workers
-// index into it (see kind.go).
+// own list.
 func (e *Engine) splitParts(pt *partition.Partitioning, comps []*mrf.Component) (inMem []*mrf.Component, oversized []*partition.Part) {
 	if e.cfg.MemoryBudgetBytes <= 0 {
 		return comps, nil
@@ -797,24 +785,20 @@ func (e *Engine) InferMarginal(ctx context.Context, opts InferOptions) (*Margina
 	if err != nil && !errors.Is(err, ErrCanceled) {
 		return nil, err
 	}
-	return newMarginalResult(m, probs, ep.gen), err
-}
-
-// mcsatOptions derives MC-SAT's options from a query's canonical ones.
-func mcsatOptions(samples int, seed int64) search.MCSATOptions {
-	return search.MCSATOptions{Samples: samples, BurnIn: samples / 10, Seed: seed}
-}
-
-// newMarginalResult pairs a probability vector (indexed by MRF atom id; nil
-// when sampling was canceled before it produced one) with its atoms.
-func newMarginalResult(m *mrf.MRF, probs []float64, gen uint64) *MarginalResult {
-	out := &MarginalResult{Epoch: gen}
+	// probs is indexed by MRF atom id, and nil when sampling was canceled
+	// before it produced one.
+	out := &MarginalResult{Epoch: ep.gen}
 	if probs != nil {
 		for a := 1; a <= m.NumAtoms; a++ {
 			out.Probs = append(out.Probs, AtomProb{Atom: m.Atoms[a], P: probs[a]})
 		}
 	}
-	return out
+	return out, err
+}
+
+// mcsatOptions derives MC-SAT's options from a query's canonical ones.
+func mcsatOptions(samples int, seed int64) search.MCSATOptions {
+	return search.MCSATOptions{Samples: samples, BurnIn: samples / 10, Seed: seed}
 }
 
 // FormatAtom renders a ground atom with the engine's symbol table.
