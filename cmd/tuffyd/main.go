@@ -77,7 +77,7 @@ func main() {
 		inflight   = flag.Int("inflight", 4, "max concurrently executing queries")
 		queue      = flag.Int("queue", 64, "admission queue bound (waiting queries)")
 		lanes      = flag.Int("lanes", 3, "priority lanes (0 = most urgent)")
-		maxFlips   = flag.Int64("maxflips", 0, "per-query flip cap (0 = none)")
+		maxFlips   = flag.Int64("maxflips", 0, "per-query cap on MAP flips over all tries (0 = none)")
 		maxSamples = flag.Int("maxsamples", 0, "per-query MC-SAT sample cap (0 = none)")
 		maxBytes   = flag.Int64("maxbytes", 0, "per-query memory estimate cap in bytes (0 = none)")
 		queryTime  = flag.Duration("querytimeout", 0, "per-query wall-clock deadline incl. queue wait (0 = none)")

@@ -107,6 +107,8 @@ func FuzzInferBody(f *testing.F) {
 	f.Add([]byte(`{"kind":"marginal","samples":100000,"priority":-3}`))
 	f.Add([]byte(`{"kind":"map","seed":1} {"kind":"map"}`))
 	f.Add([]byte(`{"kind":"nope"}`))
+	f.Add([]byte(`{"kind":"map","maxFlips":2000,"maxTries":2000000000}`))
+	f.Add([]byte(`{"kind":"map","maxTries":2000000000}`))
 	h := figure1Daemon(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzBody(t, h, "/infer", body, &inferRequest{},

@@ -28,8 +28,9 @@ func twoComponentNetwork(t *testing.T) (*mrf.MRF, []*mrf.Component) {
 	return m, comps
 }
 
-// Who builds the shared index: a RunComponent miss does, once; a memo hit —
-// which needs only the fingerprint — never does; and the public entry
+// Who builds the shared index: a RunComponent miss does, once, and so does
+// a component's MC-SAT chain (its initial WalkSAT); a memo hit — which
+// needs only the fingerprint — never does; and the whole-network entry
 // points, which may be handed a network that later changes, index
 // privately and leave the MRF's own index alone.
 func TestSharedIndexBuiltOnlyByComponentMisses(t *testing.T) {
@@ -68,10 +69,18 @@ func TestSharedIndexBuiltOnlyByComponentMisses(t *testing.T) {
 	if _, err := search.MCSAT(ctx, m, search.MCSATOptions{Samples: 5, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
+	if m.PostingsBuilt() {
+		t.Fatal("a public WalkSAT/MC-SAT entry point built the network's shared index")
+	}
 	if _, err := search.MCSATComponents(ctx, m, again, search.MCSATOptions{Samples: 5, Seed: 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if m.PostingsBuilt() || again[0].MRF.PostingsBuilt() {
-		t.Fatal("a public WalkSAT/MC-SAT entry point built a shared index")
+	if m.PostingsBuilt() {
+		t.Fatal("component MC-SAT indexed the parent network")
+	}
+	for i, c := range again {
+		if !c.MRF.PostingsBuilt() {
+			t.Fatalf("component %d sampled without building its shared index", i)
+		}
 	}
 }

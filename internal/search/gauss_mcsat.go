@@ -44,6 +44,8 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 
 	coloring := pt.ColorParts()
 	selRng := rand.New(rand.NewSource(opts.Seed + 104729))
+	var ch chain // this chain's selection odds, computed once
+	ch.prepare(m)
 
 	// Hoisted setup: one global->local id map works for every partition at
 	// once because partitions are disjoint; per-partition buffers are pooled
@@ -57,6 +59,7 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 	type mcPart struct {
 		internal []mrf.Clause // selected clauses fully inside, local ids
 		cut      []mrf.Clause // selected clauses spanning out, global ids
+		lits     []mrf.Lit    // the round's local literals of both kinds
 		sub      *mrf.MRF
 		buf      []mrf.Clause
 		next     []bool
@@ -65,6 +68,19 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 	parts := make([]*mcPart, len(pt.Parts))
 	for pi, p := range pt.Parts {
 		parts[pi] = &mcPart{sub: mrf.New(p.Local.NumAtoms)}
+	}
+	// clause ends a clause whose local literals g.lits[from:] holds. A
+	// later append that grows g.lits leaves the clause on the old backing
+	// array, which nothing writes again this round.
+	clause := func(g *mcPart, from int) mrf.Clause {
+		return mrf.Clause{Weight: 1, Lits: g.lits[from:len(g.lits):len(g.lits)]}
+	}
+	localLit := func(l mrf.Lit) mrf.Lit {
+		ll := localOf[mrf.Atom(l)]
+		if !mrf.Pos(l) {
+			ll = -ll
+		}
+		return ll
 	}
 
 	// route adds one selected (mandatory) clause in global ids to the
@@ -79,24 +95,23 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 			}
 		}
 		if !spansOut {
-			local := make([]mrf.Lit, len(lits))
-			for i, l := range lits {
-				ll := localOf[mrf.Atom(l)]
-				if !mrf.Pos(l) {
-					ll = -ll
-				}
-				local[i] = ll
+			g := parts[first]
+			from := len(g.lits)
+			for _, l := range lits {
+				g.lits = append(g.lits, localLit(l))
 			}
-			parts[first].internal = append(parts[first].internal, mrf.Clause{Weight: 1, Lits: local})
+			g.internal = append(g.internal, clause(g, from))
 			return
 		}
-		seen := map[int32]bool{}
-		for _, l := range lits {
+	next:
+		for i, l := range lits {
 			pi := pt.PartOf[mrf.Atom(l)]
-			if !seen[pi] {
-				seen[pi] = true
-				parts[pi].cut = append(parts[pi].cut, mrf.Clause{Weight: 1, Lits: lits})
+			for _, k := range lits[:i] {
+				if pt.PartOf[mrf.Atom(k)] == pi {
+					continue next // this partition already has the clause
+				}
 			}
+			parts[pi].cut = append(parts[pi].cut, mrf.Clause{Weight: 1, Lits: lits})
 		}
 	}
 
@@ -106,16 +121,12 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		g := parts[pi]
 		buf := append(g.buf[:0], g.internal...)
 		for _, c := range g.cut {
+			from := len(g.lits)
 			satisfiedOutside := false
-			var local []mrf.Lit
 			for _, l := range c.Lits {
 				a := mrf.Atom(l)
 				if pt.PartOf[a] == int32(pi) {
-					ll := localOf[a]
-					if !mrf.Pos(l) {
-						ll = -ll
-					}
-					local = append(local, ll)
+					g.lits = append(g.lits, localLit(l))
 					continue
 				}
 				if state[a] == mrf.Pos(l) {
@@ -123,12 +134,13 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 					break
 				}
 			}
-			if satisfiedOutside || len(local) == 0 {
+			if satisfiedOutside || len(g.lits) == from {
 				// Satisfied by the frozen exterior, or unsatisfiable within
 				// this partition alone — either way no local constraint.
+				g.lits = g.lits[:from]
 				continue
 			}
-			buf = append(buf, mrf.Clause{Weight: 1, Lits: local})
+			buf = append(buf, clause(g, from))
 		}
 		g.buf = buf[:0]
 		g.sub.Clauses = buf
@@ -148,28 +160,10 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		for _, g := range parts {
 			g.internal = g.internal[:0]
 			g.cut = g.cut[:0]
+			g.lits = g.lits[:0]
 		}
 		// Global clause selection, exactly MCSAT's policy.
-		for _, c := range m.Clauses {
-			w := c.Weight
-			sat := c.SatisfiedBy(state)
-			switch {
-			case c.IsHard():
-				if w > 0 {
-					route(c.Lits)
-				}
-			case w > 0 && sat:
-				if selRng.Float64() < 1-math.Exp(-w) {
-					route(c.Lits)
-				}
-			case w < 0 && !sat:
-				if selRng.Float64() < 1-math.Exp(w) {
-					for _, l := range c.Lits {
-						route([]mrf.Lit{-l})
-					}
-				}
-			}
-		}
+		ch.selectRound(m, state, selRng, route)
 
 		for _, class := range coloring.Classes {
 			round := round

@@ -56,18 +56,19 @@ func (o MCSATOptions) withDefaults() MCSATOptions {
 // collected so far (all-zero if no post-burn-in sample completed).
 func MCSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions) ([]float64, error) {
 	var sc Scratch
-	return mcsat(ctx, m, opts, &sc)
+	return mcsat(ctx, m, sc.index(m), opts, &sc)
 }
 
-// mcsat is one MC-SAT chain with all of its search state in sc: the
-// selected clause set differs every round, so each round re-indexes it into
-// the scratch's own buffers instead of allocating an index per sample.
-func mcsat(ctx context.Context, m *mrf.MRF, opts MCSATOptions, sc *Scratch) ([]float64, error) {
+// mcsat is one MC-SAT chain with all of its search state in sc; post indexes
+// m for the initial WalkSAT. The selected clause set differs every round, so
+// each round re-indexes it into the scratch's own buffers instead of
+// allocating an index per sample.
+func mcsat(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts MCSATOptions, sc *Scratch) ([]float64, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Initial state: satisfy hard clauses via WalkSAT.
-	init := walkSAT(ctx, m, sc.index(m), Options{MaxFlips: opts.SampleSATFlips, MaxTries: 3, Seed: opts.Seed}, sc)
+	init := walkSAT(ctx, m, post, Options{MaxFlips: opts.SampleSATFlips, MaxTries: 3, Seed: opts.Seed}, sc)
 	if ctx.Err() != nil {
 		return make([]float64, m.NumAtoms+1), Canceled(ctx)
 	}
@@ -79,37 +80,14 @@ func mcsat(ctx context.Context, m *mrf.MRF, opts MCSATOptions, sc *Scratch) ([]f
 	counts := make([]float64, m.NumAtoms+1)
 	total := 0
 	sub := mrf.New(m.NumAtoms)
-	var sel []mrf.Clause // the round's clause subset M, reused across rounds
+	ch := &sc.mc
+	ch.prepare(m)
+	keep := func(lits []mrf.Lit) { ch.sel = append(ch.sel, mrf.Clause{Weight: 1, Lits: lits}) }
 
 	for round := 0; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
-		// Select clause subset M. For a positive clause satisfied by the
-		// current state, include it with p = 1 - exp(-w): the next state
-		// must keep it satisfied. For a negative clause FALSIFIED by the
-		// current state, include its requirement to stay falsified with
-		// p = 1 - exp(-|w|); staying falsified means every literal's
-		// negation holds, so we add each negated literal as a unit clause.
-		sel = sel[:0]
-		for _, c := range m.Clauses {
-			w := c.Weight
-			sat := c.SatisfiedBy(state)
-			switch {
-			case c.IsHard():
-				if w > 0 {
-					sel = append(sel, mrf.Clause{Weight: 1, Lits: c.Lits})
-				}
-			case w > 0 && sat:
-				if rng.Float64() < 1-math.Exp(-w) {
-					sel = append(sel, mrf.Clause{Weight: 1, Lits: c.Lits})
-				}
-			case w < 0 && !sat:
-				if rng.Float64() < 1-math.Exp(w) {
-					for _, l := range c.Lits {
-						sel = append(sel, mrf.Clause{Weight: 1, Lits: []mrf.Lit{-l}})
-					}
-				}
-			}
-		}
-		sub.Clauses = sel
+		ch.sel = ch.sel[:0]
+		ch.selectRound(m, state, rng, keep)
+		sub.Clauses = ch.sel
 		if next := sampleSAT(ctx, sub, opts, rng, sc); next != nil {
 			copy(state, next)
 		}
@@ -205,7 +183,63 @@ dispatch:
 func RunComponentMCSAT(ctx context.Context, comp *mrf.Component, idx int, opts MCSATOptions, sc *Scratch) ([]float64, error) {
 	o := opts
 	o.Seed = opts.Seed + int64(idx)*6151
-	return mcsat(ctx, comp.MRF, o, sc)
+	return mcsat(ctx, comp.MRF, comp.MRF.SharedPostings(), o, sc)
+}
+
+// chain is what one MC-SAT chain computes once over its network instead of
+// every round: each clause's selection odds 1 - e^{-|w|} (for w < 0 that is
+// the policy's 1 - e^{w} bit for bit, since -|w| == w), the negated
+// literals of its negative soft clauses in clause order, which a selected
+// one contributes as unit clauses, and the round's selected subset M.
+type chain struct {
+	odds []float64
+	neg  []mrf.Lit
+	sel  []mrf.Clause
+}
+
+// prepare fills the chain's odds and negated literals for m.
+func (ch *chain) prepare(m *mrf.MRF) {
+	ch.odds = resize(ch.odds, len(m.Clauses))
+	ch.neg = ch.neg[:0]
+	for ci, c := range m.Clauses {
+		ch.odds[ci] = 1 - math.Exp(-math.Abs(c.Weight))
+		if c.Weight < 0 && !c.IsHard() {
+			for _, l := range c.Lits {
+				ch.neg = append(ch.neg, -l)
+			}
+		}
+	}
+}
+
+// selectRound draws one round's clause subset M under state and hands each
+// selected clause's literals to keep, in clause order. Every positive hard
+// clause is selected. A positive soft clause the state satisfies is
+// selected with its odds: the next state must keep it satisfied. A negative
+// soft clause the state falsifies is selected with its odds, as one unit
+// clause per negated literal: staying falsified means every literal's
+// negation holds. rng draws once per such soft clause.
+func (ch *chain) selectRound(m *mrf.MRF, state []bool, rng *rand.Rand, keep func(lits []mrf.Lit)) {
+	k := 0 // start of the current negative clause's literals in ch.neg
+	for ci, c := range m.Clauses {
+		switch w := c.Weight; {
+		case c.IsHard():
+			if w > 0 {
+				keep(c.Lits)
+			}
+		case w > 0:
+			if c.SatisfiedBy(state) && rng.Float64() < ch.odds[ci] {
+				keep(c.Lits)
+			}
+		case w < 0:
+			units := ch.neg[k : k+len(c.Lits)]
+			k += len(c.Lits)
+			if !c.SatisfiedBy(state) && rng.Float64() < ch.odds[ci] {
+				for i := range units {
+					keep(units[i : i+1 : i+1])
+				}
+			}
+		}
+	}
 }
 
 func hasHard(m *mrf.MRF) bool {

@@ -102,7 +102,7 @@ func (r *Result) FlipRate() float64 {
 type engine struct {
 	m          *mrf.MRF
 	post       *mrf.Postings // atom -> clauses, positive and negated
-	hardW      float64
+	rows       []clauseRow   // per clause, filled once per search
 	state      []bool
 	satCount   []int32
 	viol       []int32 // violated clause ids (positions tracked below)
@@ -113,9 +113,21 @@ type engine struct {
 	fixedExtra float64 // from MRF.FixedCost
 }
 
+// clauseRow is a clause as the flip kernel reads it: the guided weight
+// (the search's hardW for a hard clause, |w| otherwise) and the two flags
+// that say what a violation means and where it is counted. The rows depend
+// on hardW, which differs between MAP and SampleSAT searches of one
+// network, so they live in the scratch, never on the mrf.MRF.
+type clauseRow struct {
+	w    float64
+	neg  bool // negative weight: violated while satisfied
+	hard bool
+}
+
 // Scratch is the mutable half of a search: the engine's per-atom and
-// per-clause arrays, the random start-state buffer, the RNG, and a Postings
-// buffer for networks that have no shared index. Each worker goroutine of a
+// per-clause arrays (the clause table among them), the random start-state
+// buffer, the RNG, a Postings buffer for networks that have no shared
+// index, and an MC-SAT chain's selection tables. Each worker goroutine of a
 // query declares one and reuses it run after run, so these are allocated
 // once per worker instead of once per component, partition visit or MC-SAT
 // sample; nothing in it outlives the query. Keep it with the goroutine
@@ -127,6 +139,7 @@ type Scratch struct {
 	init []bool
 	rng  *rand.Rand
 	own  mrf.Postings
+	mc   chain // MC-SAT's per-chain tables; see chain
 }
 
 // seed returns the scratch RNG re-seeded; the stream is the one
@@ -147,15 +160,23 @@ func (sc *Scratch) index(m *mrf.MRF) *mrf.Postings {
 	return &sc.own
 }
 
-// engineFor sizes the scratch arrays for m and returns the engine over them.
-// reset must run before any other use: the arrays hold the previous
-// search's values.
+// engineFor sizes the scratch arrays for m and fills its clause table with
+// hardW as the hard clauses' guided weight. reset must run before any other
+// use: the other arrays hold the previous search's values.
 func (sc *Scratch) engineFor(m *mrf.MRF, post *mrf.Postings, hardW float64) *engine {
 	e := &sc.e
-	e.m, e.post, e.hardW, e.fixedExtra = m, post, hardW, m.FixedCost
+	e.m, e.post, e.fixedExtra = m, post, m.FixedCost
 	e.state = resize(e.state, m.NumAtoms+1)
+	e.rows = resize(e.rows, len(m.Clauses))
 	e.satCount = resize(e.satCount, len(m.Clauses))
 	e.violPos = resize(e.violPos, len(m.Clauses))
+	for ci, c := range m.Clauses {
+		r := clauseRow{w: math.Abs(c.Weight), neg: c.Weight < 0}
+		if math.IsInf(c.Weight, 0) {
+			r.w, r.hard = hardW, true
+		}
+		e.rows[ci] = r
+	}
 	return e
 }
 
@@ -170,61 +191,45 @@ func (sc *Scratch) randomStart(n int, rng *rand.Rand) []bool {
 	return sc.init
 }
 
-// resize returns s with length n, reallocating only when it must grow;
-// contents are unspecified.
+// resize returns s with length n, reallocating only when it must grow (to
+// at least twice the old capacity, so a scratch that meets networks of
+// growing size reallocates O(log n) times); contents are unspecified.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
 
-// weightOf returns the guided |weight| of a clause.
-func (e *engine) weightOf(ci int32) float64 {
-	w := e.m.Clauses[ci].Weight
-	if math.IsInf(w, 0) {
-		return e.hardW
-	}
-	return math.Abs(w)
-}
-
-// isViolated evaluates the violation status from the satisfied count.
-func (e *engine) isViolated(ci int32) bool {
-	if e.m.Clauses[ci].Weight >= 0 {
-		return e.satCount[ci] == 0
-	}
-	return e.satCount[ci] > 0
-}
-
+// addViol puts a clause that just became violated into the violated set
+// and its weight into the costs.
 func (e *engine) addViol(ci int32) {
-	if e.violPos[ci] >= 0 {
-		return
-	}
 	e.violPos[ci] = int32(len(e.viol))
 	e.viol = append(e.viol, ci)
-	e.cost += e.weightOf(ci)
-	if e.m.Clauses[ci].IsHard() {
+	r := &e.rows[ci]
+	e.cost += r.w
+	if r.hard {
 		e.hardViol++
 	} else {
-		e.softCost += math.Abs(e.m.Clauses[ci].Weight)
+		e.softCost += r.w
 	}
 }
 
+// removeViol is addViol's inverse, for a clause that just stopped being
+// violated.
 func (e *engine) removeViol(ci int32) {
 	pos := e.violPos[ci]
-	if pos < 0 {
-		return
-	}
 	last := e.viol[len(e.viol)-1]
 	e.viol[pos] = last
 	e.violPos[last] = pos
 	e.viol = e.viol[:len(e.viol)-1]
 	e.violPos[ci] = -1
-	e.cost -= e.weightOf(ci)
-	if e.m.Clauses[ci].IsHard() {
+	r := &e.rows[ci]
+	e.cost -= r.w
+	if r.hard {
 		e.hardViol--
 	} else {
-		e.softCost -= math.Abs(e.m.Clauses[ci].Weight)
+		e.softCost -= r.w
 	}
 }
 
@@ -244,15 +249,15 @@ func (e *engine) reset(state []bool) {
 			}
 		}
 		e.satCount[ci] = cnt
-	}
-	for ci := range e.m.Clauses {
-		if e.isViolated(int32(ci)) {
+		if (cnt == 0) != e.rows[ci].neg { // unsatisfied positive, satisfied negative
 			e.addViol(int32(ci))
 		}
 	}
 }
 
-// flip toggles an atom and updates all clause counters incrementally.
+// flip toggles an atom and updates all clause counters incrementally. A
+// clause's status changes only when its satisfied count crosses 0 <-> 1,
+// so only those postings touch the violated set.
 func (e *engine) flip(a mrf.AtomID) {
 	toTrue := !e.state[a]
 	e.state[a] = toTrue
@@ -262,18 +267,22 @@ func (e *engine) flip(a mrf.AtomID) {
 	}
 	for _, ci := range gain {
 		e.satCount[ci]++
-		if e.isViolated(ci) {
-			e.addViol(ci)
-		} else {
-			e.removeViol(ci)
+		if e.satCount[ci] == 1 { // becomes satisfied
+			if e.rows[ci].neg {
+				e.addViol(ci)
+			} else {
+				e.removeViol(ci)
+			}
 		}
 	}
 	for _, ci := range lose {
 		e.satCount[ci]--
-		if e.isViolated(ci) {
-			e.addViol(ci)
-		} else {
-			e.removeViol(ci)
+		if e.satCount[ci] == 0 { // becomes unsatisfied
+			if e.rows[ci].neg {
+				e.removeViol(ci)
+			} else {
+				e.addViol(ci)
+			}
 		}
 	}
 }
@@ -288,23 +297,21 @@ func (e *engine) deltaCost(a mrf.AtomID) float64 {
 	}
 	delta := 0.0
 	for _, ci := range gain {
-		c := &e.m.Clauses[ci]
-		if c.Weight >= 0 {
-			if e.satCount[ci] == 0 {
-				delta -= e.weightOf(ci) // becomes satisfied
+		if e.satCount[ci] == 0 { // becomes satisfied
+			if r := &e.rows[ci]; r.neg {
+				delta += r.w
+			} else {
+				delta -= r.w
 			}
-		} else if e.satCount[ci] == 0 {
-			delta += e.weightOf(ci) // becomes satisfied => violated
 		}
 	}
 	for _, ci := range lose {
-		c := &e.m.Clauses[ci]
-		if c.Weight >= 0 {
-			if e.satCount[ci] == 1 {
-				delta += e.weightOf(ci) // becomes unsatisfied
+		if e.satCount[ci] == 1 { // becomes unsatisfied
+			if r := &e.rows[ci]; r.neg {
+				delta -= r.w
+			} else {
+				delta += r.w
 			}
-		} else if e.satCount[ci] == 1 {
-			delta -= e.weightOf(ci) // becomes unsatisfied => not violated
 		}
 	}
 	return delta

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tuffy/internal/datagen"
@@ -104,51 +105,123 @@ func TestWalkSATDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-// The engine's incremental cost must match the from-scratch MRF cost after
-// arbitrary flip sequences.
+// randomMRF draws nc clauses of width 1..3 over n atoms with weights in
+// ±{1..4}; with hard set, about one clause in five is +Inf or -Inf instead.
+func randomMRF(rng *rand.Rand, n, nc int, hard bool) *mrf.MRF {
+	m := mrf.New(n)
+	for i := 0; i < nc; i++ {
+		width := 1 + rng.Intn(min(3, n))
+		seen := map[mrf.AtomID]bool{}
+		var lits []mrf.Lit
+		for len(lits) < width {
+			a := mrf.AtomID(1 + rng.Intn(n))
+			if seen[a] {
+				continue
+			}
+			seen[a] = true
+			l := a
+			if rng.Intn(2) == 0 {
+				l = -a
+			}
+			lits = append(lits, l)
+		}
+		w := float64(1 + rng.Intn(4))
+		if hard && rng.Intn(5) == 0 {
+			w = math.Inf(1)
+		}
+		if rng.Intn(3) == 0 {
+			w = -w
+		}
+		_ = m.AddClause(w, lits...)
+	}
+	return m
+}
+
+// plantAllTrue rewrites m's hard clauses (and, with soft set, all of them,
+// at positive weight) so that the all-true state satisfies them: a
+// positive clause gets a positive literal, a negative one only negated
+// literals.
+func plantAllTrue(m *mrf.MRF, soft bool) {
+	for i := range m.Clauses {
+		c := &m.Clauses[i]
+		if soft {
+			c.Weight = math.Abs(c.Weight)
+		} else if !c.IsHard() {
+			continue
+		}
+		if c.Weight < 0 {
+			for j, l := range c.Lits {
+				if mrf.Pos(l) {
+					c.Lits[j] = -l
+				}
+			}
+		} else if !slices.ContainsFunc(c.Lits, mrf.Pos) {
+			c.Lits[0] = -c.Lits[0]
+		}
+	}
+}
+
+// checkEngine compares every counter of e with a from-scratch evaluation
+// of its state through mrf.Clause.ViolatedBy and MRF.Cost, never through
+// the engine's own clause table: the violated set's membership and size,
+// hardViol, softCost, the guided cost and the reported cost.
+func checkEngine(t *testing.T, e *engine, hardW float64) {
+	t.Helper()
+	m := e.m
+	hardViol, softCost, guided, nViol := 0, 0.0, 0.0, 0
+	for ci, c := range m.Clauses {
+		if !c.ViolatedBy(e.state) {
+			if e.violPos[ci] >= 0 {
+				t.Fatalf("satisfied clause %d in viol set", ci)
+			}
+			continue
+		}
+		nViol++
+		if e.violPos[ci] < 0 || e.viol[e.violPos[ci]] != int32(ci) {
+			t.Fatalf("violated clause %d missing from viol set", ci)
+		}
+		if c.IsHard() {
+			hardViol++
+			guided += hardW
+		} else {
+			softCost += math.Abs(c.Weight)
+			guided += math.Abs(c.Weight)
+		}
+	}
+	if len(e.viol) != nViol {
+		t.Fatalf("viol set size %d, want %d", len(e.viol), nViol)
+	}
+	if e.hardViol != hardViol {
+		t.Fatalf("hardViol %d, want %d", e.hardViol, hardViol)
+	}
+	if math.Abs(e.softCost-softCost) > 1e-9 || math.Abs(e.cost-guided) > 1e-9 {
+		t.Fatalf("softCost %v cost %v, want %v and %v", e.softCost, e.cost, softCost, guided)
+	}
+	if got, want := e.reportedCost(), m.Cost(e.state); got != want && math.Abs(got-want) > 1e-9 {
+		t.Fatalf("incremental cost %v != recomputed %v", got, want)
+	}
+}
+
+// The engine's incremental counters must match a from-scratch evaluation
+// after arbitrary flip sequences, over soft, hard (+Inf and -Inf) and
+// negative-weight clauses, and deltaCost must predict each flip's change
+// of the independently recomputed guided cost.
 func TestEngineIncrementalCostProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	const hardW = 1e7
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(12)
-		m := mrf.New(n)
-		nc := 1 + rng.Intn(25)
-		for i := 0; i < nc; i++ {
-			maxWidth := 3
-			if n < maxWidth {
-				maxWidth = n
-			}
-			width := 1 + rng.Intn(maxWidth)
-			seen := map[mrf.AtomID]bool{}
-			var lits []mrf.Lit
-			for len(lits) < width {
-				a := mrf.AtomID(1 + rng.Intn(n))
-				if seen[a] {
-					continue
-				}
-				seen[a] = true
-				l := a
-				if rng.Intn(2) == 0 {
-					l = -a
-				}
-				lits = append(lits, l)
-			}
-			w := float64(1 + rng.Intn(4))
-			if rng.Intn(3) == 0 {
-				w = -w
-			}
-			_ = m.AddClause(w, lits...)
-		}
+		m := randomMRF(rng, n, 1+rng.Intn(25), trial%2 == 1)
 		e := testEngine(m, rng)
+		checkEngine(t, e, hardW)
 		for step := 0; step < 50; step++ {
 			a := mrf.AtomID(1 + rng.Intn(n))
 			predicted := e.deltaCost(a)
 			before := e.cost
 			e.flip(a)
+			checkEngine(t, e, hardW)
 			if math.Abs(e.cost-(before+predicted)) > 1e-9 {
 				t.Fatalf("trial %d: deltaCost %v but cost moved %v", trial, predicted, e.cost-before)
-			}
-			if math.Abs(e.reportedCost()-m.Cost(e.state)) > 1e-9 {
-				t.Fatalf("trial %d: incremental cost %v != recomputed %v", trial, e.reportedCost(), m.Cost(e.state))
 			}
 		}
 	}
@@ -169,8 +242,8 @@ func TestEngineViolSetConsistency(t *testing.T) {
 	for step := 0; step < 200; step++ {
 		e.flip(mrf.AtomID(1 + rng.Intn(m.NumAtoms)))
 		want := 0
-		for ci := range m.Clauses {
-			if e.isViolated(int32(ci)) {
+		for ci, c := range m.Clauses {
+			if c.ViolatedBy(e.state) {
 				want++
 				if e.violPos[ci] < 0 {
 					t.Fatalf("violated clause %d missing from viol set", ci)
@@ -183,6 +256,56 @@ func TestEngineViolSetConsistency(t *testing.T) {
 			t.Fatalf("viol set size %d, want %d", len(e.viol), want)
 		}
 	}
+}
+
+// One scratch searching a network at HardWeight 1e7, then a different
+// network at SampleSAT's 1, then the first again answers each search
+// exactly as a fresh scratch does: no clause-table row of one search
+// survives into the next.
+func TestScratchReuseRebuildsClauseTable(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	// Both networks' hard clauses hold in the all-true state, so every
+	// search has a finite best state to compare; the second network's soft
+	// clauses do too, so SampleSAT returns a state.
+	big := randomMRF(rng, 12, 40, true)
+	plantAllTrue(big, false)
+	small := randomMRF(rng, 10, 12, true)
+	plantAllTrue(small, true)
+	opts := Options{MaxFlips: 50, MaxTries: 2, Seed: 5} // short: the best state depends on the path
+	mcOpts := MCSATOptions{SampleSATFlips: 500}
+
+	var reused Scratch
+	walk := func(sc *Scratch, hardW float64) *Result {
+		o := opts
+		o.HardWeight = hardW
+		return walkSAT(ctx, big, sc.index(big), o, sc)
+	}
+	sample := func(sc *Scratch) []bool {
+		if s := sampleSAT(ctx, small, mcOpts, rand.New(rand.NewSource(3)), sc); s != nil {
+			return append([]bool(nil), s...)
+		}
+		return nil
+	}
+	sameWalk := func(label string, hardW float64) {
+		got := walk(&reused, hardW)
+		var fresh Scratch
+		want := walk(&fresh, hardW)
+		if want.Best == nil || got.BestCost != want.BestCost || got.Flips != want.Flips || !slices.Equal(got.Best, want.Best) {
+			t.Fatalf("%s: reused scratch cost %v flips %d, fresh %v flips %d", label, got.BestCost, got.Flips, want.BestCost, want.Flips)
+		}
+	}
+
+	sameWalk("first walk", 1e7)
+	got := sample(&reused)
+	var fresh Scratch
+	if want := sample(&fresh); want == nil || !slices.Equal(got, want) {
+		t.Fatalf("SampleSAT on a reused scratch %v, fresh %v", got, want)
+	}
+	sameWalk("walk after SampleSAT", 1e7)
+	// The same network again at another hard weight: the table follows
+	// the search's weight, not only its network.
+	sameWalk("walk at hard weight 1", 1)
 }
 
 func TestOptimalCostExample1(t *testing.T) {

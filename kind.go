@@ -12,6 +12,7 @@ package tuffy
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"tuffy/internal/codec"
@@ -37,9 +38,9 @@ type queryKind struct {
 	// Trackers are per-call observers and never part of the key.
 	key func(o InferOptions) string
 	// capBudget applies the server's cap on the budget this kind consumes
-	// (flips for MAP, samples for marginal; neither kind is ever rejected
-	// for the other's budget): an explicit over-ask is refused, a defaulted
-	// budget is clamped in o.
+	// (flips over all tries for MAP, samples for marginal; neither kind is
+	// ever rejected for the other's budget): an explicit over-ask is
+	// refused, a defaulted budget is clamped in o.
 	capBudget func(cfg ServerConfig, explicit InferOptions, o *InferOptions) *server.BudgetError
 	// memBytes estimates one query's search memory on the served engine.
 	memBytes func(s *Server, o InferOptions) int64
@@ -59,15 +60,25 @@ const (
 
 var queryKinds = [...]*queryKind{cacheTagMAP: mapKind, cacheTagMarginal: marginalKind}
 
-// capBudget enforces one per-query cap (0 = none) on a defaulted ask.
-func capBudget(resource string, limit, ask int64, explicit bool) (int64, *server.BudgetError) {
+// capBudget enforces one per-query cap (0 = none) on a budget that is
+// spent times over: WalkSAT's flips per try, MaxTries times; MC-SAT's
+// samples once. It compares by division, so a huge multiplier cannot
+// overflow the product. An explicit over-ask is refused; a defaulted ask
+// is clamped to limit / times, and refused when that is 0.
+func capBudget(resource string, limit, ask, times int64, explicit bool) (int64, *server.BudgetError) {
+	times = max(times, 1)
+	each := limit / times
 	switch {
-	case limit <= 0 || ask <= limit:
+	case limit <= 0 || ask <= each:
 		return ask, nil
-	case explicit:
-		return ask, &server.BudgetError{Resource: resource, Requested: ask, Limit: limit}
+	case explicit || each == 0:
+		total := int64(math.MaxInt64)
+		if ask <= math.MaxInt64/times {
+			total = ask * times
+		}
+		return ask, &server.BudgetError{Resource: resource, Requested: total, Limit: limit}
 	}
-	return limit, nil
+	return each, nil
 }
 
 // ---- MAP ----
@@ -77,7 +88,7 @@ var mapKind = &queryKind{
 		return fmt.Sprintf("map|%d|%d|%d|%d|%d", o.Mode, o.Seed, o.MaxFlips, o.MaxTries, o.GaussSeidelRounds)
 	},
 	capBudget: func(cfg ServerConfig, explicit InferOptions, o *InferOptions) *server.BudgetError {
-		flips, err := capBudget("flips", cfg.MaxFlipsPerQuery, o.MaxFlips, explicit.MaxFlips != 0)
+		flips, err := capBudget("flips", cfg.MaxFlipsPerQuery, o.MaxFlips, int64(o.MaxTries), explicit.MaxFlips != 0)
 		o.MaxFlips = flips
 		return err
 	},
@@ -148,7 +159,7 @@ func (r *MAPResult) encode(w *codec.Enc, predIdx map[*mln.Predicate]int32) {
 var marginalKind = &queryKind{
 	key: func(o InferOptions) string { return fmt.Sprintf("marg|%d|%d|%d", o.Mode, o.Seed, o.Samples) },
 	capBudget: func(cfg ServerConfig, explicit InferOptions, o *InferOptions) *server.BudgetError {
-		samples, err := capBudget("samples", int64(cfg.MaxSamplesPerQuery), int64(o.Samples), explicit.Samples != 0)
+		samples, err := capBudget("samples", int64(cfg.MaxSamplesPerQuery), int64(o.Samples), 1, explicit.Samples != 0)
 		o.Samples = int(samples)
 		return err
 	},

@@ -54,10 +54,14 @@ type ServerConfig struct {
 	// first, Priorities-1 last (default 3).
 	Priorities int
 
-	// MaxFlipsPerQuery caps one query's WalkSAT flip budget (0 = no cap).
-	// A query that explicitly asks for more is rejected with a
-	// *server.BudgetError; a query that left MaxFlips at zero has its
-	// default budget clamped down to the cap instead.
+	// MaxFlipsPerQuery caps one MAP query's WalkSAT flips over all of its
+	// tries, MaxTries × MaxFlips (0 = no cap). A query that explicitly asks
+	// for more is rejected with a *server.BudgetError; a query that left
+	// MaxFlips at zero has its default per-try budget clamped down to
+	// MaxFlipsPerQuery / MaxTries instead, and is rejected when it asks for
+	// more tries than the cap has flips. Gauss-Seidel search (a memory
+	// budget that cuts clauses) spends MaxFlips per partition per round, a
+	// product this cap does not bound.
 	MaxFlipsPerQuery int64
 	// MaxSamplesPerQuery caps one marginal query's MC-SAT samples, with
 	// the same explicit-reject / default-clamp split.

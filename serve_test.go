@@ -11,9 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
+
+	"tuffy/internal/server"
 )
 
 // serveWorkload is a mixed MAP/marginal query set with distinct answers.
@@ -316,5 +319,62 @@ func TestServerDoesNotCacheCanceledRuns(t *testing.T) {
 	}
 	if hits := srv.Metrics().CacheHits; hits != 0 {
 		t.Fatalf("CacheHits = %d; a canceled run must not be cached", hits)
+	}
+}
+
+// The flip cap bounds WalkSAT's whole run, MaxTries × MaxFlips: an explicit
+// product over the cap is refused, however large the tries (no overflow); a
+// defaulted per-try budget is clamped to cap / tries and answers like a
+// direct call with that budget, and is refused when there are more tries
+// than the cap has flips.
+func TestServerCapsFlipsOverAllTries(t *testing.T) {
+	ctx := context.Background()
+	eng := figure1Engine(t, EngineConfig{})
+	if err := eng.Ground(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 10_000
+	srv, err := Serve(ServerConfig{MaxFlipsPerQuery: limit, CacheEntries: -1}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, c := range []struct {
+		name      string
+		o         InferOptions
+		requested int64
+	}{
+		{"explicit product over the cap", InferOptions{MaxFlips: 5_000, MaxTries: 3}, 15_000},
+		{"two billion tries", InferOptions{MaxFlips: 1, MaxTries: 2_000_000_000}, 2_000_000_000},
+		{"product overflows int64", InferOptions{MaxFlips: 1 << 40, MaxTries: 1 << 30}, math.MaxInt64},
+		{"defaulted flips, more tries than the cap", InferOptions{MaxTries: limit + 1}, int64(limit+1) * 1_000_000},
+	} {
+		_, err := srv.InferMAP(ctx, Request{Options: c.o})
+		var be *server.BudgetError
+		if !errors.As(err, &be) || !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want a *server.BudgetError", c.name, err)
+		}
+		if be.Resource != "flips" || be.Requested != c.requested || be.Limit != limit {
+			t.Fatalf("%s: budget error %+v, want flips %d of %d", c.name, be, c.requested, limit)
+		}
+	}
+	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 5_000, MaxTries: 2, Seed: 3}}); err != nil {
+		t.Fatalf("explicit product at the cap: %v", err)
+	}
+
+	got, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxTries: 4, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.InferMAP(ctx, InferOptions{MaxFlips: limit / 4, MaxTries: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapKey(got) != mapKey(want) {
+		t.Fatal("defaulted flips under 4 tries do not answer like MaxFlips = cap / 4")
+	}
+	if n := srv.Metrics().RejectedBudget; n != 4 {
+		t.Fatalf("RejectedBudget = %d, want 4", n)
 	}
 }
