@@ -33,10 +33,11 @@
 // checkpoints durable state (with -data) and exits.
 //
 // With -data DIR, the engine keeps a write-ahead log and grounded-state
-// snapshot under DIR/replica0 and the result cache is persisted in DIR;
-// after a crash or restart the daemon warm-starts: it restores the
-// grounded network and replays logged evidence deltas instead of
-// re-grounding, then serves bit-identical answers.
+// snapshot under DIR/replica0; after a crash or restart the daemon
+// warm-starts: it restores the grounded network and replays logged
+// evidence deltas instead of re-grounding, then serves bit-identical
+// answers. The result cache is not persisted: it refills on the recovered
+// epoch.
 package main
 
 import (
@@ -82,7 +83,7 @@ func main() {
 		maxBytes   = flag.Int64("maxbytes", 0, "per-query memory estimate cap in bytes (0 = none)")
 		queryTime  = flag.Duration("querytimeout", 0, "per-query wall-clock deadline incl. queue wait (0 = none)")
 		cacheSize  = flag.Int("cache", 0, "result cache entries (0 = default 4096, negative = off)")
-		dataDir    = flag.String("data", "", "durable data directory: WAL + snapshot, persisted result cache; warm-starts on restart (empty = in-memory only)")
+		dataDir    = flag.String("data", "", "durable data directory: snapshot + WAL; warm-starts on restart (empty = in-memory only)")
 	)
 	flag.Parse()
 	if *progPath == "" || *evPath == "" {
@@ -124,7 +125,6 @@ func main() {
 		MaxBytesPerQuery:   *maxBytes,
 		MaxQueryTime:       *queryTime,
 		CacheEntries:       *cacheSize,
-		DataDir:            *dataDir,
 	}, eng)
 	fatalIf(err)
 
@@ -154,9 +154,7 @@ func main() {
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(shCtx)
-		if err := srv.Close(); err != nil {
-			log.Printf("persisting result cache: %v", err)
-		}
+		srv.Close()
 		if err := eng.Close(); err != nil {
 			log.Printf("closing engine: %v", err)
 		}
@@ -330,19 +328,16 @@ type evidenceRequest struct {
 }
 
 type evidenceResponse struct {
-	Epoch             uint64 `json:"epoch"`
-	Identical         bool   `json:"identical"`
-	ClausesRerun      int    `json:"clausesRerun"`
-	ClausesTotal      int    `json:"clausesTotal"`
-	RawsAdded         int    `json:"rawsAdded"`
-	RawsRemoved       int    `json:"rawsRemoved"`
-	TouchedAtoms      int    `json:"touchedAtoms"`
-	ClausesAdded      int    `json:"clausesAdded"`
-	ClausesRemoved    int    `json:"clausesRemoved"`
-	ClausesReweighted int    `json:"clausesReweighted"`
-	ComponentsReused  int    `json:"componentsReused"`
-	PartsReused       int    `json:"partsReused"`
-	UpdateMillis      int64  `json:"updateMillis"`
+	Epoch            uint64 `json:"epoch"`
+	Identical        bool   `json:"identical"`
+	ClausesRerun     int    `json:"clausesRerun"`
+	ClausesTotal     int    `json:"clausesTotal"`
+	RawsAdded        int    `json:"rawsAdded"`
+	RawsRemoved      int    `json:"rawsRemoved"`
+	TouchedAtoms     int    `json:"touchedAtoms"`
+	ComponentsReused int    `json:"componentsReused"`
+	PartsReused      int    `json:"partsReused"`
+	UpdateMillis     int64  `json:"updateMillis"`
 }
 
 // evidence applies one evidence delta to the engine and publishes the
@@ -404,19 +399,16 @@ func (h *handler) evidence(w http.ResponseWriter, r *http.Request) {
 	// decomposition's parts are the components — and stays for the clients
 	// that read it.
 	writeJSON(w, http.StatusOK, evidenceResponse{
-		Epoch:             ur.Epoch,
-		Identical:         ur.Identical,
-		ClausesRerun:      ur.ClausesRerun,
-		ClausesTotal:      ur.ClausesTotal,
-		RawsAdded:         ur.RawsAdded,
-		RawsRemoved:       ur.RawsRemoved,
-		TouchedAtoms:      ur.TouchedAtoms,
-		ClausesAdded:      ur.ClausesAdded,
-		ClausesRemoved:    ur.ClausesRemoved,
-		ClausesReweighted: ur.ClausesReweighted,
-		ComponentsReused:  ur.PartsReused,
-		PartsReused:       ur.PartsReused,
-		UpdateMillis:      ur.UpdateTime.Milliseconds(),
+		Epoch:            ur.Epoch,
+		Identical:        ur.Identical,
+		ClausesRerun:     ur.ClausesRerun,
+		ClausesTotal:     ur.ClausesTotal,
+		RawsAdded:        ur.RawsAdded,
+		RawsRemoved:      ur.RawsRemoved,
+		TouchedAtoms:     ur.TouchedAtoms,
+		ComponentsReused: ur.PartsReused,
+		PartsReused:      ur.PartsReused,
+		UpdateMillis:     ur.UpdateTime.Milliseconds(),
 	})
 }
 

@@ -47,8 +47,10 @@ func TestRetryAfterHint(t *testing.T) {
 
 // figure1Daemon is the handler a deployed daemon runs, over a grounded
 // Figure 1 engine: per-query flip and sample caps, and a query deadline
-// that bounds what any one body can cost.
-func figure1Daemon(f *testing.F) *handler {
+// that bounds what any one body can cost. A memory budget (0 = none) of
+// 300 bytes cuts the network into four parts, so Auto MAP queries run
+// Gauss-Seidel.
+func figure1Daemon(f *testing.F, budget int64) *handler {
 	prog, err := tuffy.LoadProgramString(mln.Figure1Program)
 	if err != nil {
 		f.Fatal(err)
@@ -57,7 +59,7 @@ func figure1Daemon(f *testing.F) *handler {
 	if err != nil {
 		f.Fatal(err)
 	}
-	eng, err := tuffy.Open(prog, ev, tuffy.EngineConfig{})
+	eng, err := tuffy.Open(prog, ev, tuffy.EngineConfig{MemoryBudgetBytes: budget})
 	if err == nil {
 		err = eng.Ground(context.Background())
 	}
@@ -98,7 +100,8 @@ func fuzzBody(t *testing.T, h *handler, path string, body []byte, v any, allowed
 }
 
 // FuzzInferBody: whatever a client posts to /infer, the daemon answers
-// with a status a client can act on and never panics. Seeds are the query
+// with a status a client can act on and never panics, with or without a
+// memory budget that makes Auto MAP run Gauss-Seidel. Seeds are the query
 // body of the package doc's curl example and variations of it.
 func FuzzInferBody(f *testing.F) {
 	f.Add([]byte(`{"kind":"map","seed":1,"maxFlips":20000,"priority":1}`))
@@ -109,11 +112,14 @@ func FuzzInferBody(f *testing.F) {
 	f.Add([]byte(`{"kind":"nope"}`))
 	f.Add([]byte(`{"kind":"map","maxFlips":2000,"maxTries":2000000000}`))
 	f.Add([]byte(`{"kind":"map","maxTries":2000000000}`))
-	h := figure1Daemon(f)
+	f.Add([]byte(`{"kind":"map","rounds":2000000000}`))
+	hs := []*handler{figure1Daemon(f, 0), figure1Daemon(f, 300)}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fuzzBody(t, h, "/infer", body, &inferRequest{},
-			http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout)
+		for _, h := range hs {
+			fuzzBody(t, h, "/infer", body, &inferRequest{},
+				http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests,
+				http.StatusServiceUnavailable, http.StatusGatewayTimeout)
+		}
 	})
 }
 
@@ -128,7 +134,7 @@ func FuzzEvidenceBody(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"pred":"refers","args":["P2"]}]}`))
 	f.Add([]byte(`{"ops":[]}`))
 	f.Add([]byte(`{"ops":[{"pred":"cat","args":["P1","DB"],"truth":"maybe"}]}`))
-	h := figure1Daemon(f)
+	h := figure1Daemon(f, 0)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzBody(t, h, "/evidence", body, &evidenceRequest{},
 			http.StatusOK, http.StatusBadRequest, http.StatusTooManyRequests,

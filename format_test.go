@@ -2,10 +2,10 @@ package tuffy
 
 // Format-pinning tests. The files under testdata/format were written by the
 // commit BEFORE internal/codec replaced the per-file encoders, so a passing
-// run proves the snapshot, the result-cache file and a whole data directory
-// (snapshot + WAL delta + cache) are still produced and understood byte
-// for byte: a DataDir from an older build opens on this one and vice versa.
-// internal/mln pins the WAL delta record the same way.
+// run proves the snapshot and a whole data directory (snapshot + WAL delta)
+// are still produced and understood byte for byte: a DataDir from an older
+// build opens on this one and vice versa. internal/mln pins the WAL delta
+// record the same way.
 
 import (
 	"bytes"
@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"tuffy/internal/codec"
 	"tuffy/internal/mln"
 )
 
@@ -110,74 +109,6 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 }
 
-// goldenCacheEntries is a hand-built cache content: one MAP and one
-// marginal answer with every field set, a state that crosses a byte
-// boundary of the packed bitset and probabilities that are not round in
-// binary.
-func goldenCacheEntries(eng *Engine) (keys []string, vals []any) {
-	atoms := eng.Grounded().MRF.Atoms
-	return []string{"e0|map|0|7|20000|1|3", "e0|marg|0|5|60"}, []any{
-		&MAPResult{
-			Cost:           1.5,
-			TrueAtoms:      []mln.GroundAtom{atoms[1], atoms[3]},
-			State:          []bool{false, true, false, true, true, false, false, true, true, false, true},
-			Flips:          1234,
-			GroundTime:     5 * time.Millisecond,
-			SearchTime:     7 * time.Millisecond,
-			Partitions:     2,
-			CutClauses:     1,
-			InDBComponents: 3,
-			Epoch:          0,
-		},
-		&MarginalResult{
-			Probs: []AtomProb{{Atom: atoms[1], P: 0.25}, {Atom: atoms[2], P: 1.0 / 3}, {Atom: atoms[3], P: 1}},
-			Epoch: 0,
-		},
-	}
-}
-
-func TestGoldenCacheFile(t *testing.T) {
-	eng := figure1Engine(t, EngineConfig{})
-	if err := eng.Ground(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	keys, vals := goldenCacheEntries(eng)
-
-	dir := t.TempDir()
-	srv, err := Serve(ServerConfig{DataDir: dir}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		srv.cache.Put(k, vals[i])
-	}
-	if err := srv.Close(); err != nil { // persists the cache
-		t.Fatal(err)
-	}
-	checkGolden(t, cacheFile, mustRead(t, filepath.Join(dir, cacheFile)))
-
-	// Decode: a server started over the golden file holds exactly the
-	// entries that were encoded.
-	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, cacheFile), mustRead(t, filepath.Join(formatDir, cacheFile)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := Serve(ServerConfig{DataDir: dir2}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	var gotKeys []string
-	var gotVals []any
-	srv2.cache.ForEach(func(k string, v any) {
-		gotKeys = append(gotKeys, k)
-		gotVals = append(gotVals, v)
-	})
-	if !reflect.DeepEqual(gotKeys, keys) || !reflect.DeepEqual(gotVals, vals) {
-		t.Fatalf("golden cache file decodes to %v / %+v", gotKeys, gotVals)
-	}
-}
-
 // ---- a whole data directory written by the parent commit ----
 
 // fixtureExpect records what the fixture's writer observed, so the reader
@@ -239,11 +170,15 @@ func figure1Delta(t *testing.T, prog *mln.Program) mln.Delta {
 	return d
 }
 
-// copyFixture copies the data directory's three files, laid out as
-// tuffyd -data lays them out.
-func copyFixture(t *testing.T, from, to string) {
+// fixtureFiles are the engine's durable files, laid out as tuffyd -data
+// lays them out. The fixture also holds the cache.tfy an older tuffyd
+// persisted beside them; nothing reads that file any more.
+var fixtureFiles = []string{"replica0/" + snapshotFile, "replica0/" + walFile}
+
+// copyFixture copies files from one data directory to another.
+func copyFixture(t *testing.T, from, to string, files []string) {
 	t.Helper()
-	for _, f := range []string{"replica0/" + snapshotFile, "replica0/" + walFile, cacheFile} {
+	for _, f := range files {
 		dst := filepath.Join(to, f)
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
@@ -255,8 +190,8 @@ func copyFixture(t *testing.T, from, to string) {
 }
 
 // writeFixture builds the data directory the way a crashed tuffyd -data
-// leaves it: a snapshot from Ground, one un-checkpointed delta in the WAL,
-// and a checkpointed result cache filled on the post-update epoch.
+// leaves it: a snapshot from Ground and one un-checkpointed delta in the
+// WAL. expect.json records the answers served on the post-update epoch.
 func writeFixture(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -267,24 +202,17 @@ func writeFixture(t *testing.T) {
 	if ur := mustUpdate(t, eng, figure1Delta(t, eng.prog)); ur.Identical || ur.Epoch != 1 {
 		t.Fatalf("fixture delta did not publish epoch 1: %+v", ur)
 	}
-	srv, err := Serve(ServerConfig{DataDir: dir}, eng)
+	m, err := eng.InferMAP(ctx, fixtureMAP.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := srv.InferMAP(ctx, fixtureMAP)
+	g, err := eng.InferMarginal(ctx, fixtureMarg.Options)
 	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := srv.InferMarginal(ctx, fixtureMarg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.CheckpointCache(); err != nil {
 		t.Fatal(err)
 	}
 	// The "crash": copy the files out while the engine is still open, so no
 	// Close-time checkpoint folds the delta into the snapshot.
-	copyFixture(t, dir, fixtureDir)
+	copyFixture(t, dir, fixtureDir, fixtureFiles)
 	x, err := json.MarshalIndent(observe(eng, m, g), "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +220,6 @@ func writeFixture(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(fixtureDir, "expect.json"), append(x, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
 	eng.Close()
 }
 
@@ -305,9 +232,10 @@ func TestDataDirFromParentCommitWarmStarts(t *testing.T) {
 	if err := json.Unmarshal(mustRead(t, filepath.Join(fixtureDir, "expect.json")), &want); err != nil {
 		t.Fatal(err)
 	}
-	// Opening replays and re-checkpoints, so work on a copy.
+	// Opening replays and re-checkpoints, so work on a copy, leftover
+	// cache.tfy included.
 	dir := t.TempDir()
-	copyFixture(t, fixtureDir, dir)
+	copyFixture(t, fixtureDir, dir, append(fixtureFiles, "cache.tfy"))
 
 	eng := figure1Engine(t, EngineConfig{DataDir: filepath.Join(dir, "replica0")})
 	defer eng.Close()
@@ -316,7 +244,7 @@ func TestDataDirFromParentCommitWarmStarts(t *testing.T) {
 		t.Fatalf("warm start %v, %d deltas replayed, epoch %d; want a warm start replaying 1 delta onto epoch %d",
 			ds.WarmStart, ds.ReplayedDeltas, eng.Generation(), want.Epoch)
 	}
-	srv, err := Serve(ServerConfig{DataDir: dir}, eng)
+	srv, err := Serve(ServerConfig{}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,85 +257,12 @@ func TestDataDirFromParentCommitWarmStarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt := srv.Metrics(); mt.CacheHits != 2 || mt.CacheMisses != 0 {
-		t.Fatalf("%d hits / %d misses; want both answers served from the fixture's cache.tfy", mt.CacheHits, mt.CacheMisses)
+	// The result cache starts empty: the recovered epoch recomputes both
+	// answers, bit-identical to the ones served before the crash.
+	if mt := srv.Metrics(); mt.CacheHits != 0 || mt.CacheMisses != 2 {
+		t.Fatalf("%d hits / %d misses; want both answers recomputed", mt.CacheHits, mt.CacheMisses)
 	}
 	if got := observe(eng, m, g); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached answers differ from the fixture writer's:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("recovered answers differ from the fixture writer's:\n got %+v\nwant %+v", got, want)
 	}
-	// The recovered epoch recomputes the same answers cold.
-	cm, err := eng.InferMAP(ctx, fixtureMAP.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := eng.InferMarginal(ctx, fixtureMarg.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := observe(eng, cm, cg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered engine's cold answers differ from the fixture writer's:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// FuzzLoadCache: cache.tfy is never a source of truth, so no body — here
-// arbitrary bytes behind the right magic and a VALID checksum, i.e. past
-// the only integrity check — may panic the load, and whatever the load
-// kept, the cache still serves, fills and checkpoints.
-func FuzzLoadCache(f *testing.F) {
-	ctx := context.Background()
-	prog, err := LoadProgramString(mln.Figure1Program)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ev, err := LoadEvidenceString(prog, mln.Figure1Evidence)
-	if err != nil {
-		f.Fatal(err)
-	}
-	eng, err := Open(prog, ev, EngineConfig{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := eng.Ground(ctx); err != nil {
-		f.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join(formatDir, cacheFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	body := golden[len(cacheMagic) : len(golden)-4]
-	f.Add(body)
-	f.Add(body[:len(body)/2])
-	f.Add(body[:16]) // version, fingerprint, entry count — no entries
-	f.Add(append(append([]byte(nil), body[:12]...), 0xFF, 0xFF, 0xFF, 0xFF))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var w codec.Enc
-		w.Raw([]byte(cacheMagic))
-		w.Raw(body)
-		dir := t.TempDir()
-		if err := writeSealed(dir, cacheFile, &w, nil); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := Serve(ServerConfig{DataDir: dir}, eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every entry the load kept must clone and re-encode.
-		if err := srv.CheckpointCache(); err != nil {
-			t.Fatal(err)
-		}
-		q := Request{Options: InferOptions{MaxFlips: 50, Seed: 99}}
-		first, err := srv.InferMAP(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := srv.InferMAP(ctx, q)
-		if err != nil || !sameStates(first.State, again.State) || srv.Metrics().CacheHits == 0 {
-			t.Fatalf("cache unusable after loading a fuzzed file (err %v)", err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

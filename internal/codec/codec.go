@@ -1,17 +1,17 @@
-// Package codec is the one binary encoding every persisted or transmitted
-// structure of the module is written in: the engine snapshot and the WAL's
-// evidence-delta records (persist.go, internal/mln) and the result-cache
-// file (cachepersist.go). Values are flat
-// little-endian field sequences — no reflection, no self-description — so a
-// format is exactly the order of the calls that write it, and the golden
-// files under the callers' testdata pin those orders byte for byte.
+// Package codec is the one binary encoding every persisted structure of the
+// module is written in: the engine snapshot (persist.go, with the raw
+// groundings of internal/grounding) and the WAL's evidence-delta records
+// (internal/mln). Values are flat little-endian field sequences — no
+// reflection, no self-description — so a format is exactly the order of the
+// calls that write it, and the golden files under the callers' testdata pin
+// those orders byte for byte.
 //
 // Enc appends; Dec reads straight through and latches its first failure, so
 // a decoder checks one error at the end instead of one per field. Every
-// length read from the input is validated against the bytes that remain
-// BEFORE anything is allocated (Count, Str, Bits): hostile input
-// can make a decoder fail, never make it allocate more than a small
-// multiple of the input's size.
+// element count read from the input is validated against the bytes that
+// remain BEFORE anything is allocated (Count): hostile input can make a
+// decoder fail, never make it allocate more than a small multiple of the
+// input's size.
 package codec
 
 import (
@@ -36,29 +36,7 @@ func (e *Enc) Raw(p []byte) { e.b = append(e.b, p...) }
 func (e *Enc) U8(v byte)     { e.b = append(e.b, v) }
 func (e *Enc) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *Enc) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *Enc) I64(v int64)   { e.U64(uint64(v)) }
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Str writes a length-prefixed string.
-func (e *Enc) Str(v string) {
-	e.U32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-
-// Bits writes len(v) and then v packed eight to a byte, lowest bit first.
-func (e *Enc) Bits(v []bool) {
-	e.U32(uint32(len(v)))
-	var cur byte
-	for i, on := range v {
-		if on {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 || i == len(v)-1 {
-			e.b = append(e.b, cur)
-			cur = 0
-		}
-	}
-}
 
 // Dec reads what Enc wrote. After the first failed read every further read
 // returns the zero value and Err reports that first failure.
@@ -125,7 +103,6 @@ func (d *Dec) U64() uint64 {
 	return 0
 }
 
-func (d *Dec) I64() int64   { return int64(d.U64()) }
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Count reads an element count and fails unless that many elements of at
@@ -141,26 +118,4 @@ func (d *Dec) Count(minBytes int) int {
 		return 0
 	}
 	return n
-}
-
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string { return string(d.Raw(d.Count(1))) }
-
-// Bits reads a packed bool vector into a slice with lead unset elements in
-// front of it: the callers' states are indexed from 1, and some formats
-// store the unused element 0 (lead 0) while others omit it (lead 1).
-func (d *Dec) Bits(lead int) []bool {
-	n := int(d.U32())
-	if n < 0 {
-		d.Failf("bit count %d", n)
-	}
-	packed := d.Raw(n/8 + (n%8+7)/8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]bool, lead+n)
-	for i := 0; i < n; i++ {
-		out[lead+i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return out
 }

@@ -15,10 +15,9 @@ func sample() *Enc {
 	e.U8(0xAB)
 	e.U32(0xDEADBEEF)
 	e.U64(0x0123456789ABCDEF)
-	e.I64(-42)
 	e.F64(math.Inf(-1))
-	e.Str("héllo")
-	e.Bits([]bool{true, false, true, true, false, false, false, true, true})
+	e.U32(2)
+	e.Raw([]byte("ab"))
 	return &e
 }
 
@@ -27,32 +26,27 @@ func TestRoundTrip(t *testing.T) {
 	if got := string(d.Raw(5)); got != "MAGIC" {
 		t.Fatalf("Raw: %q", got)
 	}
-	if d.U8() != 0xAB || d.U32() != 0xDEADBEEF || d.U64() != 0x0123456789ABCDEF ||
-		d.I64() != -42 || !math.IsInf(d.F64(), -1) {
+	if d.U8() != 0xAB || d.U32() != 0xDEADBEEF || d.U64() != 0x0123456789ABCDEF || !math.IsInf(d.F64(), -1) {
 		t.Fatal("scalar round trip")
 	}
-	if got := d.Str(); got != "héllo" {
-		t.Fatalf("Str: %q", got)
-	}
-	// lead 1: the caller's vectors are 1-based, the gap is put back.
-	if got, want := d.Bits(1), []bool{false, true, false, true, true, false, false, false, true, true}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Bits: %v", got)
+	if got := string(d.Raw(d.Count(1))); got != "ab" {
+		t.Fatalf("counted Raw: %q", got)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The layout is little-endian with u32 length prefixes and bits packed
-// lowest first — spelled out once here, pinned per format by the callers'
-// golden files.
+// The layout is little-endian with no padding and no field tags — spelled
+// out once here, pinned per format by the callers' golden files.
 func TestLayout(t *testing.T) {
 	var e Enc
 	e.U8(0x01)
 	e.U32(0x03040506)
-	e.Str("ab")
-	e.Bits([]bool{true, false, false, false, false, false, false, false, true})
-	want := []byte{0x01, 0x06, 0x05, 0x04, 0x03, 2, 0, 0, 0, 'a', 'b', 9, 0, 0, 0, 0x01, 0x01}
+	e.U64(0x0708090A0B0C0D0E)
+	e.F64(1)
+	want := []byte{0x01, 0x06, 0x05, 0x04, 0x03, 0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07,
+		0, 0, 0, 0, 0, 0, 0xF0, 0x3F}
 	if !bytes.Equal(e.Buf(), want) {
 		t.Fatalf("layout %x, want %x", e.Buf(), want)
 	}
@@ -66,10 +60,8 @@ func TestErrorsLatch(t *testing.T) {
 		d.U8()
 		d.U32()
 		d.U64()
-		d.I64()
 		d.F64()
-		d.Str()
-		d.Bits(1)
+		d.Raw(d.Count(1))
 		first := d.Err()
 		if !errors.Is(first, ErrMalformed) {
 			t.Fatalf("cut at %d: err = %v", cut, first)
@@ -86,14 +78,13 @@ func TestErrorsLatch(t *testing.T) {
 	}
 }
 
-// A length field may claim up to 4G elements; nothing is allocated for a
+// A count field may claim up to 4G elements; nothing is allocated for a
 // claim the remaining input cannot back.
 func TestHugeLengthsRejected(t *testing.T) {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}
 	for name, read := range map[string]func(*Dec) any{
 		"Count": func(d *Dec) any { return d.Count(2) },
-		"Str":   func(d *Dec) any { return d.Str() },
-		"Bits":  func(d *Dec) any { return d.Bits(1) },
+		"Raw":   func(d *Dec) any { return d.Raw(d.Count(0)) },
 	} {
 		d := NewDec(huge)
 		if got := read(d); !reflect.ValueOf(got).IsZero() || !errors.Is(d.Err(), ErrMalformed) {
@@ -104,19 +95,18 @@ func TestHugeLengthsRejected(t *testing.T) {
 
 // FuzzDec drives arbitrary bytes through every primitive, the first bytes
 // choosing which: no input panics, a failure is typed and stays latched,
-// and no vector comes back longer than the input could have encoded
-// (strings at most len(input), bits at most 8x).
+// and no count admits more elements than the input could hold.
 func FuzzDec(f *testing.F) {
 	f.Add(sample().Buf())
 	f.Add([]byte{})
-	f.Add([]byte{8, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{7, 0xFF, 0xFF, 0xFF, 0x7F, 1})
-	f.Add([]byte{6, 4, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{5, 4, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{4, 0xC8, 1, 2})
+	f.Add([]byte{5, 4, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDec(data)
 		var first error
 		for steps := 0; steps < 64 && d.off < len(data); steps++ {
-			switch op := d.U8() % 9; op {
+			switch op := d.U8() % 6; op {
 			case 0:
 				d.U8()
 			case 1:
@@ -124,24 +114,19 @@ func FuzzDec(f *testing.F) {
 			case 2:
 				d.U64()
 			case 3:
-				d.I64()
-			case 4:
 				d.F64()
-			case 5:
+			case 4:
 				if n := len(d.Raw(int(d.U8()))); n > len(data) {
 					t.Fatalf("Raw returned %d bytes of %d", n, len(data))
 				}
-			case 6:
-				if n := d.Count(int(d.U8() % 16)); d.Err() != nil && n != 0 {
+			case 5:
+				minBytes := int(d.U8() % 16)
+				n := d.Count(minBytes)
+				if d.Err() != nil && n != 0 {
 					t.Fatalf("Count returned %d after a failure", n)
 				}
-			case 7:
-				if n := len(d.Bits(1)); n > 8*len(data)+1 {
-					t.Fatalf("Bits allocated %d for %d input bytes", n, len(data))
-				}
-			case 8:
-				if n := len(d.Str()); n > len(data) {
-					t.Fatalf("Str allocated %d for %d input bytes", n, len(data))
+				if minBytes > 0 && n*minBytes > len(data) {
+					t.Fatalf("Count admitted %d elements of %d bytes from %d input bytes", n, minBytes, len(data))
 				}
 			}
 			if first == nil {

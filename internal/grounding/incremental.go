@@ -122,10 +122,9 @@ type RegroundInfo struct {
 // raw grounding. A ground clause none of whose atoms is flagged, or lacks a
 // counterpart in the other epoch (the active closure admits and drops
 // clauses only together with such an atom), is the same clause with the same
-// weight in both epochs — which is what mrf.ComputePatchTouched and the
-// component and partition repair layers rely on. On error (including
-// cancellation) the cache is left on the previous ground, so the delta is
-// retryable.
+// weight in both epochs — which is what partition.Repair relies on to reuse
+// every untouched part. On error (including cancellation) the cache is left
+// on the previous ground, so the delta is retryable.
 func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate]bool) (*Result, []bool, RegroundInfo, error) {
 	n := len(inc.TS.Prog.Clauses)
 	info := RegroundInfo{ClausesTotal: n}

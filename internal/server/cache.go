@@ -101,20 +101,6 @@ func (c *Cache) Sweep(keep func(key string) bool) (invalidated, retained int) {
 	return invalidated, len(c.order)
 }
 
-// ForEach visits every cached entry in insertion order under the read
-// lock. fn must not call back into the cache. The serving layer uses it
-// to persist the cache across restarts.
-func (c *Cache) ForEach(fn func(key string, v any)) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, k := range c.order {
-		fn(k, c.entries[k])
-	}
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.RLock()

@@ -1,8 +1,8 @@
 package tuffy
 
 // Engine-level durability tests: warm-start bit-identity, the crash matrix
-// over every injected fault point in the commit/checkpoint path, torn-WAL-
-// tail recovery, and result-cache persistence through the serving layer.
+// over every injected fault point in the commit/checkpoint path, and torn-
+// WAL-tail recovery.
 //
 // The invariant under test everywhere: reopening a DataDir after a crash
 // (simulated by abandoning an engine without Close, optionally with a
@@ -396,85 +396,6 @@ func TestDurableUpdateCancelRetry(t *testing.T) {
 		t.Fatalf("recovered generation %d, want %d", warm.Generation(), ur.Epoch)
 	}
 	requireSameMAP(t, "retry-then-recover MAP", mustMAP(t, warm, 7), wantMAP)
-}
-
-// The serving layer's result cache survives a restart: entries persisted
-// at Close are reloaded by the next Serve over the warm-started engine,
-// and an identical query is answered from cache, bit-identically.
-func TestServerCacheSurvivesRestart(t *testing.T) {
-	ctx := context.Background()
-	ds := ieSmall()
-	dir := t.TempDir()
-
-	eng := openDurableIE(t, ds, dir, EngineConfig{DataDir: filepath.Join(dir, "replica0")})
-	if err := eng.Ground(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(ServerConfig{DataDir: dir}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Options: InferOptions{MaxFlips: 20_000, Seed: 7}}
-	margReq := Request{Options: InferOptions{Samples: 60, Seed: 5}}
-	want, err := srv.InferMAP(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMarg, err := srv.InferMarginal(ctx, margReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := openDurableIE(t, ds, dir, EngineConfig{DataDir: filepath.Join(dir, "replica0")})
-	defer warm.Close()
-	srv2, err := Serve(ServerConfig{DataDir: dir}, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	got, err := srv2.InferMAP(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMarg, err := srv2.InferMarginal(ctx, margReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := srv2.Metrics()
-	if m.CacheHits != 2 || m.CacheMisses != 0 {
-		t.Fatalf("restarted server: %d hits / %d misses, want both queries served from the reloaded cache", m.CacheHits, m.CacheMisses)
-	}
-	requireSameMAP(t, "cached MAP after restart", got, want)
-	requireSameMarginal(t, "cached marginal after restart", gotMarg, wantMarg)
-}
-
-// A corrupt cache file must never poison a server: Serve starts with an
-// empty cache and recomputes.
-func TestCorruptCacheFileIgnored(t *testing.T) {
-	ctx := context.Background()
-	ds := ieSmall()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "cache.tfy"), []byte("TFYCACH1 garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
-	srv, err := Serve(ServerConfig{DataDir: dir}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 5_000, Seed: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if m := srv.Metrics(); m.CacheHits != 0 || m.CacheMisses != 1 {
-		t.Fatalf("corrupt cache file: %d hits / %d misses, want a plain miss", m.CacheHits, m.CacheMisses)
-	}
 }
 
 // A delta record whose truth byte is none of Unknown/True/False must fail

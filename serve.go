@@ -59,9 +59,10 @@ type ServerConfig struct {
 	// for more is rejected with a *server.BudgetError; a query that left
 	// MaxFlips at zero has its default per-try budget clamped down to
 	// MaxFlipsPerQuery / MaxTries instead, and is rejected when it asks for
-	// more tries than the cap has flips. Gauss-Seidel search (a memory
-	// budget that cuts clauses) spends MaxFlips per partition per round, a
-	// product this cap does not bound.
+	// more tries than the cap has flips. When the served epoch's memory
+	// budget cuts clauses, an Auto query runs Gauss-Seidel, which spends
+	// MaxFlips per part per round: the cap then bounds
+	// GaussSeidelRounds × parts × MaxFlips the same way.
 	MaxFlipsPerQuery int64
 	// MaxSamplesPerQuery caps one marginal query's MC-SAT samples, with
 	// the same explicit-reject / default-clamp split.
@@ -81,18 +82,6 @@ type ServerConfig struct {
 	// evidence update retires the previous epoch's keys (UpdateEvidence
 	// sweeps them) and later identical queries recompute on the new epoch.
 	CacheEntries int
-
-	// DataDir, when set, persists the result cache across restarts: Close
-	// (and CheckpointCache) writes the cached answers to DataDir/cache.tfy,
-	// and Serve reloads them, so a warm-started server answers its working
-	// set from cache immediately. Entries are epoch-keyed, and the cache is
-	// only persisted after the engine's own updates are durable, so a
-	// reloaded entry either matches the recovered epoch (served, bit-
-	// identical) or is tagged with a superseded epoch (unreachable, swept
-	// later). A missing or corrupt cache file starts the cache empty — it
-	// is a cache, never a source of truth. Typically set to the same
-	// directory as EngineConfig.DataDir.
-	DataDir string
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -169,9 +158,6 @@ func Serve(cfg ServerConfig, eng *Engine) (*Server, error) {
 	}, s.counters)
 	s.cache = server.NewCache(cfg.CacheEntries, s.counters)
 	s.counters.Epoch.Store(s.generation())
-	if cfg.DataDir != "" && s.cache.Enabled() {
-		s.loadCache()
-	}
 	return s, nil
 }
 
@@ -189,17 +175,12 @@ func (s *Server) Updating() bool { return s.eng.Updating() }
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() ServerMetrics { return s.counters.Snapshot() }
 
-// Close stops admission (subsequent queries return ErrServerClosed),
-// waits for queued and in-flight queries to finish, and — when
-// ServerConfig.DataDir is set — persists the result cache for the next
-// start. The returned error reports only the persistence step; shutdown
-// itself cannot fail.
-func (s *Server) Close() error {
+// Close stops admission (subsequent queries return ErrServerClosed) and
+// waits for queued and in-flight queries to finish. The result cache is
+// derived state and dies with the server: a restarted server recomputes
+// its working set on the recovered epoch.
+func (s *Server) Close() {
 	s.sched.Close()
-	if s.cfg.DataDir == "" || !s.cache.Enabled() {
-		return nil
-	}
-	return s.CheckpointCache()
 }
 
 // admit canonicalizes the query options and enforces the per-query budget
@@ -209,7 +190,7 @@ func (s *Server) Close() error {
 // budget).
 func (s *Server) admit(k *queryKind, req Request) (InferOptions, error) {
 	o := req.Options.withDefaults()
-	if err := k.capBudget(s.cfg, req.Options, &o); err != nil {
+	if err := k.capBudget(s, req.Options, &o); err != nil {
 		s.counters.RejectedBudget.Add(1)
 		return o, err
 	}

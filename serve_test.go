@@ -378,3 +378,70 @@ func TestServerCapsFlipsOverAllTries(t *testing.T) {
 		t.Fatalf("RejectedBudget = %d, want 4", n)
 	}
 }
+
+// When the served epoch's memory budget cuts clauses, an Auto MAP query runs
+// Gauss-Seidel: one try per part per round, each spending MaxFlips. The cap
+// bounds GaussSeidelRounds × parts × MaxFlips, so two billion rounds are
+// refused at admission and a defaulted MaxFlips is clamped to
+// limit / (rounds × parts). Monolithic search ignores the cut.
+func TestServerCapsGaussSeidelFlips(t *testing.T) {
+	ctx := context.Background()
+	eng := figure1Engine(t, EngineConfig{MemoryBudgetBytes: 300})
+	if err := eng.Ground(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 12_000
+	// The deadline only keeps an uncapped run from hanging the test.
+	srv, err := Serve(ServerConfig{MaxFlipsPerQuery: limit, CacheEntries: -1, MaxQueryTime: 10 * time.Second}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	probe, err := eng.InferMAP(ctx, InferOptions{MaxFlips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.CutClauses == 0 || probe.Partitions < 2 {
+		t.Fatalf("the budget leaves %d parts, %d cut clauses; the test needs Gauss-Seidel", probe.Partitions, probe.CutClauses)
+	}
+	parts := int64(probe.Partitions)
+
+	for _, c := range []struct {
+		name      string
+		o         InferOptions
+		requested int64
+	}{
+		{"two billion rounds", InferOptions{GaussSeidelRounds: 2_000_000_000}, 1_000_000 * 2_000_000_000 * parts},
+		{"explicit product over the cap", InferOptions{MaxFlips: 2_000, GaussSeidelRounds: 2}, 2_000 * 2 * parts},
+		{"product overflows int64", InferOptions{MaxFlips: 1 << 40, GaussSeidelRounds: math.MaxInt32}, math.MaxInt64},
+	} {
+		start := time.Now()
+		_, err := srv.InferMAP(ctx, Request{Options: c.o})
+		var be *server.BudgetError
+		if !errors.As(err, &be) || be.Resource != "flips" || be.Requested != c.requested || be.Limit != limit {
+			t.Fatalf("%s: err = %v, want a flips budget error for %d of %d", c.name, err, c.requested, limit)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s: refused after %v, not at admission", c.name, d)
+		}
+	}
+	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: limit / (2 * parts), GaussSeidelRounds: 2, Seed: 3}}); err != nil {
+		t.Fatalf("explicit product at the cap: %v", err)
+	}
+	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{Mode: InMemoryMonolithic, MaxFlips: limit, Seed: 3}}); err != nil {
+		t.Fatalf("monolithic search at the cap: %v", err)
+	}
+
+	got, err := srv.InferMAP(ctx, Request{Options: InferOptions{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.InferMAP(ctx, InferOptions{MaxFlips: limit / (3 * parts), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapKey(got) != mapKey(want) || got.CutClauses == 0 || got.Flips > limit {
+		t.Fatalf("defaulted flips over 3 rounds of %d parts: %d flips, %d cut; want the answer of MaxFlips = cap / %d",
+			parts, got.Flips, got.CutClauses, 3*parts)
+	}
+}

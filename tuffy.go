@@ -546,6 +546,20 @@ func (e *Engine) partitionBeta() int {
 	return int(e.cfg.MemoryBudgetBytes / 20)
 }
 
+// cutParts is the part count of the current epoch's decomposition when it
+// cuts clauses, so that Auto MAP runs Gauss-Seidel over the parts, and 0
+// when it cuts none (without a memory budget it never does). The engine
+// must be grounded.
+func (e *Engine) cutParts() int64 {
+	if e.partitionBeta() == 0 {
+		return 0
+	}
+	if pt, _ := e.cur.Load().decomposition(e.partitionBeta()); pt.NumCut() > 0 {
+		return int64(len(pt.Parts))
+	}
+	return 0
+}
+
 // MAPResult is the outcome of MAP inference.
 type MAPResult struct {
 	// Cost of the best world found (Eq. 1; +Inf if hard clauses could not

@@ -8,14 +8,13 @@ import (
 
 	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
-	"tuffy/internal/mrf"
 	"tuffy/internal/partition"
 	"tuffy/internal/search"
 )
 
 // UpdateResult reports what one UpdateEvidence did: how much of the
-// grounding was re-run, how the grounded MRF changed, and how much of the
-// derived state was repaired rather than recomputed.
+// grounding was re-run, which raw groundings and atoms changed, and how much
+// of the derived state was repaired rather than recomputed.
 type UpdateResult struct {
 	// Epoch is the generation now being served (unchanged when Identical).
 	Epoch uint64
@@ -32,12 +31,6 @@ type UpdateResult struct {
 	RawsRemoved int
 	// TouchedAtoms counts new-epoch atoms incident to any changed grounding.
 	TouchedAtoms int
-
-	// ClausesAdded / ClausesRemoved / ClausesReweighted describe the ground-
-	// clause patch between the epochs' MRFs.
-	ClausesAdded      int
-	ClausesRemoved    int
-	ClausesReweighted int
 
 	// PartsReused counts the decomposition's parts carried over from the
 	// previous epoch with their local networks shared (0 when that epoch had
@@ -234,12 +227,6 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		return ur, nil
 	}
 
-	oldToNew, newToOld := grounding.AtomMaps(old.res, res)
-	patch := mrf.ComputePatchTouched(old.res.MRF, res.MRF, oldToNew, newToOld, touchedNew)
-	ur.ClausesAdded = len(patch.Added)
-	ur.ClausesRemoved = len(patch.RemovedOld)
-	ur.ClausesReweighted = len(patch.Reweighted)
-
 	ne := &epoch{gen: old.gen + 1, res: res, db: e.db}
 	ne.refs.Store(1)
 	// Repair (not recompute) the decomposition if the old epoch had already
@@ -247,6 +234,7 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 	// pointers — which is also what keeps their search indexes and memo
 	// fingerprints cached).
 	if oldPart := old.decomposed(); oldPart != nil {
+		_, newToOld := grounding.AtomMaps(old.res, res)
 		pt, reused := partition.Repair(oldPart, res.MRF, newToOld, touchedNew, e.partitionBeta())
 		ne.setPartitioning(pt)
 		ur.PartsReused = reused

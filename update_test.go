@@ -17,9 +17,7 @@ import (
 	"tuffy/internal/datagen"
 	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
-	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
-	"tuffy/internal/mrf"
 )
 
 func rcSmall() *datagen.Dataset {
@@ -120,15 +118,13 @@ func seedDelta(ds *datagen.Dataset, person string, on bool) mln.Delta {
 // marginal answers must be bit-identical to a fresh engine grounded from
 // scratch on the merged evidence — across a chain of updates, and again after
 // applying an update's Inverse — with and without the active closure and a
-// memory budget, and the clause counts UpdateEvidence reports (from
-// ComputePatchTouched) must be those of the full ComputePatch.
+// memory budget.
 func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 	type testCase struct {
 		name  string
 		ds    *datagen.Dataset
 		cfg   EngineConfig
 		delta func(round int) mln.Delta // an empty delta skips the round
-		added []int                     // expected ClausesAdded per round, if pinned
 	}
 	random := func(name string, ds *datagen.Dataset, pred string, n int, cfg EngineConfig) testCase {
 		return testCase{name: name, ds: ds, cfg: cfg, delta: func(round int) mln.Delta {
@@ -153,7 +149,7 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 		// Seeding A admits seed(A)'s own clause and the three rule groundings
 		// down the chain; the last round's Inverse then drops them again.
 		up := chainDataset(t, "D")
-		cases = append(cases, testCase{name: "chain/activate" + suffix, ds: up, cfg: cfg, added: []int{4},
+		cases = append(cases, testCase{name: "chain/activate" + suffix, ds: up, cfg: cfg,
 			delta: func(round int) mln.Delta {
 				if round > 0 {
 					return mln.Delta{}
@@ -162,7 +158,7 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 			}})
 		// Retracting seed(A) drops those four; seeding B re-admits three.
 		down := chainDataset(t, "A", "D")
-		cases = append(cases, testCase{name: "chain/deactivate" + suffix, ds: down, cfg: cfg, added: []int{0, 3},
+		cases = append(cases, testCase{name: "chain/deactivate" + suffix, ds: down, cfg: cfg,
 			delta: func(round int) mln.Delta {
 				switch round {
 				case 0:
@@ -187,23 +183,11 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 			if _, err := eng.InferMarginal(ctx, margQ); err != nil {
 				t.Fatal(err)
 			}
-			// update applies one delta and holds the reported clause counts
-			// against the unrestricted patch between the two epochs.
 			update := func(tag string, delta mln.Delta) *UpdateResult {
 				t.Helper()
-				before := eng.cur.Load().res
 				ur, err := eng.UpdateEvidence(ctx, delta)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
-				}
-				after := eng.cur.Load().res
-				oldToNew, newToOld := grounding.AtomMaps(before, after)
-				full := mrf.ComputePatch(before.MRF, after.MRF, oldToNew, newToOld)
-				if ur.ClausesAdded != len(full.Added) || ur.ClausesRemoved != len(full.RemovedOld) ||
-					ur.ClausesReweighted != len(full.Reweighted) {
-					t.Fatalf("%s: update reports +%d -%d ~%d clauses, the full patch has +%d -%d ~%d", tag,
-						ur.ClausesAdded, ur.ClausesRemoved, ur.ClausesReweighted,
-						len(full.Added), len(full.RemovedOld), len(full.Reweighted))
 				}
 				return ur
 			}
@@ -219,9 +203,6 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 					continue
 				}
 				ur := update(fmt.Sprintf("round %d", round), delta)
-				if round < len(tc.added) && ur.ClausesAdded != tc.added[round] {
-					t.Fatalf("round %d: %d clauses added, want %d", round, ur.ClausesAdded, tc.added[round])
-				}
 				lastInverse = ur.Inverse
 				if _, err := merged.Apply(delta); err != nil {
 					t.Fatal(err)
