@@ -487,7 +487,7 @@ func Table6(ctx context.Context, s Scale) (*Table, error) {
 			return nil, err
 		}
 		fixedOrder = append(fixedOrder, fmtDur(g2.dur))
-		g3, err := groundWith(ctx, ds, "bottomup", db.Config{Plan: plan.Options{Algorithm: plan.JoinNestedLoopOnly}}, groundOpts())
+		g3, err := groundWith(ctx, ds, "bottomup", db.Config{Plan: plan.Options{NestedLoopOnly: true}}, groundOpts())
 		if err != nil {
 			return nil, err
 		}

@@ -88,8 +88,9 @@ type Table struct {
 	sch  tuple.Schema
 	heap *storage.HeapFile
 
-	// mu guards the statistics and index map below so the planner can read
-	// them while another table loads concurrently.
+	// mu guards the statistics and the hash-index map below: the planner
+	// reads the statistics while another table loads concurrently, and the
+	// in-database search registers its point-lookup indexes in the map.
 	mu       sync.RWMutex
 	distinct []map[string]struct{}    // per-column distinct tracking
 	hashIdx  map[int]*index.HashIndex // single-column hash indexes by column
@@ -198,31 +199,6 @@ func (t *Table) NewScan() exec.Iterator { return exec.NewSeqScan(t.heap, t.sch) 
 // Blocks implements plan.BlockMeta: the table's allocated page count, the
 // B(t) the optimizer's cost nodes charge a sequential scan.
 func (t *Table) Blocks() int64 { return int64(t.heap.NumPages()) }
-
-// HasEqIndex implements plan.IndexMeta: reports whether a single-column
-// hash index exists on the column position.
-func (t *Table) HasEqIndex(col int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.hashIdx[col]
-	return ok
-}
-
-// NewIndexScan implements plan.IndexMeta: an iterator over the rows whose
-// column equals val, via the hash index, emitted in heap order so the row
-// order matches a filtered sequential scan.
-func (t *Table) NewIndexScan(col int, val tuple.Value) exec.Iterator {
-	t.mu.RLock()
-	idx, ok := t.hashIdx[col]
-	t.mu.RUnlock()
-	if !ok {
-		// The index was dropped between planning and execution; degrade to
-		// a full scan (correct, just slower).
-		return t.NewScan()
-	}
-	rids := idx.Lookup(tuple.EncodeKey(tuple.Row{val}, []int{0}))
-	return exec.NewRIDScan(t.heap, t.sch, rids)
-}
 
 // NewRangeScan implements plan.RangeMeta: a sequential scan restricted to
 // the rows whose column hashes into residue rem modulo mod, with the

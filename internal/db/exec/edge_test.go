@@ -91,21 +91,6 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 	}
 }
 
-func TestMergeJoinUnsortedInputsMissMatches(t *testing.T) {
-	// MergeJoin documents the sorted-input requirement; this pins the
-	// contract: unsorted inputs produce incomplete (not erroneous) output,
-	// which is why the planner always wraps inputs in Sort.
-	l := NewValues(intSchema("k"), intRows([]int64{2}, []int64{1}))
-	r := NewValues(intSchema("k"), intRows([]int64{1}, []int64{2}))
-	rows, err := Collect(NewMergeJoin(l, r, []int{0}, []int{0}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) > 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
 // A hash-range restricted SeqScan splits a heap into Mod disjoint parts
 // whose union is the unrestricted scan, in heap order within each part; a
 // restriction on a column the schema lacks fails at Open.

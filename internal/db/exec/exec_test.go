@@ -213,16 +213,6 @@ func TestHashJoin(t *testing.T) {
 	checkJoinResult(t, rows)
 }
 
-func TestMergeJoin(t *testing.T) {
-	l, r := joinInputs()
-	j := NewMergeJoin(NewSort(l, []int{0}), NewSort(r, []int{0}), []int{0}, []int{0}, nil)
-	rows, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkJoinResult(t, rows)
-}
-
 func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -256,14 +246,8 @@ func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l3, r3 := mk()
-		mjRows, err := Collect(NewMergeJoin(NewSort(l3, []int{0}), NewSort(r3, []int{0}), []int{0}, []int{0}, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b, c := canon(nlRows), canon(hjRows), canon(mjRows)
-		if fmt.Sprint(a) != fmt.Sprint(b) || fmt.Sprint(b) != fmt.Sprint(c) {
-			t.Fatalf("trial %d: joins disagree:\nNL=%v\nHJ=%v\nMJ=%v", trial, a, b, c)
+		if a, b := canon(nlRows), canon(hjRows); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("trial %d: joins disagree:\nNL=%v\nHJ=%v", trial, a, b)
 		}
 	}
 }
@@ -282,37 +266,6 @@ func TestSortStableAndOrdered(t *testing.T) {
 	// stability: (1,2) before (1,4)
 	if rows[0][1].I != 2 || rows[1][1].I != 4 {
 		t.Fatalf("sort not stable: %v", rows)
-	}
-}
-
-func TestMergeJoinDuplicateHeavy(t *testing.T) {
-	// All-equal keys: output is the full cross product.
-	l := NewValues(intSchema("k", "v"), intRows([]int64{7, 1}, []int64{7, 2}, []int64{7, 3}))
-	r := NewValues(intSchema("k", "v"), intRows([]int64{7, 4}, []int64{7, 5}))
-	rows, err := Collect(NewMergeJoin(l, r, []int{0}, []int{0}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("cross join size = %d, want 6", len(rows))
-	}
-}
-
-func TestMergeJoinEmptySides(t *testing.T) {
-	empty := func() Iterator { return NewValues(intSchema("k"), nil) }
-	one := func() Iterator { return NewValues(intSchema("k"), intRows([]int64{1})) }
-	for name, pair := range map[string][2]Iterator{
-		"both-empty":  {empty(), empty()},
-		"left-empty":  {empty(), one()},
-		"right-empty": {one(), empty()},
-	} {
-		rows, err := Collect(NewMergeJoin(pair[0], pair[1], []int{0}, []int{0}, nil))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(rows) != 0 {
-			t.Fatalf("%s: rows = %v", name, rows)
-		}
 	}
 }
 

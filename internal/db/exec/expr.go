@@ -1,7 +1,7 @@
 // Package exec implements the Volcano-style executor of the relational
-// engine: scans (sequential, hash-range restricted, record-id), filters,
-// projections, three join algorithms (nested-loop, hash, sort-merge) and
-// sorting. Operators consume and produce tuple.Row values via the Iterator
+// engine: sequential scans (optionally hash-range restricted), filters,
+// projections, two join algorithms (nested-loop and hash) and sorting.
+// Operators consume and produce tuple.Row values via the Iterator
 // interface; expressions (column references, constants, = and <>
 // comparisons and conjunctions) evaluate over rows.
 package exec

@@ -4,11 +4,10 @@ import (
 	"tuffy/internal/db/tuple"
 )
 
-// The three join algorithms of the engine. The paper's lesion study
-// (Table 6) shows that hash and sort-merge joins — not the optimizer's join
-// ordering — account for Tuffy's grounding speed-up over Alchemy's nested
-// loops, so all three are first-class and the planner can be pinned to any
-// of them.
+// The two join algorithms of the engine. The paper's lesion study (Table 6)
+// shows that hash joins — not the optimizer's join ordering — account for
+// Tuffy's grounding speed-up over Alchemy's nested loops, so the planner
+// takes a hash join for every equi-join and can be pinned to nested loops.
 
 // NestedLoopJoin joins by re-scanning the inner (right) input per outer row.
 // The right child must support repeated Open/Close cycles. On is an optional
@@ -224,159 +223,3 @@ func (j *HashJoin) Close() error {
 
 // Schema implements Iterator.
 func (j *HashJoin) Schema() tuple.Schema { return j.sch }
-
-// MergeJoin is an equi-join over inputs sorted on the key columns. Both
-// inputs must already be ordered by their key columns ascending (wrap in a
-// Sort otherwise). Residual is an optional extra predicate.
-type MergeJoin struct {
-	Left, Right Iterator
-	LeftKeys    []int
-	RightKeys   []int
-	Residual    Expr
-
-	sch   tuple.Schema
-	lrow  tuple.Row
-	lok   bool
-	group []tuple.Row // current right-side group with equal key
-	gidx  int
-	gkey  string
-	rbuf  tuple.Row // lookahead right row
-	rok   bool
-	out   tuple.Row
-	init  bool
-}
-
-// NewMergeJoin builds a sort-merge join; inputs must be key-sorted.
-func NewMergeJoin(left, right Iterator, leftKeys, rightKeys []int, residual Expr) *MergeJoin {
-	return &MergeJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys,
-		Residual: residual, sch: left.Schema().Concat(right.Schema())}
-}
-
-// Open implements Iterator.
-func (j *MergeJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	j.out = make(tuple.Row, j.sch.Arity())
-	j.group = nil
-	j.gidx = 0
-	j.init = false
-	return nil
-}
-
-func (j *MergeJoin) advanceLeft() error {
-	row, ok, err := j.Left.Next()
-	if err != nil {
-		return err
-	}
-	j.lok = ok
-	if ok {
-		j.lrow = row.Clone()
-	}
-	return nil
-}
-
-func (j *MergeJoin) advanceRight() error {
-	row, ok, err := j.Right.Next()
-	if err != nil {
-		return err
-	}
-	j.rok = ok
-	if ok {
-		j.rbuf = row.Clone()
-	}
-	return nil
-}
-
-// loadGroup gathers all right rows whose key equals j.rbuf's key.
-func (j *MergeJoin) loadGroup() error {
-	j.group = j.group[:0]
-	j.gkey = tuple.EncodeKey(j.rbuf, j.RightKeys)
-	for j.rok && tuple.EncodeKey(j.rbuf, j.RightKeys) == j.gkey {
-		j.group = append(j.group, j.rbuf)
-		if err := j.advanceRight(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (j *MergeJoin) Next() (tuple.Row, bool, error) {
-	if !j.init {
-		j.init = true
-		if err := j.advanceLeft(); err != nil {
-			return nil, false, err
-		}
-		if err := j.advanceRight(); err != nil {
-			return nil, false, err
-		}
-		if j.rok {
-			if err := j.loadGroup(); err != nil {
-				return nil, false, err
-			}
-		}
-	}
-	for {
-		if !j.lok {
-			return nil, false, nil
-		}
-		lkey := tuple.EncodeKey(j.lrow, j.LeftKeys)
-		// Position the right group at or above the left key.
-		for len(j.group) > 0 && j.gkey < lkey {
-			if !j.rok {
-				j.group = j.group[:0]
-				break
-			}
-			if err := j.loadGroup(); err != nil {
-				return nil, false, err
-			}
-		}
-		if len(j.group) == 0 || j.gkey > lkey {
-			// No match for this left row.
-			if len(j.group) == 0 && !j.rok {
-				return nil, false, nil
-			}
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-			j.gidx = 0
-			continue
-		}
-		// gkey == lkey: emit pairs.
-		for j.gidx < len(j.group) {
-			m := j.group[j.gidx]
-			j.gidx++
-			copy(j.out, j.lrow)
-			copy(j.out[len(j.lrow):], m)
-			pass, err := EvalPred(j.Residual, j.out)
-			if err != nil {
-				return nil, false, err
-			}
-			if pass {
-				return j.out, true, nil
-			}
-		}
-		j.gidx = 0
-		if err := j.advanceLeft(); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// Close implements Iterator.
-func (j *MergeJoin) Close() error {
-	j.group = nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements Iterator.
-func (j *MergeJoin) Schema() tuple.Schema { return j.sch }

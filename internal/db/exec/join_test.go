@@ -129,12 +129,8 @@ func TestHashJoinDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mj, err := Collect(NewMergeJoin(NewSort(reused(), keys), NewSort(NewValues(rsch, rrows), keys), keys, keys, residual))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(hj, nl) || !sameMultiset(hj, mj) {
-			t.Fatalf("trial %d: joins disagree:\nHJ=%v\nNL=%v\nMJ=%v", trial, hj, nl, mj)
+		if !sameMultiset(hj, nl) {
+			t.Fatalf("trial %d: joins disagree:\nHJ=%v\nNL=%v", trial, hj, nl)
 		}
 	}
 }

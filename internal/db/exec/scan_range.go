@@ -2,9 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
-	"tuffy/internal/db/storage"
 	"tuffy/internal/db/tuple"
 )
 
@@ -34,8 +32,8 @@ func mix64(x uint64) uint64 {
 }
 
 // HashInRange is the predicate form of a hash-range restriction, for the
-// restrictions a SeqScan cannot absorb (an index access path, or a second
-// range on the same range variable).
+// restrictions a SeqScan cannot absorb (a second range on the same range
+// variable, or a table without a range scan).
 type HashInRange struct {
 	Idx      int // column position
 	Mod, Rem uint32
@@ -57,76 +55,3 @@ func (h HashInRange) Eval(row tuple.Row) (tuple.Value, error) {
 func (h HashInRange) String() string {
 	return fmt.Sprintf("hash(col%d) %% %d = %d", h.Idx, h.Mod, h.Rem)
 }
-
-// RIDScan fetches an explicit record-id set from a heap file — the
-// executor side of an index point-lookup. Open sorts the ids into heap
-// order (page, then slot), so the emitted row order matches what a filtered
-// sequential scan would produce and plans stay deterministic whichever
-// access path wins.
-type RIDScan struct {
-	Heap *storage.HeapFile
-	Sch  tuple.Schema
-	RIDs []storage.RecordID
-
-	rows    []tuple.Row
-	nextIdx int
-	opened  bool
-}
-
-// NewRIDScan constructs a record-id fetch iterator.
-func NewRIDScan(heap *storage.HeapFile, sch tuple.Schema, rids []storage.RecordID) *RIDScan {
-	return &RIDScan{Heap: heap, Sch: sch, RIDs: rids}
-}
-
-// Open implements Iterator.
-func (s *RIDScan) Open() error {
-	s.rows = s.rows[:0]
-	s.nextIdx = 0
-	s.opened = true
-	ordered := append([]storage.RecordID(nil), s.RIDs...)
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.Page.Num != b.Page.Num {
-			return a.Page.Num < b.Page.Num
-		}
-		return a.Slot < b.Slot
-	})
-	for _, rid := range ordered {
-		rec, err := s.Heap.Get(rid)
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			continue // deleted since the index entry was read
-		}
-		row, err := tuple.Decode(s.Sch, rec)
-		if err != nil {
-			return err
-		}
-		s.rows = append(s.rows, row)
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (s *RIDScan) Next() (tuple.Row, bool, error) {
-	if !s.opened {
-		return nil, false, fmt.Errorf("exec: RIDScan.Next before Open")
-	}
-	if s.nextIdx >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.nextIdx]
-	s.nextIdx++
-	return row, true, nil
-}
-
-// Close implements Iterator.
-func (s *RIDScan) Close() error {
-	s.rows = nil
-	s.opened = false
-	return nil
-}
-
-// Schema implements Iterator.
-func (s *RIDScan) Schema() tuple.Schema { return s.Sch }

@@ -1,6 +1,8 @@
-// Package index provides the secondary index the optimizer can choose over
-// a sequential scan: an in-memory equality hash index on one column,
-// mapping encoded key bytes (tuple.EncodeKey) to heap-file record ids.
+// Package index provides the engine's secondary index: an in-memory
+// equality hash index on one column, mapping encoded key bytes
+// (tuple.EncodeKey) to heap-file record ids. The planner never reads it;
+// the in-database search uses it for its point lookups by clause id, atom
+// id and violated-clause id.
 package index
 
 import (

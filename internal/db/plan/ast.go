@@ -1,9 +1,9 @@
 // Package plan turns parsed SQL statements into executable operator trees.
 // It implements the relational-optimizer features the Tuffy paper credits
 // for its grounding speed-up (Section 4.2 and Appendix C.2): predicate
-// pushdown, cost-based join ordering, join-algorithm selection between
-// hash, sort-merge and nested-loop joins, and index-versus-scan access-path
-// choice. Decisions are made by comparing Plan cost nodes — the classic
+// pushdown, cost-based join ordering, and hash joins for equi-joins with
+// nested loops for the rest. Decisions are made by comparing Plan cost
+// nodes — the classic
 // BlocksAccessed/RecordsOutput/DistinctValues interface — fed by the
 // catalog's per-table row and distinct statistics; EstimateSelect exposes
 // the resulting Explain (join order, access paths, root estimates) without
@@ -11,8 +11,7 @@
 // that partition one query into disjoint hash ranges of a column, which is
 // how the grounder fans a single clause's join out across workers. The
 // paper's lesion study (Table 6) is reproduced through the Options knobs:
-// ForceJoinOrder pins the FROM order, NestedLoopOnly disables hash/merge
-// joins.
+// ForceJoinOrder pins the FROM order, NestedLoopOnly disables hash joins.
 package plan
 
 import (

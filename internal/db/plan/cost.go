@@ -1,11 +1,9 @@
 package plan
 
 import (
-	"fmt"
 	"strings"
 
 	"tuffy/internal/db/exec"
-	"tuffy/internal/db/tuple"
 )
 
 // Plan is the cost-model node the optimizer reasons over (the classic
@@ -29,16 +27,6 @@ type Plan interface {
 // defaultRowsPerBlock rows per page.
 type BlockMeta interface {
 	Blocks() int64
-}
-
-// IndexMeta is an optional TableMeta extension providing equality-index
-// access paths. HasEqIndex reports whether a point-lookup index exists on
-// the column position; NewIndexScan returns an iterator over the rows whose
-// column equals val, in heap order (so downstream operators see the same
-// relative row order a filtered sequential scan would produce).
-type IndexMeta interface {
-	HasEqIndex(col int) bool
-	NewIndexScan(col int, val tuple.Value) exec.Iterator
 }
 
 // RangeMeta is an optional TableMeta extension that pushes a hash-range
@@ -69,9 +57,8 @@ type Explain struct {
 	// JoinOrder lists range-variable names in the order they are joined
 	// (left-deep).
 	JoinOrder []string
-	// Access maps each range-variable name to its chosen access path:
-	// "seqscan", "indexscan(col)" or the same suffixed with "+range" when a
-	// hash-range restriction is pushed into the scan.
+	// Access maps each range-variable name to its access path: "seqscan",
+	// or "seqscan+range" when a hash-range restriction applies to it.
 	Access map[string]string
 	// EstRows and EstBlocks are the root Plan node's estimates.
 	EstRows   int64
@@ -97,16 +84,13 @@ func tableBlocks(meta TableMeta) int64 {
 	return b
 }
 
-// accessPlan is the Plan node for one base-relation access path (sequential
-// scan or index point-lookup, optionally hash-range restricted).
+// accessPlan is the Plan node for one base-relation access path: a
+// sequential scan, optionally hash-range restricted.
 type accessPlan struct {
 	alias  string
 	meta   TableMeta
 	rows   int64
 	blocks int64
-	// eqCol is the schema position served by an index lookup; -1 for a
-	// sequential scan.
-	eqCol int
 	// rangeDiv is the Mod of an attached hash-range restriction (1 = none).
 	rangeDiv int64
 }
@@ -123,9 +107,6 @@ func (a *accessPlan) DistinctValues(col string) int64 {
 	if idx < 0 {
 		return 0
 	}
-	if idx == a.eqCol {
-		return 1 // pinned by the index's equality constant
-	}
 	v := a.meta.DistinctCount(idx)
 	if v <= 0 {
 		v = a.meta.RowCount()
@@ -140,14 +121,10 @@ func (a *accessPlan) DistinctValues(col string) int64 {
 }
 
 func (a *accessPlan) describe() string {
-	s := "seqscan"
-	if a.eqCol >= 0 {
-		s = fmt.Sprintf("indexscan(%s)", a.meta.Schema().Cols[a.eqCol].Name)
-	}
 	if a.rangeDiv > 1 {
-		s += "+range"
+		return "seqscan+range"
 	}
-	return s
+	return "seqscan"
 }
 
 // joinCostPlan is the Plan node for one (left-deep) join step. Costs model

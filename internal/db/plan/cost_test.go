@@ -10,34 +10,23 @@ import (
 	"tuffy/internal/db/tuple"
 )
 
-// idxTable extends memTable with a physical block count and equality
-// indexes, so tests can place a table exactly on either side of the
-// optimizer's index-versus-scan cost threshold.
-type idxTable struct {
+// statTable extends memTable with a physical block count, a row-count
+// override and a hash-range scan, so tests can steer the optimizer's cost
+// estimates without materializing large tables.
+type statTable struct {
 	memTable
 	blocks   int64
-	eqCols   map[int]bool
 	rowCount int64 // stat override; the backing rows stay small
 }
 
-func (t *idxTable) Blocks() int64 { return t.blocks }
-func (t *idxTable) RowCount() int64 {
+func (t *statTable) Blocks() int64 { return t.blocks }
+func (t *statTable) RowCount() int64 {
 	if t.rowCount > 0 {
 		return t.rowCount
 	}
 	return t.memTable.RowCount()
 }
-func (t *idxTable) HasEqIndex(col int) bool { return t.eqCols[col] }
-func (t *idxTable) NewIndexScan(col int, val tuple.Value) exec.Iterator {
-	var matched []tuple.Row
-	for _, r := range t.rows {
-		if r[col].Equal(val) {
-			matched = append(matched, r)
-		}
-	}
-	return &rowsIter{sch: t.sch, rows: matched}
-}
-func (t *idxTable) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
+func (t *statTable) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
 	var matched []tuple.Row
 	for _, r := range t.rows {
 		if uint32(exec.HashValue(r[col])%uint64(mod)) == rem {
@@ -45,85 +34,6 @@ func (t *idxTable) NewRangeScan(col int, mod, rem uint32) exec.Iterator {
 		}
 	}
 	return &rowsIter{sch: t.sch, rows: matched}
-}
-
-// eqStmt is SELECT k, v FROM t WHERE k = 5.
-func eqStmt() *SelectStmt {
-	return &SelectStmt{
-		Proj:  proj("k", "v"),
-		From:  []FromItem{{Table: "t"}},
-		Where: []Cond{{Op: exec.CmpEq, L: ColOp("", "k"), R: ValOp(tuple.I64(5))}},
-	}
-}
-
-// TestAccessPathFlipsAtCostThreshold pins the index-versus-scan decision to
-// the documented cost comparison: a point lookup reads ~1 + R(t)/V(t,k)
-// pages, a scan reads B(t); the index must win exactly when the former is
-// smaller. With R=1000 and V=100 the lookup costs 11 pages, so B=20 takes
-// the index and B=10 takes the scan.
-func TestAccessPathFlipsAtCostThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		blocks int64
-		want   string
-	}{
-		{blocks: 20, want: "indexscan(k)"},
-		{blocks: 10, want: "seqscan"},
-	} {
-		tab := &idxTable{
-			memTable: memTable{
-				sch:      tuple.NewSchema(tuple.Col("k", tuple.TInt), tuple.Col("v", tuple.TInt)),
-				rows:     intRows([]int64{5, 50}, []int64{6, 60}),
-				distinct: []int64{100, 1000},
-			},
-			blocks:   tc.blocks,
-			eqCols:   map[int]bool{0: true},
-			rowCount: 1000,
-		}
-		cat := catalogOf{"t": tab}
-		ex, err := NewPlanner(cat, Options{}).EstimateSelect(eqStmt())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ex.Access["t"]; got != tc.want {
-			t.Fatalf("B=%d: access = %q, want %q", tc.blocks, got, tc.want)
-		}
-		// Whatever the cost model picks, the rows must be the same.
-		it, err := NewPlanner(cat, Options{}).Plan(eqStmt())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := collect(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 || rows[0][1].I != 50 {
-			t.Fatalf("B=%d: rows = %v", tc.blocks, rows)
-		}
-	}
-}
-
-// TestIndexPathDisabledByPushdownLesion: with DisablePushdown the equality
-// filter stays above the join, so it cannot drive an index lookup — the
-// lesion must fall back to a full scan even when the index would win.
-func TestIndexPathDisabledByPushdownLesion(t *testing.T) {
-	tab := &idxTable{
-		memTable: memTable{
-			sch:      tuple.NewSchema(tuple.Col("k", tuple.TInt), tuple.Col("v", tuple.TInt)),
-			rows:     intRows([]int64{5, 50}, []int64{6, 60}),
-			distinct: []int64{100, 1000},
-		},
-		blocks:   1000,
-		eqCols:   map[int]bool{0: true},
-		rowCount: 1000,
-	}
-	cat := catalogOf{"t": tab}
-	ex, err := NewPlanner(cat, Options{DisablePushdown: true}).EstimateSelect(eqStmt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ex.Access["t"]; got != "seqscan" {
-		t.Fatalf("lesioned access = %q, want seqscan", got)
-	}
 }
 
 // catalogOf resolves arbitrary TableMeta implementations by name.
@@ -157,11 +67,11 @@ func TestJoinOrderFlipsWithDistinctStats(t *testing.T) {
 		}
 		return catalogOf{
 			// a: 10 rows, V(k)=10, V(j)=10 — the cheapest start.
-			"a": &idxTable{memTable: memTable{sch: sch2("k", "j"), distinct: []int64{10, 10}}, rowCount: 10, blocks: 1},
+			"a": &statTable{memTable: memTable{sch: sch2("k", "j"), distinct: []int64{10, 10}}, rowCount: 10, blocks: 1},
 			// b: 100 rows joined on k; V(b.k) is the experiment's variable.
-			"b": &idxTable{memTable: memTable{sch: sch2("k", "x"), distinct: []int64{bDistinctK, 100}}, rowCount: 100, blocks: 2},
+			"b": &statTable{memTable: memTable{sch: sch2("k", "x"), distinct: []int64{bDistinctK, 100}}, rowCount: 100, blocks: 2},
 			// c: 100 rows joined on j with V(c.j)=20: step output 10·100/20=50.
-			"c": &idxTable{memTable: memTable{sch: sch2("j", "y"), distinct: []int64{20, 100}}, rowCount: 100, blocks: 2},
+			"c": &statTable{memTable: memTable{sch: sch2("j", "y"), distinct: []int64{20, 100}}, rowCount: 100, blocks: 2},
 		}
 	}
 	for _, tc := range []struct {
@@ -200,7 +110,7 @@ func TestHashRangePartitionIsDisjointUnion(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		rows = append(rows, []int64{i % 17, i})
 	}
-	tab := &idxTable{
+	tab := &statTable{
 		memTable: memTable{
 			sch:      tuple.NewSchema(tuple.Col("k", tuple.TInt), tuple.Col("v", tuple.TInt)),
 			rows:     intRows(rows...),

@@ -25,27 +25,14 @@ type TableMeta interface {
 	NewScan() exec.Iterator
 }
 
-// JoinAlgorithm selects the physical join operator.
-type JoinAlgorithm int
-
-const (
-	JoinAuto JoinAlgorithm = iota // hash for equi-joins, NLJ otherwise
-	JoinHashOnly
-	JoinMergeOnly
-	JoinNestedLoopOnly
-)
-
-// Options are the optimizer knobs. The zero value is the full optimizer.
-// The Table 6 lesion study sets ForceJoinOrder and JoinNestedLoopOnly.
+// Options are the optimizer knobs. The zero value is the full optimizer;
+// each field is one of the Table 6 lesions.
 type Options struct {
 	// ForceJoinOrder pins the join order to the FROM-clause order
 	// (left-deep), disabling cost-based reordering.
 	ForceJoinOrder bool
-	// Algorithm restricts physical join selection.
-	Algorithm JoinAlgorithm
-	// DisablePushdown keeps single-table predicates above joins. (Not used
-	// by the paper's lesion study but exposed for ablations.)
-	DisablePushdown bool
+	// NestedLoopOnly disables every join algorithm but nested loops.
+	NestedLoopOnly bool
 }
 
 // Planner compiles SelectStmts to executable iterators.
@@ -67,8 +54,6 @@ type relation struct {
 	filters []Cond
 	ranges  []HashRange
 	access  *accessPlan // chosen access path (cost node)
-	eqVal   tuple.Value // index lookup constant when access.eqCol >= 0
-	card    float64     // estimated cardinality after filters and ranges
 }
 
 // Plan compiles a SELECT into an iterator tree. The result's schema has the
@@ -159,7 +144,7 @@ func (p *Planner) PlanExplain(stmt *SelectStmt) (exec.Iterator, *Explain, error)
 	}
 
 	for _, r := range rels {
-		p.chooseAccess(r)
+		p.costAccess(r)
 	}
 
 	order, rootCost, err := p.joinOrder(rels, joinConds)
@@ -173,26 +158,6 @@ func (p *Planner) PlanExplain(stmt *SelectStmt) (exec.Iterator, *Explain, error)
 	}
 	ex.EstRows = rootCost.RecordsOutput()
 	ex.EstBlocks = rootCost.BlocksAccessed()
-
-	// With pushdown disabled, single-relation filters are held back and
-	// applied above the join instead (same semantics, worse plan — the
-	// ablation knob must not change results).
-	var heldBack []Cond
-	if p.Opts.DisablePushdown {
-		for _, r := range rels {
-			for _, c := range r.filters {
-				// Qualify column operands so they stay unambiguous when
-				// resolved against the joined schema.
-				if c.L.IsCol && c.L.Table == "" {
-					c.L.Table = r.item.Name()
-				}
-				if c.R.IsCol && c.R.Table == "" {
-					c.R.Table = r.item.Name()
-				}
-				heldBack = append(heldBack, c)
-			}
-		}
-	}
 
 	// Build the left-deep tree following order.
 	cur, err := p.scanWithFilters(order[0])
@@ -249,25 +214,6 @@ func (p *Planner) PlanExplain(stmt *SelectStmt) (exec.Iterator, *Explain, error)
 		// Conditions referencing unknown columns.
 		return nil, nil, fmt.Errorf("plan: unresolved condition %v", remaining[0])
 	}
-	if len(heldBack) > 0 {
-		var preds []exec.Expr
-		for _, c := range heldBack {
-			le, lok := resolveOperand(c.L, curSch)
-			re, rok := resolveOperand(c.R, curSch)
-			if !lok || !rok {
-				return nil, nil, fmt.Errorf("plan: cannot resolve held-back filter %v", c)
-			}
-			preds = append(preds, exec.Cmp{Op: c.Op, L: le, R: re})
-		}
-		var pred exec.Expr
-		if len(preds) == 1 {
-			pred = preds[0]
-		} else {
-			pred = exec.And{Kids: preds}
-		}
-		cur = exec.NewFilter(cur, pred)
-	}
-
 	cur, curSch, err = p.buildProject(cur, curSch, stmt.Proj)
 	if err != nil {
 		return nil, nil, err
@@ -355,14 +301,10 @@ func colIndex(e exec.Expr) (int, bool) {
 	return 0, false
 }
 
-// chooseAccess picks the relation's access path by comparing Plan-node
-// costs: an index point-lookup reads about 1 + R(t)/V(t,c) pages, a
-// sequential scan reads B(t); the index wins exactly when the former is
-// smaller. A hash-range restriction divides the output cardinality by Mod
-// (the scan still touches every page). DisablePushdown forfeits both the
-// filter pushdown and the index path (an unpushed filter cannot drive a
-// lookup), which is what makes the lesion a pure full-scan baseline.
-func (p *Planner) chooseAccess(r *relation) {
+// costAccess costs the relation's access path: a sequential scan reads B(t)
+// pages, and a hash-range restriction divides the output cardinality by Mod
+// (the scan still touches every page).
+func (p *Planner) costAccess(r *relation) {
 	rangeDiv := int64(1)
 	for _, hr := range r.ranges {
 		rangeDiv *= int64(hr.Mod)
@@ -371,70 +313,24 @@ func (p *Planner) chooseAccess(r *relation) {
 	if rows < 1 {
 		rows = 1
 	}
-	ap := &accessPlan{
+	r.access = &accessPlan{
 		alias:    r.item.Name(),
 		meta:     r.meta,
 		rows:     rows,
 		blocks:   tableBlocks(r.meta),
-		eqCol:    -1,
 		rangeDiv: rangeDiv,
 	}
-	if im, ok := r.meta.(IndexMeta); ok && !p.Opts.DisablePushdown {
-		base := r.meta.Schema()
-		for _, c := range r.filters {
-			col, val, isEq := eqConstFilter(c)
-			if !isEq {
-				continue
-			}
-			idx := base.ColIndex(col)
-			if idx < 0 || !im.HasEqIndex(idx) {
-				continue
-			}
-			v := r.meta.DistinctCount(idx)
-			if v < 1 {
-				v = 1
-			}
-			matched := r.meta.RowCount() / v
-			if matched < 1 {
-				matched = 1
-			}
-			if idxBlocks := 1 + matched; idxBlocks < ap.blocks {
-				ap.blocks = idxBlocks
-				ap.eqCol = idx
-				r.eqVal = val
-			}
-		}
-	}
-	r.access = ap
-	r.card = float64(ap.rows)
 }
 
-// eqConstFilter matches a column-equals-constant condition.
-func eqConstFilter(c Cond) (col string, val tuple.Value, ok bool) {
-	if c.Op != exec.CmpEq {
-		return "", tuple.Value{}, false
-	}
-	switch {
-	case c.L.IsCol && !c.R.IsCol:
-		return c.L.Col, c.R.Val, true
-	case c.R.IsCol && !c.L.IsCol:
-		return c.R.Col, c.L.Val, true
-	}
-	return "", tuple.Value{}, false
-}
-
-// scanWithFilters builds the executable access path chosen by chooseAccess:
-// index lookup, hash-range scan or sequential scan, renamed to
-// alias-qualified columns, with pushed-down filters (and any hash-range
-// restriction the scan itself could not absorb) applied on top.
+// scanWithFilters builds the access path costed by costAccess: a
+// hash-range or sequential scan, renamed to alias-qualified columns, with
+// pushed-down filters (and any hash-range restriction the scan itself could
+// not absorb) applied on top.
 func (p *Planner) scanWithFilters(r *relation) (exec.Iterator, error) {
 	base := r.meta.Schema()
 	var inner exec.Iterator
 	rangePushed := false
-	switch {
-	case r.access != nil && r.access.eqCol >= 0:
-		inner = r.meta.(IndexMeta).NewIndexScan(r.access.eqCol, r.eqVal)
-	case len(r.ranges) == 1:
+	if len(r.ranges) == 1 {
 		if rm, ok := r.meta.(RangeMeta); ok {
 			hr := r.ranges[0]
 			inner = rm.NewRangeScan(base.ColIndex(hr.Col), hr.Mod, hr.Rem)
@@ -447,9 +343,6 @@ func (p *Planner) scanWithFilters(r *relation) (exec.Iterator, error) {
 	var it exec.Iterator = &renameIter{Iterator: inner, sch: r.sch}
 
 	var preds []exec.Expr
-	// Hash-range restrictions are part of the statement's contract (they
-	// define the partition), so unlike filters they apply even with
-	// DisablePushdown set.
 	for i, hr := range r.ranges {
 		if i == 0 && rangePushed {
 			continue
@@ -460,15 +353,13 @@ func (p *Planner) scanWithFilters(r *relation) (exec.Iterator, error) {
 		}
 		preds = append(preds, exec.HashInRange{Idx: idx, Mod: hr.Mod, Rem: hr.Rem})
 	}
-	if !p.Opts.DisablePushdown {
-		for _, c := range r.filters {
-			le, lok := resolveOperand(c.L, r.sch)
-			re, rok := resolveOperand(c.R, r.sch)
-			if !lok || !rok {
-				return nil, fmt.Errorf("plan: cannot resolve filter %v on %s", c, r.item.Name())
-			}
-			preds = append(preds, exec.Cmp{Op: c.Op, L: le, R: re})
+	for _, c := range r.filters {
+		le, lok := resolveOperand(c.L, r.sch)
+		re, rok := resolveOperand(c.R, r.sch)
+		if !lok || !rok {
+			return nil, fmt.Errorf("plan: cannot resolve filter %v on %s", c, r.item.Name())
 		}
+		preds = append(preds, exec.Cmp{Op: c.Op, L: le, R: re})
 	}
 	if len(preds) == 0 {
 		return it, nil
@@ -658,10 +549,10 @@ func (p *Planner) joinOrder(rels []*relation, joinConds []Cond) ([]*relation, Pl
 	return order, cur, nil
 }
 
-// physicalJoin picks the join operator per Options.
+// physicalJoin picks the join operator: a hash join on equi-join keys, and
+// nested loops when there are none or NestedLoopOnly is set.
 func (p *Planner) physicalJoin(left, right exec.Iterator, eqL, eqR []int, residual exec.Expr) exec.Iterator {
-	alg := p.Opts.Algorithm
-	if len(eqL) == 0 || alg == JoinNestedLoopOnly {
+	if len(eqL) == 0 || p.Opts.NestedLoopOnly {
 		// Fold equi keys back into the residual for NLJ correctness.
 		var preds []exec.Expr
 		for i := range eqL {
@@ -679,9 +570,6 @@ func (p *Planner) physicalJoin(left, right exec.Iterator, eqL, eqR []int, residu
 			on = exec.And{Kids: preds}
 		}
 		return exec.NewNestedLoopJoin(left, right, on)
-	}
-	if alg == JoinMergeOnly {
-		return exec.NewMergeJoin(exec.NewSort(left, eqL), exec.NewSort(right, eqR), eqL, eqR, residual)
 	}
 	return exec.NewHashJoin(left, right, eqL, eqR, residual)
 }

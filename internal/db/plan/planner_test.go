@@ -139,8 +139,8 @@ func selectJoin() *SelectStmt {
 
 func TestPlanJoinAllAlgorithmsAgree(t *testing.T) {
 	var want string
-	for _, alg := range []JoinAlgorithm{JoinAuto, JoinHashOnly, JoinMergeOnly, JoinNestedLoopOnly} {
-		rows := runStmt(t, Options{Algorithm: alg}, selectJoin())
+	for _, nlOnly := range []bool{false, true} {
+		rows := runStmt(t, Options{NestedLoopOnly: nlOnly}, selectJoin())
 		got := fmt.Sprint(rows)
 		if want == "" {
 			want = got
@@ -151,7 +151,7 @@ func TestPlanJoinAllAlgorithmsAgree(t *testing.T) {
 			continue
 		}
 		if got != want {
-			t.Fatalf("alg %v: %s != %s", alg, got, want)
+			t.Fatalf("NestedLoopOnly=%v: %s != %s", nlOnly, got, want)
 		}
 	}
 }
@@ -164,14 +164,26 @@ func TestPlanForceJoinOrderAgrees(t *testing.T) {
 	}
 }
 
+// The greedy order starts from the relation with the fewest estimated
+// records, whatever the FROM order; ForceJoinOrder keeps the FROM order.
 func TestPlanJoinOrderPicksSmallFirst(t *testing.T) {
-	// The greedy order starts from the smallest filtered relation. We
-	// can't observe the order directly through results, but DisablePushdown
-	// + ForceJoinOrder must still be correct, and the cost-based path must
-	// produce identical output.
-	a := runStmt(t, Options{DisablePushdown: true}, selectJoin())
-	if len(a) != 3 {
-		t.Fatalf("rows = %v", a)
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "[small big]"},
+		{Options{ForceJoinOrder: true}, "[big small]"},
+	} {
+		ex, err := NewPlanner(testCatalog(), tc.opts).EstimateSelect(selectJoin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(ex.JoinOrder); got != tc.want {
+			t.Fatalf("%+v: join order = %s, want %s", tc.opts, got, tc.want)
+		}
+		if a := runStmt(t, tc.opts, selectJoin()); len(a) != 3 {
+			t.Fatalf("%+v: rows = %v", tc.opts, a)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package tuple defines the typed rows stored by the relational engine:
 // schemas, values (64-bit integers and integer lists), byte-level encoding
-// for page storage, and order-preserving key encoding used by indexes and
-// sort-merge joins.
+// for page storage, and the byte-key encoding used by hash indexes and
+// distinct-value statistics.
 package tuple
 
 import (

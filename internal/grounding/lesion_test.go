@@ -12,8 +12,7 @@ import (
 
 // The Table 6 lesion study only makes sense if every optimizer
 // configuration produces semantically identical groundings. This pins that
-// invariant across all join algorithms and forced join order, on both test
-// programs.
+// invariant across all four lesion configurations, on both test programs.
 func TestGroundingInvariantUnderOptimizerLesions(t *testing.T) {
 	configs := []struct {
 		name string
@@ -21,10 +20,8 @@ func TestGroundingInvariantUnderOptimizerLesions(t *testing.T) {
 	}{
 		{"full", plan.Options{}},
 		{"forced-order", plan.Options{ForceJoinOrder: true}},
-		{"hash-only", plan.Options{Algorithm: plan.JoinHashOnly}},
-		{"merge-only", plan.Options{Algorithm: plan.JoinMergeOnly}},
-		{"nlj-only", plan.Options{Algorithm: plan.JoinNestedLoopOnly}},
-		{"no-pushdown", plan.Options{DisablePushdown: true}},
+		{"nlj-only", plan.Options{NestedLoopOnly: true}},
+		{"forced-order+nlj-only", plan.Options{ForceJoinOrder: true, NestedLoopOnly: true}},
 	}
 	for _, prog := range []struct{ name, src, ev string }{
 		{"smokes", tinyProg, tinyEv},

@@ -113,39 +113,6 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 			}
 		}
 	}
-	// Index the argument columns that clause literals bind to constants
-	// (e.g. cat(p, "net")): the compiled grounding queries filter on them
-	// with equality, and the optimizer's access-path choice (plan.IndexMeta)
-	// can then take a hash-index point lookup over a full scan when the
-	// cost model says it wins.
-	constCols := make(map[*mln.Predicate]map[int]bool)
-	for _, c := range prog.Clauses {
-		for _, l := range c.Lits {
-			if l.IsBuiltinEq() {
-				continue
-			}
-			for i, a := range l.Args {
-				if a.IsVar {
-					continue
-				}
-				if constCols[l.Pred] == nil {
-					constCols[l.Pred] = make(map[int]bool)
-				}
-				constCols[l.Pred][i] = true
-			}
-		}
-	}
-	for pred, cols := range constCols {
-		t := ts.tables[pred]
-		if t == nil {
-			continue
-		}
-		for argIdx := range cols {
-			if _, err := t.BuildHashIndex(argIdx + 1); err != nil {
-				return fail(err)
-			}
-		}
-	}
 	// Checkpoint the load: grounding only reads, so flushing here turns
 	// buffer-pool evictions during (possibly parallel) grounding into clean
 	// page drops instead of write-backs held under the pool lock.
