@@ -26,7 +26,8 @@ func rcServe() *datagen.Dataset {
 // nothing.
 func noCutBudget(m *mrf.MRF) int64 {
 	units := int64(m.NumAtoms) + 1
-	for _, c := range m.Clauses {
+	for ci := range m.W {
+		c := m.Clause(ci)
 		units += int64(len(c.Lits))
 	}
 	return 20 * units

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,16 +96,17 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 	m := eng.Grounded().MRF
 	if snap.gen != 0 || snap.groundTime != 42*time.Millisecond ||
-		snap.numAtoms != m.NumAtoms || len(snap.clauses) != len(m.Clauses) ||
-		math.Float64bits(snap.fixedCost) != math.Float64bits(m.FixedCost) {
+		snap.net.NumAtoms != m.NumAtoms || snap.net.NumClauses() != m.NumClauses() ||
+		math.Float64bits(snap.net.FixedCost) != math.Float64bits(m.FixedCost) {
 		t.Fatalf("golden snapshot decodes to gen %d, ground time %v, %d atoms, %d clauses, cost %v",
-			snap.gen, snap.groundTime, snap.numAtoms, len(snap.clauses), snap.fixedCost)
+			snap.gen, snap.groundTime, snap.net.NumAtoms, snap.net.NumClauses(), snap.net.FixedCost)
 	}
 	res, err := snap.buildResult(eng.prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.MRF.Clauses, m.Clauses) || !reflect.DeepEqual(res.MRF.Atoms, m.Atoms) {
+	if !slices.Equal(res.MRF.W, m.W) || !slices.Equal(res.MRF.Off, m.Off) || !slices.Equal(res.MRF.Lits, m.Lits) ||
+		!reflect.DeepEqual(res.MRF.Atoms, m.Atoms) {
 		t.Fatal("golden snapshot's network differs from the grounded one")
 	}
 }

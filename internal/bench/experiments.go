@@ -398,7 +398,7 @@ func Figure6(ctx context.Context, s Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cutFrac := float64(pt.NumCut()) / float64(len(m.Clauses)+1)
+			cutFrac := float64(pt.NumCut()) / float64(m.NumClauses()+1)
 			t.Rows = append(t.Rows, []string{
 				c.ds.Name, fmt.Sprint(beta), fmt.Sprint(len(pt.Parts)), fmtBytes(maxPart),
 				fmt.Sprint(pt.NumCut()), fmt.Sprintf("%.2f", cutFrac), fmtCost(res.BestCost)})
@@ -604,7 +604,8 @@ func storeByComponent(d *db.DB, m *mrf.MRF, comps []*mrf.Component) error {
 		return err
 	}
 	for ci, comp := range comps {
-		for _, c := range comp.MRF.Clauses {
+		for k := range comp.MRF.W {
+			c := comp.MRF.Clause(k)
 			lits := make([]int64, len(c.Lits))
 			for i, l := range c.Lits {
 				lits[i] = int64(l)
@@ -657,7 +658,5 @@ func rowsToMRF(rows *db.Rows) (*mrf.MRF, error) {
 			Lits:   lits,
 		})
 	}
-	m := mrf.New(int(maxAtom))
-	m.Clauses = clauses
-	return m, nil
+	return mrf.FromClauses(int(maxAtom), clauses), nil
 }

@@ -24,8 +24,8 @@ func ground(t *testing.T, ds *Dataset) *grounding.Result {
 
 func TestExample1Shape(t *testing.T) {
 	m := Example1(7)
-	if m.NumAtoms != 14 || len(m.Clauses) != 21 {
-		t.Fatalf("atoms=%d clauses=%d", m.NumAtoms, len(m.Clauses))
+	if m.NumAtoms != 14 || m.NumClauses() != 21 {
+		t.Fatalf("atoms=%d clauses=%d", m.NumAtoms, m.NumClauses())
 	}
 	comps := m.Components(false)
 	if len(comps) != 7 {
@@ -70,7 +70,7 @@ func TestRCShape(t *testing.T) {
 	if len(comps) < 10 {
 		t.Fatalf("RC should have many components, got %d", len(comps))
 	}
-	if res.MRF.NumAtoms == 0 || len(res.MRF.Clauses) == 0 {
+	if res.MRF.NumAtoms == 0 || res.MRF.NumClauses() == 0 {
 		t.Fatal("empty MRF")
 	}
 }
@@ -119,8 +119,8 @@ func TestERShape(t *testing.T) {
 		t.Fatalf("ER components = %d, want 1 (dense)", len(comps))
 	}
 	// Transitivity makes clauses superlinear in atoms.
-	if len(res.MRF.Clauses) < res.MRF.NumAtoms {
-		t.Fatalf("ER not dense: %d clauses for %d atoms", len(res.MRF.Clauses), res.MRF.NumAtoms)
+	if res.MRF.NumClauses() < res.MRF.NumAtoms {
+		t.Fatalf("ER not dense: %d clauses for %d atoms", res.MRF.NumClauses(), res.MRF.NumAtoms)
 	}
 }
 

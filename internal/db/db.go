@@ -91,8 +91,10 @@ type Table struct {
 	// mu guards the statistics and the hash-index map below: the planner
 	// reads the statistics while another table loads concurrently, and the
 	// in-database search registers its point-lookup indexes in the map.
-	mu       sync.RWMutex
-	distinct []map[string]struct{}    // per-column distinct tracking
+	mu sync.RWMutex
+	// distinct[i] holds the values integer column i has ever held (nil
+	// for an integer-list column, which no query filters or joins on).
+	distinct []map[int64]struct{}
 	hashIdx  map[int]*index.HashIndex // single-column hash indexes by column
 }
 
@@ -116,11 +118,13 @@ func (db *DB) CreateTable(name string, sch tuple.Schema) (*Table, error) {
 		name:     name,
 		sch:      sch,
 		heap:     storage.NewHeapFile(db.pool, file),
-		distinct: make([]map[string]struct{}, sch.Arity()),
+		distinct: make([]map[int64]struct{}, sch.Arity()),
 		hashIdx:  make(map[int]*index.HashIndex),
 	}
-	for i := range t.distinct {
-		t.distinct[i] = make(map[string]struct{})
+	for i, c := range sch.Cols {
+		if c.Type == tuple.TInt {
+			t.distinct[i] = make(map[int64]struct{})
+		}
 	}
 	db.tables[key] = t
 	return t, nil
@@ -183,7 +187,8 @@ func (t *Table) Schema() tuple.Schema { return t.sch }
 // RowCount implements plan.TableMeta.
 func (t *Table) RowCount() int64 { return t.heap.NumRecords() }
 
-// DistinctCount implements plan.TableMeta.
+// DistinctCount implements plan.TableMeta: the exact number of distinct
+// values an integer column has held, 0 (no statistic) for a list column.
 func (t *Table) DistinctCount(col int) int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -228,8 +233,10 @@ func (t *Table) Insert(row tuple.Row) error {
 
 // noteRowLocked updates statistics and secondary indexes for a stored row.
 func (t *Table) noteRowLocked(row tuple.Row, rid storage.RecordID) {
-	for i := range t.sch.Cols {
-		t.distinct[i][tuple.EncodeKey(row, []int{i})] = struct{}{}
+	for i, d := range t.distinct {
+		if d != nil {
+			d[row[i].I] = struct{}{}
+		}
 	}
 	for col, idx := range t.hashIdx {
 		idx.Insert(tuple.EncodeKey(row, []int{col}), rid)

@@ -37,7 +37,6 @@ type accEntry struct {
 	counts []int32 // contributing raws per first-order clause index
 	total  int32
 	weight float64
-	lits   []mrf.Lit // translation under the current atom numbering
 }
 
 type incAssembler struct {
@@ -64,8 +63,9 @@ type incAssembler struct {
 	keyBuf  []byte
 
 	// Epoch-shared caches, replaced (never mutated) when the atom set
-	// changes so previously returned Results stay frozen.
-	aidToID  map[int64]mrf.AtomID
+	// changes so previously returned Results stay frozen. aidToID is
+	// indexed by aid.
+	aidToID  []mrf.AtomID
 	tableAid []int64
 	atoms    []mln.GroundAtom
 }
@@ -232,9 +232,6 @@ func (a *incAssembler) addRaw(clauseIdx int, weight float64, raw []uint64, dirty
 			a.order = append(a.order, nil)
 			copy(a.order[i+1:], a.order[i:])
 			a.order[i] = e
-			if !a.atomsDirty {
-				e.lits = a.translate(e)
-			}
 		}
 	}
 	e.counts[clauseIdx]++
@@ -316,27 +313,17 @@ func (a *incAssembler) recalc(e *accEntry) {
 	e.weight = w
 }
 
-// translate renders an entry's literals under the current atom numbering.
-// Descriptor order equals id order, so no re-sort is needed. Always
-// allocates: previously returned Results share the old slices.
-func (a *incAssembler) translate(e *accEntry) []mrf.Lit {
-	lits := make([]mrf.Lit, len(e.aids))
-	for i, aid := range e.aids {
-		id := a.aidToID[aid]
-		if !e.pos[i] {
-			id = -id
-		}
-		lits[i] = id
-	}
-	return lits
-}
-
-// result materializes the canonical Result. Atom-numbering caches are
+// result materializes the canonical Result, translating every clause under
+// the current atom numbering into a fresh arena. Atom-numbering caches are
 // rebuilt (replaced, not mutated) only when the atom set changed.
 func (a *incAssembler) result(perStats []Stats) *Result {
 	if a.atomsDirty {
 		n := len(a.atomAids)
-		aidToID := make(map[int64]mrf.AtomID, n)
+		maxAid := int64(0)
+		for _, aid := range a.atomAids {
+			maxAid = max(maxAid, aid)
+		}
+		aidToID := make([]mrf.AtomID, maxAid+1)
 		tableAid := make([]int64, n+1)
 		atoms := make([]mln.GroundAtom, n+1)
 		for i, aid := range a.atomAids {
@@ -346,9 +333,6 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 			atoms[id] = a.ts.Atom(aid)
 		}
 		a.aidToID, a.tableAid, a.atoms = aidToID, tableAid, atoms
-		for _, e := range a.order {
-			e.lits = a.translate(e)
-		}
 		a.atomsDirty = false
 	}
 	m := mrf.New(len(a.atomAids))
@@ -360,19 +344,35 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 		}
 	}
 	m.FixedCost = fixed
-	clauses := make([]mrf.Clause, 0, len(a.order))
+	n, nlits := 0, 0
+	for _, e := range a.order {
+		if e.weight != 0 {
+			n++
+			nlits += len(e.aids)
+		}
+	}
+	m.Reserve(n, nlits)
+	// Descriptor order equals id order, so no re-sort is needed.
+	var lits []mrf.Lit
 	for _, e := range a.order {
 		if e.weight == 0 {
 			continue
 		}
-		clauses = append(clauses, mrf.Clause{Weight: e.weight, Lits: e.lits})
+		lits = lits[:0]
+		for i, aid := range e.aids {
+			id := a.aidToID[aid]
+			if !e.pos[i] {
+				id = -id
+			}
+			lits = append(lits, id)
+		}
+		m.Append(e.weight, lits)
 	}
-	m.Clauses = clauses
 	stats := Stats{
 		NumAtoms:       a.ts.NumAtoms(),
 		NumUsedAtoms:   len(a.atomAids),
 		NumGroundedRaw: a.raw,
-		NumClauses:     len(clauses),
+		NumClauses:     n,
 		FixedCostCount: a.fixedN,
 	}
 	for _, st := range perStats {

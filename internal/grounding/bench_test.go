@@ -79,6 +79,30 @@ func BenchmarkGroundCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildTables loads the predicate relations and the atom registry
+// of IE and RC. resident-B/atom is what they keep resident per registered
+// atom: HeapAlloc after a GC with only the TableSet live, minus HeapAlloc
+// before it was built, over the registered atoms.
+func BenchmarkBuildTables(b *testing.B) {
+	for _, bd := range benchDatasets {
+		if bd.name == "er" {
+			continue
+		}
+		b.Run(bd.name, func(b *testing.B) {
+			ds := bd.gen()
+			b.ReportAllocs()
+			for b.Loop() {
+				benchTables(b, ds)
+			}
+			b.StopTimer()
+			before := heapAfterGC()
+			ts := benchTables(b, ds)
+			b.ReportMetric(float64(heapAfterGC()-before)/float64(ts.NumAtoms()), "resident-B/atom")
+			runtime.KeepAlive(ts)
+		})
+	}
+}
+
 // BenchmarkFold is the cold fold alone: a grounded Incremental's retained
 // raw sets into the canonical Result.
 func BenchmarkFold(b *testing.B) {

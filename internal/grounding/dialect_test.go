@@ -103,7 +103,7 @@ func TestEngineDialect(t *testing.T) {
 			t.Fatalf("%q: %v", sql, err)
 		}
 	}
-	m := &mrf.MRF{NumAtoms: 3, Clauses: []mrf.Clause{{Weight: 1.5, Lits: []mrf.Lit{1, -2}}}}
+	m := mrf.FromClauses(3, []mrf.Clause{{Weight: 1.5, Lits: []mrf.Lit{1, -2}}})
 	table := mrf.QueryTableName("mrf_dialect")
 	for i := 0; i < 2; i++ { // the second Store issues DELETE FROM table
 		if err := mrf.Store(m, ts.DB, table); err != nil {

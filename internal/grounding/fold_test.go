@@ -121,7 +121,7 @@ func (ca *clauseAccumulator) finish(stats Stats) *Result {
 	})
 	remap := make([]mrf.AtomID, n+1)
 	tableAid := make([]int64, n+1)
-	atomID := make(map[int64]mrf.AtomID, n)
+	atomID := make([]mrf.AtomID, slices.Max(ca.tableAid)+1)
 	for idx, old := range order {
 		id := mrf.AtomID(idx + 1)
 		remap[old] = id
@@ -153,11 +153,12 @@ func (ca *clauseAccumulator) finish(stats Stats) *Result {
 		clauses = append(clauses, mrf.Clause{Weight: c.Weight, Lits: lits})
 	}
 	sort.Slice(clauses, func(x, y int) bool { return litsLess(clauses[x].Lits, clauses[y].Lits) })
-	m.Clauses = clauses
+	sorted := mrf.FromClauses(n, clauses)
+	m.W, m.Off, m.Lits = sorted.W, sorted.Off, sorted.Lits
 	stats.NumAtoms = ca.ts.NumAtoms()
 	stats.NumUsedAtoms = n
 	stats.NumGroundedRaw = ca.raw
-	stats.NumClauses = len(m.Clauses)
+	stats.NumClauses = m.NumClauses()
 	stats.FixedCostCount = ca.fixedN
 	return &Result{MRF: m, TableAid: tableAid, AtomID: atomID, Stats: stats}
 }
@@ -240,10 +241,9 @@ func TestFoldMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(want.MRF, got.MRF) {
 			t.Fatalf("round %d: MRFs differ:\n got %+v\nwant %+v", round, got.MRF, want.MRF)
 		}
-		for _, c := range got.MRF.Clauses {
-			if cap(c.Lits) != len(c.Lits) {
-				t.Fatalf("round %d: clause %v carries slack %d", round, c.Lits, cap(c.Lits))
-			}
+		if m := got.MRF; cap(m.W) != len(m.W) || cap(m.Off) != len(m.Off) || cap(m.Lits) != len(m.Lits) {
+			t.Fatalf("round %d: clause arrays carry slack: W %d/%d, Off %d/%d, Lits %d/%d",
+				round, len(m.W), cap(m.W), len(m.Off), cap(m.Off), len(m.Lits), cap(m.Lits))
 		}
 	}
 	if cancelled == 0 || unsorted == 0 {

@@ -36,7 +36,8 @@ func setup(t *testing.T, progSrc, evSrc string) *TableSet {
 // human-readable atoms, for cross-grounder comparison.
 func canon(ts *TableSet, res *Result) []string {
 	var out []string
-	for _, c := range res.MRF.Clauses {
+	for ci := range res.MRF.W {
+		c := res.MRF.Clause(ci)
 		lits := make([]string, len(c.Lits))
 		for i, l := range c.Lits {
 			atom := res.MRF.Atoms[abs32(l)]
@@ -206,10 +207,10 @@ cat(P1, DB)
 		t.Fatal(err)
 	}
 	// Categories: Net, DB. Papers: P1. cat(P1,Net) unknown -> one clause.
-	if len(res.MRF.Clauses) != 1 {
-		t.Fatalf("clauses = %d", len(res.MRF.Clauses))
+	if res.MRF.NumClauses() != 1 {
+		t.Fatalf("clauses = %d", res.MRF.NumClauses())
 	}
-	c := res.MRF.Clauses[0]
+	c := res.MRF.Clause(0)
 	if c.Weight != -1 || len(c.Lits) != 1 || c.Lits[0] < 0 {
 		t.Fatalf("clause = %+v", c)
 	}
@@ -233,8 +234,8 @@ p(A)
 	if res.MRF.FixedCost != 3 {
 		t.Fatalf("fixed cost = %v", res.MRF.FixedCost)
 	}
-	if len(res.MRF.Clauses) != 0 {
-		t.Fatalf("clauses = %v", res.MRF.Clauses)
+	if res.MRF.NumClauses() != 0 {
+		t.Fatalf("clauses = %v", res.MRF.Lits)
 	}
 }
 
@@ -372,7 +373,8 @@ cat(P9, A)
 		t.Fatal(err)
 	}
 	sawDoubled := false
-	for _, c := range res.MRF.Clauses {
+	for ci := range res.MRF.W {
+		c := res.MRF.Clause(ci)
 		if c.Weight == 10 {
 			sawDoubled = true
 		}
@@ -398,7 +400,8 @@ p(thing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.MRF.Clauses {
+	for ci := range res.MRF.W {
+		c := res.MRF.Clause(ci)
 		if len(c.Lits) == 2 && abs32(c.Lits[0]) == abs32(c.Lits[1]) {
 			t.Fatalf("tautology kept: %+v", c)
 		}

@@ -181,7 +181,7 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 	}
 	touchedNew := make([]bool, res.MRF.NumAtoms+1)
 	for aid := range touchedAids {
-		if id := res.AtomID[aid]; id != 0 {
+		if id := res.IDOf(aid); id != 0 {
 			touchedNew[id] = true
 			info.TouchedAtoms++
 		}
@@ -252,7 +252,7 @@ func AtomMaps(old, cur *Result) (oldToNew, newToOld []mrf.AtomID) {
 	oldToNew = make([]mrf.AtomID, old.MRF.NumAtoms+1)
 	newToOld = make([]mrf.AtomID, cur.MRF.NumAtoms+1)
 	for i := 1; i <= old.MRF.NumAtoms; i++ {
-		if id := cur.AtomID[old.TableAid[i]]; id != 0 {
+		if id := cur.IDOf(old.TableAid[i]); id != 0 {
 			oldToNew[i] = id
 			newToOld[id] = mrf.AtomID(i)
 		}

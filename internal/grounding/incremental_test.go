@@ -60,11 +60,11 @@ func requireBitIdentical(t *testing.T, label string, tsA *TableSet, a *Result, t
 			t.Fatalf("%s: atom %d is %s vs %s", label, i, fa, fb)
 		}
 	}
-	if len(a.MRF.Clauses) != len(b.MRF.Clauses) {
-		t.Fatalf("%s: clause count %d != %d", label, len(a.MRF.Clauses), len(b.MRF.Clauses))
+	if a.MRF.NumClauses() != b.MRF.NumClauses() {
+		t.Fatalf("%s: clause count %d != %d", label, a.MRF.NumClauses(), b.MRF.NumClauses())
 	}
-	for i := range a.MRF.Clauses {
-		ca, cb := a.MRF.Clauses[i], b.MRF.Clauses[i]
+	for i := range a.MRF.W {
+		ca, cb := a.MRF.Clause(i), b.MRF.Clause(i)
 		if ca.Weight != cb.Weight || !reflect.DeepEqual(ca.Lits, cb.Lits) {
 			t.Fatalf("%s: clause %d differs: %+v vs %+v", label, i, ca, cb)
 		}
@@ -282,13 +282,15 @@ func changedClauses(old, cur *Result) (added, removed []int) {
 		slices.Sort(lits)
 		return fmt.Sprint(lits, math.Float64bits(c.Weight)), true
 	}
-	inNew := make(map[string]bool, len(cur.MRF.Clauses))
-	for _, c := range cur.MRF.Clauses {
+	inNew := make(map[string]bool, cur.MRF.NumClauses())
+	for ci := range cur.MRF.W {
+		c := cur.MRF.Clause(ci)
 		k, _ := key(c, nil)
 		inNew[k] = true
 	}
-	inOld := make(map[string]bool, len(old.MRF.Clauses))
-	for i, c := range old.MRF.Clauses {
+	inOld := make(map[string]bool, old.MRF.NumClauses())
+	for i := range old.MRF.W {
+		c := old.MRF.Clause(i)
 		k, ok := key(c, oldToNew)
 		if !ok || !inNew[k] {
 			removed = append(removed, i)
@@ -297,7 +299,8 @@ func changedClauses(old, cur *Result) (added, removed []int) {
 			inOld[k] = true
 		}
 	}
-	for i, c := range cur.MRF.Clauses {
+	for i := range cur.MRF.W {
+		c := cur.MRF.Clause(i)
 		if k, _ := key(c, nil); !inOld[k] {
 			added = append(added, i)
 		}
@@ -329,12 +332,12 @@ func requireChangesFlagged(t *testing.T, old, cur *Result, touched []bool) (adde
 	}
 	add, rem := changedClauses(old, cur)
 	for _, i := range add {
-		if c := cur.MRF.Clauses[i]; !flagged(c, newToOld, nil) {
+		if c := cur.MRF.Clause(i); !flagged(c, newToOld, nil) {
 			t.Fatalf("new clause %d %v differs from the old epoch but touches no flagged atom", i, c)
 		}
 	}
 	for _, i := range rem {
-		if c := old.MRF.Clauses[i]; !flagged(c, oldToNew, oldToNew) {
+		if c := old.MRF.Clause(i); !flagged(c, oldToNew, oldToNew) {
 			t.Fatalf("old clause %d %v differs from the new epoch but touches no flagged atom", i, c)
 		}
 	}

@@ -47,13 +47,13 @@ func assertIdentical(t *testing.T, name string, seq, par *Result) {
 	if !reflect.DeepEqual(seq.AtomID, par.AtomID) {
 		t.Fatalf("%s: aid->atom map differs", name)
 	}
-	if len(seq.MRF.Clauses) != len(par.MRF.Clauses) {
-		t.Fatalf("%s: clause counts differ: %d vs %d", name, len(seq.MRF.Clauses), len(par.MRF.Clauses))
+	if seq.MRF.NumClauses() != par.MRF.NumClauses() {
+		t.Fatalf("%s: clause counts differ: %d vs %d", name, seq.MRF.NumClauses(), par.MRF.NumClauses())
 	}
-	for i := range seq.MRF.Clauses {
-		if !reflect.DeepEqual(seq.MRF.Clauses[i], par.MRF.Clauses[i]) {
+	for i := range seq.MRF.W {
+		if !reflect.DeepEqual(seq.MRF.Clause(i), par.MRF.Clause(i)) {
 			t.Fatalf("%s: clause %d differs:\n seq %+v\n par %+v",
-				name, i, seq.MRF.Clauses[i], par.MRF.Clauses[i])
+				name, i, seq.MRF.Clause(i), par.MRF.Clause(i))
 		}
 	}
 	if !reflect.DeepEqual(seq.MRF.Atoms, par.MRF.Atoms) {

@@ -62,9 +62,9 @@ func requireSameBits(t *testing.T, name string, want, got *Result) {
 	if math.Float64bits(want.MRF.FixedCost) != math.Float64bits(got.MRF.FixedCost) {
 		t.Fatalf("%s: fixed cost bits differ: %v vs %v", name, want.MRF.FixedCost, got.MRF.FixedCost)
 	}
-	for i, c := range want.MRF.Clauses {
-		if math.Float64bits(c.Weight) != math.Float64bits(got.MRF.Clauses[i].Weight) {
-			t.Fatalf("%s: clause %d weight bits differ: %v vs %v", name, i, c.Weight, got.MRF.Clauses[i].Weight)
+	for i, w := range want.MRF.W {
+		if math.Float64bits(w) != math.Float64bits(got.MRF.W[i]) {
+			t.Fatalf("%s: clause %d weight bits differ: %v vs %v", name, i, w, got.MRF.W[i])
 		}
 	}
 }

@@ -101,14 +101,14 @@ func DecodeRawSet(r *codec.Dec) RawSet {
 // domain enumeration. ev must be the merged evidence the snapshot was
 // taken under. Closed predicates get rows only for evidence-true atoms
 // (the CWA invariant ApplyDelta maintains); open predicates get every
-// registry atom with its recorded truth.
+// registry atom with its recorded truth. A registry that names one atom
+// twice is refused: every aid lookup rests on one aid per atom.
 func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAtom) (*TableSet, error) {
 	ts := &TableSet{
 		DB:     d,
 		Prog:   prog,
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
-		aidOf:  make(map[*mln.Predicate]map[string]int64),
 		atoms:  make([]mln.GroundAtom, 1),
 		truths: make([]int64, 1),
 	}
@@ -122,7 +122,6 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 			return fail(err)
 		}
 		ts.tables[pred] = t
-		ts.aidOf[pred] = make(map[string]int64)
 	}
 	staged := make(map[*mln.Predicate][]tuple.Row)
 	for _, sa := range atoms {
@@ -132,6 +131,9 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 		pred := prog.Preds[sa.Pred]
 		if len(sa.Args) != pred.Arity() {
 			return fail(fmt.Errorf("grounding: snapshot atom for %s has %d args", pred.Name, len(sa.Args)))
+		}
+		if aid := ts.reg.find(ts.atoms, pred, sa.Args); aid != 0 {
+			return fail(fmt.Errorf("grounding: snapshot registers %s%v twice (aids %d and %d)", pred.Name, sa.Args, aid, len(ts.atoms)))
 		}
 		row := ts.stageAtom(pred, sa.Args, sa.Truth)
 		if pred.Closed && sa.Truth != TruthTrue {

@@ -55,8 +55,8 @@ type TableSet struct {
 	atoms []mln.GroundAtom
 	// truths[aid] is the evidence truth of the atom.
 	truths []int64
-	// aidOf finds an atom id from (predicate, packed args).
-	aidOf map[*mln.Predicate]map[string]int64
+	// reg finds an atom id from (predicate, args).
+	reg registry
 }
 
 // predTableSchema builds the schema for a predicate's relation.
@@ -85,7 +85,6 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 		Prog:   prog,
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
-		aidOf:  make(map[*mln.Predicate]map[string]int64),
 		atoms:  make([]mln.GroundAtom, 1), // index 0 unused
 		truths: make([]int64, 1),
 	}
@@ -102,7 +101,6 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 			return fail(err)
 		}
 		ts.tables[pred] = t
-		ts.aidOf[pred] = make(map[string]int64)
 		if pred.Closed {
 			if err := ts.loadClosed(pred, t); err != nil {
 				return fail(err)
@@ -222,7 +220,7 @@ func (ts *TableSet) stageAtom(pred *mln.Predicate, args []int32, truth int64) tu
 	row = append(row, tuple.I64(truth))
 	ts.atoms = append(ts.atoms, mln.GroundAtom{Pred: pred, Args: args})
 	ts.truths = append(ts.truths, truth)
-	ts.aidOf[pred][mln.GroundAtom{Pred: pred, Args: args}.Key()] = aid
+	ts.reg.insert(ts.atoms, aid)
 	return row
 }
 
@@ -237,8 +235,8 @@ func (ts *TableSet) TruthOf(aid int64) int64 { return ts.truths[aid] }
 
 // AidOf finds the atom id of a ground atom, if materialized.
 func (ts *TableSet) AidOf(pred *mln.Predicate, args []int32) (int64, bool) {
-	aid, ok := ts.aidOf[pred][mln.GroundAtom{Pred: pred, Args: args}.Key()]
-	return aid, ok
+	aid := ts.reg.find(ts.atoms, pred, args)
+	return aid, aid != 0
 }
 
 // Table returns the relation backing a predicate.
@@ -251,10 +249,20 @@ type Result struct {
 	MRF *mrf.MRF
 	// TableAid maps MRF atom id -> predicate-table aid (index 0 unused).
 	TableAid []int64
-	// AtomID finds the MRF atom for a table aid (0 when the atom appears in
-	// no ground clause).
-	AtomID map[int64]mrf.AtomID
+	// AtomID maps table aid -> MRF atom id (0 when the atom appears in no
+	// ground clause). It ends at the largest aid that has an MRF atom; IDOf
+	// also answers for the aids past it.
+	AtomID []mrf.AtomID
 	Stats  Stats
+}
+
+// IDOf returns the MRF atom id of a table aid, 0 when the atom appears in
+// no ground clause.
+func (r *Result) IDOf(aid int64) mrf.AtomID {
+	if aid < 0 || aid >= int64(len(r.AtomID)) {
+		return 0
+	}
+	return r.AtomID[aid]
 }
 
 // Stats describes grounding effort and output size.
@@ -389,19 +397,19 @@ func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 	}
 	m := mrf.New(len(aids))
 	m.FixedCost = fixed
-	m.Clauses = make([]mrf.Clause, len(merged))
-	out := make([]mrf.Lit, 0, keptLits)
-	for i, c := range merged {
-		lo := len(out)
-		out = append(out, seq(c.span)...)
-		m.Clauses[i] = mrf.Clause{Weight: c.weight, Lits: out[lo:len(out):len(out)]}
+	m.Reserve(len(merged), keptLits)
+	for _, c := range merged {
+		m.Append(c.weight, seq(c.span))
 	}
 	m.Atoms = make([]mln.GroundAtom, len(aids)+1)
 	tableAid := make([]int64, len(aids)+1)
-	atomID := make(map[int64]mrf.AtomID, len(aids))
+	maxAid := int64(0)
 	for k, aid := range aids {
-		m.Atoms[k+1], tableAid[k+1], atomID[aid] = ts.atoms[aid], aid, mrf.AtomID(k+1)
+		m.Atoms[k+1], tableAid[k+1] = ts.atoms[aid], aid
+		maxAid = max(maxAid, aid)
 	}
+	// id numbered every used aid above and is 0 for every other one.
+	atomID := id[:maxAid+1]
 	stats.NumAtoms = ts.NumAtoms()
 	stats.NumUsedAtoms = len(aids)
 	stats.NumClauses = len(merged)

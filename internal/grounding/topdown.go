@@ -229,10 +229,7 @@ func EstimateTopDownPeak(ts *TableSet, res *Result) int64 {
 		}
 		atomBytes += t.RowCount() * int64(16+4*pred.Arity()) * 4
 	}
-	var clauseBytes int64
-	for _, c := range res.MRF.Clauses {
-		clauseBytes += int64(48 + 16*len(c.Lits))
-	}
+	clauseBytes := int64(48*res.MRF.NumClauses() + 16*res.MRF.NumLits())
 	peak := atomBytes + clauseBytes*3
 	if atomBytes > peak {
 		peak = atomBytes

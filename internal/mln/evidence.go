@@ -34,10 +34,8 @@ type GroundAtom struct {
 	Args []int32
 }
 
-// Key packs the argument tuple into a compact map key. Keys are only
+// argKey packs an argument tuple into a compact map key. Keys are only
 // comparable within a single predicate.
-func (a GroundAtom) Key() string { return argKey(a.Args) }
-
 func argKey(args []int32) string {
 	var b strings.Builder
 	b.Grow(len(args) * 5)

@@ -22,10 +22,10 @@ type Postings struct {
 	off []int32
 }
 
-// Build indexes the clauses over atoms 1..numAtoms with one counting sort:
-// a pass to size every posting list, a prefix sum, and a pass to fill them.
-func (p *Postings) Build(numAtoms int, clauses []Clause) {
-	n := 2*(numAtoms+1) + 1
+// Build indexes m's clauses over its atoms with one counting sort: a pass
+// to size every posting list, a prefix sum, and a pass to fill them.
+func (p *Postings) Build(m *MRF) {
+	n := 2*(m.NumAtoms+1) + 1
 	if cap(p.off) < n {
 		p.off = make([]int32, n)
 	} else {
@@ -34,10 +34,8 @@ func (p *Postings) Build(numAtoms int, clauses []Clause) {
 	}
 	// Count each list into the slot after its own, so the prefix sum leaves
 	// off[s] at the start of list s.
-	for ci := range clauses {
-		for _, l := range clauses[ci].Lits {
-			p.off[postingSlot(l)+1]++
-		}
+	for _, l := range m.Lits[m.litsLo():] {
+		p.off[postingSlot(l)+1]++
 	}
 	for i := 1; i < n; i++ {
 		p.off[i] += p.off[i-1]
@@ -51,12 +49,15 @@ func (p *Postings) Build(numAtoms int, clauses []Clause) {
 	// Fill with off[s] as list s's write cursor; afterwards off[s] holds the
 	// END of list s, i.e. the start of list s+1, so shifting right by one
 	// slot restores the starts.
-	for ci := range clauses {
-		for _, l := range clauses[ci].Lits {
+	lo := m.litsLo()
+	for ci := range m.W {
+		hi := m.Off[ci+1]
+		for _, l := range m.Lits[lo:hi] {
 			s := postingSlot(l)
 			p.ids[p.off[s]] = int32(ci)
 			p.off[s]++
 		}
+		lo = hi
 	}
 	copy(p.off[1:], p.off[:n-1])
 	p.off[0] = 0
@@ -80,7 +81,7 @@ func (p *Postings) Neg(a AtomID) []int32 { return p.ids[p.off[2*a+1]:p.off[2*a+2
 // by the MRF itself so it is shared by every query that searches the
 // network and collected with it. Each part is built on first use and never
 // rebuilt: the three accessors below may only be called on an MRF whose
-// NumAtoms, Clauses and FixedCost no longer change — the local networks of
+// NumAtoms, clauses and FixedCost no longer change — the local networks of
 // an engine epoch (partition.Part.Local, Component.MRF), which repairs
 // carry by pointer into later epochs for everything an evidence update did
 // not touch. Code handed an MRF it does not own builds its own Postings.
@@ -99,7 +100,7 @@ type searchIndex struct {
 // SharedPostings returns the MRF's occurrence index, building it on first
 // use. Immutable MRFs only (see searchIndex).
 func (m *MRF) SharedPostings() *Postings {
-	m.search.postOnce.Do(func() { m.search.post.Build(m.NumAtoms, m.Clauses) })
+	m.search.postOnce.Do(func() { m.search.post.Build(m) })
 	return &m.search.post
 }
 
@@ -126,10 +127,11 @@ func (m *MRF) Fingerprint() (fp uint64, seedOffset int64) {
 		}
 		w(uint64(m.NumAtoms))
 		w(math.Float64bits(m.FixedCost))
-		for _, c := range m.Clauses {
-			w(math.Float64bits(c.Weight))
-			w(uint64(len(c.Lits)))
-			for _, l := range c.Lits {
+		for ci, wt := range m.W {
+			lits := m.ClauseLits(ci)
+			w(math.Float64bits(wt))
+			w(uint64(len(lits)))
+			for _, l := range lits {
 				w(uint64(uint32(l)))
 			}
 		}

@@ -46,7 +46,7 @@ func TestPostingsMatchNaiveAcrossRebuilds(t *testing.T) {
 	var p Postings
 	for _, shape := range []struct{ atoms, clauses int }{{5, 12}, {40, 300}, {3, 2}, {7, 0}, {0, 0}, {40, 90}} {
 		clauses := randomClauses(rng, max(shape.atoms, 1), shape.clauses)
-		p.Build(shape.atoms, clauses)
+		p.Build(FromClauses(shape.atoms, clauses))
 		pos, neg := naivePostings(shape.atoms, clauses)
 		for a := AtomID(1); int(a) <= shape.atoms; a++ {
 			if !slices.Equal(p.Pos(a), pos[a]) {
@@ -63,13 +63,13 @@ func TestPostingsMatchNaiveAcrossRebuilds(t *testing.T) {
 // Gauss-Seidel partition or an MC-SAT chain re-index every visit.
 func TestPostingsRebuildDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	big := randomClauses(rng, 50, 400)
-	small := randomClauses(rng, 50, 100)
+	big := FromClauses(50, randomClauses(rng, 50, 400))
+	small := FromClauses(50, randomClauses(rng, 50, 100))
 	var p Postings
-	p.Build(50, big)
+	p.Build(big)
 	if n := testing.AllocsPerRun(10, func() {
-		p.Build(50, small)
-		p.Build(50, big)
+		p.Build(small)
+		p.Build(big)
 	}); n != 0 {
 		t.Fatalf("rebuild allocates %v times", n)
 	}

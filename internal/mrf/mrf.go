@@ -32,9 +32,11 @@ func Atom(l Lit) AtomID {
 // Pos reports whether the literal is positive.
 func Pos(l Lit) bool { return l > 0 }
 
-// Clause is one weighted ground clause. A clause with positive weight is
-// violated when false; one with negative weight is violated when true
-// (Section 2.2). Hard clauses carry +Inf weight.
+// Clause is one weighted ground clause as a value: what an MRF's Clause
+// accessor returns (its Lits alias the MRF's arena) and what the clause-table
+// row codecs read and write. A clause with positive weight is violated when
+// false; one with negative weight is violated when true (Section 2.2). Hard
+// clauses carry +Inf weight.
 type Clause struct {
 	Weight float64
 	Lits   []Lit
@@ -64,10 +66,19 @@ func (c Clause) ViolatedBy(state []bool) bool {
 	return sat
 }
 
-// MRF is a grounded network: atoms 1..NumAtoms and weighted clauses.
+// MRF is a grounded network: atoms 1..NumAtoms and weighted clauses, stored
+// in CSR form. Clause i has weight W[i] and literals Lits[Off[i]:Off[i+1]];
+// Off has one entry more than W (or is nil, before the first clause) and
+// need not start at zero, so a network can be a view into another's arena
+// (partition.Algorithm3 makes a part that is the whole network one); Lits
+// ends where the last clause's literals do.
+// Code outside this package reads clauses through NumClauses, ClauseLits and
+// Clause, and builds them with AddClause, Append or FromClauses.
 type MRF struct {
 	NumAtoms int
-	Clauses  []Clause
+	W        []float64
+	Off      []uint32
+	Lits     []Lit
 	// FixedCost accumulates |w| of ground clauses that evidence already
 	// decided to be violated (no search can fix them). It is added to every
 	// world's cost.
@@ -86,6 +97,67 @@ func New(n int) *MRF {
 	return &MRF{NumAtoms: n}
 }
 
+// FromClauses returns an MRF over n atoms holding copies of the clauses, in
+// arrays of exactly their size. It does not validate atom ids.
+func FromClauses(n int, clauses []Clause) *MRF {
+	nlits := 0
+	for _, c := range clauses {
+		nlits += len(c.Lits)
+	}
+	m := &MRF{NumAtoms: n}
+	m.Reserve(len(clauses), nlits)
+	for _, c := range clauses {
+		m.Append(c.Weight, c.Lits)
+	}
+	return m
+}
+
+// Compact returns an MRF with m's atoms, fixed cost and clauses in arrays
+// of exactly their size, sharing nothing with m's clause arrays: what keeps
+// a view from holding the network it views alive.
+func (m *MRF) Compact() *MRF {
+	c := &MRF{NumAtoms: m.NumAtoms, FixedCost: m.FixedCost, Atoms: m.Atoms}
+	if len(m.W) == 0 {
+		return c
+	}
+	lo, hi := m.Off[0], m.Off[len(m.W)]
+	c.W = slices.Clone(m.W)
+	c.Off = make([]uint32, len(m.Off))
+	for i, o := range m.Off {
+		c.Off[i] = o - lo
+	}
+	c.Lits = slices.Clone(m.Lits[lo:hi])
+	return c
+}
+
+// NumClauses returns the number of clauses.
+func (m *MRF) NumClauses() int { return len(m.W) }
+
+// ClauseLits returns clause i's literals. The slice aliases the arena and
+// must not be modified.
+func (m *MRF) ClauseLits(i int) []Lit {
+	lo, hi := m.Off[i], m.Off[i+1]
+	return m.Lits[lo:hi:hi]
+}
+
+// Clause returns clause i as a value whose Lits alias the arena.
+func (m *MRF) Clause(i int) Clause { return Clause{Weight: m.W[i], Lits: m.ClauseLits(i)} }
+
+// IsHard reports whether clause i is a hard constraint.
+func (m *MRF) IsHard(i int) bool { return math.IsInf(m.W[i], 0) }
+
+// NumLits returns the total literal count over all clauses.
+func (m *MRF) NumLits() int { return len(m.Lits) - int(m.litsLo()) }
+
+// litsLo is where the first clause's literals start: all clauses' literals
+// are Lits[litsLo():], in clause order.
+func (m *MRF) litsLo() uint32 {
+	if len(m.W) == 0 {
+		return uint32(len(m.Lits))
+	}
+	return m.Off[0]
+}
+
 // AddClause appends a ground clause; it validates atom ids.
 func (m *MRF) AddClause(w float64, lits ...Lit) error {
 	if len(lits) == 0 {
@@ -97,9 +169,59 @@ func (m *MRF) AddClause(w float64, lits ...Lit) error {
 			return fmt.Errorf("mrf: literal %d out of range (atoms 1..%d)", l, m.NumAtoms)
 		}
 	}
-	m.Clauses = append(m.Clauses, Clause{Weight: w, Lits: lits})
+	m.Append(w, lits)
 	return nil
 }
+
+// Append adds a clause with a copy of lits, without validation — the path
+// for builders that already hold valid literals, such as a search's
+// per-visit sub-network.
+func (m *MRF) Append(w float64, lits []Lit) {
+	if m.Off == nil {
+		m.Off = append(m.Off, uint32(len(m.Lits)))
+	}
+	m.W = append(m.W, w)
+	for _, l := range lits { // clauses are short: cheaper than a memmove call
+		m.Lits = append(m.Lits, l)
+	}
+	m.Off = append(m.Off, uint32(len(m.Lits)))
+}
+
+// Reserve makes room for n more clauses over nlits more literals, so the
+// Appends that follow allocate nothing and leave the arrays exactly full.
+func (m *MRF) Reserve(n, nlits int) {
+	if n == 0 {
+		return
+	}
+	if m.Off == nil {
+		m.Off = make([]uint32, 1, n+1)
+	} else {
+		m.Off = reserve(m.Off, n)
+	}
+	m.W = reserve(m.W, n)
+	m.Lits = reserve(m.Lits, nlits)
+}
+
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// Truncate keeps the first n clauses, so a builder can reuse its arrays.
+// The arrays must be the MRF's own, not a view's.
+func (m *MRF) Truncate(n int) {
+	if m.Off == nil {
+		return
+	}
+	m.W = m.W[:n]
+	m.Off = m.Off[:n+1]
+	m.Lits = m.Lits[:m.Off[n]]
+}
+
+// ViolatedBy reports whether clause i is violated in the state.
+func (m *MRF) ViolatedBy(i int, state []bool) bool { return m.Clause(i).ViolatedBy(state) }
 
 // NewState returns an all-false truth assignment (1-based).
 func (m *MRF) NewState() []bool { return make([]bool, m.NumAtoms+1) }
@@ -108,12 +230,12 @@ func (m *MRF) NewState() []bool { return make([]bool, m.NumAtoms+1) }
 // over violated soft clauses; +Inf if any hard clause is violated.
 func (m *MRF) Cost(state []bool) float64 {
 	cost := m.FixedCost
-	for _, c := range m.Clauses {
-		if c.ViolatedBy(state) {
-			if c.IsHard() {
+	for i, w := range m.W {
+		if m.ViolatedBy(i, state) {
+			if math.IsInf(w, 0) {
 				return math.Inf(1)
 			}
-			cost += math.Abs(c.Weight)
+			cost += math.Abs(w)
 		}
 	}
 	return cost
@@ -122,8 +244,8 @@ func (m *MRF) Cost(state []bool) float64 {
 // NumViolated counts violated clauses in the state.
 func (m *MRF) NumViolated(state []bool) int {
 	n := 0
-	for _, c := range m.Clauses {
-		if c.ViolatedBy(state) {
+	for i := range m.W {
+		if m.ViolatedBy(i, state) {
 			n++
 		}
 	}
@@ -144,21 +266,20 @@ type Stats struct {
 
 // ComputeStats sizes the MRF.
 func (m *MRF) ComputeStats() Stats {
-	s := Stats{NumAtoms: m.NumAtoms, NumClauses: len(m.Clauses)}
-	for _, c := range m.Clauses {
-		s.NumLiterals += len(c.Lits)
-		if c.IsHard() {
+	s := Stats{NumAtoms: m.NumAtoms, NumClauses: len(m.W), NumLiterals: m.NumLits()}
+	for _, w := range m.W {
+		if math.IsInf(w, 0) {
 			s.NumHard++
 		}
-		if c.Weight < 0 {
+		if w < 0 {
 			s.NumNegWeight++
 		}
 	}
 	// Clause table: per clause 8 (weight) + 8 (cid) + 4 bytes/lit.
-	s.ClauseBytes = int64(len(m.Clauses))*16 + int64(s.NumLiterals)*4
+	s.ClauseBytes = int64(s.NumClauses)*16 + int64(s.NumLiterals)*4
 	// Search structures: per clause header + lits, per atom state +
 	// adjacency postings (one per literal) + best-state copy.
-	s.SearchBytes = int64(len(m.Clauses))*24 + int64(s.NumLiterals)*8 + int64(m.NumAtoms)*10
+	s.SearchBytes = int64(s.NumClauses)*24 + int64(s.NumLiterals)*8 + int64(m.NumAtoms)*10
 	return s
 }
 
@@ -225,10 +346,11 @@ func (c *Component) Size() int { return c.MRF.NumAtoms }
 func (m *MRF) Components(includeIsolated bool) []*Component {
 	uf := NewUnionFind(m.NumAtoms)
 	touched := make([]bool, m.NumAtoms+1)
-	for _, c := range m.Clauses {
-		first := Atom(c.Lits[0])
+	for ci := range m.W {
+		lits := m.ClauseLits(ci)
+		first := Atom(lits[0])
 		touched[first] = true
-		for _, l := range c.Lits[1:] {
+		for _, l := range lits[1:] {
 			uf.Union(first, Atom(l))
 			touched[Atom(l)] = true
 		}
@@ -242,7 +364,8 @@ func (m *MRF) Components(includeIsolated bool) []*Component {
 		root := uf.Find(a)
 		groups[root] = append(groups[root], a)
 	}
-	// Build components with local atom numbering.
+	// Build components with local atom numbering; a first pass over the
+	// clauses sizes each component's arrays exactly.
 	compOf := make(map[int32]*Component, len(groups))
 	localID := make([]AtomID, m.NumAtoms+1)
 	var comps []*Component
@@ -261,18 +384,28 @@ func (m *MRF) Components(includeIsolated bool) []*Component {
 		compOf[root] = comp
 		comps = append(comps, comp)
 	}
-	for _, c := range m.Clauses {
-		root := uf.Find(Atom(c.Lits[0]))
-		comp := compOf[root]
-		lits := make([]Lit, len(c.Lits))
-		for i, l := range c.Lits {
+	type size struct{ clauses, lits int }
+	sizes := make(map[*Component]size, len(comps))
+	for ci := range m.W {
+		comp := compOf[uf.Find(Atom(m.Lits[m.Off[ci]]))]
+		s := sizes[comp]
+		sizes[comp] = size{s.clauses + 1, s.lits + int(m.Off[ci+1]-m.Off[ci])}
+	}
+	for comp, s := range sizes {
+		comp.MRF.Reserve(s.clauses, s.lits)
+	}
+	var local []Lit
+	for ci, w := range m.W {
+		lits := m.ClauseLits(ci)
+		local = local[:0]
+		for _, l := range lits {
 			ll := localID[Atom(l)]
 			if !Pos(l) {
 				ll = -ll
 			}
-			lits[i] = ll
+			local = append(local, ll)
 		}
-		comp.MRF.Clauses = append(comp.MRF.Clauses, Clause{Weight: c.Weight, Lits: lits})
+		compOf[uf.Find(Atom(lits[0]))].MRF.Append(w, local)
 	}
 	// Deterministic order: by smallest global atom id.
 	sortComponents(comps)

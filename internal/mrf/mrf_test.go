@@ -47,11 +47,11 @@ func TestClauseSemantics(t *testing.T) {
 	}
 	s := m.NewState()
 	// x1=F, x2=F: !x2 true => satisfied
-	if m.Clauses[0].ViolatedBy(s) {
+	if m.Clause(0).ViolatedBy(s) {
 		t.Fatal("should be satisfied")
 	}
 	s[2] = true // x1=F, x2=T: violated
-	if !m.Clauses[0].ViolatedBy(s) {
+	if !m.Clause(0).ViolatedBy(s) {
 		t.Fatal("should be violated")
 	}
 	if got := m.Cost(s); got != 2 {
@@ -65,11 +65,11 @@ func TestNegativeWeightViolatedWhenSatisfied(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.NewState()
-	if m.Clauses[0].ViolatedBy(s) {
+	if m.Clause(0).ViolatedBy(s) {
 		t.Fatal("false atom: negative clause not satisfied, so not violated")
 	}
 	s[1] = true
-	if !m.Clauses[0].ViolatedBy(s) {
+	if !m.Clause(0).ViolatedBy(s) {
 		t.Fatal("true atom satisfies clause; negative weight means violated")
 	}
 	if got := m.Cost(s); got != 3 {
@@ -207,8 +207,8 @@ func TestComponentsExample1(t *testing.T) {
 		if c.Size() != 2 {
 			t.Fatalf("component size = %d", c.Size())
 		}
-		if len(c.MRF.Clauses) != 3 {
-			t.Fatalf("component clauses = %d", len(c.MRF.Clauses))
+		if c.MRF.NumClauses() != 3 {
+			t.Fatalf("component clauses = %d", c.MRF.NumClauses())
 		}
 	}
 }
@@ -318,7 +318,7 @@ func TestComputeStats(t *testing.T) {
 
 func TestStoreLoadRoundTrip(t *testing.T) {
 	m := buildExample1(t, 5)
-	m.Clauses[0].Weight = 2.5 // exercise non-integer weights
+	m.W[0] = 2.5 // exercise non-integer weights
 	d := db.Open(db.Config{})
 	if err := Store(m, d, "clauses"); err != nil {
 		t.Fatal(err)
@@ -330,19 +330,19 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	if got.NumAtoms != m.NumAtoms {
 		t.Fatalf("atoms = %d, want %d", got.NumAtoms, m.NumAtoms)
 	}
-	if len(got.Clauses) != len(m.Clauses) {
-		t.Fatalf("clauses = %d, want %d", len(got.Clauses), len(m.Clauses))
+	if got.NumClauses() != m.NumClauses() {
+		t.Fatalf("clauses = %d, want %d", got.NumClauses(), m.NumClauses())
 	}
-	for i := range m.Clauses {
-		if got.Clauses[i].Weight != m.Clauses[i].Weight {
-			t.Fatalf("clause %d weight %v != %v", i, got.Clauses[i].Weight, m.Clauses[i].Weight)
+	for i := range m.W {
+		if got.Clause(i).Weight != m.Clause(i).Weight {
+			t.Fatalf("clause %d weight %v != %v", i, got.Clause(i).Weight, m.Clause(i).Weight)
 		}
-		if len(got.Clauses[i].Lits) != len(m.Clauses[i].Lits) {
+		if len(got.Clause(i).Lits) != len(m.Clause(i).Lits) {
 			t.Fatalf("clause %d lits differ", i)
 		}
-		for j := range m.Clauses[i].Lits {
-			if got.Clauses[i].Lits[j] != m.Clauses[i].Lits[j] {
-				t.Fatalf("clause %d lit %d: %d != %d", i, j, got.Clauses[i].Lits[j], m.Clauses[i].Lits[j])
+		for j := range m.Clause(i).Lits {
+			if got.Clause(i).Lits[j] != m.Clause(i).Lits[j] {
+				t.Fatalf("clause %d lit %d: %d != %d", i, j, got.Clause(i).Lits[j], m.Clause(i).Lits[j])
 			}
 		}
 	}
@@ -354,8 +354,8 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got2.Clauses) != len(m.Clauses) {
-		t.Fatalf("after re-store: %d clauses", len(got2.Clauses))
+	if got2.NumClauses() != m.NumClauses() {
+		t.Fatalf("after re-store: %d clauses", got2.NumClauses())
 	}
 }
 
@@ -370,8 +370,8 @@ func TestStoreHardClauseWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Clauses[0].IsHard() {
-		t.Fatalf("hard weight lost: %v", got.Clauses[0].Weight)
+	if !got.Clause(0).IsHard() {
+		t.Fatalf("hard weight lost: %v", got.Clause(0).Weight)
 	}
 }
 

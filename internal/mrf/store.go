@@ -149,8 +149,8 @@ func Store(m *MRF, d *db.DB, tableName string) error {
 	} else if _, err := d.Exec("DELETE FROM " + tableName); err != nil {
 		return err
 	}
-	for i, c := range m.Clauses {
-		if err := t.Insert(ClauseRow(int64(i), c)); err != nil {
+	for i := range m.W {
+		if err := t.Insert(ClauseRow(int64(i), m.Clause(i))); err != nil {
 			return err
 		}
 	}
@@ -164,7 +164,7 @@ func Load(d *db.DB, tableName string, numAtoms int) (*MRF, error) {
 	if !ok {
 		return nil, fmt.Errorf("mrf: no clause table %q", tableName)
 	}
-	var clauses []Clause
+	m := New(numAtoms)
 	maxAtom := int32(numAtoms)
 	err := t.ScanRows(func(_ storage.RecordID, row tuple.Row) error {
 		c, err := RowClause(row)
@@ -176,13 +176,12 @@ func Load(d *db.DB, tableName string, numAtoms int) (*MRF, error) {
 				maxAtom = a
 			}
 		}
-		clauses = append(clauses, c)
+		m.Append(c.Weight, c.Lits)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	m := New(int(maxAtom))
-	m.Clauses = clauses
+	m.NumAtoms = int(maxAtom)
 	return m, nil
 }

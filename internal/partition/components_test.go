@@ -37,7 +37,7 @@ func requirePartsAreComponents(t *testing.T, name string, m *mrf.MRF, pt *Partit
 			t.Fatalf("%s: part %d has %d atoms / fixed cost %v, component %d / %v",
 				name, i, p.Local.NumAtoms, p.Local.FixedCost, c.MRF.NumAtoms, c.MRF.FixedCost)
 		}
-		if !reflect.DeepEqual(p.Local.Clauses, c.MRF.Clauses) {
+		if !sameClauses(p.Local, c.MRF) {
 			t.Fatalf("%s: part %d clauses differ from component's", name, i)
 		}
 	}
@@ -47,7 +47,8 @@ func requirePartsAreComponents(t *testing.T, name string, m *mrf.MRF, pt *Partit
 // size units plus one.
 func noCutBeta(m *mrf.MRF) int {
 	units := m.NumAtoms + 1
-	for _, c := range m.Clauses {
+	for ci := range m.W {
+		c := m.Clause(ci)
 		units += len(c.Lits)
 	}
 	return units
@@ -85,5 +86,62 @@ func TestCutFreePartsEqualComponents(t *testing.T) {
 	for name, m := range nets {
 		requirePartsAreComponents(t, name+"/beta0", m, Algorithm3(m, 0))
 		requirePartsAreComponents(t, name+"/nocut", m, Algorithm3(m, noCutBeta(m)))
+	}
+}
+
+// sameClauses reports whether two networks hold equal clauses in the same
+// order, whatever arrays they keep them in.
+func sameClauses(a, b *mrf.MRF) bool {
+	if a.NumClauses() != b.NumClauses() {
+		return false
+	}
+	for ci := range a.W {
+		if !reflect.DeepEqual(a.Clause(ci), b.Clause(ci)) {
+			return false
+		}
+	}
+	return true
+}
+
+// A part whose atoms are 1..k keeps its global ids as local ones, so when
+// its clauses are contiguous in the parent it is a view of the parent's
+// arrays — on a one-component network the whole network is held once. Every
+// other part gets its clauses from the partitioning's shared arena, and
+// Repair copies a reused view out so a later epoch does not pin the old
+// network.
+func TestPrefixPartIsAView(t *testing.T) {
+	m := mrf.New(5)
+	for _, c := range []mrf.Clause{
+		{Weight: 1, Lits: []mrf.Lit{1, -2}},
+		{Weight: 2, Lits: []mrf.Lit{2, 3}},
+		{Weight: -1, Lits: []mrf.Lit{4, 5}},
+	} {
+		if err := m.AddClause(c.Weight, c.Lits...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := Algorithm3(m, 0)
+	if err := pt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	requirePartsAreComponents(t, "prefix", m, pt)
+	if !isView(pt.Parts[0].Local, m) {
+		t.Fatal("the part over atoms 1..3 copied its clauses")
+	}
+	if isView(pt.Parts[1].Local, m) {
+		t.Fatal("the part over atoms 4..5 shares the parent's literals")
+	}
+
+	cur := m.Compact() // the next epoch's network: same clauses, own arrays
+	ids := []mrf.AtomID{0, 1, 2, 3, 4, 5}
+	next, reused := Repair(pt, cur, ids, make([]bool, 6), 0)
+	if reused != 2 {
+		t.Fatalf("Repair reused %d parts, want 2", reused)
+	}
+	requirePartsAreComponents(t, "repaired", cur, next)
+	for i, p := range next.Parts {
+		if isView(p.Local, m) {
+			t.Fatalf("repaired part %d still views the old network", i)
+		}
 	}
 }

@@ -70,7 +70,7 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 		bound = math.MaxInt64
 	}
 
-	order := make([]int, len(m.Clauses))
+	order := make([]int, m.NumClauses())
 	for i := range order {
 		order[i] = i
 	}
@@ -78,23 +78,23 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 	// the same in any order: only a bounded run needs the weight order.
 	if beta > 0 {
 		sort.SliceStable(order, func(a, b int) bool {
-			return math.Abs(m.Clauses[order[a]].Weight) > math.Abs(m.Clauses[order[b]].Weight)
+			return math.Abs(m.W[order[a]]) > math.Abs(m.W[order[b]])
 		})
 	}
 
 	var roots []int32 // distinct roots the current clause touches, reused
 	for _, ci := range order {
-		c := &m.Clauses[ci]
+		lits := m.ClauseLits(ci)
 		// Compute the size of the union of all roots touched by the clause.
 		roots = roots[:0]
 		var total int64
-		for _, l := range c.Lits {
+		for _, l := range lits {
 			if r := uf.Find(mrf.Atom(l)); !slices.Contains(roots, r) {
 				roots = append(roots, r)
 				total += size[r]
 			}
 		}
-		total += int64(len(c.Lits)) // the clause's literals count toward size
+		total += int64(len(lits)) // the clause's literals count toward size
 		if total > bound && len(roots) > 1 {
 			continue // merging would exceed the bound; leave clause cut
 		}
@@ -102,7 +102,7 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 			// Single-root clause already over budget: the clause stays
 			// internal (a partition can't be split below one component of
 			// forced merges); still account its literals.
-			size[roots[0]] += int64(len(c.Lits))
+			size[roots[0]] += int64(len(lits))
 			continue
 		}
 		for _, r := range roots[1:] {
@@ -139,51 +139,88 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 		pt.Parts = append(pt.Parts, p)
 	}
 	// Assign clauses: internal when all atoms share a partition, else cut.
-	// A first pass sizes each part's clause list and literal arena exactly.
-	partOfClause := func(c mrf.Clause) int32 {
-		pi := partOf[mrf.Atom(c.Lits[0])]
-		for _, l := range c.Lits[1:] {
-			if partOf[mrf.Atom(l)] != pi {
-				return -1
+	// A first pass sizes each part, and all parts' clauses then go into one
+	// arena per array. The part holding atoms 1..k, whose local ids are its
+	// global ones, is instead a view into m's arrays when its clauses are
+	// contiguous there — the whole network, when it is one part.
+	nClauses := make([]int, len(pt.Parts))
+	first, last := -1, -1 // clause range of part 0
+	for ci := range m.W {
+		lits := m.ClauseLits(ci)
+		if pi := partOfClause(partOf, lits); pi >= 0 {
+			nClauses[pi]++
+			pt.Parts[pi].SizeUnits += len(lits)
+			if pi == 0 {
+				last = ci
+				if first < 0 {
+					first = ci
+				}
 			}
 		}
-		return pi
 	}
-	nClauses := make([]int, len(pt.Parts))
-	arenas := make([][]mrf.Lit, len(pt.Parts))
-	for _, c := range m.Clauses {
-		if pi := partOfClause(c); pi >= 0 {
-			nClauses[pi]++
-			pt.Parts[pi].SizeUnits += len(c.Lits)
-		}
+	view := -1
+	if n > 0 && nClauses[0] > 0 && last-first+1 == nClauses[0] &&
+		int(pt.Parts[0].GlobalAtom[pt.Parts[0].NumAtoms()]) == pt.Parts[0].NumAtoms() {
+		view = 0
+		p := pt.Parts[0]
+		end := m.Off[last+1]
+		p.Local.W = m.W[first : last+1 : last+1]
+		p.Local.Off = m.Off[first : last+2 : last+2]
+		p.Local.Lits = m.Lits[:end:end]
 	}
+	var nc, no, nl int
 	for pi, p := range pt.Parts {
-		if nClauses[pi] > 0 {
-			p.Local.Clauses = make([]mrf.Clause, 0, nClauses[pi])
-			arenas[pi] = make([]mrf.Lit, 0, p.SizeUnits-p.Local.NumAtoms)
+		if pi != view && nClauses[pi] > 0 {
+			nc += nClauses[pi]
+			no += nClauses[pi] + 1
+			nl += p.SizeUnits - p.NumAtoms()
 		}
 	}
-	for _, c := range m.Clauses {
-		pi := partOfClause(c)
-		if pi < 0 {
-			pt.Cut = append(pt.Cut, c)
-			pt.CutWeight += math.Abs(c.Weight)
+	wArena, offArena, litArena := make([]float64, nc), make([]uint32, no), make([]mrf.Lit, nl)
+	for pi, p := range pt.Parts {
+		if pi == view || nClauses[pi] == 0 {
 			continue
 		}
-		lits := arenas[pi]
-		lo := len(lits)
-		for _, l := range c.Lits {
+		n, k := nClauses[pi], p.SizeUnits-p.NumAtoms()
+		p.Local.W, wArena = wArena[:0:n], wArena[n:]
+		p.Local.Off, offArena = offArena[:1:n+1], offArena[n+1:]
+		p.Local.Lits, litArena = litArena[:0:k], litArena[k:]
+	}
+	var local []mrf.Lit
+	for ci, w := range m.W {
+		lits := m.ClauseLits(ci)
+		pi := partOfClause(partOf, lits)
+		if pi < 0 {
+			pt.Cut = append(pt.Cut, m.Clause(ci))
+			pt.CutWeight += math.Abs(w)
+			continue
+		}
+		if int(pi) == view {
+			continue
+		}
+		local = local[:0]
+		for _, l := range lits {
 			ll := localID[mrf.Atom(l)]
 			if !mrf.Pos(l) {
 				ll = -ll
 			}
-			lits = append(lits, ll)
+			local = append(local, ll)
 		}
-		arenas[pi] = lits
-		p := pt.Parts[pi]
-		p.Local.Clauses = append(p.Local.Clauses, mrf.Clause{Weight: c.Weight, Lits: lits[lo:len(lits):len(lits)]})
+		pt.Parts[pi].Local.Append(w, local)
 	}
 	return pt
+}
+
+// partOfClause returns the part holding every atom of a clause, or -1 when
+// the clause is cut.
+func partOfClause(partOf []int32, lits []mrf.Lit) int32 {
+	pi := partOf[mrf.Atom(lits[0])]
+	for _, l := range lits[1:] {
+		if partOf[mrf.Atom(l)] != pi {
+			return -1
+		}
+	}
+	return pi
 }
 
 // ExtractState copies the partition's atoms out of a global assignment.
@@ -268,11 +305,11 @@ func (pt *Partitioning) Validate() error {
 	}
 	internal := 0
 	for _, p := range pt.Parts {
-		internal += len(p.Local.Clauses)
+		internal += p.Local.NumClauses()
 	}
-	if internal+len(pt.Cut) != len(pt.Source.Clauses) {
+	if internal+len(pt.Cut) != pt.Source.NumClauses() {
 		return fmt.Errorf("clause accounting: %d internal + %d cut != %d total",
-			internal, len(pt.Cut), len(pt.Source.Clauses))
+			internal, len(pt.Cut), pt.Source.NumClauses())
 	}
 	return nil
 }

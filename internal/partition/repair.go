@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tuffy/internal/mrf"
@@ -27,9 +28,10 @@ import (
 func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew []bool, beta int) (pt *Partitioning, reusedParts int) {
 	n := cur.NumAtoms
 	uf := mrf.NewUnionFind(n)
-	for _, c := range cur.Clauses {
-		first := mrf.Atom(c.Lits[0])
-		for _, l := range c.Lits[1:] {
+	for ci := range cur.W {
+		lits := cur.ClauseLits(ci)
+		first := mrf.Atom(lits[0])
+		for _, l := range lits[1:] {
 			uf.Union(first, mrf.Atom(l))
 		}
 	}
@@ -61,8 +63,12 @@ func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew [
 					ga[i] = toNew[op.GlobalAtom[i]]
 					gatoms = append(gatoms, ga[i])
 				}
+				local := op.Local
+				if isView(local, old.Source) {
+					local = local.Compact() // do not pin the old network
+				}
 				pending = append(pending, pendingPart{
-					part:  &Part{Local: op.Local, GlobalAtom: ga, SizeUnits: op.SizeUnits},
+					part:  &Part{Local: local, GlobalAtom: ga, SizeUnits: op.SizeUnits},
 					atoms: gatoms,
 				})
 				reusedParts++
@@ -96,21 +102,18 @@ func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew [
 		}
 	}
 	// Cut: exactly Algorithm3's final scan over the parent clause list.
-	for _, c := range cur.Clauses {
-		pi := pt.PartOf[mrf.Atom(c.Lits[0])]
-		internal := true
-		for _, l := range c.Lits[1:] {
-			if pt.PartOf[mrf.Atom(l)] != pi {
-				internal = false
-				break
-			}
-		}
-		if !internal {
+	for ci := range cur.W {
+		if c := cur.Clause(ci); partOfClause(pt.PartOf, c.Lits) < 0 {
 			pt.Cut = append(pt.Cut, c)
 			pt.CutWeight += math.Abs(c.Weight)
 		}
 	}
 	return pt, reusedParts
+}
+
+// isView reports whether local is Algorithm3's view into src's arrays.
+func isView(local, src *mrf.MRF) bool {
+	return len(local.Lits) > 0 && len(src.Lits) > 0 && &local.Lits[0] == &src.Lits[0]
 }
 
 // reusableParts decides whether the new component over atoms (ascending new
@@ -147,33 +150,34 @@ func reusableParts(old *Partitioning, atoms []mrf.AtomID, newToOld []mrf.AtomID,
 
 // induceSub builds the sub-MRF over atoms (ascending): local ids are ranks,
 // clauses are the parent clauses fully inside the atom set, in parent order.
+// Its arrays are exactly sized: Algorithm3 may make a part a view of them.
 func induceSub(m *mrf.MRF, atoms []mrf.AtomID) *mrf.MRF {
 	localOf := make([]mrf.AtomID, m.NumAtoms+1)
 	for i, a := range atoms {
 		localOf[a] = mrf.AtomID(i + 1)
 	}
-	sub := mrf.New(len(atoms))
-	for _, c := range m.Clauses {
-		if localOf[mrf.Atom(c.Lits[0])] == 0 {
-			continue
+	var inside []int
+	nlits := 0
+	for ci := range m.W {
+		lits := m.ClauseLits(ci)
+		if !slices.ContainsFunc(lits, func(l mrf.Lit) bool { return localOf[mrf.Atom(l)] == 0 }) {
+			inside = append(inside, ci)
+			nlits += len(lits)
 		}
-		lits := make([]mrf.Lit, len(c.Lits))
-		ok := true
-		for i, l := range c.Lits {
+	}
+	sub := mrf.New(len(atoms))
+	sub.Reserve(len(inside), nlits)
+	var lits []mrf.Lit
+	for _, ci := range inside {
+		lits = lits[:0]
+		for _, l := range m.ClauseLits(ci) {
 			ll := localOf[mrf.Atom(l)]
-			if ll == 0 {
-				ok = false
-				break
-			}
 			if !mrf.Pos(l) {
 				ll = -ll
 			}
-			lits[i] = ll
+			lits = append(lits, ll)
 		}
-		if !ok {
-			continue
-		}
-		sub.Clauses = append(sub.Clauses, mrf.Clause{Weight: c.Weight, Lits: lits})
+		sub.Append(m.W[ci], lits)
 	}
 	return sub
 }

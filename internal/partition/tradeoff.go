@@ -90,19 +90,19 @@ func exhaustiveMinCost(m *mrf.MRF) float64 {
 // violates the other.
 func hasConflict(m *mrf.MRF) bool {
 	posUnit := make(map[mrf.AtomID]bool)
-	for _, c := range m.Clauses {
-		if c.Weight > 0 && len(c.Lits) == 1 && mrf.Pos(c.Lits[0]) {
-			posUnit[mrf.Atom(c.Lits[0])] = true
+	for ci, w := range m.W {
+		if lits := m.ClauseLits(ci); w > 0 && len(lits) == 1 && mrf.Pos(lits[0]) {
+			posUnit[mrf.Atom(lits[0])] = true
 		}
 	}
 	if len(posUnit) == 0 {
 		return false
 	}
-	for _, c := range m.Clauses {
-		if c.Weight >= 0 {
+	for ci, w := range m.W {
+		if w >= 0 {
 			continue
 		}
-		for _, l := range c.Lits {
+		for _, l := range m.ClauseLits(ci) {
 			if mrf.Pos(l) && posUnit[mrf.Atom(l)] {
 				return true
 			}
@@ -126,7 +126,7 @@ func ChooseBeta(m *mrf.MRF, candidates []int, stepsPerRound int64) (int, *Partit
 			PositiveOptParts: EstimatePositiveOptParts(pt, 10),
 			StepsPerRound:    stepsPerRound,
 			CutClauses:       pt.NumCut(),
-			TotalClauses:     len(m.Clauses),
+			TotalClauses:     m.NumClauses(),
 		})
 		if w > bestW {
 			bestW = w

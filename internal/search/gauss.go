@@ -19,10 +19,9 @@ import (
 // atom assignment and the cut structure are memory-resident). A nil source
 // keeps all partitions in RAM. Implementations must return the same
 // clauses in the same order on every call for a given partition; clauses
-// are appended to dst and the extended slice returned, so callers can pool
-// the buffer across rounds.
+// are appended to into, whose arrays callers reuse across rounds.
 type ClauseSource interface {
-	LoadClauses(pi int, dst []mrf.Clause) ([]mrf.Clause, error)
+	LoadClauses(pi int, into *mrf.MRF) error
 }
 
 // GaussSeidelOptions configures partition-aware search (Section 3.4).
@@ -62,14 +61,14 @@ type gsCut struct {
 }
 
 // gsPart is the per-partition state hoisted out of the round loop: the cut
-// projection templates, the pooled sub-MRF and clause buffer, and the slots
-// the class workers write their results into.
+// projection templates, the pooled sub-MRF (its first nInternal clauses are
+// the partition's own when they stay in RAM), and the slots the class
+// workers write their results into.
 type gsPart struct {
 	part      *partition.Part
 	nInternal int
 	cuts      []gsCut
 	sub       *mrf.MRF
-	clauseBuf []mrf.Clause
 	initBuf   []bool // local state extracted from global before the run
 	best      []bool // WalkSAT result (local ids)
 	flips     int64
@@ -167,7 +166,7 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 	parts := make([]*gsPart, len(pt.Parts))
 	localOf := make([]mrf.AtomID, m.NumAtoms+1)
 	for pi, part := range pt.Parts {
-		g := &gsPart{part: part, nInternal: len(part.Local.Clauses)}
+		g := &gsPart{part: part}
 		for i := 1; i <= part.Local.NumAtoms; i++ {
 			localOf[part.GlobalAtom[i]] = mrf.AtomID(i)
 		}
@@ -190,10 +189,11 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		for i := 1; i <= part.Local.NumAtoms; i++ {
 			localOf[part.GlobalAtom[i]] = 0
 		}
-		g.sub = mrf.New(part.Local.NumAtoms)
-		g.clauseBuf = make([]mrf.Clause, 0, g.nInternal+len(g.cuts))
 		if opts.Clauses == nil {
-			g.clauseBuf = append(g.clauseBuf, part.Local.Clauses...)
+			g.sub = part.Local.Compact()
+			g.nInternal = part.Local.NumClauses()
+		} else {
+			g.sub = mrf.New(part.Local.NumAtoms)
 		}
 		g.initBuf = make([]bool, part.Local.NumAtoms+1)
 		parts[pi] = g
@@ -206,12 +206,12 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 	// only the merged partition's internal and adjacent cut clauses.
 	hardViol := 0
 	softCost := 0.0
-	for _, c := range m.Clauses {
-		if c.ViolatedBy(global) {
-			if c.IsHard() {
+	for ci, w := range m.W {
+		if m.ViolatedBy(ci, global) {
+			if m.IsHard(ci) {
 				hardViol++
 			} else {
-				softCost += math.Abs(c.Weight)
+				softCost += math.Abs(w)
 			}
 		}
 	}
@@ -246,11 +246,9 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		if ctx.Err() != nil {
 			return // skip the clause load; g.best stays nil and merge skips
 		}
-		buf := g.clauseBuf[:g.nInternal]
+		g.sub.Truncate(g.nInternal)
 		if opts.Clauses != nil {
-			var err error
-			buf, err = opts.Clauses.LoadClauses(pi, buf[:0])
-			if err != nil {
+			if err := opts.Clauses.LoadClauses(pi, g.sub); err != nil {
 				g.err = err
 				return
 			}
@@ -276,10 +274,8 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 				}
 				continue
 			}
-			buf = append(buf, mrf.Clause{Weight: cc.weight, Lits: cc.local})
+			g.sub.Append(cc.weight, cc.local)
 		}
-		g.clauseBuf = buf[:0]
-		g.sub.Clauses = buf
 		g.sub.FixedCost = fixed
 
 		for i := 1; i <= g.part.Local.NumAtoms; i++ {
@@ -313,9 +309,10 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 				softCost += float64(sign) * math.Abs(w)
 			}
 		}
-		for _, c := range g.part.Local.Clauses {
-			account(c.ViolatedBy(g.initBuf), c.IsHard(), c.Weight, -1)
-			account(c.ViolatedBy(g.best), c.IsHard(), c.Weight, +1)
+		local := g.part.Local
+		for ci, w := range local.W {
+			account(local.ViolatedBy(ci, g.initBuf), local.IsHard(ci), w, -1)
+			account(local.ViolatedBy(ci, g.best), local.IsHard(ci), w, +1)
 		}
 		for _, cc := range g.cuts {
 			c := pt.Cut[cc.ci]

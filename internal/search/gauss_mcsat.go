@@ -56,24 +56,19 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 			localOf[p.GlobalAtom[i]] = mrf.AtomID(i)
 		}
 	}
+	// Each partition's sub-network receives its selected internal clauses
+	// (local ids) during selection and the projections of its selected cut
+	// clauses when it runs.
 	type mcPart struct {
-		internal []mrf.Clause // selected clauses fully inside, local ids
-		cut      []mrf.Clause // selected clauses spanning out, global ids
-		lits     []mrf.Lit    // the round's local literals of both kinds
-		sub      *mrf.MRF
-		buf      []mrf.Clause
-		next     []bool
-		ok       bool
+		cut  [][]mrf.Lit // selected clauses spanning out, global ids
+		lits []mrf.Lit   // one clause's local literals, reused
+		sub  *mrf.MRF
+		next []bool
+		ok   bool
 	}
 	parts := make([]*mcPart, len(pt.Parts))
 	for pi, p := range pt.Parts {
 		parts[pi] = &mcPart{sub: mrf.New(p.Local.NumAtoms)}
-	}
-	// clause ends a clause whose local literals g.lits[from:] holds. A
-	// later append that grows g.lits leaves the clause on the old backing
-	// array, which nothing writes again this round.
-	clause := func(g *mcPart, from int) mrf.Clause {
-		return mrf.Clause{Weight: 1, Lits: g.lits[from:len(g.lits):len(g.lits)]}
 	}
 	localLit := func(l mrf.Lit) mrf.Lit {
 		ll := localOf[mrf.Atom(l)]
@@ -96,11 +91,11 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		}
 		if !spansOut {
 			g := parts[first]
-			from := len(g.lits)
+			g.lits = g.lits[:0]
 			for _, l := range lits {
 				g.lits = append(g.lits, localLit(l))
 			}
-			g.internal = append(g.internal, clause(g, from))
+			g.sub.Append(1, g.lits)
 			return
 		}
 	next:
@@ -111,7 +106,7 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 					continue next // this partition already has the clause
 				}
 			}
-			parts[pi].cut = append(parts[pi].cut, mrf.Clause{Weight: 1, Lits: lits})
+			parts[pi].cut = append(parts[pi].cut, lits)
 		}
 	}
 
@@ -119,11 +114,10 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 	// external state and draws a near-uniform satisfying assignment.
 	runPart := func(round, pi int, sc *Scratch) {
 		g := parts[pi]
-		buf := append(g.buf[:0], g.internal...)
-		for _, c := range g.cut {
-			from := len(g.lits)
+		for _, lits := range g.cut {
+			g.lits = g.lits[:0]
 			satisfiedOutside := false
-			for _, l := range c.Lits {
+			for _, l := range lits {
 				a := mrf.Atom(l)
 				if pt.PartOf[a] == int32(pi) {
 					g.lits = append(g.lits, localLit(l))
@@ -134,16 +128,13 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 					break
 				}
 			}
-			if satisfiedOutside || len(g.lits) == from {
+			if satisfiedOutside || len(g.lits) == 0 {
 				// Satisfied by the frozen exterior, or unsatisfiable within
 				// this partition alone — either way no local constraint.
-				g.lits = g.lits[:from]
 				continue
 			}
-			buf = append(buf, clause(g, from))
+			g.sub.Append(1, g.lits)
 		}
-		g.buf = buf[:0]
-		g.sub.Clauses = buf
 		// The projected clause set is new every visit: index it into the
 		// worker's scratch. The sample is copied out because the worker
 		// reuses the scratch before this class merges.
@@ -158,9 +149,8 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 	total := 0
 	for round := 0; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
 		for _, g := range parts {
-			g.internal = g.internal[:0]
+			g.sub.Truncate(0)
 			g.cut = g.cut[:0]
-			g.lits = g.lits[:0]
 		}
 		// Global clause selection, exactly MCSAT's policy.
 		ch.selectRound(m, state, selRng, route)

@@ -130,7 +130,8 @@ func TestSampleSATSatisfiesAll(t *testing.T) {
 	if !ok {
 		t.Fatal("SampleSAT failed on satisfiable set")
 	}
-	for ci, c := range m.Clauses {
+	for ci := range m.W {
+		c := m.Clause(ci)
 		if !c.SatisfiedBy(state) {
 			t.Fatalf("clause %d unsatisfied", ci)
 		}

@@ -45,18 +45,17 @@ func StorePartitions(d *db.DB, pt *partition.Partitioning, prefix string) (*Part
 	return s, nil
 }
 
-// LoadClauses scans partition pi's table back into dst.
-func (s *PartitionClauseDB) LoadClauses(pi int, dst []mrf.Clause) ([]mrf.Clause, error) {
+// LoadClauses scans partition pi's table back into into.
+func (s *PartitionClauseDB) LoadClauses(pi int, into *mrf.MRF) error {
 	if pi < 0 || pi >= len(s.tables) {
-		return dst, fmt.Errorf("search: no partition table %d", pi)
+		return fmt.Errorf("search: no partition table %d", pi)
 	}
-	err := s.tables[pi].ScanRows(func(_ storage.RecordID, row tuple.Row) error {
+	return s.tables[pi].ScanRows(func(_ storage.RecordID, row tuple.Row) error {
 		c, cerr := mrf.RowClause(row)
 		if cerr != nil {
 			return cerr
 		}
-		dst = append(dst, c)
+		into.Append(c.Weight, c.Lits)
 		return nil
 	})
-	return dst, err
 }

@@ -120,8 +120,7 @@ func TestPublicWalkSATNeverServesStaleIndex(t *testing.T) {
 	if after.BestCost != m.Cost(after.Best) {
 		t.Fatalf("after mutation: reported cost %v, state costs %v", after.BestCost, m.Cost(after.Best))
 	}
-	fresh := mrf.New(m.NumAtoms)
-	fresh.Clauses = append(fresh.Clauses, m.Clauses...)
+	fresh := m.Compact()
 	want := WalkSAT(ctx, fresh, o)
 	if after.BestCost != want.BestCost || after.Flips != want.Flips || !reflect.DeepEqual(after.Best, want.Best) {
 		t.Fatalf("mutated network searched as (cost %v, %d flips), a fresh copy as (cost %v, %d flips)",
@@ -171,9 +170,10 @@ func BenchmarkSampleSAT(b *testing.B) {
 		}
 	}
 	sub := mrf.New(big.MRF.NumAtoms)
-	for _, c := range big.MRF.Clauses {
+	for ci := range big.MRF.W {
+		c := big.MRF.Clause(ci)
 		if c.Weight > 0 {
-			sub.Clauses = append(sub.Clauses, mrf.Clause{Weight: 1, Lits: c.Lits})
+			sub.Append(1, c.Lits)
 		}
 	}
 	opts := MCSATOptions{SampleSATFlips: 10_000}

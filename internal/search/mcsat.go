@@ -79,15 +79,15 @@ func mcsat(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts MCSATOption
 
 	counts := make([]float64, m.NumAtoms+1)
 	total := 0
-	sub := mrf.New(m.NumAtoms)
 	ch := &sc.mc
 	ch.prepare(m)
-	keep := func(lits []mrf.Lit) { ch.sel = append(ch.sel, mrf.Clause{Weight: 1, Lits: lits}) }
+	sub := &ch.sel
+	sub.NumAtoms = m.NumAtoms
+	keep := func(lits []mrf.Lit) { sub.Append(1, lits) }
 
 	for round := 0; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
-		ch.sel = ch.sel[:0]
+		sub.Truncate(0)
 		ch.selectRound(m, state, rng, keep)
-		sub.Clauses = ch.sel
 		if next := sampleSAT(ctx, sub, opts, rng, sc); next != nil {
 			copy(state, next)
 		}
@@ -190,21 +190,22 @@ func RunComponentMCSAT(ctx context.Context, comp *mrf.Component, idx int, opts M
 // every round: each clause's selection odds 1 - e^{-|w|} (for w < 0 that is
 // the policy's 1 - e^{w} bit for bit, since -|w| == w), the negated
 // literals of its negative soft clauses in clause order, which a selected
-// one contributes as unit clauses, and the round's selected subset M.
+// one contributes as unit clauses, and the round's selected subset M (a
+// network whose arrays every round reuses).
 type chain struct {
 	odds []float64
 	neg  []mrf.Lit
-	sel  []mrf.Clause
+	sel  mrf.MRF
 }
 
 // prepare fills the chain's odds and negated literals for m.
 func (ch *chain) prepare(m *mrf.MRF) {
-	ch.odds = resize(ch.odds, len(m.Clauses))
+	ch.odds = resize(ch.odds, m.NumClauses())
 	ch.neg = ch.neg[:0]
-	for ci, c := range m.Clauses {
-		ch.odds[ci] = 1 - math.Exp(-math.Abs(c.Weight))
-		if c.Weight < 0 && !c.IsHard() {
-			for _, l := range c.Lits {
+	for ci, w := range m.W {
+		ch.odds[ci] = 1 - math.Exp(-math.Abs(w))
+		if w < 0 && !m.IsHard(ci) {
+			for _, l := range m.ClauseLits(ci) {
 				ch.neg = append(ch.neg, -l)
 			}
 		}
@@ -220,7 +221,8 @@ func (ch *chain) prepare(m *mrf.MRF) {
 // negation holds. rng draws once per such soft clause.
 func (ch *chain) selectRound(m *mrf.MRF, state []bool, rng *rand.Rand, keep func(lits []mrf.Lit)) {
 	k := 0 // start of the current negative clause's literals in ch.neg
-	for ci, c := range m.Clauses {
+	for ci := range m.W {
+		c := m.Clause(ci)
 		switch w := c.Weight; {
 		case c.IsHard():
 			if w > 0 {
@@ -243,8 +245,8 @@ func (ch *chain) selectRound(m *mrf.MRF, state []bool, rng *rand.Rand, keep func
 }
 
 func hasHard(m *mrf.MRF) bool {
-	for _, c := range m.Clauses {
-		if c.IsHard() {
+	for ci := range m.W {
+		if m.IsHard(ci) {
 			return true
 		}
 	}
@@ -297,7 +299,7 @@ func sampleSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions, rng *rand.Ran
 		}
 		// WalkSAT move.
 		ci := e.viol[rng.Intn(len(e.viol))]
-		lits := e.m.Clauses[ci].Lits
+		lits := e.clause(ci)
 		var a mrf.AtomID
 		if rng.Float64() <= 0.5 {
 			a = mrf.Atom(lits[rng.Intn(len(lits))])

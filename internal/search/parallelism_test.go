@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"runtime"
@@ -15,19 +16,31 @@ import (
 // field; one query must not turn it into that many goroutines.
 const hugeParallelism = 1 << 20
 
-// peakGoroutines runs fn while sampling runtime.NumGoroutine and returns
-// the peak, less the goroutines that were running before fn started and
-// the sampler itself.
+// peakGoroutines runs fn while sampling the goroutine dump and returns the
+// peak number of goroutines running a worker closure of ComponentAware or
+// MCSATComponents — the goroutines the query itself starts. Counting every
+// goroutine of the process instead also counts whatever earlier tests left
+// winding down, which a loaded host keeps alive long enough to matter.
 func peakGoroutines(fn func()) int {
-	base := runtime.NumGoroutine()
 	var peak atomic.Int64
 	done := make(chan struct{})
 	sampled := make(chan struct{})
 	go func() {
 		defer close(sampled)
+		buf := make([]byte, 1<<16)
 		for {
-			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-				peak.Store(n)
+			var n int
+			for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+				buf = make([]byte, 2*len(buf))
+			}
+			workers := 0
+			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+				if bytes.Contains(g, []byte("search.ComponentAware.func")) || bytes.Contains(g, []byte("search.MCSATComponents.func")) {
+					workers++
+				}
+			}
+			if int64(workers) > peak.Load() {
+				peak.Store(int64(workers))
 			}
 			select {
 			case <-done:
@@ -40,7 +53,7 @@ func peakGoroutines(fn func()) int {
 	fn()
 	close(done)
 	<-sampled
-	return int(peak.Load()) - base - 1
+	return int(peak.Load())
 }
 
 // capCheck fails unless a run with hugeParallelism stayed within the

@@ -101,6 +101,8 @@ func (r *Result) FlipRate() float64 {
 // engine's own.
 type engine struct {
 	m          *mrf.MRF
+	off        []uint32      // m.Off, and
+	lits       []mrf.Lit     // m.Lits, held here for the flip loop
 	post       *mrf.Postings // atom -> clauses, positive and negated
 	rows       []clauseRow   // per clause, filled once per search
 	state      []bool
@@ -156,7 +158,7 @@ func (sc *Scratch) seed(seed int64) *rand.Rand {
 // index builds m's occurrence index into the scratch's own buffer — for
 // networks whose clause set is per-call or not known to be immutable.
 func (sc *Scratch) index(m *mrf.MRF) *mrf.Postings {
-	sc.own.Build(m.NumAtoms, m.Clauses)
+	sc.own.Build(m)
 	return &sc.own
 }
 
@@ -165,14 +167,14 @@ func (sc *Scratch) index(m *mrf.MRF) *mrf.Postings {
 // use: the other arrays hold the previous search's values.
 func (sc *Scratch) engineFor(m *mrf.MRF, post *mrf.Postings, hardW float64) *engine {
 	e := &sc.e
-	e.m, e.post, e.fixedExtra = m, post, m.FixedCost
+	e.m, e.off, e.lits, e.post, e.fixedExtra = m, m.Off, m.Lits, post, m.FixedCost
 	e.state = resize(e.state, m.NumAtoms+1)
-	e.rows = resize(e.rows, len(m.Clauses))
-	e.satCount = resize(e.satCount, len(m.Clauses))
-	e.violPos = resize(e.violPos, len(m.Clauses))
-	for ci, c := range m.Clauses {
-		r := clauseRow{w: math.Abs(c.Weight), neg: c.Weight < 0}
-		if math.IsInf(c.Weight, 0) {
+	e.rows = resize(e.rows, m.NumClauses())
+	e.satCount = resize(e.satCount, m.NumClauses())
+	e.violPos = resize(e.violPos, m.NumClauses())
+	for ci, w := range m.W {
+		r := clauseRow{w: math.Abs(w), neg: w < 0}
+		if math.IsInf(w, 0) {
 			r.w, r.hard = hardW, true
 		}
 		e.rows[ci] = r
@@ -200,6 +202,9 @@ func resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
+
+// clause returns clause ci's literals.
+func (e *engine) clause(ci int32) []mrf.Lit { return e.lits[e.off[ci]:e.off[ci+1]] }
 
 // addViol puts a clause that just became violated into the violated set
 // and its weight into the costs.
@@ -240,10 +245,10 @@ func (e *engine) reset(state []bool) {
 	e.cost = 0
 	e.softCost = 0
 	e.hardViol = 0
-	for ci := range e.m.Clauses {
+	for ci := range e.rows {
 		e.violPos[ci] = -1
 		cnt := int32(0)
-		for _, l := range e.m.Clauses[ci].Lits {
+		for _, l := range e.clause(int32(ci)) {
 			if e.state[mrf.Atom(l)] == mrf.Pos(l) {
 				cnt++
 			}
@@ -380,7 +385,7 @@ func walkSAT(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts Options, 
 				break // zero-cost world (w.r.t. guided cost): optimal
 			}
 			ci := e.viol[rng.Intn(len(e.viol))]
-			lits := e.m.Clauses[ci].Lits
+			lits := e.clause(ci)
 			var a mrf.AtomID
 			if rng.Float64() <= opts.NoisyP {
 				a = mrf.Atom(lits[rng.Intn(len(lits))])

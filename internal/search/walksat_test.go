@@ -142,21 +142,21 @@ func randomMRF(rng *rand.Rand, n, nc int, hard bool) *mrf.MRF {
 // positive clause gets a positive literal, a negative one only negated
 // literals.
 func plantAllTrue(m *mrf.MRF, soft bool) {
-	for i := range m.Clauses {
-		c := &m.Clauses[i]
+	for i := range m.W {
 		if soft {
-			c.Weight = math.Abs(c.Weight)
-		} else if !c.IsHard() {
+			m.W[i] = math.Abs(m.W[i])
+		} else if !m.IsHard(i) {
 			continue
 		}
-		if c.Weight < 0 {
-			for j, l := range c.Lits {
+		lits := m.ClauseLits(i)
+		if m.W[i] < 0 {
+			for j, l := range lits {
 				if mrf.Pos(l) {
-					c.Lits[j] = -l
+					lits[j] = -l
 				}
 			}
-		} else if !slices.ContainsFunc(c.Lits, mrf.Pos) {
-			c.Lits[0] = -c.Lits[0]
+		} else if !slices.ContainsFunc(lits, mrf.Pos) {
+			lits[0] = -lits[0]
 		}
 	}
 }
@@ -169,7 +169,8 @@ func checkEngine(t *testing.T, e *engine, hardW float64) {
 	t.Helper()
 	m := e.m
 	hardViol, softCost, guided, nViol := 0, 0.0, 0.0, 0
-	for ci, c := range m.Clauses {
+	for ci := range m.W {
+		c := m.Clause(ci)
 		if !c.ViolatedBy(e.state) {
 			if e.violPos[ci] >= 0 {
 				t.Fatalf("satisfied clause %d in viol set", ci)
@@ -242,7 +243,8 @@ func TestEngineViolSetConsistency(t *testing.T) {
 	for step := 0; step < 200; step++ {
 		e.flip(mrf.AtomID(1 + rng.Intn(m.NumAtoms)))
 		want := 0
-		for ci, c := range m.Clauses {
+		for ci := range m.W {
+			c := m.Clause(ci)
 			if c.ViolatedBy(e.state) {
 				want++
 				if e.violPos[ci] < 0 {

@@ -36,6 +36,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -304,7 +305,7 @@ func (e *Engine) openDurable() error {
 		ts.Drop()
 		return fail(fmt.Errorf("tuffy: restoring grounded network: %w", err))
 	}
-	if err := checkRebuilt(res, snap.numAtoms, len(snap.clauses), snap.fixedCost); err != nil {
+	if err := checkRebuilt(res, snap.net.NumAtoms, snap.net.NumClauses(), snap.net.FixedCost); err != nil {
 		ts.Drop()
 		return fail(err)
 	}
@@ -352,10 +353,10 @@ func (e *Engine) publishRecovered(snap *engineSnap, res *grounding.Result) {
 // contradict.
 func checkRebuilt(res *grounding.Result, numAtoms, numClauses int, fixedCost float64) error {
 	if res.MRF.NumAtoms != numAtoms ||
-		len(res.MRF.Clauses) != numClauses ||
+		res.MRF.NumClauses() != numClauses ||
 		math.Float64bits(res.MRF.FixedCost) != math.Float64bits(fixedCost) {
 		return fmt.Errorf("tuffy: rebuilt network disagrees with snapshot (%d atoms / %d clauses / cost %g, snapshot %d / %d / %g)",
-			res.MRF.NumAtoms, len(res.MRF.Clauses), res.MRF.FixedCost,
+			res.MRF.NumAtoms, res.MRF.NumClauses(), res.MRF.FixedCost,
 			numAtoms, numClauses, fixedCost)
 	}
 	return nil
@@ -382,7 +383,7 @@ func (e *Engine) materializePending() error {
 	// The serving epoch was published from the snapshot's serialized
 	// network; the rebuild must agree with it before updates build on top.
 	m := e.cur.Load().res.MRF
-	if err := checkRebuilt(res, m.NumAtoms, len(m.Clauses), m.FixedCost); err != nil {
+	if err := checkRebuilt(res, m.NumAtoms, m.NumClauses(), m.FixedCost); err != nil {
 		ts.Drop()
 		return err
 	}
@@ -524,12 +525,12 @@ type engineSnap struct {
 
 	// The assembled network, serialized so a clean reopen can publish a
 	// serving-ready epoch without rebuilding tables or re-assembling raws.
-	numAtoms  int
-	tableAid  []int64 // MRF atom id -> registry aid (index 0 unused)
-	fixedCost float64
-	clauses   []mrf.Clause
-	resStats  grounding.Stats
-	size      int64
+	// net carries its atom count, fixed cost and clauses; buildResult adds
+	// the atom descriptors.
+	net      *mrf.MRF
+	tableAid []int64 // MRF atom id -> registry aid (index 0 unused)
+	resStats grounding.Stats
+	size     int64
 }
 
 // buildResult reconstitutes the snapshot's serialized network as a
@@ -537,19 +538,19 @@ type engineSnap struct {
 // and the aid->id map is tableAid's inverse, so the result composes with
 // later incremental updates exactly like the assembler's own output.
 func (s *engineSnap) buildResult(prog *mln.Program) (*grounding.Result, error) {
-	m := mrf.New(s.numAtoms)
-	m.Clauses = s.clauses
-	m.FixedCost = s.fixedCost
-	m.Atoms = make([]mln.GroundAtom, s.numAtoms+1)
-	atomID := make(map[int64]mrf.AtomID, s.numAtoms)
-	for id := 1; id <= s.numAtoms; id++ {
+	m := s.net
+	m.Atoms = make([]mln.GroundAtom, m.NumAtoms+1)
+	for id := 1; id <= m.NumAtoms; id++ {
 		aid := s.tableAid[id]
 		if aid < 1 || aid > int64(len(s.atoms)) {
 			return nil, fmt.Errorf("network atom %d references registry aid %d of %d", id, aid, len(s.atoms))
 		}
 		sa := s.atoms[aid-1]
 		m.Atoms[id] = mln.GroundAtom{Pred: prog.Preds[sa.Pred], Args: sa.Args}
-		atomID[aid] = mrf.AtomID(id)
+	}
+	atomID := make([]mrf.AtomID, slices.Max(s.tableAid)+1)
+	for id, aid := range s.tableAid[1:] {
+		atomID[aid] = mrf.AtomID(id + 1)
 	}
 	return &grounding.Result{MRF: m, TableAid: s.tableAid, AtomID: atomID, Stats: s.resStats}, nil
 }
@@ -623,11 +624,12 @@ func (e *Engine) writeSnapshot(gen uint64, decomposed bool, res *grounding.Resul
 		w.U64(uint64(res.TableAid[id]))
 	}
 	w.F64(res.MRF.FixedCost)
-	w.U32(uint32(len(res.MRF.Clauses)))
-	for _, c := range res.MRF.Clauses {
-		w.F64(c.Weight)
-		w.U32(uint32(len(c.Lits)))
-		for _, l := range c.Lits {
+	w.U32(uint32(res.MRF.NumClauses()))
+	for ci, wt := range res.MRF.W {
+		lits := res.MRF.ClauseLits(ci)
+		w.F64(wt)
+		w.U32(uint32(len(lits)))
+		for _, l := range lits {
 			w.U32(uint32(l))
 		}
 	}
@@ -701,6 +703,9 @@ func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 			break
 		}
 		s.atoms[i] = grounding.SnapAtom{Pred: pi, Args: readArgs(r, prog.Preds[pi]), Truth: int64(r.U8())}
+		if t := s.atoms[i].Truth; t != grounding.TruthUnknown && t != grounding.TruthTrue && t != grounding.TruthFalse {
+			r.Failf("snapshot atom %d has truth code %d", i, t)
+		}
 	}
 
 	if n := int(r.U32()); n != len(prog.Clauses) {
@@ -715,28 +720,34 @@ func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 		s.perStats[i] = readStats(r)
 	}
 
-	s.numAtoms = int(r.U32())
-	if s.numAtoms < 0 || s.numAtoms > len(s.atoms) {
-		r.Failf("snapshot network has %d atoms, registry has %d", s.numAtoms, len(s.atoms))
-		s.numAtoms = 0
+	numAtoms := int(r.U32())
+	if numAtoms < 0 || numAtoms > len(s.atoms) {
+		r.Failf("snapshot network has %d atoms, registry has %d", numAtoms, len(s.atoms))
+		numAtoms = 0
 	}
-	s.tableAid = make([]int64, s.numAtoms+1)
-	for id := 1; id <= s.numAtoms; id++ {
+	s.tableAid = make([]int64, numAtoms+1)
+	for id := 1; id <= numAtoms; id++ {
 		s.tableAid[id] = int64(r.U64())
 	}
-	s.fixedCost = r.F64()
-	s.clauses = make([]mrf.Clause, r.Count(12))
-	for i := range s.clauses {
-		s.clauses[i].Weight = r.F64()
-		s.clauses[i].Lits = make([]mrf.Lit, r.Count(4))
-		for k := range s.clauses[i].Lits {
-			l := mrf.Lit(r.U32())
-			if l == 0 || l > mrf.Lit(s.numAtoms) || -l > mrf.Lit(s.numAtoms) {
-				r.Failf("snapshot clause %d references atom %d of %d", i, l, s.numAtoms)
+	m := mrf.New(numAtoms)
+	m.FixedCost = r.F64()
+	if n := r.Count(12); n > 0 {
+		m.W = make([]float64, n)
+		m.Off = make([]uint32, n+1)
+		for i := range m.W {
+			m.W[i] = r.F64()
+			for k := r.Count(4); k > 0; k-- {
+				l := mrf.Lit(r.U32())
+				if l == 0 || l > mrf.Lit(numAtoms) || -l > mrf.Lit(numAtoms) {
+					r.Failf("snapshot clause %d references atom %d of %d", i, l, numAtoms)
+				}
+				m.Lits = append(m.Lits, l)
 			}
-			s.clauses[i].Lits[k] = l
+			m.Off[i+1] = uint32(len(m.Lits))
 		}
+		m.Lits = slices.Clone(m.Lits) // exact size: append's slack would stay resident
 	}
+	s.net = m
 	s.resStats = readStats(r)
 	if err := r.Finish(); err != nil {
 		return nil, err

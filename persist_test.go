@@ -21,12 +21,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"tuffy/internal/codec"
 	"tuffy/internal/datagen"
+	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
+	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
 	"tuffy/internal/wal"
 )
@@ -561,6 +564,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(body[:len(body)/2])
 	f.Add(body[:53]) // the fixed header, nothing after it
 	f.Add([]byte{})
+	f.Add(repeatSnapAtom(f, prog, golden))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		snap, err := decodeSnapshot(sealSnapshot(body), prog)
@@ -570,8 +574,92 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
+		// A registry RestoreTables accepts gives every atom exactly its
+		// own aid; one naming an atom twice is refused.
+		ts, err := grounding.RestoreTables(db.Open(db.Config{BufferPoolPages: 64}), prog, mln.NewEvidence(prog), snap.atoms)
+		if err == nil {
+			for i, sa := range snap.atoms {
+				if aid, ok := ts.AidOf(prog.Preds[sa.Pred], sa.Args); !ok || aid != int64(i+1) {
+					t.Fatalf("registry atom %d restored under aid %d (%v)", i+1, aid, ok)
+				}
+			}
+		}
 		_, _ = snap.buildResult(prog) // may refuse, must not panic
 	})
+}
+
+// snapAtomSpans returns a copy of the golden snapshot's body with the
+// registry atoms decoded and each one's [start, end) byte span in the body.
+func snapAtomSpans(tb testing.TB, prog *mln.Program, golden []byte) (body []byte, atoms []grounding.SnapAtom, spans [][2]int) {
+	tb.Helper()
+	snap, err := decodeSnapshot(golden, prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var section codec.Enc
+	section.U32(uint32(len(snap.atoms)))
+	var ends []int
+	for _, a := range snap.atoms {
+		section.U32(uint32(a.Pred))
+		for _, x := range a.Args {
+			section.U32(uint32(x))
+		}
+		section.U8(byte(a.Truth))
+		ends = append(ends, len(section.Buf()))
+	}
+	body = slices.Clone(golden[len(snapshotMagic) : len(golden)-4])
+	at := bytes.Index(body, section.Buf())
+	if at < 0 {
+		tb.Fatal("atom registry not found in the golden snapshot")
+	}
+	start := at + 4
+	for _, end := range ends {
+		spans = append(spans, [2]int{start, at + end})
+		start = at + end
+	}
+	return body, snap.atoms, spans
+}
+
+// repeatSnapAtom returns the golden snapshot's body with its registry
+// naming one atom twice: the second of two same-predicate atoms in a row is
+// overwritten with the first.
+func repeatSnapAtom(tb testing.TB, prog *mln.Program, golden []byte) []byte {
+	body, atoms, spans := snapAtomSpans(tb, prog, golden)
+	for i := 0; i+1 < len(atoms); i++ {
+		if atoms[i+1].Pred == atoms[i].Pred {
+			copy(body[spans[i+1][0]:], body[spans[i][0]:spans[i][1]])
+			return body
+		}
+	}
+	tb.Fatal("no two same-predicate atoms in a row in the golden snapshot")
+	return nil
+}
+
+// A snapshot registry past the checksum that names one atom twice decodes,
+// but RestoreTables refuses it; one whose atom carries a truth byte that is
+// no truth code fails the decode with codec.ErrMalformed.
+func TestSnapshotRegistryDefects(t *testing.T) {
+	prog, err := LoadProgramString(mln.Figure1Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := mustRead(t, filepath.Join(formatDir, snapshotFile))
+
+	snap, err := decodeSnapshot(sealSnapshot(repeatSnapAtom(t, prog, golden)), prog)
+	if err != nil {
+		t.Fatalf("decode of a repeated atom: %v", err)
+	}
+	if _, err := grounding.RestoreTables(db.Open(db.Config{}), prog, mln.NewEvidence(prog), snap.atoms); err == nil ||
+		!strings.Contains(err.Error(), "twice") {
+		t.Fatalf("RestoreTables of a repeated atom: err = %v", err)
+	}
+
+	body, _, spans := snapAtomSpans(t, prog, golden)
+	body[spans[0][1]-1] = 200
+	if _, err := decodeSnapshot(sealSnapshot(body), prog); !errors.Is(err, codec.ErrMalformed) ||
+		!strings.Contains(err.Error(), "truth code 200") {
+		t.Fatalf("decode of truth byte 200: err = %v, want codec.ErrMalformed", err)
+	}
 }
 
 // In-database search (Tuffy-mm) on a durable engine: its per-query side
