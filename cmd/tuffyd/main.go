@@ -1,6 +1,6 @@
 // Command tuffyd is the inference daemon: it grounds an MLN program, then
 // serves MAP and marginal queries over HTTP through tuffy.Serve's
-// admission-controlled scheduler — bounded priority queue, per-query
+// admission-controlled scheduler — bounded FIFO queue, per-query
 // budget caps, epoch-keyed result cache, metrics — and accepts live
 // evidence updates that re-ground incrementally and publish a new epoch.
 //
@@ -19,7 +19,7 @@
 //
 // Example query and update:
 //
-//	curl -s localhost:7090/infer -d '{"kind":"map","seed":1,"maxFlips":20000,"priority":1}'
+//	curl -s localhost:7090/infer -d '{"kind":"map","seed":1,"maxFlips":20000}'
 //	curl -s localhost:7090/evidence -d '{"ops":[{"pred":"friend","args":["Anna","Bob"]},{"pred":"smokes","args":["Carl"],"truth":"retract"}]}'
 //
 // Admission rejections map to HTTP statuses: 429 queue full, 400 budget
@@ -77,7 +77,6 @@ func main() {
 		budget     = flag.Int64("memory", 0, "engine memory budget in bytes for MRF partitioning")
 		inflight   = flag.Int("inflight", 4, "max concurrently executing queries")
 		queue      = flag.Int("queue", 64, "admission queue bound (waiting queries)")
-		lanes      = flag.Int("lanes", 3, "priority lanes (0 = most urgent)")
 		maxFlips   = flag.Int64("maxflips", 0, "per-query cap on MAP flips over all tries (0 = none)")
 		maxSamples = flag.Int("maxsamples", 0, "per-query MC-SAT sample cap (0 = none)")
 		maxBytes   = flag.Int64("maxbytes", 0, "per-query memory estimate cap in bytes (0 = none)")
@@ -119,7 +118,6 @@ func main() {
 	srv, err := tuffy.Serve(tuffy.ServerConfig{
 		MaxInFlight:        *inflight,
 		MaxQueue:           *queue,
-		Priorities:         *lanes,
 		MaxFlipsPerQuery:   *maxFlips,
 		MaxSamplesPerQuery: *maxSamples,
 		MaxBytesPerQuery:   *maxBytes,
@@ -160,7 +158,7 @@ func main() {
 		}
 	}()
 	eff := srv.Config()
-	log.Printf("tuffyd serving on %s (inflight=%d queue=%d lanes=%d)", *addr, eff.MaxInFlight, eff.MaxQueue, eff.Priorities)
+	log.Printf("tuffyd serving on %s (inflight=%d queue=%d)", *addr, eff.MaxInFlight, eff.MaxQueue)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatalIf(err)
 	}
@@ -182,7 +180,6 @@ type inferRequest struct {
 	Rounds      int    `json:"rounds"`
 	Samples     int    `json:"samples"`
 	Parallelism int    `json:"parallelism"`
-	Priority    int    `json:"priority"`
 }
 
 type mapResponse struct {
@@ -256,7 +253,7 @@ func (h *handler) infer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown kind %q", req.Kind))
 		return
 	}
-	out, err := answer(h, r.Context(), tuffy.Request{Options: opts, Priority: req.Priority})
+	out, err := answer(h, r.Context(), opts)
 	if err != nil {
 		h.reject(w, err)
 		return
@@ -266,7 +263,7 @@ func (h *handler) infer(w http.ResponseWriter, r *http.Request) {
 
 // inferKinds maps the JSON "kind" to the query it names: the server entry
 // point and the reply built from its typed result.
-var inferKinds = map[string]func(*handler, context.Context, tuffy.Request) (any, error){
+var inferKinds = map[string]func(*handler, context.Context, tuffy.InferOptions) (any, error){
 	"":         answerWith((*tuffy.Server).InferMAP, (*handler).mapReply),
 	"map":      answerWith((*tuffy.Server).InferMAP, (*handler).mapReply),
 	"marginal": answerWith((*tuffy.Server).InferMarginal, (*handler).marginalReply),
@@ -275,9 +272,9 @@ var inferKinds = map[string]func(*handler, context.Context, tuffy.Request) (any,
 // answerWith is the one call into the server: run the query, pass admission
 // rejections up, and turn the result — complete, or best-so-far when the
 // query was canceled mid-run — into its reply.
-func answerWith[R any](run func(*tuffy.Server, context.Context, tuffy.Request) (*R, error), reply func(*handler, *R, bool) any) func(*handler, context.Context, tuffy.Request) (any, error) {
-	return func(h *handler, ctx context.Context, q tuffy.Request) (any, error) {
-		res, err := run(h.srv, ctx, q)
+func answerWith[R any](run func(*tuffy.Server, context.Context, tuffy.InferOptions) (*R, error), reply func(*handler, *R, bool) any) func(*handler, context.Context, tuffy.InferOptions) (any, error) {
+	return func(h *handler, ctx context.Context, opts tuffy.InferOptions) (any, error) {
+		res, err := run(h.srv, ctx, opts)
 		if err != nil && !errors.Is(err, tuffy.ErrCanceled) {
 			return nil, err
 		}
@@ -456,12 +453,11 @@ func (h *handler) retryAfterSeconds() int64 {
 // retryAfterHint estimates the wait for the whole queue ahead of a retry
 // to drain: queued queries finish at roughly maxInFlight per average
 // query latency. The average must be the mean of real execution runs
-// only — cache hits and batch-absorbed queries are excluded from
-// Metrics.AvgLatency precisely so this estimate doesn't collapse toward
-// zero under a hit- or batch-heavy mix. Before any query completes the
-// average defaults to one second and a slot count below one counts as one;
-// the result is clamped to [1s, 60s] so clients always get a sane, bounded
-// hint.
+// only — cache hits are excluded from Metrics.AvgLatency precisely so this
+// estimate doesn't collapse toward zero under a hit-heavy mix. Before any
+// query completes the average defaults to one second and a slot count
+// below one counts as one; the result is clamped to [1s, 60s] so clients
+// always get a sane, bounded hint.
 func retryAfterHint(avg time.Duration, waiting int64, maxInFlight int) int64 {
 	if avg <= 0 {
 		avg = time.Second

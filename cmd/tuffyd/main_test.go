@@ -50,7 +50,7 @@ func TestRetryAfterHint(t *testing.T) {
 // that bounds what any one body can cost. A memory budget (0 = none) of
 // 300 bytes cuts the network into four parts, so Auto MAP queries run
 // Gauss-Seidel.
-func figure1Daemon(f *testing.F, budget int64) *handler {
+func figure1Daemon(f testing.TB, budget int64) *handler {
 	prog, err := tuffy.LoadProgramString(mln.Figure1Program)
 	if err != nil {
 		f.Fatal(err)
@@ -104,6 +104,7 @@ func fuzzBody(t *testing.T, h *handler, path string, body []byte, v any, allowed
 // memory budget that makes Auto MAP run Gauss-Seidel. Seeds are the query
 // body of the package doc's curl example and variations of it.
 func FuzzInferBody(f *testing.F) {
+	f.Add([]byte(`{"kind":"map","seed":1,"maxFlips":20000}`))
 	f.Add([]byte(`{"kind":"map","seed":1,"maxFlips":20000,"priority":1}`))
 	f.Add([]byte(`{"kind":"marginal","samples":80}`))
 	f.Add([]byte(`{"kind":"map","mode":"indb","maxFlips":2000,"parallelism":1048576}`))
@@ -121,6 +122,27 @@ func FuzzInferBody(f *testing.F) {
 				http.StatusServiceUnavailable, http.StatusGatewayTimeout)
 		}
 	})
+}
+
+// A body that still sends the retired "priority" field is accepted, and
+// the field is ignored: the answer is the one the same query gets without
+// it.
+func TestInferIgnoresPriority(t *testing.T) {
+	h := figure1Daemon(t, 0)
+	post := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, q := range []string{`"kind":"map","seed":1,"maxFlips":20000`, `"kind":"marginal","seed":2,"samples":50`} {
+		code, with := post(`{` + q + `,"priority":1}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s with priority answered %d: %s", q, code, with)
+		}
+		if code, without := post(`{` + q + `}`); code != http.StatusOK || without != with {
+			t.Fatalf("%s: without priority answered %d %s, with it %s", q, code, without, with)
+		}
+	}
 }
 
 // FuzzEvidenceBody is FuzzInferBody for /evidence, which may also answer

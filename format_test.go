@@ -127,8 +127,8 @@ type fixtureExpect struct {
 const fixtureDir = formatDir + "/datadir"
 
 var (
-	fixtureMAP  = Request{Options: InferOptions{MaxFlips: 20_000, Seed: 7}}
-	fixtureMarg = Request{Options: InferOptions{Samples: 60, Seed: 5}}
+	fixtureMAP  = InferOptions{MaxFlips: 20_000, Seed: 7}
+	fixtureMarg = InferOptions{Samples: 60, Seed: 5}
 )
 
 func bitString(s []bool) string {
@@ -204,11 +204,11 @@ func writeFixture(t *testing.T) {
 	if ur := mustUpdate(t, eng, figure1Delta(t, eng.prog)); ur.Identical || ur.Epoch != 1 {
 		t.Fatalf("fixture delta did not publish epoch 1: %+v", ur)
 	}
-	m, err := eng.InferMAP(ctx, fixtureMAP.Options)
+	m, err := eng.InferMAP(ctx, fixtureMAP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := eng.InferMarginal(ctx, fixtureMarg.Options)
+	g, err := eng.InferMarginal(ctx, fixtureMarg)
 	if err != nil {
 		t.Fatal(err)
 	}

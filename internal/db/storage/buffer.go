@@ -527,10 +527,3 @@ func (bp *BufferPool) evictFrameLocked(f *frame) {
 
 // Capacity returns the pool capacity in pages.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
-
-// CachedPages returns the number of resident pages.
-func (bp *BufferPool) CachedPages() int {
-	bp.mu.RLock()
-	defer bp.mu.RUnlock()
-	return len(bp.frames)
-}

@@ -241,17 +241,6 @@ func (m *MRF) Cost(state []bool) float64 {
 	return cost
 }
 
-// NumViolated counts violated clauses in the state.
-func (m *MRF) NumViolated(state []bool) int {
-	n := 0
-	for i := range m.W {
-		if m.ViolatedBy(i, state) {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats summarizes the memory the MRF's search representation needs — the
 // byte accounting used for the paper's Table 4/5 RAM comparisons.
 type Stats struct {

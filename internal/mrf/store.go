@@ -42,16 +42,6 @@ func ClauseTableSchema() tuple.Schema {
 	)
 }
 
-// AtomTableSchema is the layout of the search-state atom table used by the
-// in-database search: current truth value and the best value found.
-func AtomTableSchema() tuple.Schema {
-	return tuple.NewSchema(
-		tuple.Col("aid", tuple.TInt),
-		tuple.Col("truth", tuple.TInt),
-		tuple.Col("best", tuple.TInt),
-	)
-}
-
 // ViolTableSchema is the layout of the violated-clause side table maintained
 // by the set-oriented in-database search: one row per currently-violated
 // clause. All columns are fixed-width BIGINTs so a transition can reuse a

@@ -12,18 +12,6 @@ import (
 	"tuffy/internal/partition"
 )
 
-// ClauseSource supplies a partition's internal clauses each time the
-// partition is visited. It models Section 3.4's disk-resident partitions:
-// when the grounded MRF exceeds RAM, partition clause data stays in the
-// RDBMS and is re-read through the buffer pool on every visit (only the
-// atom assignment and the cut structure are memory-resident). A nil source
-// keeps all partitions in RAM. Implementations must return the same
-// clauses in the same order on every call for a given partition; clauses
-// are appended to into, whose arrays callers reuse across rounds.
-type ClauseSource interface {
-	LoadClauses(pi int, into *mrf.MRF) error
-}
-
 // GaussSeidelOptions configures partition-aware search (Section 3.4).
 type GaussSeidelOptions struct {
 	// Base WalkSAT options; MaxFlips is the per-partition budget per round.
@@ -36,9 +24,6 @@ type GaussSeidelOptions struct {
 	// together, and results merge in one canonical order, so the result is
 	// bit-identical for every value.
 	Parallelism int
-	// Clauses optionally serves internal clauses per visit (disk-resident
-	// partitions); nil searches the in-RAM copies.
-	Clauses ClauseSource
 	// ClassBarrier forces the legacy lock-step schedule: one color class at
 	// a time with a full barrier between classes. The default (false) is
 	// the balanced pipelined schedule, which starts a partition as soon as
@@ -62,8 +47,8 @@ type gsCut struct {
 
 // gsPart is the per-partition state hoisted out of the round loop: the cut
 // projection templates, the pooled sub-MRF (its first nInternal clauses are
-// the partition's own when they stay in RAM), and the slots the class
-// workers write their results into.
+// the partition's own), and the slots the class workers write their
+// results into.
 type gsPart struct {
 	part      *partition.Part
 	nInternal int
@@ -72,7 +57,6 @@ type gsPart struct {
 	initBuf   []bool // local state extracted from global before the run
 	best      []bool // WalkSAT result (local ids)
 	flips     int64
-	err       error
 }
 
 // runClass executes fn(pi, sc) for every partition index in class on up to
@@ -189,12 +173,8 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		for i := 1; i <= part.Local.NumAtoms; i++ {
 			localOf[part.GlobalAtom[i]] = 0
 		}
-		if opts.Clauses == nil {
-			g.sub = part.Local.Compact()
-			g.nInternal = part.Local.NumClauses()
-		} else {
-			g.sub = mrf.New(part.Local.NumAtoms)
-		}
+		g.sub = part.Local.Compact()
+		g.nInternal = part.Local.NumClauses()
 		g.initBuf = make([]bool, part.Local.NumAtoms+1)
 		parts[pi] = g
 	}
@@ -244,15 +224,9 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 	runPart := func(round, pi int, sc *Scratch) {
 		g := parts[pi]
 		if ctx.Err() != nil {
-			return // skip the clause load; g.best stays nil and merge skips
+			return // g.best stays nil and merge skips
 		}
 		g.sub.Truncate(g.nInternal)
-		if opts.Clauses != nil {
-			if err := opts.Clauses.LoadClauses(pi, g.sub); err != nil {
-				g.err = err
-				return
-			}
-		}
 		fixed := 0.0
 		for _, cc := range g.cuts {
 			satisfiedOutside := false
@@ -341,9 +315,6 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 				round := round
 				runClass(class, opts.Parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
 				for _, pi := range class {
-					if err := parts[pi].err; err != nil {
-						return nil, err
-					}
 					merge(pi)
 					parts[pi].best = nil // consumed; do not re-merge next round
 				}
@@ -355,16 +326,10 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		return result(), nil
 	}
 
-	if err := runPipelined(ctx, sched, opts.Rounds, opts.Parallelism, runPart, func(pi int) error {
-		if err := parts[pi].err; err != nil {
-			return err
-		}
+	runPipelined(ctx, sched, opts.Rounds, opts.Parallelism, runPart, func(pi int) {
 		merge(pi)
 		parts[pi].best = nil // consumed; do not re-merge next round
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	if ctx.Err() != nil {
 		return result(), Canceled(ctx)
 	}
@@ -380,9 +345,9 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 // guarantees each run reads exactly the global state the sequential sweep
 // would give it while non-neighbouring merges proceed concurrently, so
 // results are bit-identical to the class-barrier schedule for every worker
-// count. A mergeFn error aborts the pipeline after in-flight runs drain
-// (runs not yet started are skipped).
-func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, workers int, runFn func(round, pi int, sc *Scratch), mergeFn func(pi int) error) error {
+// count. Cancellation stops the pipeline after in-flight runs drain (runs
+// not yet started are skipped).
+func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, workers int, runFn func(round, pi int, sc *Scratch), mergeFn func(pi int)) {
 	p := len(sched.Order)
 	if workers > p {
 		workers = p
@@ -478,7 +443,7 @@ func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, worker
 			// themselves and return promptly; queued ones are skipped via
 			// abort. The caller reports the globals merged so far.
 			abort.Store(true)
-			return nil
+			return
 		}
 		runFlag[(j/p)%2][j%p] = true
 		var released []int
@@ -488,10 +453,7 @@ func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, worker
 			if !runFlag[t%2][pi] {
 				break
 			}
-			if err := mergeFn(pi); err != nil {
-				abort.Store(true)
-				return err
-			}
+			mergeFn(pi)
 			merged++
 			head++
 			// The landed merge satisfies one dependency of each job that
@@ -522,5 +484,4 @@ func runPipelined(ctx context.Context, sched *partition.Schedule, rounds, worker
 		}
 		dispatch(released)
 	}
-	return nil
 }

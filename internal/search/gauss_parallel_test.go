@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"tuffy/internal/datagen"
-	"tuffy/internal/db"
 	"tuffy/internal/mrf"
 	"tuffy/internal/partition"
 )
 
 // gsRun runs GaussSeidel on Example2 with the bridge cut, returning the
 // result and the tracker cost trajectory.
-func gsRun(t *testing.T, parallelism int, src ClauseSource) (*ComponentResult, []float64) {
+func gsRun(t *testing.T, parallelism int) (*ComponentResult, []float64) {
 	t.Helper()
 	m := datagen.Example2(6)
 	pt := partition.Algorithm3(m, 50)
@@ -26,7 +25,6 @@ func gsRun(t *testing.T, parallelism int, src ClauseSource) (*ComponentResult, [
 		Base:        Options{MaxFlips: 3000, Seed: 11, Tracker: tr},
 		Rounds:      3,
 		Parallelism: parallelism,
-		Clauses:     src,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +37,9 @@ func gsRun(t *testing.T, parallelism int, src ClauseSource) (*ComponentResult, [
 }
 
 func TestGaussSeidelParallelDeterminism(t *testing.T) {
-	base, baseCosts := gsRun(t, 1, nil)
+	base, baseCosts := gsRun(t, 1)
 	for _, p := range []int{2, 4, 8} {
-		res, costs := gsRun(t, p, nil)
+		res, costs := gsRun(t, p)
 		if res.BestCost != base.BestCost {
 			t.Fatalf("parallelism %d: cost %v, want %v", p, res.BestCost, base.BestCost)
 		}
@@ -120,29 +118,10 @@ func TestGaussSeidelParallelReachesOptimum(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelDBClauseSourceMatchesRAM(t *testing.T) {
-	m := datagen.Example2(6)
-	pt := partition.Algorithm3(m, 50)
-	d := db.Open(db.Config{BufferPoolPages: 2})
-	store, err := StorePartitions(d, pt, "gs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ram, ramCosts := gsRun(t, 2, nil)
-	dbr, dbCosts := gsRun(t, 2, store)
-	if ram.BestCost != dbr.BestCost || !reflect.DeepEqual(ram.Best, dbr.Best) || ram.Flips != dbr.Flips {
-		t.Fatalf("disk-resident clauses changed the search: cost %v vs %v, flips %d vs %d",
-			dbr.BestCost, ram.BestCost, dbr.Flips, ram.Flips)
-	}
-	if !reflect.DeepEqual(ramCosts, dbCosts) {
-		t.Fatalf("disk-resident trajectory differs: %v vs %v", dbCosts, ramCosts)
-	}
-}
-
 // TestGaussSeidelParallelRace exercises concurrent partitions sharing the
-// global state and the shared buffer pool under the race detector: a long
-// chain of blocks (many partitions per color class) searched with 8 workers
-// and disk-resident clauses through a pool smaller than the table set.
+// global state under the race detector: a long chain of blocks (many
+// partitions per color class) searched with 8 workers must match the
+// sequential sweep.
 func TestGaussSeidelParallelRace(t *testing.T) {
 	m := mrf.New(40)
 	for b := 0; b < 10; b++ {
@@ -162,26 +141,20 @@ func TestGaussSeidelParallelRace(t *testing.T) {
 	if len(pt.Parts) < 5 || pt.NumCut() == 0 {
 		t.Fatalf("want many partitions with cuts, got %d parts %d cut", len(pt.Parts), pt.NumCut())
 	}
-	d := db.Open(db.Config{BufferPoolPages: 8})
-	store, err := StorePartitions(d, pt, "race")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var baseRes *ComponentResult
-	for _, src := range []ClauseSource{nil, store} {
+	for _, workers := range []int{1, 8} {
 		res, err := GaussSeidel(context.Background(), pt, GaussSeidelOptions{
 			Base:        Options{MaxFlips: 500, Seed: 3},
 			Rounds:      3,
-			Parallelism: 8,
-			Clauses:     src,
+			Parallelism: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if baseRes == nil {
 			baseRes = res
-		} else if res.BestCost != baseRes.BestCost {
-			t.Fatalf("cost differs between RAM and DB sources: %v vs %v", res.BestCost, baseRes.BestCost)
+		} else if res.BestCost != baseRes.BestCost || !reflect.DeepEqual(res.Best, baseRes.Best) {
+			t.Fatalf("8 workers diverge from the sequential sweep: cost %v vs %v", res.BestCost, baseRes.BestCost)
 		}
 	}
 }

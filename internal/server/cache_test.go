@@ -152,7 +152,7 @@ func TestSchedulerConfigDefaults(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{}, nil)
 	defer s.Close()
 	cfg := s.Config()
-	if cfg.Workers != 4 || cfg.MaxQueue != 64 || cfg.Lanes != 3 {
+	if cfg.Workers != 4 || cfg.MaxQueue != 64 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // ErrQueueFull rejects a Submit when the admission queue is at capacity.
 // Admission control sheds the query immediately instead of blocking, so a
-// client can retry, downgrade priority, or back off.
+// client can retry or back off.
 var ErrQueueFull = errors.New("server: admission queue full")
 
 // ErrServerClosed rejects a Submit after Close.

@@ -15,7 +15,6 @@ type Counters struct {
 	RejectedBudget atomic.Int64 // rejected: per-query budget exceeded
 	Expired        atomic.Int64 // abandoned in queue (ctx done before a slot freed)
 	Completed      atomic.Int64 // queries that ran to completion (incl. canceled runs)
-	Batched        atomic.Int64 // queries completed by absorbing a same-key leader's result
 	CacheHits      atomic.Int64
 	CacheMisses    atomic.Int64
 
@@ -39,7 +38,7 @@ type Metrics struct {
 	RejectedBudget int64 `json:"rejectedBudget"`
 	Expired        int64 `json:"expiredInQueue"`
 	Completed      int64 `json:"completed"`
-	Batched        int64 `json:"batched"`
+	Batched        int64 `json:"batched"` // always 0; kept while benchmark/serve.go:698 reads it
 	CacheHits      int64 `json:"cacheHits"`
 	CacheMisses    int64 `json:"cacheMisses"`
 
@@ -64,7 +63,6 @@ func (c *Counters) Snapshot() Metrics {
 		RejectedBudget: c.RejectedBudget.Load(),
 		Expired:        c.Expired.Load(),
 		Completed:      c.Completed.Load(),
-		Batched:        c.Batched.Load(),
 		CacheHits:      c.CacheHits.Load(),
 		CacheMisses:    c.CacheMisses.Load(),
 		Queued:         c.Queued.Load(),
@@ -79,19 +77,18 @@ func (c *Counters) Snapshot() Metrics {
 	}
 }
 
-// AvgQueueWait is the mean admission-to-completion wait per query that
-// left the queue with an answer — executed or batch-absorbed.
+// AvgQueueWait is the mean admission-to-claim wait per executed query.
 func (m Metrics) AvgQueueWait() time.Duration {
-	if n := m.Completed + m.Batched; n > 0 {
-		return m.QueueWait / time.Duration(n)
+	if m.Completed > 0 {
+		return m.QueueWait / time.Duration(m.Completed)
 	}
 	return 0
 }
 
-// AvgLatency is the mean execution time per executed query. Batch-absorbed
-// queries and cache hits never consume an execution slot and are excluded,
-// so the average keeps estimating the cost of a real inference run (the
-// Retry-After heuristic in cmd/tuffyd depends on that).
+// AvgLatency is the mean execution time per executed query. Cache hits
+// never consume an execution slot and are excluded, so the average keeps
+// estimating the cost of a real inference run (the Retry-After heuristic
+// in cmd/tuffyd depends on that).
 func (m Metrics) AvgLatency() time.Duration {
 	if m.Completed == 0 {
 		return 0

@@ -1,14 +1,13 @@
 // Package server is the query admission and scheduling layer that fronts
-// one or more grounded Engines (the heavy-traffic layer the ROADMAP names
-// on top of the paper's ground-then-query architecture): a bounded
-// admission queue with per-priority FIFO lanes, a fixed cap on in-flight
-// queries, per-query budget enforcement with typed rejection errors, an
-// epoch-keyed result cache (entries are tagged with the Engine epoch that
-// produced them and swept when an evidence update publishes a new epoch),
-// and counters for every stage of a query's life. The package is
-// engine-agnostic: it schedules opaque closures, and the public
-// tuffy.Serve API layers Engine dispatch, budget derivation, cache keys
-// and update-time cache sweeps on top.
+// a grounded Engine (the heavy-traffic layer the ROADMAP names on top of
+// the paper's ground-then-query architecture): a bounded FIFO admission
+// queue, a fixed cap on in-flight queries, per-query budget enforcement
+// with typed rejection errors, an epoch-keyed result cache (entries are
+// tagged with the Engine epoch that produced them and swept when an
+// evidence update publishes a new epoch), and counters for every stage of
+// a query's life. The package is engine-agnostic: it schedules opaque
+// closures, and the public tuffy.Serve API layers Engine dispatch, budget
+// derivation, cache keys and update-time cache sweeps on top.
 package server
 
 import (
@@ -27,20 +26,11 @@ const (
 )
 
 // task is one admitted query waiting for (or holding) an execution slot.
-// A task submitted through SubmitShared additionally carries a batch key
-// and an absorb callback: when another task with the same key finishes
-// first and publishes its result, the queued task is completed with that
-// result instead of ever executing.
 type task struct {
 	run      func()
-	pri      int // lane index, for removal on abandon
 	state    atomic.Int32
 	enqueued time.Time
 	finished chan struct{}
-
-	key       string             // batch key ("" = never batched)
-	runShared func() (any, bool) // leader role: result + publish flag
-	absorb    func(any)          // follower role: receive a leader's result
 }
 
 // SchedulerConfig bounds the scheduler.
@@ -48,11 +38,9 @@ type SchedulerConfig struct {
 	// Workers is the maximum number of queries running at once (the
 	// in-flight cap). Default 4.
 	Workers int
-	// MaxQueue bounds the number of admitted-but-waiting queries across all
-	// lanes; a Submit beyond it is rejected with ErrQueueFull. Default 64.
+	// MaxQueue bounds the number of admitted-but-waiting queries; a Submit
+	// beyond it is rejected with ErrQueueFull. Default 64.
 	MaxQueue int
-	// Lanes is the number of priority levels (0 = most urgent). Default 3.
-	Lanes int
 }
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
@@ -62,23 +50,19 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.Lanes <= 0 {
-		c.Lanes = 3
-	}
 	return c
 }
 
 // Scheduler runs submitted closures through a fixed worker pool, admitting
-// them through a bounded queue with strict priority between lanes and FIFO
-// order within one lane. All methods are safe for concurrent use.
+// them through one bounded FIFO queue. All methods are safe for concurrent
+// use.
 type Scheduler struct {
 	cfg     SchedulerConfig
 	metrics *Counters
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	lanes  [][]*task
-	queued int // live (non-abandoned) tasks across lanes
+	queue  []*task
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -89,7 +73,7 @@ func NewScheduler(cfg SchedulerConfig, m *Counters) *Scheduler {
 	if m == nil {
 		m = &Counters{}
 	}
-	s := &Scheduler{cfg: cfg, metrics: m, lanes: make([][]*task, cfg.Lanes)}
+	s := &Scheduler{cfg: cfg, metrics: m}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -101,8 +85,8 @@ func NewScheduler(cfg SchedulerConfig, m *Counters) *Scheduler {
 // Config returns the scheduler's effective (defaulted) configuration.
 func (s *Scheduler) Config() SchedulerConfig { return s.cfg }
 
-// Submit admits run into the given priority lane (clamped to the
-// configured range) and blocks until it has executed or ctx is done.
+// Submit admits run at the tail of the queue and blocks until it has
+// executed or ctx is done.
 //
 //   - A full queue rejects immediately with ErrQueueFull — admission
 //     control sheds load instead of applying unbounded backpressure.
@@ -114,46 +98,20 @@ func (s *Scheduler) Config() SchedulerConfig { return s.cfg }
 //
 // A nil return means run was executed; run communicates its own outcome
 // through captured variables.
-func (s *Scheduler) Submit(ctx context.Context, priority int, run func()) error {
-	return s.submit(ctx, &task{run: run, pri: priority})
-}
-
-// SubmitShared is Submit for queries whose answers are interchangeable
-// when they carry the same non-empty batch key (same canonical options,
-// same epoch): if a worker finishes a same-key task while this one is
-// still queued, the queued task never executes — absorb is invoked with
-// the finished task's result and Submit returns as if it had run. The
-// task's own run returns its result plus a publish flag; only a published
-// result (complete, current-epoch) is handed to queued followers. Absorbed
-// tasks count toward the Batched counter, not Completed, so AvgLatency
-// keeps measuring real executions only.
-func (s *Scheduler) SubmitShared(ctx context.Context, priority int, key string, run func() (any, bool), absorb func(any)) error {
-	return s.submit(ctx, &task{runShared: run, key: key, absorb: absorb, pri: priority})
-}
-
-func (s *Scheduler) submit(ctx context.Context, t *task) error {
-	if t.pri < 0 {
-		t.pri = 0
-	}
-	if t.pri >= s.cfg.Lanes {
-		t.pri = s.cfg.Lanes - 1
-	}
-	priority := t.pri
-	t.enqueued = time.Now()
-	t.finished = make(chan struct{})
+func (s *Scheduler) Submit(ctx context.Context, run func()) error {
+	t := &task{run: run, enqueued: time.Now(), finished: make(chan struct{})}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrServerClosed
 	}
-	if s.queued >= s.cfg.MaxQueue {
+	if len(s.queue) >= s.cfg.MaxQueue {
 		s.mu.Unlock()
 		s.metrics.RejectedQueue.Add(1)
 		return ErrQueueFull
 	}
-	s.lanes[priority] = append(s.lanes[priority], t)
-	s.queued++
+	s.queue = append(s.queue, t)
 	s.metrics.Admitted.Add(1)
 	s.metrics.Queued.Add(1)
 	s.cond.Signal()
@@ -164,20 +122,16 @@ func (s *Scheduler) submit(ctx context.Context, t *task) error {
 		return nil
 	case <-ctx.Done():
 		if t.state.CompareAndSwap(taskQueued, taskAbandoned) {
-			// The task never ran. Remove it from its lane right away —
+			// The task never ran. Remove it from the queue right away —
 			// under saturation (all workers busy for a long time) expired
-			// tasks would otherwise pile up in the lane slices with
-			// nothing draining them — and account the live-queue decrement
-			// so queue-full admission reflects only tasks that can still
-			// run.
+			// tasks would otherwise pile up with nothing draining them and
+			// count against queue-full admission.
 			s.mu.Lock()
-			s.queued--
-			lane := s.lanes[t.pri]
-			for i, q := range lane {
+			for i, q := range s.queue {
 				if q == t {
-					copy(lane[i:], lane[i+1:])
-					lane[len(lane)-1] = nil
-					s.lanes[t.pri] = lane[:len(lane)-1]
+					copy(s.queue[i:], s.queue[i+1:])
+					s.queue[len(s.queue)-1] = nil
+					s.queue = s.queue[:len(s.queue)-1]
 					break
 				}
 			}
@@ -192,20 +146,16 @@ func (s *Scheduler) submit(ctx context.Context, t *task) error {
 	}
 }
 
-// claimNext pops tasks in lane-priority order (FIFO within a lane) until
-// it claims one, discarding abandoned tasks (their submitter already
-// accounted for them). Caller holds s.mu; the claim CAS runs under the
-// lock so exactly one of worker and abandoning submitter decrements the
-// queued count for any task.
+// claimNext pops tasks from the head of the queue until it claims one,
+// dropping any whose submitter has already abandoned it (the submitter
+// accounts for those). Caller holds s.mu.
 func (s *Scheduler) claimNext() *task {
-	for pri := range s.lanes {
-		for len(s.lanes[pri]) > 0 {
-			t := s.lanes[pri][0]
-			s.lanes[pri][0] = nil
-			s.lanes[pri] = s.lanes[pri][1:]
-			if t.state.CompareAndSwap(taskQueued, taskClaimed) {
-				return t
-			}
+	for len(s.queue) > 0 {
+		t := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		if t.state.CompareAndSwap(taskQueued, taskClaimed) {
+			return t
 		}
 	}
 	return nil
@@ -222,65 +172,20 @@ func (s *Scheduler) worker() {
 			}
 			s.cond.Wait()
 		}
-		if t == nil {
-			// Closed and drained.
-			s.mu.Unlock()
-			return
-		}
-		s.queued--
 		s.mu.Unlock()
+		if t == nil {
+			return // closed and drained
+		}
 
 		s.metrics.Queued.Add(-1)
 		s.metrics.QueueWaitNanos.Add(time.Since(t.enqueued).Nanoseconds())
 		s.metrics.InFlight.Add(1)
 		start := time.Now()
-		var shared any
-		var publish bool
-		if t.runShared != nil {
-			shared, publish = t.runShared()
-		} else {
-			t.run()
-		}
+		t.run()
 		s.metrics.LatencyNanos.Add(time.Since(start).Nanoseconds())
 		s.metrics.InFlight.Add(-1)
 		s.metrics.Completed.Add(1)
 		close(t.finished)
-		if publish && t.key != "" {
-			s.absorbKey(t.key, shared)
-		}
-	}
-}
-
-// absorbKey completes every still-queued task carrying the given batch key
-// with the leader's published result: each is claimed (the same CAS that
-// arbitrates against abandonment), removed from its lane, handed the value
-// through its absorb callback, and counted as Batched — it waited like any
-// admitted query but never consumed an execution slot.
-func (s *Scheduler) absorbKey(key string, v any) {
-	var followers []*task
-	s.mu.Lock()
-	for pri, lane := range s.lanes {
-		kept := lane[:0]
-		for _, q := range lane {
-			if q.key == key && q.absorb != nil && q.state.CompareAndSwap(taskQueued, taskClaimed) {
-				followers = append(followers, q)
-				s.queued--
-			} else {
-				kept = append(kept, q)
-			}
-		}
-		for i := len(kept); i < len(lane); i++ {
-			lane[i] = nil
-		}
-		s.lanes[pri] = kept
-	}
-	s.mu.Unlock()
-	for _, q := range followers {
-		s.metrics.Queued.Add(-1)
-		s.metrics.QueueWaitNanos.Add(time.Since(q.enqueued).Nanoseconds())
-		s.metrics.Batched.Add(1)
-		q.absorb(v)
-		close(q.finished)
 	}
 }
 
@@ -289,13 +194,10 @@ func (s *Scheduler) absorbKey(key string, v any) {
 // has exited. Close is idempotent.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
+	if !s.closed {
+		s.closed = true
+		s.cond.Broadcast()
 	}
-	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 }

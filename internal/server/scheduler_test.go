@@ -38,44 +38,38 @@ func waitQueued(t *testing.T, c *Counters, n int64) {
 	t.Fatalf("queue never reached %d tasks (at %d)", n, c.Queued.Load())
 }
 
-// Queued tasks must run most-urgent lane first, FIFO within a lane,
-// regardless of submission order.
-func TestSchedulerPriorityOrdering(t *testing.T) {
+// With one worker, queued tasks must run in admission order.
+func TestSchedulerFIFO(t *testing.T) {
 	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 16, Lanes: 3}, m)
+	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 16}, m)
 	defer s.Close()
 
 	g := newGate()
-	go s.Submit(context.Background(), 0, g.run)
+	go s.Submit(context.Background(), g.run)
 	<-g.entered
 
 	var mu sync.Mutex
-	var order []string
+	var order []int
 	var wg sync.WaitGroup
-	submit := func(pri int, tag string) {
+	const n = 5
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Submit(context.Background(), pri, func() {
+			if err := s.Submit(context.Background(), func() {
 				mu.Lock()
-				order = append(order, tag)
+				order = append(order, i)
 				mu.Unlock()
 			}); err != nil {
-				t.Errorf("submit %s: %v", tag, err)
+				t.Errorf("submit %d: %v", i, err)
 			}
 		}()
-		waitQueued(t, m, int64(len(tag))) // tags are "a","bb","ccc"... unique lengths encode the count
+		waitQueued(t, m, int64(i+1)) // admit one at a time to fix the order
 	}
-
-	// Worst-case order: lowest priority first; two in lane 0 check FIFO.
-	submit(2, "a")
-	submit(1, "bb")
-	submit(0, "ccc")
-	submit(0, "cccc")
 	close(g.release)
 	wg.Wait()
 
-	want := []string{"ccc", "cccc", "bb", "a"}
+	want := []int{0, 1, 2, 3, 4}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("execution order %v, want %v", order, want)
 	}
@@ -85,11 +79,11 @@ func TestSchedulerPriorityOrdering(t *testing.T) {
 // freed slot must admit again.
 func TestSchedulerRejectsWhenQueueFull(t *testing.T) {
 	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 2, Lanes: 1}, m)
+	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 2}, m)
 	defer s.Close()
 
 	g := newGate()
-	go s.Submit(context.Background(), 0, g.run)
+	go s.Submit(context.Background(), g.run)
 	<-g.entered
 
 	var wg sync.WaitGroup
@@ -97,13 +91,13 @@ func TestSchedulerRejectsWhenQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.Submit(context.Background(), 0, func() {})
+			_ = s.Submit(context.Background(), func() {})
 		}()
 	}
 	waitQueued(t, m, 2)
 
 	start := time.Now()
-	err := s.Submit(context.Background(), 0, func() { t.Error("rejected task ran") })
+	err := s.Submit(context.Background(), func() { t.Error("rejected task ran") })
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -117,7 +111,7 @@ func TestSchedulerRejectsWhenQueueFull(t *testing.T) {
 	close(g.release)
 	wg.Wait()
 	// The drained queue must admit again.
-	if err := s.Submit(context.Background(), 0, func() {}); err != nil {
+	if err := s.Submit(context.Background(), func() {}); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
@@ -126,17 +120,17 @@ func TestSchedulerRejectsWhenQueueFull(t *testing.T) {
 // never runs, the error is typed, and the freed capacity readmits.
 func TestSchedulerDeadlineExpiryInQueue(t *testing.T) {
 	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 1, Lanes: 1}, m)
+	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 1}, m)
 	defer s.Close()
 
 	g := newGate()
-	go s.Submit(context.Background(), 0, g.run)
+	go s.Submit(context.Background(), g.run)
 	<-g.entered
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	ran := false
-	err := s.Submit(ctx, 0, func() { ran = true })
+	err := s.Submit(ctx, func() { ran = true })
 	var qe *QueueExpiredError
 	if !errors.As(err, &qe) {
 		t.Fatalf("err = %T %v, want *QueueExpiredError", err, err)
@@ -153,20 +147,20 @@ func TestSchedulerDeadlineExpiryInQueue(t *testing.T) {
 	if got := m.Expired.Load(); got != 1 {
 		t.Fatalf("Expired = %d, want 1", got)
 	}
-	// The abandoned task must leave the lane immediately — under
+	// The abandoned task must leave the queue immediately — under
 	// saturation expired tasks must not pile up waiting for a free worker
 	// to sweep them.
 	s.mu.Lock()
-	laneLen := len(s.lanes[0])
+	queueLen := len(s.queue)
 	s.mu.Unlock()
-	if laneLen != 0 {
-		t.Fatalf("lane holds %d entries after expiry, want 0", laneLen)
+	if queueLen != 0 {
+		t.Fatalf("queue holds %d entries after expiry, want 0", queueLen)
 	}
 
 	// The abandoned slot must be free for a fresh admission while the
 	// worker is still busy.
 	admitted := make(chan error, 1)
-	go func() { admitted <- s.Submit(context.Background(), 0, func() {}) }()
+	go func() { admitted <- s.Submit(context.Background(), func() {}) }()
 	waitQueued(t, m, 1)
 	close(g.release)
 	if err := <-admitted; err != nil {
@@ -182,7 +176,7 @@ func TestSchedulerDeadlineExpiryInQueue(t *testing.T) {
 // idempotent.
 func TestSchedulerCloseDrains(t *testing.T) {
 	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 2, MaxQueue: 8, Lanes: 2}, m)
+	s := NewScheduler(SchedulerConfig{Workers: 2, MaxQueue: 8}, m)
 
 	var mu sync.Mutex
 	n := 0
@@ -191,7 +185,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.Submit(context.Background(), i%2, func() {
+			_ = s.Submit(context.Background(), func() {
 				time.Sleep(5 * time.Millisecond)
 				mu.Lock()
 				n++
@@ -212,7 +206,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	if got != 6 {
 		t.Fatalf("Close drained %d of 6 tasks", got)
 	}
-	if err := s.Submit(context.Background(), 0, func() {}); !errors.Is(err, ErrServerClosed) {
+	if err := s.Submit(context.Background(), func() {}); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("post-Close submit: %v, want ErrServerClosed", err)
 	}
 	s.Close() // idempotent
@@ -221,15 +215,15 @@ func TestSchedulerCloseDrains(t *testing.T) {
 // Wait metrics must accumulate: a task held in queue records its wait.
 func TestSchedulerQueueWaitMetric(t *testing.T) {
 	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 4, Lanes: 1}, m)
+	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 4}, m)
 	defer s.Close()
 
 	g := newGate()
-	go s.Submit(context.Background(), 0, g.run)
+	go s.Submit(context.Background(), g.run)
 	<-g.entered
 
 	done := make(chan error, 1)
-	go func() { done <- s.Submit(context.Background(), 0, func() {}) }()
+	go func() { done <- s.Submit(context.Background(), func() {}) }()
 	waitQueued(t, m, 1)
 	time.Sleep(15 * time.Millisecond)
 	close(g.release)
@@ -245,130 +239,5 @@ func TestSchedulerQueueWaitMetric(t *testing.T) {
 	}
 	if snap.AvgQueueWait() <= 0 || snap.AvgLatency() < 0 {
 		t.Fatalf("derived metrics broken: %+v", snap)
-	}
-}
-
-// A finished SubmitShared task must complete every queued same-key task
-// with its published result — across lanes — while differently-keyed,
-// unkeyed, and unpublished tasks all execute themselves.
-func TestSchedulerBatchAbsorption(t *testing.T) {
-	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 16, Lanes: 2}, m)
-	defer s.Close()
-
-	g := newGate()
-	go s.Submit(context.Background(), 0, g.run) // hold the only worker
-	<-g.entered
-
-	var mu sync.Mutex
-	executed := map[string]int{}
-	absorbed := map[string][]any{}
-	var wg sync.WaitGroup
-	shared := func(pri int, tag, key string, v any, publish bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := s.SubmitShared(context.Background(), pri, key, func() (any, bool) {
-				mu.Lock()
-				executed[tag]++
-				mu.Unlock()
-				return v, publish
-			}, func(got any) {
-				mu.Lock()
-				absorbed[tag] = append(absorbed[tag], got)
-				mu.Unlock()
-			})
-			if err != nil {
-				t.Errorf("submit %s: %v", tag, err)
-			}
-		}()
-	}
-	// FIFO order in lane 0: leader first, then a follower; a third
-	// follower waits in lane 1 (absorption must reach every lane). One
-	// different key and one non-publishing pair must each run themselves.
-	shared(0, "leader", "k", 42, true)
-	waitQueued(t, m, 1)
-	shared(0, "f1", "k", -1, true)
-	waitQueued(t, m, 2)
-	shared(1, "f2", "k", -1, true)
-	waitQueued(t, m, 3)
-	shared(0, "other", "x", 7, true)
-	waitQueued(t, m, 4)
-	shared(0, "noPub1", "np", 1, false)
-	waitQueued(t, m, 5)
-	shared(1, "noPub2", "np", 2, false)
-	waitQueued(t, m, 6)
-
-	close(g.release)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if executed["leader"] != 1 || executed["f1"] != 0 || executed["f2"] != 0 {
-		t.Fatalf("executions: %v — exactly the leader must run for key k", executed)
-	}
-	if executed["other"] != 1 || executed["noPub1"] != 1 || executed["noPub2"] != 1 {
-		t.Fatalf("executions: %v — unmatched and unpublished tasks must run themselves", executed)
-	}
-	for _, tag := range []string{"f1", "f2"} {
-		if len(absorbed[tag]) != 1 || absorbed[tag][0] != 42 {
-			t.Fatalf("follower %s absorbed %v, want [42]", tag, absorbed[tag])
-		}
-	}
-	if len(absorbed["noPub2"]) != 0 {
-		t.Fatalf("unpublished result leaked to a same-key task: %v", absorbed["noPub2"])
-	}
-	snap := m.Snapshot()
-	if snap.Batched != 2 {
-		t.Fatalf("Batched = %d, want 2", snap.Batched)
-	}
-	if snap.Completed != 5 { // gate + leader + other + noPub1 + noPub2
-		t.Fatalf("Completed = %d, want 5", snap.Completed)
-	}
-	if snap.AvgQueueWait() <= 0 {
-		t.Fatalf("AvgQueueWait must count batched waits: %+v", snap)
-	}
-}
-
-// Abandonment and absorption race through the same claim CAS: a follower
-// whose context expires in the queue is expired, never absorbed, and a
-// later same-key leader must not touch it.
-func TestSchedulerBatchAbandonedNotAbsorbed(t *testing.T) {
-	m := &Counters{}
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 16, Lanes: 1}, m)
-	defer s.Close()
-
-	g := newGate()
-	go s.Submit(context.Background(), 0, g.run)
-	<-g.entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	expired := make(chan error, 1)
-	go func() {
-		expired <- s.SubmitShared(ctx, 0, "k", func() (any, bool) {
-			t.Error("abandoned task executed")
-			return nil, false
-		}, func(any) {
-			t.Error("abandoned task absorbed a result")
-		})
-	}()
-	waitQueued(t, m, 1)
-	cancel()
-	if err := <-expired; !errors.Is(err, ErrExpiredInQueue) {
-		t.Fatalf("expired follower returned %v, want ErrExpiredInQueue", err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		done <- s.SubmitShared(context.Background(), 0, "k", func() (any, bool) { return 1, true }, func(any) {})
-	}()
-	waitQueued(t, m, 1)
-	close(g.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	if snap.Batched != 0 || snap.Expired != 1 {
-		t.Fatalf("batched/expired = %d/%d, want 0/1", snap.Batched, snap.Expired)
 	}
 }

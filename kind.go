@@ -19,8 +19,8 @@ import (
 )
 
 // result is what the serving path needs of an answer, whatever its kind:
-// the epoch it was computed on (cache key, batch publication) and a private
-// copy to hand out.
+// the epoch it was computed on (its cache key) and a private copy to hand
+// out.
 type result interface {
 	epoch() uint64
 	clone() result

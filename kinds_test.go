@@ -2,8 +2,8 @@ package tuffy
 
 // One table-driven test of the serving path over both kinds of inference.
 // The path is written once (serve.go's infer), so every behaviour is
-// checked once per kind from the same staging: admission, cache, batching
-// and publication under an evidence update.
+// checked once per kind from the same staging: admission, cache, and
+// queued queries, including under an evidence update.
 
 import (
 	"context"
@@ -48,7 +48,7 @@ func marginalAnswer(r *MarginalResult, err error) (answer, error) {
 // kindRow is one kind of inference as a client sees it.
 type kindRow struct {
 	name   string
-	serve  func(context.Context, *Server, Request) (answer, error)
+	serve  func(context.Context, *Server, InferOptions) (answer, error)
 	direct func(context.Context, *Engine, InferOptions) (answer, error)
 
 	query InferOptions // a cheap query with an explicit budget
@@ -64,8 +64,8 @@ type kindRow struct {
 
 var kindRows = []kindRow{{
 	name: "map",
-	serve: func(ctx context.Context, s *Server, r Request) (answer, error) {
-		return mapAnswer(s.InferMAP(ctx, r))
+	serve: func(ctx context.Context, s *Server, o InferOptions) (answer, error) {
+		return mapAnswer(s.InferMAP(ctx, o))
 	},
 	direct: func(ctx context.Context, e *Engine, o InferOptions) (answer, error) {
 		return mapAnswer(e.InferMAP(ctx, o))
@@ -78,8 +78,8 @@ var kindRows = []kindRow{{
 	resource: "flips", requested: 50_000, limit: 10_000,
 }, {
 	name: "marginal",
-	serve: func(ctx context.Context, s *Server, r Request) (answer, error) {
-		return marginalAnswer(s.InferMarginal(ctx, r))
+	serve: func(ctx context.Context, s *Server, o InferOptions) (answer, error) {
+		return marginalAnswer(s.InferMarginal(ctx, o))
 	},
 	direct: func(ctx context.Context, e *Engine, o InferOptions) (answer, error) {
 		return marginalAnswer(e.InferMarginal(ctx, o))
@@ -132,10 +132,10 @@ func waitMetric(t *testing.T, srv *Server, what string, get func(ServerMetrics) 
 // stageFollowers occupies a one-slot server with a blocker, queues
 // `followers` identical queries behind it, runs whileQueued, releases the
 // blocker and returns every follower's answer with the final metrics.
-func stageFollowers(t *testing.T, row kindRow, eng *Engine, cfg ServerConfig, followers int, reqOf func(int) Request, whileQueued func(*Server)) ([]answer, ServerMetrics) {
+func stageFollowers(t *testing.T, row kindRow, eng *Engine, cfg ServerConfig, followers int, optsOf func(int) InferOptions, whileQueued func(*Server)) ([]answer, ServerMetrics) {
 	t.Helper()
 	ctx := context.Background()
-	cfg.MaxInFlight, cfg.MaxQueue, cfg.CacheEntries = 1, 64, -1 // cache off isolates batching
+	cfg.MaxInFlight, cfg.MaxQueue, cfg.CacheEntries = 1, 64, -1 // cache off: every follower runs
 	srv, err := Serve(cfg, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func stageFollowers(t *testing.T, row kindRow, eng *Engine, cfg ServerConfig, fo
 	defer release()
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := srv.InferMAP(blockCtx, Request{Options: InferOptions{MaxFlips: 1 << 40, Seed: 1}})
+		_, err := srv.InferMAP(blockCtx, InferOptions{MaxFlips: 1 << 40, Seed: 1})
 		blocked <- err
 	}()
 	waitMetric(t, srv, "in-flight", func(m ServerMetrics) int64 { return m.InFlight }, 1)
@@ -158,7 +158,7 @@ func stageFollowers(t *testing.T, row kindRow, eng *Engine, cfg ServerConfig, fo
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = row.serve(ctx, srv, reqOf(i))
+			got[i], errs[i] = row.serve(ctx, srv, optsOf(i))
 		}(i)
 	}
 	waitMetric(t, srv, "queued", func(m ServerMetrics) int64 { return m.Queued }, int64(followers))
@@ -183,7 +183,7 @@ func TestServingPathBothKinds(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Run("admission", func(t *testing.T) { testAdmission(t, row) })
 			t.Run("cache", func(t *testing.T) { testCache(t, row) })
-			t.Run("batching", func(t *testing.T) { testBatching(t, row) })
+			t.Run("queued", func(t *testing.T) { testQueued(t, row) })
 		})
 	}
 }
@@ -204,7 +204,7 @@ func testAdmission(t *testing.T, row kindRow) {
 	}
 	defer srv.Close()
 
-	_, err = row.serve(ctx, srv, Request{Options: row.over})
+	_, err = row.serve(ctx, srv, row.over)
 	var be *server.BudgetError
 	if !errors.As(err, &be) || !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("over-ask: err = %v, want *server.BudgetError matching ErrBudgetExceeded", err)
@@ -212,10 +212,10 @@ func testAdmission(t *testing.T, row kindRow) {
 	if be.Resource != row.resource || be.Requested != row.requested || be.Limit != row.limit {
 		t.Fatalf("budget error fields: %+v", be)
 	}
-	if _, err := row.serve(ctx, srv, Request{Options: row.stray}); err != nil {
+	if _, err := row.serve(ctx, srv, row.stray); err != nil {
 		t.Fatalf("over-ask of the other kind's budget: %v, want success", err)
 	}
-	got, err := row.serve(ctx, srv, Request{Options: row.unset})
+	got, err := row.serve(ctx, srv, row.unset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func testAdmission(t *testing.T, row kindRow) {
 		t.Fatal(err)
 	}
 	defer tiny.Close()
-	if _, err := row.serve(ctx, tiny, Request{Options: row.query}); !errors.As(err, &be) || be.Resource != "memory" {
+	if _, err := row.serve(ctx, tiny, row.query); !errors.As(err, &be) || be.Resource != "memory" {
 		t.Fatalf("memory cap: err = %v, want memory BudgetError", err)
 	}
 }
@@ -258,7 +258,7 @@ func testCache(t *testing.T, row kindRow) {
 		t.Fatal(err)
 	}
 	for i, wantHits := range []int64{0, 1} {
-		got, err := row.serve(ctx, srv, Request{Options: row.query})
+		got, err := row.serve(ctx, srv, row.query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func testCache(t *testing.T, row kindRow) {
 
 	tracked := row.query
 	tracked.Tracker = search.NewTracker()
-	if got, err := row.serve(ctx, srv, Request{Options: tracked}); err != nil || got != want {
+	if got, err := row.serve(ctx, srv, tracked); err != nil || got != want {
 		t.Fatalf("tracked query: diverges (err %v)", err)
 	}
 	if m := srv.Metrics(); m.CacheHits != 1 || m.CacheMisses != 2 || m.Completed != 2 {
@@ -281,12 +281,12 @@ func testCache(t *testing.T, row kindRow) {
 	fresh := row.query
 	fresh.Seed++
 	fresh.Tracker = search.NewTracker()
-	first, err := row.serve(ctx, srv, Request{Options: fresh})
+	first, err := row.serve(ctx, srv, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh.Tracker = nil
-	again, err := row.serve(ctx, srv, Request{Options: fresh})
+	again, err := row.serve(ctx, srv, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +295,14 @@ func testCache(t *testing.T, row kindRow) {
 	}
 }
 
-// Queued identical queries are absorbed into one run, each answer
-// bit-identical to a direct call — unless the queries carry Trackers or
-// an evidence update lands between their admission and the run: then
-// nothing may be published to them and each recomputes on the new epoch.
-func testBatching(t *testing.T, row kindRow) {
+// Queued queries each run once, in their own slot turn, and answer like a
+// direct call on the epoch they ran on: identical queries, queries with
+// Trackers, and queries admitted before an evidence update lands (they
+// run on the new epoch).
+func testQueued(t *testing.T, row kindRow) {
 	ctx := context.Background()
 	const followers = 4
-	same := func(int) Request { return Request{Options: row.query} }
+	same := func(int) InferOptions { return row.query }
 	direct := func(evidence string) answer {
 		want, err := row.direct(ctx, updatableContradiction(t, evidence), row.query)
 		if err != nil {
@@ -310,7 +310,7 @@ func testBatching(t *testing.T, row kindRow) {
 		}
 		return want
 	}
-	check := func(t *testing.T, got []answer, m ServerMetrics, want answer, epoch uint64, batched int64) {
+	check := func(t *testing.T, got []answer, m ServerMetrics, want answer, epoch uint64) {
 		t.Helper()
 		want.epoch = epoch
 		for i, a := range got {
@@ -319,25 +319,25 @@ func testBatching(t *testing.T, row kindRow) {
 			}
 		}
 		// The blocker's canceled run completes too.
-		if m.Batched != batched || m.Completed != followers-batched+1 {
-			t.Fatalf("batched/completed = %d/%d, want %d/%d", m.Batched, m.Completed, batched, followers-batched+1)
+		if m.Completed != followers+1 || m.Batched != 0 {
+			t.Fatalf("completed/batched = %d/%d, want %d/0", m.Completed, m.Batched, followers+1)
 		}
 	}
 
-	t.Run("absorbed", func(t *testing.T) {
+	t.Run("identical", func(t *testing.T) {
 		got, m := stageFollowers(t, row, updatableContradiction(t, "e(A)"), ServerConfig{}, followers, same, nil)
-		check(t, got, m, direct("e(A)"), 0, followers-1)
+		check(t, got, m, direct("e(A)"), 0)
 	})
-	t.Run("tracker-never-batched", func(t *testing.T) {
-		tracked := func(int) Request {
-			r := same(0)
-			r.Options.Tracker = search.NewTracker()
-			return r
+	t.Run("tracked", func(t *testing.T) {
+		tracked := func(int) InferOptions {
+			o := row.query
+			o.Tracker = search.NewTracker()
+			return o
 		}
 		got, m := stageFollowers(t, row, updatableContradiction(t, "e(A)"), ServerConfig{}, followers, tracked, nil)
-		check(t, got, m, direct("e(A)"), 0, 0)
+		check(t, got, m, direct("e(A)"), 0)
 	})
-	t.Run("update-disqualifies-publication", func(t *testing.T) {
+	t.Run("update-while-queued", func(t *testing.T) {
 		eng := updatableContradiction(t, "e(A)")
 		got, m := stageFollowers(t, row, eng, ServerConfig{}, followers, same, func(srv *Server) {
 			b, _ := eng.prog.Syms.Lookup("B")
@@ -348,7 +348,7 @@ func testBatching(t *testing.T, row kindRow) {
 			}
 		})
 		// Admitted on epoch 0, run on epoch 1: answers of a network grounded
-		// from scratch on the merged evidence, none of them shared.
-		check(t, got, m, direct("e(A)\ne(B)"), 1, 0)
+		// from scratch on the merged evidence.
+		check(t, got, m, direct("e(A)\ne(B)"), 1)
 	})
 }

@@ -2,8 +2,8 @@ package tuffy
 
 // This file is the serving layer on top of the Engine: tuffy.Serve wraps
 // one grounded Engine in an admission-controlled scheduler
-// (internal/server) with per-priority FIFO lanes, a bounded queue, per-
-// query budget enforcement, an epoch-keyed result cache over canonicalized
+// (internal/server) with a bounded FIFO queue, per-query budget
+// enforcement, an epoch-keyed result cache over canonicalized
 // InferOptions, and metrics. Server.UpdateEvidence applies live evidence
 // deltas to the engine and sweeps the cache entries the new epoch
 // superseded. It is the heavy-traffic front door: cmd/tuffyd exposes
@@ -41,18 +41,14 @@ var (
 )
 
 // ServerConfig tunes the admission-controlled serving layer. The zero
-// value serves with 4 execution slots, a 64-query admission queue, 3
-// priority lanes, no budget caps, no per-query deadline and a 4096-entry
-// result cache.
+// value serves with 4 execution slots, a 64-query admission queue, no
+// budget caps, no per-query deadline and a 4096-entry result cache.
 type ServerConfig struct {
 	// MaxInFlight caps concurrently executing queries (default 4).
 	MaxInFlight int
-	// MaxQueue bounds admitted-but-waiting queries across all lanes;
-	// queries beyond it are rejected with ErrQueueFull (default 64).
+	// MaxQueue bounds admitted-but-waiting queries; queries beyond it are
+	// rejected with ErrQueueFull (default 64).
 	MaxQueue int
-	// Priorities is the number of lanes; Request.Priority 0 is served
-	// first, Priorities-1 last (default 3).
-	Priorities int
 
 	// MaxFlipsPerQuery caps one MAP query's WalkSAT flips over all of its
 	// tries, MaxTries × MaxFlips (0 = no cap). A query that explicitly asks
@@ -91,26 +87,13 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.Priorities <= 0 {
-		c.Priorities = 3
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
 	return c
 }
 
-// Request is one query submitted to a Server.
-type Request struct {
-	// Options are the per-query knobs, exactly as for Engine.InferMAP /
-	// InferMarginal.
-	Options InferOptions
-	// Priority selects the admission lane: 0 is most urgent; values are
-	// clamped to the configured range.
-	Priority int
-}
-
-// Server fronts one grounded Engine with admission control, priority
+// Server fronts one grounded Engine with admission control, FIFO
 // scheduling, per-query budgets, result caching and metrics. All methods
 // are safe for concurrent use. Queries on one Server return results
 // bit-identical to calling the Engine directly with the same options —
@@ -154,7 +137,6 @@ func Serve(cfg ServerConfig, eng *Engine) (*Server, error) {
 	s.sched = server.NewScheduler(server.SchedulerConfig{
 		Workers:  cfg.MaxInFlight,
 		MaxQueue: cfg.MaxQueue,
-		Lanes:    cfg.Priorities,
 	}, s.counters)
 	s.cache = server.NewCache(cfg.CacheEntries, s.counters)
 	s.counters.Epoch.Store(s.generation())
@@ -188,9 +170,9 @@ func (s *Server) Close() {
 // defaulted budgets are clamped down to the caps (the same clamp-to-budget
 // discipline internal/search applies to the hybrid fallback's flip
 // budget).
-func (s *Server) admit(k *queryKind, req Request) (InferOptions, error) {
-	o := req.Options.withDefaults()
-	if err := k.capBudget(s, req.Options, &o); err != nil {
+func (s *Server) admit(k *queryKind, opts InferOptions) (InferOptions, error) {
+	o := opts.withDefaults()
+	if err := k.capBudget(s, opts, &o); err != nil {
 		s.counters.RejectedBudget.Add(1)
 		return o, err
 	}
@@ -213,13 +195,41 @@ func epochKey(gen uint64, base string) string {
 	return fmt.Sprintf("e%d|%s", gen, base)
 }
 
-// runShared executes one admitted query through the scheduler, applying
-// the per-query wall-clock deadline. key
-// identifies the answer the query will produce (canonical options +
-// admission epoch), exec returns the result and whether it may be shared
-// with queued same-key queries, and absorb receives another query's shared
-// result if one lands first. An empty key degrades to plain scheduling.
-func (s *Server) runShared(ctx context.Context, req Request, key string, exec func(context.Context) (any, bool), absorb func(any)) error {
+// InferMAP answers one MAP query through the admission layer: budget
+// checks, cache lookup, scheduling, execution, cache fill. The result is
+// bit-identical to Engine.InferMAP with the same options. Rejections
+// return typed errors (ErrQueueFull, ErrBudgetExceeded, ErrExpiredInQueue,
+// ErrServerClosed); a query canceled mid-run returns its best-so-far
+// result with ErrCanceled, exactly like the Engine, and is not cached.
+func (s *Server) InferMAP(ctx context.Context, opts InferOptions) (*MAPResult, error) {
+	r, err := s.infer(ctx, mapKind, opts)
+	res, _ := r.(*MAPResult)
+	return res, err
+}
+
+// InferMarginal is the marginal-inference counterpart of InferMAP, with
+// the same admission, caching and rejection semantics.
+func (s *Server) InferMarginal(ctx context.Context, opts InferOptions) (*MarginalResult, error) {
+	r, err := s.infer(ctx, marginalKind, opts)
+	res, _ := r.(*MarginalResult)
+	return res, err
+}
+
+// infer is the one query path: admit, look the answer up, schedule,
+// execute, fill the cache.
+func (s *Server) infer(ctx context.Context, k *queryKind, opts InferOptions) (result, error) {
+	opts, err := s.admit(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	base := k.key(opts)
+	if opts.Tracker != nil {
+		// A Tracker needs a real run to observe; the query skips the lookup
+		// but still fills the cache.
+		s.counters.CacheMisses.Add(1)
+	} else if v, ok := s.cache.Get(epochKey(s.generation(), base)); ok {
+		return v.(result).clone(), nil
+	}
 	if s.cfg.MaxQueryTime > 0 {
 		// The deadline covers queue wait too: a query that waited its
 		// whole budget expires in the queue instead of starting late.
@@ -227,72 +237,15 @@ func (s *Server) runShared(ctx context.Context, req Request, key string, exec fu
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.MaxQueryTime)
 		defer cancel()
 	}
-	return s.sched.SubmitShared(ctx, req.Priority, key, func() (any, bool) { return exec(ctx) }, absorb)
-}
-
-// InferMAP answers one MAP query through the admission layer: budget
-// checks, cache lookup, scheduling, execution, cache fill. The result is
-// bit-identical to Engine.InferMAP with the same options. Rejections
-// return typed errors (ErrQueueFull, ErrBudgetExceeded, ErrExpiredInQueue,
-// ErrServerClosed); a query canceled mid-run returns its best-so-far
-// result with ErrCanceled, exactly like the Engine, and is not cached.
-func (s *Server) InferMAP(ctx context.Context, req Request) (*MAPResult, error) {
-	r, err := s.infer(ctx, mapKind, req)
-	res, _ := r.(*MAPResult)
-	return res, err
-}
-
-// InferMarginal is the marginal-inference counterpart of InferMAP, with
-// the same admission, caching and rejection semantics.
-func (s *Server) InferMarginal(ctx context.Context, req Request) (*MarginalResult, error) {
-	r, err := s.infer(ctx, marginalKind, req)
-	res, _ := r.(*MarginalResult)
-	return res, err
-}
-
-// infer is the one query path: admit, look the answer up, schedule (or be
-// absorbed into an identical query's run), execute, fill the cache.
-func (s *Server) infer(ctx context.Context, k *queryKind, req Request) (result, error) {
-	opts, err := s.admit(k, req)
-	if err != nil {
-		return nil, err
-	}
-	base := k.key(opts)
-	gen := s.generation()
-	current := epochKey(gen, base)
-	// Tracker-free queries are batchable: the key ties the canonical
-	// options to the admission epoch, so only queries whose answers are
-	// interchangeable ever share one run. When one finishes, queued queries
-	// with the same key complete with a copy of its result instead of each
-	// consuming an execution slot (they count in Metrics.Batched).
-	key := current
-	if opts.Tracker != nil {
-		// A Tracker needs a real run to observe; the query skips the lookup
-		// (and, with an empty key, batching) but still fills the cache.
-		s.counters.CacheMisses.Add(1)
-		key = ""
-	} else if v, ok := s.cache.Get(current); ok {
-		return v.(result).clone(), nil
-	}
 	var res result
 	var runErr error
-	var absorbed bool
-	if err := s.runShared(ctx, req, key, func(ctx context.Context) (any, bool) {
-		res, runErr = k.run(ctx, s.eng, opts)
-		// Publish for queued same-key queries only a complete answer that
-		// is still current — an evidence update mid-run means followers
-		// must recompute on the new epoch.
-		return res, runErr == nil && res != nil && res.epoch() == gen && s.generation() == gen
-	}, func(v any) {
-		res, runErr, absorbed = v.(result).clone(), nil, true
-	}); err != nil {
+	if err := s.sched.Submit(ctx, func() { res, runErr = k.run(ctx, s.eng, opts) }); err != nil {
 		return nil, err
 	}
 	// Only a complete (non-canceled) answer is cached, under the epoch it
 	// was computed on; with the cache disabled the caller keeps the sole
-	// reference, so no defensive copy. An absorbed answer is already a
-	// private copy of a result the leader cached.
-	if !absorbed && runErr == nil && res != nil && s.cache.Enabled() {
+	// reference, so no defensive copy.
+	if runErr == nil && res != nil && s.cache.Enabled() {
 		s.cache.Put(epochKey(res.epoch(), base), res)
 		res = res.clone()
 	}

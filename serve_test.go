@@ -4,8 +4,8 @@ package tuffy
 // must get answers bit-identical to direct Engine calls (cache on and
 // off), the queue rejects and expires with typed errors, and the cache
 // canonicalizes options. What holds per kind of inference — admission
-// caps, cache hits, batching, sharding — is in kinds_test.go. The CI race
-// job runs this package with -race.
+// caps, cache hits, queued queries — is in kinds_test.go. The CI race job
+// runs this package with -race.
 
 import (
 	"context"
@@ -20,15 +20,14 @@ import (
 )
 
 // serveWorkload is a mixed MAP/marginal query set with distinct answers.
-func serveWorkload() []Request {
-	reqs := []Request{
-		{Options: InferOptions{Mode: Auto, MaxFlips: 8_000, Seed: 1}},
-		{Options: InferOptions{Mode: Auto, MaxFlips: 8_000, Seed: 2}, Priority: 1},
-		{Options: InferOptions{Mode: InMemoryMonolithic, MaxFlips: 8_000, Seed: 3}, Priority: 2},
-		{Options: InferOptions{Mode: InDatabase, MaxFlips: 60, Seed: 4}},
-		{Options: InferOptions{Mode: Auto, MaxFlips: 8_000, Seed: 5}, Priority: 1},
+func serveWorkload() []InferOptions {
+	return []InferOptions{
+		{Mode: Auto, MaxFlips: 8_000, Seed: 1},
+		{Mode: Auto, MaxFlips: 8_000, Seed: 2},
+		{Mode: InMemoryMonolithic, MaxFlips: 8_000, Seed: 3},
+		{Mode: InDatabase, MaxFlips: 60, Seed: 4},
+		{Mode: Auto, MaxFlips: 8_000, Seed: 5},
 	}
-	return reqs
 }
 
 func mapKey(r *MAPResult) string {
@@ -44,17 +43,17 @@ func TestServerBitIdenticalToDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := serveWorkload()
-	margReq := Request{Options: InferOptions{Samples: 120, Seed: 9}}
+	margReq := InferOptions{Samples: 120, Seed: 9}
 
 	wantMAP := make(map[int]string)
 	for i, r := range reqs {
-		res, err := eng.InferMAP(ctx, r.Options)
+		res, err := eng.InferMAP(ctx, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantMAP[i] = mapKey(res)
 	}
-	wantMarg, err := eng.InferMarginal(ctx, margReq.Options)
+	wantMarg, err := eng.InferMarginal(ctx, margReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +116,15 @@ func TestServerBitIdenticalToDirectEngine(t *testing.T) {
 
 			m := srv.Metrics()
 			total := int64(clients * rounds * (len(reqs) + 1))
-			// Every issued query is answered exactly once: by a real run, by
-			// absorbing a batched leader's run, or from cache.
-			if m.Completed+m.Batched+m.CacheHits != total {
-				t.Fatalf("completed %d + batched %d + cache hits %d != %d issued queries",
-					m.Completed, m.Batched, m.CacheHits, total)
+			// Every issued query is answered exactly once: by a real run or
+			// from cache.
+			if m.Completed+m.CacheHits != total {
+				t.Fatalf("completed %d + cache hits %d != %d issued queries",
+					m.Completed, m.CacheHits, total)
 			}
 			if cacheEntries < 0 {
 				if m.CacheHits != 0 {
 					t.Fatalf("cache disabled but %d hits", m.CacheHits)
-				}
-				if m.Completed+m.Batched != total {
-					t.Fatalf("cache off: completed %d + batched %d, want %d", m.Completed, m.Batched, total)
 				}
 			} else if m.CacheHits == 0 {
 				t.Fatal("cache on: repeated identical queries produced no hits")
@@ -169,7 +165,7 @@ func TestServerQueueRejectionAndExpiry(t *testing.T) {
 	defer cancelRun()
 	running := make(chan error, 1)
 	go func() {
-		_, err := srv.InferMAP(runCtx, Request{Options: InferOptions{MaxFlips: 1 << 40, Seed: 1}})
+		_, err := srv.InferMAP(runCtx, InferOptions{MaxFlips: 1 << 40, Seed: 1})
 		running <- err
 	}()
 	waitMetric(t, srv, "in-flight", func(m ServerMetrics) int64 { return m.InFlight }, 1)
@@ -179,13 +175,13 @@ func TestServerQueueRejectionAndExpiry(t *testing.T) {
 	defer cancelQ()
 	queued := make(chan error, 1)
 	go func() {
-		_, err := srv.InferMAP(qCtx, Request{Options: InferOptions{MaxFlips: 10, Seed: 2}})
+		_, err := srv.InferMAP(qCtx, InferOptions{MaxFlips: 10, Seed: 2})
 		queued <- err
 	}()
 	waitMetric(t, srv, "queued", func(m ServerMetrics) int64 { return m.Queued }, 1)
 
 	// Third query: queue full, typed rejection.
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 10, Seed: 3}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 10, Seed: 3}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 
@@ -222,7 +218,7 @@ func TestServerPerQueryDeadline(t *testing.T) {
 	}
 	defer srv.Close()
 	start := time.Now()
-	res, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 1 << 40, Seed: 1}})
+	res, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 1 << 40, Seed: 1})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -249,11 +245,11 @@ func TestServerCacheCanonicalization(t *testing.T) {
 	}
 	defer srv.Close()
 
-	r1, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 8_000, Seed: 4, Parallelism: 1}})
+	r1, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 8_000, Seed: 4, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 8_000, Seed: 4, Parallelism: 4}})
+	r2, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 8_000, Seed: 4, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +260,7 @@ func TestServerCacheCanonicalization(t *testing.T) {
 		t.Fatalf("CacheHits = %d, want 1 (parallelism canonicalized away)", hits)
 	}
 	// MaxTries 0 and 1 are the same search; they must share an entry too.
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 8_000, Seed: 4, MaxTries: 1}}); err != nil {
+	if _, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 8_000, Seed: 4, MaxTries: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if hits := srv.Metrics().CacheHits; hits != 2 {
@@ -275,7 +271,7 @@ func TestServerCacheCanonicalization(t *testing.T) {
 	if len(r2.State) > 0 {
 		r2.State[0] = !r2.State[0]
 	}
-	r3, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 8_000, Seed: 4}})
+	r3, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 8_000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +296,7 @@ func TestServerDoesNotCacheCanceledRuns(t *testing.T) {
 	}
 	defer srv.Close()
 
-	req := Request{Options: InferOptions{MaxFlips: 200_000, Seed: 6}}
+	req := InferOptions{MaxFlips: 200_000, Seed: 6}
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
 	defer cancel()
 	if _, err := srv.InferMAP(cctx, req); err == nil {
@@ -310,7 +306,7 @@ func TestServerDoesNotCacheCanceledRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.InferMAP(ctx, req.Options)
+	want, err := eng.InferMAP(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func TestServerCapsFlipsOverAllTries(t *testing.T) {
 		{"product overflows int64", InferOptions{MaxFlips: 1 << 40, MaxTries: 1 << 30}, math.MaxInt64},
 		{"defaulted flips, more tries than the cap", InferOptions{MaxTries: limit + 1}, int64(limit+1) * 1_000_000},
 	} {
-		_, err := srv.InferMAP(ctx, Request{Options: c.o})
+		_, err := srv.InferMAP(ctx, c.o)
 		var be *server.BudgetError
 		if !errors.As(err, &be) || !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("%s: err = %v, want a *server.BudgetError", c.name, err)
@@ -359,11 +355,11 @@ func TestServerCapsFlipsOverAllTries(t *testing.T) {
 			t.Fatalf("%s: budget error %+v, want flips %d of %d", c.name, be, c.requested, limit)
 		}
 	}
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: 5_000, MaxTries: 2, Seed: 3}}); err != nil {
+	if _, err := srv.InferMAP(ctx, InferOptions{MaxFlips: 5_000, MaxTries: 2, Seed: 3}); err != nil {
 		t.Fatalf("explicit product at the cap: %v", err)
 	}
 
-	got, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxTries: 4, Seed: 3}})
+	got, err := srv.InferMAP(ctx, InferOptions{MaxTries: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +412,7 @@ func TestServerCapsGaussSeidelFlips(t *testing.T) {
 		{"product overflows int64", InferOptions{MaxFlips: 1 << 40, GaussSeidelRounds: math.MaxInt32}, math.MaxInt64},
 	} {
 		start := time.Now()
-		_, err := srv.InferMAP(ctx, Request{Options: c.o})
+		_, err := srv.InferMAP(ctx, c.o)
 		var be *server.BudgetError
 		if !errors.As(err, &be) || be.Resource != "flips" || be.Requested != c.requested || be.Limit != limit {
 			t.Fatalf("%s: err = %v, want a flips budget error for %d of %d", c.name, err, c.requested, limit)
@@ -425,14 +421,14 @@ func TestServerCapsGaussSeidelFlips(t *testing.T) {
 			t.Fatalf("%s: refused after %v, not at admission", c.name, d)
 		}
 	}
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{MaxFlips: limit / (2 * parts), GaussSeidelRounds: 2, Seed: 3}}); err != nil {
+	if _, err := srv.InferMAP(ctx, InferOptions{MaxFlips: limit / (2 * parts), GaussSeidelRounds: 2, Seed: 3}); err != nil {
 		t.Fatalf("explicit product at the cap: %v", err)
 	}
-	if _, err := srv.InferMAP(ctx, Request{Options: InferOptions{Mode: InMemoryMonolithic, MaxFlips: limit, Seed: 3}}); err != nil {
+	if _, err := srv.InferMAP(ctx, InferOptions{Mode: InMemoryMonolithic, MaxFlips: limit, Seed: 3}); err != nil {
 		t.Fatalf("monolithic search at the cap: %v", err)
 	}
 
-	got, err := srv.InferMAP(ctx, Request{Options: InferOptions{Seed: 3}})
+	got, err := srv.InferMAP(ctx, InferOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@
 // every method takes a context; a canceled search returns ErrCanceled
 // together with the best result found so far.
 //
-// For production traffic, Serve wraps one or more grounded Engines in an
-// admission-controlled scheduler: a bounded priority queue, per-query
+// For production traffic, Serve wraps one grounded Engine in an
+// admission-controlled scheduler: a bounded FIFO queue, per-query
 // budget caps with typed rejections, wall-clock deadlines, an epoch-keyed
 // result cache whose stale entries are invalidated on evidence updates, and
 // metrics. cmd/tuffyd exposes the same layer over HTTP, including POST
@@ -834,11 +834,4 @@ func (e *Engine) MRFStats() (mrf.Stats, error) {
 		return mrf.Stats{}, fmt.Errorf("tuffy: not grounded yet")
 	}
 	return res.MRF.ComputeStats(), nil
-}
-
-// OptimalIsInfeasible reports whether grounding already proved the hard
-// constraints unsatisfiable (a hard clause violated by evidence).
-func (e *Engine) OptimalIsInfeasible() bool {
-	res := e.Grounded()
-	return res != nil && math.IsInf(res.MRF.FixedCost, 1)
 }

@@ -603,8 +603,8 @@ func TestServerUpdateEvidenceSweepsAndRetainsCache(t *testing.T) {
 	}
 	defer srv.Close()
 
-	mapReq := Request{Options: InferOptions{MaxFlips: 10_000, Seed: 5}}
-	margReq := Request{Options: InferOptions{Samples: 40, Seed: 9}}
+	mapReq := InferOptions{MaxFlips: 10_000, Seed: 5}
+	margReq := InferOptions{Samples: 40, Seed: 9}
 	wantMAP, err := srv.InferMAP(ctx, mapReq)
 	if err != nil {
 		t.Fatal(err)
@@ -680,7 +680,7 @@ func TestServerUpdateEvidenceSweepsAndRetainsCache(t *testing.T) {
 	merged := mergedEvidence(t, ds.Ev, noop) // no-op left evidence unchanged
 	merged2 := mergedEvidence(t, merged, delta)
 	fresh := groundedEngine(t, ds.Prog, merged2, EngineConfig{})
-	want, err := fresh.InferMAP(ctx, mapReq.Options)
+	want, err := fresh.InferMAP(ctx, mapReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,7 +701,7 @@ func TestServerUpdateCompensatesOnBackendFailure(t *testing.T) {
 	}
 	defer srv.Close()
 
-	req := Request{Options: InferOptions{MaxFlips: 10_000, Seed: 5}}
+	req := InferOptions{MaxFlips: 10_000, Seed: 5}
 	want, err := srv.InferMAP(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -722,7 +722,7 @@ func TestServerUpdateCompensatesOnBackendFailure(t *testing.T) {
 		t.Fatalf("server stopped serving after failed update: %v", err)
 	}
 	requireSameMAP(t, "cached answer after failed update", cached, want)
-	fresh, err := eng.InferMAP(ctx, req.Options)
+	fresh, err := eng.InferMAP(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
