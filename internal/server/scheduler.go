@@ -82,9 +82,6 @@ func NewScheduler(cfg SchedulerConfig, m *Counters) *Scheduler {
 	return s
 }
 
-// Config returns the scheduler's effective (defaulted) configuration.
-func (s *Scheduler) Config() SchedulerConfig { return s.cfg }
-
 // Submit admits run at the tail of the queue and blocks until it has
 // executed or ctx is done.
 //

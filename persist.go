@@ -3,13 +3,15 @@ package tuffy
 // This file is the Engine's durability layer, active when
 // EngineConfig.DataDir is set. It has one durable tier, a logical one:
 // after the first Ground, and at every checkpoint, the engine persists a
-// snapshot of the grounded state (merged evidence, the atom registry in aid
-// order, the per-clause raw groundings and stats) plus fingerprints of the
-// program and the base evidence it was built from. Every committed
-// UpdateEvidence appends a TypeDelta WAL record and fsyncs it before the
-// new epoch is published, so reopening the DataDir restores the snapshot
-// and replays the deltas committed after it — landing, bit-identically, on
-// the exact epoch a never-crashed engine would serve.
+// snapshot of the grounding's inputs and outputs — the merged evidence, the
+// atom registry in aid order, the per-clause raw groundings and their stats
+// — plus fingerprints of the program and the base evidence it was built
+// from. The assembled network is not in it: it is a pure function of the
+// raws, so a warm open folds it again with the same fold a cold Ground uses.
+// Every committed UpdateEvidence appends a TypeDelta WAL record and fsyncs
+// it before the new epoch is published, so reopening the DataDir restores
+// the snapshot and replays the deltas committed after it — landing,
+// bit-identically, on the exact epoch a never-crashed engine would serve.
 //
 // The embedded database runs over a FileDisk in DataDir/pages, which is
 // scratch space that lets tables spill beyond the buffer pool, not state:
@@ -36,7 +38,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,13 +46,12 @@ import (
 	"tuffy/internal/db/storage"
 	"tuffy/internal/grounding"
 	"tuffy/internal/mln"
-	"tuffy/internal/mrf"
 	"tuffy/internal/wal"
 )
 
 const (
 	snapshotMagic   = "TFYSNAP1"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	snapshotFile    = "snapshot.tfy"
 	walFile         = "wal.log"
 	pagesDir        = "pages"
@@ -84,12 +84,6 @@ type durability struct {
 	since int  // committed updates since the last checkpoint
 	dirty bool // committed state the snapshot does not cover yet
 
-	// pending holds the snapshot's table/grounder material when Open took
-	// the fast path (publishing the serialized network without rebuilding
-	// the predicate tables). The first UpdateEvidence materializes it; until
-	// then the engine serves queries from the published epoch alone.
-	pending *pendingRestore
-
 	// fault is the crash-injection seam for the engine crash-matrix tests:
 	// non-nil, it is consulted at every named commit/checkpoint step, and a
 	// returned error freezes the layer (see errFrozen).
@@ -104,16 +98,6 @@ type durability struct {
 	ckptFailures  atomic.Int64
 	snapshotBytes atomic.Int64
 	lastCkptErr   error
-}
-
-// pendingRestore is the deferred half of a fast-path warm start: everything
-// RestoreTables/RestoreIncremental need to rebuild the predicate tables and
-// the incremental grounder, kept decoded but unmaterialized until the first
-// update asks for them.
-type pendingRestore struct {
-	atoms    []grounding.SnapAtom
-	raws     []grounding.RawSet
-	perStats []grounding.Stats
 }
 
 // at runs the named fault point. Once any point fired, every later durable
@@ -275,26 +259,10 @@ func (e *Engine) openDurable() error {
 		replays = append(replays, delta)
 	}
 
-	if len(replays) == 0 {
-		// Fast path: the snapshot is exactly the committed state, so the
-		// serialized network it carries can be published as-is — no table
-		// rebuild, no grounder re-assembly. Those stay pending until the
-		// first update needs them; queries run on the epoch alone.
-		res, err := snap.buildResult(e.prog)
-		if err != nil {
-			return fail(fmt.Errorf("tuffy: restoring snapshot network: %w", err))
-		}
-		d.pending = &pendingRestore{atoms: snap.atoms, raws: snap.raws, perStats: snap.perStats}
-		e.publishRecovered(snap, res)
-		d.recoveryTime = time.Since(start)
-		return nil
-	}
-
-	// Replay path: rebuild the predicate tables and the incremental
-	// grounder, re-apply the committed deltas in order, and collapse the
-	// result into a fresh checkpoint. Replay repeats the exact committed
-	// sequence, so epochs and answers land where the crashed process left
-	// them.
+	// Rebuild the predicate tables and the incremental grounder, publish the
+	// snapshot's epoch, then re-apply the committed deltas in order. Replay
+	// repeats the exact committed sequence, so epochs and answers land where
+	// the crashed process left them.
 	ts, err := grounding.RestoreTables(e.db, e.prog, ev, snap.atoms)
 	if err != nil {
 		return fail(fmt.Errorf("tuffy: restoring predicate tables: %w", err))
@@ -305,10 +273,6 @@ func (e *Engine) openDurable() error {
 		ts.Drop()
 		return fail(fmt.Errorf("tuffy: restoring grounded network: %w", err))
 	}
-	if err := checkRebuilt(res, snap.net.NumAtoms, snap.net.NumClauses(), snap.net.FixedCost); err != nil {
-		ts.Drop()
-		return fail(err)
-	}
 	e.tables, e.inc = ts, inc
 	e.publishRecovered(snap, res)
 
@@ -318,10 +282,12 @@ func (e *Engine) openDurable() error {
 		}
 		d.replayed++
 	}
-	// Collapse the replay into a fresh checkpoint so the next open
-	// restores directly instead of replaying again.
-	if err := e.checkpointLocked(); err != nil {
-		return fail(fmt.Errorf("tuffy: checkpoint after replay: %w", err))
+	if len(replays) > 0 {
+		// Collapse the replay into a fresh checkpoint so the next open
+		// restores directly instead of replaying again.
+		if err := e.checkpointLocked(); err != nil {
+			return fail(fmt.Errorf("tuffy: checkpoint after replay: %w", err))
+		}
 	}
 	d.recoveryTime = time.Since(start)
 	return nil
@@ -345,53 +311,6 @@ func (e *Engine) publishRecovered(snap *engineSnap, res *grounding.Result) {
 	e.dur.snapshotBytes.Store(snap.size)
 }
 
-// checkRebuilt cross-checks a logically rebuilt network against the
-// snapshot's serialized one by atom count, clause count and FixedCost bits.
-// Both are produced by the same deterministic assembler, so any
-// disagreement means the snapshot (or the restore) is wrong — refusing
-// beats serving answers that a later materialization would silently
-// contradict.
-func checkRebuilt(res *grounding.Result, numAtoms, numClauses int, fixedCost float64) error {
-	if res.MRF.NumAtoms != numAtoms ||
-		res.MRF.NumClauses() != numClauses ||
-		math.Float64bits(res.MRF.FixedCost) != math.Float64bits(fixedCost) {
-		return fmt.Errorf("tuffy: rebuilt network disagrees with snapshot (%d atoms / %d clauses / cost %g, snapshot %d / %d / %g)",
-			res.MRF.NumAtoms, res.MRF.NumClauses(), res.MRF.FixedCost,
-			numAtoms, numClauses, fixedCost)
-	}
-	return nil
-}
-
-// materializePending rebuilds the predicate tables and the incremental
-// grounder from a fast-path warm start's pending snapshot material. Called
-// under groundMu by the first update; on error nothing is installed and the
-// pending state is kept, so the update fails cleanly and a retry can try
-// again.
-func (e *Engine) materializePending() error {
-	d := e.dur
-	p := d.pending
-	ts, err := grounding.RestoreTables(e.db, e.prog, e.ev, p.atoms)
-	if err != nil {
-		return fmt.Errorf("tuffy: restoring predicate tables: %w", err)
-	}
-	opts := grounding.Options{UseClosure: e.cfg.UseClosure, Workers: e.cfg.GroundWorkers}
-	inc, res, err := grounding.RestoreIncremental(ts, opts, p.raws, p.perStats)
-	if err != nil {
-		ts.Drop()
-		return fmt.Errorf("tuffy: restoring grounded network: %w", err)
-	}
-	// The serving epoch was published from the snapshot's serialized
-	// network; the rebuild must agree with it before updates build on top.
-	m := e.cur.Load().res.MRF
-	if err := checkRebuilt(res, m.NumAtoms, m.NumClauses(), m.FixedCost); err != nil {
-		ts.Drop()
-		return err
-	}
-	e.tables, e.inc = ts, inc
-	d.pending = nil
-	return nil
-}
-
 // Checkpoint forces a durable checkpoint: write a fresh snapshot of the
 // grounded state and truncate the WAL. It returns an error for an engine
 // without a DataDir. Checkpoints also run automatically after Ground, every
@@ -408,31 +327,22 @@ func (e *Engine) Checkpoint() error {
 	return e.checkpointLocked()
 }
 
-// checkpointLocked persists the grounded state (groundMu held). A failure
-// part-way through never loses committed state: the previous snapshot plus
-// the un-truncated WAL still reproduce the current epoch.
+// checkpointLocked persists the grounded state (groundMu held). Ground
+// calls it before publishing epoch 0, so no current epoch means generation
+// 0 without a decomposition. A failure part-way through never loses
+// committed state: the previous snapshot plus the un-truncated WAL still
+// reproduce the current epoch.
 func (e *Engine) checkpointLocked() error {
+	d := e.dur
+	if e.inc == nil {
+		// Nothing restorable to persist: not grounded yet, or the top-down
+		// grounder (no incremental cache to snapshot).
+		return nil
+	}
 	gen := uint64(0)
 	var decomposed bool
-	var res *grounding.Result
 	if ep := e.cur.Load(); ep != nil {
-		gen, res = ep.gen, ep.res
-		decomposed = ep.decomposed() != nil
-	}
-	return e.checkpointWith(gen, decomposed, res)
-}
-
-// checkpointWith is checkpointLocked with the network to persist supplied
-// by the caller — Ground checkpoints before publishing its epoch, so the
-// result cannot come from e.cur there.
-func (e *Engine) checkpointWith(gen uint64, decomposed bool, res *grounding.Result) error {
-	d := e.dur
-	if e.inc == nil || e.tables == nil || res == nil {
-		// Nothing restorable to persist: not grounded yet, the top-down
-		// grounder (no incremental cache to snapshot), or a fast-path warm
-		// start that never materialized — its on-disk snapshot already is
-		// the current state.
-		return nil
+		gen, decomposed = ep.gen, ep.decomposed() != nil
 	}
 	// The log is synced, then the snapshot atomically swapped in, and only
 	// then the log truncated. A crash between any two steps recovers from
@@ -444,7 +354,7 @@ func (e *Engine) checkpointWith(gen uint64, decomposed bool, res *grounding.Resu
 	if err := d.log.Sync(); err != nil {
 		return err
 	}
-	if err := e.writeSnapshot(gen, decomposed, res); err != nil {
+	if err := e.writeSnapshot(gen, decomposed); err != nil {
 		return err
 	}
 	if err := d.at("ckpt.reset"); err != nil {
@@ -522,37 +432,7 @@ type engineSnap struct {
 	atoms                []grounding.SnapAtom
 	raws                 []grounding.RawSet
 	perStats             []grounding.Stats
-
-	// The assembled network, serialized so a clean reopen can publish a
-	// serving-ready epoch without rebuilding tables or re-assembling raws.
-	// net carries its atom count, fixed cost and clauses; buildResult adds
-	// the atom descriptors.
-	net      *mrf.MRF
-	tableAid []int64 // MRF atom id -> registry aid (index 0 unused)
-	resStats grounding.Stats
-	size     int64
-}
-
-// buildResult reconstitutes the snapshot's serialized network as a
-// grounding.Result. Atom descriptors come from the registry via tableAid,
-// and the aid->id map is tableAid's inverse, so the result composes with
-// later incremental updates exactly like the assembler's own output.
-func (s *engineSnap) buildResult(prog *mln.Program) (*grounding.Result, error) {
-	m := s.net
-	m.Atoms = make([]mln.GroundAtom, m.NumAtoms+1)
-	for id := 1; id <= m.NumAtoms; id++ {
-		aid := s.tableAid[id]
-		if aid < 1 || aid > int64(len(s.atoms)) {
-			return nil, fmt.Errorf("network atom %d references registry aid %d of %d", id, aid, len(s.atoms))
-		}
-		sa := s.atoms[aid-1]
-		m.Atoms[id] = mln.GroundAtom{Pred: prog.Preds[sa.Pred], Args: sa.Args}
-	}
-	atomID := make([]mrf.AtomID, slices.Max(s.tableAid)+1)
-	for id, aid := range s.tableAid[1:] {
-		atomID[aid] = mrf.AtomID(id + 1)
-	}
-	return &grounding.Result{MRF: m, TableAid: s.tableAid, AtomID: atomID, Stats: s.resStats}, nil
+	size                 int64
 }
 
 type evRow struct {
@@ -563,7 +443,7 @@ type evRow struct {
 // writeSnapshot serializes the grounded state and swaps it in atomically
 // (tmp + fsync + rename + dir fsync), so a crash mid-write leaves the
 // previous snapshot intact.
-func (e *Engine) writeSnapshot(gen uint64, decomposed bool, res *grounding.Result) error {
+func (e *Engine) writeSnapshot(gen uint64, decomposed bool) error {
 	d := e.dur
 	atoms, err := e.tables.ExportAtoms()
 	if err != nil {
@@ -616,25 +496,6 @@ func (e *Engine) writeSnapshot(gen uint64, decomposed bool, res *grounding.Resul
 		writeStats(&w, st)
 	}
 
-	// The assembled network. Weights and the fixed cost are stored as exact
-	// float bits, so the published warm epoch is the bit-identical network
-	// the assembler produced — not a recomputation of it.
-	w.U32(uint32(res.MRF.NumAtoms))
-	for id := 1; id <= res.MRF.NumAtoms; id++ {
-		w.U64(uint64(res.TableAid[id]))
-	}
-	w.F64(res.MRF.FixedCost)
-	w.U32(uint32(res.MRF.NumClauses()))
-	for ci, wt := range res.MRF.W {
-		lits := res.MRF.ClauseLits(ci)
-		w.F64(wt)
-		w.U32(uint32(len(lits)))
-		for _, l := range lits {
-			w.U32(uint32(l))
-		}
-	}
-	writeStats(&w, res.Stats)
-
 	if err := writeSealed(d.dir, snapshotFile, &w, func() error { return d.at("ckpt.rename") }); err != nil {
 		return err
 	}
@@ -663,8 +524,9 @@ func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v := r.U32(); v != snapshotVersion {
-		r.Failf("snapshot version %d, want %d", v, snapshotVersion)
+	v := r.U32()
+	if v != 2 && v != snapshotVersion {
+		r.Failf("snapshot version %d, want 2 or %d", v, snapshotVersion)
 	}
 	s := &engineSnap{size: int64(len(raw))}
 	s.progFP = r.U64()
@@ -720,35 +582,19 @@ func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 		s.perStats[i] = readStats(r)
 	}
 
-	numAtoms := int(r.U32())
-	if numAtoms < 0 || numAtoms > len(s.atoms) {
-		r.Failf("snapshot network has %d atoms, registry has %d", numAtoms, len(s.atoms))
-		numAtoms = 0
-	}
-	s.tableAid = make([]int64, numAtoms+1)
-	for id := 1; id <= numAtoms; id++ {
-		s.tableAid[id] = int64(r.U64())
-	}
-	m := mrf.New(numAtoms)
-	m.FixedCost = r.F64()
-	if n := r.Count(12); n > 0 {
-		m.W = make([]float64, n)
-		m.Off = make([]uint32, n+1)
-		for i := range m.W {
-			m.W[i] = r.F64()
-			for k := r.Count(4); k > 0; k-- {
-				l := mrf.Lit(r.U32())
-				if l == 0 || l > mrf.Lit(numAtoms) || -l > mrf.Lit(numAtoms) {
-					r.Failf("snapshot clause %d references atom %d of %d", i, l, numAtoms)
-				}
-				m.Lits = append(m.Lits, l)
-			}
-			m.Off[i+1] = uint32(len(m.Lits))
+	if v == 2 {
+		// Version 2 went on with the assembled network: the registry aid of
+		// each atom, the fixed cost, the clauses and the result stats. It is
+		// a function of the raws, so it is read past, every count bounded
+		// like the rest, and folded again from them.
+		r.Raw(8 * r.Count(8))
+		r.F64()
+		for n := r.Count(12); n > 0; n-- {
+			r.F64()
+			r.Raw(4 * r.Count(4))
 		}
-		m.Lits = slices.Clone(m.Lits) // exact size: append's slack would stay resident
+		r.Raw(7 * 8)
 	}
-	s.net = m
-	s.resStats = readStats(r)
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -65,9 +66,29 @@ func mustUpdate(t *testing.T, eng *Engine, d mln.Delta) *UpdateResult {
 	return ur
 }
 
-// A closed engine's DataDir must warm-start: grounded state, epoch, update
-// count, and both MAP and marginal answers bit-identical to the live
-// engine before Close — without Ground ever running.
+// requireSameNetwork compares two grounded networks bit for bit: clause
+// weights and the fixed cost as float bits, the CSR offsets and literals,
+// the atom descriptors, and the registry aid behind every atom.
+func requireSameNetwork(t *testing.T, tag string, got, want *grounding.Result) {
+	t.Helper()
+	g, w := got.MRF, want.MRF
+	if g.NumAtoms != w.NumAtoms || math.Float64bits(g.FixedCost) != math.Float64bits(w.FixedCost) {
+		t.Fatalf("%s: %d atoms, fixed cost %v; want %d, %v", tag, g.NumAtoms, g.FixedCost, w.NumAtoms, w.FixedCost)
+	}
+	if !slices.EqualFunc(g.W, w.W, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("%s: clause weights differ", tag)
+	}
+	if !slices.Equal(g.Off, w.Off) || !slices.Equal(g.Lits, w.Lits) {
+		t.Fatalf("%s: clause offsets or literals differ", tag)
+	}
+	if !reflect.DeepEqual(g.Atoms, w.Atoms) || !slices.Equal(got.TableAid, want.TableAid) {
+		t.Fatalf("%s: atom descriptors or registry aids differ", tag)
+	}
+}
+
+// A closed engine's DataDir must warm-start: the network bit-identical to
+// the live engine's after an update, epoch, update count, and both MAP and
+// marginal answers bit-identical too — without Ground ever running.
 func TestWarmStartBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	ds := ieSmall()
@@ -81,6 +102,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustUpdate(t, eng, datagen.RandomDelta(ds, "hint", 8, 42))
+	wantNet := eng.Grounded()
 	wantMAP := mustMAP(t, eng, 7)
 	wantMarg, err := eng.InferMarginal(ctx, InferOptions{Samples: 60, Seed: 5})
 	if err != nil {
@@ -98,11 +120,12 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		t.Fatal("reopen did not warm-start")
 	}
 	if st.ReplayedDeltas != 0 {
-		t.Fatalf("clean reopen replayed %d deltas, want the fast path (0)", st.ReplayedDeltas)
+		t.Fatalf("clean reopen replayed %d deltas, want 0", st.ReplayedDeltas)
 	}
 	if warm.Grounded() == nil {
 		t.Fatal("warm engine is not serving-ready")
 	}
+	requireSameNetwork(t, "warm network", warm.Grounded(), wantNet)
 	if warm.Generation() != wantGen || warm.UpdatesApplied() != wantUpdates {
 		t.Fatalf("warm state: gen %d updates %d, want %d/%d",
 			warm.Generation(), warm.UpdatesApplied(), wantGen, wantUpdates)
@@ -117,30 +140,19 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameMarginal(t, "warm marginal", gotMarg, wantMarg)
-	// This is what makes a clean reopen cheaper than the cold Ground it
-	// replaces, on any host: opening and answering both query kinds built
-	// no predicate table and no grounder.
-	if warm.tables != nil || warm.inc != nil || warm.dur.pending == nil {
-		t.Fatalf("clean reopen rebuilt grounding state before the first update (tables %v, grounder %v, pending %v)",
-			warm.tables != nil, warm.inc != nil, warm.dur.pending != nil)
-	}
 
-	// The clean reopen deferred the table and grounder rebuild; the first
-	// update pays for it. The materialized state must compose exactly: the
-	// warm engine's post-update answers match a never-crashed engine that
-	// applied the same two deltas.
+	// The warm engine's grounder composes exactly: its post-update answers
+	// match a never-crashed engine that applied the same two deltas.
 	u2 := datagen.RandomDelta(ds, "hint", 8, 43)
 	warmUR := mustUpdate(t, warm, u2)
-	if warm.tables == nil || warm.inc == nil || warm.dur.pending != nil {
-		t.Fatal("first update on a warm engine did not materialize the pending grounding state")
-	}
 	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
 	mustUpdate(t, ref, datagen.RandomDelta(ds, "hint", 8, 42))
 	refUR := mustUpdate(t, ref, u2)
 	if warmUR.Epoch != refUR.Epoch {
-		t.Fatalf("post-materialization epoch %d, want %d", warmUR.Epoch, refUR.Epoch)
+		t.Fatalf("post-update epoch %d, want %d", warmUR.Epoch, refUR.Epoch)
 	}
-	requireSameMAP(t, "post-materialization MAP", mustMAP(t, warm, 7), mustMAP(t, ref, 7))
+	requireSameNetwork(t, "post-update network", warm.Grounded(), ref.Grounded())
+	requireSameMAP(t, "post-update MAP", mustMAP(t, warm, 7), mustMAP(t, ref, 7))
 }
 
 // The engine crash matrix: freeze the durable layer at every fault point
@@ -231,6 +243,7 @@ func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustUpdate(t, eng, datagen.RandomDelta(ds, "hint", 6, 21))
+	preNet := eng.Grounded()
 	preMAP := mustMAP(t, eng, 7)
 	preGen := eng.Generation()
 	mustUpdate(t, eng, datagen.RandomDelta(ds, "hint", 6, 22))
@@ -260,6 +273,7 @@ func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 	if warm.Generation() != preGen {
 		t.Fatalf("recovered generation %d, want %d", warm.Generation(), preGen)
 	}
+	requireSameNetwork(t, "post-torn-tail network", warm.Grounded(), preNet)
 	requireSameMAP(t, "post-torn-tail MAP", mustMAP(t, warm, 7), preMAP)
 }
 
@@ -433,10 +447,10 @@ func TestMalformedDeltaRecordRejected(t *testing.T) {
 	}
 }
 
-// The first update of an engine builds what queries never needed — after a
-// clean warm open the tables and grounder, and in every case the
-// incremental assembler — and says so: Materialized is positive, inside
-// UpdateTime, and zero from the second update on.
+// The first update of an engine builds what queries never needed — the
+// incremental assembler, after a cold Ground and a clean warm open alike —
+// and says so: Materialized is positive, inside UpdateTime, and zero from
+// the second update on.
 func TestUpdateMaterializedOnce(t *testing.T) {
 	ds := ieSmall()
 	dir := t.TempDir()
@@ -548,8 +562,9 @@ func TestSnapshotRawDefectsFailTyped(t *testing.T) {
 
 // FuzzReadSnapshot: arbitrary bytes behind the right magic and a VALID
 // checksum either fail typed or decode to a snapshot whose network can be
-// rebuilt — never a panic, never an allocation the input's size does not
-// bound.
+// folded — never a panic, never an allocation the input's size does not
+// bound. The version-2 seed (the older build's data directory) fuzzes the
+// path that reads past that version's network section.
 func FuzzReadSnapshot(f *testing.F) {
 	prog, err := LoadProgramString(mln.Figure1Program)
 	if err != nil {
@@ -565,6 +580,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(body[:53]) // the fixed header, nothing after it
 	f.Add([]byte{})
 	f.Add(repeatSnapAtom(f, prog, golden))
+	v2, err := os.ReadFile(filepath.Join(fixtureDir, fixtureFiles[0]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2[len(snapshotMagic) : len(v2)-4])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		snap, err := decodeSnapshot(sealSnapshot(body), prog)
@@ -577,14 +597,15 @@ func FuzzReadSnapshot(f *testing.F) {
 		// A registry RestoreTables accepts gives every atom exactly its
 		// own aid; one naming an atom twice is refused.
 		ts, err := grounding.RestoreTables(db.Open(db.Config{BufferPoolPages: 64}), prog, mln.NewEvidence(prog), snap.atoms)
-		if err == nil {
-			for i, sa := range snap.atoms {
-				if aid, ok := ts.AidOf(prog.Preds[sa.Pred], sa.Args); !ok || aid != int64(i+1) {
-					t.Fatalf("registry atom %d restored under aid %d (%v)", i+1, aid, ok)
-				}
+		if err != nil {
+			return
+		}
+		for i, sa := range snap.atoms {
+			if aid, ok := ts.AidOf(prog.Preds[sa.Pred], sa.Args); !ok || aid != int64(i+1) {
+				t.Fatalf("registry atom %d restored under aid %d (%v)", i+1, aid, ok)
 			}
 		}
-		_, _ = snap.buildResult(prog) // may refuse, must not panic
+		_, _, _ = grounding.RestoreIncremental(ts, grounding.Options{}, snap.raws, snap.perStats) // may refuse, must not panic
 	})
 }
 

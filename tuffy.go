@@ -497,10 +497,8 @@ func (e *Engine) ground(ctx context.Context) error {
 		// snapshot of the grounded state must exist before any update is
 		// acknowledged. Writing it before the epoch is published keeps
 		// Ground's failure contract — on error the engine is un-grounded
-		// and retryable, and a crash mid-checkpoint reopens cold. The epoch
-		// is not published yet, so the freshly assembled network is handed
-		// to the checkpoint directly.
-		if err := e.checkpointWith(0, false, res); err != nil {
+		// and retryable, and a crash mid-checkpoint reopens cold.
+		if err := e.checkpointLocked(); err != nil {
 			ts.Drop()
 			e.tables = nil
 			e.inc = nil

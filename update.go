@@ -46,10 +46,11 @@ type UpdateResult struct {
 	// UpdateTime is the wall-clock cost of the whole update, Materialized
 	// included.
 	UpdateTime time.Duration
-	// Materialized is the part of UpdateTime spent building update state
-	// the engine defers until an update asks for it: the predicate tables and
-	// grounder after a clean warm open, and the incremental assembler. Only
-	// an engine's first update pays it; it is zero on every later one.
+	// Materialized is the part of UpdateTime spent building the incremental
+	// assembler, which neither Ground nor a warm open builds: only an update
+	// reads it. The first update of an engine pays it (after a warm open
+	// that replayed WAL deltas, the replay already did); it is zero on every
+	// later one.
 	Materialized time.Duration
 }
 
@@ -130,17 +131,6 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		return nil, fmt.Errorf("tuffy: UpdateEvidence before Ground")
 	}
 	start := time.Now()
-	var materialized time.Duration
-	if e.inc == nil && e.dur != nil && e.dur.pending != nil {
-		// Fast-path warm start: the serving epoch was published straight
-		// from the snapshot; the first update pays for the table and
-		// grounder rebuild here. Failure installs nothing — the update
-		// errors cleanly and a retry materializes again.
-		if err := e.materializePending(); err != nil {
-			return nil, err
-		}
-		materialized = time.Since(start)
-	}
 	if e.inc == nil {
 		return nil, fmt.Errorf("tuffy: UpdateEvidence requires the BottomUp grounder")
 	}
@@ -211,7 +201,7 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		RawsRemoved:  info.RawsRemoved,
 		TouchedAtoms: info.TouchedAtoms,
 		Inverse:      undo.Inverse(),
-		Materialized: materialized + info.AssemblerBuild,
+		Materialized: info.AssemblerBuild,
 	}
 	if info.RawsAdded == 0 && info.RawsRemoved == 0 {
 		// The delta did not change any clause's groundings (e.g. flipping
