@@ -59,40 +59,69 @@ type gsPart struct {
 	flips     int64
 }
 
-// runClass executes fn(pi, sc) for every partition index in class on up to
-// workers goroutines, returning after all complete. fn must write only its
-// own partition's state (it may read shared frozen state), which is what
-// color classes guarantee; sc is the calling worker's search scratch,
-// reused for each partition the worker takes. Shared by the MAP and MC-SAT
-// partition sweeps.
-func runClass(class []int, workers int, fn func(pi int, sc *Scratch)) {
-	if workers > len(class) {
-		workers = len(class)
+// classWorkers runs the partitions of one color class at a time on workers
+// started once per query. Each worker keeps one Scratch for every partition
+// it takes, in every class of every round, so a sweep allocates its search
+// arrays and RNG once per worker rather than once per class visit. fn must
+// write only its own partition's state (it may read shared frozen state),
+// which is what color classes guarantee. Shared by the class-barrier MAP
+// sweep and the MC-SAT sweep; stop must run when the sweep ends.
+type classWorkers struct {
+	fn   func(pi int, sc *Scratch)
+	sc   Scratch        // the lone worker's, when the caller's goroutine is it
+	work chan int       // nil with one worker
+	busy sync.WaitGroup // the running class's partitions
+	live sync.WaitGroup // the worker goroutines
+}
+
+// newClassWorkers starts up to workers goroutines, no more than the largest
+// class in classes can keep busy.
+func newClassWorkers(classes [][]int, workers int, fn func(pi int, sc *Scratch)) *classWorkers {
+	widest := 0
+	for _, class := range classes {
+		widest = max(widest, len(class))
 	}
-	if workers <= 1 {
-		var sc Scratch
-		for _, pi := range class {
-			fn(pi, &sc)
-		}
-		return
+	cw := &classWorkers{fn: fn}
+	if workers = min(workers, widest); workers <= 1 {
+		return cw
 	}
-	work := make(chan int)
-	var wg sync.WaitGroup
+	cw.work = make(chan int)
+	cw.live.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			var sc Scratch
-			for pi := range work {
-				fn(pi, &sc)
+			defer cw.live.Done()
+			var sc Scratch // this worker's, for every run it takes
+			for pi := range cw.work {
+				cw.fn(pi, &sc)
+				cw.busy.Done()
 			}
 		}()
 	}
-	for _, pi := range class {
-		work <- pi
+	return cw
+}
+
+// run executes fn for every partition index in class, returning after all
+// complete.
+func (cw *classWorkers) run(class []int) {
+	if cw.work == nil {
+		for _, pi := range class {
+			cw.fn(pi, &cw.sc)
+		}
+		return
 	}
-	close(work)
-	wg.Wait()
+	cw.busy.Add(len(class))
+	for _, pi := range class {
+		cw.work <- pi
+	}
+	cw.busy.Wait()
+}
+
+// stop ends the workers and returns once they have exited.
+func (cw *classWorkers) stop() {
+	if cw.work != nil {
+		close(cw.work)
+		cw.live.Wait()
+	}
 }
 
 // GaussSeidel runs the paper's partition-aware search: for t = 1..T, for
@@ -310,10 +339,12 @@ func GaussSeidel(ctx context.Context, pt *partition.Partitioning, opts GaussSeid
 		}
 	}
 	if opts.ClassBarrier {
-		for round := 0; round < opts.Rounds; round++ {
+		var round int
+		cw := newClassWorkers(sched.Classes, opts.Parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
+		defer cw.stop()
+		for ; round < opts.Rounds; round++ {
 			for _, class := range sched.Classes {
-				round := round
-				runClass(class, opts.Parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
+				cw.run(class)
 				for _, pi := range class {
 					merge(pi)
 					parts[pi].best = nil // consumed; do not re-merge next round

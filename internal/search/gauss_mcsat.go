@@ -43,7 +43,7 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 	state := append([]bool(nil), init.Best...)
 
 	coloring := pt.ColorParts()
-	selRng := rand.New(rand.NewSource(opts.Seed + 104729))
+	selRng := rand.New(newSource(opts.Seed + 104729))
 	var ch chain // this chain's selection odds, computed once
 	ch.prepare(m)
 
@@ -145,9 +145,12 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		}
 	}
 
+	var round int
+	cw := newClassWorkers(coloring.Classes, parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
+	defer cw.stop()
 	counts := make([]float64, m.NumAtoms+1)
 	total := 0
-	for round := 0; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
+	for ; round < opts.Samples+opts.BurnIn && ctx.Err() == nil; round++ {
 		for _, g := range parts {
 			g.sub.Truncate(0)
 			g.cut = g.cut[:0]
@@ -156,8 +159,7 @@ func GaussMCSAT(ctx context.Context, pt *partition.Partitioning, opts MCSATOptio
 		ch.selectRound(m, state, selRng, route)
 
 		for _, class := range coloring.Classes {
-			round := round
-			runClass(class, parallelism, func(pi int, sc *Scratch) { runPart(round, pi, sc) })
+			cw.run(class)
 			for _, pi := range class {
 				if g := parts[pi]; g.ok {
 					pt.Parts[pi].ProjectState(g.next, state)

@@ -65,7 +65,6 @@ func MCSAT(ctx context.Context, m *mrf.MRF, opts MCSATOptions) ([]float64, error
 // allocating an index per sample.
 func mcsat(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts MCSATOptions, sc *Scratch) ([]float64, error) {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Initial state: satisfy hard clauses via WalkSAT.
 	init := walkSAT(ctx, m, post, Options{MaxFlips: opts.SampleSATFlips, MaxTries: 3, Seed: opts.Seed}, sc)
@@ -76,6 +75,9 @@ func mcsat(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts MCSATOption
 		return nil, fmt.Errorf("search: MC-SAT could not satisfy hard clauses")
 	}
 	state := init.Best
+	// The chain's stream starts over at opts.Seed in the scratch RNG, which
+	// the initial WalkSAT is done with.
+	rng := sc.seed(opts.Seed)
 
 	counts := make([]float64, m.NumAtoms+1)
 	total := 0

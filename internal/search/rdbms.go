@@ -56,7 +56,7 @@ func RDBMSWalkSATScan(ctx context.Context, d *db.DB, clauseTable string, numAtom
 // flip (the equivalence tests compare flip sequences across variants).
 func rdbmsWalkSATScan(ctx context.Context, d *db.DB, clauseTable string, numAtoms int, opts Options, onFlip func(flip int64, atom mrf.AtomID) error) (*Result, error) {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(newSource(opts.Seed))
 	t, ok := d.Table(clauseTable)
 	if !ok {
 		return nil, errNoTable(clauseTable)

@@ -436,7 +436,7 @@ func NewSideWalkSAT(ctx context.Context, d *db.DB, clauseTable string, numAtoms 
 		return nil, Canceled(ctx)
 	}
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(newSource(opts.Seed))
 	state := make([]bool, numAtoms+1)
 	for a := 1; a <= numAtoms; a++ {
 		state[a] = rng.Intn(2) == 0

@@ -144,11 +144,11 @@ type Scratch struct {
 	mc   chain // MC-SAT's per-chain tables; see chain
 }
 
-// seed returns the scratch RNG re-seeded; the stream is the one
-// rand.New(rand.NewSource(seed)) yields.
+// seed returns the scratch RNG re-seeded; the stream is the one math/rand
+// yields for seed (see source).
 func (sc *Scratch) seed(seed int64) *rand.Rand {
 	if sc.rng == nil {
-		sc.rng = rand.New(rand.NewSource(seed))
+		sc.rng = rand.New(newSource(seed))
 	} else {
 		sc.rng.Seed(seed)
 	}
