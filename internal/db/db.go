@@ -94,7 +94,7 @@ type Table struct {
 	mu sync.RWMutex
 	// distinct[i] holds the values integer column i has ever held (nil
 	// for an integer-list column, which no query filters or joins on).
-	distinct []map[int64]struct{}
+	distinct []*valueSet
 	hashIdx  map[int]*index.HashIndex // single-column hash indexes by column
 }
 
@@ -118,12 +118,12 @@ func (db *DB) CreateTable(name string, sch tuple.Schema) (*Table, error) {
 		name:     name,
 		sch:      sch,
 		heap:     storage.NewHeapFile(db.pool, file),
-		distinct: make([]map[int64]struct{}, sch.Arity()),
+		distinct: make([]*valueSet, sch.Arity()),
 		hashIdx:  make(map[int]*index.HashIndex),
 	}
 	for i, c := range sch.Cols {
 		if c.Type == tuple.TInt {
-			t.distinct[i] = make(map[int64]struct{})
+			t.distinct[i] = new(valueSet)
 		}
 	}
 	db.tables[key] = t
@@ -192,10 +192,10 @@ func (t *Table) RowCount() int64 { return t.heap.NumRecords() }
 func (t *Table) DistinctCount(col int) int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if col < 0 || col >= len(t.distinct) {
+	if col < 0 || col >= len(t.distinct) || t.distinct[col] == nil {
 		return 0
 	}
-	return int64(len(t.distinct[col]))
+	return t.distinct[col].n
 }
 
 // NewScan implements plan.TableMeta.
@@ -235,7 +235,7 @@ func (t *Table) Insert(row tuple.Row) error {
 func (t *Table) noteRowLocked(row tuple.Row, rid storage.RecordID) {
 	for i, d := range t.distinct {
 		if d != nil {
-			d[row[i].I] = struct{}{}
+			d.add(row[i].I)
 		}
 	}
 	for col, idx := range t.hashIdx {

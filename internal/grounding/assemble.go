@@ -58,7 +58,7 @@ type incAssembler struct {
 	live    bool        // sorted orders maintained eagerly (post-build)
 
 	// canonLits scratch, reused across raws.
-	litBuf  []uint64
+	litBuf  []uint32
 	descBuf []string
 	keyBuf  []byte
 
@@ -161,7 +161,7 @@ func (a *incAssembler) apply(clauseIdx int, added, removed RawSet) {
 // deduplicates, mirroring sortLits+dedupLits, and renders the clause key
 // (each literal's atom descriptor followed by its sign byte). Both results
 // alias scratch buffers valid until the next call; ok=false means tautology.
-func (a *incAssembler) canonLits(raw []uint64) (lits []uint64, key []byte, ok bool) {
+func (a *incAssembler) canonLits(raw []uint32) (lits []uint32, key []byte, ok bool) {
 	lits = append(a.litBuf[:0], raw...)
 	descs := a.descBuf[:0]
 	for _, v := range lits {
@@ -199,7 +199,7 @@ func (a *incAssembler) canonLits(raw []uint64) (lits []uint64, key []byte, ok bo
 	return lits[:w], key, true
 }
 
-func (a *incAssembler) addRaw(clauseIdx int, weight float64, raw []uint64, dirty map[*accEntry]struct{}) {
+func (a *incAssembler) addRaw(clauseIdx int, weight float64, raw []uint32, dirty map[*accEntry]struct{}) {
 	a.raw++
 	a.wPer[clauseIdx] = weight
 	if len(raw) == 0 {
@@ -241,7 +241,7 @@ func (a *incAssembler) addRaw(clauseIdx int, weight float64, raw []uint64, dirty
 	}
 }
 
-func (a *incAssembler) removeRaw(clauseIdx int, weight float64, raw []uint64, dirty map[*accEntry]struct{}) {
+func (a *incAssembler) removeRaw(clauseIdx int, weight float64, raw []uint32, dirty map[*accEntry]struct{}) {
 	a.raw--
 	if len(raw) == 0 {
 		if weight > 0 {

@@ -45,11 +45,11 @@ type Options struct {
 type RawSet struct {
 	weight float64
 	off    []uint32
-	lits   []uint64
+	lits   []uint32
 }
 
-func rawLit(aid int64, positive bool) uint64 {
-	v := uint64(aid) << 1
+func rawLit(aid int64, positive bool) uint32 {
+	v := uint32(aid) << 1
 	if positive {
 		v |= 1
 	}
@@ -58,7 +58,7 @@ func rawLit(aid int64, positive bool) uint64 {
 
 func (s RawSet) n() int { return max(len(s.off)-1, 0) }
 
-func (s RawSet) raw(j int) []uint64 { return s.lits[s.off[j]:s.off[j+1]] }
+func (s RawSet) raw(j int) []uint32 { return s.lits[s.off[j]:s.off[j+1]] }
 
 // endRaw closes the open raw (an empty one is a grounding evidence decided).
 func (s *RawSet) endRaw() {
@@ -78,7 +78,7 @@ func (s *RawSet) dropOpen() {
 }
 
 // appendRaw adds one whole raw grounding.
-func (s *RawSet) appendRaw(lits []uint64) {
+func (s *RawSet) appendRaw(lits []uint32) {
 	s.lits = append(s.lits, lits...)
 	s.endRaw()
 }
@@ -778,14 +778,14 @@ func validateExistSafety(c *mln.Clause) error {
 // evidence-decided (empty) raws. It returns the active raws as new sets, in
 // order; the fixpoint depends on the raws as a set, not on their order.
 func activeClosure(sets []RawSet) []RawSet {
-	active := make(map[uint64]bool)
-	activate := func(raw []uint64) {
+	active := make(map[uint32]bool)
+	activate := func(raw []uint32) {
 		for _, v := range raw {
 			active[v>>1] = true
 		}
 	}
 	// A raw is ready when no negated literal of it sits on an inactive atom.
-	ready := func(raw []uint64) bool {
+	ready := func(raw []uint32) bool {
 		for _, v := range raw {
 			if v&1 == 0 && !active[v>>1] {
 				return false

@@ -52,7 +52,7 @@ func cmpAtoms(a, b mln.GroundAtom) int {
 }
 
 // cmpLits orders two literals (aid<<1|positive) by atom, negative first.
-func cmpLits(ts *TableSet, x, y uint64) int {
+func cmpLits(ts *TableSet, x, y uint32) int {
 	if x>>1 != y>>1 {
 		if c := cmpAtoms(ts.atoms[x>>1], ts.atoms[y>>1]); c != 0 {
 			return c
@@ -62,7 +62,7 @@ func cmpLits(ts *TableSet, x, y uint64) int {
 }
 
 // cmpRaws orders two raws literal by literal, the shorter first.
-func cmpRaws(ts *TableSet, a, b []uint64) int {
+func cmpRaws(ts *TableSet, a, b []uint32) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if c := cmpLits(ts, a[i], b[i]); c != 0 {
 			return c
@@ -90,7 +90,7 @@ func canonSet(ts *TableSet, s RawSet) RawSet {
 		}
 	}
 	slices.SortFunc(idx, func(a, b int32) int { return cmpRaws(ts, s.raw(int(a)), s.raw(int(b))) })
-	out := RawSet{weight: s.weight, off: make([]uint32, 1, n+1), lits: make([]uint64, 0, len(s.lits))}
+	out := RawSet{weight: s.weight, off: make([]uint32, 1, n+1), lits: make([]uint32, 0, len(s.lits))}
 	for _, j := range idx {
 		out.appendRaw(s.raw(int(j)))
 	}
@@ -109,7 +109,7 @@ func mergeCanon(ts *TableSet, parts []RawSet) RawSet {
 		raws += p.n()
 		lits += len(p.lits)
 	}
-	out := RawSet{weight: parts[0].weight, off: make([]uint32, 1, raws+1), lits: make([]uint64, 0, lits)}
+	out := RawSet{weight: parts[0].weight, off: make([]uint32, 1, raws+1), lits: make([]uint32, 0, lits)}
 	heads := make([]int, len(parts))
 	for out.n() < raws {
 		best := -1

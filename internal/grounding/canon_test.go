@@ -42,11 +42,11 @@ func randomRegistry(rng *rand.Rand, n int) *TableSet {
 
 // litKey and rawKey are the byte strings whose order the comparators must
 // reproduce: atomDescKey plus a sign byte per literal, concatenated.
-func litKey(ts *TableSet, v uint64) string {
+func litKey(ts *TableSet, v uint32) string {
 	return atomDescKey(ts, int64(v>>1)) + string(byte(v&1))
 }
 
-func rawKey(ts *TableSet, raw []uint64) string {
+func rawKey(ts *TableSet, raw []uint32) string {
 	var b strings.Builder
 	for _, v := range raw {
 		b.WriteString(litKey(ts, v))
@@ -56,10 +56,10 @@ func rawKey(ts *TableSet, raw []uint64) string {
 
 // randomRaws draws raws of 0 to 4 literals over few enough atoms that equal
 // literals, equal raws, x v !x and proper prefixes all occur.
-func randomRaws(rng *rand.Rand, ts *TableSet, n int) [][]uint64 {
-	raws := make([][]uint64, n)
+func randomRaws(rng *rand.Rand, ts *TableSet, n int) [][]uint32 {
+	raws := make([][]uint32, n)
 	for i := range raws {
-		raws[i] = make([]uint64, rng.Intn(5))
+		raws[i] = make([]uint32, rng.Intn(5))
 		for k := range raws[i] {
 			raws[i][k] = rawLit(int64(1+rng.Intn(ts.NumAtoms())), rng.Intn(2) == 0)
 		}
@@ -101,7 +101,7 @@ func TestComparatorIsDescriptorByteOrder(t *testing.T) {
 
 		// Reference: literals of each raw, then the raws, stably sorted by key.
 		want := RawSet{weight: 1.5}
-		ref := make([][]uint64, len(raws))
+		ref := make([][]uint32, len(raws))
 		for i, raw := range raws {
 			ref[i] = slices.Clone(raw)
 			sort.SliceStable(ref[i], func(a, b int) bool { return litKey(ts, ref[i][a]) < litKey(ts, ref[i][b]) })
@@ -158,7 +158,7 @@ func TestRawSetBuild(t *testing.T) {
 	s.dropOpen()
 	s.lits = append(s.lits, neg(6))
 	s.endRaw()
-	if want := mkSet(0, nil, []uint64{pos(3)}, []uint64{neg(6)}); !sameSet(s, want) {
+	if want := mkSet(0, nil, []uint32{pos(3)}, []uint32{neg(6)}); !sameSet(s, want) {
 		t.Fatalf("built %+v, want %+v", s, want)
 	}
 	if s.n() != 3 || len(s.raw(0)) != 0 || s.raw(2)[0] != neg(6) {

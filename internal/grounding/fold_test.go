@@ -53,7 +53,7 @@ func (ca *clauseAccumulator) mrfAtom(aid int64) mrf.AtomID {
 // is a clause already decided by evidence: a positive weight contributes |w|
 // of fixed cost, a negative weight contributes nothing. Duplicate clauses
 // have their weights summed.
-func (ca *clauseAccumulator) add(weight float64, raw []uint64) {
+func (ca *clauseAccumulator) add(weight float64, raw []uint32) {
 	ca.raw++
 	if len(raw) == 0 {
 		if weight > 0 {
@@ -222,12 +222,12 @@ func TestFoldMatchesReference(t *testing.T) {
 		sets := randomFoldSets(rng, ts)
 		ca := newClauseAccumulator(ts)
 		for _, s := range sets {
-			raws := make([][]uint64, s.n())
+			raws := make([][]uint32, s.n())
 			for j := range raws {
 				raws[j] = s.raw(j)
 				ca.add(s.weight, raws[j])
 			}
-			if !slices.IsSortedFunc(raws, func(a, b []uint64) int { return cmpRaws(ts, a, b) }) {
+			if !slices.IsSortedFunc(raws, func(a, b []uint32) int { return cmpRaws(ts, a, b) }) {
 				unsorted++
 			}
 		}

@@ -415,13 +415,13 @@ func TestActiveClosure(t *testing.T) {
 	//          () [decided by evidence: always kept, it is fixed cost]
 	// listed so that each activation needs another pass over the raws.
 	sets := []RawSet{
-		mkSet(1, []uint64{neg(3), pos(4)}, []uint64{neg(2), pos(5)}, []uint64{neg(1), pos(2)}),
-		mkSet(2, nil, []uint64{pos(1)}),
+		mkSet(1, []uint32{neg(3), pos(4)}, []uint32{neg(2), pos(5)}, []uint32{neg(1), pos(2)}),
+		mkSet(2, nil, []uint32{pos(1)}),
 	}
 	got := activeClosure(sets)
 	want := []RawSet{
-		mkSet(1, []uint64{neg(2), pos(5)}, []uint64{neg(1), pos(2)}),
-		mkSet(2, nil, []uint64{pos(1)}),
+		mkSet(1, []uint32{neg(2), pos(5)}, []uint32{neg(1), pos(2)}),
+		mkSet(2, nil, []uint32{pos(1)}),
 	}
 	if !slices.EqualFunc(got, want, sameSet) {
 		t.Fatalf("closure kept %+v, want %+v", got, want)
@@ -433,16 +433,16 @@ func TestActiveClosure(t *testing.T) {
 
 func TestActiveClosureKeepsNegativeAndHard(t *testing.T) {
 	sets := []RawSet{
-		mkSet(-1, []uint64{neg(7), neg(8)}),
-		mkSet(math.Inf(1), []uint64{neg(9)}),
-		mkSet(1, []uint64{neg(7), pos(10)}, []uint64{neg(11), pos(10)}),
+		mkSet(-1, []uint32{neg(7), neg(8)}),
+		mkSet(math.Inf(1), []uint32{neg(9)}),
+		mkSet(1, []uint32{neg(7), pos(10)}, []uint32{neg(11), pos(10)}),
 	}
 	got := activeClosure(sets)
 	if got[0].n() != 1 || got[1].n() != 1 {
 		t.Fatalf("closure dropped negative/hard clauses: %+v", got)
 	}
 	// ... and they seed the active set: atom 7 is active, atom 11 is not.
-	if want := mkSet(1, []uint64{neg(7), pos(10)}); !sameSet(got[2], want) {
+	if want := mkSet(1, []uint32{neg(7), pos(10)}); !sameSet(got[2], want) {
 		t.Fatalf("closure kept %+v of the soft clause, want %+v", got[2], want)
 	}
 }

@@ -198,10 +198,10 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSet, fixedDelta bool) {
 	added.weight, removed.weight = cur.weight, old.weight
 	var buf []byte
-	key := func(raw []uint64) []byte {
+	key := func(raw []uint32) []byte {
 		buf = buf[:0]
 		for _, v := range raw {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
+			buf = binary.LittleEndian.AppendUint32(buf, v)
 		}
 		return buf
 	}
@@ -218,7 +218,7 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSe
 			left = append(left, 1)
 		}
 	}
-	unpaired := func(raw []uint64, into *RawSet) {
+	unpaired := func(raw []uint32, into *RawSet) {
 		into.appendRaw(raw)
 		if len(raw) == 0 {
 			fixedDelta = true
@@ -317,14 +317,17 @@ func (ts *TableSet) applyOp(op mln.DeltaOp, undo *DeltaUndo) error {
 		// Explicit false on a closed predicate is the CWA default: row absent.
 		want := op.Truth == mln.True
 		aid, staged := ts.AidOf(pred, op.Args)
-		present := staged && ts.truths[aid] == TruthTrue
+		present := staged && ts.TruthOf(aid) == TruthTrue
 		switch {
 		case want && !present:
 			if !staged {
-				row := ts.stageAtom(pred, append([]int32(nil), op.Args...), TruthTrue)
+				row, err := ts.stageAtom(pred, append([]int32(nil), op.Args...), TruthTrue)
+				if err != nil {
+					return err
+				}
 				aid = int64(len(ts.atoms) - 1)
 				if err := t.Insert(row); err != nil {
-					ts.truths[aid] = TruthFalse // registry keeps the atom; no row
+					ts.truths[aid] = uint8(TruthFalse) // registry keeps the atom; no row
 					return err
 				}
 			} else {
@@ -337,14 +340,14 @@ func (ts *TableSet) applyOp(op mln.DeltaOp, undo *DeltaUndo) error {
 				if err := t.Insert(row); err != nil {
 					return err
 				}
-				ts.truths[aid] = TruthTrue
+				ts.truths[aid] = uint8(TruthTrue)
 			}
 			undo.log = append(undo.log, tableUndo{kind: 'i', pred: pred, aid: aid})
 		case !want && present:
 			if _, err := ts.DB.Exec(fmt.Sprintf("DELETE FROM %s WHERE aid = %d", TableName(pred), aid)); err != nil {
 				return err
 			}
-			ts.truths[aid] = TruthFalse
+			ts.truths[aid] = uint8(TruthFalse)
 			undo.log = append(undo.log, tableUndo{
 				kind: 'd', pred: pred, aid: aid, args: append([]int32(nil), op.Args...),
 			})
@@ -364,7 +367,7 @@ func (ts *TableSet) applyOp(op mln.DeltaOp, undo *DeltaUndo) error {
 	case mln.False:
 		newTruth = TruthFalse
 	}
-	old := ts.truths[aid]
+	old := ts.TruthOf(aid)
 	if old == newTruth {
 		return nil
 	}
@@ -372,7 +375,7 @@ func (ts *TableSet) applyOp(op mln.DeltaOp, undo *DeltaUndo) error {
 		TableName(pred), newTruth, aid)); err != nil {
 		return err
 	}
-	ts.truths[aid] = newTruth
+	ts.truths[aid] = uint8(newTruth)
 	undo.log = append(undo.log, tableUndo{kind: 'u', pred: pred, aid: aid, oldTruth: old})
 	return nil
 }
@@ -396,13 +399,13 @@ func (u *DeltaUndo) Rollback() error {
 				TableName(e.pred), e.oldTruth, e.aid)); err != nil {
 				return err
 			}
-			u.ts.truths[e.aid] = e.oldTruth
+			u.ts.truths[e.aid] = uint8(e.oldTruth)
 		case 'i':
 			if _, err := u.ts.DB.Exec(fmt.Sprintf("DELETE FROM %s WHERE aid = %d",
 				TableName(e.pred), e.aid)); err != nil {
 				return err
 			}
-			u.ts.truths[e.aid] = TruthFalse
+			u.ts.truths[e.aid] = uint8(TruthFalse)
 		case 'd':
 			row := make(tuple.Row, 0, e.pred.Arity()+2)
 			row = append(row, tuple.I64(e.aid))
@@ -413,7 +416,7 @@ func (u *DeltaUndo) Rollback() error {
 			if err := t.Insert(row); err != nil {
 				return err
 			}
-			u.ts.truths[e.aid] = TruthTrue
+			u.ts.truths[e.aid] = uint8(TruthTrue)
 		}
 		u.log = u.log[:i]
 	}

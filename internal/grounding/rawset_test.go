@@ -13,7 +13,7 @@ import (
 )
 
 // mkSet builds a RawSet from literal lists; pos and neg spell its literals.
-func mkSet(weight float64, raws ...[]uint64) RawSet {
+func mkSet(weight float64, raws ...[]uint32) RawSet {
 	s := RawSet{weight: weight}
 	for _, raw := range raws {
 		s.appendRaw(raw)
@@ -35,8 +35,8 @@ func sameSet(a, b RawSet) bool {
 	return true
 }
 
-func pos(aid int64) uint64 { return rawLit(aid, true) }
-func neg(aid int64) uint64 { return rawLit(aid, false) }
+func pos(aid int64) uint32 { return rawLit(aid, true) }
+func neg(aid int64) uint32 { return rawLit(aid, false) }
 
 // smallCase is a small generated instance with a predicate whose evidence
 // a delta can change.
@@ -159,7 +159,7 @@ func TestColdAssemblyMatchesAssembler(t *testing.T) {
 }
 
 // TestRawSetIsFlat: the one form a raw grounding has is pointer-free — a
-// weight and slices of fixed-width integers, nothing per raw for the garbage
+// weight and slices of 32-bit integers, nothing per raw for the garbage
 // collector to follow. (That no second form exists beside it is a CI lint.)
 func TestRawSetIsFlat(t *testing.T) {
 	ty := reflect.TypeOf(RawSet{})
@@ -167,7 +167,7 @@ func TestRawSetIsFlat(t *testing.T) {
 		switch f := ty.Field(i); f.Type.Kind() {
 		case reflect.Float64:
 		case reflect.Slice:
-			if k := f.Type.Elem().Kind(); k != reflect.Uint32 && k != reflect.Uint64 {
+			if k := f.Type.Elem().Kind(); k != reflect.Uint32 {
 				t.Fatalf("RawSet.%s holds %v per raw", f.Name, f.Type.Elem())
 			}
 		default:
@@ -179,11 +179,12 @@ func TestRawSetIsFlat(t *testing.T) {
 	}
 }
 
-// TestRawSetCodec: Encode/DecodeRawSet round-trip, and the two defects the
-// decoder must reject typed — raws of one clause disagreeing on weight, and
-// a raw claiming more literals than there are bytes left.
+// TestRawSetCodec: Encode/DecodeRawSet round-trip, and the three defects the
+// decoder must reject typed — raws of one clause disagreeing on weight, a
+// raw claiming more literals than there are bytes left, and a literal that
+// does not fit the 32 bits a RawSet holds it in.
 func TestRawSetCodec(t *testing.T) {
-	set := mkSet(1.5, []uint64{neg(3), pos(9)}, nil, []uint64{pos(4)})
+	set := mkSet(1.5, []uint32{neg(3), pos(9)}, nil, []uint32{pos(4)})
 	var w codec.Enc
 	set.Encode(&w)
 	r := codec.NewDec(w.Buf())
@@ -210,6 +211,22 @@ func TestRawSetCodec(t *testing.T) {
 	if got := DecodeRawSet(r); !errors.Is(r.Err(), codec.ErrMalformed) || cap(got.lits) > len(greedy) {
 		t.Fatalf("overlong raw: err %v, %d literals allocated", r.Err(), cap(got.lits))
 	}
+
+	for _, lit := range []uint64{math.MaxUint32, math.MaxUint32 + 1, math.MaxUint64} {
+		var wide codec.Enc
+		wide.U32(1)
+		wide.F64(1)
+		wide.U32(1)
+		wide.U64(lit)
+		r = codec.NewDec(wide.Buf())
+		got := DecodeRawSet(r)
+		switch err := r.Finish(); {
+		case lit <= math.MaxUint32 && (err != nil || got.n() != 1 || uint64(got.raw(0)[0]) != lit):
+			t.Fatalf("literal %#x: err %v, decoded %+v", lit, err, got)
+		case lit > math.MaxUint32 && !errors.Is(err, codec.ErrMalformed):
+			t.Fatalf("literal %#x beyond 32 bits: err %v", lit, err)
+		}
+	}
 }
 
 // RestoreIncremental folds the network without building the assembler —
@@ -235,7 +252,7 @@ func TestRestoreIncremental(t *testing.T) {
 	requireSameBits(t, "restored vs cold", cold, res)
 
 	bad := append([]RawSet(nil), sets...)
-	bad[0] = mkSet(1, []uint64{pos(int64(ts.NumAtoms()) + 1)})
+	bad[0] = mkSet(1, []uint32{pos(int64(ts.NumAtoms()) + 1)})
 	if _, _, err := RestoreIncremental(ts, Options{}, bad, stats); err == nil {
 		t.Fatal("raw referencing an aid outside the registry restored")
 	}
@@ -261,6 +278,23 @@ func TestRestoreIncremental(t *testing.T) {
 		}
 		if err := undo.Rollback(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestAidSpaceGuard: the largest aid the guard admits still packs into a
+// 32-bit literal of either sign, and the next one is refused typed — checked
+// on the helper itself, without registering 2^31 atoms.
+func TestAidSpaceGuard(t *testing.T) {
+	if err := checkAidSpace(MaxAid); err != nil {
+		t.Fatalf("aid %d refused: %v", MaxAid, err)
+	}
+	if pos(MaxAid) != math.MaxUint32 || neg(MaxAid)>>1 != MaxAid {
+		t.Fatalf("aid %d packs to %#x / %#x", MaxAid, pos(MaxAid), neg(MaxAid))
+	}
+	for _, next := range []int{MaxAid + 1, math.MaxInt} {
+		if err := checkAidSpace(next); !errors.Is(err, ErrAidSpace) {
+			t.Fatalf("aid %d: err %v, want ErrAidSpace", next, err)
 		}
 	}
 }

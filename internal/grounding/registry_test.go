@@ -125,8 +125,9 @@ func TestAtomRegistryMatchesMap(t *testing.T) {
 }
 
 // A snapshot registry that names one ground atom twice — here three times,
-// one of them with a truth byte no truth code has — is refused, and the
-// refused restore leaves no table behind.
+// one of them with a truth byte no truth code has — is refused, as is one
+// whose truth is no truth code, and the refused restore leaves no table
+// behind.
 func TestRestoreTablesRejectsRepeatedAtom(t *testing.T) {
 	prog, err := mln.ParseProgramString(mln.Figure1Program)
 	if err != nil {
@@ -143,16 +144,21 @@ func TestRestoreTablesRejectsRepeatedAtom(t *testing.T) {
 		t.Fatal("Figure 1 has no open predicate")
 	}
 	args := make([]int32, prog.Preds[pi].Arity())
-	atoms := []SnapAtom{
-		{Pred: int32(pi), Args: args, Truth: TruthUnknown},
-		{Pred: int32(pi), Args: args, Truth: TruthTrue},
-		{Pred: int32(pi), Args: args, Truth: 200},
-	}
-	d := db.Open(db.Config{})
-	if _, err := RestoreTables(d, prog, mln.NewEvidence(prog), atoms); err == nil {
-		t.Fatal("a registry naming one atom three times restored")
-	}
-	if names := d.TableNames(); len(names) != 0 {
-		t.Fatalf("refused restore left tables %v", names)
+	for name, atoms := range map[string][]SnapAtom{
+		"one atom three times": {
+			{Pred: int32(pi), Args: args, Truth: TruthUnknown},
+			{Pred: int32(pi), Args: args, Truth: TruthTrue},
+			{Pred: int32(pi), Args: args, Truth: 200},
+		},
+		// A truth a byte would wrap to TruthTrue.
+		"truth 257": {{Pred: int32(pi), Args: args, Truth: 256 + TruthTrue}},
+	} {
+		d := db.Open(db.Config{})
+		if _, err := RestoreTables(d, prog, mln.NewEvidence(prog), atoms); err == nil {
+			t.Fatalf("a registry with %s restored", name)
+		}
+		if names := d.TableNames(); len(names) != 0 {
+			t.Fatalf("%s: refused restore left tables %v", name, names)
+		}
 	}
 }

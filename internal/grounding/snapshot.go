@@ -45,7 +45,7 @@ func (ts *TableSet) ExportAtoms() ([]SnapAtom, error) {
 		if !ok {
 			return nil, fmt.Errorf("grounding: registry atom %d references a predicate outside the program", aid)
 		}
-		out = append(out, SnapAtom{Pred: pi, Args: a.Args, Truth: ts.truths[aid]})
+		out = append(out, SnapAtom{Pred: pi, Args: a.Args, Truth: int64(ts.truths[aid])})
 	}
 	return out, nil
 }
@@ -56,7 +56,8 @@ func (ts *TableSet) ExportAtoms() ([]SnapAtom, error) {
 func (inc *Incremental) Raws() ([]RawSet, []Stats) { return inc.perClause, inc.perStats }
 
 // Encode writes the set in the snapshot's raw encoding: the raw count, then
-// per raw the clause weight, the literal count and the literals.
+// per raw the clause weight, the literal count and the literals, each as a
+// u64 (the format predates 32-bit literals).
 func (s RawSet) Encode(w *codec.Enc) {
 	w.U32(uint32(s.n()))
 	for j := 0; j < s.n(); j++ {
@@ -64,7 +65,7 @@ func (s RawSet) Encode(w *codec.Enc) {
 		w.F64(s.weight)
 		w.U32(uint32(len(raw)))
 		for _, v := range raw {
-			w.U64(v)
+			w.U64(uint64(v))
 		}
 	}
 }
@@ -72,7 +73,8 @@ func (s RawSet) Encode(w *codec.Enc) {
 // DecodeRawSet reads what Encode wrote. Every count is checked against the
 // bytes left before anything is sized by it, and a set whose raws disagree
 // on weight is malformed: one weight per first-order clause is what the
-// assembler's exact weight sums rest on.
+// assembler's exact weight sums rest on. So is a literal above MaxUint32,
+// which no aid space (see checkAidSpace) can produce.
 func DecodeRawSet(r *codec.Dec) RawSet {
 	n := r.Count(12)
 	if n == 0 {
@@ -87,7 +89,12 @@ func DecodeRawSet(r *codec.Dec) RawSet {
 			r.Failf("raw %d has weight %v, the clause's other raws %v", j, w, s.weight)
 		}
 		for k := r.Count(8); k > 0; k-- {
-			s.lits = append(s.lits, r.U64())
+			v := r.U64()
+			if v > math.MaxUint32 {
+				r.Failf("raw %d has literal %d, beyond 32 bits", j, v)
+				return RawSet{}
+			}
+			s.lits = append(s.lits, uint32(v))
 		}
 		s.off[j+1] = uint32(len(s.lits))
 	}
@@ -110,7 +117,7 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
 		atoms:  make([]mln.GroundAtom, 1),
-		truths: make([]int64, 1),
+		truths: make([]uint8, 1),
 	}
 	fail := func(err error) (*TableSet, error) {
 		ts.Drop()
@@ -135,7 +142,13 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 		if aid := ts.reg.find(ts.atoms, pred, sa.Args); aid != 0 {
 			return fail(fmt.Errorf("grounding: snapshot registers %s%v twice (aids %d and %d)", pred.Name, sa.Args, aid, len(ts.atoms)))
 		}
-		row := ts.stageAtom(pred, sa.Args, sa.Truth)
+		if t := sa.Truth; t != TruthUnknown && t != TruthTrue && t != TruthFalse {
+			return fail(fmt.Errorf("grounding: snapshot atom for %s has truth %d", pred.Name, t))
+		}
+		row, err := ts.stageAtom(pred, sa.Args, sa.Truth)
+		if err != nil {
+			return fail(err)
+		}
 		if pred.Closed && sa.Truth != TruthTrue {
 			continue // registry-only: no relation row under the CWA
 		}
@@ -170,7 +183,7 @@ func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats
 	if len(raws) != n || len(stats) != n {
 		return nil, nil, fmt.Errorf("grounding: snapshot has %d clause raw sets for %d clauses", len(raws), n)
 	}
-	maxAid := uint64(len(ts.atoms) - 1)
+	maxAid := uint32(len(ts.atoms) - 1)
 	for _, s := range raws {
 		for _, v := range s.lits {
 			if aid := v >> 1; aid < 1 || aid > maxAid {

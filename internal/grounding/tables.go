@@ -19,6 +19,7 @@ package grounding
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -35,6 +36,22 @@ const (
 	TruthTrue    int64 = 1
 	TruthFalse   int64 = 2
 )
+
+// MaxAid is the largest atom id a TableSet assigns: a raw literal packs
+// aid<<1|positive into 32 bits.
+const MaxAid = 1<<31 - 1
+
+// ErrAidSpace reports an instance with more ground atoms than MaxAid.
+var ErrAidSpace = errors.New("grounding: atom id space exhausted")
+
+// checkAidSpace refuses the atom that would be the registry's next (aid
+// next) when it lies beyond MaxAid.
+func checkAidSpace(next int) error {
+	if next > MaxAid {
+		return fmt.Errorf("%w: atom %d exceeds the limit of %d", ErrAidSpace, next, MaxAid)
+	}
+	return nil
+}
 
 // TableName returns the relation name for a predicate: "r" and its ID, e.g.
 // r3. The ID is unique per program and always lexes as one SQL identifier,
@@ -53,8 +70,9 @@ type TableSet struct {
 	tables map[*mln.Predicate]*db.Table
 	// atoms[aid] describes the ground atom with that id (index 0 unused).
 	atoms []mln.GroundAtom
-	// truths[aid] is the evidence truth of the atom.
-	truths []int64
+	// truths[aid] is the evidence truth of the atom, one of the Truth*
+	// constants in a byte.
+	truths []uint8
 	// reg finds an atom id from (predicate, args).
 	reg registry
 }
@@ -86,7 +104,7 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
 		atoms:  make([]mln.GroundAtom, 1), // index 0 unused
-		truths: make([]int64, 1),
+		truths: make([]uint8, 1),
 	}
 	// A failure partway leaves half-built predicate tables; drop whatever
 	// was created so the caller can retry the build against a clean
@@ -146,7 +164,12 @@ func (ts *TableSet) loadClosed(pred *mln.Predicate, t *db.Table) error {
 			// under the CWA; skip the row.
 			return
 		}
-		rows = append(rows, ts.stageAtom(pred, args, TruthTrue))
+		row, err := ts.stageAtom(pred, args, TruthTrue)
+		if err != nil {
+			loadErr = err
+			return
+		}
+		rows = append(rows, row)
 		if len(rows) >= loadChunk {
 			loadErr = t.InsertMany(rows)
 			rows = rows[:0]
@@ -185,7 +208,11 @@ func (ts *TableSet) loadOpen(pred *mln.Predicate, t *db.Table) error {
 			}
 			cp := make([]int32, len(args))
 			copy(cp, args)
-			rows = append(rows, ts.stageAtom(pred, cp, truth))
+			row, err := ts.stageAtom(pred, cp, truth)
+			if err != nil {
+				return err
+			}
+			rows = append(rows, row)
 			if len(rows) >= loadChunk {
 				err := t.InsertMany(rows)
 				rows = rows[:0]
@@ -208,9 +235,12 @@ func (ts *TableSet) loadOpen(pred *mln.Predicate, t *db.Table) error {
 }
 
 // stageAtom assigns the next dense aid, records the atom in the registry and
-// returns its table row for batch insertion. args must not be reused by the
-// caller.
-func (ts *TableSet) stageAtom(pred *mln.Predicate, args []int32, truth int64) tuple.Row {
+// returns its table row for batch insertion; past MaxAid it fails with
+// ErrAidSpace and stages nothing. args must not be reused by the caller.
+func (ts *TableSet) stageAtom(pred *mln.Predicate, args []int32, truth int64) (tuple.Row, error) {
+	if err := checkAidSpace(len(ts.atoms)); err != nil {
+		return nil, err
+	}
 	aid := int64(len(ts.atoms))
 	row := make(tuple.Row, 0, pred.Arity()+2)
 	row = append(row, tuple.I64(aid))
@@ -219,9 +249,9 @@ func (ts *TableSet) stageAtom(pred *mln.Predicate, args []int32, truth int64) tu
 	}
 	row = append(row, tuple.I64(truth))
 	ts.atoms = append(ts.atoms, mln.GroundAtom{Pred: pred, Args: args})
-	ts.truths = append(ts.truths, truth)
+	ts.truths = append(ts.truths, uint8(truth))
 	ts.reg.insert(ts.atoms, aid)
-	return row
+	return row, nil
 }
 
 // NumAtoms returns the number of materialized atoms (all predicates).
@@ -231,7 +261,7 @@ func (ts *TableSet) NumAtoms() int { return len(ts.atoms) - 1 }
 func (ts *TableSet) Atom(aid int64) mln.GroundAtom { return ts.atoms[aid] }
 
 // TruthOf returns the evidence truth recorded for an aid.
-func (ts *TableSet) TruthOf(aid int64) int64 { return ts.truths[aid] }
+func (ts *TableSet) TruthOf(aid int64) int64 { return int64(ts.truths[aid]) }
 
 // AidOf finds the atom id of a ground atom, if materialized.
 func (ts *TableSet) AidOf(pred *mln.Predicate, args []int32) (int64, bool) {

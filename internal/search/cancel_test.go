@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,22 +68,29 @@ func TestMonolithicReturnsTypedCancelError(t *testing.T) {
 	}
 }
 
+// At Parallelism 1 the components run on the caller's goroutine, above it
+// on workers; both stop before the first component here.
 func TestComponentAwareCancelKeepsValidState(t *testing.T) {
 	m := datagen.Example1(40)
 	comps := m.Components(false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any component runs
-	res, err := ComponentAware(ctx, m, comps, ComponentOptions{Base: Options{MaxFlips: 1000, Seed: 3}})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if res == nil || res.Best == nil {
-		t.Fatal("no best-so-far state")
-	}
-	// Unstarted components stand at the all-false baseline; the reported
-	// cost must match the stitched state exactly.
-	if got := m.Cost(res.Best); got != res.BestCost {
-		t.Fatalf("state cost %v != reported %v", got, res.BestCost)
+	for _, par := range []int{1, 2} {
+		res, err := ComponentAware(ctx, m, comps, ComponentOptions{Base: Options{MaxFlips: 1000, Seed: 3}, Parallelism: par})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("par %d: err = %v, want ErrCanceled", par, err)
+		}
+		if res == nil || res.Best == nil {
+			t.Fatalf("par %d: no best-so-far state", par)
+		}
+		// Unstarted components stand at the all-false baseline; the reported
+		// cost must match the stitched state exactly.
+		if got := m.Cost(res.Best); got != res.BestCost {
+			t.Fatalf("par %d: state cost %v != reported %v", par, got, res.BestCost)
+		}
+		if res.Flips != 0 {
+			t.Fatalf("par %d: %d flips after cancellation", par, res.Flips)
+		}
 	}
 }
 
@@ -205,11 +213,36 @@ func TestMCSATComponentsCancel(t *testing.T) {
 	comps := m.Components(false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	probs, err := MCSATComponents(ctx, m, comps, MCSATOptions{Samples: 10, Seed: 11}, 2)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	for _, par := range []int{1, 2} {
+		probs, err := MCSATComponents(ctx, m, comps, MCSATOptions{Samples: 10, Seed: 11}, par)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("par %d: err = %v, want ErrCanceled", par, err)
+		}
+		if len(probs) != m.NumAtoms+1 {
+			t.Fatalf("par %d: probs len %d, want %d", par, len(probs), m.NumAtoms+1)
+		}
 	}
-	if len(probs) != m.NumAtoms+1 {
-		t.Fatalf("probs len %d, want %d", len(probs), m.NumAtoms+1)
+}
+
+// eachComponent at parallelism 1 runs the components in index order with
+// one Scratch, and starts none after a cancellation.
+func TestEachComponentSequentialStopsAtCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got []int
+	var first *Scratch
+	eachComponent(ctx, 10, 1, func(idx int, sc *Scratch) {
+		got = append(got, idx)
+		if first == nil {
+			first = sc
+		} else if sc != first {
+			t.Errorf("component %d got a second Scratch", idx)
+		}
+		if idx == 3 {
+			cancel()
+		}
+	})
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
 	}
 }

@@ -15,7 +15,8 @@ type ComponentOptions struct {
 	// components by weighted round-robin (|Gi|/|G| of the budget each,
 	// exactly the scheduling of Section 4.4).
 	Base Options
-	// Parallelism is the number of worker goroutines (1 = sequential).
+	// Parallelism is the number of worker goroutines (1 = sequential, on
+	// the caller's goroutine).
 	Parallelism int
 	// Memo, when set, caches per-component outcomes by content. It also
 	// switches the per-component budget and seed derivation to a stable
@@ -43,7 +44,8 @@ type ComponentResult struct {
 // ComponentAware runs WalkSAT independently on each connected component,
 // keeping the lowest-cost state per component — the behaviour Theorem 3.1
 // proves exponentially better than monolithic WalkSAT on multi-component
-// MRFs. Components are scheduled round-robin over a worker pool. The
+// MRFs. Components are taken in index order by a worker pool, or run on
+// the caller's goroutine at Parallelism 1 (eachComponent). The
 // components' local MRFs must be immutable from here on: their search
 // indexes are built once and shared (see RunComponent).
 //
@@ -89,44 +91,22 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 		opts.Base.Tracker.Record(trackedCost)
 	}
 
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Parallelism; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var sc Scratch // this worker's, for all of its components
-			for idx := range work {
-				if ctx.Err() != nil {
-					continue // drain the queue; baseline stands
-				}
-				comp := comps[idx]
-				r := RunComponent(ctx, comp, idx, int64(totalAtoms), opts.Base, opts.Memo, &sc)
-				if r.Best == nil {
-					continue // canceled before the first state was recorded
-				}
-				mu.Lock()
-				res.Flips += r.Flips
-				res.PerComponent[idx] = r.BestCost
-				comp.ProjectState(r.Best, global)
-				if opts.Base.Tracker != nil {
-					trackedCost += r.BestCost - baseline[idx]
-					opts.Base.Tracker.Record(trackedCost)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-dispatch:
-	for i := range comps {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break dispatch
+	eachComponent(ctx, len(comps), opts.Parallelism, func(idx int, sc *Scratch) {
+		comp := comps[idx]
+		r := RunComponent(ctx, comp, idx, int64(totalAtoms), opts.Base, opts.Memo, sc)
+		if r.Best == nil {
+			return // canceled before the first state was recorded
 		}
-	}
-	close(work)
-	wg.Wait()
+		mu.Lock()
+		res.Flips += r.Flips
+		res.PerComponent[idx] = r.BestCost
+		comp.ProjectState(r.Best, global)
+		if opts.Base.Tracker != nil {
+			trackedCost += r.BestCost - baseline[idx]
+			opts.Base.Tracker.Record(trackedCost)
+		}
+		mu.Unlock()
+	})
 
 	res.Best = global
 	res.BestCost = parent.FixedCost
@@ -140,6 +120,45 @@ dispatch:
 		return res, Canceled(ctx)
 	}
 	return res, nil
+}
+
+// eachComponent calls run for the components 0..n-1 in index order and
+// skips every one not yet started once ctx is canceled. At parallelism 1 it
+// runs them on the caller's goroutine with one Scratch; otherwise
+// parallelism workers take them in index order, each with its own Scratch
+// for all of its components, and run may be called concurrently.
+func eachComponent(ctx context.Context, n, parallelism int, run func(idx int, sc *Scratch)) {
+	if parallelism <= 1 {
+		var sc Scratch
+		for idx := 0; idx < n && ctx.Err() == nil; idx++ {
+			run(idx, &sc)
+		}
+		return
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < parallelism; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc Scratch
+			for idx := range work {
+				if ctx.Err() == nil { // else drain the queue
+					run(idx, &sc)
+				}
+			}
+		}()
+	}
+dispatch:
+	for idx := 0; idx < n; idx++ {
+		select {
+		case work <- idx:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(work)
+	wg.Wait()
 }
 
 // RunComponent runs one component of a component-aware search: it derives

@@ -119,7 +119,8 @@ func mcsat(ctx context.Context, m *mrf.MRF, post *mrf.Postings, opts MCSATOption
 // over components (cost additivity, Section 3.3), this is not an
 // approximation — and each chain mixes over an exponentially smaller state
 // space, the marginal-inference analogue of Theorem 3.1. Components are
-// sampled in parallel by up to parallelism workers.
+// sampled in parallel by up to parallelism workers, or in index order on
+// the caller's goroutine at parallelism 1.
 //
 // A canceled context returns ErrCanceled with the marginals of the
 // components that finished sampling (unfinished components report zeros).
@@ -129,42 +130,20 @@ func MCSATComponents(ctx context.Context, parent *mrf.MRF, comps []*mrf.Componen
 	probs := make([]float64, parent.NumAtoms+1)
 	var mu sync.Mutex
 	var firstErr error
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc Scratch // this worker's, for all of its chains
-			for idx := range work {
-				if ctx.Err() != nil {
-					continue // drain; cancellation is reported below
-				}
-				comp := comps[idx]
-				local, err := RunComponentMCSAT(ctx, comp, idx, opts, &sc)
-				mu.Lock()
-				if err != nil && !errors.Is(err, ErrCanceled) && firstErr == nil {
-					firstErr = err
-				}
-				if local != nil {
-					for i := 1; i <= comp.MRF.NumAtoms; i++ {
-						probs[comp.GlobalAtom[i]] = local[i]
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-dispatch:
-	for i := range comps {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break dispatch
+	eachComponent(ctx, len(comps), parallelism, func(idx int, sc *Scratch) {
+		comp := comps[idx]
+		local, err := RunComponentMCSAT(ctx, comp, idx, opts, sc)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil && !errors.Is(err, ErrCanceled) && firstErr == nil {
+			firstErr = err
 		}
-	}
-	close(work)
-	wg.Wait()
+		if local != nil {
+			for i := 1; i <= comp.MRF.NumAtoms; i++ {
+				probs[comp.GlobalAtom[i]] = local[i]
+			}
+		}
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
