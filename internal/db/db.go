@@ -22,7 +22,9 @@ import (
 
 // Config controls engine construction.
 type Config struct {
-	// BufferPoolPages caps the buffer pool (default 4096 pages = 32 MB).
+	// BufferPoolPages caps the buffer pool (default 4096 pages). Over the
+	// default in-memory disk it bounds resident frames, not extra bytes
+	// (see storage.BufferPool); over any other Disk a frame is an 8 KB copy.
 	BufferPoolPages int
 	// Plan holds the optimizer knobs (lesion-study switches).
 	Plan plan.Options

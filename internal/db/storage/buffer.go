@@ -39,9 +39,18 @@ import (
 // readers of a pinned page are safe; mutating page bytes while another
 // goroutine reads the same page requires external coordination (the
 // engine's DML paths are single-writer per table).
+//
+// Over a bare *MemDisk the pool borrows pages instead of copying them: a
+// frame's data is the disk page itself, so the in-memory engine holds each
+// page once and capacity bounds how many pages are resident as frames, not
+// extra bytes. A miss still counts and charges a disk read, and a
+// write-back a disk write, so every counter and the latency model are those
+// of the copying path every other Disk (a FileDisk, a FaultDisk even over a
+// MemDisk) takes.
 type BufferPool struct {
 	mu       sync.RWMutex
 	disk     Disk
+	mem      *MemDisk // disk itself when frames borrow its pages, else nil
 	capacity int
 	frames   map[PageID]*frame
 	lru      *list.List // *frame point-read frames, front = most recent
@@ -91,8 +100,10 @@ func NewBufferPool(disk Disk, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
+	mem, _ := disk.(*MemDisk)
 	bp := &BufferPool{
 		disk:     disk,
+		mem:      mem,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame),
 		lru:      list.New(),
@@ -252,7 +263,11 @@ func (bp *BufferPool) fetch(id PageID, sc *ScanCursor) (Page, error) {
 	// The frame is pinned, so eviction cannot reclaim it (and its data
 	// cannot be reused) while the read is in flight — the pool lock is not
 	// needed here, and concurrent fetches of other pages proceed.
-	f.loadErr = bp.disk.ReadPage(id, f.data)
+	if bp.mem != nil {
+		f.data, f.loadErr = bp.mem.lendRead(id)
+	} else {
+		f.loadErr = bp.disk.ReadPage(id, f.data)
+	}
 	close(f.ready)
 	if f.loadErr != nil {
 		err := f.loadErr
@@ -289,6 +304,9 @@ func (bp *BufferPool) Allocate(file int32) (PageID, Page, error) {
 	f, err := bp.allocFrameLocked(id)
 	if err != nil {
 		return PageID{}, Page{}, err
+	}
+	if bp.mem != nil {
+		f.data = bp.mem.lendNew(id)
 	}
 	f.pins = 1
 	f.dirty = true
@@ -344,7 +362,7 @@ func (bp *BufferPool) FlushAll() error {
 				pinned = true
 				continue
 			}
-			if err := bp.disk.WritePage(f.id, f.data); err != nil {
+			if err := bp.writeBack(f.id, f.data); err != nil {
 				return err
 			}
 			f.dirty = false
@@ -421,9 +439,14 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 }
 
 // installFrameLocked adds a fresh frame for id at the most-recent end of
-// the point-read list, or of the scan list for scan-cursor fetches.
+// the point-read list, or of the scan list for scan-cursor fetches. Its
+// data is a buffer of its own unless the pool borrows the disk's pages; a
+// borrowing caller sets it once it has the page.
 func (bp *BufferPool) installFrameLocked(id PageID, scan bool) *frame {
-	f := &frame{id: id, data: make([]byte, PageSize), onScan: scan}
+	f := &frame{id: id, onScan: scan}
+	if bp.mem == nil {
+		f.data = make([]byte, PageSize)
+	}
 	if scan {
 		f.elem = bp.scanLRU.PushFront(f)
 	} else {
@@ -490,11 +513,16 @@ func (bp *BufferPool) evictOneLocked() error {
 		// chosen, so no mutator is active and the image is consistent. The
 		// slow disk write then works from the snapshot, because a client may
 		// re-pin the frame and mutate its live bytes mid-write (that client
-		// re-dirties the frame, so the newer bytes are written later).
-		snap := make([]byte, len(victim.data))
-		copy(snap, victim.data)
+		// re-dirties the frame, so the newer bytes are written later). A
+		// borrowed page needs no snapshot: its bytes are already the disk's,
+		// and writing an older image over them would lose the client's.
+		snap := victim.data
+		if bp.mem == nil {
+			snap = make([]byte, len(victim.data))
+			copy(snap, victim.data)
+		}
 		bp.mu.Unlock()
-		werr := bp.disk.WritePage(victim.id, snap)
+		werr := bp.writeBack(victim.id, snap)
 		bp.mu.Lock()
 		close(victim.wb)
 		victim.wb = nil
@@ -514,6 +542,16 @@ func (bp *BufferPool) evictOneLocked() error {
 		// Otherwise its pages are durably written anyway; pick another
 		// victim (the recency lists may have changed while unlocked).
 	}
+}
+
+// writeBack writes one frame's bytes to disk; for a borrowed page the bytes
+// are there already and only the write is accounted.
+func (bp *BufferPool) writeBack(id PageID, data []byte) error {
+	if bp.mem != nil {
+		bp.mem.lendWrite()
+		return nil
+	}
+	return bp.disk.WritePage(id, data)
 }
 
 func (bp *BufferPool) evictFrameLocked(f *frame) {

@@ -53,6 +53,8 @@ type DiskStats struct {
 // MemDisk is an in-memory Disk. A per-access latency can be injected to
 // model the cost of real disk I/O (the paper's Tuffy-mm experiments hinge on
 // per-access RDBMS overhead; see Appendix C.1).
+//
+// A BufferPool directly over a MemDisk borrows its pages; see BufferPool.
 type MemDisk struct {
 	mu      sync.RWMutex
 	files   map[int32][][]byte
@@ -84,12 +86,50 @@ func (d *MemDisk) ReadPage(id PageID, buf []byte) error {
 	d.reads.Add(1)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	pages, ok := d.files[id.File]
-	if !ok || int(id.Num) >= len(pages) {
+	page := d.page(id)
+	if page == nil {
 		return fmt.Errorf("storage: read of unallocated page %s", id)
 	}
-	copy(buf, pages[id.Num])
+	copy(buf, page)
 	return nil
+}
+
+// page returns the page's own buffer, nil past the end of its file.
+// Callers hold d.mu.
+func (d *MemDisk) page(id PageID) []byte {
+	pages := d.files[id.File]
+	if id.Num < 0 || int(id.Num) >= len(pages) {
+		return nil
+	}
+	return pages[id.Num]
+}
+
+// lendRead is ReadPage for a pool that borrows the page: it charges and
+// counts a read and returns the page's own buffer instead of copying it.
+func (d *MemDisk) lendRead(id PageID) ([]byte, error) {
+	d.charge()
+	d.reads.Add(1)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if buf := d.page(id); buf != nil {
+		return buf, nil
+	}
+	return nil, fmt.Errorf("storage: read of unallocated page %s", id)
+}
+
+// lendWrite is WritePage for a borrowed page: the bytes are already on the
+// disk, so it only charges and counts the write.
+func (d *MemDisk) lendWrite() {
+	d.charge()
+	d.writes.Add(1)
+}
+
+// lendNew returns the buffer of a page AllocatePage just created, counting
+// nothing: allocation does no I/O.
+func (d *MemDisk) lendNew(id PageID) []byte {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.page(id)
 }
 
 // WritePage implements Disk.
@@ -98,11 +138,11 @@ func (d *MemDisk) WritePage(id PageID, buf []byte) error {
 	d.writes.Add(1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[id.File]
-	if !ok || int(id.Num) >= len(pages) {
+	page := d.page(id)
+	if page == nil {
 		return fmt.Errorf("storage: write of unallocated page %s", id)
 	}
-	copy(pages[id.Num], buf)
+	copy(page, buf)
 	return nil
 }
 

@@ -64,10 +64,13 @@ type incAssembler struct {
 
 	// Epoch-shared caches, replaced (never mutated) when the atom set
 	// changes so previously returned Results stay frozen. aidToID is
-	// indexed by aid.
-	aidToID  []mrf.AtomID
-	tableAid []int64
-	atoms    []mln.GroundAtom
+	// indexed by aid. The Args of atoms are views into the TableSet's
+	// argument arena as it was after arenaMoves moves; they are rebuilt
+	// when it moves too, so the network stops holding the old arena.
+	aidToID    []mrf.AtomID
+	tableAid   []int64
+	atoms      []mln.GroundAtom
+	arenaMoves int
 }
 
 func newIncAssembler(ts *TableSet, nClauses int) *incAssembler {
@@ -86,14 +89,14 @@ func newIncAssembler(ts *TableSet, nClauses int) *incAssembler {
 // order is cmpAtoms' order. Only the assembler still keys by it.
 func atomDescKey(ts *TableSet, aid int64) string {
 	var b strings.Builder
-	a := ts.Atom(aid)
-	b.Grow(4 + 4*len(a.Args))
-	v := uint32(a.Pred.ID)
+	args := ts.atoms.argsOf(aid)
+	b.Grow(4 + 4*len(args))
+	v := uint32(ts.atoms.pred[aid])
 	b.WriteByte(byte(v >> 24))
 	b.WriteByte(byte(v >> 16))
 	b.WriteByte(byte(v >> 8))
 	b.WriteByte(byte(v))
-	for _, c := range a.Args {
+	for _, c := range args {
 		u := uint32(c)
 		b.WriteByte(byte(u >> 24))
 		b.WriteByte(byte(u >> 16))
@@ -315,9 +318,10 @@ func (a *incAssembler) recalc(e *accEntry) {
 
 // result materializes the canonical Result, translating every clause under
 // the current atom numbering into a fresh arena. Atom-numbering caches are
-// rebuilt (replaced, not mutated) only when the atom set changed.
+// rebuilt (replaced, not mutated) only when the atom set or the argument
+// arena changed.
 func (a *incAssembler) result(perStats []Stats) *Result {
-	if a.atomsDirty {
+	if a.atomsDirty || a.arenaMoves != a.ts.atoms.moves {
 		n := len(a.atomAids)
 		maxAid := int64(0)
 		for _, aid := range a.atomAids {
@@ -333,7 +337,7 @@ func (a *incAssembler) result(perStats []Stats) *Result {
 			atoms[id] = a.ts.Atom(aid)
 		}
 		a.aidToID, a.tableAid, a.atoms = aidToID, tableAid, atoms
-		a.atomsDirty = false
+		a.atomsDirty, a.arenaMoves = false, a.ts.atoms.moves
 	}
 	m := mrf.New(len(a.atomAids))
 	m.Atoms = a.atoms

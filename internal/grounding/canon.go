@@ -3,8 +3,6 @@ package grounding
 import (
 	"cmp"
 	"slices"
-
-	"tuffy/internal/mln"
 )
 
 // The canonical order of raw groundings.
@@ -36,15 +34,16 @@ import (
 //     sorting altogether. Sorted sets make the fold cheaper, not different:
 //     each one is a ready-made run for its merge.
 
-// cmpAtoms orders ground atoms by predicate id, then argument constants.
-// Atoms of one predicate have one arity, so no descriptor is a proper prefix
-// of another.
-func cmpAtoms(a, b mln.GroundAtom) int {
-	if c := cmp.Compare(uint32(a.Pred.ID), uint32(b.Pred.ID)); c != 0 {
+// cmpAtoms orders the ground atoms of two aids by predicate id, then
+// argument constants. Atoms of one predicate have one arity, so no
+// descriptor is a proper prefix of another.
+func cmpAtoms(ts *TableSet, x, y int64) int {
+	if c := cmp.Compare(uint32(ts.atoms.pred[x]), uint32(ts.atoms.pred[y])); c != 0 {
 		return c
 	}
-	for i, x := range a.Args {
-		if c := cmp.Compare(uint32(x), uint32(b.Args[i])); c != 0 {
+	b := ts.atoms.argsOf(y)
+	for i, v := range ts.atoms.argsOf(x) {
+		if c := cmp.Compare(uint32(v), uint32(b[i])); c != 0 {
 			return c
 		}
 	}
@@ -54,7 +53,7 @@ func cmpAtoms(a, b mln.GroundAtom) int {
 // cmpLits orders two literals (aid<<1|positive) by atom, negative first.
 func cmpLits(ts *TableSet, x, y uint32) int {
 	if x>>1 != y>>1 {
-		if c := cmpAtoms(ts.atoms[x>>1], ts.atoms[y>>1]); c != 0 {
+		if c := cmpAtoms(ts, int64(x>>1), int64(y>>1)); c != 0 {
 			return c
 		}
 	}

@@ -2,6 +2,7 @@ package grounding
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,30 +12,46 @@ import (
 	"tuffy/internal/mln"
 )
 
-// randomRegistry is a TableSet with nothing but an atom registry of up to n
-// atoms: predicates of arity 0 to 3 whose ids differ in every byte position,
-// constants that do too (and one that is negative as an int32). Like a real
-// registry it holds each atom once.
-func randomRegistry(rng *rand.Rand, n int) *TableSet {
+// registryPreds are predicates of arity 0 to 3 whose ids differ in every
+// byte position. The comparators read only the ids, so they take them all.
+var registryPreds = func() []*mln.Predicate {
 	ids := []int{0, 1, 2, 255, 256, 65536, 1 << 24}
 	preds := make([]*mln.Predicate, len(ids))
 	for i, id := range ids {
 		preds[i] = &mln.Predicate{ID: id, Args: make([]string, i%4)}
 	}
+	return preds
+}()
+
+// registryProg holds registryPreds but the last, each at its index in
+// Preds, for tests that read atoms through TableSet.Atom: that looks a
+// predicate up by id, and id 1<<24 would take 2^24 slots.
+var registryProg = func() *mln.Program {
+	preds := registryPreds[:len(registryPreds)-1]
+	prog := &mln.Program{Preds: make([]*mln.Predicate, preds[len(preds)-1].ID+1)}
+	for _, p := range preds {
+		prog.Preds[p.ID] = p
+	}
+	return prog
+}()
+
+// randomRegistry is a TableSet of prog with nothing but an atom registry of
+// up to n atoms over preds, with constants whose bytes differ in every
+// position (and one that is negative as an int32). Like a real registry it
+// holds each atom once.
+func randomRegistry(rng *rand.Rand, n int, prog *mln.Program, preds []*mln.Predicate) *TableSet {
 	consts := []int32{0, 1, 2, 3, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1, -1}
-	ts := &TableSet{atoms: make([]mln.GroundAtom, 1, n+1)}
+	ts := &TableSet{Prog: prog, atoms: newAtomList()}
 	seen := make(map[string]bool)
-	for try := 0; try < 4*n && len(ts.atoms) <= n; try++ {
+	for try := 0; try < 4*n && ts.NumAtoms() < n; try++ {
 		p := preds[rng.Intn(len(preds))]
 		args := make([]int32, p.Arity())
 		for i := range args {
 			args[i] = consts[rng.Intn(len(consts))]
 		}
-		ts.atoms = append(ts.atoms, mln.GroundAtom{Pred: p, Args: args})
-		if key := atomDescKey(ts, int64(ts.NumAtoms())); seen[key] {
-			ts.atoms = ts.atoms[:ts.NumAtoms()]
-		} else {
+		if key := fmt.Sprint(p.ID, args); !seen[key] {
 			seen[key] = true
+			ts.atoms.add(p, args)
 		}
 	}
 	return ts
@@ -78,7 +95,7 @@ func randomRaws(rng *rand.Rand, ts *TableSet, n int) [][]uint32 {
 func TestComparatorIsDescriptorByteOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 50; round++ {
-		ts := randomRegistry(rng, 1+rng.Intn(40))
+		ts := randomRegistry(rng, 1+rng.Intn(40), nil, registryPreds)
 		raws := randomRaws(rng, ts, 1+rng.Intn(60))
 		for _, a := range raws {
 			for _, b := range raws {
@@ -91,7 +108,7 @@ func TestComparatorIsDescriptorByteOrder(t *testing.T) {
 							t.Fatalf("cmpLits(%d, %d) = %d, keys compare %d", x, y, got, want)
 						}
 						ax, ay := int64(x>>1), int64(y>>1)
-						if got, want := cmpAtoms(ts.Atom(ax), ts.Atom(ay)), strings.Compare(atomDescKey(ts, ax), atomDescKey(ts, ay)); got != want {
+						if got, want := cmpAtoms(ts, ax, ay), strings.Compare(atomDescKey(ts, ax), atomDescKey(ts, ay)); got != want {
 							t.Fatalf("cmpAtoms(%d, %d) = %d, keys compare %d", ax, ay, got, want)
 						}
 					}
@@ -209,7 +226,7 @@ func TestAssemblyIgnoresRawOrder(t *testing.T) {
 				t.Fatalf("%s: clause %d: canonSet of the shuffle differs from the retained set", tc.ds.Name, i)
 			}
 		}
-		if !slices.IsSortedFunc(cold.TableAid[1:], func(a, b int64) int { return cmpAtoms(ts.Atom(a), ts.Atom(b)) }) {
+		if !slices.IsSortedFunc(cold.TableAid[1:], func(a, b int64) int { return cmpAtoms(ts, a, b) }) {
 			t.Fatalf("%s: MRF atoms are not in descriptor order", tc.ds.Name)
 		}
 	}

@@ -117,7 +117,7 @@ func (ca *clauseAccumulator) finish(stats Stats) *Result {
 		order[i] = mrf.AtomID(i + 1)
 	}
 	slices.SortFunc(order, func(x, y mrf.AtomID) int {
-		return cmpAtoms(ca.ts.Atom(ca.tableAid[x]), ca.ts.Atom(ca.tableAid[y]))
+		return cmpAtoms(ca.ts, ca.tableAid[x], ca.tableAid[y])
 	})
 	remap := make([]mrf.AtomID, n+1)
 	tableAid := make([]int64, n+1)
@@ -218,7 +218,7 @@ func TestFoldMatchesReference(t *testing.T) {
 	stats := Stats{JoinRowsVisited: 7, PeakBytes: 99}
 	cancelled, unsorted := 0, 0
 	for round := 0; round < 400; round++ {
-		ts := randomRegistry(rng, 1+rng.Intn(12))
+		ts := randomRegistry(rng, 1+rng.Intn(12), registryProg, registryPreds[:len(registryPreds)-1])
 		sets := randomFoldSets(rng, ts)
 		ca := newClauseAccumulator(ts)
 		for _, s := range sets {

@@ -321,11 +321,11 @@ func (ts *TableSet) applyOp(op mln.DeltaOp, undo *DeltaUndo) error {
 		switch {
 		case want && !present:
 			if !staged {
-				row, err := ts.stageAtom(pred, append([]int32(nil), op.Args...), TruthTrue)
+				row, err := ts.stageAtom(pred, op.Args, TruthTrue)
 				if err != nil {
 					return err
 				}
-				aid = int64(len(ts.atoms) - 1)
+				aid = int64(ts.NumAtoms())
 				if err := t.Insert(row); err != nil {
 					ts.truths[aid] = uint8(TruthFalse) // registry keeps the atom; no row
 					return err

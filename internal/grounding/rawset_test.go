@@ -283,8 +283,9 @@ func TestRestoreIncremental(t *testing.T) {
 }
 
 // TestAidSpaceGuard: the largest aid the guard admits still packs into a
-// 32-bit literal of either sign, and the next one is refused typed — checked
-// on the helper itself, without registering 2^31 atoms.
+// 32-bit literal of either sign, and the next one is refused typed, as is an
+// atom whose arguments would end the registry's arena past 32 bits — checked
+// on the helpers themselves, without registering 2^31 atoms.
 func TestAidSpaceGuard(t *testing.T) {
 	if err := checkAidSpace(MaxAid); err != nil {
 		t.Fatalf("aid %d refused: %v", MaxAid, err)
@@ -295,6 +296,15 @@ func TestAidSpaceGuard(t *testing.T) {
 	for _, next := range []int{MaxAid + 1, math.MaxInt} {
 		if err := checkAidSpace(next); !errors.Is(err, ErrAidSpace) {
 			t.Fatalf("aid %d: err %v, want ErrAidSpace", next, err)
+		}
+	}
+	// The argument arena's 32-bit ends: full is fine, one more is not.
+	if err := checkArgSpace(math.MaxUint32); err != nil {
+		t.Fatalf("an arena of %d arguments refused: %v", uint32(math.MaxUint32), err)
+	}
+	for _, end := range []int{math.MaxUint32 + 1, math.MaxInt} {
+		if err := checkArgSpace(end); !errors.Is(err, ErrAidSpace) {
+			t.Fatalf("arena end %d: err %v, want ErrAidSpace", end, err)
 		}
 	}
 }

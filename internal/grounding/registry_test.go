@@ -37,7 +37,7 @@ func TestAtomRegistryMatchesMap(t *testing.T) {
 	}
 
 	var reg registry
-	atoms := []mln.GroundAtom{{}}
+	atoms := newAtomList()
 	want := map[string]int64{}
 	growths, size := 0, 0
 	for batch := 0; batch < 10; batch++ {
@@ -46,27 +46,28 @@ func TestAtomRegistryMatchesMap(t *testing.T) {
 			if want[registryKey(p, args)] != 0 {
 				continue
 			}
-			aid := int64(len(atoms))
-			atoms = append(atoms, mln.GroundAtom{Pred: p, Args: args})
-			reg.insert(atoms, aid)
+			aid := int64(atoms.n())
+			atoms.add(p, args)
+			reg.insert(&atoms, aid)
 			want[registryKey(p, args)] = aid
 		}
 		if len(reg.slots) != size {
 			growths, size = growths+1, len(reg.slots)
 		}
-		for aid := int64(1); aid < int64(len(atoms)); aid++ {
-			if got := reg.find(atoms, atoms[aid].Pred, atoms[aid].Args); got != aid {
-				t.Fatalf("batch %d: %v found as aid %d, registered as %d", batch, atoms[aid], got, aid)
+		for aid := int64(1); aid < int64(atoms.n()); aid++ {
+			p := preds[atoms.pred[aid]]
+			if got := reg.find(&atoms, p, atoms.argsOf(aid)); got != aid {
+				t.Fatalf("batch %d: %s%v found as aid %d, registered as %d", batch, p.Name, atoms.argsOf(aid), got, aid)
 			}
 		}
 		for i := 0; i < 500; i++ {
 			p, args := randomAtom()
-			if got := reg.find(atoms, p, args); got != want[registryKey(p, args)] {
+			if got := reg.find(&atoms, p, args); got != want[registryKey(p, args)] {
 				t.Fatalf("batch %d: %s%v found as aid %d, map says %d", batch, p.Name, args, got, want[registryKey(p, args)])
 			}
 		}
 	}
-	if growths < 4 || reg.n != len(atoms)-1 {
+	if growths < 4 || reg.n != atoms.n()-1 {
 		t.Fatalf("%d atoms over %d table sizes; the test needs several growths", reg.n, growths)
 	}
 
@@ -110,10 +111,7 @@ func TestAtomRegistryMatchesMap(t *testing.T) {
 		}
 	}
 	checkTables("built", ts)
-	exported, err := ts.ExportAtoms()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exported := ts.ExportAtoms()
 	restored, err := RestoreTables(db.Open(db.Config{}), ds.Prog, ts.Ev, exported)
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,7 @@ func TestRestoredTablesPlanLikeBuiltTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			atoms, err := built.ExportAtoms()
-			if err != nil {
-				t.Fatal(err)
-			}
+			atoms := built.ExportAtoms()
 			restored, err := RestoreTables(db.Open(db.Config{}), ds.Prog, ds.Ev, atoms)
 			if err != nil {
 				t.Fatal(err)

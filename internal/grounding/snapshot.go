@@ -32,22 +32,14 @@ type SnapAtom struct {
 	Truth int64
 }
 
-// ExportAtoms dumps the atom registry in aid order (aid 1 first).
-func (ts *TableSet) ExportAtoms() ([]SnapAtom, error) {
-	idx := make(map[*mln.Predicate]int32, len(ts.Prog.Preds))
-	for i, p := range ts.Prog.Preds {
-		idx[p] = int32(i)
+// ExportAtoms dumps the atom registry in aid order (aid 1 first). Each
+// SnapAtom's Args are a view into the registry's argument arena.
+func (ts *TableSet) ExportAtoms() []SnapAtom {
+	out := make([]SnapAtom, 0, ts.NumAtoms())
+	for aid := int64(1); aid <= int64(ts.NumAtoms()); aid++ {
+		out = append(out, SnapAtom{Pred: ts.atoms.pred[aid], Args: ts.atoms.argsOf(aid), Truth: int64(ts.truths[aid])})
 	}
-	out := make([]SnapAtom, 0, len(ts.atoms)-1)
-	for aid := 1; aid < len(ts.atoms); aid++ {
-		a := ts.atoms[aid]
-		pi, ok := idx[a.Pred]
-		if !ok {
-			return nil, fmt.Errorf("grounding: registry atom %d references a predicate outside the program", aid)
-		}
-		out = append(out, SnapAtom{Pred: pi, Args: a.Args, Truth: int64(ts.truths[aid])})
-	}
-	return out, nil
+	return out
 }
 
 // Raws returns the cached per-clause raw groundings and their grounding
@@ -116,7 +108,7 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 		Prog:   prog,
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
-		atoms:  make([]mln.GroundAtom, 1),
+		atoms:  newAtomList(),
 		truths: make([]uint8, 1),
 	}
 	fail := func(err error) (*TableSet, error) {
@@ -139,8 +131,8 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 		if len(sa.Args) != pred.Arity() {
 			return fail(fmt.Errorf("grounding: snapshot atom for %s has %d args", pred.Name, len(sa.Args)))
 		}
-		if aid := ts.reg.find(ts.atoms, pred, sa.Args); aid != 0 {
-			return fail(fmt.Errorf("grounding: snapshot registers %s%v twice (aids %d and %d)", pred.Name, sa.Args, aid, len(ts.atoms)))
+		if aid := ts.reg.find(&ts.atoms, pred, sa.Args); aid != 0 {
+			return fail(fmt.Errorf("grounding: snapshot registers %s%v twice (aids %d and %d)", pred.Name, sa.Args, aid, ts.atoms.n()))
 		}
 		if t := sa.Truth; t != TruthUnknown && t != TruthTrue && t != TruthFalse {
 			return fail(fmt.Errorf("grounding: snapshot atom for %s has truth %d", pred.Name, t))
@@ -168,6 +160,7 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 	if err := d.Pool().FlushAll(); err != nil {
 		return fail(err)
 	}
+	ts.clip()
 	return ts, nil
 }
 
@@ -183,7 +176,7 @@ func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats
 	if len(raws) != n || len(stats) != n {
 		return nil, nil, fmt.Errorf("grounding: snapshot has %d clause raw sets for %d clauses", len(raws), n)
 	}
-	maxAid := uint32(len(ts.atoms) - 1)
+	maxAid := uint32(ts.NumAtoms())
 	for _, s := range raws {
 		for _, v := range s.lits {
 			if aid := v >> 1; aid < 1 || aid > maxAid {

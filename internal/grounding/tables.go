@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -53,6 +54,15 @@ func checkAidSpace(next int) error {
 	return nil
 }
 
+// checkArgSpace refuses the atom whose arguments would end the registry's
+// argument arena (32-bit offsets) at end.
+func checkArgSpace(end int) error {
+	if end > math.MaxUint32 {
+		return fmt.Errorf("%w: %d atom arguments exceed the limit of %d", ErrAidSpace, end, uint32(math.MaxUint32))
+	}
+	return nil
+}
+
 // TableName returns the relation name for a predicate: "r" and its ID, e.g.
 // r3. The ID is unique per program and always lexes as one SQL identifier,
 // which the predicate's own name (is-friend, f-1, Friend beside friend)
@@ -68,8 +78,8 @@ type TableSet struct {
 	Ev   *mln.Evidence
 
 	tables map[*mln.Predicate]*db.Table
-	// atoms[aid] describes the ground atom with that id (index 0 unused).
-	atoms []mln.GroundAtom
+	// atoms describes the ground atom of each aid (index 0 unused).
+	atoms atomList
 	// truths[aid] is the evidence truth of the atom, one of the Truth*
 	// constants in a byte.
 	truths []uint8
@@ -103,7 +113,7 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 		Prog:   prog,
 		Ev:     ev,
 		tables: make(map[*mln.Predicate]*db.Table),
-		atoms:  make([]mln.GroundAtom, 1), // index 0 unused
+		atoms:  newAtomList(),
 		truths: make([]uint8, 1),
 	}
 	// A failure partway leaves half-built predicate tables; drop whatever
@@ -135,7 +145,15 @@ func BuildTables(d *db.DB, prog *mln.Program, ev *mln.Evidence) (*TableSet, erro
 	if err := d.Pool().FlushAll(); err != nil {
 		return fail(err)
 	}
+	ts.clip()
 	return ts, nil
+}
+
+// clip drops the registry's growth slack once a load is done: what stays
+// resident per atom is then exactly its list entry and truth byte.
+func (ts *TableSet) clip() {
+	ts.atoms.clip()
+	ts.truths = exact(ts.truths)
 }
 
 // Drop removes every predicate table of the set from the catalog,
@@ -206,9 +224,7 @@ func (ts *TableSet) loadOpen(pred *mln.Predicate, t *db.Table) error {
 			case mln.False:
 				truth = TruthFalse
 			}
-			cp := make([]int32, len(args))
-			copy(cp, args)
-			row, err := ts.stageAtom(pred, cp, truth)
+			row, err := ts.stageAtom(pred, args, truth)
 			if err != nil {
 				return err
 			}
@@ -234,38 +250,45 @@ func (ts *TableSet) loadOpen(pred *mln.Predicate, t *db.Table) error {
 	return t.InsertMany(rows)
 }
 
-// stageAtom assigns the next dense aid, records the atom in the registry and
-// returns its table row for batch insertion; past MaxAid it fails with
-// ErrAidSpace and stages nothing. args must not be reused by the caller.
+// stageAtom assigns the next dense aid, records the atom in the registry
+// (copying args) and returns its table row for batch insertion; past MaxAid
+// or the argument arena's 32-bit end it fails with ErrAidSpace and stages
+// nothing.
 func (ts *TableSet) stageAtom(pred *mln.Predicate, args []int32, truth int64) (tuple.Row, error) {
-	if err := checkAidSpace(len(ts.atoms)); err != nil {
+	if err := checkAidSpace(ts.atoms.n()); err != nil {
 		return nil, err
 	}
-	aid := int64(len(ts.atoms))
+	if err := checkArgSpace(len(ts.atoms.args) + len(args)); err != nil {
+		return nil, err
+	}
+	aid := int64(ts.atoms.n())
 	row := make(tuple.Row, 0, pred.Arity()+2)
 	row = append(row, tuple.I64(aid))
 	for _, a := range args {
 		row = append(row, tuple.I64(int64(a)))
 	}
 	row = append(row, tuple.I64(truth))
-	ts.atoms = append(ts.atoms, mln.GroundAtom{Pred: pred, Args: args})
+	ts.atoms.add(pred, args)
 	ts.truths = append(ts.truths, uint8(truth))
-	ts.reg.insert(ts.atoms, aid)
+	ts.reg.insert(&ts.atoms, aid)
 	return row, nil
 }
 
 // NumAtoms returns the number of materialized atoms (all predicates).
-func (ts *TableSet) NumAtoms() int { return len(ts.atoms) - 1 }
+func (ts *TableSet) NumAtoms() int { return ts.atoms.n() - 1 }
 
-// Atom returns the ground atom for an aid.
-func (ts *TableSet) Atom(aid int64) mln.GroundAtom { return ts.atoms[aid] }
+// Atom returns the ground atom for an aid. Its Args are a view into the
+// registry's argument arena: read them, never write them (appending copies).
+func (ts *TableSet) Atom(aid int64) mln.GroundAtom {
+	return mln.GroundAtom{Pred: ts.Prog.Preds[ts.atoms.pred[aid]], Args: ts.atoms.argsOf(aid)}
+}
 
 // TruthOf returns the evidence truth recorded for an aid.
 func (ts *TableSet) TruthOf(aid int64) int64 { return int64(ts.truths[aid]) }
 
 // AidOf finds the atom id of a ground atom, if materialized.
 func (ts *TableSet) AidOf(pred *mln.Predicate, args []int32) (int64, bool) {
-	aid := ts.reg.find(ts.atoms, pred, args)
+	aid := ts.reg.find(&ts.atoms, pred, args)
 	return aid, aid != 0
 }
 
@@ -335,7 +358,7 @@ type litSpan struct{ lo, hi uint32 }
 // been summed in. Clauses whose weights cancel to zero drop, and the rest
 // are copied into one arena of exactly their size.
 func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
-	id := make([]mrf.AtomID, len(ts.atoms)) // by aid; 1 marks "used" until numbered
+	id := make([]mrf.AtomID, ts.atoms.n()) // by aid; 1 marks "used" until numbered
 	var aids []int64
 	nlits, fixed := 0, 0.0
 	stats.NumGroundedRaw, stats.FixedCostCount = 0, 0
@@ -349,7 +372,7 @@ func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 			}
 		}
 	}
-	slices.SortFunc(aids, func(x, y int64) int { return cmpAtoms(ts.atoms[x], ts.atoms[y]) })
+	slices.SortFunc(aids, func(x, y int64) int { return cmpAtoms(ts, x, y) })
 	for k, aid := range aids {
 		id[aid] = mrf.AtomID(k + 1)
 	}
@@ -435,7 +458,7 @@ func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 	tableAid := make([]int64, len(aids)+1)
 	maxAid := int64(0)
 	for k, aid := range aids {
-		m.Atoms[k+1], tableAid[k+1] = ts.atoms[aid], aid
+		m.Atoms[k+1], tableAid[k+1] = ts.Atom(aid), aid
 		maxAid = max(maxAid, aid)
 	}
 	// id numbered every used aid above and is 0 for every other one.

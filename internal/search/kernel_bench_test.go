@@ -62,22 +62,27 @@ func BenchmarkGaussSeidelLP(b *testing.B) {
 // BenchmarkComponentAwareRC is the rc-serve workload's MAP search in
 // process: RC at its size (1200 papers, 500 authors, 8 categories, 200
 // clusters, seed 1) over its Algorithm 3 parts with the workload's 100 000
-// flips, one worker and no memo. Its many small components each reseed the
-// search RNG, so this is the layer where the cost of a seed shows.
+// flips and no memo, at Parallelism 1 (the caller's goroutine) and 2 (the
+// worker pool). Its many small components each reseed the search RNG, so
+// this is the layer where the cost of a seed shows, and the ratio of its
+// legs is what the pool's dispatch gains on two CPUs.
 func BenchmarkComponentAwareRC(b *testing.B) {
 	ctx := context.Background()
 	m, comps := rcComponents(b, datagen.RCConfig{Papers: 1200, Authors: 500, Categories: 8, Clusters: 200, Seed: 1})
-	opts := ComponentOptions{Base: Options{MaxFlips: 100_000, MaxTries: 1, Seed: 1}, Parallelism: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := ComponentAware(ctx, m, comps, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = r.Best
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			opts := ComponentOptions{Base: Options{MaxFlips: 100_000, MaxTries: 1, Seed: 1}, Parallelism: par}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := ComponentAware(ctx, m, comps, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = r.Best
+			}
+			b.ReportMetric(float64(len(comps)), "components/op")
+		})
 	}
-	b.ReportMetric(float64(len(comps)), "components/op")
 }
 
 // BenchmarkGaussMCSATLP is the lp-budget workload's marginal leg: LP at its

@@ -445,10 +445,7 @@ type evRow struct {
 // previous snapshot intact.
 func (e *Engine) writeSnapshot(gen uint64, decomposed bool) error {
 	d := e.dur
-	atoms, err := e.tables.ExportAtoms()
-	if err != nil {
-		return err
-	}
+	atoms := e.tables.ExportAtoms()
 	raws, perStats := e.inc.Raws()
 
 	var w codec.Enc
