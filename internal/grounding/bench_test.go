@@ -131,26 +131,9 @@ func applyAndReground(b *testing.B, inc *Incremental, delta mln.Delta) mln.Delta
 	return undo.Inverse()
 }
 
-// BenchmarkFirstReground is the update that pays for the deferred
-// assembler: a 20-op delta on a freshly grounded Incremental.
-func BenchmarkFirstReground(b *testing.B) {
-	for _, bd := range benchDatasets {
-		b.Run(bd.name, func(b *testing.B) {
-			ds := bd.gen()
-			delta := datagen.RandomDelta(ds, bd.pred, 20, 99)
-			b.ReportAllocs()
-			for b.Loop() {
-				b.StopTimer()
-				inc, _ := benchGround(b, benchTables(b, ds))
-				b.StartTimer()
-				applyAndReground(b, inc, delta)
-			}
-		})
-	}
-}
-
-// BenchmarkReground is the steady state: the same 20-op delta and its
-// inverse, alternating, on an Incremental that already has its assembler.
+// BenchmarkReground is one update after another: the same 20-op delta and
+// its inverse, alternating, each re-running the changed clauses' SQL and
+// re-folding every retained raw.
 func BenchmarkReground(b *testing.B) {
 	for _, bd := range benchDatasets {
 		b.Run(bd.name, func(b *testing.B) {

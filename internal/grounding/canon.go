@@ -23,10 +23,9 @@ import (
 //     a RawSet is encoded as it stands, and a hash-range split must retain
 //     the set the unsplit query would. Equal raws are identical values, so the
 //     sort needs no stability and a merge's ties no rule.
-//   - Atoms (foldRaws; incAssembler keeps the same order by atomDescKey,
-//     whose byte order is this comparator's). The assembled MRF needs only
-//     this: the fold numbers atoms in this order and merges clauses by their
-//     renumbered literals, and since a set's raws share one weight and equal
+//   - Atoms (foldRaws). The assembled MRF needs only this: the fold
+//     numbers atoms in this order and merges clauses by their renumbered
+//     literals, and since a set's raws share one weight and equal
 //     clauses meet in set order, every float sum is the same for any raw or
 //     literal order. The MRF is a pure function of the multiset of raws —
 //     which is what makes an incremental update bit-identical to a fresh

@@ -2,6 +2,7 @@ package grounding
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -57,6 +58,17 @@ func randomRegistry(rng *rand.Rand, n int, prog *mln.Program, preds []*mln.Predi
 	return ts
 }
 
+// atomDescKey renders the aid-independent descriptor of one ground atom —
+// predicate id then argument constants, each as 4 big-endian bytes — as the
+// reference key whose byte order cmpAtoms must reproduce.
+func atomDescKey(ts *TableSet, aid int64) string {
+	b := binary.BigEndian.AppendUint32(nil, uint32(ts.atoms.pred[aid]))
+	for _, c := range ts.atoms.argsOf(aid) {
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
+	}
+	return string(b)
+}
+
 // litKey and rawKey are the byte strings whose order the comparators must
 // reproduce: atomDescKey plus a sign byte per literal, concatenated.
 func litKey(ts *TableSet, v uint32) string {
@@ -88,10 +100,9 @@ func randomRaws(rng *rand.Rand, ts *TableSet, n int) [][]uint32 {
 }
 
 // TestComparatorIsDescriptorByteOrder: cmpAtoms, cmpLits and cmpRaws order
-// exactly as the descriptor strings they replaced — which is also what keeps
-// the cold fold (comparator) and incAssembler (atomDescKey) agreeing — and
-// canonSet and mergeCanon produce the order a stable sort by those strings
-// does.
+// exactly as the descriptor strings they replaced (atomDescKey), predicate
+// ids that differ only in their top byte included, and canonSet and
+// mergeCanon produce the order a stable sort by those strings does.
 func TestComparatorIsDescriptorByteOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 50; round++ {
@@ -184,10 +195,9 @@ func TestRawSetBuild(t *testing.T) {
 }
 
 // TestAssemblyIgnoresRawOrder: permuting the raws of every retained set (and
-// the literals inside each raw) leaves the plain fold, the closure fold and
-// the incremental assembler bit-identical — the assembled network is a
-// function of the multiset of raws, which is what lets the top-down grounder
-// not sort at all.
+// the literals inside each raw) leaves the plain fold and the closure fold
+// bit-identical — the assembled network is a function of the multiset of
+// raws, which is what lets the top-down grounder not sort at all.
 func TestAssemblyIgnoresRawOrder(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -216,9 +226,6 @@ func TestAssemblyIgnoresRawOrder(t *testing.T) {
 		closure := Options{UseClosure: true}
 		requireSameBits(t, tc.ds.Name+"/closure fold",
 			assembleResult(ts, inc.perClause, inc.perStats, closure), assembleResult(ts, shuffled, inc.perStats, closure))
-		asm := newIncAssembler(ts, len(shuffled))
-		asm.build(shuffled)
-		requireSameBits(t, tc.ds.Name+"/assembler", cold, asm.result(inc.perStats))
 
 		// ... and canonSet brings every shuffled set back, byte for byte.
 		for i := range shuffled {

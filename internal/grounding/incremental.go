@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 
 	"tuffy/internal/db/tuple"
 	"tuffy/internal/mln"
@@ -23,8 +22,8 @@ import (
 // SQL and are diffed, raw for raw, against what was retained — which needs
 // the literals of a raw in canonical order and nothing else. The assembled
 // network does not depend on the order of raws or of literals at all
-// (canon.go: finish and the assembler sort atoms and clauses themselves), so
-// folding the diff into the assembler is bit-identical to a full
+// (canon.go: the fold sorts atoms and clauses itself), so re-folding every
+// retained set, as a cold ground does, is bit-identical to a full
 // GroundBottomUp on the patched tables and to a fresh Ground over the merged
 // evidence. The order of raws inside a set is kept canonical for the
 // snapshot, which stores the retained sets byte for byte.
@@ -51,15 +50,6 @@ type Incremental struct {
 	perClause []RawSet
 	perStats  []Stats
 	provs     []map[*mln.Predicate]bool
-
-	// asm maintains the canonical assembled Result under raw-level diffs,
-	// making Reground O(diff + output) instead of O(total raws). Only an
-	// update reads it, so it is built from perClause by the first Reground
-	// (ensureAssembler): an engine that only answers queries holds the
-	// network and the flat raws, nothing else. The active closure is a
-	// whole-MRF transform with no incremental form, so with UseClosure the
-	// assembler stays nil and Reground re-folds from scratch.
-	asm *incAssembler
 }
 
 func newIncremental(ts *TableSet, opts Options, perClause []RawSet, perStats []Stats) *Incremental {
@@ -74,18 +64,6 @@ func newIncremental(ts *TableSet, opts Options, perClause []RawSet, perStats []S
 		inc.provs[i] = ClausePreds(c)
 	}
 	return inc
-}
-
-// ensureAssembler builds the incremental assembler over the cached raws if
-// this grounder can use one and has none yet, and reports how long that took.
-func (inc *Incremental) ensureAssembler() time.Duration {
-	if inc.asm != nil || inc.Opts.UseClosure {
-		return 0
-	}
-	start := time.Now()
-	inc.asm = newIncAssembler(inc.TS, len(inc.perClause))
-	inc.asm.build(inc.perClause)
-	return time.Since(start)
 }
 
 // NewIncremental performs a full bottom-up grounding and retains the
@@ -109,9 +87,6 @@ type RegroundInfo struct {
 	TouchedAids    int   // distinct table atoms in changed raw groundings
 	TouchedAtoms   int   // those that appear in the new MRF
 	FixedCostDelta bool  // evidence-decided cost changed
-	// AssemblerBuild is the one-off cost of building the incremental
-	// assembler; zero on every Reground after the first.
-	AssemblerBuild time.Duration
 }
 
 // Reground re-runs the grounding queries of every clause whose provenance
@@ -149,36 +124,19 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 	// stable across ApplyDelta: the registry is append-only and re-inserted
 	// closed tuples reuse their original aid).
 	touchedAids := make(map[int64]struct{})
-	type clauseDiff struct {
-		idx            int
-		added, removed RawSet
-	}
-	var diffs []clauseDiff
 	for i := range sel {
 		if !sel[i] {
 			continue
 		}
 		added, removed, fixed := diffRaws(inc.perClause[i], newClause[i], touchedAids)
-		info.RawsAdded += added.n()
-		info.RawsRemoved += removed.n()
+		info.RawsAdded += added
+		info.RawsRemoved += removed
 		info.FixedCostDelta = info.FixedCostDelta || fixed
 		info.RerunJoinRows += newStats[i].JoinRowsVisited
-		if added.n() > 0 || removed.n() > 0 {
-			diffs = append(diffs, clauseDiff{idx: i, added: added, removed: removed})
-		}
 	}
 	info.TouchedAids = len(touchedAids)
 
-	var res *Result
-	if inc.Opts.UseClosure {
-		res = assembleResult(inc.TS, newClause, newStats, inc.Opts)
-	} else {
-		info.AssemblerBuild = inc.ensureAssembler()
-		for _, d := range diffs {
-			inc.asm.apply(d.idx, d.added, d.removed)
-		}
-		res = inc.asm.result(newStats)
-	}
+	res := assembleResult(inc.TS, newClause, newStats, inc.Opts)
 	touchedNew := make([]bool, res.MRF.NumAtoms+1)
 	for aid := range touchedAids {
 		if id := res.IDOf(aid); id != 0 {
@@ -192,11 +150,11 @@ func (inc *Incremental) Reground(ctx context.Context, changed map[*mln.Predicate
 }
 
 // diffRaws multiset-diffs one clause's old and new raw groundings, adding the
-// atoms of every differing raw to touched. It returns the raws present only
-// on each side and whether an evidence-decided (empty) grounding changed.
-// Raws are compared within one TableSet's aid space, literal for literal.
-func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSet, fixedDelta bool) {
-	added.weight, removed.weight = cur.weight, old.weight
+// atoms of every differing raw to touched. It returns how many raws are
+// present only on each side and whether an evidence-decided (empty)
+// grounding changed. Raws are compared within one TableSet's aid space,
+// literal for literal.
+func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed int, fixedDelta bool) {
 	var buf []byte
 	key := func(raw []uint32) []byte {
 		buf = buf[:0]
@@ -218,8 +176,7 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSe
 			left = append(left, 1)
 		}
 	}
-	unpaired := func(raw []uint32, into *RawSet) {
-		into.appendRaw(raw)
+	unpaired := func(raw []uint32) {
 		if len(raw) == 0 {
 			fixedDelta = true
 		}
@@ -232,14 +189,16 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed RawSe
 		if i, ok := slot[string(key(raw))]; ok && left[i] > 0 {
 			left[i]--
 		} else {
-			unpaired(raw, &added)
+			added++
+			unpaired(raw)
 		}
 	}
 	for j := 0; j < old.n(); j++ {
 		raw := old.raw(j)
 		if i := slot[string(key(raw))]; left[i] > 0 {
 			left[i]--
-			unpaired(raw, &removed)
+			removed++
+			unpaired(raw)
 		}
 	}
 	return added, removed, fixedDelta

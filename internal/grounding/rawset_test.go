@@ -70,7 +70,7 @@ func requireSameBits(t *testing.T, name string, want, got *Result) {
 }
 
 // requireFlat asserts what an Incremental retains per clause is the flat
-// form at (nearly) its information content: 8 bytes per literal and 4 per
+// form at (nearly) its information content: 4 bytes per literal and 4 per
 // offset, with at most a quarter of slack for allocator size classes.
 func requireFlat(t *testing.T, name string, inc *Incremental) {
 	t.Helper()
@@ -78,82 +78,10 @@ func requireFlat(t *testing.T, name string, inc *Incremental) {
 		if s.n() == 0 {
 			continue
 		}
-		retained := 8*cap(s.lits) + 4*cap(s.off)
-		if ideal := 8*len(s.lits) + 4*(s.n()+1); float64(retained) > 1.25*float64(ideal) {
+		retained := 4*cap(s.lits) + 4*cap(s.off)
+		if ideal := 4*len(s.lits) + 4*(s.n()+1); float64(retained) > 1.25*float64(ideal) {
 			t.Fatalf("%s: clause %d retains %d bytes for %d raws / %d literals (ideal %d)",
 				name, i, retained, s.n(), len(s.lits), ideal)
-		}
-	}
-}
-
-// TestColdAssemblyMatchesAssembler pins the two invariants of the deferred
-// assembler: the plain fold NewIncremental returns is the Result an eagerly
-// built assembler produces over the same raws, and the assembler appears at
-// the first Reground — never under UseClosure — after which a delta and its
-// inverse land back on the cold Result bit for bit.
-func TestColdAssemblyMatchesAssembler(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range smallDatasets() {
-		for _, closure := range []bool{false, true} {
-			name := tc.ds.Name
-			if closure {
-				name += "/closure"
-			}
-			t.Run(name, func(t *testing.T) {
-				opts := Options{UseClosure: closure}
-				ts := buildTS(t, tc.ds.Prog, tc.ds.Ev.Clone())
-				inc, cold, err := NewIncremental(ctx, ts, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if inc.asm != nil {
-					t.Fatal("NewIncremental built the assembler")
-				}
-				requireFlat(t, "cold", inc)
-				if !closure {
-					eager := newIncAssembler(ts, len(inc.perClause))
-					eager.build(inc.perClause)
-					requireSameBits(t, "cold vs eager assembler", eager.result(inc.perStats), cold)
-				}
-
-				delta := datagen.RandomDelta(tc.ds, tc.pred, 6, 99)
-				undo, err := ts.ApplyDelta(delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, _, info, err := inc.Reground(ctx, delta.Preds())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.RawsAdded+info.RawsRemoved == 0 {
-					t.Fatal("delta changed no grounding; pick another seed")
-				}
-				if built := inc.asm != nil; built == closure {
-					t.Fatalf("assembler built after the first Reground: %v (UseClosure %v)", built, closure)
-				}
-				if (info.AssemblerBuild > 0) == closure {
-					t.Fatalf("first Reground reports AssemblerBuild %v (UseClosure %v)", info.AssemblerBuild, closure)
-				}
-				requireFlat(t, "after delta", inc)
-
-				inverse := undo.Inverse()
-				if _, err := ts.ApplyDelta(inverse); err != nil {
-					t.Fatal(err)
-				}
-				back, _, info, err := inc.Reground(ctx, inverse.Preds())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.AssemblerBuild != 0 {
-					t.Fatalf("second Reground reports AssemblerBuild %v", info.AssemblerBuild)
-				}
-				// Effort counters and the registry size (closed inserts stage
-				// atoms for good) describe the path taken, not the network.
-				back.Stats.JoinRowsVisited, back.Stats.PeakBytes, back.Stats.NumAtoms =
-					cold.Stats.JoinRowsVisited, cold.Stats.PeakBytes, cold.Stats.NumAtoms
-				requireSameBits(t, "delta then inverse vs cold", cold, back)
-				requireFlat(t, "after inverse", inc)
-			})
 		}
 	}
 }
@@ -229,9 +157,8 @@ func TestRawSetCodec(t *testing.T) {
 	}
 }
 
-// RestoreIncremental folds the network without building the assembler —
-// the first Reground builds it, as after a cold Ground — refuses raws that
-// point outside the atom registry, and re-grounds a delta to the same
+// RestoreIncremental folds the network a cold ground folds, refuses raws
+// that point outside the atom registry, and re-grounds a delta to the same
 // network as the grounder whose raws it was given.
 func TestRestoreIncremental(t *testing.T) {
 	ctx := context.Background()
@@ -245,9 +172,6 @@ func TestRestoreIncremental(t *testing.T) {
 	restored, res, err := RestoreIncremental(ts, Options{}, sets, stats)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if restored.asm != nil {
-		t.Fatal("RestoreIncremental built the assembler before any update")
 	}
 	requireSameBits(t, "restored vs cold", cold, res)
 
@@ -267,9 +191,6 @@ func TestRestoreIncremental(t *testing.T) {
 		got, _, _, err := g.Reground(ctx, delta.Preds())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if g.asm == nil {
-			t.Fatal("the first Reground left the assembler unbuilt")
 		}
 		if want == nil {
 			want = got

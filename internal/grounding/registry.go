@@ -10,14 +10,11 @@ import (
 // 0 unused): the predicate's ID, which is its index in Program.Preds, and the
 // end of the atom's arguments in one shared argument arena. An atom of arity
 // k costs 8 + 4k bytes and no allocation of its own. The arena is only ever
-// appended to, so a view handed out by argsOf stays valid; but a view keeps
-// the allocation it was cut from alive after the arena moves, so a cache of
-// views rebuilds itself when moves changes.
+// appended to, so a view handed out by argsOf stays valid.
 type atomList struct {
-	pred  []int32  // pred[aid] is the predicate ID
-	end   []uint32 // the args of aid are args[end[aid-1]:end[aid]]
-	args  []int32
-	moves int // times args moved to a new allocation
+	pred []int32  // pred[aid] is the predicate ID
+	end  []uint32 // the args of aid are args[end[aid-1]:end[aid]]
+	args []int32
 }
 
 // newAtomList returns a list holding only the unused aid 0.
@@ -30,9 +27,6 @@ func (l *atomList) n() int { return len(l.pred) }
 
 // add appends the next aid's atom, copying args into the arena.
 func (l *atomList) add(pred *mln.Predicate, args []int32) {
-	if len(l.args)+len(args) > cap(l.args) {
-		l.moves++
-	}
 	l.args = append(l.args, args...)
 	l.pred = append(l.pred, int32(pred.ID))
 	l.end = append(l.end, uint32(len(l.args)))
@@ -48,9 +42,6 @@ func (l *atomList) argsOf(aid int64) []int32 {
 // clip reallocates each array at exactly its length, dropping the growth
 // slack appending left, once a load is done.
 func (l *atomList) clip() {
-	if cap(l.args) != len(l.args) {
-		l.moves++
-	}
 	l.pred, l.end, l.args = exact(l.pred), exact(l.end), exact(l.args)
 }
 

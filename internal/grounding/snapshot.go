@@ -65,7 +65,7 @@ func (s RawSet) Encode(w *codec.Enc) {
 // DecodeRawSet reads what Encode wrote. Every count is checked against the
 // bytes left before anything is sized by it, and a set whose raws disagree
 // on weight is malformed: one weight per first-order clause is what the
-// assembler's exact weight sums rest on. So is a literal above MaxUint32,
+// fold's exact weight sums rest on. So is a literal above MaxUint32,
 // which no aid space (see checkAidSpace) can produce.
 func DecodeRawSet(r *codec.Dec) RawSet {
 	n := r.Count(12)
@@ -167,10 +167,9 @@ func RestoreTables(d *db.DB, prog *mln.Program, ev *mln.Evidence, atoms []SnapAt
 // RestoreIncremental rebuilds the incremental grounder from snapshot raws
 // without re-running any grounding SQL: the cached per-clause raws are
 // checked against ts's (restored, identical) aid space and folded with
-// assembleResult, as NewIncremental folds a cold grounding's. The assembler
-// is left for the first Reground to build, as after a cold Ground. The
-// returned Result is a function of the raws alone, so bit-identical to the
-// network of the engine that wrote them.
+// assembleResult, as NewIncremental folds a cold grounding's. The returned
+// Result is a function of the raws alone, so bit-identical to the network
+// of the engine that wrote them.
 func RestoreIncremental(ts *TableSet, opts Options, raws []RawSet, stats []Stats) (*Incremental, *Result, error) {
 	n := len(ts.Prog.Clauses)
 	if len(raws) != n || len(stats) != n {

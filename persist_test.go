@@ -447,41 +447,6 @@ func TestMalformedDeltaRecordRejected(t *testing.T) {
 	}
 }
 
-// The first update of an engine builds what queries never needed — the
-// incremental assembler, after a cold Ground and a clean warm open alike —
-// and says so: Materialized is positive, inside UpdateTime, and zero from
-// the second update on.
-func TestUpdateMaterializedOnce(t *testing.T) {
-	ds := ieSmall()
-	dir := t.TempDir()
-	check := func(t *testing.T, eng *Engine) {
-		t.Helper()
-		first := mustUpdate(t, eng, datagen.RandomDelta(ds, "hint", 6, 21))
-		if first.Materialized <= 0 || first.Materialized > first.UpdateTime {
-			t.Fatalf("first update: Materialized %v, UpdateTime %v", first.Materialized, first.UpdateTime)
-		}
-		if second := mustUpdate(t, eng, first.Inverse); second.Materialized != 0 {
-			t.Fatalf("second update: Materialized %v", second.Materialized)
-		}
-	}
-	t.Run("cold", func(t *testing.T) {
-		eng := openDurableIE(t, ds, dir, EngineConfig{})
-		defer eng.Close()
-		if err := eng.Ground(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		check(t, eng)
-	})
-	t.Run("warm", func(t *testing.T) {
-		eng := openDurableIE(t, ds, dir, EngineConfig{})
-		defer eng.Close()
-		if st := eng.DurabilityStats(); !st.WarmStart || st.ReplayedDeltas != 0 {
-			t.Fatalf("not a clean warm open: %+v", st)
-		}
-		check(t, eng)
-	})
-}
-
 // sealSnapshot frames a snapshot body as writeSealed does, in memory.
 func sealSnapshot(body []byte) []byte {
 	var w codec.Enc

@@ -43,15 +43,8 @@ type UpdateResult struct {
 	// canonicalization, a bit-identical grounded network).
 	Inverse mln.Delta
 
-	// UpdateTime is the wall-clock cost of the whole update, Materialized
-	// included.
+	// UpdateTime is the wall-clock cost of the whole update.
 	UpdateTime time.Duration
-	// Materialized is the part of UpdateTime spent building the incremental
-	// assembler, which neither Ground nor a warm open builds: only an update
-	// reads it. The first update of an engine pays it (after a warm open
-	// that replayed WAL deltas, the replay already did); it is zero on every
-	// later one.
-	Materialized time.Duration
 }
 
 // rebind translates a delta's predicates onto this engine's program by name,
@@ -201,7 +194,6 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 		RawsRemoved:  info.RawsRemoved,
 		TouchedAtoms: info.TouchedAtoms,
 		Inverse:      undo.Inverse(),
-		Materialized: info.AssemblerBuild,
 	}
 	if info.RawsAdded == 0 && info.RawsRemoved == 0 {
 		// The delta did not change any clause's groundings (e.g. flipping

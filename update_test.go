@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -252,6 +253,44 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 			}
 		})
 	}
+}
+
+// An update re-folds the network the way Ground folds it and keeps no second
+// copy of the fold beside it: at rc-serve size, the engine's live heap after
+// a 20-op update, and after its inverse, stays within a quarter of what
+// Ground plus one MAP query left.
+func TestUpdateHoldsNoSecondFold(t *testing.T) {
+	ds := rcServe()
+	ev := ds.Ev.Clone()
+	delta := datagen.RandomDelta(ds, "refers", 20, 99)
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	base := live()
+	eng := mustOpen(t, ds.Prog, ev, EngineConfig{})
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mustMAP(t, eng, 1)
+	grounded := live() - base
+	inverse := mustUpdate(t, eng, delta).Inverse
+	updated := live() - base
+	mustUpdate(t, eng, inverse)
+	back := live() - base
+	runtime.KeepAlive(eng)
+	for _, h := range []struct {
+		when  string
+		bytes int64
+	}{{"after the update", updated}, {"after its inverse", back}} {
+		if ratio := float64(h.bytes) / float64(grounded); ratio > 1.25 {
+			t.Errorf("engine heap %s: %.1f MB, %.2f× the %.1f MB after Ground", h.when, float64(h.bytes)/(1<<20), ratio, float64(grounded)/(1<<20))
+		}
+	}
+	t.Logf("engine heap: %.1f MB after Ground, %.1f MB after the update, %.1f MB after its inverse",
+		float64(grounded)/(1<<20), float64(updated)/(1<<20), float64(back)/(1<<20))
 }
 
 // filterValid drops retractions of tuples absent from ev (RandomDelta
