@@ -146,11 +146,11 @@ func checkRegistry(t *testing.T, name string, rng *rand.Rand, ts *TableSet, ref 
 		set.appendRaw([]uint32{rawLit(aid, true)})
 	}
 	res := foldRaws(ts, []RawSet{set}, Stats{})
-	order := make([]int64, 0, len(ref)-1)
-	for aid := int64(1); aid < int64(len(ref)); aid++ {
+	order := make([]uint32, 0, len(ref)-1)
+	for aid := uint32(1); aid < uint32(len(ref)); aid++ {
 		order = append(order, aid)
 	}
-	slices.SortFunc(order, func(x, y int64) int { return cmpRefAtoms(ref[x], ref[y]) })
+	slices.SortFunc(order, func(x, y uint32) int { return cmpRefAtoms(ref[x], ref[y]) })
 	if !slices.Equal(res.TableAid[1:], order) {
 		t.Fatalf("%s: the fold numbers atoms %v, reference order %v", name, res.TableAid[1:], order)
 	}

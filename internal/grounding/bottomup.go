@@ -32,18 +32,24 @@ type Options struct {
 }
 
 // RawSet is one first-order clause's raw groundings — ground clauses before
-// MRF atom renumbering — in the one form they ever have: raw j's literals are
-// lits[off[j]:off[j+1]], each encoded aid<<1|positive, and every raw carries
-// the clause's weight. The grounding queries append their rows straight into
-// it, the fold and the closure read it, the incremental grounder retains it
-// between updates and the snapshot stores it. Two allocations per clause,
-// and nothing in them for the garbage collector to scan.
+// MRF atom renumbering: raw j's literals are lits[off[j]:off[j+1]], each
+// encoded aid<<1|positive, and every raw carries the clause's weight. The
+// grounding queries append their rows straight into it, the fold and the
+// closure read it, the incremental grounder retains it between updates and
+// the snapshot stores it. At most two allocations per clause, and nothing in
+// them for the garbage collector to scan.
+//
+// A finished set (canonSet's, mergeCanon's, DecodeRawSet's) whose raws all
+// have one non-zero length — every raw of a clause without an existential
+// or an evidence-decided grounding — keeps only that width: raw j is then
+// lits[j*width:(j+1)*width] and off is nil. n and raw hide the difference.
 //
 // While a set is being built, the literals past the last offset are the
 // open raw: appended one by one, then closed by endRaw or discarded by
 // dropOpen.
 type RawSet struct {
 	weight float64
+	width  uint32
 	off    []uint32
 	lits   []uint32
 }
@@ -56,9 +62,34 @@ func rawLit(aid int64, positive bool) uint32 {
 	return v
 }
 
-func (s RawSet) n() int { return max(len(s.off)-1, 0) }
+func (s RawSet) n() int {
+	if s.width > 0 {
+		return len(s.lits) / int(s.width)
+	}
+	return max(len(s.off)-1, 0)
+}
 
-func (s RawSet) raw(j int) []uint32 { return s.lits[s.off[j]:s.off[j+1]] }
+func (s RawSet) raw(j int) []uint32 {
+	if w := int(s.width); w > 0 {
+		return s.lits[j*w : (j+1)*w]
+	}
+	return s.lits[s.off[j]:s.off[j+1]]
+}
+
+// commonWidth returns the one length every raw of s has, or 0 when s has
+// no raw, an empty one or two lengths.
+func (s RawSet) commonWidth() uint32 {
+	if s.n() == 0 {
+		return 0
+	}
+	w := len(s.raw(0))
+	for j := 1; j < s.n(); j++ {
+		if len(s.raw(j)) != w {
+			return 0
+		}
+	}
+	return uint32(w)
+}
 
 // endRaw closes the open raw (an empty one is a grounding evidence decided).
 func (s *RawSet) endRaw() {
@@ -77,10 +108,13 @@ func (s *RawSet) dropOpen() {
 	}
 }
 
-// appendRaw adds one whole raw grounding.
+// appendRaw adds one whole raw grounding; a fixed-width set records no
+// offset.
 func (s *RawSet) appendRaw(lits []uint32) {
 	s.lits = append(s.lits, lits...)
-	s.endRaw()
+	if s.width == 0 {
+		s.endRaw()
+	}
 }
 
 // GroundBottomUp grounds the program by compiling one SQL query per clause

@@ -71,7 +71,8 @@ func cmpRaws(ts *TableSet, a, b []uint32) int {
 
 // canonSet puts one task's raws into canonical order: literals sorted in
 // place (raws are short, so by insertion), then the raws gathered in sorted
-// order into a set of exactly their size — it is the one that is retained.
+// order into a finished set of exactly their size — it is the one that is
+// retained.
 func canonSet(ts *TableSet, s RawSet) RawSet {
 	n := s.n()
 	if n == 0 {
@@ -88,7 +89,10 @@ func canonSet(ts *TableSet, s RawSet) RawSet {
 		}
 	}
 	slices.SortFunc(idx, func(a, b int32) int { return cmpRaws(ts, s.raw(int(a)), s.raw(int(b))) })
-	out := RawSet{weight: s.weight, off: make([]uint32, 1, n+1), lits: make([]uint32, 0, len(s.lits))}
+	out := RawSet{weight: s.weight, width: s.commonWidth(), lits: make([]uint32, 0, len(s.lits))}
+	if out.width == 0 {
+		out.off = make([]uint32, 1, n+1)
+	}
 	for _, j := range idx {
 		out.appendRaw(s.raw(int(j)))
 	}
@@ -103,13 +107,25 @@ func mergeCanon(ts *TableSet, parts []RawSet) RawSet {
 		return parts[0]
 	}
 	raws, lits := 0, 0
+	out := RawSet{weight: parts[0].weight}
 	for _, p := range parts {
+		if p.n() == 0 {
+			continue
+		}
+		if raws == 0 {
+			out.width = p.width
+		} else if p.width != out.width {
+			out.width = 0
+		}
 		raws += p.n()
 		lits += len(p.lits)
 	}
-	out := RawSet{weight: parts[0].weight, off: make([]uint32, 1, raws+1), lits: make([]uint32, 0, lits)}
+	if out.width == 0 {
+		out.off = make([]uint32, 1, raws+1)
+	}
+	out.lits = make([]uint32, 0, lits)
 	heads := make([]int, len(parts))
-	for out.n() < raws {
+	for range raws {
 		best := -1
 		for r, p := range parts {
 			if heads[r] < p.n() && (best < 0 || cmpRaws(ts, p.raw(heads[r]), parts[best].raw(heads[best])) < 0) {

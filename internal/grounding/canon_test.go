@@ -233,7 +233,7 @@ func TestAssemblyIgnoresRawOrder(t *testing.T) {
 				t.Fatalf("%s: clause %d: canonSet of the shuffle differs from the retained set", tc.ds.Name, i)
 			}
 		}
-		if !slices.IsSortedFunc(cold.TableAid[1:], func(a, b int64) int { return cmpAtoms(ts, a, b) }) {
+		if !slices.IsSortedFunc(cold.TableAid[1:], func(a, b uint32) int { return cmpAtoms(ts, int64(a), int64(b)) }) {
 			t.Fatalf("%s: MRF atoms are not in descriptor order", tc.ds.Name)
 		}
 	}

@@ -120,12 +120,12 @@ func (ca *clauseAccumulator) finish(stats Stats) *Result {
 		return cmpAtoms(ca.ts, ca.tableAid[x], ca.tableAid[y])
 	})
 	remap := make([]mrf.AtomID, n+1)
-	tableAid := make([]int64, n+1)
+	tableAid := make([]uint32, n+1)
 	atomID := make([]mrf.AtomID, slices.Max(ca.tableAid)+1)
 	for idx, old := range order {
 		id := mrf.AtomID(idx + 1)
 		remap[old] = id
-		tableAid[id] = ca.tableAid[old]
+		tableAid[id] = uint32(ca.tableAid[old])
 		atomID[ca.tableAid[old]] = id
 	}
 
@@ -133,7 +133,7 @@ func (ca *clauseAccumulator) finish(stats Stats) *Result {
 	m.FixedCost = ca.fixed
 	m.Atoms = make([]mln.GroundAtom, n+1)
 	for i := 1; i <= n; i++ {
-		m.Atoms[i] = ca.ts.Atom(tableAid[i])
+		m.Atoms[i] = ca.ts.Atom(int64(tableAid[i]))
 	}
 	clauses := make([]mrf.Clause, 0, len(ca.order))
 	for _, key := range ca.order {

@@ -167,7 +167,7 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed int, 
 	// lookups on string(buf) do not allocate.
 	slot := make(map[string]int32, old.n())
 	var left []int32
-	for j := 0; j < old.n(); j++ {
+	for j := range old.n() {
 		k := key(old.raw(j))
 		if i, ok := slot[string(k)]; ok {
 			left[i]++
@@ -184,7 +184,7 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed int, 
 			touched[int64(v>>1)] = struct{}{}
 		}
 	}
-	for j := 0; j < cur.n(); j++ {
+	for j := range cur.n() {
 		raw := cur.raw(j)
 		if i, ok := slot[string(key(raw))]; ok && left[i] > 0 {
 			left[i]--
@@ -193,7 +193,7 @@ func diffRaws(old, cur RawSet, touched map[int64]struct{}) (added, removed int, 
 			unpaired(raw)
 		}
 	}
-	for j := 0; j < old.n(); j++ {
+	for j := range old.n() {
 		raw := old.raw(j)
 		if i := slot[string(key(raw))]; left[i] > 0 {
 			left[i]--
@@ -211,7 +211,7 @@ func AtomMaps(old, cur *Result) (oldToNew, newToOld []mrf.AtomID) {
 	oldToNew = make([]mrf.AtomID, old.MRF.NumAtoms+1)
 	newToOld = make([]mrf.AtomID, cur.MRF.NumAtoms+1)
 	for i := 1; i <= old.MRF.NumAtoms; i++ {
-		if id := cur.IDOf(old.TableAid[i]); id != 0 {
+		if id := cur.IDOf(int64(old.TableAid[i])); id != 0 {
 			oldToNew[i] = id
 			newToOld[id] = mrf.AtomID(i)
 		}

@@ -71,15 +71,22 @@ func requireSameBits(t *testing.T, name string, want, got *Result) {
 
 // requireFlat asserts what an Incremental retains per clause is the flat
 // form at (nearly) its information content: 4 bytes per literal and 4 per
-// offset, with at most a quarter of slack for allocator size classes.
+// offset, with at most a quarter of slack for allocator size classes, and
+// no offsets at all when every raw has one non-zero width.
 func requireFlat(t *testing.T, name string, inc *Incremental) {
 	t.Helper()
 	for i, s := range inc.perClause {
 		if s.n() == 0 {
 			continue
 		}
-		retained := 4*cap(s.lits) + 4*cap(s.off)
-		if ideal := 4*len(s.lits) + 4*(s.n()+1); float64(retained) > 1.25*float64(ideal) {
+		if s.off != nil && s.commonWidth() > 0 {
+			t.Fatalf("%s: clause %d keeps %d offsets for raws of one width %d", name, i, len(s.off), s.commonWidth())
+		}
+		ideal := 4 * len(s.lits)
+		if s.width == 0 {
+			ideal += 4 * (s.n() + 1)
+		}
+		if retained := 4*cap(s.lits) + 4*cap(s.off); float64(retained) > 1.25*float64(ideal) {
 			t.Fatalf("%s: clause %d retains %d bytes for %d raws / %d literals (ideal %d)",
 				name, i, retained, s.n(), len(s.lits), ideal)
 		}
@@ -87,13 +94,17 @@ func requireFlat(t *testing.T, name string, inc *Incremental) {
 }
 
 // TestRawSetIsFlat: the one form a raw grounding has is pointer-free — a
-// weight and slices of 32-bit integers, nothing per raw for the garbage
-// collector to follow. (That no second form exists beside it is a CI lint.)
+// weight, one 32-bit width and slices of 32-bit integers, nothing per raw
+// for the garbage collector to follow. (That no second form exists beside
+// it is a CI lint.)
 func TestRawSetIsFlat(t *testing.T) {
 	ty := reflect.TypeOf(RawSet{})
+	widths := 0
 	for i := 0; i < ty.NumField(); i++ {
 		switch f := ty.Field(i); f.Type.Kind() {
 		case reflect.Float64:
+		case reflect.Uint32:
+			widths++
 		case reflect.Slice:
 			if k := f.Type.Elem().Kind(); k != reflect.Uint32 {
 				t.Fatalf("RawSet.%s holds %v per raw", f.Name, f.Type.Elem())
@@ -101,6 +112,9 @@ func TestRawSetIsFlat(t *testing.T) {
 		default:
 			t.Fatalf("RawSet.%s is a %v", f.Name, f.Type)
 		}
+	}
+	if widths != 1 {
+		t.Fatalf("RawSet has %d scalar uint32 fields, want one width", widths)
 	}
 	if f, _ := reflect.TypeOf(Incremental{}).FieldByName("perClause"); f.Type != reflect.TypeOf([]RawSet(nil)) {
 		t.Fatalf("Incremental retains %v per clause", f.Type)
@@ -153,6 +167,43 @@ func TestRawSetCodec(t *testing.T) {
 			t.Fatalf("literal %#x: err %v, decoded %+v", lit, err, got)
 		case lit > math.MaxUint32 && !errors.Is(err, codec.ErrMalformed):
 			t.Fatalf("literal %#x beyond 32 bits: err %v", lit, err)
+		}
+	}
+}
+
+// A finished set whose raws share one non-zero width keeps no offsets, and
+// encodes byte for byte as its offset form does; mixed widths, an empty raw
+// and an empty set keep theirs.
+func TestFixedWidthRawSet(t *testing.T) {
+	encode := func(s RawSet) []byte {
+		var w codec.Enc
+		s.Encode(&w)
+		return w.Buf()
+	}
+	for _, tc := range []struct {
+		name  string
+		set   RawSet
+		width uint32
+	}{
+		{"one width", mkSet(-2, []uint32{neg(3), pos(9)}, []uint32{pos(1), pos(4)}, []uint32{neg(7), neg(8)}), 2},
+		{"one raw", mkSet(1, []uint32{pos(5)}), 1},
+		{"mixed widths", mkSet(1, []uint32{neg(3), pos(9)}, []uint32{pos(4)}), 0},
+		{"an empty raw", mkSet(1, []uint32{neg(3), pos(9)}, nil, []uint32{pos(1), pos(4)}), 0},
+		{"empty raws only", mkSet(1, nil, nil), 0},
+		{"no raws", RawSet{}, 0},
+	} {
+		want := encode(tc.set)
+		r := codec.NewDec(want)
+		got := DecodeRawSet(r)
+		if err := r.Finish(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.width != tc.width || got.width > 0 && got.off != nil || !sameSet(got, tc.set) {
+			t.Fatalf("%s: decoded width %d, %d offsets, %d raws; want width %d, raws of %+v",
+				tc.name, got.width, len(got.off), got.n(), tc.width, tc.set)
+		}
+		if b := encode(got); !slices.Equal(b, want) {
+			t.Fatalf("%s: the decoded set encodes %x, its offset form %x", tc.name, b, want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (inc *Incremental) Raws() ([]RawSet, []Stats) { return inc.perClause, inc.p
 // u64 (the format predates 32-bit literals).
 func (s RawSet) Encode(w *codec.Enc) {
 	w.U32(uint32(s.n()))
-	for j := 0; j < s.n(); j++ {
+	for j := range s.n() {
 		raw := s.raw(j)
 		w.F64(s.weight)
 		w.U32(uint32(len(raw)))
@@ -62,11 +62,12 @@ func (s RawSet) Encode(w *codec.Enc) {
 	}
 }
 
-// DecodeRawSet reads what Encode wrote. Every count is checked against the
-// bytes left before anything is sized by it, and a set whose raws disagree
-// on weight is malformed: one weight per first-order clause is what the
-// fold's exact weight sums rest on. So is a literal above MaxUint32,
-// which no aid space (see checkAidSpace) can produce.
+// DecodeRawSet reads what Encode wrote into a finished set (see RawSet).
+// Every count is checked against the bytes left before anything is sized
+// by it, and a set whose raws disagree on weight is malformed: one weight
+// per first-order clause is what the fold's exact weight sums rest on. So
+// is a literal above MaxUint32, which no aid space (see checkAidSpace) can
+// produce.
 func DecodeRawSet(r *codec.Dec) RawSet {
 	n := r.Count(12)
 	if n == 0 {
@@ -91,6 +92,9 @@ func DecodeRawSet(r *codec.Dec) RawSet {
 		s.off[j+1] = uint32(len(s.lits))
 	}
 	s.lits = slices.Clone(s.lits) // exact size: append's slack would stay resident
+	if s.width = s.commonWidth(); s.width > 0 {
+		s.off = nil
+	}
 	return s
 }
 

@@ -300,8 +300,9 @@ func (ts *TableSet) Table(pred *mln.Predicate) *db.Table { return ts.tables[pred
 // mapping from MRF atom ids to table aids, and statistics.
 type Result struct {
 	MRF *mrf.MRF
-	// TableAid maps MRF atom id -> predicate-table aid (index 0 unused).
-	TableAid []int64
+	// TableAid maps MRF atom id -> predicate-table aid (index 0 unused);
+	// aids fit 32 bits (checkAidSpace).
+	TableAid []uint32
 	// AtomID maps table aid -> MRF atom id (0 when the atom appears in no
 	// ground clause). It ends at the largest aid that has an MRF atom; IDOf
 	// also answers for the aids past it.
@@ -388,7 +389,7 @@ func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 	var runs []run
 	for _, s := range sets {
 		r := run{weight: s.weight, spans: make([]litSpan, 0, s.n())}
-		for j := 0; j < s.n(); j++ {
+		for j := range s.n() {
 			if len(s.raw(j)) == 0 {
 				if s.weight > 0 {
 					fixed += s.weight
@@ -455,10 +456,10 @@ func foldRaws(ts *TableSet, sets []RawSet, stats Stats) *Result {
 		m.Append(c.weight, seq(c.span))
 	}
 	m.Atoms = make([]mln.GroundAtom, len(aids)+1)
-	tableAid := make([]int64, len(aids)+1)
+	tableAid := make([]uint32, len(aids)+1)
 	maxAid := int64(0)
 	for k, aid := range aids {
-		m.Atoms[k+1], tableAid[k+1] = ts.Atom(aid), aid
+		m.Atoms[k+1], tableAid[k+1] = ts.Atom(aid), uint32(aid)
 		maxAid = max(maxAid, aid)
 	}
 	// id numbered every used aid above and is 0 for every other one.

@@ -69,9 +69,10 @@ func (c Clause) ViolatedBy(state []bool) bool {
 // MRF is a grounded network: atoms 1..NumAtoms and weighted clauses, stored
 // in CSR form. Clause i has weight W[i] and literals Lits[Off[i]:Off[i+1]];
 // Off has one entry more than W (or is nil, before the first clause) and
-// need not start at zero, so a network can be a view into another's arena
-// (partition.Algorithm3 makes a part that is the whole network one); Lits
-// ends where the last clause's literals do.
+// need not start at zero, so a network can be a window into another's
+// arrays (partition.Algorithm3's parts are, when each one's clauses are
+// contiguous in the network it partitions); Lits ends where the last
+// clause's literals do.
 // Code outside this package reads clauses through NumClauses, ClauseLits and
 // Clause, and builds them with AddClause, Append or FromClauses.
 type MRF struct {

@@ -31,6 +31,28 @@ func blocksMRF(rng *rand.Rand, n, clauses int) *mrf.MRF {
 	return m
 }
 
+// starBlocksMRF is n atoms in blocks of 10 whose clauses are generated
+// block by block, each over the block's first atom and up to two more of
+// it: every component's clauses are contiguous, as in a network folded
+// component by component, so Algorithm3's parts are windows into it.
+func starBlocksMRF(rng *rand.Rand, n, clauses int) *mrf.MRF {
+	m := mrf.New(n)
+	for c := 0; c < clauses; c++ {
+		base := 10 * (c * (n / 10) / clauses)
+		lits := []mrf.Lit{mrf.Lit(base + 1)}
+		for range rng.Intn(3) {
+			lits = append(lits, mrf.Lit(base+2+rng.Intn(9)))
+		}
+		for i := range lits {
+			if rng.Intn(2) == 0 {
+				lits[i] = -lits[i]
+			}
+		}
+		m.Append(rng.NormFloat64(), lits)
+	}
+	return m
+}
+
 // Without a bound the weight order is skipped: the partitioning is the one
 // the sorted scan under an unreachable bound produces — same parts in the
 // same order, same cut.
@@ -47,17 +69,25 @@ func TestAlgorithm3UnboundedSkipsOnlyTheSort(t *testing.T) {
 }
 
 // BenchmarkAlgorithm3 partitions 60 000 atoms and 180 000 clauses into
-// their components (beta 0) and under a bound that cuts inside blocks.
+// their components (beta 0) and under a bound that cuts inside blocks, and
+// a network of the same size whose components' clauses are contiguous into
+// its components, which are then windows: its B/op is what the arenas of
+// the other legs cost beside the renumbered literals.
 func BenchmarkAlgorithm3(b *testing.B) {
-	m := blocksMRF(rand.New(rand.NewSource(3)), 60000, 180000)
+	scattered := blocksMRF(rand.New(rand.NewSource(3)), 60000, 180000)
+	contiguous := starBlocksMRF(rand.New(rand.NewSource(3)), 60000, 180000)
 	for _, bc := range []struct {
 		name string
+		m    *mrf.MRF
 		beta int
-	}{{"components", 0}, {"bounded", 40}} {
+	}{{"components", scattered, 0}, {"bounded", scattered, 40}, {"windows", contiguous, 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				Algorithm3(m, bc.beta)
+				pt := Algorithm3(bc.m, bc.beta)
+				if (pt.renumbered != nil) != (bc.name == "windows") {
+					b.Fatalf("%s: parts are windows: %v", bc.name, pt.renumbered != nil)
+				}
 			}
 		})
 	}

@@ -43,6 +43,24 @@ func requirePartsAreComponents(t *testing.T, name string, m *mrf.MRF, pt *Partit
 	}
 }
 
+// ground folds a generated dataset's network.
+func ground(t *testing.T, ds *datagen.Dataset) *mrf.MRF {
+	t.Helper()
+	ts, err := grounding.BuildTables(db.Open(db.Config{}), ds.Prog, ds.Ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := grounding.GroundBottomUp(context.Background(), ts, grounding.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.MRF
+}
+
+func rcSmall() *datagen.Dataset {
+	return datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})
+}
+
 // noCutBeta is a positive bound no merge can exceed: the whole network's
 // size units plus one.
 func noCutBeta(m *mrf.MRF) int {
@@ -57,22 +75,11 @@ func noCutBeta(m *mrf.MRF) int {
 // Algorithm 3 with no bound, and with a bound that cuts nothing (which
 // takes the weight-sorted scan), yields Components(true) part for part.
 func TestCutFreePartsEqualComponents(t *testing.T) {
-	ground := func(ds *datagen.Dataset) *mrf.MRF {
-		ts, err := grounding.BuildTables(db.Open(db.Config{}), ds.Prog, ds.Ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := grounding.GroundBottomUp(context.Background(), ts, grounding.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MRF
-	}
 	nets := map[string]*mrf.MRF{
-		"ie":      ground(datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})),
-		"er":      ground(datagen.ER(datagen.ERConfig{Records: 12, Groups: 4, Seed: 3})),
-		"lp":      ground(datagen.LP(datagen.LPConfig{Profs: 4, Students: 12, Courses: 8, Seed: 3})),
-		"rc":      ground(datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})),
+		"ie":      ground(t, datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})),
+		"er":      ground(t, datagen.ER(datagen.ERConfig{Records: 12, Groups: 4, Seed: 3})),
+		"lp":      ground(t, datagen.LP(datagen.LPConfig{Profs: 4, Students: 12, Courses: 8, Seed: 3})),
+		"rc":      ground(t, rcSmall()),
 		"empty":   mrf.New(0),
 		"nothing": mrf.New(7), // atoms, no clauses: every atom isolated
 	}
@@ -103,45 +110,157 @@ func sameClauses(a, b *mrf.MRF) bool {
 	return true
 }
 
-// A part whose atoms are 1..k keeps its global ids as local ones, so when
-// its clauses are contiguous in the parent it is a view of the parent's
-// arrays — on a one-component network the whole network is held once. Every
-// other part gets its clauses from the partitioning's shared arena, and
-// Repair copies a reused view out so a later epoch does not pin the old
-// network.
-func TestPrefixPartIsAView(t *testing.T) {
-	m := mrf.New(5)
-	for _, c := range []mrf.Clause{
-		{Weight: 1, Lits: []mrf.Lit{1, -2}},
-		{Weight: 2, Lits: []mrf.Lit{2, 3}},
-		{Weight: -1, Lits: []mrf.Lit{4, 5}},
-	} {
-		if err := m.AddClause(c.Weight, c.Lits...); err != nil {
+// network builds an MRF over n atoms from literal lists, all of weight 1.
+func network(t *testing.T, n int, clauses ...[]mrf.Lit) *mrf.MRF {
+	t.Helper()
+	m := mrf.New(n)
+	for _, c := range clauses {
+		if err := m.AddClause(1, c...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pt := Algorithm3(m, 0)
-	if err := pt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	requirePartsAreComponents(t, "prefix", m, pt)
-	if !isView(pt.Parts[0].Local, m) {
-		t.Fatal("the part over atoms 1..3 copied its clauses")
-	}
-	if isView(pt.Parts[1].Local, m) {
-		t.Fatal("the part over atoms 4..5 shares the parent's literals")
-	}
+	return m
+}
 
-	cur := m.Compact() // the next epoch's network: same clauses, own arrays
-	ids := []mrf.AtomID{0, 1, 2, 3, 4, 5}
-	next, reused := Repair(pt, cur, ids, make([]bool, 6), 0)
-	if reused != 2 {
-		t.Fatalf("Repair reused %d parts, want 2", reused)
+// within reports whether x points into s's backing array.
+func within[T any](x *T, s []T) bool {
+	s = s[:cap(s)]
+	for i := range s {
+		if &s[i] == x {
+			return true
+		}
 	}
-	requirePartsAreComponents(t, "repaired", cur, next)
-	for i, p := range next.Parts {
-		if isView(p.Local, m) {
-			t.Fatalf("repaired part %d still views the old network", i)
+	return false
+}
+
+// requireWindows asserts every part of pt is a window into pt.Source: its
+// clause arrays are the parent's own, and its literals those of the parent
+// (for the part over atoms 1..k) or of the one renumbered copy all other
+// parts share.
+func requireWindows(t *testing.T, name string, pt *Partitioning) {
+	t.Helper()
+	m := pt.Source
+	for pi, p := range pt.Parts {
+		if p.Local.NumClauses() == 0 {
+			continue
+		}
+		if !within(&p.Local.W[0], m.W) || !within(&p.Local.Off[0], m.Off) {
+			t.Fatalf("%s: part %d copied its clauses", name, pi)
+		}
+		want, of := m.Lits, "the parent's"
+		if k := p.NumAtoms(); int(p.GlobalAtom[k]) != k {
+			want, of = pt.renumbered, "the shared renumbered"
+		}
+		if len(want) == 0 || &p.Local.Lits[0] != &want[0] {
+			t.Fatalf("%s: part %d's literals are not a view of %s array", name, pi, of)
+		}
+	}
+}
+
+// requireOwnArrays asserts no part shares an array with the given ones.
+func requireOwnArrays(t *testing.T, name string, parts []*Part, w []float64, off []uint32, lits ...[]mrf.Lit) {
+	t.Helper()
+	for pi, p := range parts {
+		if p.Local.NumClauses() == 0 {
+			continue
+		}
+		if within(&p.Local.W[0], w) || within(&p.Local.Off[0], off) {
+			t.Fatalf("%s: part %d shares the clause arrays", name, pi)
+		}
+		for _, l := range lits {
+			if within(&p.Local.Lits[0], l) {
+				t.Fatalf("%s: part %d shares a literal array", name, pi)
+			}
+		}
+	}
+}
+
+// When every part's clauses are contiguous in the parent, as in a network
+// folded component by component, the parts are windows into it: nothing is
+// copied but the renumbered literals, once for all parts, and the part over
+// atoms 1..k (a one-part network: the whole network) not even those.
+func TestContiguousPartsAreWindows(t *testing.T) {
+	for name, m := range map[string]*mrf.MRF{
+		"three parts": network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7}),
+		"ie":          ground(t, datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})),
+		"one part":    network(t, 3, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}),
+	} {
+		pt := Algorithm3(m, 0)
+		if err := pt.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		requirePartsAreComponents(t, name, m, pt)
+		requireWindows(t, name, pt)
+		if (len(pt.Parts) == 1) != (pt.renumbered == nil) {
+			t.Fatalf("%s: %d parts, renumbered copy allocated: %v", name, len(pt.Parts), pt.renumbered != nil)
+		}
+	}
+}
+
+// A scattered network keeps the arenas; only the part over atoms 1..k is
+// still a window when its own clauses are contiguous.
+func TestScatteredPartsKeepArenas(t *testing.T) {
+	for name, m := range map[string]*mrf.MRF{
+		"scattered prefix": network(t, 5, []mrf.Lit{1, -2}, []mrf.Lit{4, 5}, []mrf.Lit{2, 3}),
+		"contiguous prefix": network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{4, 5},
+			[]mrf.Lit{6, 7}, []mrf.Lit{-4, 5}),
+		"rc": ground(t, rcSmall()),
+	} {
+		pt := Algorithm3(m, 0)
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requirePartsAreComponents(t, name, m, pt)
+		if pt.renumbered != nil {
+			t.Fatalf("%s: a scattered partitioning renumbered the parent's literals", name)
+		}
+		prefix := pt.Parts[0]
+		prefixView := prefix.Local.NumClauses() > 0 && &prefix.Local.Lits[0] == &m.Lits[0]
+		if want := name == "contiguous prefix"; prefixView != want {
+			t.Fatalf("%s: part over atoms 1..%d is a view: %v, want %v", name, prefix.NumAtoms(), prefixView, want)
+		}
+		requireOwnArrays(t, name, pt.Parts[1:], m.W, m.Off, m.Lits)
+	}
+}
+
+// Repair over a windowed partitioning pins nothing of the old epoch:
+// reused parts are laid out anew, as windows into the next network when its
+// parts are contiguous and in its arenas when not, exactly as Algorithm3
+// lays them out there. Over arenas, reused parts keep their networks.
+func TestRepairLeavesOldWindows(t *testing.T) {
+	old := network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7})
+	scattered := network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{-4, 5}, []mrf.Lit{2, 3}, []mrf.Lit{6, 7}, []mrf.Lit{7})
+	ids := []mrf.AtomID{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, tc := range []struct {
+		name     string
+		old, cur *mrf.MRF
+	}{
+		{"windows to windows", old, old.Compact()},
+		{"windows to arenas", old, scattered},
+		{"arenas to arenas", scattered, scattered.Compact()},
+	} {
+		pt := Algorithm3(tc.old, 0)
+		next, reused := Repair(pt, tc.cur, ids, make([]bool, len(ids)), 0)
+		if reused != 3 {
+			t.Fatalf("%s: Repair reused %d parts, want 3", tc.name, reused)
+		}
+		want := Algorithm3(tc.cur, 0)
+		if !reflect.DeepEqual(next.Parts, want.Parts) || !reflect.DeepEqual(next.PartOf, want.PartOf) ||
+			!reflect.DeepEqual(next.Cut, want.Cut) {
+			t.Fatalf("%s: repaired partitioning differs from Algorithm3's", tc.name)
+		}
+		switch tc.name {
+		case "windows to windows":
+			requireWindows(t, tc.name, next)
+			fallthrough
+		case "windows to arenas":
+			requireOwnArrays(t, tc.name, next.Parts, tc.old.W, tc.old.Off, tc.old.Lits, pt.renumbered)
+		default:
+			for pi, p := range next.Parts {
+				if p.Local != pt.Parts[pi].Local {
+					t.Fatalf("%s: part %d did not keep its arena network", tc.name, pi)
+				}
+			}
 		}
 	}
 }

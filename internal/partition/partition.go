@@ -18,7 +18,8 @@ import (
 // inside the partition, plus the atom mapping to the parent MRF.
 type Part struct {
 	// Local is the sub-MRF over the partition's atoms (internal clauses
-	// only; cut clauses live in Partitioning.Cut).
+	// only; cut clauses live in Partitioning.Cut). It may be a window into
+	// the parent's arrays (see layout), so it is never modified.
 	Local *mrf.MRF
 	// GlobalAtom maps local atom id -> parent atom id (index 0 unused).
 	GlobalAtom []mrf.AtomID
@@ -45,6 +46,9 @@ type Partitioning struct {
 	CutWeight float64
 	// Source is the parent MRF.
 	Source *mrf.MRF
+	// renumbered is Source.Lits with each internal clause's literals in
+	// local ids, which window parts view (see layout); nil when none does.
+	renumbered []mrf.Lit
 }
 
 // NumCut returns the number of cut clauses.
@@ -58,6 +62,15 @@ func (pt *Partitioning) NumCut() int { return len(pt.Cut) }
 // lower-weight clauses. With beta = +Inf (or beta <= 0) the result is
 // exactly the connected components of the MRF.
 func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
+	pt := &Partitioning{Source: m}
+	pt.PartOf, pt.Parts = greedyParts(m, beta)
+	pt.layout()
+	return pt
+}
+
+// greedyParts runs Algorithm 3's merges and returns each atom's part and
+// the parts, ordered by smallest atom, with only their atoms set.
+func greedyParts(m *mrf.MRF, beta int) ([]int32, []*Part) {
 	n := m.NumAtoms
 	uf := mrf.NewUnionFind(n)
 	// size[root] = atoms + assigned literals in the merged set.
@@ -114,101 +127,140 @@ func Algorithm3(m *mrf.MRF, beta int) *Partitioning {
 	// Build partitions from union-find roots.
 	partIdx := make(map[int32]int32)
 	partOf := make([]int32, n+1)
-	var atomsPerPart [][]mrf.AtomID
+	var sizes []int
 	for a := int32(1); a <= int32(n); a++ {
 		r := uf.Find(a)
 		pi, ok := partIdx[r]
 		if !ok {
-			pi = int32(len(atomsPerPart))
+			pi = int32(len(sizes))
 			partIdx[r] = pi
-			atomsPerPart = append(atomsPerPart, nil)
+			sizes = append(sizes, 0)
 		}
-		atomsPerPart[pi] = append(atomsPerPart[pi], a)
+		sizes[pi]++
 		partOf[a] = pi
 	}
+	parts := make([]*Part, len(sizes))
+	for pi, k := range sizes {
+		parts[pi] = &Part{GlobalAtom: make([]mrf.AtomID, 1, k+1)}
+	}
+	for a := int32(1); a <= int32(n); a++ {
+		p := parts[partOf[a]]
+		p.GlobalAtom = append(p.GlobalAtom, a)
+	}
+	return partOf, parts
+}
 
-	pt := &Partitioning{PartOf: partOf, Source: m}
-	localID := make([]mrf.AtomID, n+1)
-	for _, atoms := range atomsPerPart {
-		p := &Part{Local: mrf.New(len(atoms)), GlobalAtom: make([]mrf.AtomID, len(atoms)+1)}
-		for i, a := range atoms {
-			localID[a] = mrf.AtomID(i + 1)
-			p.GlobalAtom[i+1] = a
-		}
-		p.SizeUnits = len(atoms)
-		pt.Parts = append(pt.Parts, p)
-	}
-	// Assign clauses: internal when all atoms share a partition, else cut.
-	// A first pass sizes each part, and all parts' clauses then go into one
-	// arena per array. The part holding atoms 1..k, whose local ids are its
-	// global ones, is instead a view into m's arrays when its clauses are
-	// contiguous there — the whole network, when it is one part.
+// layout collects the cut and gives each part its internal clauses, in
+// parent order, from one scan of pt.Source; it also sets SizeUnits. A part
+// that already has its network (one Repair reuses) keeps it, unless the
+// parts are windows.
+//
+// When every part's internal clauses are contiguous in the parent, as in a
+// network folded component by component, each part is a window: its W and
+// Off are the parent's own, and its literals sit at the same positions of
+// one copy of Source.Lits renumbered to local ids that all parts share —
+// or of Source.Lits itself for the part over atoms 1..k, whose local ids
+// are its global ones (a one-part network is held once). Otherwise the
+// parts' clauses go into one arena per array, and only the part over atoms
+// 1..k is still a window, when its own clauses are contiguous.
+func (pt *Partitioning) layout() {
+	m := pt.Source
 	nClauses := make([]int, len(pt.Parts))
-	first, last := -1, -1 // clause range of part 0
-	for ci := range m.W {
-		lits := m.ClauseLits(ci)
-		if pi := partOfClause(partOf, lits); pi >= 0 {
-			nClauses[pi]++
-			pt.Parts[pi].SizeUnits += len(lits)
-			if pi == 0 {
-				last = ci
-				if first < 0 {
-					first = ci
-				}
-			}
-		}
+	first, last := make([]int, len(pt.Parts)), make([]int, len(pt.Parts)) // clause ranges
+	windows := true
+	for _, p := range pt.Parts {
+		p.SizeUnits = len(p.GlobalAtom) - 1
 	}
-	view := -1
-	if n > 0 && nClauses[0] > 0 && last-first+1 == nClauses[0] &&
-		int(pt.Parts[0].GlobalAtom[pt.Parts[0].NumAtoms()]) == pt.Parts[0].NumAtoms() {
-		view = 0
-		p := pt.Parts[0]
-		end := m.Off[last+1]
-		p.Local.W = m.W[first : last+1 : last+1]
-		p.Local.Off = m.Off[first : last+2 : last+2]
-		p.Local.Lits = m.Lits[:end:end]
-	}
-	var nc, no, nl int
-	for pi, p := range pt.Parts {
-		if pi != view && nClauses[pi] > 0 {
-			nc += nClauses[pi]
-			no += nClauses[pi] + 1
-			nl += p.SizeUnits - p.NumAtoms()
-		}
-	}
-	wArena, offArena, litArena := make([]float64, nc), make([]uint32, no), make([]mrf.Lit, nl)
-	for pi, p := range pt.Parts {
-		if pi == view || nClauses[pi] == 0 {
-			continue
-		}
-		n, k := nClauses[pi], p.SizeUnits-p.NumAtoms()
-		p.Local.W, wArena = wArena[:0:n], wArena[n:]
-		p.Local.Off, offArena = offArena[:1:n+1], offArena[n+1:]
-		p.Local.Lits, litArena = litArena[:0:k], litArena[k:]
-	}
-	var local []mrf.Lit
 	for ci, w := range m.W {
 		lits := m.ClauseLits(ci)
-		pi := partOfClause(partOf, lits)
+		pi := partOfClause(pt.PartOf, lits)
 		if pi < 0 {
 			pt.Cut = append(pt.Cut, m.Clause(ci))
 			pt.CutWeight += math.Abs(w)
 			continue
 		}
-		if int(pi) == view {
+		if nClauses[pi] == 0 {
+			first[pi] = ci
+		} else if last[pi] != ci-1 {
+			windows = false
+		}
+		last[pi] = ci
+		nClauses[pi]++
+		pt.Parts[pi].SizeUnits += len(lits)
+	}
+	localID := make([]mrf.AtomID, m.NumAtoms+1)
+	for _, p := range pt.Parts {
+		for i, a := range p.GlobalAtom {
+			localID[a] = mrf.AtomID(i)
+		}
+	}
+
+	inArena := make([]bool, len(pt.Parts))
+	var nc, no, nl int
+	for pi, p := range pt.Parts {
+		if p.Local != nil && !windows {
 			continue
 		}
-		local = local[:0]
-		for _, l := range lits {
-			ll := localID[mrf.Atom(l)]
-			if !mrf.Pos(l) {
-				ll = -ll
+		k := len(p.GlobalAtom) - 1
+		p.Local = mrf.New(k)
+		f, l := first[pi], last[pi]
+		identity := k > 0 && int(p.GlobalAtom[k]) == k
+		switch {
+		case nClauses[pi] == 0:
+		case windows || identity && l-f+1 == nClauses[pi]:
+			end := m.Off[l+1]
+			lits := m.Lits
+			if !identity {
+				if pt.renumbered == nil {
+					pt.renumbered = make([]mrf.Lit, len(m.Lits))
+				}
+				lits = pt.renumbered
+				for j := m.Off[f]; j < end; j++ {
+					lits[j] = localLit(localID, m.Lits[j])
+				}
 			}
-			local = append(local, ll)
+			p.Local.W = m.W[f : l+1 : l+1]
+			p.Local.Off = m.Off[f : l+2 : l+2]
+			p.Local.Lits = lits[:end:end]
+		default:
+			inArena[pi] = true
+			nc += nClauses[pi]
+			no += nClauses[pi] + 1
+			nl += p.SizeUnits - k
 		}
-		pt.Parts[pi].Local.Append(w, local)
 	}
-	return pt
+	if nc == 0 {
+		return
+	}
+	wArena, offArena, litArena := make([]float64, nc), make([]uint32, no), make([]mrf.Lit, nl)
+	for pi, p := range pt.Parts {
+		if inArena[pi] {
+			n, k := nClauses[pi], p.SizeUnits-p.NumAtoms()
+			p.Local.W, wArena = wArena[:0:n], wArena[n:]
+			p.Local.Off, offArena = offArena[:1:n+1], offArena[n+1:]
+			p.Local.Lits, litArena = litArena[:0:k], litArena[k:]
+		}
+	}
+	var local []mrf.Lit
+	for ci, w := range m.W {
+		lits := m.ClauseLits(ci)
+		if pi := partOfClause(pt.PartOf, lits); pi >= 0 && inArena[pi] {
+			local = local[:0]
+			for _, l := range lits {
+				local = append(local, localLit(localID, l))
+			}
+			pt.Parts[pi].Local.Append(w, local)
+		}
+	}
+}
+
+// localLit renumbers a parent literal to its part's local atom id.
+func localLit(localID []mrf.AtomID, l mrf.Lit) mrf.Lit {
+	ll := localID[mrf.Atom(l)]
+	if !mrf.Pos(l) {
+		ll = -ll
+	}
+	return ll
 }
 
 // partOfClause returns the part holding every atom of a clause, or -1 when

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -21,10 +20,13 @@ import (
 // clause order are all preserved, and the atom renumbering is monotone — so
 // running Algorithm 3 on the whole new MRF would reproduce the old parts of
 // that component exactly, up to the global renumbering. Repair therefore
-// reuses those parts' (immutable) local MRFs, re-runs Algorithm 3 only on the
-// induced sub-MRFs of touched components, and rebuilds the global part order,
-// PartOf and Cut, which are cheap scans. The result is bit-identical to
-// Algorithm3(cur, beta); tests assert that equivalence.
+// reuses those parts, re-runs Algorithm 3's merges only on the induced
+// sub-MRFs of touched components, and rebuilds the global part order,
+// PartOf and Cut, which are cheap scans. A reused part keeps its
+// (immutable) local MRF when that is an arena's; a window into the old
+// network is laid out anew from cur, as are all parts when cur's are
+// windows. The result is bit-identical to Algorithm3(cur, beta); tests
+// assert that equivalence.
 func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew []bool, beta int) (pt *Partitioning, reusedParts int) {
 	n := cur.NumAtoms
 	uf := mrf.NewUnionFind(n)
@@ -40,14 +42,9 @@ func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew [
 		groups[uf.Find(a)] = append(groups[uf.Find(a)], a)
 	}
 
-	// Collect parts (reused or rebuilt) with their global atom sets, then
+	// Collect parts (reused or rebuilt) with their global atom ids, then
 	// order them exactly as Algorithm3 does: by smallest global atom id.
-	type pendingPart struct {
-		part  *Part
-		atoms []mrf.AtomID // global (new) ids, ascending
-	}
-	var pending []pendingPart
-
+	var parts []*Part
 	for _, atoms := range groups {
 		if oldParts, ok := reusableParts(old, atoms, newToOld, touchedNew); ok {
 			// Old id -> new id within this component; the component-level
@@ -57,63 +54,50 @@ func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew [
 				toNew[newToOld[a]] = a
 			}
 			for _, op := range oldParts {
-				ga := make([]mrf.AtomID, op.Local.NumAtoms+1)
-				gatoms := make([]mrf.AtomID, 0, op.Local.NumAtoms)
-				for i := 1; i <= op.Local.NumAtoms; i++ {
-					ga[i] = toNew[op.GlobalAtom[i]]
-					gatoms = append(gatoms, ga[i])
+				ga := make([]mrf.AtomID, len(op.GlobalAtom))
+				for i, a := range op.GlobalAtom[1:] {
+					ga[i+1] = toNew[a]
 				}
 				local := op.Local
-				if isView(local, old.Source) {
-					local = local.Compact() // do not pin the old network
+				if old.holds(local) {
+					local = nil // laid out anew: a later epoch must not pin the old network
 				}
-				pending = append(pending, pendingPart{
-					part:  &Part{Local: local, GlobalAtom: ga, SizeUnits: op.SizeUnits},
-					atoms: gatoms,
-				})
+				parts = append(parts, &Part{Local: local, GlobalAtom: ga})
 				reusedParts++
 			}
 			continue
 		}
 		// Rebuild: run Algorithm 3 on the induced sub-MRF of this component.
-		sub := induceSub(cur, atoms)
-		subPt := Algorithm3(sub, beta)
-		for _, sp := range subPt.Parts {
-			ga := make([]mrf.AtomID, sp.Local.NumAtoms+1)
-			gatoms := make([]mrf.AtomID, 0, sp.Local.NumAtoms)
-			for i := 1; i <= sp.Local.NumAtoms; i++ {
-				ga[i] = atoms[sp.GlobalAtom[i]-1]
-				gatoms = append(gatoms, ga[i])
+		_, subParts := greedyParts(induceSub(cur, atoms), beta)
+		for _, sp := range subParts {
+			for i, a := range sp.GlobalAtom[1:] {
+				sp.GlobalAtom[i+1] = atoms[a-1]
 			}
-			pending = append(pending, pendingPart{
-				part:  &Part{Local: sp.Local, GlobalAtom: ga, SizeUnits: sp.SizeUnits},
-				atoms: gatoms,
-			})
+			parts = append(parts, sp)
 		}
 	}
 
-	sort.Slice(pending, func(a, b int) bool { return pending[a].atoms[0] < pending[b].atoms[0] })
+	sort.Slice(parts, func(a, b int) bool { return parts[a].GlobalAtom[1] < parts[b].GlobalAtom[1] })
 
-	pt = &Partitioning{Source: cur, PartOf: make([]int32, n+1)}
-	for pi, pp := range pending {
-		pt.Parts = append(pt.Parts, pp.part)
-		for _, a := range pp.atoms {
+	pt = &Partitioning{Parts: parts, Source: cur, PartOf: make([]int32, n+1)}
+	for pi, p := range parts {
+		for _, a := range p.GlobalAtom[1:] {
 			pt.PartOf[a] = int32(pi)
 		}
 	}
-	// Cut: exactly Algorithm3's final scan over the parent clause list.
-	for ci := range cur.W {
-		if c := cur.Clause(ci); partOfClause(pt.PartOf, c.Lits) < 0 {
-			pt.Cut = append(pt.Cut, c)
-			pt.CutWeight += math.Abs(c.Weight)
-		}
-	}
+	pt.layout()
 	return pt, reusedParts
 }
 
-// isView reports whether local is Algorithm3's view into src's arrays.
-func isView(local, src *mrf.MRF) bool {
-	return len(local.Lits) > 0 && len(src.Lits) > 0 && &local.Lits[0] == &src.Lits[0]
+// holds reports whether local is one of pt's windows: a window's literals
+// start where Source.Lits or the renumbered copy does.
+func (pt *Partitioning) holds(local *mrf.MRF) bool {
+	if len(local.Lits) == 0 {
+		return false
+	}
+	l := &local.Lits[0]
+	return len(pt.Source.Lits) > 0 && l == &pt.Source.Lits[0] ||
+		len(pt.renumbered) > 0 && l == &pt.renumbered[0]
 }
 
 // reusableParts decides whether the new component over atoms (ascending new
@@ -150,7 +134,6 @@ func reusableParts(old *Partitioning, atoms []mrf.AtomID, newToOld []mrf.AtomID,
 
 // induceSub builds the sub-MRF over atoms (ascending): local ids are ranks,
 // clauses are the parent clauses fully inside the atom set, in parent order.
-// Its arrays are exactly sized: Algorithm3 may make a part a view of them.
 func induceSub(m *mrf.MRF, atoms []mrf.AtomID) *mrf.MRF {
 	localOf := make([]mrf.AtomID, m.NumAtoms+1)
 	for i, a := range atoms {

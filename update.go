@@ -212,9 +212,9 @@ func (e *Engine) applyUpdate(ctx context.Context, delta mln.Delta, durable bool)
 	ne := &epoch{gen: old.gen + 1, res: res, db: e.db}
 	ne.refs.Store(1)
 	// Repair (not recompute) the decomposition if the old epoch had already
-	// paid for it: untouched parts keep their exact local MRFs (shared
-	// pointers — which is also what keeps their search indexes and memo
-	// fingerprints cached).
+	// paid for it: untouched parts keep their clauses, so their memo
+	// fingerprints still hit, and arena-held ones their exact local MRFs
+	// (shared pointers, with their search indexes).
 	if oldPart := old.decomposed(); oldPart != nil {
 		_, newToOld := grounding.AtomMaps(old.res, res)
 		pt, reused := partition.Repair(oldPart, res.MRF, newToOld, touchedNew, e.partitionBeta())

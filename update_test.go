@@ -256,41 +256,55 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 }
 
 // An update re-folds the network the way Ground folds it and keeps no second
-// copy of the fold beside it: at rc-serve size, the engine's live heap after
-// a 20-op update, and after its inverse, stays within a quarter of what
-// Ground plus one MAP query left.
+// copy of the fold beside it: the engine's live heap after a 20-op update,
+// and after its inverse, stays within a quarter of what Ground plus one MAP
+// query left. RC at rc-serve size repairs a decomposition held in arenas,
+// whose reused parts carry over; IE's parts are windows into the network,
+// which the repair lays out anew instead of pinning the old epoch's.
 func TestUpdateHoldsNoSecondFold(t *testing.T) {
-	ds := rcServe()
-	ev := ds.Ev.Clone()
-	delta := datagen.RandomDelta(ds, "refers", 20, 99)
-	live := func() int64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
+	for _, tc := range []struct {
+		ds   *datagen.Dataset
+		pred string
+	}{
+		{rcServe(), "refers"},
+		{datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1}), "hint"},
+	} {
+		t.Run(tc.ds.Name, func(t *testing.T) {
+			ev := tc.ds.Ev.Clone()
+			delta := datagen.RandomDelta(tc.ds, tc.pred, 20, 99)
+			live := func() int64 {
+				runtime.GC()
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				return int64(m.HeapAlloc)
+			}
+			base := live()
+			eng := mustOpen(t, tc.ds.Prog, ev, EngineConfig{})
+			if err := eng.Ground(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			mustMAP(t, eng, 1)
+			grounded := live() - base
+			ur := mustUpdate(t, eng, delta)
+			if ur.Identical || ur.PartsReused == 0 {
+				t.Fatalf("the update repaired no decomposition: %+v", ur)
+			}
+			updated := live() - base
+			mustUpdate(t, eng, ur.Inverse)
+			back := live() - base
+			runtime.KeepAlive(eng)
+			for _, h := range []struct {
+				when  string
+				bytes int64
+			}{{"after the update", updated}, {"after its inverse", back}} {
+				if ratio := float64(h.bytes) / float64(grounded); ratio > 1.25 {
+					t.Errorf("engine heap %s: %.1f MB, %.2f× the %.1f MB after Ground", h.when, float64(h.bytes)/(1<<20), ratio, float64(grounded)/(1<<20))
+				}
+			}
+			t.Logf("engine heap: %.1f MB after Ground, %.1f MB after the update, %.1f MB after its inverse",
+				float64(grounded)/(1<<20), float64(updated)/(1<<20), float64(back)/(1<<20))
+		})
 	}
-	base := live()
-	eng := mustOpen(t, ds.Prog, ev, EngineConfig{})
-	if err := eng.Ground(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mustMAP(t, eng, 1)
-	grounded := live() - base
-	inverse := mustUpdate(t, eng, delta).Inverse
-	updated := live() - base
-	mustUpdate(t, eng, inverse)
-	back := live() - base
-	runtime.KeepAlive(eng)
-	for _, h := range []struct {
-		when  string
-		bytes int64
-	}{{"after the update", updated}, {"after its inverse", back}} {
-		if ratio := float64(h.bytes) / float64(grounded); ratio > 1.25 {
-			t.Errorf("engine heap %s: %.1f MB, %.2f× the %.1f MB after Ground", h.when, float64(h.bytes)/(1<<20), ratio, float64(grounded)/(1<<20))
-		}
-	}
-	t.Logf("engine heap: %.1f MB after Ground, %.1f MB after the update, %.1f MB after its inverse",
-		float64(grounded)/(1<<20), float64(updated)/(1<<20), float64(back)/(1<<20))
 }
 
 // filterValid drops retractions of tuples absent from ev (RandomDelta
@@ -344,9 +358,10 @@ func TestUpdateEvidenceIdenticalKeepsEpoch(t *testing.T) {
 }
 
 // The component memo must survive an evidence update: components the
-// update did not touch keep their content fingerprints (shared local-MRF
-// pointers), so re-running the same query on the new epoch serves them as
-// bit-identical hits instead of re-searching. At deltas of at most 1% of
+// update did not touch keep their content fingerprints (on RC by sharing
+// their local MRFs; IE's are windows, laid out anew in the new network), so
+// re-running the same query on the new epoch serves them as bit-identical
+// hits instead of re-searching. At deltas of at most 1% of
 // the mutated predicate the update is also gated on work counters, which
 // hold on any host where a wall-clock ratio against a full re-ground does
 // not: some clause grounding is reused, and at least 90% of the parts are
@@ -365,8 +380,8 @@ func TestMemoSurvivesUpdateForUntouchedComponents(t *testing.T) {
 		t.Run(tc.ds.Name, func(t *testing.T) {
 			eng := groundedEngine(t, tc.ds.Prog, tc.ds.Ev.Clone(), EngineConfig{})
 			// The MAP query materializes the partitioning, so the update
-			// repairs it; untouched parts share their local-MRF pointers with
-			// the old epoch, which is what keeps their memo fingerprints warm.
+			// repairs it; untouched parts keep their content, which is what
+			// their memo fingerprints hash.
 			if _, err := eng.InferMAP(ctx, q); err != nil {
 				t.Fatal(err)
 			}
