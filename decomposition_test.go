@@ -237,3 +237,37 @@ func TestSnapshotFlag2PrebuildsDecomposition(t *testing.T) {
 		}
 	}
 }
+
+// A cold engine's first MAP searches each distinct part network once, at
+// any Parallelism: the memo misses once per network and hits for every
+// other part, whatever the workers' timing. IE's 1 500 chains have 20
+// distinct networks; eight cold engines at Parallelism 2 each count what
+// one at Parallelism 1 counts, with the same answer.
+func TestMemoCountsDoNotDependOnTiming(t *testing.T) {
+	ds := datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1})
+	firstMAP := func(par int) (*Engine, *MAPResult) {
+		eng := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
+		res, err := eng.InferMAP(context.Background(), InferOptions{MaxFlips: 1_000_000, Seed: 1, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, res
+	}
+	ref, want := firstMAP(1)
+	parts := ref.cur.Load().decomposed().Parts
+	nets := map[*mrf.MRF]bool{}
+	for _, p := range parts {
+		nets[p.Local] = true
+	}
+	stats := ref.MemoStats()
+	if len(nets) != 20 || stats.Misses != int64(len(nets)) || stats.Hits != int64(len(parts)-len(nets)) {
+		t.Fatalf("%d parts over %d networks, memo %+v", len(parts), len(nets), stats)
+	}
+	for i := range 8 {
+		eng, got := firstMAP(2)
+		requireSameMAP(t, fmt.Sprintf("engine %d at Parallelism 2", i), got, want)
+		if s := eng.MemoStats(); s != stats {
+			t.Fatalf("engine %d at Parallelism 2: memo %+v, at Parallelism 1 %+v", i, s, stats)
+		}
+	}
+}

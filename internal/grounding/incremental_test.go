@@ -438,9 +438,27 @@ func TestRegroundNoOpIsIdentical(t *testing.T) {
 	requireBitIdentical(t, "no-op", ts, res1, ts, res0)
 }
 
+// A repaired partitioning is Algorithm3's on the new network: the same
+// parts with the same networks, and the same parts sharing one network.
+// At rc-serve size RC's parts are arenas (after the delta its 202 hold 198
+// networks, and at beta 60 its 1 200 parts 33); IE's are windows.
 func TestPartitionRepairMatchesAlgorithm3(t *testing.T) {
-	ds := datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11})
-	delta := datagen.RandomDelta(ds, "refers", 8, 99)
+	for _, tc := range []struct {
+		name string
+		ds   *datagen.Dataset
+		pred string
+	}{
+		{"rc", datagen.RC(datagen.RCConfig{Papers: 60, Authors: 30, Categories: 4, Clusters: 12, Seed: 11}), "refers"},
+		{"rc-serve", datagen.RC(datagen.RCConfig{Papers: 1200, Authors: 500, Categories: 8, Clusters: 200, Seed: 1}), "refers"},
+		{"ie", datagen.IE(datagen.IEConfig{Chains: 200, Seed: 1}), "hint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repairMatchesAlgorithm3(t, tc.ds, datagen.RandomDelta(tc.ds, tc.pred, 8, 99))
+		})
+	}
+}
+
+func repairMatchesAlgorithm3(t *testing.T, ds *datagen.Dataset, delta mln.Delta) {
 	for _, beta := range []int{0, 60} {
 		ts := buildTS(t, ds.Prog, ds.Ev)
 		inc, res0, err := NewIncremental(context.Background(), ts, Options{})
@@ -467,6 +485,9 @@ func TestPartitionRepairMatchesAlgorithm3(t *testing.T) {
 		if !reflect.DeepEqual(got.PartOf, want.PartOf) {
 			t.Fatalf("beta=%d: PartOf differs", beta)
 		}
+		if g, w := sharing(got), sharing(want); !slices.Equal(g, w) {
+			t.Fatalf("beta=%d: parts share networks differently", beta)
+		}
 		if !reflect.DeepEqual(got.Cut, want.Cut) || got.CutWeight != want.CutWeight {
 			t.Fatalf("beta=%d: cut differs: %d/%v vs %d/%v",
 				beta, len(got.Cut), got.CutWeight, len(want.Cut), want.CutWeight)
@@ -475,4 +496,18 @@ func TestPartitionRepairMatchesAlgorithm3(t *testing.T) {
 			t.Fatalf("beta=%d: no parts reused", beta)
 		}
 	}
+}
+
+// sharing returns, for each part, the index of the first part over its
+// network.
+func sharing(pt *partition.Partitioning) []int {
+	first := map[*mrf.MRF]int{}
+	out := make([]int, len(pt.Parts))
+	for pi, p := range pt.Parts {
+		if _, ok := first[p.Local]; !ok {
+			first[p.Local] = pi
+		}
+		out[pi] = first[p.Local]
+	}
+	return out
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"tuffy/internal/datagen"
 	"tuffy/internal/mrf"
 )
 
@@ -72,15 +74,19 @@ func TestAlgorithm3UnboundedSkipsOnlyTheSort(t *testing.T) {
 // their components (beta 0) and under a bound that cuts inside blocks, and
 // a network of the same size whose components' clauses are contiguous into
 // its components, which are then windows: its B/op is what the arenas of
-// the other legs cost beside the renumbered literals.
+// the other legs cost beside the renumbered literals. The ie leg
+// partitions IE's 6 000 chains, whose parts hold 20 distinct networks: it
+// reports networks/op and retained-B/part, the heap the partitioning keeps
+// per part, and fails when the parts hold more than 32 networks.
 func BenchmarkAlgorithm3(b *testing.B) {
 	scattered := blocksMRF(rand.New(rand.NewSource(3)), 60000, 180000)
 	contiguous := starBlocksMRF(rand.New(rand.NewSource(3)), 60000, 180000)
+	ie := ground(b, datagen.IE(datagen.IEConfig{Chains: 6000, Seed: 1}))
 	for _, bc := range []struct {
 		name string
 		m    *mrf.MRF
 		beta int
-	}{{"components", scattered, 0}, {"bounded", scattered, 40}, {"windows", contiguous, 0}} {
+	}{{"components", scattered, 0}, {"bounded", scattered, 40}, {"windows", contiguous, 0}, {"ie", ie, 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -88,6 +94,22 @@ func BenchmarkAlgorithm3(b *testing.B) {
 				if (pt.renumbered != nil) != (bc.name == "windows") {
 					b.Fatalf("%s: parts are windows: %v", bc.name, pt.renumbered != nil)
 				}
+			}
+			if bc.name != "ie" {
+				return
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			pt := Algorithm3(bc.m, bc.beta)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			nets := networks(pt)
+			b.ReportMetric(float64(nets), "networks/op")
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(len(pt.Parts)), "retained-B/part")
+			runtime.KeepAlive(pt)
+			if len(pt.Parts) != 6000 || nets > 32 {
+				b.Fatalf("ie: %d parts hold %d networks, want at most 32", len(pt.Parts), nets)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tuffy/internal/datagen"
@@ -44,7 +45,7 @@ func requirePartsAreComponents(t *testing.T, name string, m *mrf.MRF, pt *Partit
 }
 
 // ground folds a generated dataset's network.
-func ground(t *testing.T, ds *datagen.Dataset) *mrf.MRF {
+func ground(t testing.TB, ds *datagen.Dataset) *mrf.MRF {
 	t.Helper()
 	ts, err := grounding.BuildTables(db.Open(db.Config{}), ds.Prog, ds.Ev)
 	if err != nil {
@@ -133,15 +134,20 @@ func within[T any](x *T, s []T) bool {
 	return false
 }
 
-// requireWindows asserts every part of pt is a window into pt.Source: its
-// clause arrays are the parent's own, and its literals those of the parent
-// (for the part over atoms 1..k) or of the one renumbered copy all other
-// parts share.
-func requireWindows(t *testing.T, name string, pt *Partitioning) {
+// requireWindows asserts every part of pt whose network no other part
+// shares is a window into pt.Source: its clause arrays are the parent's
+// own, and its literals those of the parent (for the part over atoms 1..k)
+// or of the one renumbered copy all other such parts share. It returns
+// whether any part views the renumbered copy.
+func requireWindows(t *testing.T, name string, pt *Partitioning) (renumbered bool) {
 	t.Helper()
 	m := pt.Source
+	holders := map[*mrf.MRF]int{}
+	for _, p := range pt.Parts {
+		holders[p.Local]++
+	}
 	for pi, p := range pt.Parts {
-		if p.Local.NumClauses() == 0 {
+		if p.Local.NumClauses() == 0 || holders[p.Local] > 1 {
 			continue
 		}
 		if !within(&p.Local.W[0], m.W) || !within(&p.Local.Off[0], m.Off) {
@@ -150,11 +156,13 @@ func requireWindows(t *testing.T, name string, pt *Partitioning) {
 		want, of := m.Lits, "the parent's"
 		if k := p.NumAtoms(); int(p.GlobalAtom[k]) != k {
 			want, of = pt.renumbered, "the shared renumbered"
+			renumbered = true
 		}
 		if len(want) == 0 || &p.Local.Lits[0] != &want[0] {
 			t.Fatalf("%s: part %d's literals are not a view of %s array", name, pi, of)
 		}
 	}
+	return renumbered
 }
 
 // requireOwnArrays asserts no part shares an array with the given ones.
@@ -176,13 +184,18 @@ func requireOwnArrays(t *testing.T, name string, parts []*Part, w []float64, off
 }
 
 // When every part's clauses are contiguous in the parent, as in a network
-// folded component by component, the parts are windows into it: nothing is
-// copied but the renumbered literals, once for all parts, and the part over
-// atoms 1..k (a one-part network: the whole network) not even those.
+// folded component by component, the parts of distinct content are windows
+// into it: nothing is copied but the renumbered literals, once for all
+// parts, and the part over atoms 1..k (a one-part network: the whole
+// network) not even those. The renumbered copy exists only when a window
+// views it: never when every part shares its network with another, as
+// IE's do at 1 500 chains.
 func TestContiguousPartsAreWindows(t *testing.T) {
 	for name, m := range map[string]*mrf.MRF{
 		"three parts": network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7}),
+		"blocks":      starBlocksMRF(rand.New(rand.NewSource(46)), 600, 1500),
 		"ie":          ground(t, datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})),
+		"ie shared":   ground(t, datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1})),
 		"one part":    network(t, 3, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}),
 	} {
 		pt := Algorithm3(m, 0)
@@ -190,9 +203,24 @@ func TestContiguousPartsAreWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		requirePartsAreComponents(t, name, m, pt)
-		requireWindows(t, name, pt)
-		if (len(pt.Parts) == 1) != (pt.renumbered == nil) {
-			t.Fatalf("%s: %d parts, renumbered copy allocated: %v", name, len(pt.Parts), pt.renumbered != nil)
+		requireSharingIsContent(t, name, pt)
+		if name != "ie" && name != "ie shared" {
+			// Only the clause-free parts of isolated atoms are equal.
+			withClauses := 0
+			for _, p := range pt.Parts {
+				if p.Local.NumClauses() > 0 {
+					withClauses++
+				}
+			}
+			if isolated := len(pt.Parts) - withClauses; networks(pt) != withClauses+min(isolated, 1) {
+				t.Fatalf("%s: %d parts share %d networks", name, len(pt.Parts), networks(pt))
+			}
+		}
+		if viewed := requireWindows(t, name, pt); viewed != (pt.renumbered != nil) {
+			t.Fatalf("%s: a window views the renumbered copy: %v, copy allocated: %v", name, viewed, pt.renumbered != nil)
+		}
+		if want := name != "one part" && name != "ie shared"; (pt.renumbered != nil) != want {
+			t.Fatalf("%s: renumbered copy allocated: %v, want %v", name, pt.renumbered != nil, want)
 		}
 	}
 }
@@ -226,10 +254,12 @@ func TestScatteredPartsKeepArenas(t *testing.T) {
 // Repair over a windowed partitioning pins nothing of the old epoch:
 // reused parts are laid out anew, as windows into the next network when its
 // parts are contiguous and in its arenas when not, exactly as Algorithm3
-// lays them out there. Over arenas, reused parts keep their networks.
+// lays them out there. Over arenas, reused parts keep their networks, a
+// network that parts of equal content share included.
 func TestRepairLeavesOldWindows(t *testing.T) {
 	old := network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7})
 	scattered := network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{-4, 5}, []mrf.Lit{2, 3}, []mrf.Lit{6, 7}, []mrf.Lit{7})
+	shared := network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{4, -5}, []mrf.Lit{2, 3}, []mrf.Lit{5, 6}, []mrf.Lit{7})
 	ids := []mrf.AtomID{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, tc := range []struct {
 		name     string
@@ -238,6 +268,7 @@ func TestRepairLeavesOldWindows(t *testing.T) {
 		{"windows to windows", old, old.Compact()},
 		{"windows to arenas", old, scattered},
 		{"arenas to arenas", scattered, scattered.Compact()},
+		{"shared arenas to arenas", shared, shared.Compact()},
 	} {
 		pt := Algorithm3(tc.old, 0)
 		next, reused := Repair(pt, tc.cur, ids, make([]bool, len(ids)), 0)
@@ -246,7 +277,7 @@ func TestRepairLeavesOldWindows(t *testing.T) {
 		}
 		want := Algorithm3(tc.cur, 0)
 		if !reflect.DeepEqual(next.Parts, want.Parts) || !reflect.DeepEqual(next.PartOf, want.PartOf) ||
-			!reflect.DeepEqual(next.Cut, want.Cut) {
+			!reflect.DeepEqual(next.Cut, want.Cut) || !slices.Equal(sharing(next), sharing(want)) {
 			t.Fatalf("%s: repaired partitioning differs from Algorithm3's", tc.name)
 		}
 		switch tc.name {

@@ -19,7 +19,8 @@ import (
 type Part struct {
 	// Local is the sub-MRF over the partition's atoms (internal clauses
 	// only; cut clauses live in Partitioning.Cut). It may be a window into
-	// the parent's arrays (see layout), so it is never modified.
+	// the parent's arrays or the one network every part of equal content
+	// shares (see layout), so it is never modified.
 	Local *mrf.MRF
 	// GlobalAtom maps local atom id -> parent atom id (index 0 unused).
 	GlobalAtom []mrf.AtomID
@@ -150,26 +151,118 @@ func greedyParts(m *mrf.MRF, beta int) ([]int32, []*Part) {
 	return partOf, parts
 }
 
-// layout collects the cut and gives each part its internal clauses, in
-// parent order, from one scan of pt.Source; it also sets SizeUnits. A part
-// that already has its network (one Repair reuses) keeps it, unless the
-// parts are windows.
+// layout gives each part its network: its internal clauses, in parent
+// order and local ids, which scan finds in pt.Source.
 //
-// When every part's internal clauses are contiguous in the parent, as in a
-// network folded component by component, each part is a window: its W and
-// Off are the parent's own, and its literals sit at the same positions of
-// one copy of Source.Lits renumbered to local ids that all parts share —
-// or of Source.Lits itself for the part over atoms 1..k, whose local ids
-// are its global ones (a one-part network is held once). Otherwise the
-// parts' clauses go into one arena per array, and only the part over atoms
-// 1..k is still a window, when its own clauses are contiguous.
+// Parts of equal content (contents.same) share one network of exact size,
+// built once for their class: a network of many small components repeats
+// few distinct ones (IE's 6 000 have about 20), and each distinct network
+// then carries its search index and fingerprint once. A part whose content
+// no other part has is laid out alone. When every part's internal clauses
+// are contiguous in the parent, as in a network folded component by
+// component, such a part is a window: its W and Off are the parent's own,
+// and its literals sit at the same positions of one copy of Source.Lits
+// renumbered to local ids, which all such parts share — or of Source.Lits
+// itself for the part over atoms 1..k, whose local ids are its global ones
+// (a one-part network is held once). Otherwise these parts' clauses go into
+// one arena per array, and only the part over atoms 1..k is still a window,
+// when its own clauses are contiguous.
+//
+// A part that already has its network (one Repair reuses) keeps it, and a
+// class takes the network its first such member has, unless the parts are
+// windows: then every part is laid out anew.
 func (pt *Partitioning) layout() {
 	m := pt.Source
-	nClauses := make([]int, len(pt.Parts))
-	first, last := make([]int, len(pt.Parts)), make([]int, len(pt.Parts)) // clause ranges
-	windows := true
+	np := len(pt.Parts)
+	c := pt.scan()
+
+	hash := make([]uint64, np)
+	for pi := range hash {
+		hash[pi] = c.hash(pi)
+	}
+	rep := classes(hash, c.same)
+	members := make([]int32, np) // class sizes, at each class's first part
+	for _, r := range rep {
+		members[r]++
+	}
+	shared := make([]*mrf.MRF, np) // class networks, at each class's first part
+	for pi, p := range pt.Parts {
+		if c.windows {
+			p.Local = nil
+		} else if r := rep[pi]; members[r] > 1 && shared[r] == nil {
+			shared[r] = p.Local
+		}
+	}
+
+	inArena := make([]bool, np)
+	var nc, no, nl int
+	for pi, p := range pt.Parts {
+		if r := rep[pi]; members[r] > 1 {
+			if shared[r] == nil {
+				shared[r] = c.network(pi)
+			}
+			p.Local = shared[r]
+			continue
+		}
+		if p.Local != nil {
+			continue
+		}
+		k := len(p.GlobalAtom) - 1
+		p.Local = mrf.New(k)
+		f, l := c.first[pi], c.last[pi]
+		identity := k > 0 && int(p.GlobalAtom[k]) == k
+		switch {
+		case c.n[pi] == 0:
+		case c.windows || identity && l-f+1 == c.n[pi]:
+			end := m.Off[l+1]
+			lits := m.Lits
+			if !identity {
+				if pt.renumbered == nil {
+					pt.renumbered = make([]mrf.Lit, len(m.Lits))
+				}
+				lits = pt.renumbered
+				for j := m.Off[f]; j < end; j++ {
+					lits[j] = localLit(c.localID, m.Lits[j])
+				}
+			}
+			p.Local.W = m.W[f : l+1 : l+1]
+			p.Local.Off = m.Off[f : l+2 : l+2]
+			p.Local.Lits = lits[:end:end]
+		default:
+			inArena[pi] = true
+			nc += c.n[pi]
+			no += c.n[pi] + 1
+			nl += p.SizeUnits - k
+		}
+	}
+	if nc == 0 {
+		return
+	}
+	wArena, offArena, litArena := make([]float64, nc), make([]uint32, no), make([]mrf.Lit, nl)
+	var buf []mrf.Lit
+	for pi, p := range pt.Parts {
+		if inArena[pi] {
+			n, k := c.n[pi], p.SizeUnits-p.NumAtoms()
+			p.Local.W, wArena = wArena[:0:n], wArena[n:]
+			p.Local.Off, offArena = offArena[:1:n+1], offArena[n+1:]
+			p.Local.Lits, litArena = litArena[:0:k], litArena[k:]
+			buf = c.appendTo(p.Local, pi, buf)
+		}
+	}
+}
+
+// scan collects the cut, sets each part's SizeUnits and notes where the
+// parent holds each part's internal clauses.
+func (pt *Partitioning) scan() *contents {
+	m := pt.Source
+	np := len(pt.Parts)
+	c := &contents{m: m, parts: pt.Parts, partOf: pt.PartOf, localID: make([]mrf.AtomID, m.NumAtoms+1),
+		n: make([]int, np), first: make([]int, np), last: make([]int, np), windows: true}
 	for _, p := range pt.Parts {
 		p.SizeUnits = len(p.GlobalAtom) - 1
+		for i, a := range p.GlobalAtom {
+			c.localID[a] = mrf.AtomID(i)
+		}
 	}
 	for ci, w := range m.W {
 		lits := m.ClauseLits(ci)
@@ -179,79 +272,19 @@ func (pt *Partitioning) layout() {
 			pt.CutWeight += math.Abs(w)
 			continue
 		}
-		if nClauses[pi] == 0 {
-			first[pi] = ci
-		} else if last[pi] != ci-1 {
-			windows = false
+		if c.n[pi] == 0 {
+			c.first[pi] = ci
+		} else if c.last[pi] != ci-1 {
+			c.windows = false
 		}
-		last[pi] = ci
-		nClauses[pi]++
+		c.last[pi] = ci
+		c.n[pi]++
 		pt.Parts[pi].SizeUnits += len(lits)
 	}
-	localID := make([]mrf.AtomID, m.NumAtoms+1)
-	for _, p := range pt.Parts {
-		for i, a := range p.GlobalAtom {
-			localID[a] = mrf.AtomID(i)
-		}
+	if !c.windows {
+		c.groupClauses()
 	}
-
-	inArena := make([]bool, len(pt.Parts))
-	var nc, no, nl int
-	for pi, p := range pt.Parts {
-		if p.Local != nil && !windows {
-			continue
-		}
-		k := len(p.GlobalAtom) - 1
-		p.Local = mrf.New(k)
-		f, l := first[pi], last[pi]
-		identity := k > 0 && int(p.GlobalAtom[k]) == k
-		switch {
-		case nClauses[pi] == 0:
-		case windows || identity && l-f+1 == nClauses[pi]:
-			end := m.Off[l+1]
-			lits := m.Lits
-			if !identity {
-				if pt.renumbered == nil {
-					pt.renumbered = make([]mrf.Lit, len(m.Lits))
-				}
-				lits = pt.renumbered
-				for j := m.Off[f]; j < end; j++ {
-					lits[j] = localLit(localID, m.Lits[j])
-				}
-			}
-			p.Local.W = m.W[f : l+1 : l+1]
-			p.Local.Off = m.Off[f : l+2 : l+2]
-			p.Local.Lits = lits[:end:end]
-		default:
-			inArena[pi] = true
-			nc += nClauses[pi]
-			no += nClauses[pi] + 1
-			nl += p.SizeUnits - k
-		}
-	}
-	if nc == 0 {
-		return
-	}
-	wArena, offArena, litArena := make([]float64, nc), make([]uint32, no), make([]mrf.Lit, nl)
-	for pi, p := range pt.Parts {
-		if inArena[pi] {
-			n, k := nClauses[pi], p.SizeUnits-p.NumAtoms()
-			p.Local.W, wArena = wArena[:0:n], wArena[n:]
-			p.Local.Off, offArena = offArena[:1:n+1], offArena[n+1:]
-			p.Local.Lits, litArena = litArena[:0:k], litArena[k:]
-		}
-	}
-	var local []mrf.Lit
-	for ci, w := range m.W {
-		lits := m.ClauseLits(ci)
-		if pi := partOfClause(pt.PartOf, lits); pi >= 0 && inArena[pi] {
-			local = local[:0]
-			for _, l := range lits {
-				local = append(local, localLit(localID, l))
-			}
-			pt.Parts[pi].Local.Append(w, local)
-		}
-	}
+	return c
 }
 
 // localLit renumbers a parent literal to its part's local atom id.

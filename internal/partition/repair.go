@@ -23,10 +23,11 @@ import (
 // reuses those parts, re-runs Algorithm 3's merges only on the induced
 // sub-MRFs of touched components, and rebuilds the global part order,
 // PartOf and Cut, which are cheap scans. A reused part keeps its
-// (immutable) local MRF when that is an arena's; a window into the old
-// network is laid out anew from cur, as are all parts when cur's are
-// windows. The result is bit-identical to Algorithm3(cur, beta); tests
-// assert that equivalence.
+// (immutable) local MRF when that is an arena's or one its class shares; a
+// window into the old network is laid out anew from cur, as are all parts
+// when cur's are windows. layout groups the parts by content as it does
+// for Algorithm3, so the result is bit-identical to Algorithm3(cur, beta),
+// down to which parts share a network; tests assert that equivalence.
 func Repair(old *Partitioning, cur *mrf.MRF, newToOld []mrf.AtomID, touchedNew []bool, beta int) (pt *Partitioning, reusedParts int) {
 	n := cur.NumAtoms
 	uf := mrf.NewUnionFind(n)

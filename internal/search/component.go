@@ -45,7 +45,9 @@ type ComponentResult struct {
 // keeping the lowest-cost state per component — the behaviour Theorem 3.1
 // proves exponentially better than monolithic WalkSAT on multi-component
 // MRFs. Components are taken in index order by a worker pool, or run on
-// the caller's goroutine at Parallelism 1 (eachComponent). The
+// the caller's goroutine at Parallelism 1 (eachComponent); with a memo and
+// no Tracker, the first component over each distinct network goes first,
+// in one such pass, and the rest in a second. The
 // components' local MRFs must be immutable from here on: their search
 // indexes are built once and shared (see RunComponent).
 //
@@ -91,7 +93,7 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 		opts.Base.Tracker.Record(trackedCost)
 	}
 
-	eachComponent(ctx, len(comps), opts.Parallelism, func(idx int, sc *Scratch) {
+	run := func(idx int, sc *Scratch) {
 		comp := comps[idx]
 		r := RunComponent(ctx, comp, idx, int64(totalAtoms), opts.Base, opts.Memo, sc)
 		if r.Best == nil {
@@ -106,7 +108,21 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 			opts.Base.Tracker.Record(trackedCost)
 		}
 		mu.Unlock()
-	})
+	}
+	if opts.Memo == nil || opts.Base.Tracker != nil {
+		eachComponent(ctx, len(comps), opts.Parallelism, run)
+	} else {
+		// Components that share one network (a decomposition's parts of
+		// equal content) all have one memo entry: the first of each is
+		// searched before any other, which then hits the memo whatever the
+		// workers' timing, so the memo's counters are a function of the
+		// components alone.
+		first, rest := byNetwork(comps)
+		eachComponent(ctx, len(first), opts.Parallelism, func(i int, sc *Scratch) { run(first[i], sc) })
+		if len(rest) > 0 {
+			eachComponent(ctx, len(rest), opts.Parallelism, func(i int, sc *Scratch) { run(rest[i], sc) })
+		}
+	}
 
 	res.Best = global
 	res.BestCost = parent.FixedCost
@@ -120,6 +136,21 @@ func ComponentAware(ctx context.Context, parent *mrf.MRF, comps []*mrf.Component
 		return res, Canceled(ctx)
 	}
 	return res, nil
+}
+
+// byNetwork splits the component indexes, in order, into the first
+// component over each distinct network and the rest.
+func byNetwork(comps []*mrf.Component) (first, rest []int) {
+	seen := make(map[*mrf.MRF]bool)
+	for idx, c := range comps {
+		if seen[c.MRF] {
+			rest = append(rest, idx)
+		} else {
+			seen[c.MRF] = true
+			first = append(first, idx)
+		}
+	}
+	return first, rest
 }
 
 // eachComponent calls run for the components 0..n-1 in index order and

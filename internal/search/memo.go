@@ -14,7 +14,11 @@ import (
 // isomorphic components inside one epoch share a single entry. A hit is
 // bit-identical to the run that produced it: the key captures everything the
 // deterministic per-component search depends on, so no invalidation is ever
-// needed for correctness; eviction is FIFO for capacity only.
+// needed for correctness; eviction is FIFO for capacity only. Within one
+// query, reuse is by shared network: an epoch decomposition's parts of
+// equal content share one network (partition.Algorithm3), ComponentAware
+// searches each distinct network before any other part over it, and those
+// parts then hit its entry.
 type ComponentMemo struct {
 	mu      sync.Mutex
 	max     int
