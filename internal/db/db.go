@@ -18,6 +18,7 @@ import (
 	"tuffy/internal/db/sqlparse"
 	"tuffy/internal/db/storage"
 	"tuffy/internal/db/tuple"
+	"tuffy/internal/valueset"
 )
 
 // Config controls engine construction.
@@ -96,7 +97,7 @@ type Table struct {
 	mu sync.RWMutex
 	// distinct[i] holds the values integer column i has ever held (nil
 	// for an integer-list column, which no query filters or joins on).
-	distinct []*valueSet
+	distinct []*valueset.Set
 	hashIdx  map[int]*index.HashIndex // single-column hash indexes by column
 }
 
@@ -120,12 +121,12 @@ func (db *DB) CreateTable(name string, sch tuple.Schema) (*Table, error) {
 		name:     name,
 		sch:      sch,
 		heap:     storage.NewHeapFile(db.pool, file),
-		distinct: make([]*valueSet, sch.Arity()),
+		distinct: make([]*valueset.Set, sch.Arity()),
 		hashIdx:  make(map[int]*index.HashIndex),
 	}
 	for i, c := range sch.Cols {
 		if c.Type == tuple.TInt {
-			t.distinct[i] = new(valueSet)
+			t.distinct[i] = new(valueset.Set)
 		}
 	}
 	db.tables[key] = t
@@ -197,7 +198,7 @@ func (t *Table) DistinctCount(col int) int64 {
 	if col < 0 || col >= len(t.distinct) || t.distinct[col] == nil {
 		return 0
 	}
-	return t.distinct[col].n
+	return t.distinct[col].Len()
 }
 
 // NewScan implements plan.TableMeta.
@@ -237,7 +238,7 @@ func (t *Table) Insert(row tuple.Row) error {
 func (t *Table) noteRowLocked(row tuple.Row, rid storage.RecordID) {
 	for i, d := range t.distinct {
 		if d != nil {
-			d.add(row[i].I)
+			d.Add(row[i].I)
 		}
 	}
 	for col, idx := range t.hashIdx {

@@ -3,6 +3,7 @@ package mln
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrConstantNotInDomain is returned (wrapped) by Evidence.Apply when a delta
@@ -56,29 +57,31 @@ func (d *Delta) Preds() map[*Predicate]bool {
 // itself, without the closed-world default (TruthOf applies it). ok is false
 // when the tuple is absent.
 func (e *Evidence) Get(pred *Predicate, args []int32) (Truth, bool) {
-	t, ok := e.tables[pred]
-	if !ok {
+	r := e.rel(pred)
+	if r == nil || len(args) != r.arity {
 		return Unknown, false
 	}
-	v, ok := t[argKey(args)]
-	return v, ok
+	if s := r.find(args); s >= 0 && r.truths[s] != removed {
+		return r.truths[s], true
+	}
+	return Unknown, false
 }
 
 // Remove retracts pred(args...) from the evidence, reporting whether the
-// tuple was present. The deterministic ForEach order of the remaining tuples
-// is unchanged: ForEach sorts the packed keys on every call, so deletions
-// leave the relative order of survivors intact.
+// tuple was present. Its slot stays as a tombstone that a later Upsert of
+// the same tuple revives; ForEach orders by the arguments, never by slot,
+// so the order of the survivors is unchanged.
 func (e *Evidence) Remove(pred *Predicate, args []int32) bool {
-	t, ok := e.tables[pred]
-	if !ok {
+	r := e.rel(pred)
+	if r == nil || len(args) != r.arity {
 		return false
 	}
-	k := argKey(args)
-	if _, ok := t[k]; !ok {
+	s := r.find(args)
+	if s < 0 || r.truths[s] == removed {
 		return false
 	}
-	delete(t, k)
-	e.counts[pred]--
+	r.truths[s] = removed
+	r.live--
 	e.total--
 	return true
 }
@@ -86,25 +89,22 @@ func (e *Evidence) Remove(pred *Predicate, args []int32) bool {
 // Upsert sets the truth of pred(args...) to t, creating the tuple if absent
 // and retracting it when t is Unknown. Unlike Assert it does not grow the
 // typed domains — callers mutating a live Engine must stay inside the
-// existing grounding universe (see ErrConstantNotInDomain). It returns the
-// previous recorded truth (Unknown, false when the tuple was absent).
+// existing grounding universe (see ErrConstantNotInDomain). args must have
+// pred's arity. It returns the previous recorded truth (Unknown, false when
+// the tuple was absent).
 func (e *Evidence) Upsert(pred *Predicate, args []int32, t Truth) (prev Truth, existed bool) {
-	prev, existed = e.Get(pred, args)
 	if t == Unknown {
+		prev, existed = e.Get(pred, args)
 		e.Remove(pred, args)
 		return prev, existed
 	}
-	tbl := e.tables[pred]
-	if tbl == nil {
-		tbl = make(map[string]Truth)
-		e.tables[pred] = tbl
+	if len(args) != pred.Arity() {
+		panic(fmt.Sprintf("mln: upsert of %s with %d args, want %d", pred.Name, len(args), pred.Arity()))
 	}
-	k := argKey(args)
+	prev, existed = e.relFor(pred).set(args, t)
 	if !existed {
-		e.counts[pred]++
 		e.total++
 	}
-	tbl[k] = t
 	return prev, existed
 }
 
@@ -149,15 +149,12 @@ func (e *Evidence) Apply(d Delta) (inverse Delta, err error) {
 // Used to build the "merged evidence" reference that incremental updates are
 // checked against.
 func (e *Evidence) Clone() *Evidence {
-	out := NewEvidence(e.prog)
-	for pred, t := range e.tables {
-		nt := make(map[string]Truth, len(t))
-		for k, v := range t {
-			nt[k] = v
+	out := &Evidence{prog: e.prog, rels: make([]*relation, len(e.rels)), total: e.total}
+	for i, r := range e.rels {
+		if r != nil {
+			out.rels[i] = &relation{pred: r.pred, arity: r.arity, args: slices.Clone(r.args),
+				truths: slices.Clone(r.truths), index: slices.Clone(r.index), live: r.live}
 		}
-		out.tables[pred] = nt
-		out.counts[pred] = e.counts[pred]
 	}
-	out.total = e.total
 	return out
 }

@@ -9,38 +9,110 @@ package mln
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
+
+	"tuffy/internal/valueset"
 )
 
 // Symbols interns constant names to dense int32 identifiers. All constants in
 // a Program share one symbol table so that grounded atoms can be compared by
 // integer id, exactly as the RDBMS layer stores them.
+//
+// The table is flat: names[id] is the name, copied out of the text it was
+// parsed from so that no parser line stays pinned, and slots is an
+// open-addressed table over the names' hashes holding id+1 (0 is empty),
+// at most half full. The copies are packed back to back into chunks.
 type Symbols struct {
-	byName map[string]int32
-	names  []string
+	names []string
+	slots []int32
+	chunk strings.Builder // the chunk the next names are copied into
 }
 
 // NewSymbols returns an empty symbol table.
-func NewSymbols() *Symbols {
-	return &Symbols{byName: make(map[string]int32)}
-}
+func NewSymbols() *Symbols { return &Symbols{} }
 
 // Intern returns the id for name, assigning a fresh one if needed.
 func (s *Symbols) Intern(name string) int32 {
-	if id, ok := s.byName[name]; ok {
-		return id
+	if 2*(len(s.names)+1) > len(s.slots) {
+		s.grow()
+	}
+	i, mask := s.home(name), len(s.slots)-1
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if id := s.slots[i] - 1; s.names[id] == name {
+			return id
+		}
 	}
 	id := int32(len(s.names))
-	s.byName[name] = id
-	s.names = append(s.names, name)
+	s.names = append(s.names, s.keep(name))
+	s.slots[i] = id + 1
 	return id
+}
+
+// maxChunk bounds the chunks names are copied into; a name longer than an
+// eighth of it is copied alone.
+const maxChunk = 4096
+
+// keep returns a copy of name. Names are appended to a chunk whose capacity
+// never grows, so the strings already cut from it stay valid and are never
+// written again; a full chunk is left to the names it holds, and the next
+// one is twice as large, up to maxChunk.
+func (s *Symbols) keep(name string) string {
+	if len(name) > maxChunk/8 {
+		return strings.Clone(name)
+	}
+	if s.chunk.Cap()-s.chunk.Len() < len(name) {
+		size := min(maxChunk, max(64, 2*s.chunk.Cap()))
+		s.chunk = strings.Builder{}
+		s.chunk.Grow(size)
+	}
+	start := s.chunk.Len()
+	s.chunk.WriteString(name)
+	return s.chunk.String()[start:]
 }
 
 // Lookup returns the id for name and whether it has been interned.
 func (s *Symbols) Lookup(name string) (int32, bool) {
-	id, ok := s.byName[name]
-	return id, ok
+	if len(s.slots) == 0 {
+		return 0, false
+	}
+	i, mask := s.home(name), len(s.slots)-1
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if id := s.slots[i] - 1; s.names[id] == name {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// home is name's first probe in slots: FNV-1a over its bytes, spread over
+// the table's bits by a Fibonacci multiply.
+func (s *Symbols) home(name string) int {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return fibSlot(h, len(s.slots))
+}
+
+// grow doubles slots (to 16 at first) and reinserts every id.
+func (s *Symbols) grow() {
+	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	mask := len(s.slots) - 1
+	for id, name := range s.names {
+		i := s.home(name)
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(id) + 1
+	}
+}
+
+// fibSlot maps a hash to a slot of a power-of-two table of n slots by its
+// top bits after a multiply by 2^64/φ, so every input bit reaches the slot.
+func fibSlot(h uint64, n int) int {
+	return int((h * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros(uint(n))))
 }
 
 // Name returns the string for an interned id.
@@ -55,31 +127,30 @@ func (s *Symbols) Name(id int32) string {
 func (s *Symbols) Len() int { return len(s.names) }
 
 // Domain is the set of constants of one declared type (e.g. "paper").
+// Consts keeps them in insertion order; membership is a bitset over a window
+// of symbol ids (a map only for ids outside it).
 type Domain struct {
 	Name   string
 	Consts []int32
-	set    map[int32]struct{}
+	set    valueset.Set
 }
 
 // NewDomain returns an empty domain with the given type name.
 func NewDomain(name string) *Domain {
-	return &Domain{Name: name, set: make(map[int32]struct{})}
+	return &Domain{Name: name}
 }
 
 // Add inserts a constant id into the domain if not already present.
 func (d *Domain) Add(c int32) {
-	if _, ok := d.set[c]; ok {
+	if d.set.Contains(int64(c)) {
 		return
 	}
-	d.set[c] = struct{}{}
+	d.set.Add(int64(c))
 	d.Consts = append(d.Consts, c)
 }
 
 // Contains reports whether c is a member of the domain.
-func (d *Domain) Contains(c int32) bool {
-	_, ok := d.set[c]
-	return ok
-}
+func (d *Domain) Contains(c int32) bool { return d.set.Contains(int64(c)) }
 
 // Size returns the number of constants in the domain.
 func (d *Domain) Size() int { return len(d.Consts) }
@@ -287,9 +358,7 @@ func (p *Program) DeclarePredicate(name string, argTypes []string, closed bool) 
 	p.Preds = append(p.Preds, pred)
 	p.predByName[name] = pred
 	for _, t := range argTypes {
-		if p.Domains[t] == nil {
-			p.Domains[t] = NewDomain(t)
-		}
+		p.Domain(t)
 	}
 	return pred, nil
 }
@@ -360,21 +429,18 @@ func (p *Program) AddClause(c *Clause) error {
 // type (creating the domain if needed).
 func (p *Program) Constant(typeName, name string) int32 {
 	id := p.Syms.Intern(name)
-	d := p.Domains[typeName]
-	if d == nil {
-		d = NewDomain(typeName)
-		p.Domains[typeName] = d
-	}
-	d.Add(id)
+	p.Domain(typeName).Add(id)
 	return id
 }
 
-// Domain returns the domain for a type name, creating it if absent.
+// Domain returns the domain for a type name, creating it if absent. A new
+// domain keeps a copy of the name, not the text it was parsed from (a
+// domain declaration's line holds every constant).
 func (p *Program) Domain(typeName string) *Domain {
 	d := p.Domains[typeName]
 	if d == nil {
-		d = NewDomain(typeName)
-		p.Domains[typeName] = d
+		d = NewDomain(strings.Clone(typeName))
+		p.Domains[d.Name] = d
 	}
 	return d
 }

@@ -2,6 +2,7 @@ package mln
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +255,21 @@ func TestEvidenceForEachRoundTrip(t *testing.T) {
 			t.Fatalf("missing tuple %v", k)
 		}
 	}
+}
+
+// argKey packs an argument tuple little-endian, 4 bytes an argument: the
+// map key the evidence store used before it became flat tables, kept here
+// as the reference for ForEach's order (ascending argKey).
+func argKey(args []int32) string {
+	var b strings.Builder
+	b.Grow(len(args) * 4)
+	for _, v := range args {
+		b.WriteByte(byte(v))
+		b.WriteByte(byte(v >> 8))
+		b.WriteByte(byte(v >> 16))
+		b.WriteByte(byte(v >> 24))
+	}
+	return b.String()
 }
 
 func TestEvidenceArgKeyRoundTripProperty(t *testing.T) {

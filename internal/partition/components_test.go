@@ -135,10 +135,12 @@ func within[T any](x *T, s []T) bool {
 }
 
 // requireWindows asserts every part of pt whose network no other part
-// shares is a window into pt.Source: its clause arrays are the parent's
-// own, and its literals those of the parent (for the part over atoms 1..k)
-// or of the one renumbered copy all other such parts share. It returns
-// whether any part views the renumbered copy.
+// shares is laid out as layout promises for contiguous parts: the part over
+// atoms 1..k is a window into pt.Source (its clause arrays and literals the
+// parent's own), and every other part is a window into the parent's clause
+// arrays and the one renumbered copy all such parts share — or, when there
+// is no copy, holds its clauses in arrays of its own. It returns whether any
+// part views the renumbered copy.
 func requireWindows(t *testing.T, name string, pt *Partitioning) (renumbered bool) {
 	t.Helper()
 	m := pt.Source
@@ -150,13 +152,17 @@ func requireWindows(t *testing.T, name string, pt *Partitioning) (renumbered boo
 		if p.Local.NumClauses() == 0 || holders[p.Local] > 1 {
 			continue
 		}
-		if !within(&p.Local.W[0], m.W) || !within(&p.Local.Off[0], m.Off) {
-			t.Fatalf("%s: part %d copied its clauses", name, pi)
-		}
 		want, of := m.Lits, "the parent's"
 		if k := p.NumAtoms(); int(p.GlobalAtom[k]) != k {
+			if pt.renumbered == nil {
+				requireOwnArrays(t, name, []*Part{p}, m.W, m.Off, m.Lits)
+				continue
+			}
 			want, of = pt.renumbered, "the shared renumbered"
 			renumbered = true
+		}
+		if !within(&p.Local.W[0], m.W) || !within(&p.Local.Off[0], m.Off) {
+			t.Fatalf("%s: part %d copied its clauses", name, pi)
 		}
 		if len(want) == 0 || &p.Local.Lits[0] != &want[0] {
 			t.Fatalf("%s: part %d's literals are not a view of %s array", name, pi, of)
@@ -188,16 +194,23 @@ func requireOwnArrays(t *testing.T, name string, parts []*Part, w []float64, off
 // into it: nothing is copied but the renumbered literals, once for all
 // parts, and the part over atoms 1..k (a one-part network: the whole
 // network) not even those. The renumbered copy exists only when a window
-// views it: never when every part shares its network with another, as
-// IE's do at 1 500 chains.
+// views it, and only when it costs less than those parts' own clauses
+// would in arenas: never when every part shares its network with another,
+// as IE's do at 1 500 chains, nor when a few parts of distinct content
+// stand beside many shared ones, as IE's at 40 chains.
 func TestContiguousPartsAreWindows(t *testing.T) {
-	for name, m := range map[string]*mrf.MRF{
-		"three parts": network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7}),
-		"blocks":      starBlocksMRF(rand.New(rand.NewSource(46)), 600, 1500),
-		"ie":          ground(t, datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})),
-		"ie shared":   ground(t, datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1})),
-		"one part":    network(t, 3, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}),
+	for _, tc := range []struct {
+		name string
+		m    *mrf.MRF
+		copy bool // whether the renumbered copy is cheaper than arenas
+	}{
+		{"three parts", network(t, 7, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}, []mrf.Lit{-4, 5}, []mrf.Lit{6, 7}, []mrf.Lit{7}), true},
+		{"blocks", starBlocksMRF(rand.New(rand.NewSource(46)), 600, 1500), true},
+		{"ie", ground(t, datagen.IE(datagen.IEConfig{Chains: 40, Seed: 3})), false},
+		{"ie shared", ground(t, datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1})), false},
+		{"one part", network(t, 3, []mrf.Lit{1, -2}, []mrf.Lit{2, 3}), false},
 	} {
+		name, m := tc.name, tc.m
 		pt := Algorithm3(m, 0)
 		if err := pt.Validate(); err != nil {
 			t.Fatal(err)
@@ -219,8 +232,8 @@ func TestContiguousPartsAreWindows(t *testing.T) {
 		if viewed := requireWindows(t, name, pt); viewed != (pt.renumbered != nil) {
 			t.Fatalf("%s: a window views the renumbered copy: %v, copy allocated: %v", name, viewed, pt.renumbered != nil)
 		}
-		if want := name != "one part" && name != "ie shared"; (pt.renumbered != nil) != want {
-			t.Fatalf("%s: renumbered copy allocated: %v, want %v", name, pt.renumbered != nil, want)
+		if (pt.renumbered != nil) != tc.copy {
+			t.Fatalf("%s: renumbered copy allocated: %v, want %v", name, pt.renumbered != nil, tc.copy)
 		}
 	}
 }

@@ -164,9 +164,11 @@ func greedyParts(m *mrf.MRF, beta int) ([]int32, []*Part) {
 // and its literals sit at the same positions of one copy of Source.Lits
 // renumbered to local ids, which all such parts share — or of Source.Lits
 // itself for the part over atoms 1..k, whose local ids are its global ones
-// (a one-part network is held once). Otherwise these parts' clauses go into
-// one arena per array, and only the part over atoms 1..k is still a window,
-// when its own clauses are contiguous.
+// (a one-part network is held once). The copy is made only when it costs
+// less than these parts' own clauses would in arenas. Otherwise (and when
+// the clauses are not contiguous) these parts' clauses go into one arena
+// per array, and only the part over atoms 1..k is still a window, when its
+// own clauses are contiguous.
 //
 // A part that already has its network (one Repair reuses) keeps it, and a
 // class takes the network its first such member has, unless the parts are
@@ -194,6 +196,22 @@ func (pt *Partitioning) layout() {
 		}
 	}
 
+	// Windowed singletons other than the identity part view the renumbered
+	// copy of all of Source.Lits: worth it only when their own clauses
+	// would cost more in arenas (W, Off and Lits: 12 bytes a clause and 4 a
+	// literal) than the copy's 4 bytes a parent literal, which is not so
+	// after an update leaves a few parts of new content.
+	copyLits := false
+	if c.windows {
+		own := 0
+		for pi, p := range pt.Parts {
+			if members[rep[pi]] == 1 && c.n[pi] > 0 && !identity(p) {
+				own += 12*c.n[pi] + 4*(p.SizeUnits-c.atoms(pi))
+			}
+		}
+		copyLits = own >= 4*len(m.Lits)
+	}
+
 	inArena := make([]bool, np)
 	var nc, no, nl int
 	for pi, p := range pt.Parts {
@@ -210,13 +228,12 @@ func (pt *Partitioning) layout() {
 		k := len(p.GlobalAtom) - 1
 		p.Local = mrf.New(k)
 		f, l := c.first[pi], c.last[pi]
-		identity := k > 0 && int(p.GlobalAtom[k]) == k
 		switch {
 		case c.n[pi] == 0:
-		case c.windows || identity && l-f+1 == c.n[pi]:
+		case identity(p) && l-f+1 == c.n[pi], c.windows && copyLits:
 			end := m.Off[l+1]
 			lits := m.Lits
-			if !identity {
+			if !identity(p) {
 				if pt.renumbered == nil {
 					pt.renumbered = make([]mrf.Lit, len(m.Lits))
 				}
@@ -249,6 +266,13 @@ func (pt *Partitioning) layout() {
 			buf = c.appendTo(p.Local, pi, buf)
 		}
 	}
+}
+
+// identity reports whether part p is over atoms 1..k, so that its local ids
+// are its global ones.
+func identity(p *Part) bool {
+	k := len(p.GlobalAtom) - 1
+	return k > 0 && int(p.GlobalAtom[k]) == k
 }
 
 // scan collects the cut, sets each part's SizeUnits and notes where the

@@ -109,7 +109,6 @@ type engine struct {
 	satCount   []int32
 	viol       []int32 // violated clause ids (positions tracked below)
 	violPos    []int32 // clause -> index in viol, -1 if absent
-	cost       float64 // guided cost (hard clauses at hardW)
 	hardViol   int
 	softCost   float64
 	fixedExtra float64 // from MRF.FixedCost
@@ -207,12 +206,11 @@ func resize[T any](s []T, n int) []T {
 func (e *engine) clause(ci int32) []mrf.Lit { return e.lits[e.off[ci]:e.off[ci+1]] }
 
 // addViol puts a clause that just became violated into the violated set
-// and its weight into the costs.
+// and counts it as a hard violation or in the soft cost.
 func (e *engine) addViol(ci int32) {
 	e.violPos[ci] = int32(len(e.viol))
 	e.viol = append(e.viol, ci)
 	r := &e.rows[ci]
-	e.cost += r.w
 	if r.hard {
 		e.hardViol++
 	} else {
@@ -230,7 +228,6 @@ func (e *engine) removeViol(ci int32) {
 	e.viol = e.viol[:len(e.viol)-1]
 	e.violPos[ci] = -1
 	r := &e.rows[ci]
-	e.cost -= r.w
 	if r.hard {
 		e.hardViol--
 	} else {
@@ -242,7 +239,6 @@ func (e *engine) removeViol(ci int32) {
 func (e *engine) reset(state []bool) {
 	copy(e.state, state)
 	e.viol = e.viol[:0]
-	e.cost = 0
 	e.softCost = 0
 	e.hardViol = 0
 	for ci := range e.rows {

@@ -1,26 +1,42 @@
-package db
+// Package valueset holds an exact set of int64 values that are mostly a
+// dense non-negative run: the database's column statistics (the planner's
+// V(R, c)) and the MLN front end's domain membership.
+package valueset
 
-// valueSet is the exact set of values one integer column has ever held; its
-// size is the planner's V(R, c). The values the engine writes — symbol ids,
-// aids and truths — are dense non-negative runs, so they are kept as bits of
-// a window of words (word i covers the values (base+i)·64 … (base+i)·64+63);
-// any value outside the window sits in an overflow map. A value counts once
+// Set is an exact set of int64 values. The values the engine keeps — symbol
+// ids, aids and truths — are dense non-negative runs, so they are kept as
+// bits of a window of words (word i covers the values (base+i)·64 …
+// (base+i)·64+63); any value outside the window sits in an overflow map. A value counts once
 // whichever side holds it: adding one the map holds after the window has
 // grown over it moves it to the bits.
 //
 // The window grows only while it spans at most one word per value held,
 // counting the one being added, and allocates at most twice that, so the set
 // takes O(distinct values) memory for any input: a sparse or negative column
-// degrades to the map, never to a huge bitset.
-type valueSet struct {
+// degrades to the map, never to a huge bitset. The zero Set is empty.
+type Set struct {
 	words []uint64
 	base  int64 // word index of words[0]
 	over  map[int64]struct{}
 	n     int64 // distinct values held, bits and map together
 }
 
-// add inserts v.
-func (s *valueSet) add(v int64) {
+// Len returns the number of distinct values added.
+func (s *Set) Len() int64 { return s.n }
+
+// Contains reports whether v was added.
+func (s *Set) Contains(v int64) bool {
+	if w := v >> 6; v >= 0 && w >= s.base && w < s.base+int64(len(s.words)) {
+		if s.words[w-s.base]&(1<<(v&63)) != 0 {
+			return true
+		}
+	}
+	_, ok := s.over[v]
+	return ok
+}
+
+// Add inserts v.
+func (s *Set) Add(v int64) {
 	if v >= 0 && s.cover(v>>6) {
 		i, bit := v>>6-s.base, uint64(1)<<(v&63)
 		if s.words[i]&bit != 0 {
@@ -49,7 +65,7 @@ func (s *valueSet) add(v int64) {
 // being added counted). A growth adds up to the window's length again on the
 // side of w, within twice that budget, so a column filled in ascending or
 // descending order copies each word O(1) times amortized.
-func (s *valueSet) cover(w int64) bool {
+func (s *Set) cover(w int64) bool {
 	if len(s.words) == 0 {
 		s.words, s.base = make([]uint64, 1), w
 		return true

@@ -1,22 +1,26 @@
-package db
+package valueset
 
 import (
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"tuffy/internal/db/storage"
-	"tuffy/internal/db/tuple"
 )
 
-// checkValueSet compares s with the reference set and checks the footprint
-// invariants: at most two words per value held (plus one) and no more map
-// entries than values.
-func checkValueSet(t *testing.T, s *valueSet, ref map[int64]struct{}, step string) {
+// checkValueSet compares s with the reference set, members and their
+// neighbours, and checks the footprint invariants: at most two words per
+// value held (plus one) and no more map entries than values.
+func checkValueSet(t *testing.T, s *Set, ref map[int64]struct{}, step string) {
 	t.Helper()
-	if s.n != int64(len(ref)) {
-		t.Fatalf("%s: count %d, reference %d", step, s.n, len(ref))
+	if s.Len() != int64(len(ref)) {
+		t.Fatalf("%s: count %d, reference %d", step, s.Len(), len(ref))
+	}
+	for v := range ref {
+		for _, u := range []int64{v - 1, v, v + 1} {
+			if _, want := ref[u]; s.Contains(u) != want {
+				t.Fatalf("%s: Contains(%d) = %v, want %v", step, u, !want, want)
+			}
+		}
 	}
 	if w := int64(len(s.words)); w > 2*(s.n+1) {
 		t.Fatalf("%s: %d words for %d values", step, w, s.n)
@@ -39,10 +43,10 @@ func checkValueSet(t *testing.T, s *valueSet, ref map[int64]struct{}, step strin
 func TestValueSetMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var s valueSet
+		var s Set
 		ref := make(map[int64]struct{})
 		add := func(v int64) {
-			s.add(v)
+			s.Add(v)
 			ref[v] = struct{}{}
 		}
 		// Values far above a one-word window land in the map...
@@ -99,10 +103,10 @@ func TestValueSetMatchesMap(t *testing.T) {
 		}
 		checkValueSet(t, &s, ref, "mixed")
 		// A descending run below the window's base moves it down.
-		var d valueSet
+		var d Set
 		dref := make(map[int64]struct{})
 		for v := int64(1 << 20); v >= 1<<19; v -= 1 + int64(rng.Intn(5)) {
-			d.add(v)
+			d.Add(v)
 			dref[v] = struct{}{}
 		}
 		checkValueSet(t, &d, dref, "descending")
@@ -133,9 +137,9 @@ func TestValueSetMemoryBound(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		s := new(valueSet)
+		s := new(Set)
 		for i := 0; i < n; i++ {
-			s.add(sh.value(i, rng))
+			s.Add(sh.value(i, rng))
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
@@ -147,78 +151,5 @@ func TestValueSetMemoryBound(t *testing.T) {
 			t.Errorf("%s: %d bytes held for %d values, limit %d", sh.name, held, n, limit)
 		}
 		runtime.KeepAlive(s)
-	}
-}
-
-// TestDistinctCountThroughWritePaths drives a table through inserts,
-// updates, deletes and revives and checks DistinctCount against every value
-// ever written: deletes never decrement the statistic.
-func TestDistinctCountThroughWritePaths(t *testing.T) {
-	d := Open(Config{})
-	tab, err := d.CreateTable("t", tuple.NewSchema(tuple.Col("a", tuple.TInt), tuple.Col("b", tuple.TInt)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	refs := [2]map[int64]struct{}{{}, {}}
-	value := func() int64 {
-		switch rng.Intn(4) {
-		case 0:
-			return -rng.Int63n(50)
-		case 1:
-			return math.MaxInt64 - rng.Int63n(50)
-		default:
-			return rng.Int63n(5_000)
-		}
-	}
-	row := func() tuple.Row {
-		r := tuple.Row{tuple.I64(value()), tuple.I64(value())}
-		refs[0][r[0].I], refs[1][r[1].I] = struct{}{}, struct{}{}
-		return r
-	}
-	var live, dead []storage.RecordID
-	for round := 0; round < 40; round++ {
-		var rows []tuple.Row
-		for i := 0; i < 50; i++ {
-			rows = append(rows, row())
-		}
-		if err := tab.InsertMany(rows); err != nil {
-			t.Fatal(err)
-		}
-		live = live[:0]
-		if err := tab.ScanRows(func(rid storage.RecordID, _ tuple.Row) error {
-			live = append(live, rid)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-		upd, del := live[:10], live[10:20]
-		var urows []tuple.Row
-		for range upd {
-			urows = append(urows, row())
-		}
-		if err := tab.UpdateMany(upd, urows); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.DeleteMany(del); err != nil {
-			t.Fatal(err)
-		}
-		dead = append(dead, del...)
-		if k := min(len(dead), 5); round%2 == 1 && k > 0 {
-			var rrows []tuple.Row
-			for range dead[:k] {
-				rrows = append(rrows, row())
-			}
-			if err := tab.ReviveMany(dead[:k], rrows); err != nil {
-				t.Fatal(err)
-			}
-			dead = dead[k:]
-		}
-		for col, ref := range refs {
-			if got := tab.DistinctCount(col); got != int64(len(ref)) {
-				t.Fatalf("round %d col %d: DistinctCount %d, want %d", round, col, got, len(ref))
-			}
-		}
 	}
 }

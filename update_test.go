@@ -257,17 +257,21 @@ func TestUpdateEvidenceMatchesFreshGround(t *testing.T) {
 
 // An update re-folds the network the way Ground folds it and keeps no second
 // copy of the fold beside it: the engine's live heap after a 20-op update,
-// and after its inverse, stays within a quarter of what Ground plus one MAP
-// query left. RC at rc-serve size repairs a decomposition held in arenas,
-// whose reused parts carry over; IE's parts are windows into the network,
-// which the repair lays out anew instead of pinning the old epoch's.
+// and after its inverse, stays near what Ground plus one MAP query left. RC
+// at rc-serve size repairs a decomposition held in arenas, whose reused
+// parts carry over (within a quarter). IE's parts are windows into the
+// network or share one network per content, which the repair lays out anew
+// instead of pinning the old epoch's; the few parts of new content an update
+// leaves go into arenas rather than a renumbered copy of the whole network,
+// so IE stays within 5 %.
 func TestUpdateHoldsNoSecondFold(t *testing.T) {
 	for _, tc := range []struct {
-		ds   *datagen.Dataset
-		pred string
+		ds    *datagen.Dataset
+		pred  string
+		bound float64
 	}{
-		{rcServe(), "refers"},
-		{datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1}), "hint"},
+		{rcServe(), "refers", 1.25},
+		{datagen.IE(datagen.IEConfig{Chains: 1500, Seed: 1}), "hint", 1.05},
 	} {
 		t.Run(tc.ds.Name, func(t *testing.T) {
 			ev := tc.ds.Ev.Clone()
@@ -297,7 +301,7 @@ func TestUpdateHoldsNoSecondFold(t *testing.T) {
 				when  string
 				bytes int64
 			}{{"after the update", updated}, {"after its inverse", back}} {
-				if ratio := float64(h.bytes) / float64(grounded); ratio > 1.25 {
+				if ratio := float64(h.bytes) / float64(grounded); ratio > tc.bound {
 					t.Errorf("engine heap %s: %.1f MB, %.2f× the %.1f MB after Ground", h.when, float64(h.bytes)/(1<<20), ratio, float64(grounded)/(1<<20))
 				}
 			}
