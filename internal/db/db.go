@@ -512,10 +512,12 @@ func (db *DB) selectEach(sel *plan.SelectStmt, fn func(tuple.Row) error) (tuple.
 	if err != nil {
 		return tuple.Schema{}, err
 	}
+	// Close follows Open on every path: an Open that failed part-way (a
+	// join's build side hitting an error) may hold open scans.
+	defer it.Close()
 	if err := it.Open(); err != nil {
 		return tuple.Schema{}, err
 	}
-	defer it.Close()
 	for {
 		row, ok, err := it.Next()
 		if err != nil || !ok {

@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
-	"tuffy/internal/db/storage"
 	"tuffy/internal/db/tuple"
 )
 
@@ -92,43 +92,42 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 }
 
 // A hash-range restricted SeqScan splits a heap into Mod disjoint parts
-// whose union is the unrestricted scan, in heap order within each part; a
+// whose union is the unrestricted scan: each residue's rows are exactly the
+// unrestricted scan's rows that hash into it, in the same order, on an
+// integer and on a list column of a multi-page table with tombstones. A
 // restriction on a column the schema lacks fails at Open.
 func TestSeqScanHashRange(t *testing.T) {
-	sch := intSchema("k", "v")
-	heap := storage.NewHeapFile(storage.NewBufferPool(storage.NewMemDisk(), 16), 1)
-	for i := int64(0); i < 300; i++ {
-		rec, err := tuple.Encode(sch, tuple.Row{tuple.I64(i % 37), tuple.I64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := heap.Insert(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, err := Collect(NewSeqScan(heap, sch))
+	rng := rand.New(rand.NewSource(7))
+	heap, _ := heapOf(t, newPool(8), listSchema, listRows(rng, 2500, 40), func(i int) bool { return i%5 == 1 })
+	full, err := Collect(NewSeqScan(heap, listSchema))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const mod = 5
-	seen := make(map[int64]bool)
-	for rem := uint32(0); rem < mod; rem++ {
-		part, err := Collect(&SeqScan{Heap: heap, Sch: sch, Col: 0, Mod: mod, Rem: rem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := int64(-1)
-		for _, r := range part {
-			if uint32(HashValue(r[0])%mod) != rem || seen[r[1].I] || r[1].I <= last {
-				t.Fatalf("rem %d: row %v misplaced, repeated or out of heap order", rem, r)
+	for _, col := range []int{1, 2} {
+		for _, mod := range []uint32{1, 3, 8} {
+			total := 0
+			for rem := uint32(0); rem < mod; rem++ {
+				var want []tuple.Row
+				for _, r := range full {
+					if uint32(HashValue(r[col])%uint64(mod)) == rem {
+						want = append(want, r)
+					}
+				}
+				got, err := Collect(&SeqScan{Heap: heap, Sch: listSchema, Col: col, Mod: mod, Rem: rem})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rowsEqual(got, want) {
+					t.Fatalf("col %d, %d mod %d: %d rows, want %d (or in another order)", col, rem, mod, len(got), len(want))
+				}
+				total += len(got)
 			}
-			seen[r[1].I], last = true, r[1].I
+			if total != len(full) {
+				t.Fatalf("col %d mod %d: residues cover %d rows of %d", col, mod, total, len(full))
+			}
 		}
 	}
-	if len(seen) != len(full) {
-		t.Fatalf("parts cover %d rows, full scan %d", len(seen), len(full))
-	}
-	if _, err := Collect(&SeqScan{Heap: heap, Sch: sch, Col: 2, Mod: mod}); err == nil {
+	if _, err := Collect(&SeqScan{Heap: heap, Sch: listSchema, Col: 3, Mod: 5}); err == nil {
 		t.Fatal("hash range on a missing column accepted")
 	}
 }

@@ -60,10 +60,10 @@ func (v *Values) Schema() tuple.Schema { return v.Sch }
 // Collect drains it and returns all rows (cloned). It Opens and Closes the
 // iterator.
 func Collect(it Iterator) ([]tuple.Row, error) {
+	defer it.Close()
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	defer it.Close()
 	var out []tuple.Row
 	for {
 		row, ok, err := it.Next()

@@ -10,9 +10,14 @@ import (
 
 // Iterator is the Volcano operator interface. Open must be called before
 // Next; Next returns (row, true, nil) per tuple and (nil, false, nil) at end
-// of stream; Close releases resources. Rows returned by Next may be reused
-// by the operator on subsequent calls unless documented otherwise; callers
-// that retain rows must Clone them.
+// of stream; Close releases resources. Close must follow every Open, also
+// one that failed: an operator whose Open stopped part-way releases in
+// Close whatever it had opened.
+//
+// A row returned by Next, and every list it holds, stays valid only until
+// the iterator's next Next or Close: operators reuse their row buffers, so
+// a caller that keeps a row longer must Clone it. (A SeqScan's rows last
+// until the Next that loads the following page.)
 type Iterator interface {
 	Open() error
 	Next() (tuple.Row, bool, error)
@@ -20,20 +25,26 @@ type Iterator interface {
 	Schema() tuple.Schema
 }
 
-// SeqScan reads every live record of a heap file. With Mod > 0 it keeps
-// only the rows whose column Col hashes into residue Rem modulo Mod (a
-// hash-range restriction, see HashValue), tested inside the storage scan
-// callback before a row is kept, so a partitioned scan's transient
-// footprint is 1/Mod of the table rather than all of it.
+// SeqScan reads every live record of a heap file, one page at a time: Next
+// decodes a page's rows into a buffer the scan reuses for every page, with
+// the page pinned only while it is decoded, so a scan allocates the same
+// whatever the table's size. A file larger than a quarter of the buffer
+// pool holds a scan cursor from Open to Close (storage.HeapFile.OpenScan).
+//
+// With Mod > 0 it keeps only the rows whose column Col hashes into residue
+// Rem modulo Mod (a hash-range restriction, see HashValue), tested as each
+// row is decoded, so a row outside the range never leaves the page buffer.
 type SeqScan struct {
 	Heap     *storage.HeapFile
 	Sch      tuple.Schema
 	Col      int
 	Mod, Rem uint32
 
-	rows    []tuple.Row
-	nextIdx int
-	opened  bool
+	pass   storage.PageScan
+	vals   []tuple.Value // the current page's rows, arity-wide runs
+	n      int           // rows of the current page in vals
+	next   int           // next of them Next hands out
+	opened bool
 }
 
 // NewSeqScan constructs a sequential scan.
@@ -41,26 +52,33 @@ func NewSeqScan(heap *storage.HeapFile, sch tuple.Schema) *SeqScan {
 	return &SeqScan{Heap: heap, Sch: sch}
 }
 
-// Open implements Iterator. The scan materializes page-by-page through the
-// buffer pool; decoding happens eagerly so that page pins are short-lived.
+// Open implements Iterator. It begins the pass; pages are read by Next.
 func (s *SeqScan) Open() error {
-	s.rows = s.rows[:0]
-	s.nextIdx = 0
-	s.opened = true
+	s.n, s.next = 0, 0
 	if s.Mod > 0 && (s.Col < 0 || s.Col >= s.Sch.Arity()) {
 		return fmt.Errorf("exec: SeqScan hash range on column %d of %d", s.Col, s.Sch.Arity())
 	}
-	return s.Heap.Scan(func(_ storage.RecordID, rec []byte) error {
-		row, err := tuple.Decode(s.Sch, rec)
-		if err != nil {
-			return err
-		}
-		if s.Mod > 0 && uint32(HashValue(row[s.Col])%uint64(s.Mod)) != s.Rem {
-			return nil
-		}
-		s.rows = append(s.rows, row)
+	s.pass = s.Heap.OpenScan()
+	s.opened = true
+	return nil
+}
+
+// decodeRecord decodes one record into the page buffer's next row and
+// keeps it if it lies in the scan's hash range.
+func (s *SeqScan) decodeRecord(_ storage.RecordID, rec []byte) error {
+	a := len(s.Sch.Cols)
+	if (s.n+1)*a > len(s.vals) {
+		s.vals = append(s.vals, make([]tuple.Value, len(s.vals)+a)...)
+	}
+	row := tuple.Row(s.vals[s.n*a : (s.n+1)*a])
+	if err := tuple.DecodeInto(s.Sch, rec, row); err != nil {
+		return err
+	}
+	if s.Mod > 0 && uint32(HashValue(row[s.Col])%uint64(s.Mod)) != s.Rem {
 		return nil
-	})
+	}
+	s.n++
+	return nil
 }
 
 // Next implements Iterator.
@@ -68,17 +86,25 @@ func (s *SeqScan) Next() (tuple.Row, bool, error) {
 	if !s.opened {
 		return nil, false, fmt.Errorf("exec: SeqScan.Next before Open")
 	}
-	if s.nextIdx >= len(s.rows) {
-		return nil, false, nil
+	for s.next >= s.n {
+		s.n, s.next = 0, 0
+		more, err := s.pass.Page(s.decodeRecord)
+		if err != nil || !more {
+			s.n = 0 // rows decoded before an error are not handed out
+			return nil, false, err
+		}
 	}
-	row := s.rows[s.nextIdx]
-	s.nextIdx++
+	a := len(s.Sch.Cols)
+	row := tuple.Row(s.vals[s.next*a : (s.next+1)*a : (s.next+1)*a])
+	s.next++
 	return row, true, nil
 }
 
-// Close implements Iterator.
+// Close implements Iterator. The page buffer is kept for a reopen (a
+// nested-loop join's inner side is reopened per outer row).
 func (s *SeqScan) Close() error {
-	s.rows = nil
+	s.pass.Close()
+	s.n, s.next = 0, 0
 	s.opened = false
 	return nil
 }

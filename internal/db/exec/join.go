@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tuffy/internal/db/tuple"
 )
 
@@ -46,7 +48,9 @@ func (j *NestedLoopJoin) Next() (tuple.Row, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.leftRow = lrow.Clone()
+			// The left child keeps lrow intact until its next Next, which
+			// comes only once the inner side is exhausted: no clone is needed.
+			j.leftRow = lrow
 			j.haveLeft = true
 			if err := j.Right.Open(); err != nil {
 				return nil, false, err
@@ -92,26 +96,34 @@ func (j *NestedLoopJoin) Schema() tuple.Schema { return j.sch }
 // predicate over the concatenated row.
 //
 // The table is chained and keyed by an integer hash of the key columns
-// (keyHash), never by an encoded key string: build rows sit in one slice in
-// arrival order, each bucket heads a chain through next in that same order,
-// and a probe re-checks key equality on every entry whose hash matches. A
-// left row's matches therefore come out in build-insertion order.
+// (keyHash), never by an encoded key string: build rows sit in arrival
+// order, each bucket heads a chain through next in that same order, and a
+// probe re-checks key equality on every entry whose hash matches. A left
+// row's matches therefore come out in build-insertion order.
+//
+// The build rows are copied into one flat []int64, one arity-wide run per
+// row, so building allocates per growth of that slice and not per row: an
+// integer column holds its value, a list column the index of a copy of its
+// list in lists.
 type HashJoin struct {
 	Left, Right Iterator
 	LeftKeys    []int
 	RightKeys   []int
 	Residual    Expr
 
-	sch     tuple.Schema
-	rows    []tuple.Row // build rows, in arrival order
-	hashes  []uint64    // keyHash of rows[i]
-	next    []int32     // next entry of rows[i]'s bucket chain, -1 at the end
-	buckets []int32     // first entry per bucket (hash & mask), -1 if none
-	mask    uint64
-	probe   uint64 // hash of the current left row's key
-	cur     int32  // next chain entry to test for the current left row
-	leftRow tuple.Row
-	out     tuple.Row
+	sch      tuple.Schema
+	build    []tuple.Column // the right input's columns
+	flat     []int64        // build rows, arity-wide runs in arrival order
+	lists    [][]int64      // the build rows' lists, indexed from flat
+	hashes   []uint64       // keyHash of build row i
+	next     []int32        // next entry of row i's bucket chain, -1 at the end
+	buckets  []int32        // first entry per bucket (hash & mask), -1 if none
+	mask     uint64
+	building bool   // Right is open: the build has not finished
+	probe    uint64 // hash of the current left row's key
+	cur      int32  // next chain entry to test for the current left row
+	leftRow  tuple.Row
+	out      tuple.Row
 }
 
 // NewHashJoin builds a hash join on the given key column positions.
@@ -129,10 +141,20 @@ func keyHash(row tuple.Row, cols []int) uint64 {
 	return h
 }
 
-// keysEqual reports whether the key columns of a and b hold equal values.
-func keysEqual(a tuple.Row, acols []int, b tuple.Row, bcols []int) bool {
-	for i, c := range acols {
-		if !a[c].Equal(b[bcols[i]]) {
+// value returns column c of build row i.
+func (j *HashJoin) value(i int32, c int) tuple.Value {
+	x := j.flat[int(i)*len(j.build)+c]
+	if j.build[c].Type == tuple.TIntList {
+		return tuple.IntList(j.lists[x])
+	}
+	return tuple.I64(x)
+}
+
+// keysMatch reports whether the current left row's key columns equal build
+// row i's.
+func (j *HashJoin) keysMatch(i int32) bool {
+	for k, lc := range j.LeftKeys {
+		if !j.leftRow[lc].Equal(j.value(i, j.RightKeys[k])) {
 			return false
 		}
 	}
@@ -144,10 +166,12 @@ func (j *HashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
+	j.build = j.Right.Schema().Cols
+	j.flat, j.lists, j.hashes = j.flat[:0], j.lists[:0], j.hashes[:0]
+	j.building = true
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
-	j.rows, j.hashes = j.rows[:0], j.hashes[:0]
 	for {
 		row, ok, err := j.Right.Next()
 		if err != nil {
@@ -156,14 +180,22 @@ func (j *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		j.rows = append(j.rows, row.Clone())
 		j.hashes = append(j.hashes, keyHash(row, j.RightKeys))
+		for c, col := range j.build {
+			if col.Type == tuple.TIntList {
+				j.flat = append(j.flat, int64(len(j.lists)))
+				j.lists = append(j.lists, slices.Clone(row[c].List))
+			} else {
+				j.flat = append(j.flat, row[c].I)
+			}
+		}
 	}
+	j.building = false
 	if err := j.Right.Close(); err != nil {
 		return err
 	}
 	size := 1
-	for size < len(j.rows) {
+	for size < len(j.hashes) {
 		size <<= 1
 	}
 	j.mask = uint64(size - 1)
@@ -172,8 +204,8 @@ func (j *HashJoin) Open() error {
 		j.buckets[i] = -1
 	}
 	// Chaining from the last row back leaves every chain in arrival order.
-	j.next = make([]int32, len(j.rows))
-	for i := len(j.rows) - 1; i >= 0; i-- {
+	j.next = make([]int32, len(j.hashes))
+	for i := len(j.hashes) - 1; i >= 0; i-- {
 		b := j.hashes[i] & j.mask
 		j.next[i] = j.buckets[b]
 		j.buckets[b] = int32(i)
@@ -183,16 +215,19 @@ func (j *HashJoin) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
+// Next implements Iterator. A list column of the output aliases the join's
+// copy of the build row's list.
 func (j *HashJoin) Next() (tuple.Row, bool, error) {
 	for {
 		for j.cur >= 0 {
 			i := j.cur
 			j.cur = j.next[i]
-			if j.hashes[i] != j.probe || !keysEqual(j.leftRow, j.LeftKeys, j.rows[i], j.RightKeys) {
+			if j.hashes[i] != j.probe || !j.keysMatch(i) {
 				continue
 			}
-			copy(j.out[len(j.leftRow):], j.rows[i])
+			for c := range j.build {
+				j.out[len(j.leftRow)+c] = j.value(i, c)
+			}
 			pass, err := EvalPred(j.Residual, j.out)
 			if err != nil {
 				return nil, false, err
@@ -214,11 +249,20 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) {
 	}
 }
 
-// Close implements Iterator.
+// Close implements Iterator. It also closes the build side when the build
+// stopped part-way (an error from the right input during Open).
 func (j *HashJoin) Close() error {
-	j.rows, j.hashes, j.next, j.buckets = nil, nil, nil, nil
+	var err error
+	if j.building {
+		err = j.Right.Close()
+		j.building = false
+	}
+	j.flat, j.lists, j.hashes, j.next, j.buckets = nil, nil, nil, nil, nil
 	j.cur = -1
-	return j.Left.Close()
+	if lerr := j.Left.Close(); err == nil {
+		err = lerr
+	}
+	return err
 }
 
 // Schema implements Iterator.

@@ -78,7 +78,8 @@ func sameMultiset(a, b []tuple.Row) bool {
 // heavy key duplication and an integer-list key, the hash, nested-loop and merge
 // joins return the same row multiset, and the hash join returns exactly the
 // string-keyed reference's row order. The left input is projected, so its
-// rows are reused buffers, as a plan's inner operators hand them out.
+// rows are reused buffers, as a plan's inner operators hand them out; the
+// join over the same rows stored in heap files returns them in that order.
 func TestHashJoinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 60; trial++ {
@@ -131,6 +132,18 @@ func TestHashJoinDifferential(t *testing.T) {
 		}
 		if !sameMultiset(hj, nl) {
 			t.Fatalf("trial %d: joins disagree:\nHJ=%v\nNL=%v", trial, hj, nl)
+		}
+		// The same tables stored in heap files: the build side (an
+		// integer-list key on every fourth trial) and the probe side both
+		// stream from SeqScans, and the rows and their order stay the same.
+		lheap, _ := heapOf(t, newPool(8), lsch, lrows, nil)
+		rheap, _ := heapOf(t, newPool(8), rsch, rrows, nil)
+		scanned, err := Collect(NewHashJoin(NewSeqScan(lheap, lsch), NewSeqScan(rheap, rsch), keys, keys, residual))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rowsEqual(scanned, hj) {
+			t.Fatalf("trial %d: hash join over heap files differs:\n got %v\nwant %v", trial, scanned, hj)
 		}
 	}
 }

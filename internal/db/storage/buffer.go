@@ -157,11 +157,16 @@ func (bp *BufferPool) EndScan(sc *ScanCursor) {
 // scan cursor, so point-read behaviour is Hits-ScanHits / Misses-ScanMisses
 // without any double counting of pages a scan evicted and a point read (or
 // another scan) later reloaded.
+//
+// ScansOpen is a gauge, not a counter: the declared scans begun and not yet
+// ended (a streaming scan holds one from its Open to its Close), which
+// ResetStats leaves alone. It reads 0 whenever no scan is running.
 type PoolStats struct {
 	Hits       int64
 	Misses     int64
 	ScanHits   int64
 	ScanMisses int64
+	ScansOpen  int64
 }
 
 // PointHits returns the hits not attributable to a declared scan.
@@ -177,6 +182,7 @@ func (bp *BufferPool) Stats() PoolStats {
 		Misses:     bp.misses.Load(),
 		ScanHits:   bp.scanHits.Load(),
 		ScanMisses: bp.scanMisses.Load(),
+		ScansOpen:  bp.scansOpen.Load(),
 	}
 }
 

@@ -300,12 +300,9 @@ func (h *HeapFile) UpdateBatch(rids []RecordID, recs [][]byte) ([][]byte, error)
 // small table (the violated-clause side table, a partition's clause table)
 // is a hot working set, not a stream, and must stay cacheable.
 func (h *HeapFile) Scan(fn func(rid RecordID, rec []byte) error) error {
-	if int(h.NumPages()) > h.pool.Capacity()/4 {
-		sc := h.pool.BeginScan()
-		defer h.pool.EndScan(sc)
-		return h.ScanWith(sc, fn)
-	}
-	return h.ScanWith(nil, fn)
+	ps := h.OpenScan()
+	defer ps.Close()
+	return ps.rest(fn)
 }
 
 // ScanWith is Scan through a caller-owned cursor, so one pass's page fetch
@@ -314,35 +311,97 @@ func (h *HeapFile) Scan(fn func(rid RecordID, rec []byte) error) error {
 // pre-scan-resistant LRU behaviour, kept as the lesion baseline the
 // searchthru benchmark measures against.
 func (h *HeapFile) ScanWith(sc *ScanCursor, fn func(rid RecordID, rec []byte) error) error {
+	ps := h.pass(sc)
+	return ps.rest(fn)
+}
+
+// PageScan is one pass over a heap file that its caller drives a page at a
+// time: each Page call visits the next page's live records and unpins the
+// page before it returns, so a caller that decodes what it needs during
+// the visit holds no pin between calls. Pages come in file order, over the
+// pages the file had when the pass began. Scan and ScanWith loop over one.
+type PageScan struct {
+	h     *HeapFile
+	sc    *ScanCursor
+	owned bool // sc was begun by OpenScan; Close ends it
+	next  int32
+	pages int32
+}
+
+// OpenScan begins a pass with Scan's cursor policy: a file larger than a
+// quarter of the pool takes a scan cursor, which the pass holds (and the
+// pool's ScansOpen gauge counts) until Close. Every pass counts once in
+// NumScans. The caller must Close the pass, also after an error.
+func (h *HeapFile) OpenScan() PageScan {
+	var sc *ScanCursor
+	if int(h.NumPages()) > h.pool.Capacity()/4 {
+		sc = h.pool.BeginScan()
+	}
+	ps := h.pass(sc)
+	ps.owned = sc != nil
+	return ps
+}
+
+func (h *HeapFile) pass(sc *ScanCursor) PageScan {
 	h.scans.Add(1)
-	n := h.pool.disk.NumPages(h.file)
-	for num := int32(0); num < n; num++ {
-		id := PageID{File: h.file, Num: num}
-		pg, err := h.pool.FetchScan(id, sc)
-		if err != nil {
-			return err
-		}
-		slots := pg.NumRecords()
-		for s := 0; s < slots; s++ {
-			rec, err := pg.Get(s)
-			if err != nil {
-				h.pool.Unpin(id, false)
-				return err
-			}
+	return PageScan{h: h, sc: sc, pages: h.pool.disk.NumPages(h.file)}
+}
+
+// Page calls fn for every live record of the pass's next page, with the
+// page pinned only for the duration, and reports whether there was a page
+// to visit. The byte slice passed to fn aliases the page buffer and is only
+// valid during the call. An error from fn ends the pass and is returned,
+// except ErrStopScan, which ends it without error.
+func (ps *PageScan) Page(fn func(rid RecordID, rec []byte) error) (bool, error) {
+	if ps.next >= ps.pages {
+		return false, nil
+	}
+	id := PageID{File: ps.h.file, Num: ps.next}
+	ps.next++
+	pg, err := ps.h.pool.FetchScan(id, ps.sc)
+	if err != nil {
+		ps.next = ps.pages
+		return false, err
+	}
+	defer ps.h.pool.Unpin(id, false)
+	slots := pg.NumRecords()
+	for s := 0; s < slots; s++ {
+		rec, err := pg.Get(s)
+		if err == nil {
 			if rec == nil {
 				continue // tombstone
 			}
-			if err := fn(RecordID{Page: id, Slot: s}, rec); err != nil {
-				h.pool.Unpin(id, false)
-				if err == ErrStopScan {
-					return nil
-				}
-				return err
-			}
+			err = fn(RecordID{Page: id, Slot: s}, rec)
 		}
-		h.pool.Unpin(id, false)
+		if err != nil {
+			ps.next = ps.pages
+			if err == ErrStopScan {
+				return false, nil
+			}
+			return false, err
+		}
 	}
-	return nil
+	return true, nil
+}
+
+// rest visits every page the pass has not visited yet.
+func (ps *PageScan) rest(fn func(rid RecordID, rec []byte) error) error {
+	for {
+		more, err := ps.Page(fn)
+		if err != nil || !more {
+			return err
+		}
+	}
+}
+
+// Close ends the pass, releasing the scan cursor OpenScan took. It is safe
+// to call more than once.
+func (ps *PageScan) Close() {
+	if ps.owned {
+		ps.h.pool.EndScan(ps.sc)
+		ps.owned = false
+	}
+	ps.next = ps.pages
 }
 
 // ErrStopScan halts Scan early without reporting an error.

@@ -222,3 +222,82 @@ func TestConcurrentScansAndPointReads(t *testing.T) {
 		t.Fatalf("point-read hit rate %.2f; want >=0.9 with a resident working set", resistant)
 	}
 }
+
+// A PageScan visits a file a page at a time in file order and pins nothing
+// between pages; a file larger than a quarter of the pool holds a scan
+// cursor from OpenScan to Close (ScansOpen), a smaller one none, and every
+// pass counts once in NumScans.
+func TestPageScanHoldsCursorUntilClose(t *testing.T) {
+	pool := NewBufferPool(NewMemDisk(), 8)
+	big := fillHeap(t, pool, 1, 6)
+	small := fillHeap(t, pool, 2, 2)
+	for _, c := range []struct {
+		h    *HeapFile
+		open int64
+	}{{big, 1}, {small, 0}} {
+		scans := c.h.NumScans()
+		ps := c.h.OpenScan()
+		if got := pool.Stats().ScansOpen; got != c.open {
+			t.Fatalf("file %d: ScansOpen %d after OpenScan, want %d", c.h.FileID(), got, c.open)
+		}
+		var pages []int32
+		for {
+			more, err := ps.Page(func(rid RecordID, _ []byte) error {
+				if len(pages) == 0 || pages[len(pages)-1] != rid.Page.Num {
+					pages = append(pages, rid.Page.Num)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				break
+			}
+			if pinned := pool.pinnedFrames(); pinned != 0 {
+				t.Fatalf("file %d: %d frames pinned between pages", c.h.FileID(), pinned)
+			}
+		}
+		for i, p := range pages {
+			if p != int32(i) {
+				t.Fatalf("file %d: pages visited %v, want 0..%d in order", c.h.FileID(), pages, c.h.NumPages()-1)
+			}
+		}
+		if len(pages) != int(c.h.NumPages()) {
+			t.Fatalf("file %d: visited %d pages of %d", c.h.FileID(), len(pages), c.h.NumPages())
+		}
+		if got := pool.Stats().ScansOpen; got != c.open {
+			t.Fatalf("file %d: ScansOpen %d before Close, want %d", c.h.FileID(), got, c.open)
+		}
+		ps.Close()
+		ps.Close()
+		if got := pool.Stats().ScansOpen; got != 0 {
+			t.Fatalf("file %d: ScansOpen %d after Close", c.h.FileID(), got)
+		}
+		if got := c.h.NumScans() - scans; got != 1 {
+			t.Fatalf("file %d: one pass counted %d times", c.h.FileID(), got)
+		}
+	}
+	// ErrStopScan ends the pass without error.
+	ps := big.OpenScan()
+	defer ps.Close()
+	if more, err := ps.Page(func(RecordID, []byte) error { return ErrStopScan }); more || err != nil {
+		t.Fatalf("ErrStopScan: more %v, err %v", more, err)
+	}
+	if more, err := ps.Page(func(RecordID, []byte) error { return nil }); more || err != nil {
+		t.Fatalf("after ErrStopScan: more %v, err %v", more, err)
+	}
+}
+
+// pinnedFrames counts the pool's frames with a pin held.
+func (bp *BufferPool) pinnedFrames() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	n := 0
+	for _, f := range bp.frames {
+		if f.pins > 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -218,36 +218,55 @@ func Encode(sch Schema, r Row) ([]byte, error) {
 // Decode deserializes a row previously produced by Encode.
 func Decode(sch Schema, buf []byte) (Row, error) {
 	r := make(Row, sch.Arity())
+	if err := DecodeInto(sch, buf, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeInto deserializes a row previously produced by Encode into dst,
+// which must have the schema's arity. A list column is decoded into the
+// List dst already holds at that position when its capacity suffices, so a
+// caller that decodes into the same rows again allocates only when a list
+// outgrows its predecessor; the decoded lists never alias buf.
+func DecodeInto(sch Schema, buf []byte, dst Row) error {
+	if len(dst) != sch.Arity() {
+		return fmt.Errorf("tuple: decoding into a row of arity %d, schema arity %d", len(dst), sch.Arity())
+	}
 	off := 0
 	for i, c := range sch.Cols {
 		switch c.Type {
 		case TInt:
 			if off+8 > len(buf) {
-				return nil, fmt.Errorf("tuple: truncated int at col %d", i)
+				return fmt.Errorf("tuple: truncated int at col %d", i)
 			}
-			r[i] = I64(int64(binary.LittleEndian.Uint64(buf[off:])))
+			dst[i] = I64(int64(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		case TIntList:
 			if off+4 > len(buf) {
-				return nil, fmt.Errorf("tuple: truncated list len at col %d", i)
+				return fmt.Errorf("tuple: truncated list len at col %d", i)
 			}
 			n := int(binary.LittleEndian.Uint32(buf[off:]))
 			off += 4
 			if off+8*n > len(buf) {
-				return nil, fmt.Errorf("tuple: truncated list at col %d", i)
+				return fmt.Errorf("tuple: truncated list at col %d", i)
 			}
-			list := make([]int64, n)
-			for j := 0; j < n; j++ {
+			list := dst[i].List
+			if list == nil || cap(list) < n {
+				list = make([]int64, n)
+			}
+			list = list[:n]
+			for j := range list {
 				list[j] = int64(binary.LittleEndian.Uint64(buf[off:]))
 				off += 8
 			}
-			r[i] = IntList(list)
+			dst[i] = IntList(list)
 		}
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("tuple: %d trailing bytes", len(buf)-off)
+		return fmt.Errorf("tuple: %d trailing bytes", len(buf)-off)
 	}
-	return r, nil
+	return nil
 }
 
 // EncodeKey builds an order-preserving byte key from a subset of row columns,

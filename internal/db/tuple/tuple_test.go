@@ -60,6 +60,49 @@ func TestDecodeRejectsCorruptBuffers(t *testing.T) {
 	}
 }
 
+// DecodeInto decodes a list into the list its destination already holds
+// when that one is large enough, allocating only when it is not, and never
+// aliases the encoded bytes; a destination of the wrong arity is an error.
+func TestDecodeIntoReusesLists(t *testing.T) {
+	sch := testSchema()
+	enc := func(tags ...int64) []byte {
+		buf, err := Encode(sch, Row{I64(1), I64(2), IntList(tags)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	dst := make(Row, 3)
+	if err := DecodeInto(sch, enc(4, 5, 6), dst); err != nil {
+		t.Fatal(err)
+	}
+	first := &dst[2].List[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := DecodeInto(sch, enc(7), dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 { // the encoded buffer alone
+		t.Fatalf("decoding a shorter list allocates %v times besides the encoding", allocs-1)
+	}
+	if &dst[2].List[0] != first || len(dst[2].List) != 1 || dst[2].List[0] != 7 {
+		t.Fatalf("shorter list not decoded in place: %v", dst[2])
+	}
+	if err := DecodeInto(sch, enc(), dst); err != nil || dst[2].List == nil || len(dst[2].List) != 0 {
+		t.Fatalf("empty list decoded as %#v (err %v)", dst[2].List, err)
+	}
+	buf := enc(8, 9, 10, 11)
+	if err := DecodeInto(sch, buf, dst); err != nil || len(dst[2].List) != 4 || dst[2].List[3] != 11 {
+		t.Fatalf("longer list decoded as %v (err %v)", dst[2], err)
+	}
+	buf[len(buf)-8] = 0
+	if dst[2].List[3] != 11 {
+		t.Fatal("decoded list aliases the encoded bytes")
+	}
+	if err := DecodeInto(sch, buf, make(Row, 2)); err == nil {
+		t.Fatal("destination of the wrong arity accepted")
+	}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
 	sch := NewSchema(Col("i", TInt), Col("l", TIntList))
 	f := func(i int64, l []int64) bool {

@@ -32,25 +32,27 @@ func GroundTopDown(ctx context.Context, ts *TableSet, opts Options) (*Result, er
 			continue
 		}
 		rows := make([]atomRow, 0, t.RowCount())
-		it := t.NewScan()
-		if err := it.Open(); err != nil {
+		err := func() error {
+			it := t.NewScan()
+			defer it.Close()
+			if err := it.Open(); err != nil {
+				return err
+			}
+			for {
+				row, ok, err := it.Next()
+				if err != nil || !ok {
+					return err
+				}
+				args := make([]int32, pred.Arity())
+				for i := 0; i < pred.Arity(); i++ {
+					args[i] = int32(row[1+i].I)
+				}
+				rows = append(rows, atomRow{aid: row[0].I, args: args, truth: row[pred.Arity()+1].I})
+			}
+		}()
+		if err != nil {
 			return nil, err
 		}
-		for {
-			row, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			args := make([]int32, pred.Arity())
-			for i := 0; i < pred.Arity(); i++ {
-				args[i] = int32(row[1+i].I)
-			}
-			rows = append(rows, atomRow{aid: row[0].I, args: args, truth: row[pred.Arity()+1].I})
-		}
-		it.Close()
 		mem[pred] = rows
 		// In-memory object representation overhead (pointers, boxing) — the
 		// 4x factor models Alchemy's per-atom object cost.
